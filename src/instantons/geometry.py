@@ -1,15 +1,17 @@
 # Restriction geometry along lines and planes of P(V): sections of E on a
 # plane or line as intersections inside H* (x) V*, splitting orders on lines
-# via minimal generators of the restricted section module, determinants of
-# the associated net of quadrics, and the quadric-ideal computations attached
-# to maps from a null-correlation bundle to O(1).
+# as a = n - rank w(lambda) (the display restricted to the line and twisted
+# by -1 gives 0 -> H0(E_L(-1)) -> H -> H*; Barth, Math. Ann. 226, 1977),
+# determinants of the associated net of quadrics, and the quadric-ideal
+# computations attached to maps from a null-correlation bundle to O(1).
 
 from __future__ import annotations
 
-from .bases import WEDGE_PAIRS, mono_mul, monomial_index_map, monomials, sym_pairs
+from .bases import WEDGE_PAIRS, sym_pairs
 from .fields import Field
 from .linalg import Mat, MatBuilder, Subspace
 from .monads import Monad, MonadError, build_monad
+from .nondeg import projective_points
 from .polys import interpolate as poly_interpolate
 from .polys import trim as poly_trim
 from .tensors import OmegaTensor
@@ -150,58 +152,20 @@ def h0_line(omega: OmegaTensor, line: Line, *, monad: Monad | None = None) -> in
 # -- splitting order on a line ----------------------------------------------
 
 
-def _line_section_spaces(m: Monad, line: Line, d: int) -> tuple[Subspace, Mat]:
-    """(ker of the restricted right map, image matrix of the restricted left
-    map) in degree d on the line."""
-    subs = line.U.basis  # 2 x 4 substitution V* -> U*
-    a = m.alpha(d, subs=subs)
-    b = m.beta(d, subs=subs)
-    return a.kernel(), b
-
-
 def splitting_order(omega: OmegaTensor, line: Line, *, monad: Monad | None = None) -> int:
     """Splitting order a of E_L = O(a) (+) O(-a) for a rank-2 bundle.
 
-    Section spaces M_d of E_L(d) are computed for d = 0..n from the display
-    restricted to the line; a is the largest d at which multiplication by the
-    line's coordinates fails to generate M_d from M_{d-1} (a fresh minimal
-    generator of the section module), and 0 when no failure occurs.
+    The display restricted to L and twisted by -1 gives
+    0 -> H0(E_L(-1)) -> H -> H*, the last map being the contracted quadric
+    w(lambda) of the line; h0(E_L(-1)) = a, so a = n - rank w(lambda), the
+    jumping-line criterion with its multiplicity (Barth, Math. Ann. 226,
+    1977).  On a degenerate tensor E is not a bundle and the number is not a
+    splitting order.
     """
     m = monad if monad is not None else build_monad(omega)
     if m.r != 2:
         raise MonadError("splitting order is defined for rank-2 displays only")
-    f = omega.field
-    n = m.nH
-    kers: dict[int, Subspace] = {}
-    betas: dict[int, Mat] = {}
-    for d in range(0, n + 1):
-        kers[d], betas[d] = _line_section_spaces(m, line, d)
-    order = 0
-    for d in range(1, n + 1):
-        prev, cur = kers[d - 1], kers[d]
-        count_prev = d  # monomials of degree d-1 in 2 variables
-        count_cur = d + 1
-        rows = betas[d].transpose().rows()
-        for t in range(prev.dim):
-            vec = prev.basis.row(t)
-            for var in (0, 1):
-                out = [f.zero()] * (m.m * count_cur)
-                src_mon = monomials(2, d - 1)
-                tgt_idx = monomial_index_map(2, d)
-                for s in range(m.m):
-                    for mi, mono in enumerate(src_mon):
-                        c = vec[s * count_prev + mi]
-                        if not f.is_zero(c):
-                            out[s * count_cur + tgt_idx[mono_mul(mono, var)]] = f.add(
-                                out[s * count_cur + tgt_idx[mono_mul(mono, var)]], c
-                            )
-                rows.append(out)
-        generated = Subspace.from_spanning(Mat.from_rows(f, rows, m.m * count_cur))
-        # the generated space sits inside ker alpha_d; strictness means a new
-        # generator of the section module in degree d
-        if generated.dim < cur.dim:
-            order = d
-    return order
+    return m.nH - omega.contract_line(line.plucker).rank()
 
 
 # -- nets of quadrics --------------------------------------------------------
@@ -212,16 +176,21 @@ def pencil_jump_poly(omega: OmegaTensor, lam0: list, lam1: list) -> list:
 
     The pencil must stay inside the decomposable locus (checked through the
     Pluecker quadric); the result is the coefficient list of a polynomial of
-    degree at most n whose roots mark jumping lines of the pencil.
+    degree at most n whose roots mark jumping lines of the pencil.  It is
+    interpolated from the points 0..n, which must stay distinct in the field.
     """
-    f = omega.field
+    f, n = omega.field, omega.n
+    if f.p is not None and f.p <= n:
+        raise ValueError(
+            f"the pencil determinant needs n + 1 = {n + 1} distinct points 0..n, but they "
+            f"collide in {f.spec_str()} (characteristic {f.p} <= n = {n})"
+        )
     if not f.is_zero(plucker_quadric(f, lam0)):
         raise ValueError("lam0 is not decomposable")
     if not f.is_zero(plucker_quadric(f, lam1)):
         raise ValueError("lam1 is not decomposable")
     if not f.is_zero(plucker_bilinear(f, lam0, lam1)):
         raise ValueError("pencil leaves the decomposable locus")
-    n = omega.n
     points = [f.of_int(i) for i in range(n + 1)]
     values = []
     for t in points:
@@ -297,17 +266,13 @@ def _has_decomposable(field: Field, K: Subspace, inter: Subspace, scan_cap: int)
     # conservative capped scan over the base field for higher dimensions
     if f.kind == "rational":
         return any(m0.rank() <= 1 for m0 in mats)
-    count = 0
-    for vec in _projective_points(f, inter.dim):
+    for vec in projective_points(f, inter.dim, scan_cap):
         acc = None
         for c, m0 in zip(vec, mats):
             term = m0.scale(c)
             acc = term if acc is None else acc + term
         if acc.rank() <= 1:
             return True
-        count += 1
-        if count >= scan_cap:
-            break
     return False
 
 
@@ -347,23 +312,6 @@ def _pencil_has_rank_one(field: Field, A: Mat, B: Mat) -> bool:
         if not g or len(g) == 1:
             return False
     return len(g) > 1
-
-
-def _projective_points(field: Field, dim: int):
-    """Deterministic enumeration of P^(dim-1) over a finite field."""
-    f = field
-    elems = list(f.elements())
-    for lead in range(dim):
-        tail = dim - lead - 1
-
-        def rec(pos: int, acc: list):
-            if pos == tail:
-                yield [f.zero()] * lead + [f.one()] + acc
-                return
-            for e in elems:
-                yield from rec(pos + 1, acc + [e])
-
-        yield from rec(0, [])
 
 
 # -- quadric ideals from null-correlation maps -------------------------------

@@ -83,17 +83,11 @@ class Monad:
 
     # -- graded maps on twisted global sections -----------------------
 
-    def alpha(self, d: int, subs: Mat | None = None) -> Mat:
-        """Sections map N (x) S^d -> H-bar* (x) S^(d+1).
-
-        subs, when given, is an (nvars x 4) substitution sending each x_k to
-        a linear form in fewer variables (restriction to a line); the default
-        keeps all four coordinates.
-        """
+    def alpha(self, d: int) -> Mat:
+        """Sections map N (x) S^d -> H-bar* (x) S^(d+1)."""
         f = self.field
-        nvars = 4 if subs is None else subs.nrows
-        src_mon = monomials(nvars, d)
-        tgt_idx = monomial_index_map(nvars, d + 1)
+        src_mon = monomials(4, d)
+        tgt_idx = monomial_index_map(4, d + 1)
         src_count, tgt_count = len(src_mon), len(tgt_idx)
         b = MatBuilder(f, self.nH * tgt_count, self.m * src_count)
         for s in range(self.m):
@@ -102,24 +96,15 @@ class Monad:
                     c = self.umat.get(hv_index(a, k), s)
                     if f.is_zero(c):
                         continue
-                    if subs is None:
-                        for mi, mono in enumerate(src_mon):
-                            b.add(a * tgt_count + tgt_idx[mono_mul(mono, k)], s * src_count + mi, c)
-                    else:
-                        for rv in range(nvars):
-                            cr = f.mul(c, subs.get(rv, k))
-                            if f.is_zero(cr):
-                                continue
-                            for mi, mono in enumerate(src_mon):
-                                b.add(a * tgt_count + tgt_idx[mono_mul(mono, rv)], s * src_count + mi, cr)
+                    for mi, mono in enumerate(src_mon):
+                        b.add(a * tgt_count + tgt_idx[mono_mul(mono, k)], s * src_count + mi, c)
         return b.build()
 
-    def beta(self, d: int, subs: Mat | None = None) -> Mat:
+    def beta(self, d: int) -> Mat:
         """Sections map H-bar (x) S^(d-1) -> N (x) S^d."""
         f = self.field
-        nvars = 4 if subs is None else subs.nrows
-        src_mon = monomials(nvars, d - 1)
-        tgt_idx = monomial_index_map(nvars, d)
+        src_mon = monomials(4, d - 1)
+        tgt_idx = monomial_index_map(4, d)
         src_count, tgt_count = len(src_mon), len(tgt_idx)
         b = MatBuilder(f, self.m * tgt_count, self.nH * src_count)
         for s in range(self.m):
@@ -128,16 +113,8 @@ class Monad:
                     c = self.wmat.get(s, hv_index(a, k))
                     if f.is_zero(c):
                         continue
-                    if subs is None:
-                        for mi, mono in enumerate(src_mon):
-                            b.add(s * tgt_count + tgt_idx[mono_mul(mono, k)], a * src_count + mi, c)
-                    else:
-                        for rv in range(nvars):
-                            cr = f.mul(c, subs.get(rv, k))
-                            if f.is_zero(cr):
-                                continue
-                            for mi, mono in enumerate(src_mon):
-                                b.add(s * tgt_count + tgt_idx[mono_mul(mono, rv)], a * src_count + mi, cr)
+                    for mi, mono in enumerate(src_mon):
+                        b.add(s * tgt_count + tgt_idx[mono_mul(mono, k)], a * src_count + mi, c)
         return b.build()
 
     def h_values(self, d: int) -> tuple[int, int]:

@@ -75,7 +75,7 @@ class Verdict:
 # -- witness scan -----------------------------------------------------------
 
 
-def _projective_points(field: Field, dim: int, cap: int):
+def projective_points(field: Field, dim: int, cap: int):
     """Standard basis vectors first, then leading-one affine charts, capped."""
     count = 0
     one, zero = field.one(), field.zero()
@@ -163,7 +163,7 @@ def witness_search(
         m = _flatten_in_field(omega, fld)
         scan_h = n <= 4
         dim = n if scan_h else 4
-        for point in _projective_points(fld, dim, point_cap):
+        for point in projective_points(fld, dim, point_cap):
             other = _contract_side(m, n, point, scan_h, fld)
             ker = other.kernel()
             if ker.dim > 0:
@@ -204,7 +204,7 @@ def _lifted_witness(omega: OmegaTensor, point_cap: int):
 
     scan_h = n <= 4
     dim = n if scan_h else 4
-    for point in _projective_points(aux, dim, point_cap):
+    for point in projective_points(aux, dim, point_cap):
         other = _contract_side(m_p, n, point, scan_h, aux)
         ker = other.kernel()
         if ker.dim == 0:

@@ -54,6 +54,14 @@ def test_table_pencil(capsys):
     assert "degree,5" in out
 
 
+def test_table_pencil_small_field_is_input_error(capsys):
+    # the pencil determinant is interpolated at 0..n, which collide mod 5
+    code = run(["table", "pencil", "--example", "thooft5", "--field", "fp:5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "fp:5" in err and "n = 5" in err
+
+
 def test_sample_and_reload(tmp_path):
     out = tmp_path / "t.json"
     assert run(["sample", "--n", "3", "--r", "6", "--seed", "1", "--out", str(out)]) == 0

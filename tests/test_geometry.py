@@ -1,6 +1,7 @@
 import pytest
 
 from instantons.families import nc_tensor, sample_instanton, thooft_tensor
+from instantons.fields import field_from_spec
 from instantons.geometry import (
     Line,
     Plane,
@@ -20,6 +21,7 @@ from instantons.linalg import Mat, Stream, Subspace
 from instantons.monads import MonadError, build_monad
 from instantons.polys import roots as poly_roots
 from instantons.tensors import OmegaTensor
+from oracles import splitting_order_by_generators
 
 
 def test_line_constructions_agree(F):
@@ -314,3 +316,58 @@ def test_quadrics_through_line(F):
     line = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
     space = quadrics_through_line(F, line)
     assert space.dim == 7
+
+
+def _coordinate_lines(field):
+    e = [[int(k == i) for k in range(4)] for i in range(4)]
+    return [Line.from_points(field, e[i], e[j]) for i in range(4) for j in range(i + 1, 4)]
+
+
+def _pencil_root_lines(field, omega, p, q0, q1):
+    lam0, lam1 = point_plane_pencil(field, p, q0, q1)
+    found, _ = poly_roots(pencil_jump_poly(omega, lam0, lam1), field)
+    return [
+        Line.from_plucker(field, [field.add(a, field.mul(t, b)) for a, b in zip(lam0, lam1)])
+        for t in found
+    ]
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:7"])
+def test_splitting_order_matches_section_module_oracle(spec):
+    field = field_from_spec(spec)
+    st = Stream("oracle_lines", spec)
+    cases = []
+    for n in (3, 4, 5):
+        t = thooft_tensor(n, field)
+        lines = _coordinate_lines(field)
+        lines += _pencil_root_lines(field, t, [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0])
+        cases.append((t, lines))
+    # the sampler interpolates at 0..4n, which collide mod 7; randomized
+    # 't Hooft tensors stand in for the samples there
+    if field.p > 20:
+        randomized = [sample_instanton(n, 2, field, ("oracle", n)) for n in (2, 3, 4, 5)]
+    else:
+        randomized = [thooft_tensor(n, field, seed=1) for n in (3, 4, 5)]
+    for t in randomized:
+        lines = []
+        while len(lines) < 4:
+            try:
+                lines.append(Line.from_points(field, st.next_vector(field, 4), st.next_vector(field, 4)))
+            except ValueError:
+                continue
+        while True:
+            p, q0, q1 = (st.next_vector(field, 4) for _ in range(3))
+            if Mat.from_rows(field, [p, q0, q1], 4).rank() == 3:
+                break
+        lines += _pencil_root_lines(field, t, p, q0, q1)
+        cases.append((t, lines))
+    mismatches, top_orders = [], 0
+    for t, lines in cases:
+        m = build_monad(t, quick_check=False)
+        for line in lines:
+            a = splitting_order(t, line, monad=m)
+            if a != splitting_order_by_generators(m, line):
+                mismatches.append((t, line.plucker, a))
+            top_orders += a == t.n
+    assert mismatches == []
+    assert top_orders >= 1  # some line reaches the maximal order a = n
