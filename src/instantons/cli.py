@@ -205,10 +205,11 @@ def _pencil_table(args, field, omega) -> int:
     rows.append(f"degree,{len(poly) - 1}")
     for i, c in enumerate(poly):
         rows.append(f"coeff_{i},{field.to_str(c)}")
+    monad = build_monad(omega) if found else None
     for root in found:
         lam = [field.add(a, field.mul(root, b)) for a, b in zip(lam0, lam1)]
         line = Line.from_plucker(field, lam)
-        order = splitting_order(omega, line)
+        order = splitting_order(omega, line, monad=monad)
         rows.append(f"root,{field.to_str(root)}")
         rows.append(f"order_at_root,{order}")
     rows.append(f"residual_degree,{len(residual) - 1 if residual else -1}")

@@ -298,6 +298,12 @@ def sample_corank2(n: int, field: Field, seed, budget: Budget = LIGHT_BUDGET) ->
     if n < 2:
         raise ValueError("corank-2 sampling needs n >= 2")
     f = field
+    if f.p is not None and f.p <= 4 * n:
+        raise ValueError(
+            f"corank-2 sampling interpolates the pencil determinant at the 4n + 1 = {4 * n + 1} "
+            f"points 0..4n, but they collide in {f.spec_str()} (characteristic {f.p} <= 4n, "
+            f"n = {n})"
+        )
     st = Stream("sample_corank2", f.spec_str(), n, seed)
     for trial in range(RETRY_LIMIT):
         w0 = random_tensor(n, f, st)

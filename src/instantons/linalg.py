@@ -3,7 +3,8 @@
 #
 # Prime fields with small modulus run on int64 numpy arrays (integer
 # arithmetic mod p, no floats); the rationals and extension fields use plain
-# Python elements.  Gaussian elimination pivots on the first nonzero entry,
+# Python elements.  This module alone chooses and knows the storage; the rest
+# of the package works through Mat's methods.  Gaussian elimination pivots on the first nonzero entry,
 # so reduced row-echelon forms are canonical and equality of subspaces is
 # literal equality of their stored bases.
 
@@ -66,10 +67,13 @@ def _generic_rref(rows: list[list], field: Field) -> tuple[list[list], list[int]
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][c])
         rows[r] = [field.mul(inv, x) for x in rows[r]]
+        pivot_nz = [(j, y) for j, y in enumerate(rows[r]) if not field.is_zero(y)]
         for i in range(nrows):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            if i != r and not field.is_zero(row[c]):
+                f = row[c]
+                for j, y in pivot_nz:
+                    row[j] = field.sub(row[j], field.mul(f, y))
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -131,7 +135,7 @@ class Mat:
     @staticmethod
     def from_np(field: Field, a: np.ndarray) -> "Mat":
         assert _use_np(field)
-        a = np.mod(a, field.p).astype(np.int64)
+        a = np.mod(a, field.p).astype(np.int64, copy=False)
         return Mat(field, a.shape[0], a.shape[1], a)
 
     # -- access -------------------------------------------------------
@@ -149,13 +153,6 @@ class Mat:
     def rows(self) -> list[list]:
         return [self.row(i) for i in range(self.nrows)]
 
-    def np(self) -> np.ndarray:
-        assert _use_np(self.field)
-        return self._a
-
-    def tolist(self) -> list[list]:
-        return self.rows()
-
     # -- algebra --------------------------------------------------------
 
     def transpose(self) -> "Mat":
@@ -169,16 +166,21 @@ class Mat:
             raise ValueError("shape mismatch in matmul")
         f = self.field
         if _use_np(f):
-            return Mat.from_np(f, (self._a @ other._a) % f.p)
+            # a zero column of self meets a row of other that adds nothing
+            a, b = self._a, other._a
+            live = a.any(axis=0)
+            if not live.all():
+                a, b = a[:, live], b[live]
+            return Mat.from_np(f, a @ b)
+        # zero entries are skipped on both sides: the operands are mostly sparse
+        other_nz = [[(j, y) for j, y in enumerate(r) if not f.is_zero(y)] for r in other._a]
         out = []
-        for i in range(self.nrows):
-            row = []
-            arow = self._a[i]
-            for j in range(other.ncols):
-                acc = f.zero()
-                for k in range(self.ncols):
-                    acc = f.add(acc, f.mul(arow[k], other._a[k][j]))
-                row.append(acc)
+        for arow in self._a:
+            row = [f.zero()] * other.ncols
+            for x, brow in zip(arow, other_nz):
+                if brow and not f.is_zero(x):
+                    for j, y in brow:
+                        row[j] = f.add(row[j], f.mul(x, y))
             out.append(row)
         return Mat(f, self.nrows, other.ncols, out)
 
@@ -245,7 +247,8 @@ class Mat:
         if self.nrows != other.nrows:
             raise ValueError("row mismatch in hstack")
         if _use_np(self.field):
-            return Mat.from_np(self.field, np.hstack([self._a, other._a]))
+            return Mat(self.field, self.nrows, self.ncols + other.ncols,
+                       np.hstack([self._a, other._a]))
         data = [r1 + r2 for r1, r2 in zip(self._a, other._a)]
         return Mat(self.field, self.nrows, self.ncols + other.ncols, data)
 
@@ -253,19 +256,35 @@ class Mat:
         if self.ncols != other.ncols:
             raise ValueError("col mismatch in vstack")
         if _use_np(self.field):
-            return Mat.from_np(self.field, np.vstack([self._a, other._a]))
+            return Mat(self.field, self.nrows + other.nrows, self.ncols,
+                       np.vstack([self._a, other._a]))
         return Mat(self.field, self.nrows + other.nrows, self.ncols, [list(r) for r in self._a] + [list(r) for r in other._a])
 
     def take_rows(self, idx: list[int]) -> "Mat":
         if _use_np(self.field):
-            return Mat.from_np(self.field, self._a[idx] if idx else np.zeros((0, self.ncols), dtype=np.int64))
+            return Mat(self.field, len(idx), self.ncols, self._a[np.asarray(idx, dtype=np.intp)])
         return Mat(self.field, len(idx), self.ncols, [list(self._a[i]) for i in idx])
 
     def take_cols(self, idx: list[int]) -> "Mat":
         if _use_np(self.field):
-            a = self._a[:, idx] if idx else np.zeros((self.nrows, 0), dtype=np.int64)
-            return Mat.from_np(self.field, a)
+            return Mat(self.field, self.nrows, len(idx), self._a[:, np.asarray(idx, dtype=np.intp)])
         return Mat(self.field, self.nrows, len(idx), [[r[j] for j in idx] for r in self._a])
+
+    def place_cols(self, idx: list[int], ncols: int) -> "Mat":
+        """Matrix with ncols columns whose column idx[j] is column j of self and
+        whose other columns are zero; idx must not repeat."""
+        if _use_np(self.field):
+            a = np.zeros((self.nrows, ncols), dtype=np.int64)
+            a[:, np.asarray(idx, dtype=np.intp)] = self._a
+            return Mat(self.field, self.nrows, ncols, a)
+        z = self.field.zero()
+        data = []
+        for r in self._a:
+            out = [z] * ncols
+            for j, x in zip(idx, r):
+                out[j] = x
+            data.append(out)
+        return Mat(self.field, self.nrows, ncols, data)
 
     # -- elimination-based operations ----------------------------------
 
@@ -542,25 +561,17 @@ class MatBuilder:
             self._a[i][j] = val
 
     def build(self) -> Mat:
-        if _use_np(self.field):
-            return Mat(self.field, self.nrows, self.ncols, self._a)
         return Mat(self.field, self.nrows, self.ncols, self._a)
 
 
-def kron_identity(a: Mat, m: int) -> Mat:
-    """Kronecker product a (x) I_m."""
+def kron(a: Mat, b: Mat) -> Mat:
+    """Kronecker product: entry (i*b.nrows + k, j*b.ncols + l) is a[i, j] b[k, l]."""
     f = a.field
+    nrows, ncols = a.nrows * b.nrows, a.ncols * b.ncols
     if _use_np(f):
-        out = np.kron(a._a, np.eye(m, dtype=np.int64))
-        return Mat.from_np(f, out)
-    b = MatBuilder(f, a.nrows * m, a.ncols * m)
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            v = a.get(i, j)
-            if not f.is_zero(v):
-                for t in range(m):
-                    b.set(i * m + t, j * m + t, v)
-    return b.build()
+        return Mat(f, nrows, ncols, np.kron(a._a, b._a) % f.p)
+    data = [[f.mul(x, y) for x in ar for y in br] for ar in a._a for br in b._a]
+    return Mat(f, nrows, ncols, data)
 
 
 def sample_matrix(rows: int, cols: int, field: Field, seed) -> Mat:

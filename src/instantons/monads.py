@@ -28,7 +28,7 @@ from .bases import (
     sym_pairs,
 )
 from .fields import Field
-from .linalg import Mat, MatBuilder, Subspace, kron_identity
+from .linalg import Mat, MatBuilder, Subspace, kron
 from .tensors import OmegaTensor
 
 
@@ -196,8 +196,9 @@ def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
 
     plain = build_monad(omega, quick_check=False)
     j = kernel_inclusion(omega.field, xi)
-    proj = kron_identity(j.transpose(), 4)  # H* (x) V* -> H-bar* (x) V*
-    incl = kron_identity(j, 4)  # H-bar (x) V -> H (x) V
+    eye = Mat.identity(omega.field, 4)
+    proj = kron(j.transpose(), eye)  # H* (x) V* -> H-bar* (x) V*
+    incl = kron(j, eye)  # H-bar (x) V -> H (x) V
     umat = proj @ plain.umat
     wmat = plain.wmat @ incl
     return Monad(omega.field, omega.n - 1, plain.N, plain.phi, umat, wmat)

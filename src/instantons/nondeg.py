@@ -5,18 +5,18 @@
 # the ideal generated by the 4n bilinear forms <omega(h (x) v), basis> equals
 # the whole space.  A closed certificate proves non-degeneracy over the
 # algebraic closure; a found witness disproves it exactly; anything else is
-# reported as unknown, never guessed.
+# reported as unknown, never guessed.  Both are written on Mat alone
+# (products, Kronecker products, column placement, rref): how a field is
+# stored, numpy or Python elements, is linalg's business.
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import numpy as np
-
-from .bases import hv_index, monomial_index_map, monomials, num_monomials
+from .bases import mono_mul, monomial_index_map, monomials, num_monomials
 from .fields import ExtensionField, Field, PrimeField
-from .linalg import Mat, _np_rref, _use_np
+from .linalg import Mat, kron
 from .tensors import OmegaTensor
 
 DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = (
@@ -127,14 +127,48 @@ def projective_points(field: Field, dim: int, cap: int):
                 return
 
 
-def _flatten_in_field(omega: OmegaTensor, target: Field) -> Mat:
+def _flatten_in_field(omega: OmegaTensor, target: Field) -> Mat | None:
+    """The flattening with its entries embedded into an extension of the base
+    field, or reduced from Q mod the prime of target; None when a denominator
+    vanishes mod that prime."""
     base = omega.field
     m = omega.flatten().mat
     if target == base:
         return m
-    # embedding of a prime field into its extension
-    rows = [[target.embed(x) for x in m.row(i)] for i in range(m.nrows)]
+    rows = m.rows()
+    if base.kind == "rational":
+        p = target.p
+        if any(x.denominator % p == 0 for r in rows for x in r):
+            return None
+        rows = [[x.numerator * pow(x.denominator, -1, p) for x in r] for r in rows]
+    else:
+        rows = [[target.embed(x) for x in r] for r in rows]
     return Mat.from_rows(target, rows, m.ncols)
+
+
+def _column(fld: Field, vec: list) -> Mat:
+    return Mat.from_rows(fld, [[x] for x in vec], 1)
+
+
+def _candidates(m: Mat, n: int, fld: Field, point_cap: int):
+    """(h, v) with m @ (h (x) v) = 0, in enumeration order.
+
+    Scans the smaller of P(H), P(V): a point h is contracted to
+    m @ (h (x) I_4), a point v to m @ (I_n (x) v), and the first vector of
+    the contraction's kernel basis is its partner.
+    """
+    scan_h = n <= 4
+    eye = Mat.identity(fld, 4 if scan_h else n)
+    for point in projective_points(fld, n if scan_h else 4, point_cap):
+        col = _column(fld, point)
+        ker = (m @ (kron(col, eye) if scan_h else kron(eye, col))).kernel()
+        if ker.dim > 0:
+            partner = ker.basis.row(0)
+            yield (point, partner) if scan_h else (partner, point)
+
+
+def _is_witness(m: Mat, h: list, v: list, fld: Field) -> bool:
+    return (m @ kron(_column(fld, h), _column(fld, v))).is_zero()
 
 
 def witness_search(
@@ -150,7 +184,6 @@ def witness_search(
     subject to the point cap and a cap on the extension field size.  A
     returned witness is re-verified exactly before being reported.
     """
-    n = omega.n
     base = omega.field
     degrees = range(1, max_ext_degree + 1) if base.kind == "prime" else [1]
     for j in degrees:
@@ -161,17 +194,10 @@ def witness_search(
         else:
             fld = base
         m = _flatten_in_field(omega, fld)
-        scan_h = n <= 4
-        dim = n if scan_h else 4
-        for point in projective_points(fld, dim, point_cap):
-            other = _contract_side(m, n, point, scan_h, fld)
-            ker = other.kernel()
-            if ker.dim > 0:
-                partner = ker.basis.row(0)
-                h, v = (point, partner) if scan_h else (partner, point)
-                if _verify_witness(m, n, h, v, fld):
-                    return h, v, fld
+        for h, v in _candidates(m, omega.n, fld, point_cap):
+            if not _is_witness(m, h, v, fld):
                 raise AssertionError("witness failed exact re-verification")
+            return h, v, fld
     if base.kind == "rational":
         return _lifted_witness(omega, point_cap)
     return None
@@ -183,158 +209,57 @@ _AUX_PRIME = 311
 def _lifted_witness(omega: OmegaTensor, point_cap: int):
     """Scan the reduction of a rational tensor mod a small auxiliary prime
     and lift any witness back, keeping it only if it re-verifies exactly."""
-    q = omega.field
     aux = PrimeField(_AUX_PRIME)
-    n = omega.n
+    m_p = _flatten_in_field(omega, aux)
+    if m_p is None:
+        return None  # reduction undefined; skip the auxiliary route
+    q = omega.field
     m_q = omega.flatten().mat
-    rows = []
-    for i in range(m_q.nrows):
-        row = []
-        for x in m_q.row(i):
-            fr = Fraction(x)
-            if fr.denominator % _AUX_PRIME == 0:
-                return None  # reduction undefined; skip the auxiliary route
-            row.append(fr.numerator * pow(fr.denominator, -1, _AUX_PRIME) % _AUX_PRIME)
-        rows.append(row)
-    m_p = Mat.from_rows(aux, rows, m_q.ncols)
 
     def centered(x: int) -> Fraction:
-        x %= _AUX_PRIME
         return Fraction(x - _AUX_PRIME if x > _AUX_PRIME // 2 else x)
 
-    scan_h = n <= 4
-    dim = n if scan_h else 4
-    for point in projective_points(aux, dim, point_cap):
-        other = _contract_side(m_p, n, point, scan_h, aux)
-        ker = other.kernel()
-        if ker.dim == 0:
-            continue
-        partner = ker.basis.row(0)
-        h_p, v_p = (point, partner) if scan_h else (partner, point)
+    for h_p, v_p in _candidates(m_p, omega.n, aux, point_cap):
         h = [centered(x) for x in h_p]
         v = [centered(x) for x in v_p]
-        if any(x != 0 for x in h) and any(x != 0 for x in v):
-            if _verify_witness(m_q, n, h, v, q):
-                return h, v, q
+        if any(h) and any(v) and _is_witness(m_q, h, v, q):
+            return h, v, q
     return None
-
-
-def _contract_side(m: Mat, n: int, point: list, scan_h: bool, fld: Field) -> Mat:
-    """Columns of the flattening contracted against a fixed h or fixed v."""
-    if scan_h:
-        cols = 4
-    else:
-        cols = n
-    rows = []
-    for i in range(m.nrows):
-        mrow = m.row(i)
-        out = []
-        for c in range(cols):
-            acc = fld.zero()
-            if scan_h:
-                for a in range(n):
-                    acc = fld.add(acc, fld.mul(point[a], mrow[hv_index(a, c)]))
-            else:
-                for k in range(4):
-                    acc = fld.add(acc, fld.mul(point[k], mrow[hv_index(c, k)]))
-            out.append(acc)
-        rows.append(out)
-    return Mat.from_rows(fld, rows, cols)
-
-
-def _verify_witness(m: Mat, n: int, h: list, v: list, fld: Field) -> bool:
-    for i in range(m.nrows):
-        mrow = m.row(i)
-        acc = fld.zero()
-        for a in range(n):
-            if fld.is_zero(h[a]):
-                continue
-            for k in range(4):
-                acc2 = fld.mul(h[a], fld.mul(v[k], mrow[hv_index(a, k)]))
-                acc = fld.add(acc, acc2)
-        if not fld.is_zero(acc):
-            return False
-    return True
 
 
 # -- spanning certificate ----------------------------------------------------
 
-
-class _NpAccumulator:
-    """Incremental row-echelon basis mod p with vectorized chunk reduction."""
-
-    def __init__(self, p: int, ncols: int):
-        self.p = p
-        self.ncols = ncols
-        self.basis = np.zeros((0, ncols), dtype=np.int64)
-        self.pivots: list[int] = []
-
-    def add(self, rows: np.ndarray) -> None:
-        p = self.p
-        for start in range(0, rows.shape[0], 1024):
-            if len(self.pivots) == self.ncols:
-                return
-            chunk = rows[start : start + 1024] % p
-            if self.pivots:
-                coef = chunk[:, self.pivots]
-                if coef.any():
-                    chunk = (chunk - coef @ self.basis) % p
-            red, piv = _np_rref(chunk, p)
-            k = len(piv)
-            if k == 0:
-                continue
-            red = red[:k]
-            if self.pivots:
-                coef = self.basis[:, piv]
-                if coef.any():
-                    self.basis = (self.basis - coef @ red) % p
-            merged = np.vstack([self.basis, red])
-            allpiv = self.pivots + piv
-            order = np.argsort(allpiv, kind="stable")
-            self.basis = merged[order]
-            self.pivots = sorted(allpiv)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-class _GenericAccumulator:
-    """Row-echelon accumulator over any field (rationals, extensions)."""
+class _Accumulator:
+    """Reduced row-echelon basis of a growing row space."""
 
     def __init__(self, field: Field, ncols: int):
-        self.field = field
         self.ncols = ncols
-        self.rows: list[list] = []
+        self.basis = Mat.zeros(field, 0, ncols)
         self.pivots: list[int] = []
-
-    def add(self, rows: list[list]) -> None:
-        f = self.field
-        for row in rows:
-            if len(self.pivots) == self.ncols:
-                return
-            v = list(row)
-            for r, pc in enumerate(self.pivots):
-                c = v[pc]
-                if not f.is_zero(c):
-                    br = self.rows[r]
-                    v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, br)]
-            lead = next((i for i, x in enumerate(v) if not f.is_zero(x)), None)
-            if lead is None:
-                continue
-            inv = f.inv(v[lead])
-            v = [f.mul(inv, x) for x in v]
-            for r in range(len(self.rows)):
-                c = self.rows[r][lead]
-                if not f.is_zero(c):
-                    self.rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(self.rows[r], v)]
-            pos = sum(1 for pc in self.pivots if pc < lead)
-            self.rows.insert(pos, v)
-            self.pivots.insert(pos, lead)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def add(self, rows: Mat) -> None:
+        if self.pivots:
+            rows = rows - rows.take_cols(self.pivots) @ self.basis
+        red, piv = rows.rref()
+        if not piv:
+            return
+        red = red.take_rows(range(len(piv)))
+        if self.pivots:
+            self.basis = self.basis - self.basis.take_cols(piv) @ red
+        allpiv = self.pivots + piv
+        order = sorted(range(len(allpiv)), key=allpiv.__getitem__)
+        self.basis = self.basis.vstack(red).take_rows(order)
+        self.pivots = sorted(allpiv)
+
+
+def _times_variable(nvars: int, deg: int) -> list[list[int]]:
+    """Per variable, the index of each degree-deg monomial times it in degree deg + 1."""
+    tgt = monomial_index_map(nvars, deg + 1)
+    return [[tgt[mono_mul(m, i)] for m in monomials(nvars, deg)] for i in range(nvars)]
 
 
 class SpanningCertifier:
@@ -351,110 +276,41 @@ class SpanningCertifier:
         self.omega = omega
         self.field = omega.field
         self.n = omega.n
-        self._pieces: dict[tuple[int, int], object] = {}
-        self._fast = _use_np(self.field)
+        self._pieces: dict[tuple[int, int], _Accumulator] = {}
 
     def _ambient(self, d: int, e: int) -> int:
         return num_monomials(self.n, d) * num_monomials(4, e)
 
-    def _mul_maps(self, nvars: int, deg: int) -> list[list[int]]:
-        src = monomials(nvars, deg)
-        tgt = monomial_index_map(nvars, deg + 1)
-        return [[tgt[tuple(sorted(m + (i,)))] for m in src] for i in range(nvars)]
-
-    def _generators(self):
-        """Rows of the (1,1) piece: the flattening's columns as bilinear forms."""
-        m = self.omega.flatten().mat
-        if self._fast:
-            return m.np().T.copy()
-        return m.transpose().rows()
-
-    def piece(self, d: int, e: int):
+    def piece(self, d: int, e: int) -> _Accumulator:
         key = (d, e)
         if key in self._pieces:
             return self._pieces[key]
         if d < 1 or e < 1:
             raise ValueError("bigraded degrees start at (1, 1)")
-        ncols = self._ambient(d, e)
-        acc = (
-            _NpAccumulator(self.field.p, ncols)
-            if self._fast
-            else _GenericAccumulator(self.field, ncols)
-        )
+        acc = _Accumulator(self.field, self._ambient(d, e))
         if (d, e) == (1, 1):
-            acc.add(self._generators())
-        elif d > 1:
-            # the (d, e) piece is exactly S^1 H* times the (d-1, e) piece
-            self._add_h_multiples(acc, self.piece(d - 1, e), d - 1, e)
+            # the flattening's columns as bilinear forms on H (x) V
+            acc.add(self.omega.flatten().mat.transpose())
         else:
-            self._add_v_multiples(acc, self.piece(d, e - 1), d, e - 1)
+            # the (d, e) piece is S^1 H* times the (d-1, e) piece, or S^1 V*
+            # times the (d, e-1) piece; a monomial times a variable is one
+            # monomial, so each multiple of a row is the row with its columns
+            # moved to the column h * count_v + v of their product
+            count_v = num_monomials(4, e)
+            if d > 1:
+                prev = self.piece(d - 1, e)
+                places = [[th * count_v + v for th in img for v in range(count_v)]
+                          for img in _times_variable(self.n, d - 1)]
+            else:
+                prev = self.piece(d, e - 1)
+                places = [[h * count_v + tv for h in range(num_monomials(self.n, d)) for tv in img]
+                          for img in _times_variable(4, e - 1)]
+            for idx in places:
+                acc.add(prev.basis.place_cols(idx, acc.ncols))
+                if acc.rank == acc.ncols:
+                    break
         self._pieces[key] = acc
         return acc
-
-    def _add_h_multiples(self, acc, prev, d: int, e: int) -> None:
-        countV = num_monomials(4, e)
-        mul = self._mul_maps(self.n, d)
-        tgt_countH = num_monomials(self.n, d + 1)
-        if self._fast:
-            rows = prev.basis
-            if rows.shape[0] == 0:
-                return
-            for i in range(self.n):
-                out = np.zeros((rows.shape[0], tgt_countH * countV), dtype=np.int64)
-                for src_h, tgt_h in enumerate(mul[i]):
-                    out[:, tgt_h * countV : (tgt_h + 1) * countV] += rows[
-                        :, src_h * countV : (src_h + 1) * countV
-                    ]
-                acc.add(out % self.field.p)
-                if acc.rank == acc.ncols:
-                    return
-        else:
-            f = self.field
-            for i in range(self.n):
-                out_rows = []
-                for row in prev.rows:
-                    out = [f.zero()] * (tgt_countH * countV)
-                    for src_h, tgt_h in enumerate(mul[i]):
-                        for v in range(countV):
-                            c = row[src_h * countV + v]
-                            if not f.is_zero(c):
-                                out[tgt_h * countV + v] = f.add(out[tgt_h * countV + v], c)
-                    out_rows.append(out)
-                acc.add(out_rows)
-                if acc.rank == acc.ncols:
-                    return
-
-    def _add_v_multiples(self, acc, prev, d: int, e: int) -> None:
-        countV = num_monomials(4, e)
-        tgt_countV = num_monomials(4, e + 1)
-        countH = num_monomials(self.n, d)
-        mul = self._mul_maps(4, e)
-        if self._fast:
-            rows = prev.basis
-            if rows.shape[0] == 0:
-                return
-            for k in range(4):
-                out = np.zeros((rows.shape[0], countH * tgt_countV), dtype=np.int64)
-                for src_v, tgt_v in enumerate(mul[k]):
-                    out[:, tgt_v::tgt_countV] += rows[:, src_v::countV]
-                acc.add(out % self.field.p)
-                if acc.rank == acc.ncols:
-                    return
-        else:
-            f = self.field
-            for k in range(4):
-                out_rows = []
-                for row in prev.rows:
-                    out = [f.zero()] * (countH * tgt_countV)
-                    for h in range(countH):
-                        for src_v, tgt_v in enumerate(mul[k]):
-                            c = row[h * countV + src_v]
-                            if not f.is_zero(c):
-                                out[h * tgt_countV + tgt_v] = f.add(out[h * tgt_countV + tgt_v], c)
-                    out_rows.append(out)
-                acc.add(out_rows)
-                if acc.rank == acc.ncols:
-                    return
 
     def closes(self, d: int, e: int) -> bool:
         acc = self.piece(d, e)

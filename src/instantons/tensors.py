@@ -361,8 +361,16 @@ def tensor_from_obj(obj: dict) -> OmegaTensor:
     n = int(obj["n"])
     entries = {}
     for e in obj["entries"]:
-        i, j, k, l = int(e["i"]), int(e["j"]), int(e["k"]), int(e["l"])
-        entries[(i, j, k, l)] = field.parse(str(e["c"]))
+        key = int(e["i"]), int(e["j"]), int(e["k"]), int(e["l"])
+        if key in entries:
+            raise ValueError(f"duplicate entry (i,j,k,l) = {key}")
+        try:
+            entries[key] = field.parse(str(e["c"]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"entry (i,j,k,l) = {key}: coefficient {e['c']!r} is not an element of "
+                f"{field.spec_str()} ({exc})"
+            ) from None
     return OmegaTensor.from_entries(n, field, entries)
 
 

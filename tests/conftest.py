@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from instantons.fields import GF32003, QQ
 from instantons.families import sample_corank2, sample_full, sample_instanton
+
+# property tests draw the same examples on every run and are not timed per
+# example (exact elimination on a drawn tensor can take a second)
+settings.register_profile("workbench", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("workbench")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from instantons import cli, geometry
 from instantons.cli import main
 
 
@@ -60,6 +63,55 @@ def test_table_pencil_small_field_is_input_error(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "fp:5" in err and "n = 5" in err
+
+
+@pytest.mark.parametrize("source,roots", [(["--sample", "5,2", "--seed", "1"], 2),
+                                          (["--example", "thooft4"], 0)])
+def test_table_pencil_builds_display_once(monkeypatch, capsys, source, roots):
+    # one display serves every root's splitting order; none without a root
+    builds = []
+
+    def counting(build):
+        def wrapped(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "build_monad", counting(cli.build_monad))
+    monkeypatch.setattr(geometry, "build_monad", counting(geometry.build_monad))
+    assert run(["table", "pencil", *source]) == 0
+    assert capsys.readouterr().out.count("order_at_root,") == roots
+    assert len(builds) == min(roots, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "2", "--r", "2", "--field", "fp:7"],
+    ["certify", "--example", "two-sum", "--field", "fp:7"],
+])
+def test_corank2_sampling_small_field_is_input_error(argv, capsys):
+    # the pencil determinant is interpolated at 0..4n, which collide mod 7
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "fp:7" in err and "n = 2" in err and "Traceback" not in err
+
+
+def _entry(i, j, k, l, c):
+    return {"i": i, "j": j, "k": k, "l": l, "c": c}
+
+
+@pytest.mark.parametrize("field,entries,message", [
+    ("fp:32003", [_entry(0, 0, 0, 1, "1"), _entry(0, 1, 2, 3, "2"), _entry(0, 0, 0, 1, "3")],
+     "duplicate entry (i,j,k,l) = (0, 0, 0, 1)"),
+    ("rational", [_entry(0, 0, 0, 1, "1"), _entry(1, 1, 2, 3, "1/0")],
+     "entry (i,j,k,l) = (1, 1, 2, 3): coefficient '1/0'"),
+    ("fp:32003", [_entry(0, 1, 0, 2, "x")], "entry (i,j,k,l) = (0, 1, 0, 2): coefficient 'x'"),
+])
+def test_bad_tensor_entry_is_input_error(tmp_path, capsys, field, entries, message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 2, "field": field, "entries": entries}))
+    assert run(["certify", "--tensor", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_sample_and_reload(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from instantons.fields import ExtensionField, PrimeField, QQ, field_from_spec, GF32003
-from instantons.linalg import Mat, Stream, Subspace, kron_identity, sample_matrix
+from instantons.linalg import Mat, Stream, Subspace, kron, sample_matrix
 
 
 def test_field_spec_roundtrip():
@@ -137,9 +137,38 @@ def test_stream_determinism_and_split():
     assert p1.child("x").next_u64() == Stream("a", 1).child("x").next_u64()
 
 
-def test_kron_identity(F):
-    a = Mat.from_rows(F, [[1, 2], [3, 4]], 2)
-    k = kron_identity(a, 2)
-    assert k.nrows == 4 and k.get(0, 0) == 1 and k.get(1, 1) == 1
-    assert k.get(0, 2) == 2 and k.get(2, 0) == 3 and k.get(3, 3) == 4
-    assert k.get(0, 1) == 0
+def test_kron_matches_definition(F, Q):
+    for fld in (F, Q, ExtensionField(5, 2)):
+        a = sample_matrix(2, 3, fld, 1)
+        b = sample_matrix(3, 2, fld, 2)
+        k = kron(a, b)
+        assert (k.nrows, k.ncols) == (6, 6)
+        for i in range(2):
+            for j in range(3):
+                for r in range(3):
+                    for c in range(2):
+                        assert k.get(3 * i + r, 2 * j + c) == fld.mul(a.get(i, j), b.get(r, c))
+
+
+def test_place_cols_undoes_take_cols(F, Q):
+    idx = [5, 0, 3]
+    for fld in (F, Q):
+        m = sample_matrix(4, 3, fld, 7)
+        placed = m.place_cols(idx, 6)
+        assert placed.ncols == 6 and placed.take_cols(idx) == m
+        assert placed.take_cols([1, 2, 4]).is_zero()
+        assert m.take_rows([]).place_cols(idx, 6) == Mat.zeros(fld, 0, 6)
+
+
+def test_rational_matmul_agrees_with_prime_product(Q):
+    # small integers with many zeros: the generic product skips zero entries
+    # on both sides, the int64 product only the zero columns of its left factor
+    st = Stream("matmul", 0)
+    for shape in ((3, 4, 5), (6, 1, 2), (1, 7, 1), (0, 3, 2)):
+        r, k, c = shape
+        ints = [[[st.next_below(7) - 3 if st.next_below(3) else 0 for _ in range(cols)]
+                 for _ in range(rows)] for rows, cols in ((r, k), (k, c))]
+        prod = Mat.from_rows(Q, ints[0], k) @ Mat.from_rows(Q, ints[1], c)
+        reduced = [[int(x) % 32003 for x in row] for row in prod.rows()]
+        expect = Mat.from_rows(GF32003, ints[0], k) @ Mat.from_rows(GF32003, ints[1], c)
+        assert reduced == expect.rows()

@@ -1,8 +1,15 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import piece_rank_by_spanning_set, spanning_set_cells, witness_search_by_loops
+
+from instantons.bases import num_monomials
 from instantons.families import degenerate_rank6, nc_tensor, random_tensor, sample_full
-from instantons.fields import PrimeField
-from instantons.linalg import Stream
+from instantons.fields import PrimeField, field_from_spec
+from instantons.linalg import Mat, Stream
 from instantons.nondeg import (
+    DEFAULT_SCHEDULE,
     Budget,
+    SpanningCertifier,
     classify,
     spanning_certificate,
     witness_search,
@@ -133,3 +140,97 @@ def test_agreement_small_field():
     assert unsound == 0
     # honest reporting: cases neither side decides may exist, never asserted
     assert open_cases >= 0
+
+
+# -- properties against the reference computations in tests/oracles.py ------
+
+# (field, extension degree of the scan); n = 5 scans P(V) instead of P(H)
+ORACLE_FIELDS = [("fp:5", 2), ("fp:7", 1), ("fp:32003", 1), ("rational", 1)]
+ORACLE_POINT_CAP = 200
+# largest explicit spanning set the piece oracle ranks, per backend
+ORACLE_CELLS = {"prime": 150_000, "rational": 15_000}
+
+
+def _vanishing_at(fld, n: int, h: list, v: list, lam: list) -> OmegaTensor:
+    """A combination, with coefficients lam, of a basis of the tensors that
+    vanish on h (x) v."""
+    size = 3 * n * (n + 1)
+    hv = [fld.mul(x, y) for x in h for y in v]
+    cols = []
+    for t in range(size):
+        unit = OmegaTensor.from_vec(n, fld, [fld.one() if s == t else fld.zero() for s in range(size)])
+        m = unit.flatten().mat
+        row_sums = []
+        for i in range(m.nrows):
+            acc = fld.zero()
+            for x, y in zip(m.row(i), hv):
+                acc = fld.add(acc, fld.mul(x, y))
+            row_sums.append(acc)
+        cols.append(row_sums)
+    ker = Mat.from_rows(fld, cols, 4 * n).transpose().kernel().basis
+    vec = [fld.zero()] * size
+    for i in range(ker.nrows):
+        c = fld.of_int(lam[i % len(lam)])
+        vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, ker.row(i))]
+    return OmegaTensor.from_vec(n, fld, vec)
+
+
+@st.composite
+def _tensors(draw, fld):
+    """Sparse small-integer tensors, or tensors with a planted witness."""
+    n = draw(st.integers(2, 5))
+    small = st.one_of(st.just(0), st.integers(-3, 3))
+    if draw(st.booleans()):
+        vec = draw(st.lists(small, min_size=3 * n * (n + 1), max_size=3 * n * (n + 1)))
+        return OmegaTensor.from_vec(n, fld, [fld.of_int(x) for x in vec])
+
+    # planted witness; the scanned side (h for n <= 4, v for n = 5) is
+    # (1, 0, ..., 0, t): over Q it lies beyond the small-height scan and the
+    # mod-311 scan reaches it within the cap, and the partner's negative
+    # entries need the centered lift
+    def scanned(dim):
+        return st.integers(3, 7).map(
+            lambda t: [fld.one()] + [fld.zero()] * (dim - 2) + [fld.of_int(t)])
+
+    def partner(dim):
+        return st.lists(st.integers(-7, 7), min_size=dim - 1, max_size=dim - 1).map(
+            lambda xs: [fld.one()] + [fld.of_int(x) for x in xs])
+
+    if n <= 4:
+        h, v = draw(scanned(n)), draw(partner(4))
+    else:
+        h = draw(partner(n))
+        v = draw(scanned(4))
+    lam = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    return _vanishing_at(fld, n, h, v, lam)
+
+
+def _ser(w):
+    return None if w is None else ([w[2].to_str(x) for x in w[0]],
+                                   [w[2].to_str(x) for x in w[1]], w[2].spec_str())
+
+
+@pytest.mark.parametrize("spec,ext", ORACLE_FIELDS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_witness_search_matches_loop_oracle(spec, ext, data):
+    fld = field_from_spec(spec)
+    t = data.draw(_tensors(fld))
+    args = (t, ext, ORACLE_POINT_CAP, 10**6)
+    assert _ser(witness_search(*args)) == _ser(witness_search_by_loops(*args))
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in ORACLE_FIELDS])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_piece_ranks_match_spanning_set_oracle(spec, data):
+    # every schedule piece whose explicit spanning set stays under the cap;
+    # at n = 2 over the prime fields that is the whole schedule
+    fld = field_from_spec(spec)
+    t = data.draw(_tensors(fld))
+    cert = SpanningCertifier(t)
+    for d, e in DEFAULT_SCHEDULE:
+        if spanning_set_cells(t.n, d, e) <= ORACLE_CELLS[fld.kind]:
+            piece = cert.piece(d, e)
+            assert piece.ncols == num_monomials(t.n, d) * num_monomials(4, e)
+            assert piece.rank == piece_rank_by_spanning_set(t, d, e)
