@@ -25,7 +25,7 @@ from .monads import (
 from .nondeg import Budget, DEFAULT_BUDGET, Verdict, classify
 from .tensors import OmegaTensor, tensor_to_obj
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def rank_preservation_checks(omega: OmegaTensor, xi: list) -> tuple[bool, bool, bool, bool]:

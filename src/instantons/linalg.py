@@ -17,12 +17,20 @@ import numpy as np
 
 from .fields import Field
 
-# p^2 * ncols must stay below 2^63 for the vectorized int64 path
+# primes below this run on int64 arrays; _require_int64_exact checks that
+# each product's sums stay exact
 _NP_PRIME_LIMIT = 1 << 21
 
 
 def _use_np(field: Field) -> bool:
     return field.kind == "prime" and field.p < _NP_PRIME_LIMIT
+
+
+def _require_int64_exact(k: int, p: int) -> None:
+    """An int64 sum of k products of residues mod p is exact iff k (p-1)^2 < 2^63."""
+    if k * (p - 1) ** 2 >= 1 << 63:
+        raise OverflowError(
+            f"int64 exactness invariant k*(p-1)^2 < 2^63 fails for k={k}, p={p}")
 
 
 def _np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -50,6 +58,32 @@ def _np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def _np_first_deficient(stack: np.ndarray, p: int) -> int | None:
+    """Index of the first matrix of a (B, R, w) int64 stack mod p whose rank
+    is below w, or None: one elimination vectorized over the stack."""
+    nb, nrows, width = stack.shape
+    if nb == 0:
+        return None
+    if nrows < width:
+        return 0
+    # each update is pivot * row - entry * pivot_row: two products mod p
+    _require_int64_exact(2, p)
+    a = stack.copy()
+    full = np.ones(nb, dtype=bool)
+    batch = np.arange(nb)
+    for c in range(width):
+        nz = a[:, c:, c] != 0
+        full &= nz.any(axis=1)
+        pr = c + nz.argmax(axis=1)
+        top = a[batch, c].copy()
+        a[batch, c] = a[batch, pr]
+        a[batch, pr] = top
+        below = a[:, c + 1:, c:]
+        a[:, c + 1:, c:] = (below * a[:, c:c + 1, c:c + 1] - below[:, :, :1] * a[:, c:c + 1, c:]) % p
+    bad = np.flatnonzero(~full)
+    return int(bad[0]) if bad.size else None
 
 
 def _generic_rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
@@ -171,6 +205,7 @@ class Mat:
             live = a.any(axis=0)
             if not live.all():
                 a, b = a[:, live], b[live]
+            _require_int64_exact(a.shape[1], f.p)
             return Mat.from_np(f, a @ b)
         # zero entries are skipped on both sides: the operands are mostly sparse
         other_nz = [[(j, y) for j, y in enumerate(r) if not f.is_zero(y)] for r in other._a]
@@ -199,8 +234,10 @@ class Mat:
         f = self.field
         if _use_np(f):
             return Mat.from_np(f, self._a - other._a)
+        # x - 0 is x: the accumulator subtracts mostly-zero products
         data = [
-            [f.sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(self._a, other._a)
+            [x if f.is_zero(y) else f.sub(x, y) for x, y in zip(r1, r2)]
+            for r1, r2 in zip(self._a, other._a)
         ]
         return Mat(f, self.nrows, self.ncols, data)
 
@@ -299,11 +336,27 @@ class Mat:
     def rank(self) -> int:
         return len(self.rref()[1])
 
+    def first_deficient_block(self, width: int) -> int | None:
+        """Index b of the first block of columns b*width .. (b+1)*width - 1
+        whose rank is below width, or None; ncols is a multiple of width."""
+        if width < 1 or self.ncols % width:
+            raise ValueError("column count is not a multiple of the block width")
+        nblocks = self.ncols // width
+        if _use_np(self.field):
+            stack = self._a.reshape(self.nrows, nblocks, width).transpose(1, 0, 2)
+            return _np_first_deficient(stack, self.field.p)
+        for b in range(nblocks):
+            if self.take_cols(range(b * width, (b + 1) * width)).rank() < width:
+                return b
+        return None
+
     def kernel(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical Subspace."""
         r, piv = self.rref()
-        free = [c for c in range(self.ncols) if c not in piv]
         f = self.field
+        if len(piv) == self.ncols:
+            return Subspace.zero(f, self.ncols)
+        free = [c for c in range(self.ncols) if c not in piv]
         vecs = []
         for fc in free:
             v = [f.zero()] * self.ncols

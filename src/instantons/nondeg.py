@@ -6,13 +6,15 @@
 # the whole space.  A closed certificate proves non-degeneracy over the
 # algebraic closure; a found witness disproves it exactly; anything else is
 # reported as unknown, never guessed.  Both are written on Mat alone
-# (products, Kronecker products, column placement, rref): how a field is
-# stored, numpy or Python elements, is linalg's business.
+# (products, Kronecker products, column placement, rref, the first column
+# block of deficient rank): how a field is stored, numpy or Python elements,
+# is linalg's business.
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import islice
 
 from .bases import mono_mul, monomial_index_map, monomials, num_monomials
 from .fields import ExtensionField, Field, PrimeField
@@ -150,21 +152,53 @@ def _column(fld: Field, vec: list) -> Mat:
     return Mat.from_rows(fld, [[x] for x in vec], 1)
 
 
-def _candidates(m: Mat, n: int, fld: Field, point_cap: int):
-    """(h, v) with m @ (h (x) v) = 0, in enumeration order.
+# points contracted in one product: with n <= 5 a chunk's product and its
+# elimination stack stay under 1 MB
+_CHUNK = 256
 
-    Scans the smaller of P(H), P(V): a point h is contracted to
-    m @ (h (x) I_4), a point v to m @ (I_n (x) v), and the first vector of
-    the contraction's kernel basis is its partner.
+
+def _candidates(m: Mat, n: int, fld: Field, start: int, stop: int, points: dict):
+    """(h, v) with m @ (h (x) v) = 0, for the points of index start .. stop - 1
+    in enumeration order.
+
+    Scans the smaller of P(H), P(V), a chunk of points at a time: the points
+    h of a chunk, as the columns of P, are contracted in one product
+    m @ (P (x) I_4), whose columns 4b .. 4b + 3 belong to point b; points v
+    as m @ (I_n (x) P), with the columns reordered so that each point's n
+    columns are consecutive.  Mat.first_deficient_block finds the next point
+    whose contraction has a kernel; its partner is the first vector of that
+    contraction's kernel basis.  The points scanned, through the last one
+    yielded, are added to points[fld.spec_str()].
     """
     scan_h = n <= 4
-    eye = Mat.identity(fld, 4 if scan_h else n)
-    for point in projective_points(fld, n if scan_h else 4, point_cap):
-        col = _column(fld, point)
-        ker = (m @ (kron(col, eye) if scan_h else kron(eye, col))).kernel()
-        if ker.dim > 0:
+    dim, width = (n, 4) if scan_h else (4, n)
+    eye = Mat.identity(fld, width)
+    key = fld.spec_str()
+    todo = islice(projective_points(fld, dim, stop), start, None)
+    while chunk := list(islice(todo, _CHUNK)):
+        pts = Mat.from_rows(fld, chunk, dim).transpose()
+        if scan_h:
+            prod = m @ kron(pts, eye)
+        else:
+            size = len(chunk)
+            prod = (m @ kron(eye, pts)).take_cols(
+                [j * size + b for b in range(size) for j in range(n)])
+        done = 0
+        while done < len(chunk):
+            rest = prod if done == 0 else prod.take_cols(range(done * width, prod.ncols))
+            hit = rest.first_deficient_block(width)
+            if hit is None:
+                points[key] = points.get(key, 0) + len(chunk) - done
+                break
+            points[key] = points.get(key, 0) + hit + 1
+            point = chunk[done + hit]
+            col = _column(fld, point)
+            ker = (m @ (kron(col, eye) if scan_h else kron(eye, col))).kernel()
+            if ker.dim == 0:
+                raise AssertionError("a rank-deficient contraction has a zero kernel")
             partner = ker.basis.row(0)
             yield (point, partner) if scan_h else (partner, point)
+            done += hit + 1
 
 
 def _is_witness(m: Mat, h: list, v: list, fld: Field) -> bool:
@@ -176,6 +210,8 @@ def witness_search(
     max_ext_degree: int = 1,
     point_cap: int = 4096,
     field_size_cap: int = 1 << 20,
+    start: int = 0,
+    points: dict | None = None,
 ) -> tuple[list, list, Field] | None:
     """First (h, v) with omega(h (x) v) = 0 in a fixed enumeration order.
 
@@ -183,7 +219,15 @@ def witness_search(
     extensions of degree up to max_ext_degree (finite base fields only),
     subject to the point cap and a cap on the extension field size.  A
     returned witness is re-verified exactly before being reported.
+
+    Each field's scan begins at point index start.  classify passes the
+    number of standard-basis points once it has scanned them over the base
+    field: a basis point with no partner there has none over an extension
+    or, lifted from the auxiliary prime, over Q either.  The points scanned
+    in each field are added to points, keyed by the field's spec.
     """
+    if points is None:
+        points = {}
     base = omega.field
     degrees = range(1, max_ext_degree + 1) if base.kind == "prime" else [1]
     for j in degrees:
@@ -194,19 +238,19 @@ def witness_search(
         else:
             fld = base
         m = _flatten_in_field(omega, fld)
-        for h, v in _candidates(m, omega.n, fld, point_cap):
+        for h, v in _candidates(m, omega.n, fld, start, point_cap, points):
             if not _is_witness(m, h, v, fld):
                 raise AssertionError("witness failed exact re-verification")
             return h, v, fld
     if base.kind == "rational":
-        return _lifted_witness(omega, point_cap)
+        return _lifted_witness(omega, start, point_cap, points)
     return None
 
 
 _AUX_PRIME = 311
 
 
-def _lifted_witness(omega: OmegaTensor, point_cap: int):
+def _lifted_witness(omega: OmegaTensor, start: int, point_cap: int, points: dict):
     """Scan the reduction of a rational tensor mod a small auxiliary prime
     and lift any witness back, keeping it only if it re-verifies exactly."""
     aux = PrimeField(_AUX_PRIME)
@@ -219,7 +263,7 @@ def _lifted_witness(omega: OmegaTensor, point_cap: int):
     def centered(x: int) -> Fraction:
         return Fraction(x - _AUX_PRIME if x > _AUX_PRIME // 2 else x)
 
-    for h_p, v_p in _candidates(m_p, omega.n, aux, point_cap):
+    for h_p, v_p in _candidates(m_p, omega.n, aux, start, point_cap, points):
         h = [centered(x) for x in h_p]
         v = [centered(x) for x in v_p]
         if any(h) and any(v) and _is_witness(m_q, h, v, q):
@@ -256,6 +300,11 @@ class _Accumulator:
         self.pivots = sorted(allpiv)
 
 
+def _ambient(n: int, d: int, e: int) -> int:
+    """Columns of the (d, e) piece: the monomials of S^d H* (x) S^e V*."""
+    return num_monomials(n, d) * num_monomials(4, e)
+
+
 def _times_variable(nvars: int, deg: int) -> list[list[int]]:
     """Per variable, the index of each degree-deg monomial times it in degree deg + 1."""
     tgt = monomial_index_map(nvars, deg + 1)
@@ -277,9 +326,8 @@ class SpanningCertifier:
         self.field = omega.field
         self.n = omega.n
         self._pieces: dict[tuple[int, int], _Accumulator] = {}
-
-    def _ambient(self, d: int, e: int) -> int:
-        return num_monomials(self.n, d) * num_monomials(4, e)
+        # [d, e, ambient, rank] of each piece, in the order they were built
+        self.built: list[list[int]] = []
 
     def piece(self, d: int, e: int) -> _Accumulator:
         key = (d, e)
@@ -287,7 +335,7 @@ class SpanningCertifier:
             return self._pieces[key]
         if d < 1 or e < 1:
             raise ValueError("bigraded degrees start at (1, 1)")
-        acc = _Accumulator(self.field, self._ambient(d, e))
+        acc = _Accumulator(self.field, _ambient(self.n, d, e))
         if (d, e) == (1, 1):
             # the flattening's columns as bilinear forms on H (x) V
             acc.add(self.omega.flatten().mat.transpose())
@@ -310,11 +358,12 @@ class SpanningCertifier:
                 if acc.rank == acc.ncols:
                     break
         self._pieces[key] = acc
+        self.built.append([d, e, acc.ncols, acc.rank])
         return acc
 
     def closes(self, d: int, e: int) -> bool:
         acc = self.piece(d, e)
-        return acc.rank == self._ambient(d, e)
+        return acc.rank == acc.ncols
 
 
 def spanning_certificate(omega: OmegaTensor, degrees: tuple[int, int]) -> bool:
@@ -332,52 +381,81 @@ def spanning_certificate(omega: OmegaTensor, degrees: tuple[int, int]) -> bool:
 # -- classification ----------------------------------------------------------
 
 
+# pieces of at most this many columns take milliseconds to build, so classify
+# runs the schedule's first such pieces before the full witness scan
+_CHEAP_PIECE_COLUMNS = 400
+
+
 def classify(omega: OmegaTensor, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Decide degenerate / certified-nondegenerate / unknown within budget.
 
-    Order: the necessary rank bound (rank <= 2n forces degeneracy), then the
-    witness scan, then the spanning certificate schedule.  A certificate is
-    never reported when a witness was found.
+    Stages, each run only when the ones before it decided nothing:
+
+    1. the necessary rank bound: rank <= 2n forces degeneracy (a witness is
+       sought among the first 512 points of the base field);
+    2. the witness scan's standard-basis points over the base field;
+    3. the longest prefix of budget.schedule whose pieces (d, e) have at most
+       400 columns, num_monomials(n, d) * num_monomials(4, e): at n = 3, 4
+       through (3, 3), at n = 5 through (3, 2);
+    4. the rest of the witness scan;
+    5. the remaining pieces of the schedule.
+
+    A closed piece proves that no witness exists and a found witness is
+    exact, so the verdict, the closing bidegree and the witness are those of
+    the full scan followed by the whole schedule in order.  searched records
+    the work done: the rank, the points scanned in each field, each piece
+    built as [d, e, ambient, rank], and the stage that decided.
     """
     n = omega.n
     rank = omega.rank()
-    searched = {"rank": rank}
-    if rank <= 2 * n:
-        w = witness_search(omega, 1, min(budget.point_cap, 512), budget.field_size_cap)
-        if w is not None:
-            h, v, fld = w
-            return Verdict(
-                "degenerate",
-                witness_h=_ser_vec(fld, h),
-                witness_v=_ser_vec(fld, v),
-                witness_field=fld.spec_str(),
-                reason=f"rank {rank} <= 2n",
-                searched=searched,
-            )
-        return Verdict("degenerate", reason=f"rank {rank} <= 2n (stratum bound)", searched=searched)
-    w = witness_search(omega, budget.max_ext_degree, budget.point_cap, budget.field_size_cap)
-    searched["witness_points"] = budget.point_cap
-    if w is not None:
-        h, v, fld = w
+    points: dict[str, int] = {}
+    cert = SpanningCertifier(omega)
+
+    def verdict(status: str, stage: str, reason: str, witness=None, degrees=None) -> Verdict:
+        searched = {"rank": rank, "points": points, "pieces": cert.built, "stage": stage}
+        if witness is None:
+            return Verdict(status, certified_degrees=degrees, reason=reason, searched=searched)
+        h, v, fld = witness
         return Verdict(
-            "degenerate",
+            status,
             witness_h=_ser_vec(fld, h),
             witness_v=_ser_vec(fld, v),
             witness_field=fld.spec_str(),
-            reason="witness found by scan",
+            reason=reason,
             searched=searched,
         )
-    cert = SpanningCertifier(omega)
-    for (d, e) in budget.schedule:
-        if cert.closes(d, e):
-            return Verdict(
-                "certified-nondegenerate",
-                certified_degrees=(d, e),
-                reason=f"ideal piece ({d},{e}) is full",
-                searched=searched,
-            )
-    searched["schedule"] = list(map(list, budget.schedule))
-    return Verdict("unknown", reason="budget exhausted", searched=searched)
+
+    def certified(stage: str, pieces) -> Verdict | None:
+        for d, e in pieces:
+            if cert.closes(d, e):
+                return verdict("certified-nondegenerate", stage,
+                               f"ideal piece ({d},{e}) is full", degrees=(d, e))
+        return None
+
+    if rank <= 2 * n:
+        w = witness_search(omega, 1, min(budget.point_cap, 512), budget.field_size_cap,
+                           points=points)
+        reason = f"rank {rank} <= 2n" if w else f"rank {rank} <= 2n (stratum bound)"
+        return verdict("degenerate", "rank-bound", reason, w)
+    basis = min(budget.point_cap, n, 4)  # the scanned side has dimension min(n, 4)
+    w = witness_search(omega, 1, basis, budget.field_size_cap, points=points)
+    if w is not None:
+        return verdict("degenerate", "basis-points", "witness found by scan", w)
+    schedule = budget.schedule
+    cheap = 0
+    while cheap < len(schedule) and _ambient(n, *schedule[cheap]) <= _CHEAP_PIECE_COLUMNS:
+        cheap += 1
+    found = certified("cheap-pieces", schedule[:cheap])
+    if found is not None:
+        return found
+    w = witness_search(omega, budget.max_ext_degree, budget.point_cap, budget.field_size_cap,
+                       start=basis, points=points)
+    if w is not None:
+        return verdict("degenerate", "scan", "witness found by scan", w)
+    found = certified("pieces", schedule[cheap:])
+    if found is not None:
+        return found
+    return verdict("unknown", "none", "budget exhausted")
 
 
 def _ser_vec(fld: Field, v: list) -> list:

@@ -7,6 +7,12 @@ contraction) and the same mod-311 lift for rational tensors as
 `nondeg.witness_search`, which does the contractions with Kronecker
 products instead.
 
+`classify_scan_first` decides with the whole witness scan before any
+certificate piece: the rank bound, then the loop scan above, then the
+schedule in order.  `nondeg.classify` builds cheap pieces before most of the
+scan; since a closed piece proves that no witness exists, both give the
+same verdict, closing bidegree and witness.
+
 `piece_rank_by_spanning_set` is the rank of the explicit spanning set of a
 bigraded piece of the ideal of the 4n bilinear generator forms: every
 product of a monomial of degree d - 1 in H*, a monomial of degree e - 1 in
@@ -32,7 +38,7 @@ from instantons.fields import ExtensionField, PrimeField
 from instantons.geometry import Line
 from instantons.linalg import Mat, MatBuilder, Subspace
 from instantons.monads import Monad, MonadError
-from instantons.nondeg import projective_points
+from instantons.nondeg import DEFAULT_BUDGET, SpanningCertifier, Verdict, projective_points
 
 
 def _contract_side(m: Mat, n: int, point: list, scan_h: bool, fld) -> Mat:
@@ -113,6 +119,33 @@ def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096, field_size_
         if any(h) and any(v) and _verify_witness(m_base, n, h, v, base):
             return h, v, base
     return None
+
+
+def classify_scan_first(omega, budget=DEFAULT_BUDGET) -> Verdict:
+    """Reference for the status, closing bidegree and witness of `nondeg.classify`."""
+    n, rank = omega.n, omega.rank()
+
+    def degenerate(w, reason):
+        h, v, fld = w
+        return Verdict("degenerate", witness_h=[fld.to_str(x) for x in h],
+                       witness_v=[fld.to_str(x) for x in v], witness_field=fld.spec_str(),
+                       reason=reason)
+
+    if rank <= 2 * n:
+        w = witness_search_by_loops(omega, 1, min(budget.point_cap, 512), budget.field_size_cap)
+        if w is not None:
+            return degenerate(w, f"rank {rank} <= 2n")
+        return Verdict("degenerate", reason=f"rank {rank} <= 2n (stratum bound)")
+    w = witness_search_by_loops(omega, budget.max_ext_degree, budget.point_cap,
+                                budget.field_size_cap)
+    if w is not None:
+        return degenerate(w, "witness found by scan")
+    cert = SpanningCertifier(omega)
+    for d, e in budget.schedule:
+        if cert.closes(d, e):
+            return Verdict("certified-nondegenerate", certified_degrees=(d, e),
+                           reason=f"ideal piece ({d},{e}) is full")
+    return Verdict("unknown", reason="budget exhausted")
 
 
 def spanning_set_cells(n: int, d: int, e: int) -> int:

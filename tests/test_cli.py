@@ -18,7 +18,7 @@ def test_certify_example_writes_consistent_cert(tmp_path, capsys):
     assert obj["consistent"] is True
     assert obj["verdicts"]["nondegeneracy"]["status"] == "degenerate"
     assert obj["verdicts"]["modular"] is False
-    assert obj["schema_version"] == 2
+    assert obj["schema_version"] == 3
 
 
 def test_certify_sampled_tensor(tmp_path):

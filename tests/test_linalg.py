@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from instantons.fields import ExtensionField, PrimeField, QQ, field_from_spec, GF32003
-from instantons.linalg import Mat, Stream, Subspace, kron, sample_matrix
+from instantons.linalg import Mat, Stream, Subspace, _require_int64_exact, kron, sample_matrix
 
 
 def test_field_spec_roundtrip():
@@ -172,3 +172,72 @@ def test_rational_matmul_agrees_with_prime_product(Q):
         reduced = [[int(x) % 32003 for x in row] for row in prod.rows()]
         expect = Mat.from_rows(GF32003, ints[0], k) @ Mat.from_rows(GF32003, ints[1], c)
         assert reduced == expect.rows()
+
+
+def _explicit_kernel_basis(m: Mat) -> Mat:
+    """One kernel vector per free column of the reduced form, unreduced."""
+    r, piv = m.rref()
+    f = m.field
+    vecs = []
+    for fc in (c for c in range(m.ncols) if c not in piv):
+        v = [f.zero()] * m.ncols
+        v[fc] = f.one()
+        for i, pc in enumerate(piv):
+            v[pc] = f.neg(r.get(i, fc))
+        vecs.append(v)
+    return Mat.from_rows(f, vecs, m.ncols)
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:7", "rational", "fp:5^2"])
+def test_kernel_is_span_of_explicit_basis(spec):
+    fld = field_from_spec(spec)
+    mats = [Mat.identity(fld, 4), Mat.zeros(fld, 2, 3), sample_matrix(0, 3, fld, 0)]
+    for seed, (rows, cols) in enumerate([(3, 5), (5, 5), (6, 4), (4, 4), (2, 7), (5, 1)]):
+        mats.append(sample_matrix(rows, cols, fld, seed))
+        # rank at most 2
+        mats.append(sample_matrix(rows, 2, fld, seed) @ sample_matrix(2, cols, fld, seed + 50))
+    full = 0
+    for m in mats:
+        ker = m.kernel()
+        full += ker.dim == 0
+        assert ker == Subspace.from_spanning(_explicit_kernel_basis(m))
+    assert full >= 3
+
+
+def _blocks_of_random_rank(fld, st: Stream):
+    """A matrix of blocks, a quarter of them of rank below the width, and its
+    block width."""
+    width = 1 + st.next_below(5)
+    nrows = st.next_below(2 * width + 2)
+    m = Mat.zeros(fld, nrows, 0)
+    for _ in range(st.next_below(7)):
+        r = width if st.next_below(4) else st.next_below(width)
+        a = Mat.from_rows(fld, [st.next_vector(fld, r) for _ in range(nrows)], r)
+        b = Mat.from_rows(fld, [st.next_vector(fld, width) for _ in range(r)], width)
+        m = m.hstack(a @ b)
+    return m, width
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:7", "rational", "fp:5^2"])
+def test_first_deficient_block_matches_block_ranks(spec):
+    fld = field_from_spec(spec)
+    st = Stream("first_deficient_block", spec)
+    hits = 0
+    for _ in range(60):
+        m, width = _blocks_of_random_rank(fld, st)
+        blocks = [m.take_cols(range(b * width, (b + 1) * width)) for b in range(m.ncols // width)]
+        expect = next((b for b, blk in enumerate(blocks) if blk.rank() < width), None)
+        assert m.first_deficient_block(width) == expect
+        hits += expect is not None and expect > 0
+    assert hits >= 5
+    with pytest.raises(ValueError):
+        Mat.zeros(fld, 2, 5).first_deficient_block(2)
+
+
+def test_int64_exactness_guard():
+    # the largest inner dimension k with k (p-1)^2 < 2^63 passes, k + 1 fails
+    for p in (7, 32003, 2097143):
+        k = ((1 << 63) - 1) // (p - 1) ** 2
+        _require_int64_exact(k, p)
+        with pytest.raises(OverflowError, match=r"k\*\(p-1\)\^2 < 2\^63"):
+            _require_int64_exact(k + 1, p)

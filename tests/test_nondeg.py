@@ -1,6 +1,17 @@
+import ast
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import piece_rank_by_spanning_set, spanning_set_cells, witness_search_by_loops
+from oracles import (
+    classify_scan_first,
+    piece_rank_by_spanning_set,
+    spanning_set_cells,
+    witness_search_by_loops,
+)
+
+import instantons.nondeg
 
 from instantons.bases import num_monomials
 from instantons.families import degenerate_rank6, nc_tensor, random_tensor, sample_full
@@ -84,14 +95,28 @@ def test_classify_never_contradicts(F):
     assert small.is_degenerate == big.is_degenerate
 
 
-def test_extension_witness_tower():
+def _conjugate_pair_f3() -> OmegaTensor:
     # frozen F_3 tensor of rank 6 whose degenerate points are all conjugate
-    # over F_9: the base-field scan finds nothing, the degree-2 scan finds a
-    # witness, and the certificate never closes
-    f3 = PrimeField(3)
-    t = OmegaTensor.from_vec(
-        2, f3, [0, 0, 2, 1, 1, 0, 1, 2, 2, 0, 2, 0, 2, 2, 0, 2, 1, 2]
+    # over F_9
+    return OmegaTensor.from_vec(
+        2, PrimeField(3), [0, 0, 2, 1, 1, 0, 1, 2, 2, 0, 2, 0, 2, 2, 0, 2, 1, 2]
     )
+
+
+def _beyond_small_height_q(Q) -> OmegaTensor:
+    # frozen rank-6 rational tensor built to vanish at h = (1, 7),
+    # v = (1, 3, 0, 5)
+    coeffs = [
+        "1", "2", "15", "12", "-2", "-9", "5", "14", "-183/35", "17", "46/35",
+        "538/35", "10", "14", "-1392/245", "12", "479/245", "2367/245",
+    ]
+    return OmegaTensor.from_vec(2, Q, [Fraction(c) for c in coeffs])
+
+
+def test_extension_witness_tower():
+    # the base-field scan finds nothing, the degree-2 scan finds a witness,
+    # and the certificate never closes
+    t = _conjugate_pair_f3()
     assert t.rank() == 6
     assert witness_search(t, 1, 10**6, 10**6) is None
     w = witness_search(t, 2, 10**6, 10**6)
@@ -102,16 +127,9 @@ def test_extension_witness_tower():
 
 
 def test_rational_witness_found_by_auxiliary_reduction(Q):
-    # frozen rank-6 rational tensor built to vanish at h = (1, 7),
-    # v = (1, 3, 0, 5): the witness lies beyond the small-height direct scan
-    # and is recovered by reduction mod the auxiliary prime plus lifting
-    from fractions import Fraction
-
-    coeffs = [
-        "1", "2", "15", "12", "-2", "-9", "5", "14", "-183/35", "17", "46/35",
-        "538/35", "10", "14", "-1392/245", "12", "479/245", "2367/245",
-    ]
-    t = OmegaTensor.from_vec(2, Q, [Fraction(c) for c in coeffs])
+    # the witness lies beyond the small-height direct scan and is recovered
+    # by reduction mod the auxiliary prime plus lifting
+    t = _beyond_small_height_q(Q)
     assert t.rank() == 6
     w = witness_search(t, point_cap=4096)
     assert w is not None
@@ -234,3 +252,87 @@ def test_piece_ranks_match_spanning_set_oracle(spec, data):
             piece = cert.piece(d, e)
             assert piece.ncols == num_monomials(t.n, d) * num_monomials(4, e)
             assert piece.rank == piece_rank_by_spanning_set(t, d, e)
+
+
+def _outcome(v):
+    return v.status, v.certified_degrees, v.witness_h, v.witness_v, v.witness_field
+
+
+def _oracle_schedule(n: int) -> tuple[tuple[int, int], ...]:
+    # the default schedule through (3, 2), then one piece of 420 or 560
+    # columns, so that the pieces after the scan are exercised too
+    return DEFAULT_SCHEDULE[:6] + ({2: (4, 6), 3: (5, 3), 4: (2, 5), 5: (1, 6)}[n],)
+
+
+@st.composite
+def _block_sums(draw, fld):
+    """degenerate_rank6 (+) a full-rank tensor: degenerate at a basis point."""
+    k = draw(st.integers(1, 3))
+    return block_sum(degenerate_rank6(fld), sample_full(k, fld, draw(st.integers(0, 9))))
+
+
+@pytest.mark.parametrize("spec,ext", ORACLE_FIELDS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_classify_matches_scan_first_oracle(spec, ext, data):
+    fld = field_from_spec(spec)
+    t = data.draw(st.one_of(_tensors(fld), _block_sums(fld)))
+    budget = Budget(max_ext_degree=ext, point_cap=ORACLE_POINT_CAP, schedule=_oracle_schedule(t.n))
+    assert _outcome(classify(t, budget)) == _outcome(classify_scan_first(t, budget))
+
+
+def test_classify_matches_scan_first_oracle_on_frozen_tensors(F, Q, corank2_n2):
+    # one case for each stage after the cheap pieces: the witnesses of the
+    # scan-found cases lie in F_9 and beyond Q's small-height points; a
+    # witness at (1, 3, 5) lies beyond 200 scanned points; corank2_n2 (rank
+    # 6) first closes at (4, 6), a piece of 420 columns
+    hidden = _vanishing_at(F, 3, [1, 3, 5], [1, 2, 0, 4], [1, 2])
+    cases = (
+        (_conjugate_pair_f3(), Budget(max_ext_degree=2, point_cap=10**6, field_size_cap=10**6),
+         "scan"),
+        (_beyond_small_height_q(Q), Budget(), "scan"),
+        (hidden, Budget(point_cap=ORACLE_POINT_CAP, schedule=_oracle_schedule(3)), "none"),
+        (corank2_n2, Budget(point_cap=ORACLE_POINT_CAP, schedule=((1, 1), (4, 6))), "pieces"),
+    )
+    for t, budget, stage in cases:
+        v = classify(t, budget)
+        assert v.searched["stage"] == stage
+        assert _outcome(v) == _outcome(classify_scan_first(t, budget))
+
+
+def test_searched_records_work_done(F, chain52):
+    # a (5,2) chain: four basis points, then the cheap pieces close at (2, 1)
+    v = classify(chain52)
+    assert v.certified_degrees == (2, 1)
+    assert v.searched["stage"] == "cheap-pieces"
+    assert v.searched["points"] == {"fp:32003": 4}
+    assert [p[:2] for p in v.searched["pieces"]] == [[1, 1], [1, 2], [2, 1]]
+    assert v.searched["pieces"][-1][2:] == [num_monomials(5, 2) * 4] * 2
+    # the witness of degenerate_rank6 is a basis point
+    v = classify(degenerate_rank6(F))
+    assert v.searched["stage"] == "basis-points"
+    assert v.searched["points"] == {"fp:32003": 1} and v.searched["pieces"] == []
+    # an unknown verdict says how far each piece got and how many points the
+    # scan visited in each field
+    t = _conjugate_pair_f3()
+    v = classify(t, Budget(max_ext_degree=1, point_cap=30, schedule=((1, 1),)))
+    assert v.status == "unknown" and v.searched["stage"] == "none"
+    assert v.searched["points"] == {"fp:3": 4}  # all of P^1(F_3)
+    assert v.searched["pieces"] == [[1, 1, 8, 6]]
+    v = classify(t, Budget(max_ext_degree=2, point_cap=30, field_size_cap=10**6,
+                           schedule=((1, 1),)))
+    assert v.is_degenerate and v.searched["stage"] == "scan"
+    assert v.searched["points"]["fp:3"] == 4 and v.searched["points"]["fp:3^2"] >= 1
+
+
+def test_nondeg_keeps_storage_private():
+    # nondeg works through Mat's methods: it imports neither numpy nor any
+    # private name of linalg
+    tree = ast.parse(Path(instantons.nondeg.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "numpy" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "numpy"
+            if node.module == "linalg" or (node.module or "").endswith(".linalg"):
+                assert not any(a.name.startswith("_") for a in node.names)
