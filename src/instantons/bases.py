@@ -33,9 +33,44 @@ def sym_index_map(n: int) -> dict[tuple[int, int], int]:
     return {pair: i for i, pair in enumerate(sym_pairs(n))}
 
 
+def skew_pairs(n: int) -> list[tuple[int, int]]:
+    """Basis (i, j), i < j, of wedge^2 of an n-dimensional space, lex order."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def hv_index(a: int, k: int) -> int:
     """Position of e_a (x) e_k in the ordered basis of H (x) V."""
     return 4 * a + k
+
+
+def form_pairs(n: int, skew_h: bool = False) -> tuple[list, list, int]:
+    """(H pairs, V pairs, sign of swapping the H pair) indexing the coefficients
+    of S^2 H* (x) wedge^2 V* or, with skew_h, of wedge^2 H* (x) S^2 V*."""
+    if skew_h:
+        return skew_pairs(n), sym_pairs(4), -1
+    return sym_pairs(n), WEDGE_PAIRS, 1
+
+
+def form_slots(n: int, skew_h: bool = False) -> list[tuple[int, int, int, int, int]]:
+    """Where the coefficients of a skew form on H (x) V sit in its 4n x 4n matrix.
+
+    The coefficient c at (H pair p = (i, j), V pair q = (k, l)) of a form in
+    S^2 H* (x) wedge^2 V* (or, with skew_h, in wedge^2 H* (x) S^2 V*) is +c
+    at ((i,k), (j,l)), and at the entries with i, j or k, l swapped it is c
+    times the sign of the swap (-1 for the skew factor); an entry reached
+    twice is filled once.  Returned as (row, col, p, q, sign).
+    """
+    h_pairs, v_pairs, h_sign = form_pairs(n, skew_h)
+    v_sign = -h_sign
+    out = []
+    for p, (i, j) in enumerate(h_pairs):
+        for q, (k, l) in enumerate(v_pairs):
+            slots = {}
+            for a, b, c, d, sign in ((i, j, k, l, 1), (j, i, k, l, h_sign),
+                                     (i, j, l, k, v_sign), (j, i, l, k, h_sign * v_sign)):
+                slots.setdefault((hv_index(a, c), hv_index(b, d)), sign)
+            out += [(r, c, p, q, sign) for (r, c), sign in slots.items()]
+    return out
 
 
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -55,6 +90,12 @@ def monomial_index_map(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
 def mono_mul(mono: tuple[int, ...], var: int) -> tuple[int, ...]:
     """Multiply a monomial by a single variable, keeping indices sorted."""
     return tuple(sorted(mono + (var,)))
+
+
+def times_variable(nvars: int, degree: int) -> list[list[int]]:
+    """Per variable, the index of each degree-d monomial times it in degree d + 1."""
+    tgt = monomial_index_map(nvars, degree + 1)
+    return [[tgt[mono_mul(m, i)] for m in monomials(nvars, degree)] for i in range(nvars)]
 
 
 def num_monomials(nvars: int, degree: int) -> int:

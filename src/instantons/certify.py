@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .bases import expected_stratum_dim, full_skew_tangent_dim
-from .linalg import Mat, Stream, Subspace
+from .linalg import Mat, Stream, Subspace, kron
 from .monads import (
     Monad,
     build_monad,
@@ -43,16 +43,10 @@ def rank_preservation_checks(omega: OmegaTensor, xi: list) -> tuple[bool, bool, 
     # (i) rank comparison
     b1 = omega.restrict_xi(xi).rank() == rank
     # (ii) trivial intersection with xi (x) V*
-    rows = []
-    for l in range(4):
-        vec = [f.zero()] * (4 * n)
-        for a in range(n):
-            vec[4 * a + l] = xi[a]
-        rows.append(vec)
-    xi_space = Subspace.from_spanning(Mat.from_rows(f, rows, 4 * n))
-    b2 = plain.N.intersect(xi_space).dim == 0
+    xi_v = kron(Mat.from_rows(f, [xi], n), Mat.identity(f, 4))
+    b2 = plain.N.intersect(xi_v.row_space()).dim == 0
     # (iii) injectivity into the cokernel: residuals mod N stay independent
-    residuals = [plain.N.reduce(r) for r in rows]
+    residuals = [plain.N.reduce(r) for r in xi_v.rows()]
     b3 = Mat.from_rows(f, residuals, 4 * n).rank() == 4
     # (iv) no sections of the restricted display
     b4 = restricted_monad(omega, xi).h_values(0)[0] == 0

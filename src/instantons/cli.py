@@ -1,6 +1,7 @@
 # Batch front-end: certificates as JSON, tables and scans as CSV, tensor
 # export in the interchange format, and the acceptance battery.  Exit codes:
-# 0 success, 1 an invariant or criterion failed, 2 bad input.
+# 0 success, 1 an invariant or criterion failed, 2 bad input; _EXIT_CODES
+# maps the exceptions a command raises to the last two.
 
 from __future__ import annotations
 
@@ -105,66 +106,78 @@ def _csv_header(args) -> str:
     return "# " + json.dumps(cfg, sort_keys=True) + "\n"
 
 
+# (exception classes, exit code, message prefix), first match wins: bad
+# input (json.JSONDecodeError is a ValueError) exits 2; a failed internal
+# invariant (an AssertionError, an ArithmeticError such as the int64
+# OverflowError, a RuntimeError such as SampleError) exits 1
+_EXIT_CODES = (
+    ((ValueError, OSError, KeyError), 2, "error"),
+    ((AssertionError, ArithmeticError, RuntimeError), 1, "internal invariant failed"),
+)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        field = field_from_spec(args.field)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _run(args)
+    except Exception as exc:
+        for classes, code, prefix in _EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
-    try:
-        if args.command == "certify":
-            omega = _load_tensor(args, field)
-            cert = smoothness_certificate(
-                omega,
-                DEFAULT_BUDGET,
-                subject_extra={"config": _config_echo(args)},
-                induction_seed=args.seed if args.induction else None,
-            )
-            obj = cert.to_obj()
-            _emit(json.dumps(obj, indent=2 if args.json else None, sort_keys=True), args.out)
-            return 0 if cert.consistent else 1
 
-        if args.command == "table":
-            omega = _load_tensor(args, field)
-            if args.kind == "coh":
-                table = coh_table(omega, args.dmax)
-                _emit(_csv_header(args) + table.csv(), args.out)
-                return 0
-            if args.kind == "lines":
-                return _lines_table(args, field, omega)
-            return _pencil_table(args, field, omega)
+def _run(args) -> int:
+    field = field_from_spec(args.field)
+    if args.command == "certify":
+        omega = _load_tensor(args, field)
+        cert = smoothness_certificate(
+            omega,
+            DEFAULT_BUDGET,
+            subject_extra={"config": _config_echo(args)},
+            induction_seed=args.seed if args.induction else None,
+        )
+        obj = cert.to_obj()
+        _emit(json.dumps(obj, indent=2 if args.json else None, sort_keys=True), args.out)
+        return 0 if cert.consistent else 1
 
-        if args.command == "sample":
-            omega = sample_instanton(args.n, args.r, field, args.seed)
-            obj = tensor_to_obj(omega)
-            obj["config"] = _config_echo(args)
-            _emit(json.dumps(obj, indent=2 if args.json else None, sort_keys=True), args.out)
+    if args.command == "table":
+        omega = _load_tensor(args, field)
+        if args.kind == "coh":
+            table = coh_table(omega, args.dmax)
+            _emit(_csv_header(args) + table.csv(), args.out)
             return 0
+        if args.kind == "lines":
+            return _lines_table(args, field, omega)
+        return _pencil_table(args, field, omega)
 
-        if args.command == "export":
-            omega = named_example(args.id, field, seed=args.seed)
-            if args.out:
-                write_tensor(omega, args.out)
-            else:
-                _emit(json.dumps(tensor_to_obj(omega), sort_keys=True), args.out)
-            return 0
+    if args.command == "sample":
+        omega = sample_instanton(args.n, args.r, field, args.seed)
+        obj = tensor_to_obj(omega)
+        obj["config"] = _config_echo(args)
+        _emit(json.dumps(obj, indent=2 if args.json else None, sort_keys=True), args.out)
+        return 0
 
-        if args.command == "suite":
-            from .suite import run_suite
+    if args.command == "export":
+        omega = named_example(args.id, field, seed=args.seed)
+        if args.out:
+            write_tensor(omega, args.out)
+        else:
+            _emit(json.dumps(tensor_to_obj(omega), sort_keys=True), args.out)
+        return 0
 
-            summary = run_suite(field=field, only=args.only, chain_count=args.chains)
-            summary["config"] = _config_echo(args)
-            text = json.dumps(summary, indent=2 if args.json else None, sort_keys=True)
-            if args.out:
-                _emit(text, args.out)
-            else:
-                print(text)
-            return 0 if summary["passed"] else 1
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.command == "suite":
+        from .suite import run_suite
+
+        summary = run_suite(field=field, only=args.only, chain_count=args.chains)
+        summary["config"] = _config_echo(args)
+        text = json.dumps(summary, indent=2 if args.json else None, sort_keys=True)
+        if args.out:
+            _emit(text, args.out)
+        else:
+            print(text)
+        return 0 if summary["passed"] else 1
     return 2
 
 

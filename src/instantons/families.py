@@ -6,15 +6,17 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .fields import Field
-from .linalg import Mat, MatBuilder, Stream, Subspace
+from .linalg import Mat, Pattern, Stream, Subspace
 from .monads import Monad, MonadError, build_monad
 from .nondeg import Budget, LIGHT_BUDGET, classify
 from .polys import interpolate as poly_interpolate
 from .polys import roots as poly_roots
 from .polys import trim as poly_trim
-from .tensors import OmegaTensor, SkewForm, block_sum, unflatten
-from .bases import WEDGE_PAIRS, hv_index, sym_pairs
+from .tensors import MAX_N, OmegaTensor, SkewForm, block_sum, unflatten
+from .bases import form_slots, hv_index, sym_pairs
 
 RETRY_LIMIT = 64
 
@@ -61,12 +63,24 @@ def thooft_net(n: int, field: Field) -> Mat:
     """
     if n < 2:
         raise ValueError("the banded net needs n >= 2")
-    b = MatBuilder(field, 4 * n, 2 * n + 2)
-    one = field.one()
-    for a in range(n):
-        for k in range(4):
-            b.set(hv_index(a, k), 2 * a + k, one)
-    return b.build()
+    return Mat.identity(field, 2 * n + 2).take_rows([2 * a + k for a in range(n) for k in range(4)])
+
+
+@lru_cache(maxsize=None)
+def _net_constraint_pattern(n_ann: int, n: int) -> Pattern:
+    """The functionals t of ann composed with the flattening of each basis
+    tensor (p, w), which is +-1 at its slots (r, c): row t * 4n + c."""
+    slots = form_slots(n)
+    terms = ((t * 4 * n + c, p * 6 + w, t, r, sign)
+             for t in range(n_ann) for r, c, p, w, sign in slots)
+    return Pattern((n_ann * 4 * n, 3 * n * (n + 1)), (n_ann, 4 * n), terms)
+
+
+def _random_point(space: Subspace, st: Stream) -> list:
+    """A seeded combination of the basis of space."""
+    f = space.field
+    coords = Mat.from_rows(f, [[st.next_element(f) for _ in range(space.dim)]], space.dim)
+    return (coords @ space.basis).row(0)
 
 
 def thooft_tensor(n: int, field: Field, seed=0) -> OmegaTensor:
@@ -86,39 +100,12 @@ def thooft_tensor(n: int, field: Field, seed=0) -> OmegaTensor:
     if nspace.dim != ncols:
         raise AssertionError("net matrix must have independent columns")
     ann = net.transpose().kernel()  # functionals vanishing on N
-    npairs = n * (n + 1) // 2
-    cons = MatBuilder(f, ann.dim * 4 * n, 6 * npairs)
-    for pi, (i, j) in enumerate(sym_pairs(n)):
-        for w, (k, l) in enumerate(WEDGE_PAIRS):
-            col = pi * 6 + w
-            # flatten of the basis tensor: +-1 at four (row, col) slots
-            slots = [
-                (hv_index(i, k), hv_index(j, l), 1),
-                (hv_index(i, l), hv_index(j, k), -1),
-            ]
-            if i != j:
-                slots += [
-                    (hv_index(j, k), hv_index(i, l), 1),
-                    (hv_index(j, l), hv_index(i, k), -1),
-                ]
-            for rr, cc, sgn in slots:
-                for t in range(ann.dim):
-                    y = ann.basis.get(t, rr)
-                    if f.is_zero(y):
-                        continue
-                    val = y if sgn == 1 else f.neg(y)
-                    cons.add(t * 4 * n + cc, col, val)
-    space = cons.build().kernel()
+    space = ann.basis.gather(_net_constraint_pattern(ann.dim, n)).kernel()
     if space.dim == 0:
         raise SampleError(f"no tensor has image inside the n={n} net")
     st = Stream("thooft", f.spec_str(), n, seed)
     for _ in range(RETRY_LIMIT):
-        vec = [f.zero()] * (6 * npairs)
-        for t in range(space.dim):
-            c = st.next_element(f)
-            row = space.basis.row(t)
-            vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
-        cand = OmegaTensor.from_vec(n, f, vec)
+        cand = OmegaTensor.from_vec(n, f, _random_point(space, st))
         if cand.rank() == ncols:
             h0e1 = build_monad(cand, quick_check=False).h_values(1)[0]
             if h0e1 != 2:
@@ -213,33 +200,18 @@ class RestrictedSumFamily:
         origin gives the rank-8 sum of the two lower-right corners.
         """
         f = self.field
-        wp, ws = self.wp, self.ws
-
-        def scaled(row: list, c) -> list:
-            return [f.mul(c, x) for x in row]
-
-        def added(r1: list, r2: list) -> list:
-            return [f.add(x, y) for x, y in zip(r1, r2)]
-
-        t0sq = f.mul(t0, t0)
-        t1sq = f.mul(t1, t1)
-        e00 = added(scaled(wp.entry_form(0, 0), t0sq), scaled(ws.entry_form(0, 0), t1sq))
-        e01 = scaled(wp.entry_form(0, 1), t0)
-        e02 = scaled(ws.entry_form(0, 1), t1)
-        e11 = wp.entry_form(1, 1)
-        e22 = ws.entry_form(1, 1)
-        entries = {}
-        for (i, j), form in (
-            ((0, 0), e00),
-            ((0, 1), e01),
-            ((0, 2), e02),
-            ((1, 1), e11),
-            ((2, 2), e22),
-        ):
-            for w, (k, l) in enumerate(WEDGE_PAIRS):
-                if not f.is_zero(form[w]):
-                    entries[(i, j, k, l)] = form[w]
-        return OmegaTensor.from_entries(3, f, entries)
+        z, one = f.zero(), f.one()
+        # rows (0,0), (0,1), (0,2), (1,1), (1,2), (2,2) of the result from the
+        # rows (0,0), (0,1), (1,1) of wp and then of ws
+        mix = Mat.from_rows(f, [
+            [f.mul(t0, t0), z, z, f.mul(t1, t1), z, z],
+            [z, t0, z, z, z, z],
+            [z, z, z, z, t1, z],
+            [z, z, one, z, z, z],
+            [z] * 6,
+            [z, z, z, z, z, one],
+        ], 6)
+        return OmegaTensor(3, f, mix @ self.wp.coeffs.vstack(self.ws.coeffs))
 
 
 NAMED_EXAMPLES = ("nc", "degenerate-rank6", "thooft2", "thooft3", "thooft4", "thooft5",
@@ -298,6 +270,7 @@ def sample_corank2(n: int, field: Field, seed, budget: Budget = LIGHT_BUDGET) ->
     if n < 2:
         raise ValueError("corank-2 sampling needs n >= 2")
     f = field
+    _require_finite(f, "corank-2 sampling (it needs roots of a random pencil determinant)")
     if f.p is not None and f.p <= 4 * n:
         raise ValueError(
             f"corank-2 sampling interpolates the pencil determinant at the 4n + 1 = {4 * n + 1} "
@@ -308,23 +281,37 @@ def sample_corank2(n: int, field: Field, seed, budget: Budget = LIGHT_BUDGET) ->
     for trial in range(RETRY_LIMIT):
         w0 = random_tensor(n, f, st)
         w1 = random_tensor(n, f, st)
+        def member(t) -> OmegaTensor:
+            return OmegaTensor(n, f, w0.coeffs + w1.coeffs.scale(t))
+
         points = [f.of_int(i) for i in range(4 * n + 1)]
-        values = []
-        for t in points:
-            vec = [f.add(a, f.mul(t, b)) for a, b in zip(w0.vec(), w1.vec())]
-            values.append(OmegaTensor.from_vec(n, f, vec).flatten().mat.det())
+        values = [member(t).flatten().mat.det() for t in points]
         poly = poly_trim(poly_interpolate(points, values, f), f)
         if not poly:
             continue  # the whole pencil is singular; try another
         found, _residual = poly_roots(poly, f)
         for t in found:
-            vec = [f.add(a, f.mul(t, b)) for a, b in zip(w0.vec(), w1.vec())]
-            cand = OmegaTensor.from_vec(n, f, vec)
+            cand = member(t)
             if cand.rank() != 4 * n - 2:
                 continue
             if not classify(cand, budget).is_degenerate:
                 return cand
     raise SampleError(f"no corank-2 point found (n={n}, seed={seed})")
+
+
+def _require_finite(field: Field, what: str) -> None:
+    if field.kind == "rational":
+        raise ValueError(f"{what} is unsupported in rational mode; use a prime field")
+
+
+@lru_cache(maxsize=None)
+def _fiber_pattern(nbar: int, mm: int) -> Pattern:
+    """The V-symmetric part of u1 o w in slot b, linear in u1[k][s] (column
+    k * mm + s): row (b, k <= l) takes w[s, (b, l)] at (k, s) and w[s, (b, k)] at (l, s)."""
+    terms = ((b * 10 + q, x * mm + s, s, hv_index(b, y), 1)
+             for b in range(nbar) for q, (k, l) in enumerate(sym_pairs(4))
+             for x, y in ((k, l), (l, k)) for s in range(mm))
+    return Pattern((nbar * 10, 4 * mm), (mm, 4 * nbar), terms)
 
 
 def fiber_solution_space(omega_bar: OmegaTensor, *, monad: Monad | None = None) -> Subspace:
@@ -335,46 +322,20 @@ def fiber_solution_space(omega_bar: OmegaTensor, *, monad: Monad | None = None) 
     (dim H-bar) + h0 E(1) of the base tensor, which is checked elsewhere.
     """
     m = monad if monad is not None else build_monad(omega_bar)
-    f = omega_bar.field
-    nbar, mm = m.nH, m.m
-    # unknowns: u1[k][s] flattened as k * mm + s
-    cons = MatBuilder(f, nbar * 10, 4 * mm)
-    row = 0
-    for b in range(nbar):
-        for (k, l) in sym_pairs(4):
-            for s in range(mm):
-                wl = m.wmat.get(s, hv_index(b, l))
-                if not f.is_zero(wl):
-                    cons.add(row, k * mm + s, wl)
-                wk = m.wmat.get(s, hv_index(b, k))
-                if not f.is_zero(wk):
-                    cons.add(row, l * mm + s, wk)
-            row += 1
-    return cons.build().kernel()
+    return m.wmat.gather(_fiber_pattern(m.nH, m.m)).kernel()
+
+
+def _fold(tl: Mat, tr: Mat, flat: Mat) -> OmegaTensor:
+    """The tensor over H_{n+1} whose flattening is [[tl, tr], [-tr^T, flat]]."""
+    big = tl.hstack(tr).vstack((-tr.transpose()).hstack(flat))
+    return unflatten(SkewForm(big.nrows // 4, tl.field, big))
 
 
 def _assemble_extension(omega_bar: OmegaTensor, monad: Monad, u1: Mat) -> OmegaTensor:
     """Fold the block operator [[u1 phi u1*, u1 w], [-(u1 w)^T, flat]] into a
     tensor over H_{n+1}; the solved skew conditions make the fold exact."""
-    f = omega_bar.field
-    nbar = omega_bar.n
-    mbar = monad.m
-    flat = omega_bar.flatten().mat
-    tl = u1 @ monad.phi @ u1.transpose()
     tr = u1 @ monad.wmat
-    n = nbar + 1
-    big = MatBuilder(f, 4 * n, 4 * n)
-    for k in range(4):
-        for l in range(4):
-            big.set(k, l, tl.get(k, l))
-        for c in range(4 * nbar):
-            big.set(k, 4 + c, tr.get(k, c))
-            big.set(4 + c, k, f.neg(tr.get(k, c)))
-    for r in range(4 * nbar):
-        for c in range(4 * nbar):
-            big.set(4 + r, 4 + c, flat.get(r, c))
-    skew = SkewForm(n, f, big.build())
-    out = unflatten(skew)
+    out = _fold(u1 @ monad.phi @ u1.transpose(), tr, omega_bar.flatten().mat)
     if out.rank() != omega_bar.rank():
         raise AssertionError("extension changed the rank")
     return out
@@ -401,11 +362,7 @@ def extend_fiber(
         )
     st = Stream("extend_fiber", f.spec_str(), omega_bar.n, seed)
     for _ in range(RETRY_LIMIT):
-        vec = [f.zero()] * (4 * m.m)
-        for t in range(space.dim):
-            c = st.next_element(f)
-            row = space.basis.row(t)
-            vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
+        vec = _random_point(space, st)
         u1 = Mat.from_rows(f, [vec[k * m.m : (k + 1) * m.m] for k in range(4)], m.m)
         if u1.is_zero():
             continue
@@ -415,6 +372,14 @@ def extend_fiber(
     raise SampleError(f"extension fiber produced no admissible tensor (seed={seed})")
 
 
+@lru_cache(maxsize=None)
+def _skew_rows_pattern(nrows: int) -> Pattern:
+    """The 4x4 skew matrices of the 2-forms in the rows of a nrows x 6 matrix, side by side."""
+    terms = [(r, 4 * b + c, b, w, sign)
+             for b in range(nrows) for r, c, _p, w, sign in form_slots(1)]
+    return Pattern((4, 4 * nrows), (nrows, 6), terms)
+
+
 def extend_affine(omega_bar: OmegaTensor, alpha: Mat) -> OmegaTensor:
     """Extension of a full-rank tensor by an arbitrary alpha: H-bar -> wedge^2 V*.
 
@@ -422,38 +387,16 @@ def extend_affine(omega_bar: OmegaTensor, alpha: Mat) -> OmegaTensor:
     -A flat^{-1} A^T is V-skew for every alpha, the rank is preserved, and
     restricting along (1, 0, ..., 0) returns the base tensor exactly.
     """
-    f = omega_bar.field
     nbar = omega_bar.n
     if alpha.nrows != nbar or alpha.ncols != 6:
         raise ValueError("alpha must be an n-bar x 6 coefficient matrix")
     flat = omega_bar.flatten().mat
     if flat.rank() != 4 * nbar:
         raise MonadError("affine extension needs a full-rank base tensor")
-    # A: V -> (H-bar (x) V)* columns; A[k, 4b+l] = alpha_b(e_k, e_l)
-    a = MatBuilder(f, 4, 4 * nbar)
-    for b in range(nbar):
-        row = alpha.row(b)
-        for w, (k, l) in enumerate(WEDGE_PAIRS):
-            c = row[w]
-            if f.is_zero(c):
-                continue
-            a.add(k, hv_index(b, l), c)
-            a.add(l, hv_index(b, k), f.neg(c))
-    amat = a.build()
-    tl = -(amat @ flat.inverse() @ amat.transpose())
-    n = nbar + 1
-    big = MatBuilder(f, 4 * n, 4 * n)
-    for k in range(4):
-        for l in range(4):
-            big.set(k, l, tl.get(k, l))
-        for c in range(4 * nbar):
-            big.set(k, 4 + c, amat.get(k, c))
-            big.set(4 + c, k, f.neg(amat.get(k, c)))
-    for r in range(4 * nbar):
-        for c in range(4 * nbar):
-            big.set(4 + r, 4 + c, flat.get(r, c))
-    skew = SkewForm(n, f, big.build())
-    out = unflatten(skew)
+    # A: V -> (H-bar (x) V)* columns; A[k, 4b+l] = alpha_b(e_k, e_l), the
+    # skew matrices of the rows of alpha side by side
+    amat = alpha.gather(_skew_rows_pattern(nbar))
+    out = _fold(-(amat @ flat.inverse() @ amat.transpose()), amat, flat)
     if out.rank() != 4 * nbar:
         raise AssertionError("affine extension changed the rank")
     return out
@@ -467,12 +410,13 @@ def sample_instanton(
     r = 2n comes from the open stratum, r = 2n-2 from a pencil, and anything
     lower climbs the restriction induction from (n-1, r+2).
     """
-    if n < 1 or n > 5:
-        raise ValueError("samplers cover 1 <= n <= 5")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"samplers cover 1 <= n <= {MAX_N}")
     if r % 2 != 0 or r < 2 or r > 2 * n:
         raise ValueError(f"(n, r) = ({n}, {r}) is not an admissible pair")
     if r == 2 * n:
         return sample_full(n, field, seed)
+    _require_finite(field, f"sampling M({n}, {r}) with r < 2n")
     if r == 2 * n - 2:
         return sample_corank2(n, field, seed, budget)
     base = sample_instanton(n - 1, r + 2, field, ("chain", seed, n - 1), budget)

@@ -7,14 +7,16 @@
 
 from __future__ import annotations
 
-from .bases import WEDGE_PAIRS, sym_pairs
+from functools import lru_cache
+
+from .bases import WEDGE_PAIRS, sym_index_map
 from .fields import Field
-from .linalg import Mat, MatBuilder, Subspace
+from .linalg import Mat, Pattern, Subspace, kron
 from .monads import Monad, MonadError, build_monad
 from .nondeg import projective_points
 from .polys import interpolate as poly_interpolate
 from .polys import trim as poly_trim
-from .tensors import OmegaTensor
+from .tensors import OmegaTensor, sym_square, wedge_matrix
 
 # -- Pluecker algebra ------------------------------------------------------
 
@@ -46,15 +48,6 @@ def plucker_bilinear(field: Field, a: list, b: list):
     return acc
 
 
-def _skew_matrix_of_wedge(field: Field, lam: list) -> Mat:
-    f = field
-    m = [[f.zero()] * 4 for _ in range(4)]
-    for w, (k, l) in enumerate(WEDGE_PAIRS):
-        m[k][l] = lam[w]
-        m[l][k] = f.neg(lam[w])
-    return Mat.from_rows(f, m, 4)
-
-
 class Line:
     """A line in P(V): 2-dimensional space U of points, its 2-dimensional
     space W of equations in V*, and the decomposable Pluecker vector of U."""
@@ -71,7 +64,7 @@ class Line:
         if not field.is_zero(plucker_quadric(field, plucker)):
             raise ValueError("Pluecker vector is not decomposable")
         # W must annihilate the Pluecker vector under contraction
-        lmat = _skew_matrix_of_wedge(field, plucker)
+        lmat = wedge_matrix(field, plucker)
         for r in range(2):
             contracted = lmat @ Mat.from_rows(field, [[x] for x in W.basis.row(r)], 1)
             if not contracted.is_zero():
@@ -101,7 +94,7 @@ class Line:
             raise ValueError("zero Pluecker vector")
         if not field.is_zero(plucker_quadric(field, lam)):
             raise ValueError("Pluecker vector is not decomposable")
-        lmat = _skew_matrix_of_wedge(field, lam)
+        lmat = wedge_matrix(field, lam)
         U = lmat.column_space()
         W = Mat.from_rows(field, U.basis.rows(), 4).kernel()
         return Line(field, U, W, lam)
@@ -123,30 +116,21 @@ class Plane:
 # -- section counts by intersection ----------------------------------------
 
 
-def _tensor_line_space(field: Field, n: int, vectors: list[list]) -> Subspace:
-    """span{e_a* (x) v : a < n, v in vectors} inside H* (x) V*."""
-    rows = []
-    for a in range(n):
-        for v in vectors:
-            vec = [field.zero()] * (4 * n)
-            for k in range(4):
-                vec[4 * a + k] = v[k]
-            rows.append(vec)
-    return Subspace.from_spanning(Mat.from_rows(field, rows, 4 * n))
+def _h_star_times(omega: OmegaTensor, w: Mat) -> Subspace:
+    """H* (x) W inside H* (x) V*, for W spanned by the rows of w."""
+    return Subspace.from_spanning(kron(Mat.identity(omega.field, omega.n), w))
 
 
 def h0_plane(omega: OmegaTensor, plane: Plane, *, monad: Monad | None = None) -> int:
     """h0 of E restricted to the plane: dim N meet (H* (x) <z>)."""
     m = monad if monad is not None else build_monad(omega)
-    sub = _tensor_line_space(omega.field, omega.n, [plane.z])
-    return m.N.intersect(sub).dim
+    return m.N.intersect(_h_star_times(omega, Mat.from_rows(omega.field, [plane.z], 4))).dim
 
 
 def h0_line(omega: OmegaTensor, line: Line, *, monad: Monad | None = None) -> int:
     """h0 of E restricted to the line: dim N meet (H* (x) W)."""
     m = monad if monad is not None else build_monad(omega)
-    sub = _tensor_line_space(omega.field, omega.n, line.W.basis.rows())
-    return m.N.intersect(sub).dim
+    return m.N.intersect(_h_star_times(omega, line.W.basis)).dim
 
 
 # -- splitting order on a line ----------------------------------------------
@@ -225,18 +209,9 @@ def k_intersection(
     """
     f, n = omega.field, omega.n
     m = monad if monad is not None else build_monad(omega)
-    rows = []
-    for r in range(K.dim):
-        kr = K.basis.row(r)
-        for l in range(4):
-            vec = [f.zero()] * (4 * n)
-            for a in range(n):
-                vec[4 * a + l] = kr[a]
-            rows.append(vec)
-    if not rows:
+    if K.dim == 0:
         return Subspace.zero(f, 4 * n), False
-    sub = Subspace.from_spanning(Mat.from_rows(f, rows, 4 * n))
-    inter = m.N.intersect(sub)
+    inter = m.N.intersect(Subspace.from_spanning(kron(K.basis, Mat.identity(f, 4))))
     return inter, _has_decomposable(f, K, inter, scan_cap)
 
 
@@ -317,6 +292,17 @@ def _pencil_has_rank_one(field: Field, A: Mat, B: Mat) -> bool:
 # -- quadric ideals from null-correlation maps -------------------------------
 
 
+@lru_cache(maxsize=None)
+def _nc_section_pattern() -> Pattern:
+    """Row (i, j) of the section map from the 4x4 map c on V*: the quadric
+    sum_k c[k, i] x_k x_j - c[k, j] x_k x_i, in S^2 V* coordinates."""
+    s2 = sym_index_map(4)
+    terms = ((w, s2[min(k, y), max(k, y)], k, x, sign)
+             for w, (i, j) in enumerate(WEDGE_PAIRS) for k in range(4)
+             for x, y, sign in ((i, j, 1), (j, i, -1)))
+    return Pattern((6, 10), (4, 4), terms)
+
+
 def nc_quadric_ideal(field: Field, eta: list, alpha: list) -> Subspace:
     """Image in S^2 V* of the degree-1 section map attached to (eta, alpha).
 
@@ -325,29 +311,15 @@ def nc_quadric_ideal(field: Field, eta: list, alpha: list) -> Subspace:
     ideal of a pair of skew lines or a twisted double line.
     """
     f = field
-    emat = _skew_matrix_of_wedge(f, eta)
+    emat = wedge_matrix(f, eta)
     if emat.rank() != 4:
         raise ValueError("eta must be indecomposable (rank 4)")
     pair = Mat.from_rows(f, [eta, alpha], 6)
     if pair.rank() < 2:
         raise ValueError("alpha is proportional to eta; the section map is zero")
-    amat = _skew_matrix_of_wedge(f, alpha)
+    amat = wedge_matrix(f, alpha)
     c = amat @ emat.inverse()  # the composed map on V*
-    s2_idx = {pq: i for i, pq in enumerate(sym_pairs(4))}
-    rows = []
-    for (i, j) in WEDGE_PAIRS:
-        vec = [f.zero()] * 10
-        for k in range(4):
-            ci = c.get(k, i)
-            if not f.is_zero(ci):
-                mono = (min(k, j), max(k, j))
-                vec[s2_idx[mono]] = f.add(vec[s2_idx[mono]], ci)
-            cj = c.get(k, j)
-            if not f.is_zero(cj):
-                mono = (min(k, i), max(k, i))
-                vec[s2_idx[mono]] = f.sub(vec[s2_idx[mono]], cj)
-        rows.append(vec)
-    return Subspace.from_spanning(Mat.from_rows(f, rows, 10))
+    return Subspace.from_spanning(c.gather(_nc_section_pattern()))
 
 
 def triple_span(field: Field, pairs: list[tuple[list, list]]) -> bool:
@@ -363,14 +335,5 @@ def triple_span(field: Field, pairs: list[tuple[list, list]]) -> bool:
 
 def quadrics_through_line(field: Field, line: Line) -> Subspace:
     """Degree-2 part of the ideal of a line: a 7-dimensional space."""
-    f = field
-    u0, u1 = line.U.basis.row(0), line.U.basis.row(1)
-    s2 = sym_pairs(4)
-    b = MatBuilder(f, 3, 10)
-    for row, (va, vb) in enumerate(((u0, u0), (u0, u1), (u1, u1))):
-        for col, (p, q) in enumerate(s2):
-            val = f.mul(va[p], vb[q])
-            if p != q:
-                val = f.add(val, f.mul(va[q], vb[p]))
-            b.set(row, col, val)
-    return b.build().kernel()
+    # rows: the products u0 u0, u0 u1, u1 u1 of the line's two points
+    return sym_square(line.U.basis).kernel()

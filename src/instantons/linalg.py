@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -323,6 +324,26 @@ class Mat:
             data.append(out)
         return Mat(self.field, self.nrows, ncols, data)
 
+    def gather(self, pattern: "Pattern") -> "Mat":
+        """The matrix that pattern assembles from the entries of self."""
+        if (self.nrows, self.ncols) != pattern.src_shape:
+            raise ValueError("source shape does not match the pattern")
+        f = self.field
+        nrows, ncols = pattern.shape
+        if _use_np(f):
+            out = np.zeros(nrows * ncols, dtype=np.int64)
+            if pattern._src.size:
+                vals = self._a.ravel()[pattern._src] * pattern._sign
+                out[pattern._dst_unique] = np.add.reduceat(vals, pattern._dst_starts)
+            return Mat.from_np(f, out.reshape(nrows, ncols))
+        flat = [x for r in self._a for x in r]
+        live = np.array([not f.is_zero(x) for x in flat], dtype=bool)[pattern._src]
+        out = [f.zero()] * (nrows * ncols)
+        for d, s, sign in zip(pattern._dst[live].tolist(), pattern._src[live].tolist(),
+                              pattern._sign[live].tolist()):
+            out[d] = f.add(out[d], flat[s]) if sign > 0 else f.sub(out[d], flat[s])
+        return Mat(f, nrows, ncols, [out[r * ncols:(r + 1) * ncols] for r in range(nrows)])
+
     # -- elimination-based operations ----------------------------------
 
     def rref(self) -> tuple["Mat", list[int]]:
@@ -424,6 +445,40 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.field.spec_str()}, {self.nrows}x{self.ncols})"
+
+
+class Pattern:
+    """Where the entries of an assembled matrix come from.
+
+    Entry (r, c) of src.gather(pattern) is the sum of sign * src[i, j] over
+    the terms (r, c, i, j, sign), sign = +1 or -1, of the pattern; they may
+    come from a generator, which keeps a large pattern's construction small.
+    The terms do not depend on the field, so a caller builds one Pattern per
+    shape and keeps it.  They are held as flat index arrays sorted by destination, so
+    the int64 backend assembles with one fancy index and one segmented sum;
+    the generic backend walks the terms whose source entry is not zero.
+    """
+
+    __slots__ = ("shape", "src_shape", "_dst", "_src", "_sign", "_dst_unique", "_dst_starts")
+
+    def __init__(self, shape: tuple[int, int], src_shape: tuple[int, int], terms):
+        r, c, i, j, sign = np.fromiter(chain.from_iterable(terms), dtype=np.int64).reshape(-1, 5).T
+        # a row or column index out of range would alias another entry
+        for idx, bound in zip((r, c, i, j), (*shape, *src_shape)):
+            if idx.size and (idx.min() < 0 or idx.max() >= bound):
+                raise ValueError("a pattern term lies outside the matrix shapes")
+        if np.any(np.abs(sign) != 1):
+            raise ValueError("pattern signs must be +1 or -1")
+        dst = r * shape[1] + c
+        order = np.argsort(dst, kind="stable")
+        # int32 indices and int8 signs: the cached patterns are kept for good
+        self._dst = dst[order].astype(np.int32)
+        self._src = (i * src_shape[1] + j)[order].astype(np.int32)
+        self._sign = sign[order].astype(np.int8)
+        self._dst_starts = np.flatnonzero(np.diff(self._dst, prepend=-1)).astype(np.int32)
+        self._dst_unique = self._dst[self._dst_starts]
+        self.shape = shape
+        self.src_shape = src_shape
 
 
 def _element_coercer(field: Field):
@@ -584,37 +639,6 @@ class Stream:
 
     def next_vector(self, field: Field, n: int) -> list:
         return [self.next_element(field) for _ in range(n)]
-
-
-class MatBuilder:
-    """Accumulate entries of a matrix before freezing it into a Mat."""
-
-    __slots__ = ("field", "nrows", "ncols", "_a")
-
-    def __init__(self, field: Field, nrows: int, ncols: int):
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        if _use_np(field):
-            self._a = np.zeros((nrows, ncols), dtype=np.int64)
-        else:
-            z = field.zero()
-            self._a = [[z] * ncols for _ in range(nrows)]
-
-    def add(self, i: int, j: int, val) -> None:
-        if _use_np(self.field):
-            self._a[i, j] = (self._a[i, j] + int(val)) % self.field.p
-        else:
-            self._a[i][j] = self.field.add(self._a[i][j], val)
-
-    def set(self, i: int, j: int, val) -> None:
-        if _use_np(self.field):
-            self._a[i, j] = int(val) % self.field.p
-        else:
-            self._a[i][j] = val
-
-    def build(self) -> Mat:
-        return Mat(self.field, self.nrows, self.ncols, self._a)
 
 
 def kron(a: Mat, b: Mat) -> Mat:

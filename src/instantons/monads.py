@@ -14,22 +14,55 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .bases import (
-    WEDGE_PAIRS,
     euler_chi,
     expected_stratum_dim,
+    form_slots,
     full_skew_tangent_dim,
     hv_index,
-    mono_mul,
-    monomial_index_map,
-    monomials,
+    num_monomials,
+    skew_pairs,
+    sym_index_map,
     sym_pairs,
+    times_variable,
 )
 from .fields import Field
-from .linalg import Mat, MatBuilder, Subspace, kron
-from .tensors import OmegaTensor
+from .linalg import Mat, Pattern, Subspace, kron
+from .tensors import OmegaTensor, sym_square
+
+# Each structured map below is one Mat.gather of a matrix of the display
+# (umat, wmat, the basis of N, products of kernel vectors) along a Pattern
+# built once per shape from the conventions of bases: H (x) V index 4a + k,
+# the flattening slots, the monomial multiplication maps and the S^2 V pairs.
+
+
+@lru_cache(maxsize=None)
+def _graded_pattern(nout: int, nin: int, d: int, forms_in_rows: bool) -> Pattern:
+    """Sections map (nin copies of S^d) -> (nout copies of S^(d+1)) of a
+    fiberwise map with linear entries.  The coefficient of x_k in the entry
+    (o, i) sits at (4o + k, i) of a 4 nout x nin source (forms_in_rows, umat)
+    or at (o, 4i + k) of an nout x 4 nin source (wmat)."""
+    src_count, tgt_count = num_monomials(4, d), num_monomials(4, d + 1)
+    times = times_variable(4, d)
+    terms = ((o * tgt_count + t, i * src_count + mi,
+              *((hv_index(o, k), i) if forms_in_rows else (o, hv_index(i, k))), 1)
+             for o in range(nout) for i in range(nin) for k in range(4)
+             for mi, t in enumerate(times[k]))
+    src_shape = (4 * nout, nin) if forms_in_rows else (nout, 4 * nin)
+    return Pattern((nout * tgt_count, nin * src_count), src_shape, terms)
+
+
+@lru_cache(maxsize=None)
+def _monad_condition_pattern(nH: int) -> Pattern:
+    """The V-symmetric part of each 4x4 block (a, b) of a 4nH x 4nH matrix,
+    one row per block, one column per pair k <= l."""
+    terms = ((a * nH + b, q, hv_index(a, x), hv_index(b, y), 1)
+             for a in range(nH) for b in range(nH)
+             for q, (k, l) in enumerate(sym_pairs(4)) for x, y in ((k, l), (l, k)))
+    return Pattern((nH * nH, 10), (4 * nH, 4 * nH), terms)
 
 
 class MonadError(ValueError):
@@ -65,16 +98,9 @@ class Monad:
     def _check_monad_condition(self) -> None:
         # alpha o beta = 0 as sheaf maps <=> the V-symmetric part of each
         # 4x4 block of umat @ wmat vanishes
-        f = self.field
         c = self.umat @ self.wmat
-        for a in range(self.nH):
-            for b in range(self.nH):
-                for k in range(4):
-                    for l in range(k, 4):
-                        s = f.add(c.get(hv_index(a, k), hv_index(b, l)),
-                                  c.get(hv_index(a, l), hv_index(b, k)))
-                        if not f.is_zero(s):
-                            raise MonadError("monad condition alpha o beta = 0 fails")
+        if not c.gather(_monad_condition_pattern(self.nH)).is_zero():
+            raise MonadError("monad condition alpha o beta = 0 fails")
 
     @property
     def r(self) -> int:
@@ -85,37 +111,11 @@ class Monad:
 
     def alpha(self, d: int) -> Mat:
         """Sections map N (x) S^d -> H-bar* (x) S^(d+1)."""
-        f = self.field
-        src_mon = monomials(4, d)
-        tgt_idx = monomial_index_map(4, d + 1)
-        src_count, tgt_count = len(src_mon), len(tgt_idx)
-        b = MatBuilder(f, self.nH * tgt_count, self.m * src_count)
-        for s in range(self.m):
-            for a in range(self.nH):
-                for k in range(4):
-                    c = self.umat.get(hv_index(a, k), s)
-                    if f.is_zero(c):
-                        continue
-                    for mi, mono in enumerate(src_mon):
-                        b.add(a * tgt_count + tgt_idx[mono_mul(mono, k)], s * src_count + mi, c)
-        return b.build()
+        return self.umat.gather(_graded_pattern(self.nH, self.m, d, True))
 
     def beta(self, d: int) -> Mat:
         """Sections map H-bar (x) S^(d-1) -> N (x) S^d."""
-        f = self.field
-        src_mon = monomials(4, d - 1)
-        tgt_idx = monomial_index_map(4, d)
-        src_count, tgt_count = len(src_mon), len(tgt_idx)
-        b = MatBuilder(f, self.m * tgt_count, self.nH * src_count)
-        for s in range(self.m):
-            for a in range(self.nH):
-                for k in range(4):
-                    c = self.wmat.get(s, hv_index(a, k))
-                    if f.is_zero(c):
-                        continue
-                    for mi, mono in enumerate(src_mon):
-                        b.add(s * tgt_count + tgt_idx[mono_mul(mono, k)], a * src_count + mi, c)
-        return b.build()
+        return self.wmat.gather(_graded_pattern(self.m, self.nH, d - 1, False))
 
     def h_values(self, d: int) -> tuple[int, int]:
         """(h0, h1) of the display's cohomology at twist d, for d >= -2."""
@@ -173,15 +173,10 @@ def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:
 
 
 def _standard_witness(omega: OmegaTensor) -> tuple[int, int] | None:
-    """Look for h = e_a, v = e_k with omega(h (x) v) = 0; cheap necessary test."""
-    f = omega.field
-    M = omega.flatten().mat
-    for a in range(omega.n):
-        for k in range(4):
-            col = hv_index(a, k)
-            if all(f.is_zero(M.get(i, col)) for i in range(M.nrows)):
-                return a, k
-    return None
+    """Look for h = e_a, v = e_k with omega(h (x) v) = 0 (a zero column
+    4a + k of the flattening); cheap necessary test."""
+    col = omega.flatten().mat.first_deficient_block(1)
+    return None if col is None else divmod(col, 4)
 
 
 def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
@@ -254,6 +249,29 @@ def coh_table(omega: OmegaTensor, dmax: int = 3, *, monad: Monad | None = None) 
     return t
 
 
+@lru_cache(maxsize=None)
+def _s2_patterns(nH: int, m: int) -> tuple[Pattern, Pattern, Pattern]:
+    """d0 = [umat part | wmat part] and d1 of the symmetric-square complex,
+    with N (x) H* (x) V* indexed s * 4nH + 4a + k."""
+    c1 = 4 * nH
+    pairs_m = sym_pairs(m)
+    # nu_s . nu_t -> nu_s (x) u(nu_t) + nu_t (x) u(nu_s)
+    d0_n = ((u * c1 + x, col, x, v, 1) for col, (s, t) in enumerate(pairs_m)
+            for u, v in ((s, t), (t, s)) for x in range(c1))
+    # h_b (x) e_a* -> beta(h_b) (x) e_a*
+    d0_h = ((s * c1 + hv_index(a, k), b * nH + a, s, hv_index(b, k), 1)
+            for b in range(nH) for a in range(nH) for s in range(m) for k in range(4))
+    # nu_s (x) e_a* (x) x_k -> sum_b (e_b* ^ e_a*) (x) (mu_b x_k)
+    hpair, s2v = {pq: i for i, pq in enumerate(skew_pairs(nH))}, sym_index_map(4)
+    d1 = ((hpair[min(a, b), max(a, b)] * 10 + s2v[min(p, k), max(p, k)], s * c1 + hv_index(a, k),
+           hv_index(b, p), s, 1 if b < a else -1)
+          for s in range(m) for a in range(nH) for k in range(4)
+          for b in range(nH) if b != a for p in range(4))
+    return (Pattern((m * c1, len(pairs_m)), (c1, m), d0_n),
+            Pattern((m * c1, nH * nH), (m, c1), d0_h),
+            Pattern((len(hpair) * 10, m * c1), (c1, m), d1))
+
+
 def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
     """(h0, h1, h2) of S^2 E from the five-term symmetric-square complex.
 
@@ -261,64 +279,13 @@ def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
         S^2 N (+) H (x) H* --d0--> N (x) H* (x) V* --d1--> wedge^2 H* (x) S^2 V*
     and the three cohomology dimensions are read off positions 0, 1, 2.
     """
-    f, nH, m = monad.field, monad.nH, monad.m
-    pairs_m = sym_pairs(m)
-    hpairs = [(i, j) for i in range(nH) for j in range(i + 1, nH)]
-    hpair_idx = {pq: i for i, pq in enumerate(hpairs)}
-    s2v_idx = {pq: i for i, pq in enumerate(sym_pairs(4))}
-
-    dim_c0 = len(pairs_m) + nH * nH
-    dim_c1 = m * nH * 4
-    dim_c2 = len(hpairs) * 10
-
-    def c1_index(s: int, a: int, k: int) -> int:
-        return s * (4 * nH) + hv_index(a, k)
-
-    d0 = MatBuilder(f, dim_c1, dim_c0)
-    for col, (s, t) in enumerate(pairs_m):
-        # nu_s . nu_t -> nu_s (x) u(nu_t) + nu_t (x) u(nu_s)
-        for a in range(nH):
-            for k in range(4):
-                c_t = monad.umat.get(hv_index(a, k), t)
-                if not f.is_zero(c_t):
-                    d0.add(c1_index(s, a, k), col, c_t)
-                c_s = monad.umat.get(hv_index(a, k), s)
-                if not f.is_zero(c_s):
-                    d0.add(c1_index(t, a, k), col, c_s)
-    for b in range(nH):
-        for a in range(nH):
-            col = len(pairs_m) + b * nH + a
-            # h_b (x) e_a* -> beta(h_b) (x) e_a*
-            for s in range(m):
-                for k in range(4):
-                    c = monad.wmat.get(s, hv_index(b, k))
-                    if not f.is_zero(c):
-                        d0.add(c1_index(s, a, k), col, c)
-    d0m = d0.build()
-
-    d1 = MatBuilder(f, dim_c2, dim_c1)
-    for s in range(m):
-        for a in range(nH):
-            for k in range(4):
-                col = c1_index(s, a, k)
-                # nu_s (x) e_a* (x) x_k -> sum_b (e_b* ^ e_a*) (x) (mu_b x_k)
-                for b in range(nH):
-                    if b == a:
-                        continue
-                    sign = 1 if b < a else -1
-                    pair = (b, a) if b < a else (a, b)
-                    for p in range(4):
-                        c = monad.umat.get(hv_index(b, p), s)
-                        if f.is_zero(c):
-                            continue
-                        val = c if sign == 1 else f.neg(c)
-                        mono = (p, k) if p <= k else (k, p)
-                        d1.add(hpair_idx[pair] * 10 + s2v_idx[mono], col, val)
-    d1m = d1.build()
-
+    n_part, h_part, d1_pattern = _s2_patterns(monad.nH, monad.m)
+    d0m = monad.umat.gather(n_part).hstack(monad.wmat.gather(h_part))
+    d1m = monad.umat.gather(d1_pattern)
     if not (d1m @ d0m).is_zero():
         raise AssertionError("symmetric-square complex is not a complex")
 
+    dim_c0, dim_c1, dim_c2 = d0m.ncols, d0m.nrows, d1m.nrows
     rank0 = d0m.rank()
     rank1 = d1m.rank()
     h0 = dim_c0 - rank0
@@ -330,6 +297,17 @@ def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
 # -- dual kernel spaces ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _sigma_pattern(dim_n: int, n: int) -> Pattern:
+    """sigma o (inclusion of N), linear in the coordinates of sigma: the
+    unknown (i < j, p <= q) fills the flattening slots (r, c) of
+    wedge^2 H (x) S^2 V, so row s * 4n + r takes entry c of basis vector s."""
+    slots = form_slots(n, skew_h=True)
+    terms = ((s * 4 * n + r, p * 10 + q, s, c, sign)
+             for s in range(dim_n) for r, c, p, q, sign in slots)
+    return Pattern((dim_n * 4 * n, len(skew_pairs(n)) * 10), (dim_n, 4 * n), terms)
+
+
 def sigma_kernel(omega: OmegaTensor, *, monad: Monad | None = None) -> Subspace:
     """{sigma in wedge^2 H (x) S^2 V : sigma o omega = 0}.
 
@@ -337,61 +315,28 @@ def sigma_kernel(omega: OmegaTensor, *, monad: Monad | None = None) -> Subspace:
     the inclusion of N = Im(omega) is linear in sigma's coordinates, and the
     kernel dimension equals h^2 of S^2 E for admissible tensors.
     """
-    f, n = omega.field, omega.n
-    if monad is not None:
-        basis = monad.N.basis
-    else:
-        basis = omega.image().basis
-    hpairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    s2v = sym_pairs(4)
-    ncols = len(hpairs) * 10
-    nrows = basis.nrows * 4 * n
-    b = MatBuilder(f, nrows, ncols)
-    # coordinates c_{ab,kl} of sigma are skew in (a, b) and symmetric in
-    # (k, l): the unknown z at ((i<j), (p<=q)) contributes +z through c_{ij}
-    # and -z through c_{ji}
-    for col, ((i, j), (p, q)) in enumerate(
-        ((hp, pq) for hp in hpairs for pq in s2v)
-    ):
-        for s in range(basis.nrows):
-            row_vec = basis.row(s)
-            for k_out in range(4):
-                acc_i = f.zero()
-                acc_j = f.zero()
-                for l in range(4):
-                    if (min(k_out, l), max(k_out, l)) != (p, q):
-                        continue
-                    acc_i = f.add(acc_i, row_vec[hv_index(j, l)])
-                    acc_j = f.add(acc_j, row_vec[hv_index(i, l)])
-                if not f.is_zero(acc_i):
-                    b.add(s * 4 * n + hv_index(i, k_out), col, acc_i)
-                if not f.is_zero(acc_j):
-                    b.add(s * 4 * n + hv_index(j, k_out), col, f.neg(acc_j))
-    return b.build().kernel()
+    basis = monad.N.basis if monad is not None else omega.image().basis
+    return basis.gather(_sigma_pattern(basis.nrows, omega.n)).kernel()
+
+
+@lru_cache(maxsize=None)
+def _gamma_pattern(nH: int, m: int) -> Pattern:
+    """gamma o u, linear in gamma: the unknown (b, p <= q) is the entry
+    (p, q) and (q, p) of Q_b, and (gamma o u)(nu_s)[k] is the sum over l of
+    u[(b, l), s] Q_b[k, l]."""
+    terms = ((s * 4 + k, b * 10 + ci, hv_index(b, l), s, 1)
+             for b in range(nH) for ci, (p, q) in enumerate(sym_pairs(4))
+             for k, l in {(p, q), (q, p)} for s in range(m))
+    return Pattern((m * 4, nH * 10), (4 * nH, m), terms)
+
+
+def _gamma_system(monad: Monad) -> Mat:
+    return monad.umat.gather(_gamma_pattern(monad.nH, monad.m))
 
 
 def gamma_kernel(monad: Monad) -> Subspace:
     """{gamma in H-bar (x) S^2 V : gamma o u = 0}; dimension equals h1 E(1)."""
-    f, nH, m = monad.field, monad.nH, monad.m
-    s2v = sym_pairs(4)
-    ncols = nH * 10
-    b = MatBuilder(f, m * 4, ncols)
-    for bb in range(nH):
-        for ci, (p, q) in enumerate(s2v):
-            col = bb * 10 + ci
-            # Q_b has entries z at (p,q) and (q,p)
-            for s in range(m):
-                for k in range(4):
-                    # (gamma o u)(nu_s)[k] += sum_l u[(b,l),s] * Q_b[k,l]
-                    if k == p:
-                        c = monad.umat.get(hv_index(bb, q), s)
-                        if not f.is_zero(c):
-                            b.add(s * 4 + k, col, c)
-                    if k == q and p != q:
-                        c = monad.umat.get(hv_index(bb, p), s)
-                        if not f.is_zero(c):
-                            b.add(s * 4 + k, col, c)
-    return b.build().kernel()
+    return _gamma_system(monad).kernel()
 
 
 def gamma_kernel_omega(omega: OmegaTensor) -> Subspace:
@@ -407,59 +352,33 @@ def gamma_kernel_plane(monad: Monad, w_basis: Mat) -> Subspace:
     """
     if w_basis.nrows != 3 or w_basis.rank() != 3:
         raise ValueError("W must be 3-dimensional")
-    f, nH, m = monad.field, monad.nH, monad.m
-    wpairs = sym_pairs(3)
-    s2v_idx = {pq: i for i, pq in enumerate(sym_pairs(4))}
-    # symmetric 4x4 matrices of the products w_r w_s
-    sym_mats = []
-    for (rr, ss) in wpairs:
-        wr, ws = w_basis.row(rr), w_basis.row(ss)
-        mat = [[f.zero()] * 4 for _ in range(4)]
-        for k in range(4):
-            for l in range(4):
-                term = f.mul(wr[k], ws[l])
-                if rr != ss:
-                    term = f.add(term, f.mul(ws[k], wr[l]))
-                mat[k][l] = term
-        sym_mats.append(mat)
-    ncols = nH * len(wpairs)
-    b = MatBuilder(f, m * 4, ncols)
-    for bb in range(nH):
-        for wi, mat in enumerate(sym_mats):
-            col = bb * len(wpairs) + wi
-            for s in range(m):
-                for k in range(4):
-                    acc = f.zero()
-                    for l in range(4):
-                        c = monad.umat.get(hv_index(bb, l), s)
-                        if not f.is_zero(c):
-                            acc = f.add(acc, f.mul(mat[k][l], c))
-                    if not f.is_zero(acc):
-                        b.add(s * 4 + k, col, acc)
-    sol = b.build().kernel()
-    # embed the solutions back into H (x) S^2 V coordinates
-    rows = []
-    for t in range(sol.dim):
-        y = sol.basis.row(t)
-        vec = [f.zero()] * (nH * 10)
-        for bb in range(nH):
-            for wi, (rr, ss) in enumerate(wpairs):
-                c = y[bb * len(wpairs) + wi]
-                if f.is_zero(c):
-                    continue
-                mat = sym_mats[wi]
-                for k in range(4):
-                    for l in range(k, 4):
-                        vec[bb * 10 + s2v_idx[(k, l)]] = f.add(
-                            vec[bb * 10 + s2v_idx[(k, l)]], f.mul(c, mat[k][l])
-                        )
-        rows.append(vec)
-    if not rows:
-        return Subspace.zero(f, nH * 10)
-    return Subspace.from_spanning(Mat.from_rows(f, rows, nH * 10))
+    # row (b, r <= s): the symmetric matrix of w_r w_s in slot b, in S^2 V coordinates
+    embed = kron(Mat.identity(monad.field, monad.nH), sym_square(w_basis.transpose()).transpose())
+    sol = (_gamma_system(monad) @ embed.transpose()).kernel()
+    return Subspace.from_spanning(sol.basis @ embed)
 
 
 # -- tangent spaces of the rank strata -------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _tangent_pattern(n: int, kd: int, ambient: str) -> Pattern:
+    """tau(k_s, k_t) for the pairs s < t of kd kernel vectors, linear in the
+    unknowns of tau, from the products k_s[x] k_t[y] at (s kd + t, 4n x + y)
+    of kron(K, K)."""
+    dim = 4 * n
+    if ambient == "fullSkew":
+        # the skew unknown tau[al, be] = z, tau[be, al] = -z
+        unknowns = skew_pairs(dim)
+        slots = [(al, be, u, 1) for u, (al, be) in enumerate(unknowns)]
+        slots += [(be, al, u, -1) for u, (al, be) in enumerate(unknowns)]
+    else:
+        # the flattening of the basis tensor (p, w) is +-1 at its slots
+        unknowns = range(3 * n * (n + 1))
+        slots = [(r, c, p * 6 + w, sign) for r, c, p, w, sign in form_slots(n)]
+    terms = ((row, u, s * kd + t, x * dim + y, sign)
+             for row, (s, t) in enumerate(skew_pairs(kd)) for x, y, u, sign in slots)
+    return Pattern((kd * (kd - 1) // 2, len(unknowns)), (kd * kd, dim * dim), terms)
 
 
 def tangent_dim(omega: OmegaTensor, ambient: str) -> int:
@@ -469,49 +388,11 @@ def tangent_dim(omega: OmegaTensor, ambient: str) -> int:
     (the S^2 H* (x) wedge^2 V* summand).  At a smooth point of the rank
     stratum this is the stratum's tangent dimension.
     """
-    f, n = omega.field, omega.n
-    M = omega.flatten().mat
-    ker = M.kernel()
-    kb = [ker.basis.row(i) for i in range(ker.dim)]
-    pairs = [(s, t) for s in range(len(kb)) for t in range(s + 1, len(kb))]
-    if ambient == "fullSkew":
-        unknowns = [(al, be) for al in range(4 * n) for be in range(al + 1, 4 * n)]
-        b = MatBuilder(f, len(pairs), len(unknowns))
-        for row, (s, t) in enumerate(pairs):
-            ks, kt = kb[s], kb[t]
-            for col, (al, be) in enumerate(unknowns):
-                # skew unknown tau[al,be] = z, tau[be,al] = -z
-                v = f.sub(f.mul(ks[al], kt[be]), f.mul(ks[be], kt[al]))
-                if not f.is_zero(v):
-                    b.add(row, col, v)
-        mat = b.build()
-        return len(unknowns) - mat.rank()
-    if ambient == "symLambda":
-        pairs_h = sym_pairs(n)
-        b = MatBuilder(f, len(pairs), len(pairs_h) * 6)
-        for row, (s, t) in enumerate(pairs):
-            ks, kt = kb[s], kb[t]
-            for pi, (i, j) in enumerate(pairs_h):
-                for w, (k, l) in enumerate(WEDGE_PAIRS):
-                    col = pi * 6 + w
-                    # flatten of the basis tensor has entries +-1 at four slots
-                    v = f.sub(
-                        f.mul(ks[hv_index(i, k)], kt[hv_index(j, l)]),
-                        f.mul(ks[hv_index(i, l)], kt[hv_index(j, k)]),
-                    )
-                    if i != j:
-                        v = f.add(
-                            v,
-                            f.sub(
-                                f.mul(ks[hv_index(j, k)], kt[hv_index(i, l)]),
-                                f.mul(ks[hv_index(j, l)], kt[hv_index(i, k)]),
-                            ),
-                        )
-                    if not f.is_zero(v):
-                        b.add(row, col, v)
-        mat = b.build()
-        return len(pairs_h) * 6 - mat.rank()
-    raise ValueError("ambient must be 'fullSkew' or 'symLambda'")
+    if ambient not in ("fullSkew", "symLambda"):
+        raise ValueError("ambient must be 'fullSkew' or 'symLambda'")
+    kb = omega.flatten().mat.kernel().basis
+    mat = kron(kb, kb).gather(_tangent_pattern(omega.n, kb.nrows, ambient))
+    return mat.ncols - mat.rank()
 
 
 def expected_dims(n: int, rank: int) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import islice
 
-from .bases import mono_mul, monomial_index_map, monomials, num_monomials
+from .bases import num_monomials, times_variable
 from .fields import ExtensionField, Field, PrimeField
 from .linalg import Mat, kron
 from .tensors import OmegaTensor
@@ -305,12 +305,6 @@ def _ambient(n: int, d: int, e: int) -> int:
     return num_monomials(n, d) * num_monomials(4, e)
 
 
-def _times_variable(nvars: int, deg: int) -> list[list[int]]:
-    """Per variable, the index of each degree-deg monomial times it in degree deg + 1."""
-    tgt = monomial_index_map(nvars, deg + 1)
-    return [[tgt[mono_mul(m, i)] for m in monomials(nvars, deg)] for i in range(nvars)]
-
-
 class SpanningCertifier:
     """Bigraded pieces of the ideal of the bilinear forms of a tensor.
 
@@ -348,11 +342,11 @@ class SpanningCertifier:
             if d > 1:
                 prev = self.piece(d - 1, e)
                 places = [[th * count_v + v for th in img for v in range(count_v)]
-                          for img in _times_variable(self.n, d - 1)]
+                          for img in times_variable(self.n, d - 1)]
             else:
                 prev = self.piece(d, e - 1)
                 places = [[h * count_v + tv for h in range(num_monomials(self.n, d)) for tv in img]
-                          for img in _times_variable(4, e - 1)]
+                          for img in times_variable(4, e - 1)]
             for idx in places:
                 acc.add(prev.basis.place_cols(idx, acc.ncols))
                 if acc.rank == acc.ncols:

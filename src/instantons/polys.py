@@ -97,6 +97,11 @@ def interpolate(points: list, values: list, field: Field) -> list:
     return trim(acc, field)
 
 
+# the scan evaluates the polynomial at every element of GF(p) at once, as
+# int64 arrays of length p whose Horner products stay below 2^63
+ROOT_SCAN_LIMIT = 1 << 21
+
+
 def roots(coeffs: list, field: Field) -> tuple[list, list]:
     """All roots locatable exactly, plus the residual (root-free) factor.
 
@@ -112,6 +117,10 @@ def roots(coeffs: list, field: Field) -> tuple[list, list]:
     found = []
     rest = coeffs
     if field.kind == "prime":
+        if field.p >= ROOT_SCAN_LIMIT:
+            raise ValueError(
+                f"root finding scans every element of {field.spec_str()}, which is only "
+                f"supported for primes below 2^21 = {ROOT_SCAN_LIMIT}")
         candidates = _prime_root_candidates(rest, field.p)
         for x in candidates:
             while rest and len(rest) > 1 and field.is_zero(evaluate(rest, x, field)):

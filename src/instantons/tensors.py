@@ -7,16 +7,67 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .bases import (
     WEDGE_PAIRS,
+    form_pairs,
+    form_slots,
     hv_index,
     sym_index_map,
     sym_pairs,
     wedge_coord,
 )
 from .fields import Field, field_from_spec
-from .linalg import Mat, Subspace
+from .linalg import Mat, Pattern, Subspace, kron
+
+
+@lru_cache(maxsize=None)
+def _flatten_pattern(n: int, skew_h: bool = False) -> Pattern:
+    """Coefficients (one row per H pair, one column per V pair) to the 4n x 4n form."""
+    h_pairs, v_pairs, _sign = form_pairs(n, skew_h)
+    return Pattern((4 * n, 4 * n), (len(h_pairs), len(v_pairs)), form_slots(n, skew_h))
+
+
+@lru_cache(maxsize=None)
+def _split_pattern(n: int, skew_h: bool) -> Pattern:
+    """Twice the coefficients of one summand of a skew 4n x 4n form: the entry
+    at ((i,k), (j,l)) plus, for the wedge^2 H* summand minus, the one at
+    ((j,k), (i,l))."""
+    h_pairs, v_pairs, sign = form_pairs(n, skew_h)
+    terms = ((p, q, hv_index(a, k), hv_index(b, l), s)
+             for p, (i, j) in enumerate(h_pairs) for q, (k, l) in enumerate(v_pairs)
+             for a, b, s in ((i, j, 1), (j, i, sign)))
+    return Pattern((len(h_pairs), len(v_pairs)), (4 * n, 4 * n), terms)
+
+
+@lru_cache(maxsize=None)
+def _symmetric_pattern(n: int) -> Pattern:
+    """A column of values on the pairs i <= j to the symmetric n x n matrix."""
+    terms = [(r, c, p, 0, 1) for p, (i, j) in enumerate(sym_pairs(n)) for r, c in {(i, j), (j, i)}]
+    return Pattern((n, n), (n * (n + 1) // 2, 1), terms)
+
+
+@lru_cache(maxsize=None)
+def _sym_square_pattern(nrows: int, ncols: int) -> Pattern:
+    """kron(a, a) to sym_square(a)."""
+    terms = [(ri, ci, a * nrows + b, x * ncols + y, 1)
+             for ri, (a, b) in enumerate(sym_pairs(nrows))
+             for ci, (p, q) in enumerate(sym_pairs(ncols)) for x, y in {(p, q), (q, p)}]
+    shape = (nrows * (nrows + 1) // 2, ncols * (ncols + 1) // 2)
+    return Pattern(shape, (nrows * nrows, ncols * ncols), terms)
+
+
+def sym_square(a: Mat) -> Mat:
+    """The map that a induces on symmetric squares, in the bases sym_pairs:
+    entry ((r, s), (p, q)) is the coefficient of x_p x_q in the product of
+    the linear forms (row r) . x and (row s) . x."""
+    return kron(a, a).gather(_sym_square_pattern(a.nrows, a.ncols))
+
+
+def wedge_matrix(field: Field, form: list) -> Mat:
+    """A 2-form on V, given by its 6 coefficients, as its 4x4 skew matrix."""
+    return Mat.from_rows(field, [form], 6).gather(_flatten_pattern(1))
 
 
 class OmegaTensor:
@@ -28,7 +79,7 @@ class OmegaTensor:
     doubling it, so published coefficient matrices transcribe literally.
     """
 
-    __slots__ = ("n", "field", "coeffs", "_sym_idx")
+    __slots__ = ("n", "field", "coeffs", "_sym_idx", "_flat")
 
     def __init__(self, n: int, field: Field, coeffs: Mat):
         if coeffs.nrows != n * (n + 1) // 2 or coeffs.ncols != 6:
@@ -37,6 +88,7 @@ class OmegaTensor:
         self.field = field
         self.coeffs = coeffs
         self._sym_idx = sym_index_map(n)
+        self._flat = None
 
     # -- constructors ---------------------------------------------------
 
@@ -88,33 +140,17 @@ class OmegaTensor:
 
     def entry_skew_matrix(self, i: int, j: int) -> Mat:
         """Entry (i, j) as the 4x4 skew matrix of a 2-form on V."""
-        f = self.field
-        row = self.entry_form(i, j)
-        m = [[f.zero()] * 4 for _ in range(4)]
-        for w, (k, l) in enumerate(WEDGE_PAIRS):
-            m[k][l] = row[w]
-            m[l][k] = f.neg(row[w])
-        return Mat.from_rows(f, m, 4)
+        return wedge_matrix(self.field, self.entry_form(i, j))
 
     # -- flattening -------------------------------------------------------
 
     def flatten(self) -> "SkewForm":
-        """The tensor as a skew 4n x 4n form on H (x) V."""
-        f, n = self.field, self.n
-        m = [[f.zero()] * (4 * n) for _ in range(4 * n)]
-        for (i, j), r in self._sym_idx.items():
-            row = self.coeffs.row(r)
-            for w, (k, l) in enumerate(WEDGE_PAIRS):
-                c = row[w]
-                if f.is_zero(c):
-                    continue
-                nc = f.neg(c)
-                m[hv_index(i, k)][hv_index(j, l)] = f.add(m[hv_index(i, k)][hv_index(j, l)], c)
-                m[hv_index(i, l)][hv_index(j, k)] = f.add(m[hv_index(i, l)][hv_index(j, k)], nc)
-                if i != j:
-                    m[hv_index(j, k)][hv_index(i, l)] = f.add(m[hv_index(j, k)][hv_index(i, l)], c)
-                    m[hv_index(j, l)][hv_index(i, k)] = f.add(m[hv_index(j, l)][hv_index(i, k)], nc)
-        return SkewForm(self.n, self.field, Mat.from_rows(f, m, 4 * n))
+        """The tensor as a skew 4n x 4n form on H (x) V; built on the first
+        call and kept, since the tensor is immutable."""
+        if self._flat is None:
+            flat = self.coeffs.gather(_flatten_pattern(self.n))
+            self._flat = SkewForm(self.n, self.field, flat)
+        return self._flat
 
     def rank(self) -> int:
         return self.flatten().mat.rank()
@@ -125,33 +161,12 @@ class OmegaTensor:
 
     # -- functorial operations ---------------------------------------------
 
-    def _wedge_slices(self) -> list[Mat]:
-        """Per-wedge n x n symmetric coefficient matrices."""
-        f, n = self.field, self.n
-        out = []
-        for w in range(6):
-            m = [[f.zero()] * n for _ in range(n)]
-            for (i, j), r in self._sym_idx.items():
-                c = self.coeffs.get(r, w)
-                m[i][j] = c
-                m[j][i] = c
-            out.append(Mat.from_rows(f, m, n))
-        return out
-
-    @staticmethod
-    def _from_wedge_slices(n: int, field: Field, slices: list[Mat]) -> "OmegaTensor":
-        rows = []
-        for (i, j) in sym_pairs(n):
-            rows.append([slices[w].get(i, j) for w in range(6)])
-        return OmegaTensor(n, field, Mat.from_rows(field, rows, 6))
-
     def apply_h_map(self, g: Mat) -> "OmegaTensor":
-        """Pull back along a linear map g: H' -> H (an n x n' matrix)."""
+        """Pull back along a linear map g: H' -> H (an n x n' matrix): each
+        wedge^2 V* slice S becomes g^T S g."""
         if g.nrows != self.n:
             raise ValueError("row count must match dim H")
-        gt = g.transpose()
-        slices = [gt @ s @ g for s in self._wedge_slices()]
-        return OmegaTensor._from_wedge_slices(g.ncols, self.field, slices)
+        return OmegaTensor(g.ncols, self.field, sym_square(g.transpose()) @ self.coeffs)
 
     def conjugate(self, g: Mat) -> "OmegaTensor":
         """The tensor in the GL(H)-orbit at g; g must be invertible."""
@@ -176,16 +191,8 @@ class OmegaTensor:
 
     def contract_line(self, lam: list) -> Mat:
         """Pair the wedge^2 V* part against lam in wedge^2 V: an n x n quadric."""
-        f, n = self.field, self.n
-        m = [[f.zero()] * n for _ in range(n)]
-        for (i, j), r in self._sym_idx.items():
-            row = self.coeffs.row(r)
-            acc = f.zero()
-            for w in range(6):
-                acc = f.add(acc, f.mul(row[w], lam[w]))
-            m[i][j] = acc
-            m[j][i] = acc
-        return Mat.from_rows(f, m, n)
+        lam_col = Mat.from_rows(self.field, [[x] for x in lam], 1)
+        return (self.coeffs @ lam_col).gather(_symmetric_pattern(self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OmegaTensor):
@@ -226,16 +233,14 @@ class SkewHPart:
     """Coordinates in wedge^2 H* (x) S^2 V*: one row per pair i < j of
     H*-indices (lex), one column per monomial x_k x_l, k <= l."""
 
-    __slots__ = ("n", "field", "coeffs", "_idx")
+    __slots__ = ("n", "field", "coeffs")
 
     def __init__(self, n: int, field: Field, coeffs: Mat):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        if coeffs.nrows != len(pairs) or coeffs.ncols != 10:
+        if coeffs.nrows != n * (n - 1) // 2 or coeffs.ncols != 10:
             raise ValueError("coefficient matrix has wrong shape")
         self.n = n
         self.field = field
         self.coeffs = coeffs
-        self._idx = {pair: r for r, pair in enumerate(pairs)}
 
     @staticmethod
     def zero(n: int, field: Field) -> "SkewHPart":
@@ -245,22 +250,7 @@ class SkewHPart:
         return self.coeffs.is_zero()
 
     def flatten(self) -> SkewForm:
-        f, n = self.field, self.n
-        s2 = sym_pairs(4)
-        m = [[f.zero()] * (4 * n) for _ in range(4 * n)]
-        for (i, j), r in self._idx.items():
-            row = self.coeffs.row(r)
-            for col, (k, l) in enumerate(s2):
-                c = row[col]
-                if f.is_zero(c):
-                    continue
-                nc = f.neg(c)
-                m[hv_index(i, k)][hv_index(j, l)] = f.add(m[hv_index(i, k)][hv_index(j, l)], c)
-                m[hv_index(j, k)][hv_index(i, l)] = f.add(m[hv_index(j, k)][hv_index(i, l)], nc)
-                if k != l:
-                    m[hv_index(i, l)][hv_index(j, k)] = f.add(m[hv_index(i, l)][hv_index(j, k)], c)
-                    m[hv_index(j, l)][hv_index(i, k)] = f.add(m[hv_index(j, l)][hv_index(i, k)], nc)
-        return SkewForm(n, f, Mat.from_rows(f, m, 4 * n))
+        return SkewForm(self.n, self.field, self.coeffs.gather(_flatten_pattern(self.n, True)))
 
 
 def decompose(s: SkewForm) -> tuple[OmegaTensor, SkewHPart]:
@@ -274,25 +264,8 @@ def decompose(s: SkewForm) -> tuple[OmegaTensor, SkewHPart]:
         raise ValueError("canonical split needs characteristic != 2")
     half = f.inv(f.of_int(2))
     m = s.mat
-    sym_rows = []
-    for (i, j) in sym_pairs(n):
-        row = []
-        for (k, l) in WEDGE_PAIRS:
-            a = m.get(hv_index(i, k), hv_index(j, l))
-            b = m.get(hv_index(j, k), hv_index(i, l))
-            row.append(f.mul(half, f.add(a, b)))
-        sym_rows.append(row)
-    sym = OmegaTensor(n, f, Mat.from_rows(f, sym_rows, 6))
-    skew_rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = []
-            for (k, l) in sym_pairs(4):
-                a = m.get(hv_index(i, k), hv_index(j, l))
-                b = m.get(hv_index(j, k), hv_index(i, l))
-                row.append(f.mul(half, f.sub(a, b)))
-            skew_rows.append(row)
-    skewh = SkewHPart(n, f, Mat.from_rows(f, skew_rows, 10))
+    sym = OmegaTensor(n, f, m.gather(_split_pattern(n, False)).scale(half))
+    skewh = SkewHPart(n, f, m.gather(_split_pattern(n, True)).scale(half))
     if not (sym.flatten().mat + skewh.flatten().mat == m):
         raise ArithmeticError("canonical split failed to reconstruct input")
     return sym, skewh
@@ -323,20 +296,12 @@ def block_sum(a: OmegaTensor, b: OmegaTensor) -> OmegaTensor:
     """Block-diagonal sum over H_{n1+n2}; rank is additive."""
     if a.field != b.field:
         raise ValueError("field mismatch")
-    f = a.field
     n = a.n + b.n
-    entries = {}
-    for (i, j) in sym_pairs(a.n):
-        row = a.entry_form(i, j)
-        for w, (k, l) in enumerate(WEDGE_PAIRS):
-            if not f.is_zero(row[w]):
-                entries[(i, j, k, l)] = row[w]
-    for (i, j) in sym_pairs(b.n):
-        row = b.entry_form(i, j)
-        for w, (k, l) in enumerate(WEDGE_PAIRS):
-            if not f.is_zero(row[w]):
-                entries[(a.n + i, a.n + j, k, l)] = row[w]
-    return OmegaTensor.from_entries(n, f, entries)
+    sym = sym_index_map(n)
+    rows = [sym[pair] for pair in sym_pairs(a.n)]
+    rows += [sym[(a.n + i, a.n + j)] for i, j in sym_pairs(b.n)]
+    stacked = a.coeffs.vstack(b.coeffs).transpose()
+    return OmegaTensor(n, a.field, stacked.place_cols(rows, len(sym)).transpose())
 
 
 # -- tensor file format -------------------------------------------------
@@ -348,17 +313,22 @@ def tensor_to_obj(t: OmegaTensor) -> dict:
     if f.kind == "prime-extension":
         raise ValueError("tensor files carry rational or prime-field entries only")
     entries = []
-    for (i, j) in sym_pairs(t.n):
-        row = t.entry_form(i, j)
+    for (i, j), row in zip(sym_pairs(t.n), t.coeffs.rows()):
         for w, (k, l) in enumerate(WEDGE_PAIRS):
             if not f.is_zero(row[w]):
                 entries.append({"i": i, "j": j, "k": k, "l": l, "c": f.to_str(row[w])})
     return {"n": t.n, "field": f.spec_str(), "entries": entries}
 
 
+# the range the samplers and the named examples cover
+MAX_N = 5
+
+
 def tensor_from_obj(obj: dict) -> OmegaTensor:
     field = field_from_spec(obj["field"])
-    n = int(obj["n"])
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
+        raise ValueError(f"n = {n!r}: dim H must be an integer 1 <= n <= {MAX_N}")
     entries = {}
     for e in obj["entries"]:
         key = int(e["i"]), int(e["j"]), int(e["k"]), int(e["l"])

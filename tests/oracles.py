@@ -36,7 +36,7 @@ from fractions import Fraction
 from instantons.bases import hv_index, mono_mul, monomial_index_map, monomials
 from instantons.fields import ExtensionField, PrimeField
 from instantons.geometry import Line
-from instantons.linalg import Mat, MatBuilder, Subspace
+from instantons.linalg import Mat, Subspace
 from instantons.monads import Monad, MonadError
 from instantons.nondeg import DEFAULT_BUDGET, SpanningCertifier, Verdict, projective_points
 
@@ -182,7 +182,8 @@ def _graded_on_line(field, coef, n_out: int, n_in: int, d: int) -> Mat:
     src_mon = monomials(2, d)
     tgt_idx = monomial_index_map(2, d + 1)
     src_count, tgt_count = len(src_mon), len(tgt_idx)
-    b = MatBuilder(field, n_out * tgt_count, n_in * src_count)
+    ncols = n_in * src_count
+    rows = [[field.zero()] * ncols for _ in range(n_out * tgt_count)]
     for o in range(n_out):
         for i in range(n_in):
             for rv in range(2):
@@ -190,8 +191,9 @@ def _graded_on_line(field, coef, n_out: int, n_in: int, d: int) -> Mat:
                 if field.is_zero(c):
                     continue
                 for mi, mono in enumerate(src_mon):
-                    b.add(o * tgt_count + tgt_idx[mono_mul(mono, rv)], i * src_count + mi, c)
-    return b.build()
+                    r, col = o * tgt_count + tgt_idx[mono_mul(mono, rv)], i * src_count + mi
+                    rows[r][col] = field.add(rows[r][col], c)
+    return Mat.from_rows(field, rows, ncols)
 
 
 def _restricted_maps(m: Monad, line: Line, d: int) -> tuple[Mat, Mat]:

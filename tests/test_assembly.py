@@ -1,0 +1,366 @@
+"""The structured maps are pinned entry for entry.
+
+Each map assembled from a display or a tensor (the graded monad maps, the
+symmetric-square complex, the kernel systems, the tangent systems, the
+extension and 't Hooft systems, the flattenings and their inverse) is
+reduced to a SHA-256 digest of its field, shape and entries, row by row.
+Systems that are only handed to an elimination are caught there: inside
+each recorded call every matrix passed to `Mat.rank` or `Mat.kernel` is
+digested, in call order.  The digests were recorded from the nested-loop
+assembly this package used before its maps were built by `Mat.gather`, so
+the assembly, the row order and the column order are all unchanged.
+
+Run this file as a script to print the digests of the current code.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from contextlib import contextmanager
+
+import pytest
+
+from instantons.families import extend_affine, extend_fiber, fiber_solution_space
+from instantons.families import sample_full, sample_instanton, thooft_tensor
+from instantons.fields import GF32003, QQ, PrimeField
+from instantons.linalg import Mat
+from instantons.monads import (
+    build_monad,
+    gamma_kernel,
+    gamma_kernel_plane,
+    restricted_monad,
+    s2_cohomology,
+    sigma_kernel,
+    tangent_dim,
+)
+from instantons.tensors import SkewForm, SkewHPart, decompose
+
+F7 = PrimeField(7)
+
+
+def _digest(*parts) -> str:
+    """Digest of matrices, subspaces, lists of digests and plain values."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, Mat):
+            f = part.field
+            h.update(f"{f.spec_str()}|{part.nrows}x{part.ncols}|".encode())
+            for row in part.rows():
+                h.update((",".join(f.to_str(x) for x in row) + ";").encode())
+        elif hasattr(part, "basis"):
+            h.update(_digest(part.basis).encode())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"|")
+    return h.hexdigest()[:16]
+
+
+@contextmanager
+def _eliminations(log: list):
+    """Record the digest of every matrix passed to Mat.rank or Mat.kernel."""
+    saved = Mat.rank, Mat.kernel
+
+    def spy(fn):
+        def wrapped(self):
+            log.append(_digest(self))
+            return fn(self)
+        return wrapped
+
+    Mat.rank, Mat.kernel = spy(Mat.rank), spy(Mat.kernel)
+    try:
+        yield log
+    finally:
+        Mat.rank, Mat.kernel = saved
+
+
+def _recorded(fn, *args, **kwargs) -> str:
+    with _eliminations([]) as log:
+        out = fn(*args, **kwargs)
+    return _digest(*log, out)
+
+
+# the inputs: fixed tensors for n = 2..5 over fp:32003 and Q, and randomized
+# 't Hooft tensors over fp:7
+TENSORS = {
+    **{f"fp32003-n{n}": (lambda n=n: sample_instanton(n, 2, GF32003, 11)) for n in range(2, 6)},
+    **{f"rational-n{n}": (lambda n=n: thooft_tensor(n, QQ)) for n in range(2, 6)},
+    **{f"fp7-n{n}": (lambda n=n: thooft_tensor(n, F7, seed=1)) for n in range(2, 6)},
+}
+
+
+def _maps(name: str) -> dict[str, str]:
+    """Digest of every structured map of one input tensor."""
+    t = TENSORS[name]()
+    f, n = t.field, t.n
+    out = {"tensor": _digest(t.coeffs), "flatten": _digest(t.flatten().mat)}
+    m = build_monad(t, quick_check=False)
+    out["monad"] = _digest(m.umat, m.wmat, m.phi)
+    out["alpha"] = _digest(*(m.alpha(d) for d in range(-2, 4)))
+    out["beta"] = _digest(*(m.beta(d) for d in range(-2, 4)))
+    out["s2_cohomology"] = _recorded(s2_cohomology, m)
+    out["sigma_kernel"] = _recorded(sigma_kernel, t, monad=m)
+    out["gamma_kernel"] = _recorded(gamma_kernel, m)
+    w = Mat.from_rows(f, [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 5]], 4)
+    out["gamma_kernel_plane"] = _recorded(gamma_kernel_plane, m, w)
+    out["tangent_dim"] = _digest(*(_recorded(tangent_dim, t, a) for a in ("fullSkew", "symLambda")))
+    out["fiber_solution_space"] = _recorded(fiber_solution_space, t, monad=m)
+    xi = [f.of_int(v) for v in (1, 2, 3, 5, 7)[:n]]
+    bar = restricted_monad(t, xi)
+    out["restricted"] = _digest(bar.umat, bar.wmat, *(bar.alpha(d) for d in range(0, 3)),
+                                *(bar.beta(d) for d in range(0, 3)))
+    lam = [f.of_int(v) for v in (1, 2, 0, 3, 0, 4)]
+    g = Mat.from_rows(f, [[(3 * i + 5 * j + 1) % 7 for j in range(n - 1)] for i in range(n)], n - 1)
+    parts = decompose(t.flatten())
+    skew_h = SkewHPart(n, f, Mat.from_rows(
+        f, [[(i + 2 * j) % 5 for j in range(10)] for i in range(n * (n - 1) // 2)], 10))
+    mixed = decompose(SkewForm(n, f, t.flatten().mat + skew_h.flatten().mat))
+    out["tensor_ops"] = _digest(
+        t.contract_line(lam), t.apply_h_map(g).coeffs, t.entry_skew_matrix(0, 1),
+        t.entry_skew_matrix(1, 1), parts[0].coeffs, parts[1].coeffs, skew_h.flatten().mat,
+        mixed[0].coeffs, mixed[1].coeffs,
+    )
+    return out
+
+
+def _constructions(field) -> dict[str, str]:
+    """The 't Hooft systems and the extension folds, recorded while they run."""
+    out = {}
+    for n in range(2, 6):
+        out[f"thooft-n{n}"] = _recorded(thooft_tensor, n, field, 1)
+    base = sample_full(2, field, 3)
+    alpha = Mat.from_rows(field, [[1, 0, 2, 0, 3, 1], [0, 1, 0, 4, 1, 0]], 6)
+    out["extend_affine"] = _digest(extend_affine(base, alpha).coeffs)
+    if field.kind == "prime":
+        out["extend_fiber"] = _digest(extend_fiber(base, 5).coeffs)
+    return out
+
+
+def all_digests() -> dict[str, dict[str, str]]:
+    out = {name: _maps(name) for name in TENSORS}
+    for field in (GF32003, QQ, F7):
+        out[f"constructions-{field.spec_str()}"] = _constructions(field)
+    return out
+
+
+# recorded from the nested-loop assembly
+PINNED: dict[str, dict[str, str]] = {
+    "constructions-fp:32003": {
+        "extend_affine": "c01ac8f0ad547905",
+        "extend_fiber": "bf483c081bfe2c99",
+        "thooft-n2": "591455fbc9971bb7",
+        "thooft-n3": "59b18eb90a26de83",
+        "thooft-n4": "ca8641ca0fefcc97",
+        "thooft-n5": "dfc6baf175fa126a",
+    },
+    "constructions-fp:7": {
+        "extend_affine": "7816832f1822093f",
+        "extend_fiber": "8febdbd3a00fe391",
+        "thooft-n2": "e657b9569f47b680",
+        "thooft-n3": "e1b5447f9408ef0b",
+        "thooft-n4": "7b5e1a2852f7f265",
+        "thooft-n5": "d3159b92f4bc2778",
+    },
+    "constructions-rational": {
+        "extend_affine": "522d53db4f84a2d3",
+        "thooft-n2": "eab7bace6315c1db",
+        "thooft-n3": "fdc09a9335a8a25c",
+        "thooft-n4": "0be5e591b07c2aab",
+        "thooft-n5": "c0b0ce11aac0a666",
+    },
+    "fp32003-n2": {
+        "alpha": "d2d9d70861e3df4d",
+        "beta": "b819292db861cda8",
+        "fiber_solution_space": "42463097d2665426",
+        "flatten": "ebf57ec8263f0848",
+        "gamma_kernel": "eaebcafca84d2569",
+        "gamma_kernel_plane": "7af0c36a5aa60f13",
+        "monad": "f3e3adf0f9c58d3d",
+        "restricted": "601ca4375e2d1bac",
+        "s2_cohomology": "de6ac2d5f90ad187",
+        "sigma_kernel": "24d4c1923f3d9f48",
+        "tangent_dim": "f65a2ac05e7df4b4",
+        "tensor": "b390779b352b11f8",
+        "tensor_ops": "4c75d1d09fd29bfb",
+    },
+    "fp32003-n3": {
+        "alpha": "1fab0feb1fe85f63",
+        "beta": "95fe22398b097aca",
+        "fiber_solution_space": "0b2e485f0afcb2a2",
+        "flatten": "ff1f82919e5009fc",
+        "gamma_kernel": "e7dcaf88cc1c1b40",
+        "gamma_kernel_plane": "9a76ae390338aa04",
+        "monad": "3a6bc30bd4621361",
+        "restricted": "f7f8dce018469d1f",
+        "s2_cohomology": "3d8ad8edf5c65406",
+        "sigma_kernel": "0d308f3db278cd87",
+        "tangent_dim": "b8c77b2a7163eb62",
+        "tensor": "dcfae93414457c83",
+        "tensor_ops": "43109b0d9fdabc7f",
+    },
+    "fp32003-n4": {
+        "alpha": "06d45af939f7b1d7",
+        "beta": "7626c6a55f706744",
+        "fiber_solution_space": "5225d9b933daa00b",
+        "flatten": "6aa1e9d819a9b8a4",
+        "gamma_kernel": "d424bebdbdee6b6a",
+        "gamma_kernel_plane": "21880adb135cb478",
+        "monad": "11b1f7e4eba350c2",
+        "restricted": "a34ec9c64fa6ed12",
+        "s2_cohomology": "55db3999598f9722",
+        "sigma_kernel": "409392bbdaff6b67",
+        "tangent_dim": "a6458659f4ddf9b0",
+        "tensor": "2aa93c4382840d8e",
+        "tensor_ops": "25d0849b96447cc0",
+    },
+    "fp32003-n5": {
+        "alpha": "555dcdd197c512d1",
+        "beta": "1a0a69a18daeb143",
+        "fiber_solution_space": "6440a35e2fa2da4b",
+        "flatten": "5167a7dd2a4e805d",
+        "gamma_kernel": "8c662ec1cf25aa88",
+        "gamma_kernel_plane": "72b1386126622f64",
+        "monad": "f9bbdc372a3f892e",
+        "restricted": "89e9010f645b0615",
+        "s2_cohomology": "55080925a4339d10",
+        "sigma_kernel": "16578a4a9cea1453",
+        "tangent_dim": "0a2246ad2470e26f",
+        "tensor": "0fa6b126a6eb6873",
+        "tensor_ops": "f1d23cf4b03d274b",
+    },
+    "fp7-n2": {
+        "alpha": "0c58ad3d88c0dc37",
+        "beta": "8506779652155750",
+        "fiber_solution_space": "88e48d790250a8f8",
+        "flatten": "ca51831ece8d7f7b",
+        "gamma_kernel": "eaa3414914827978",
+        "gamma_kernel_plane": "c10d5c5ebbf9648b",
+        "monad": "d8be61fe539f1fad",
+        "restricted": "d3ea29b799d64502",
+        "s2_cohomology": "338ab51ccde650fa",
+        "sigma_kernel": "ccae0a5ed29c1c68",
+        "tangent_dim": "6da0ad299f42a4b4",
+        "tensor": "7109ec644c1e2013",
+        "tensor_ops": "0c0c05b12b7f71f2",
+    },
+    "fp7-n3": {
+        "alpha": "13a38f6dbd5c7424",
+        "beta": "2135134c909d7e8c",
+        "fiber_solution_space": "e2ac2a7bcc32b31a",
+        "flatten": "86462da78c6dbc98",
+        "gamma_kernel": "6cafbe08c525dbd9",
+        "gamma_kernel_plane": "8419a7b82c450f8b",
+        "monad": "c54fa0c5368a2ae5",
+        "restricted": "f202445e195d75cb",
+        "s2_cohomology": "3c5cb1667472e84f",
+        "sigma_kernel": "ccb3b62ae332a044",
+        "tangent_dim": "ae69ed10ac89c095",
+        "tensor": "0e05fa3db88de772",
+        "tensor_ops": "84772f86d30d22b0",
+    },
+    "fp7-n4": {
+        "alpha": "b9fca31741f5446b",
+        "beta": "c78a699ae32be8ba",
+        "fiber_solution_space": "30bdee857deb2f6d",
+        "flatten": "d9de9671dca3a148",
+        "gamma_kernel": "2157055d9f0f2504",
+        "gamma_kernel_plane": "c6ac02b991fc362f",
+        "monad": "68e47aeebf177497",
+        "restricted": "fcfa8dbc3ef2b372",
+        "s2_cohomology": "35f2851644b88e32",
+        "sigma_kernel": "195bf110e610a180",
+        "tangent_dim": "a40d6d7bbf155274",
+        "tensor": "0bd29b7837619372",
+        "tensor_ops": "419fc3e68eb3fbc2",
+    },
+    "fp7-n5": {
+        "alpha": "fa75bfe04d01dfcc",
+        "beta": "b14fde693659838d",
+        "fiber_solution_space": "deae314a5f42f196",
+        "flatten": "1c4c547131b78743",
+        "gamma_kernel": "f6fcbade5a764246",
+        "gamma_kernel_plane": "050b1e56ee1fc091",
+        "monad": "9e3f6a23681d02f0",
+        "restricted": "37cfddb70b27418a",
+        "s2_cohomology": "4f8d12f2967180fd",
+        "sigma_kernel": "d114c83ceddf589a",
+        "tangent_dim": "96576415be3b5b21",
+        "tensor": "6f6474c160f6813f",
+        "tensor_ops": "5fd44537004dc7a6",
+    },
+    "rational-n2": {
+        "alpha": "c8f91c712c036116",
+        "beta": "24a512f0429fabc9",
+        "fiber_solution_space": "cd6afcee0a6f37cf",
+        "flatten": "9f96b43915eb96cf",
+        "gamma_kernel": "2b36239fdbc06c06",
+        "gamma_kernel_plane": "99a4174d701b260a",
+        "monad": "88e726fa897cfbd5",
+        "restricted": "997cb1232befbe6f",
+        "s2_cohomology": "7bb5d3c4fce00cb2",
+        "sigma_kernel": "57acb685ec58a664",
+        "tangent_dim": "9aca905b4dd19345",
+        "tensor": "7cda0ddb59206a26",
+        "tensor_ops": "74c3a399f48a1113",
+    },
+    "rational-n3": {
+        "alpha": "dbfb23503f7c6795",
+        "beta": "2e0ab105d09fd7db",
+        "fiber_solution_space": "85eb52445683d6c9",
+        "flatten": "fd80071d500a5f3a",
+        "gamma_kernel": "37fbde4cae4a2edb",
+        "gamma_kernel_plane": "8f41eee450ceaf1b",
+        "monad": "b35a262c460431db",
+        "restricted": "b305430d83fffe0d",
+        "s2_cohomology": "d9e0ede9761f5a24",
+        "sigma_kernel": "d4293e15c25579bd",
+        "tangent_dim": "ecafaf10381c7207",
+        "tensor": "166e5f6c2ba68381",
+        "tensor_ops": "e3668c644253b4ec",
+    },
+    "rational-n4": {
+        "alpha": "eda62b693d9fd9f5",
+        "beta": "fbbd3c0702f22dd4",
+        "fiber_solution_space": "003e80a2f69401fe",
+        "flatten": "bf4dec03568f2691",
+        "gamma_kernel": "4b24a8eaf2ecb47f",
+        "gamma_kernel_plane": "747a59083cceb06b",
+        "monad": "ca8b68b171964694",
+        "restricted": "8fdd76255d83287d",
+        "s2_cohomology": "19da2f672cc57173",
+        "sigma_kernel": "66e3af18abd126e0",
+        "tangent_dim": "a1474976fa46e2c9",
+        "tensor": "22279aba096b5c2c",
+        "tensor_ops": "51ff05518f38b53a",
+    },
+    "rational-n5": {
+        "alpha": "b6cf91a7d7708bdf",
+        "beta": "db7d964b885c4368",
+        "fiber_solution_space": "2106d06ab34e2827",
+        "flatten": "52971764e97774ab",
+        "gamma_kernel": "9fad5dd07c77b669",
+        "gamma_kernel_plane": "e7a99efbca23d1f5",
+        "monad": "1514f3e4ecf21f37",
+        "restricted": "2993d129d03b43dc",
+        "s2_cohomology": "6dd7fb26c38cbea3",
+        "sigma_kernel": "3e706bda50d95182",
+        "tangent_dim": "6a00545893e2cb5a",
+        "tensor": "03f2de7e71b8d4a3",
+        "tensor_ops": "b51f83def9e50222",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TENSORS))
+def test_structured_maps_are_pinned(name):
+    assert _maps(name) == PINNED[name]
+
+
+@pytest.mark.parametrize("field", [GF32003, QQ, F7], ids=lambda f: f.spec_str())
+def test_constructions_are_pinned(field):
+    assert _constructions(field) == PINNED[f"constructions-{field.spec_str()}"]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint(all_digests(), width=100)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from instantons import cli, geometry
+from instantons import cli, families, geometry
 from instantons.cli import main
+from instantons.families import SampleError
 
 
 def run(argv):
@@ -159,3 +160,56 @@ def test_suite_single_criterion(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert '"passed": true' in out
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["sample", "--n", "3", "--r", "4", "--field", "rational"], "sampling M(3, 4) with r < 2n"),
+    (["certify", "--sample", "5,2", "--field", "rational"], "sampling M(5, 2) with r < 2n"),
+    (["sample", "--n", "2", "--r", "2", "--field", "rational"], "sampling M(2, 2) with r < 2n"),
+    (["certify", "--example", "two-sum", "--field", "rational"], "corank-2 sampling"),
+    (["table", "coh", "--example", "sum-family:1,2", "--field", "rational"], "corank-2 sampling"),
+])
+def test_rational_sampling_below_open_stratum_is_input_error(argv, what, capsys):
+    # raised before any sampling work: over Q the samplers below the open
+    # stratum ran for minutes or did not end
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert what in err and "unsupported in rational mode" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [0, -1, 6, "x", 2.5, True])
+def test_tensor_file_n_out_of_range_is_input_error(tmp_path, capsys, n):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": n, "field": "fp:32003", "entries": []}))
+    assert run(["certify", "--tensor", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"n = {n!r}" in err and "1 <= n <= 5" in err and "Traceback" not in err
+
+
+def test_root_scan_beyond_int64_fields_is_input_error(capsys):
+    # the exhaustive root scan would allocate an array of p elements
+    assert run(["table", "pencil", "--example", "nc", "--field", "fp:1000000007"]) == 2
+    err = capsys.readouterr().err
+    assert "fp:1000000007" in err and "2^21" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [
+    AssertionError("symmetric-square complex is not a complex"),
+    OverflowError("int64 exactness invariant k*(p-1)^2 < 2^63 fails for k=2, p=7"),
+    ZeroDivisionError("Fraction(1, 0)"),
+    SampleError("no corank-2 point found (n=2, seed=0)"),
+])
+def test_failed_invariant_exits_1(monkeypatch, capsys, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "coh_table", broken)
+    assert run(["table", "coh", "--example", "nc"]) == 1
+    assert capsys.readouterr().err == f"internal invariant failed: {exc}\n"
+
+
+def test_sampler_out_of_budget_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(families, "RETRY_LIMIT", 0)
+    assert run(["sample", "--n", "3", "--r", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant failed: no full-rank tensor after 0 draws")

@@ -1,9 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from instantons.fields import ExtensionField, PrimeField, QQ, field_from_spec, GF32003
-from instantons.linalg import Mat, Stream, Subspace, _require_int64_exact, kron, sample_matrix
+from instantons.linalg import (
+    Mat,
+    Pattern,
+    Stream,
+    Subspace,
+    _require_int64_exact,
+    kron,
+    sample_invertible,
+    sample_matrix,
+)
 
 
 def test_field_spec_roundtrip():
@@ -241,3 +251,79 @@ def test_int64_exactness_guard():
         _require_int64_exact(k, p)
         with pytest.raises(OverflowError, match=r"k\*\(p-1\)\^2 < 2\^63"):
             _require_int64_exact(k + 1, p)
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:7", "rational", "fp:5^2", "fp:2097143"])
+def test_gather_matches_definition(spec):
+    # every entry is the signed sum of its terms, including repeated
+    # destinations, repeated sources and zero source entries
+    fld = field_from_spec(spec)
+    rs = Stream("gather", spec)
+    for _ in range(20):
+        shape = (rs.next_below(5), 1 + rs.next_below(5))
+        src_shape = (1 + rs.next_below(4), 1 + rs.next_below(4))
+        terms = [(rs.next_below(shape[0]), rs.next_below(shape[1]), rs.next_below(src_shape[0]),
+                  rs.next_below(src_shape[1]), 1 - 2 * rs.next_below(2))
+                 for _ in range(rs.next_below(3 * shape[0] * shape[1] + 1) if shape[0] else 0)]
+        src = Mat.from_rows(fld, [[rs.next_element(fld) if rs.next_below(3) else fld.zero()
+                                   for _ in range(src_shape[1])] for _ in range(src_shape[0])],
+                            src_shape[1])
+        expect = [[fld.zero()] * shape[1] for _ in range(shape[0])]
+        for r, c, i, j, sign in terms:
+            x = src.get(i, j)
+            expect[r][c] = fld.add(expect[r][c], x if sign > 0 else fld.neg(x))
+        got = src.gather(Pattern(shape, src_shape, terms))
+        assert got == Mat.from_rows(fld, expect, shape[1])
+        assert (got.nrows, got.ncols) == shape
+    with pytest.raises(ValueError):
+        Mat.zeros(fld, 2, 2).gather(Pattern((1, 1), (2, 3), []))
+    for term in [(0, 2, 0, 0, 1), (0, 0, -1, 0, 1), (0, 0, 0, 3, 1), (0, 0, 0, 0, 2)]:
+        with pytest.raises(ValueError):
+            Pattern((1, 2), (1, 3), [term])
+
+
+def _low_rank(data, fld, nrows: int, ncols: int) -> Mat:
+    """A small-integer matrix of drawn rank, often below min(nrows, ncols)."""
+    rank = data.draw(st.integers(0, min(nrows, ncols)))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+    def block(r, c):
+        vals = data.draw(st.lists(entry, min_size=r * c, max_size=r * c))
+        return Mat.from_rows(fld, [vals[i * c:(i + 1) * c] for i in range(r)], c)
+
+    return block(nrows, rank) @ block(rank, ncols)
+
+
+LINALG_FIELDS = ["fp:32003", "fp:7", "rational"]
+
+
+@pytest.mark.parametrize("spec", LINALG_FIELDS)
+@given(data=st.data())
+def test_rref_basis_is_canonical(spec, data):
+    # another spanning set of the same row space (an invertible mix of the
+    # rows, then more combinations of them) gives the same stored basis
+    fld = field_from_spec(spec)
+    ncols = data.draw(st.integers(1, 7))
+    a = _low_rank(data, fld, data.draw(st.integers(0, 6)), ncols)
+    g = sample_invertible(a.nrows, fld, Stream("rref", data.draw(st.integers(0, 999))))
+    b = (g @ a).vstack(_low_rank(data, fld, data.draw(st.integers(0, 3)), a.nrows) @ a)
+    u, w = Subspace.from_spanning(a), Subspace.from_spanning(b)
+    assert u.basis == w.basis and u.pivots == w.pivots
+    assert u.basis.take_cols(u.pivots) == Mat.identity(fld, u.dim)
+    assert u.dim == a.rank() == b.rank()
+
+
+@pytest.mark.parametrize("spec", LINALG_FIELDS)
+@given(data=st.data())
+def test_sum_and_intersection_dimensions(spec, data):
+    # dim(U + W) + dim(U meet W) = dim U + dim W, with W sharing part of U
+    fld = field_from_spec(spec)
+    ncols = data.draw(st.integers(1, 7))
+    a = _low_rank(data, fld, data.draw(st.integers(0, 5)), ncols)
+    shared = _low_rank(data, fld, data.draw(st.integers(0, 3)), a.nrows) @ a
+    b = _low_rank(data, fld, data.draw(st.integers(0, 5)), ncols).vstack(shared)
+    u, w = Subspace.from_spanning(a), Subspace.from_spanning(b)
+    total, meet = u.sum(w), u.intersect(w)
+    assert total.dim + meet.dim == u.dim + w.dim
+    assert all(u.contains(r) and w.contains(r) for r in meet.basis.rows())
+    assert total == w.sum(u) and meet == w.intersect(u)

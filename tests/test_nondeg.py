@@ -326,13 +326,21 @@ def test_searched_records_work_done(F, chain52):
 
 
 def test_nondeg_keeps_storage_private():
-    # nondeg works through Mat's methods: it imports neither numpy nor any
-    # private name of linalg
-    tree = ast.parse(Path(instantons.nondeg.__file__).read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            assert all(a.name.split(".")[0] != "numpy" for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            assert (node.module or "").split(".")[0] != "numpy"
-            if node.module == "linalg" or (node.module or "").endswith(".linalg"):
-                assert not any(a.name.startswith("_") for a in node.names)
+    # linalg alone knows how a field is stored: every other module of the
+    # package works through Mat's methods and Pattern, imports no private
+    # name of linalg, and only polys (its vectorized root scan) imports numpy
+    package = Path(instantons.nondeg.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.stem != "linalg")
+    assert {"nondeg", "monads", "tensors", "families"} <= {p.stem for p in modules}
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]]
+                if node.module == "linalg" or (node.module or "").endswith(".linalg"):
+                    assert not any(a.name.startswith("_") for a in node.names), path.stem
+            else:
+                continue
+            assert "numpy" not in names or path.stem == "polys", path.stem
