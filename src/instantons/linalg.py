@@ -61,6 +61,37 @@ def _np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def _np_rank(a: np.ndarray, p: int) -> int:
+    """Rank of an int64 matrix mod p by forward elimination alone.
+
+    Each step updates only the trailing block (rows below the pivot, columns
+    after it) and leaves it unreduced: only the pivot column and the scaled
+    pivot row are reduced mod p, so each of the at most min(shape) updates
+    adds less than (p-1)^2 to an entry's absolute value.
+    """
+    nrows, ncols = a.shape
+    _require_int64_exact(min(nrows, ncols) + 1, p)
+    a = np.mod(a, p)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        col = a[r:, c] % p
+        nz = col.nonzero()[0]
+        if nz.size == 0:
+            continue
+        k = int(nz[0])
+        pivot_row = a[r + k, c + 1:] % p * pow(int(col[k]), -1, p) % p
+        if k:
+            # row r (zero in column c) takes the place of the pivot row
+            a[r + k, c + 1:] = a[r, c + 1:]
+        if nz.size > 1:
+            below = nz[1:]
+            a[below + r, c + 1:] -= col[below, None] * pivot_row
+        r += 1
+    return r
+
+
 def _np_first_deficient(stack: np.ndarray, p: int) -> int | None:
     """Index of the first matrix of a (B, R, w) int64 stack mod p whose rank
     is below w, or None: one elimination vectorized over the stack."""
@@ -87,7 +118,11 @@ def _np_first_deficient(stack: np.ndarray, p: int) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _generic_rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
+def _generic_rref(rows: list[list], field: Field,
+                  forward: bool = False) -> tuple[list[list], list[int]]:
+    """Reduced row-echelon form and pivot columns; with forward=True only the
+    rows below each pivot are eliminated, which gives an echelon form with the
+    same pivots."""
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -101,9 +136,10 @@ def _generic_rref(rows: list[list], field: Field) -> tuple[list[list], list[int]
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        pivot_nz = [(j, y) for j, y in enumerate(rows[r]) if not field.is_zero(y)]
-        for i in range(nrows):
+        pivot_nz = [(j, field.mul(inv, y)) for j, y in enumerate(rows[r]) if not field.is_zero(y)]
+        for j, y in pivot_nz:
+            rows[r][j] = y
+        for i in range(r + 1 if forward else 0, nrows):
             row = rows[i]
             if i != r and not field.is_zero(row[c]):
                 f = row[c]
@@ -121,13 +157,16 @@ class Mat:
     otherwise.  All operations are pure; none mutate their arguments.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_a")
+    __slots__ = ("field", "nrows", "ncols", "_a", "_rref", "_rank")
 
     def __init__(self, field: Field, nrows: int, ncols: int, data):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self._a = data
+        # kept by rref() and rank(): the matrix never changes
+        self._rref = None
+        self._rank = None
 
     # -- constructors -------------------------------------------------
 
@@ -348,14 +387,25 @@ class Mat:
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row-echelon form and list of pivot columns."""
-        if _use_np(self.field):
-            a, piv = _np_rref(self._a, self.field.p)
-            return Mat(self.field, self.nrows, self.ncols, a), piv
-        rows, piv = _generic_rref(self.rows(), self.field)
-        return Mat(self.field, self.nrows, self.ncols, rows), piv
+        if self._rref is None:
+            if _use_np(self.field):
+                data, piv = _np_rref(self._a, self.field.p)
+            else:
+                data, piv = _generic_rref(self._a, self.field)
+            self._rref = Mat(self.field, self.nrows, self.ncols, data), piv
+        red, piv = self._rref
+        return red, list(piv)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """Rank by forward elimination; no reduced form is built."""
+        if self._rank is None:
+            if self._rref is not None:
+                self._rank = len(self._rref[1])
+            elif _use_np(self.field):
+                self._rank = _np_rank(self._a, self.field.p)
+            else:
+                self._rank = len(_generic_rref(self._a, self.field, forward=True)[1])
+        return self._rank
 
     def first_deficient_block(self, width: int) -> int | None:
         """Index b of the first block of columns b*width .. (b+1)*width - 1
@@ -630,12 +680,6 @@ class Stream:
         if field.kind == "prime":
             return self.next_below(field.p)
         return tuple(self.next_below(field.p) for _ in range(field.k))
-
-    def next_nonzero(self, field: Field):
-        while True:
-            x = self.next_element(field)
-            if not field.is_zero(x):
-                return x
 
     def next_vector(self, field: Field, n: int) -> list:
         return [self.next_element(field) for _ in range(n)]

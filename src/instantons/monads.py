@@ -216,9 +216,9 @@ class CohTable:
     def validate(self) -> None:
         for d, h0, h1 in self.rows:
             if h0 < 0 or h1 < 0:
-                raise ValueError("negative cohomology dimension")
+                raise AssertionError("negative cohomology dimension")
             if h0 - h1 != euler_chi(self.n, self.r, d):
-                raise ValueError(f"Euler identity fails at twist {d}")
+                raise AssertionError(f"Euler identity fails at twist {d}")
 
     def h(self, d: int) -> tuple[int, int]:
         for dd, h0, h1 in self.rows:

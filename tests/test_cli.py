@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from instantons import cli, families, geometry
+from instantons import cli, families, geometry, monads
 from instantons.cli import main
 from instantons.families import SampleError
 
@@ -206,6 +206,20 @@ def test_failed_invariant_exits_1(monkeypatch, capsys, exc):
     monkeypatch.setattr(cli, "coh_table", broken)
     assert run(["table", "coh", "--example", "nc"]) == 1
     assert capsys.readouterr().err == f"internal invariant failed: {exc}\n"
+
+
+def test_failed_cohomology_identity_exits_1(monkeypatch, capsys):
+    # a table that breaks the Euler identity (or has a negative dimension) is
+    # a failed invariant of the program, not bad input
+    chi = monads.euler_chi
+    monkeypatch.setattr(monads, "euler_chi", lambda n, r, d: chi(n, r, d) + (d == 1))
+    assert run(["table", "coh", "--example", "thooft3"]) == 1
+    assert capsys.readouterr().err == "internal invariant failed: Euler identity fails at twist 1\n"
+    h_values = monads.Monad.h_values
+    monkeypatch.setattr(monads.Monad, "h_values",
+                        lambda self, d: (-1, -1) if d == 0 else h_values(self, d))
+    assert run(["table", "coh", "--example", "thooft3"]) == 1
+    assert capsys.readouterr().err == "internal invariant failed: negative cohomology dimension\n"
 
 
 def test_sampler_out_of_budget_exits_1(monkeypatch, capsys):

@@ -1,8 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from instantons import linalg
 from instantons.fields import ExtensionField, PrimeField, QQ, field_from_spec, GF32003
 from instantons.linalg import (
     Mat,
@@ -327,3 +330,108 @@ def test_sum_and_intersection_dimensions(spec, data):
     assert total.dim + meet.dim == u.dim + w.dim
     assert all(u.contains(r) and w.contains(r) for r in meet.basis.rows())
     assert total == w.sum(u) and meet == w.intersect(u)
+
+
+def _element(fld):
+    """Any element: a residue of the full range, a rational of small height,
+    or a pair of residues."""
+    if fld.kind == "prime":
+        return st.integers(0, fld.p - 1)
+    if fld.kind == "rational":
+        return st.fractions(-50, 50, max_denominator=7)
+    return st.tuples(*[st.integers(0, fld.p - 1)] * fld.k)
+
+
+def _adversarial(data, fld) -> Mat:
+    """A matrix drawn to stress elimination: every entry -1 (p - 1 mod p),
+    a product through a small inner dimension, repeated rows, zero columns,
+    and shapes far taller than wide or the reverse."""
+    short, long = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 40))
+    nrows, ncols = data.draw(st.sampled_from([(short, long), (long, short),
+                                              (short + long // 4, short + long // 4)]))
+
+    def block(r, c):
+        return Mat.from_rows(fld, [data.draw(st.lists(_element(fld), min_size=c, max_size=c))
+                                   for _ in range(r)], c)
+
+    kind = data.draw(st.sampled_from(["minus_one", "product", "repeated_rows", "zero_cols"]))
+    if kind == "minus_one":
+        return Mat.from_rows(fld, [[fld.neg(fld.one())] * ncols for _ in range(nrows)], ncols)
+    if kind == "product":
+        inner = data.draw(st.integers(0, 3))
+        return block(nrows, inner) @ block(inner, ncols)
+    if kind == "repeated_rows":
+        base = block(data.draw(st.integers(1, 3)), ncols)
+        return base.take_rows([data.draw(st.integers(0, base.nrows - 1)) for _ in range(nrows)])
+    live = sorted(set(data.draw(st.lists(st.integers(0, ncols - 1), max_size=ncols)))) if ncols else []
+    return block(nrows, len(live)).place_cols(live, ncols)
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:7", "fp:2097143", "rational", "fp:5^2"])
+@given(data=st.data())
+def test_rank_matches_rref_and_transpose(spec, data):
+    # fp:2097143 is the largest int64-backend prime, where deferring the
+    # reduction mod p leaves the least headroom
+    fld = field_from_spec(spec)
+    m = _adversarial(data, fld)
+    rank = m.rank()
+    assert rank == len(m.rref()[1]) == m.transpose().rank()
+    assert rank <= min(m.nrows, m.ncols)
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:2097143", "rational", "fp:5^2"])
+def test_rank_builds_no_reduced_form(spec, monkeypatch):
+    # with nothing kept, rank runs forward elimination only; on the generic
+    # backend that is the forward mode of _generic_rref
+    fld = field_from_spec(spec)
+    generic = linalg._generic_rref
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank built a reduced row-echelon form")
+
+    monkeypatch.setattr(linalg, "_np_rref", refuse)
+    monkeypatch.setattr(linalg, "_generic_rref",
+                        lambda rows, field, forward=False: generic(rows, field, True) if forward
+                        else refuse())
+    low = sample_matrix(9, 3, fld, 0) @ sample_matrix(3, 7, fld, 1)
+    assert low.rank() == low.transpose().rank() == 3
+    assert sample_matrix(6, 9, fld, 2).rank() == 6
+
+
+def test_rref_and_rank_are_kept(monkeypatch):
+    calls = Counter()
+    for name in ("_np_rref", "_np_rank", "_generic_rref"):
+        def counted(*args, _fn=getattr(linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    # one forward elimination for the rank and one RREF, each run once
+    once = {GF32003: {"_np_rank": 1, "_np_rref": 1}, QQ: {"_generic_rref": 2}}
+    for fld in (GF32003, QQ):
+        calls.clear()
+        m = sample_matrix(5, 8, fld, 0) @ sample_matrix(8, 8, fld, 1)
+        assert m.rank() == m.rank() == 5
+        red, piv = m.rref()
+        piv.append(99)  # the caller's list is a copy
+        assert m.rref() == (red, [0, 1, 2, 3, 4])
+        assert calls == once[fld]
+        fresh = sample_matrix(5, 8, fld, 2)
+        fresh.rref()
+        calls.clear()
+        assert fresh.rank() == 5 and not calls
+
+
+def test_np_rank_checks_int64_exactness_for_every_step(monkeypatch):
+    # each pivot step adds less than (p-1)^2 to an unreduced entry, on top
+    # of the starting residue: k must exceed the number of pivot steps
+    seen = []
+    guard = linalg._require_int64_exact
+    monkeypatch.setattr(linalg, "_require_int64_exact", lambda k, p: (seen.append(k), guard(k, p)))
+    rs = np.random.default_rng(0)
+    for p in (7, 32003, 2097143):
+        for shape in ((12, 30), (30, 12), (20, 20)):
+            seen.clear()
+            a = rs.integers(0, p, shape) if p != 7 else np.full(shape, p - 1)
+            rank = linalg._np_rank(a.astype(np.int64), p)
+            assert len(seen) == 1 and seen[0] > rank
+            assert rank == len(linalg._np_rref(a, p)[1])
