@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dc_field
 from .bases import expected_stratum_dim, full_skew_tangent_dim
 from .linalg import Mat, Stream, Subspace, kron
 from .monads import (
-    Monad,
     build_monad,
     coh_table,
     gamma_kernel,
@@ -100,8 +99,7 @@ def find_pair(omega: OmegaTensor, trials: int = 64, seed=0) -> tuple[Subspace, i
         K = Subspace.from_spanning(Mat.from_rows(f, rows, n))
         if K.dim != 2:
             continue
-        inter, _flag = k_intersection(omega, K, monad=plain)
-        if inter.dim == 0:
+        if k_intersection(omega, K, monad=plain).dim == 0:
             return K, t + 1
     raise RuntimeError(f"no trivial 2-dimensional slice found in {trials} trials")
 

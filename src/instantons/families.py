@@ -180,19 +180,6 @@ class RestrictedSumFamily:
             eta.append(schur)
         return eta[0].vstack(eta[1]).rank() == 4
 
-    def base_tensor(self) -> OmegaTensor:
-        return block_sum(self.wp, self.ws)
-
-    def hyperplane_matrix(self, t0, t1) -> Mat:
-        f = self.field
-        z = f.zero()
-        one = f.one()
-        return Mat.from_rows(
-            f,
-            [[t0, z, z], [z, one, z], [t1, z, z], [z, z, one]],
-            3,
-        )
-
     def tensor(self, t0, t1) -> OmegaTensor:
         """The family member at parameter (t0, t1).
 

@@ -13,7 +13,6 @@ from .bases import WEDGE_PAIRS, sym_index_map
 from .fields import Field
 from .linalg import Mat, Pattern, Subspace, kron
 from .monads import Monad, MonadError, build_monad
-from .nondeg import projective_points
 from .polys import interpolate as poly_interpolate
 from .polys import trim as poly_trim
 from .tensors import OmegaTensor, sym_square, wedge_matrix
@@ -193,100 +192,16 @@ def point_plane_pencil(field: Field, p: list, q0: list, q1: list) -> tuple[list,
     return lam0, lam1
 
 
-# -- intersections with K (x) V* and the decomposability flag ----------------
+# -- intersections with K (x) V* ---------------------------------------------
 
 
-def k_intersection(
-    omega: OmegaTensor, K: Subspace, *, monad: Monad | None = None, scan_cap: int = 2048
-) -> tuple[Subspace, bool]:
-    """(N meet (K (x) V*), flag: does it contain a nonzero decomposable vector).
-
-    The flag is decided exactly (over the algebraic closure) when the
-    intersection has dimension <= 2, via minors and a gcd of binary
-    quadratics; for higher-dimensional intersections over finite fields it
-    falls back to a capped scan of the projectivized intersection over the
-    base field, which can only under-report.
-    """
+def k_intersection(omega: OmegaTensor, K: Subspace, *, monad: Monad | None = None) -> Subspace:
+    """N meet (K (x) V*) inside H* (x) V*, for a subspace K of H*."""
     f, n = omega.field, omega.n
     m = monad if monad is not None else build_monad(omega)
     if K.dim == 0:
-        return Subspace.zero(f, 4 * n), False
-    inter = m.N.intersect(Subspace.from_spanning(kron(K.basis, Mat.identity(f, 4))))
-    return inter, _has_decomposable(f, K, inter, scan_cap)
-
-
-def _coeff_matrix_in_K(field: Field, K: Subspace, vec: list) -> Mat:
-    """Write a vector of K (x) V* as a (dim K) x 4 coefficient matrix."""
-    f = field
-    n = K.ambient
-    rows = []
-    for l in range(4):
-        col = [vec[4 * a + l] for a in range(n)]
-        coords = [col[pc] for pc in K.pivots]
-        rows.append(coords)
-    # rows currently indexed by l; transpose to (r, l)
-    m = Mat.from_rows(f, rows, K.dim)
-    return m.transpose()
-
-
-def _has_decomposable(field: Field, K: Subspace, inter: Subspace, scan_cap: int) -> bool:
-    f = field
-    if inter.dim == 0:
-        return False
-    mats = [_coeff_matrix_in_K(f, K, inter.basis.row(t)) for t in range(inter.dim)]
-    if inter.dim == 1:
-        return mats[0].rank() <= 1
-    if inter.dim == 2:
-        return _pencil_has_rank_one(f, mats[0], mats[1])
-    # conservative capped scan over the base field for higher dimensions
-    if f.kind == "rational":
-        return any(m0.rank() <= 1 for m0 in mats)
-    for vec in projective_points(f, inter.dim, scan_cap):
-        acc = None
-        for c, m0 in zip(vec, mats):
-            term = m0.scale(c)
-            acc = term if acc is None else acc + term
-        if acc.rank() <= 1:
-            return True
-    return False
-
-
-def _pencil_has_rank_one(field: Field, A: Mat, B: Mat) -> bool:
-    """Does x A + y B drop to rank <= 1 for some (x : y) over the closure?
-
-    All 2x2 minors of x A + y B are binary quadratics; a common projective
-    root exists iff B alone has rank <= 1 or the dehomogenized minors share a
-    nonconstant gcd.
-    """
-    from .polys import gcd as poly_gcd
-
-    f = field
-    if A.rank() <= 1 or B.rank() <= 1:
-        return True
-    minors = []
-    rows, cols = A.nrows, A.ncols
-    for r0 in range(rows):
-        for r1 in range(r0 + 1, rows):
-            for c0 in range(cols):
-                for c1 in range(c0 + 1, cols):
-                    a0, a1 = A.get(r0, c0), A.get(r0, c1)
-                    a2, a3 = A.get(r1, c0), A.get(r1, c1)
-                    b0, b1 = B.get(r0, c0), B.get(r0, c1)
-                    b2, b3 = B.get(r1, c0), B.get(r1, c1)
-                    # det of (tA + B) restricted to the 2x2 block, in t
-                    c_t2 = f.sub(f.mul(a0, a3), f.mul(a1, a2))
-                    c_t0 = f.sub(f.mul(b0, b3), f.mul(b1, b2))
-                    c_t1 = f.sub(
-                        f.add(f.mul(a0, b3), f.mul(b0, a3)),
-                        f.add(f.mul(a1, b2), f.mul(b1, a2)),
-                    )
-                    minors.append([c_t0, c_t1, c_t2])
-    g = minors[0]
-    for mpoly in minors[1:]:
-        g = poly_gcd(g, mpoly, f)
-        if not g or len(g) == 1:
-            return False
-    return len(g) > 1
+        return Subspace.zero(f, 4 * n)
+    return m.N.intersect(Subspace.from_spanning(kron(K.basis, Mat.identity(f, 4))))
 
 
 # -- quadric ideals from null-correlation maps -------------------------------

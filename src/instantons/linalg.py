@@ -119,14 +119,18 @@ def _np_first_deficient(stack: np.ndarray, p: int) -> int | None:
 
 
 def _generic_rref(rows: list[list], field: Field,
-                  forward: bool = False) -> tuple[list[list], list[int]]:
-    """Reduced row-echelon form and pivot columns; with forward=True only the
-    rows below each pivot are eliminated, which gives an echelon form with the
-    same pivots."""
+                  forward: bool = False) -> tuple[list[list], list[int], int]:
+    """Reduced row-echelon form, pivot columns and the number of row swaps.
+
+    With forward=True only the rows below each pivot are eliminated and the
+    pivot rows are left unscaled: an echelon form with the same pivots whose
+    diagonal, on a square matrix of full rank, multiplies to the determinant
+    up to the sign of the swaps."""
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
+    swaps = 0
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -134,11 +138,14 @@ def _generic_rref(rows: list[list], field: Field,
         pr = next((i for i in range(r, nrows) if not field.is_zero(rows[i][c])), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            swaps += 1
         inv = field.inv(rows[r][c])
         pivot_nz = [(j, field.mul(inv, y)) for j, y in enumerate(rows[r]) if not field.is_zero(y)]
-        for j, y in pivot_nz:
-            rows[r][j] = y
+        if not forward:
+            for j, y in pivot_nz:
+                rows[r][j] = y
         for i in range(r + 1 if forward else 0, nrows):
             row = rows[i]
             if i != r and not field.is_zero(row[c]):
@@ -147,14 +154,16 @@ def _generic_rref(rows: list[list], field: Field,
                     row[j] = field.sub(row[j], field.mul(f, y))
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return rows, pivots, swaps
 
 
 class Mat:
     """Immutable dense matrix over an exact field.
 
-    Internally an int64 numpy array for small prime fields, a list of lists
-    otherwise.  All operations are pure; none mutate their arguments.
+    Internally an int64 numpy array of residues in [0, p) for small prime
+    fields (every constructor reduces, so equality and zero tests compare
+    the arrays as they are), a list of lists otherwise.  All operations are
+    pure; none mutate their arguments.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_a", "_rref", "_rank")
@@ -303,7 +312,7 @@ class Mat:
         if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
         if _use_np(self.field):
-            return bool(np.array_equal(self._a % self.field.p, other._a % other.field.p))
+            return bool(np.array_equal(self._a, other._a))
         f = self.field
         return all(
             f.is_zero(f.sub(x, y)) for r1, r2 in zip(self._a, other._a) for x, y in zip(r1, r2)
@@ -314,7 +323,7 @@ class Mat:
 
     def is_zero(self) -> bool:
         if _use_np(self.field):
-            return not np.any(self._a % self.field.p)
+            return not self._a.any()
         f = self.field
         return all(f.is_zero(x) for r in self._a for x in r)
 
@@ -391,7 +400,7 @@ class Mat:
             if _use_np(self.field):
                 data, piv = _np_rref(self._a, self.field.p)
             else:
-                data, piv = _generic_rref(self._a, self.field)
+                data, piv, _ = _generic_rref(self._a, self.field)
             self._rref = Mat(self.field, self.nrows, self.ncols, data), piv
         red, piv = self._rref
         return red, list(piv)
@@ -422,20 +431,16 @@ class Mat:
         return None
 
     def kernel(self) -> "Subspace":
-        """Right kernel {v : self @ v = 0} as a canonical Subspace."""
+        """Right kernel {v : self @ v = 0} as a canonical Subspace: one vector
+        per free column c, e_c minus column c of the RREF on the pivots."""
         r, piv = self.rref()
-        f = self.field
-        if len(piv) == self.ncols:
-            return Subspace.zero(f, self.ncols)
-        free = [c for c in range(self.ncols) if c not in piv]
-        vecs = []
-        for fc in free:
-            v = [f.zero()] * self.ncols
-            v[fc] = f.one()
-            for i, pc in enumerate(piv):
-                v[pc] = f.neg(r.get(i, fc))
-            vecs.append(v)
-        basis = Mat.from_rows(f, vecs, self.ncols)
+        f, n = self.field, self.ncols
+        if len(piv) == n:
+            return Subspace.zero(f, n)
+        pivots = set(piv)
+        free = [c for c in range(n) if c not in pivots]
+        red = r.take_rows(range(len(piv))).take_cols(free).transpose()
+        basis = Mat.identity(f, len(free)).place_cols(free, n) - red.place_cols(piv, n)
         return Subspace.from_spanning(basis)
 
     def row_space(self) -> "Subspace":
@@ -468,30 +473,18 @@ class Mat:
         return r.take_cols(list(range(n, 2 * n)))
 
     def det(self):
-        """Determinant by elimination; exact over any of the fields."""
+        """Determinant: the pivots of forward elimination multiplied, with the
+        sign of its row swaps; exact over any of the fields."""
         if self.nrows != self.ncols:
             raise ValueError("not square")
         f = self.field
-        n = self.nrows
-        rows = self.rows()
-        sign_flip = False
+        rows, piv, swaps = _generic_rref(self.rows(), f, forward=True)
+        if len(piv) < self.nrows:
+            return f.zero()
         acc = f.one()
-        r = 0
-        for c in range(n):
-            pr = next((i for i in range(r, n) if not f.is_zero(rows[i][c])), None)
-            if pr is None:
-                return f.zero()
-            if pr != r:
-                rows[r], rows[pr] = rows[pr], rows[r]
-                sign_flip = not sign_flip
-            acc = f.mul(acc, rows[r][c])
-            inv = f.inv(rows[r][c])
-            for i in range(r + 1, n):
-                if not f.is_zero(rows[i][c]):
-                    fac = f.mul(rows[i][c], inv)
-                    rows[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(rows[i], rows[r])]
-            r += 1
-        return f.neg(acc) if sign_flip else acc
+        for i, row in enumerate(rows):
+            acc = f.mul(acc, row[i])
+        return f.neg(acc) if swaps % 2 else acc
 
     def __repr__(self) -> str:
         return f"Mat({self.field.spec_str()}, {self.nrows}x{self.ncols})"
@@ -576,27 +569,24 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.nrows
 
+    def _split(self, vec: list) -> tuple[Mat, Mat]:
+        """vec's entries on the pivot columns, and its residual after
+        eliminating them: the basis is reduced, so one product does it."""
+        v = Mat.from_rows(self.field, [vec], self.ambient)
+        coords = v.take_cols(self.pivots)
+        return coords, v - coords @ self.basis
+
     def reduce(self, vec: list) -> list:
         """Canonical residual of vec after eliminating the pivot coordinates."""
-        f = self.field
-        v = [_element_coercer(f)(x) for x in vec]
-        for i, pc in enumerate(self.pivots):
-            c = v[pc]
-            if not f.is_zero(c):
-                row = self.basis.row(i)
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v
+        return self._split(vec)[1].row(0)
 
     def contains(self, vec: list) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(vec))
+        return self._split(vec)[1].is_zero()
 
     def coords(self, vec: list) -> list | None:
         """Coordinates of vec in the stored basis, or None if not contained."""
-        if not self.contains(vec):
-            return None
-        v = [_element_coercer(self.field)(x) for x in vec]
-        return [v[pc] for pc in self.pivots]
+        coords, rest = self._split(vec)
+        return coords.row(0) if rest.is_zero() else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -611,13 +601,13 @@ class Subspace:
         top = self.basis.hstack(self.basis)
         bot = other.basis.hstack(Mat.zeros(f, other.dim, n))
         r, piv = top.vstack(bot).rref()
-        rows = []
-        for i in range(len(piv)):
-            if piv[i] >= n:
-                rows.append(r.row(i)[n:])
-        if not rows:
+        # the rows pivoting in the right block are zero on the left one: their
+        # right halves are the meet's basis, already reduced
+        meet = [i for i, c in enumerate(piv) if c >= n]
+        if not meet:
             return Subspace.zero(f, n)
-        return Subspace.from_spanning(Mat.from_rows(f, rows, n))
+        basis = r.take_rows(meet).take_cols(range(n, 2 * n))
+        return Subspace(f, n, basis, [piv[i] - n for i in meet])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

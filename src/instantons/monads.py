@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .bases import (
     euler_chi,
-    expected_stratum_dim,
     form_slots,
-    full_skew_tangent_dim,
     hv_index,
     num_monomials,
     skew_pairs,
@@ -339,10 +336,6 @@ def gamma_kernel(monad: Monad) -> Subspace:
     return _gamma_system(monad).kernel()
 
 
-def gamma_kernel_omega(omega: OmegaTensor) -> Subspace:
-    return gamma_kernel(build_monad(omega, quick_check=False))
-
-
 def gamma_kernel_plane(monad: Monad, w_basis: Mat) -> Subspace:
     """gamma_kernel cut down to maps with image inside a 3-space W of V.
 
@@ -394,13 +387,3 @@ def tangent_dim(omega: OmegaTensor, ambient: str) -> int:
     mat = kron(kb, kb).gather(_tangent_pattern(omega.n, kb.nrows, ambient))
     return mat.ncols - mat.rank()
 
-
-def expected_dims(n: int, rank: int) -> dict:
-    """Reference dimensions at a rank-2m point: stratum formulas by name."""
-    m = rank // 2
-    return {
-        "full_skew_tangent": full_skew_tangent_dim(n, m),
-        "sym_lambda_expected": expected_stratum_dim(n, m),
-        "ambient_sym_lambda": 3 * n * (n + 1),
-        "ambient_full_skew": comb(4 * n, 2),
-    }

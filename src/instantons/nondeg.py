@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, product
 
 from .bases import num_monomials, times_variable
 from .fields import ExtensionField, Field, PrimeField
@@ -78,55 +78,25 @@ class Verdict:
 
 
 def projective_points(field: Field, dim: int, cap: int):
-    """Standard basis vectors first, then leading-one affine charts, capped."""
-    count = 0
+    """Standard basis vectors first, then leading-one affine charts, capped.
+
+    Lazy: a field's elements are listed only when the first chart point is
+    asked for.  Over Q the charts draw on small-height values only; the scan
+    is a heuristic there.
+    """
     one, zero = field.one(), field.zero()
-    for i in range(dim):
-        v = [zero] * dim
-        v[i] = one
-        yield v
-        count += 1
-        if count >= cap:
-            return
-    if field.kind == "rational":
-        # small-height combinations only; the scan is a heuristic over Q
-        vals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
+    basis = ([one if j == i else zero for j in range(dim)] for i in range(dim))
+
+    def charts():
+        vals = ([Fraction(x) for x in (0, 1, -1, 2, -2)] if field.kind == "rational"
+                else list(field.elements()))
         for lead in range(dim):
-            tail = dim - lead - 1
+            for tail in product(vals, repeat=dim - lead - 1):
+                # a zero tail is a basis vector, already emitted
+                if not all(field.is_zero(x) for x in tail):
+                    yield [zero] * lead + [one, *tail]
 
-            def rec(pos: int, acc: list):
-                if pos == tail:
-                    yield [zero] * lead + [one] + acc
-                    return
-                for e in vals:
-                    yield from rec(pos + 1, acc + [e])
-
-            for v in rec(0, []):
-                if sum(1 for x in v if x != 0) == 1:
-                    continue  # basis vectors already emitted
-                yield v
-                count += 1
-                if count >= cap:
-                    return
-        return
-    elems = list(field.elements())
-    for lead in range(dim):
-        tail = dim - lead - 1
-
-        def rec(pos: int, acc: list):
-            if pos == tail:
-                yield [zero] * lead + [one] + acc
-                return
-            for e in elems:
-                yield from rec(pos + 1, acc + [e])
-
-        for v in rec(0, []):
-            if sum(1 for x in v if not field.is_zero(x)) == 1:
-                continue
-            yield v
-            count += 1
-            if count >= cap:
-                return
+    return islice(chain(basis, charts()), cap)
 
 
 def _flatten_in_field(omega: OmegaTensor, target: Field) -> Mat | None:

@@ -17,11 +17,6 @@ def trim(coeffs: list, field: Field) -> list:
     return c
 
 
-def degree(coeffs: list) -> int:
-    """Degree with the convention deg 0 = -1."""
-    return len(coeffs) - 1
-
-
 def evaluate(coeffs: list, x, field: Field):
     acc = field.zero()
     for c in reversed(coeffs):
@@ -67,16 +62,6 @@ def divmod_poly(a: list, b: list, field: Field) -> tuple[list, list]:
             r[d + i] = field.sub(r[d + i], field.mul(c, bc))
         r = trim(r, field)
     return trim(q, field), r
-
-
-def gcd(a: list, b: list, field: Field) -> list:
-    a, b = trim(a, field), trim(b, field)
-    while b:
-        a, b = b, divmod_poly(a, b, field)[1]
-    if a:
-        inv = field.inv(a[-1])
-        a = [field.mul(inv, c) for c in a]
-    return a
 
 
 def interpolate(points: list, values: list, field: Field) -> list:

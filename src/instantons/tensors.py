@@ -109,28 +109,14 @@ class OmegaTensor:
 
     @staticmethod
     def from_vec(n: int, field: Field, vec: list) -> "OmegaTensor":
-        """Inverse of :meth:`vec`: row-major coefficients over pairs x wedges."""
+        """From the row-major coefficients over pairs x wedges."""
         npairs = n * (n + 1) // 2
         if len(vec) != 6 * npairs:
             raise ValueError("wrong coefficient count")
         rows = [vec[6 * r : 6 * r + 6] for r in range(npairs)]
         return OmegaTensor(n, field, Mat.from_rows(field, rows, 6))
 
-    def vec(self) -> list:
-        return [x for row in self.coeffs.rows() for x in row]
-
     # -- element access ---------------------------------------------------
-
-    def get(self, i: int, j: int, k: int, l: int):
-        """Coefficient on (e_i* e_j*) (x) (x_k ^ x_l), any index order."""
-        f = self.field
-        if k == l:
-            return f.zero()
-        if i > j:
-            i, j = j, i
-        w, sign = wedge_coord(k, l)
-        c = self.coeffs.get(self._sym_idx[(i, j)], w)
-        return c if sign == 1 else f.neg(c)
 
     def entry_form(self, i: int, j: int) -> list:
         """The wedge^2 V* entry at (i, j) as its 6 coefficients."""
@@ -176,10 +162,6 @@ class OmegaTensor:
             raise ValueError("g is singular")
         return self.apply_h_map(g)
 
-    def restrict_basis(self, j: Mat) -> "OmegaTensor":
-        """Restriction along an explicit inclusion j: H-bar -> H."""
-        return self.apply_h_map(j)
-
     def restrict_xi(self, xi: list) -> "OmegaTensor":
         """Restriction to the kernel of a nonzero linear form xi on H.
 
@@ -220,9 +202,6 @@ class SkewForm:
         self.field = field
         self.mat = mat
 
-    def rank(self) -> int:
-        return self.mat.rank()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SkewForm):
             return NotImplemented
@@ -241,10 +220,6 @@ class SkewHPart:
         self.n = n
         self.field = field
         self.coeffs = coeffs
-
-    @staticmethod
-    def zero(n: int, field: Field) -> "SkewHPart":
-        return SkewHPart(n, field, Mat.zeros(field, n * (n - 1) // 2, 10))
 
     def is_zero(self) -> bool:
         return self.coeffs.is_zero()

@@ -155,6 +155,23 @@ def test_rational_mode_table(capsys):
     assert "1,5,0" in out
 
 
+@pytest.mark.parametrize("example,has_roots", [("thooft3", False), ("nc", True)])
+def test_rational_pencil_roots_are_zeros(capsys, example, has_roots):
+    # over Q the roots come from rational-root extraction; each printed root
+    # is a zero of the printed polynomial, and the roots with the residual
+    # account for its whole degree
+    from fractions import Fraction
+
+    assert run(["table", "pencil", "--example", example, "--field", "rational"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    coeffs = [Fraction(v) for k, v in rows if k.startswith("coeff_")]
+    found = [Fraction(v) for k, v in rows if k == "root"]
+    residual = int(dict(rows)["residual_degree"])
+    assert bool(found) == has_roots
+    assert all(sum(c * r**i for i, c in enumerate(coeffs)) == 0 for r in found)
+    assert len(found) + residual == len(coeffs) - 1 == int(dict(rows)["degree"])
+
+
 def test_suite_single_criterion(capsys):
     code = run(["suite", "--only", "transcription"])
     assert code == 0

@@ -72,14 +72,21 @@ def test_two_instanton_sum(F):
     assert gamma_kernel(build_monad(t, quick_check=False)).dim == 0
 
 
+def _hyperplane_matrix(F, t0, t1) -> Mat:
+    """The inclusion of the family's hyperplane of H, as a 4 x 3 matrix."""
+    one, zero = F.one(), F.zero()
+    return Mat.from_rows(F, [[t0, zero, zero], [zero, one, zero], [t1, zero, zero],
+                             [zero, zero, one]], 3)
+
+
 def test_restricted_sum_family(F):
     fam = RestrictedSumFamily(F, seed=0)
     one, zero = F.one(), F.zero()
-    base = fam.base_tensor()
+    base = block_sum(fam.wp, fam.ws)
     assert base.n == 4 and base.rank() == 12
     t0, t1 = F.of_int(2), F.of_int(9)
     # the displayed 3x3 matrix agrees with the generic hyperplane restriction
-    assert fam.tensor(t0, t1) == base.restrict_basis(fam.hyperplane_matrix(t0, t1))
+    assert fam.tensor(t0, t1) == base.apply_h_map(_hyperplane_matrix(F, t0, t1))
     assert fam.tensor(t0, t1).rank() == 12
     assert fam.tensor(one, zero).rank() == 10
     assert fam.tensor(zero, one).rank() == 10

@@ -165,28 +165,19 @@ def test_k_intersection_cases(F, chain52):
     m = build_monad(chain52)
     st = Stream("ktest", 0)
     K = Subspace.from_spanning(Mat.from_rows(F, [st.next_vector(F, 5) for _ in range(2)], 5))
-    inter, flag = k_intersection(chain52, K, monad=m)
-    assert inter.dim == 0 and flag is False
+    assert k_intersection(chain52, K, monad=m).dim == 0
     th5 = thooft_tensor(5, F)
     K2 = Subspace.from_spanning(Mat.from_rows(F, [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]], 5))
-    inter2, flag2 = k_intersection(th5, K2)
-    assert inter2.dim == 0 and flag2 is False
-    full, _ = k_intersection(chain52, Subspace.full(F, 5), monad=m, scan_cap=32)
-    assert full == chain52.image()
+    assert k_intersection(th5, K2).dim == 0
+    assert k_intersection(chain52, Subspace.full(F, 5), monad=m) == chain52.image()
 
 
-def test_k_intersection_decomposable_flag(F):
-    # a tensor whose image contains an obvious decomposable vector: the
-    # banded net itself has e0* (x) x0 in its column span
+def test_k_intersection_meets_banded_net(F):
+    # the banded net of the 't Hooft tensor has columns inside
+    # e0* (x) V* + e1* (x) V*, so the intersection is nonzero
     th5 = thooft_tensor(5, F)
     K = Subspace.from_spanning(Mat.from_rows(F, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], 5))
-    inter, flag = k_intersection(th5, K)
-    # net columns 0..3 live in e0* (x) V* + e1* (x) V*; column 2 is
-    # e0* (x) x2 + e1* (x) x0, etc.; decomposables appear iff the pencil of
-    # 2 x 4 coefficient matrices drops rank, which it does at the first column
-    assert inter.dim >= 1
-    if inter.dim <= 2:
-        assert flag in (True, False)
+    assert k_intersection(th5, K).dim >= 1
 
 
 def test_nc_quadric_ideal_exact_spans(F, Q):

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -342,13 +343,16 @@ def _element(fld):
     return st.tuples(*[st.integers(0, fld.p - 1)] * fld.k)
 
 
-def _adversarial(data, fld) -> Mat:
+def _adversarial(data, fld, shape: tuple[int, int] | None = None) -> Mat:
     """A matrix drawn to stress elimination: every entry -1 (p - 1 mod p),
     a product through a small inner dimension, repeated rows, zero columns,
-    and shapes far taller than wide or the reverse."""
-    short, long = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 40))
-    nrows, ncols = data.draw(st.sampled_from([(short, long), (long, short),
-                                              (short + long // 4, short + long // 4)]))
+    and, unless the shape is given, shapes far taller than wide or the
+    reverse."""
+    if shape is None:
+        short, long = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 40))
+        shape = data.draw(st.sampled_from([(short, long), (long, short),
+                                           (short + long // 4, short + long // 4)]))
+    nrows, ncols = shape
 
     def block(r, c):
         return Mat.from_rows(fld, [data.draw(st.lists(_element(fld), min_size=c, max_size=c))
@@ -435,3 +439,77 @@ def test_np_rank_checks_int64_exactness_for_every_step(monkeypatch):
             rank = linalg._np_rank(a.astype(np.int64), p)
             assert len(seen) == 1 and seen[0] > rank
             assert rank == len(linalg._np_rref(a, p)[1])
+
+
+def _square(data, fld, n: int) -> Mat:
+    """An n x n matrix: entries drawn freely, or one of _adversarial's
+    singular-prone kinds."""
+    if data.draw(st.booleans()):
+        return Mat.from_rows(fld, [data.draw(st.lists(_element(fld), min_size=n, max_size=n))
+                                   for _ in range(n)], n)
+    return _adversarial(data, fld, (n, n))
+
+
+def _leibniz_det(m: Mat):
+    f, n = m.field, m.nrows
+    total = f.zero()
+    for perm in permutations(range(n)):
+        term = f.one()
+        for i, j in enumerate(perm):
+            term = f.mul(term, m.get(i, j))
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = f.sub(total, term) if inversions % 2 else f.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:7", "fp:2097143", "rational", "fp:5^2"])
+@given(data=st.data())
+def test_det_properties(spec, data):
+    fld = field_from_spec(spec)
+    n = data.draw(st.integers(0, 6))
+    a, b = _square(data, fld, n), _square(data, fld, n)
+    d = a.det()
+    assert (a @ b).det() == fld.mul(d, b.det())
+    assert a.transpose().det() == d
+    assert fld.is_zero(d) == (a.rank() < n)
+    if n <= 4:
+        assert d == _leibniz_det(a)
+    if n >= 2:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        order = list(range(n))
+        order[i], order[j] = j, i
+        assert a.take_rows(order).det() == fld.neg(d)
+
+
+def test_det_row_swaps_and_singular_columns(F, Q):
+    for fld in (F, Q, ExtensionField(5, 2)):
+        swap = Mat.from_rows(fld, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3)
+        assert swap.det() == fld.one()  # a 3-cycle: two row swaps
+        assert swap.take_rows([1, 0, 2]).det() == fld.neg(fld.one())
+        assert Mat.from_rows(fld, [[0, 2], [0, 3]], 2).det() == fld.zero()
+        assert Mat.zeros(fld, 0, 0).det() == fld.one()
+    with pytest.raises(ValueError):
+        Mat.zeros(F, 2, 3).det()
+
+
+@pytest.mark.parametrize("spec", ["fp:7", "fp:32003", "fp:2097143"])
+def test_int64_storage_holds_residues(spec):
+    # every int64 Mat holds residues in [0, p), which lets == and is_zero
+    # compare the arrays as they are
+    fld = field_from_spec(spec)
+    p = fld.p
+    a = Mat.from_rows(fld, [[-1, -p, p + 3, 3 * p - 1, -(p * p) - 2, 10**30 + 7],
+                            [p - 1, 1 - p, 0, -(10**25), 2 * p, 5],
+                            [-7, p * p, 1, -p - 1, 4, -2]], 6)
+    b = Mat.from_rows(fld, [[x * 5 - 3 for x in range(j, j + 6)] for j in range(3)], 6)
+    signed = Pattern((2, 3), (3, 6), [(0, 0, 0, 0, -1), (0, 0, 1, 1, -1), (0, 1, 2, 5, 1),
+                                      (1, 0, 0, 3, -1), (1, 2, 2, 2, -1), (1, 2, 1, 4, -1)])
+    made = [a, b, a - b, b - a, -a, a.scale(-1), a.scale(-(10**20) - 3), a + b,
+            a.gather(signed), (-a).gather(signed), kron(a, -b), a @ b.transpose(),
+            a.transpose(), a.rref()[0], (a - a.scale(2)).rref()[0]]
+    for m in made:
+        assert m._a.dtype == np.int64
+        assert ((m._a >= 0) & (m._a < p)).all()
+    assert Mat.from_rows(fld, [[p, -p]], 2).is_zero()
+    assert Mat.from_rows(fld, [[-1, p + 2]], 2) == Mat.from_rows(fld, [[p - 1, 2]], 2)
+    assert (a - a).is_zero() and a + (-a) == Mat.zeros(fld, 3, 6)

@@ -13,7 +13,6 @@ from instantons.monads import (
     build_monad,
     coh_table,
     gamma_kernel,
-    gamma_kernel_omega,
     gamma_kernel_plane,
     restricted_monad,
     s2_cohomology,
@@ -200,5 +199,5 @@ def test_tangent_dims(F, corank2_n2, full36):
         tangent_dim(full36, "other")
 
 
-def test_gamma_kernel_omega_wrapper(F):
-    assert gamma_kernel_omega(nc_tensor(F)).dim == 0
+def test_gamma_kernel_nc_tensor(F):
+    assert gamma_kernel(build_monad(nc_tensor(F), quick_check=False)).dim == 0

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from instantons.nondeg import (
     Budget,
     SpanningCertifier,
     classify,
+    projective_points,
     spanning_certificate,
     witness_search,
 )
@@ -137,6 +139,22 @@ def test_rational_witness_found_by_auxiliary_reduction(Q):
     assert fld.kind == "rational"
     assert h == [Fraction(1), Fraction(7)]
     assert v == [Fraction(1), Fraction(3), Fraction(0), Fraction(5)]
+
+
+def test_rational_tensor_without_a_reduction_mod_the_auxiliary_prime(Q):
+    # a denominator divisible by 311 leaves the tensor without a reduction
+    # mod the auxiliary prime: that route is skipped, and the search ends
+    # with what the direct small-height scan found
+    assert instantons.nondeg._AUX_PRIME == 311
+    aux = PrimeField(311)
+    third = Fraction(1, 311)
+    nc = nc_tensor(Q, [Fraction(1), 0, 0, 0, 0, third])
+    assert instantons.nondeg._flatten_in_field(nc, aux) is None
+    assert witness_search(nc, point_cap=4096) is None
+    hidden = _beyond_small_height_q(Q)
+    scaled = OmegaTensor(2, Q, hidden.coeffs.scale(third))
+    assert instantons.nondeg._flatten_in_field(scaled, aux) is None
+    assert witness_search(scaled, point_cap=4096) is None
 
 
 def test_agreement_small_field():
@@ -344,3 +362,74 @@ def test_nondeg_keeps_storage_private():
             else:
                 continue
             assert "numpy" not in names or path.stem == "polys", path.stem
+
+
+# SHA-256 digests (first 16 hex digits) of the points projective_points
+# yields, for caps 1, dim, dim + 1 and 200, recorded from the chart
+# recursion the enumerator replaced: the order is pinned point for point
+POINT_ORDER_DIGESTS = {
+    ("rational", 1): "0889a34434e586e9 0889a34434e586e9 0889a34434e586e9 0889a34434e586e9",
+    ("rational", 2): "35df8f7285481b9f 39528abdffb9dc0d de9a1c4130a022bf 021b1e253fb18d1c",
+    ("rational", 3): "64c1be297dc90445 16ed82919e9b1f40 360720346b150ecb 77b1405da66683a4",
+    ("rational", 4): "f22d743d01c2fc3f 08123cad9829f74a 001b41fc065afa3d f13dc9a0a0712685",
+    ("rational", 5): "7dccfb403c6bb481 8fbda902184a7479 9cd0f18b3fb9e91c 81b66addb87f8537",
+    ("fp:2", 1): "0889a34434e586e9 0889a34434e586e9 0889a34434e586e9 0889a34434e586e9",
+    ("fp:2", 2): "35df8f7285481b9f 39528abdffb9dc0d de9a1c4130a022bf de9a1c4130a022bf",
+    ("fp:2", 3): "64c1be297dc90445 16ed82919e9b1f40 360720346b150ecb 114b0dc56577386e",
+    ("fp:2", 4): "f22d743d01c2fc3f 08123cad9829f74a 001b41fc065afa3d 0b8c7b19676b55e6",
+    ("fp:2", 5): "7dccfb403c6bb481 8fbda902184a7479 9cd0f18b3fb9e91c 2a25236339e0063c",
+    ("fp:7", 1): "0889a34434e586e9 0889a34434e586e9 0889a34434e586e9 0889a34434e586e9",
+    ("fp:7", 2): "35df8f7285481b9f 39528abdffb9dc0d de9a1c4130a022bf b842eab855877404",
+    ("fp:7", 3): "64c1be297dc90445 16ed82919e9b1f40 360720346b150ecb 74bff75fc5d6ae84",
+    ("fp:7", 4): "f22d743d01c2fc3f 08123cad9829f74a 001b41fc065afa3d 41d616e78429eed9",
+    ("fp:7", 5): "7dccfb403c6bb481 8fbda902184a7479 9cd0f18b3fb9e91c 2a8827bce6127958",
+    ("fp:3^2", 1): "35df8f7285481b9f 35df8f7285481b9f 35df8f7285481b9f 35df8f7285481b9f",
+    ("fp:3^2", 2): "f22d743d01c2fc3f e8391eac34edb52e e0ac224cbd38c14e 146880c06a312955",
+    ("fp:3^2", 3): "82dc17518e1f8d5d 841d7636ff4691eb 520f868e83a8d6ff 2777b7c3a742ba78",
+    ("fp:3^2", 4): "a8b2ef1bda6a85d3 3186416429f5a0a5 c35d5c3af8436cd7 68a1dc3a7126c9d9",
+    ("fp:3^2", 5): "e387951af9029822 4ad1b3cdc4e8955e 2f62e8068d2cf653 26f3df132f6172e6",
+    ("fp:2^3", 1): "64c1be297dc90445 64c1be297dc90445 64c1be297dc90445 64c1be297dc90445",
+    ("fp:2^3", 2): "82dc17518e1f8d5d 407f2259537c5d58 4bd14625c8c47ec1 09f5af02d5faa34d",
+    ("fp:2^3", 3): "9fee45bafa481fc8 6cfbffe50c3c44e2 19460d78a80355ca 8059a1494b171067",
+    ("fp:2^3", 4): "2b697e872af2e987 cd53aabba3ae1f84 cd0d209540331c10 ca5807fcde2c935d",
+    ("fp:2^3", 5): "8139cb7505eba115 a037104f67bf789e ad98b967a079636d 2ae253e41861b096",
+    ("fp:32003", 1): "0889a34434e586e9 0889a34434e586e9 0889a34434e586e9 0889a34434e586e9",
+    ("fp:32003", 2): "35df8f7285481b9f 39528abdffb9dc0d de9a1c4130a022bf fcc3a226e3ded46a",
+    ("fp:32003", 3): "64c1be297dc90445 16ed82919e9b1f40 360720346b150ecb d077ce2e9dfc1f62",
+    ("fp:32003", 4): "f22d743d01c2fc3f 08123cad9829f74a 001b41fc065afa3d 298ae9d1fe027937",
+    ("fp:32003", 5): "7dccfb403c6bb481 8fbda902184a7479 9cd0f18b3fb9e91c 9fefad081e7b8cce",
+}
+
+
+def _points_digest(fld, dim: int, cap: int) -> str:
+    h = hashlib.sha256()
+    for v in projective_points(fld, dim, cap):
+        h.update((",".join(fld.to_str(x) for x in v) + ";").encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec,dim", sorted(POINT_ORDER_DIGESTS))
+def test_projective_points_order_is_pinned(spec, dim):
+    fld = field_from_spec(spec)
+    got = " ".join(_points_digest(fld, dim, cap) for cap in (1, dim, dim + 1, 200))
+    assert got == POINT_ORDER_DIGESTS[spec, dim]
+
+
+def test_projective_points_lists_the_field_only_for_chart_points(monkeypatch):
+    # the basis points come without listing the field; the scan's
+    # basis-point stage asks for no more
+    fld = PrimeField(7)
+    listed = []
+    monkeypatch.setattr(fld, "elements", lambda: listed.append(1) or iter(range(7)))
+    points = projective_points(fld, 4, 200)
+    assert [next(points) for _ in range(4)] == [[int(i == j) for j in range(4)] for i in range(4)]
+    assert not listed
+    assert next(points) == [1, 0, 0, 1] and listed == [1]
+    assert len(list(points)) == 199 - 4 and listed == [1]
+
+
+if __name__ == "__main__":
+    for spec, dim in sorted(POINT_ORDER_DIGESTS):
+        fld = field_from_spec(spec)
+        print(f'    ("{spec}", {dim}): "'
+              + " ".join(_points_digest(fld, dim, cap) for cap in (1, dim, dim + 1, 200)) + '",')

@@ -1,0 +1,42 @@
+from fractions import Fraction
+
+from instantons.fields import QQ, ExtensionField
+from instantons.polys import evaluate, mul, roots
+
+
+def _product(factors, field):
+    out = [field.one()]
+    for f in factors:
+        out = mul(out, f, field)
+    return out
+
+
+def test_rational_roots_leave_the_irreducible_quadratic():
+    # x^2 (x - 2/3) (x + 5) (x^2 + x + 1): the rational roots are extracted
+    # with their multiplicity, and the quadratic, which has none, is the residual
+    quad = [Fraction(1), Fraction(1), Fraction(1)]
+    linear = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(1)],
+              [Fraction(-2, 3), Fraction(1)], [Fraction(5), Fraction(1)]]
+    poly = _product(linear + [quad], QQ)
+    found, residual = roots(poly, QQ)
+    assert sorted(found) == [Fraction(-5), Fraction(0), Fraction(0), Fraction(2, 3)]
+    assert residual == quad
+    # a non-integral scale is cleared before the divisor search
+    found, residual = roots([Fraction(7, 4) * c for c in poly], QQ)
+    assert sorted(found) == [Fraction(-5), Fraction(0), Fraction(0), Fraction(2, 3)]
+    assert residual == [Fraction(7, 4) * c for c in quad]
+
+
+def test_roots_in_the_extension_beyond_the_prime_field():
+    # 2 is not a square mod 5, so x^2 - 2 has its roots in GF(25) \ GF(5);
+    # (x - 3) adds one root in GF(5)
+    f25 = ExtensionField(5, 2)
+    poly = _product([[f25.of_int(-2), f25.zero(), f25.one()], [f25.of_int(-3), f25.one()]], f25)
+    found, residual = roots(poly, f25)
+    assert len(found) == 3 and residual == [f25.one()]
+    assert f25.of_int(3) in found
+    outside = [x for x in found if x != f25.of_int(3)]
+    assert len(outside) == 2 and all(x not in {f25.of_int(i) for i in range(5)} for x in outside)
+    for x in found:
+        assert f25.is_zero(evaluate(poly, x, f25))
+    assert all(f25.mul(x, x) == f25.of_int(2) for x in outside)
