@@ -74,16 +74,7 @@ class Line:
         U = Subspace.from_spanning(Mat.from_rows(field, [u0, u1], 4))
         if U.dim != 2:
             raise ValueError("points are proportional")
-        W = Mat.from_rows(field, U.basis.rows(), 4).kernel()
-        b0, b1 = U.basis.row(0), U.basis.row(1)
-        return Line(field, U, W, plucker_of_span(field, b0, b1))
-
-    @staticmethod
-    def from_equations(field: Field, z0: list, z1: list) -> "Line":
-        W = Subspace.from_spanning(Mat.from_rows(field, [z0, z1], 4))
-        if W.dim != 2:
-            raise ValueError("equations are proportional")
-        U = Mat.from_rows(field, W.basis.rows(), 4).kernel()
+        W = U.basis.kernel()
         b0, b1 = U.basis.row(0), U.basis.row(1)
         return Line(field, U, W, plucker_of_span(field, b0, b1))
 
@@ -95,7 +86,7 @@ class Line:
             raise ValueError("Pluecker vector is not decomposable")
         lmat = wedge_matrix(field, lam)
         U = lmat.column_space()
-        W = Mat.from_rows(field, U.basis.rows(), 4).kernel()
+        W = U.basis.kernel()
         return Line(field, U, W, lam)
 
 

@@ -555,6 +555,8 @@ class Subspace:
     def from_spanning(mat: Mat) -> "Subspace":
         r, piv = mat.rref()
         basis = r.take_rows(list(range(len(piv))))
+        # the nonzero rows of an RREF are their own RREF
+        basis._rref = basis, piv
         return Subspace(mat.field, mat.ncols, basis, piv)
 
     @staticmethod

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, islice, product
 
 from .bases import num_monomials, times_variable
-from .fields import ExtensionField, Field, PrimeField
+from .fields import ExtensionField, Field, PrimeField, is_prime
 from .linalg import Mat, kron
 from .tensors import OmegaTensor
 
@@ -221,17 +221,18 @@ _AUX_PRIME = 311
 
 
 def _lifted_witness(omega: OmegaTensor, start: int, point_cap: int, points: dict):
-    """Scan the reduction of a rational tensor mod a small auxiliary prime
-    and lift any witness back, keeping it only if it re-verifies exactly."""
-    aux = PrimeField(_AUX_PRIME)
-    m_p = _flatten_in_field(omega, aux)
-    if m_p is None:
-        return None  # reduction undefined; skip the auxiliary route
+    """Scan the reduction of a rational tensor mod a small auxiliary prime,
+    the first prime from _AUX_PRIME on that divides no denominator, and lift
+    any witness back, keeping it only if it re-verifies exactly."""
+    p = _AUX_PRIME
+    while not is_prime(p) or (m_p := _flatten_in_field(omega, PrimeField(p))) is None:
+        p += 1
+    aux = m_p.field
     q = omega.field
     m_q = omega.flatten().mat
 
     def centered(x: int) -> Fraction:
-        return Fraction(x - _AUX_PRIME if x > _AUX_PRIME // 2 else x)
+        return Fraction(x - p if x > p // 2 else x)
 
     for h_p, v_p in _candidates(m_p, omega.n, aux, start, point_cap, points):
         h = [centered(x) for x in h_p]
@@ -256,14 +257,23 @@ class _Accumulator:
         return len(self.pivots)
 
     def add(self, rows: Mat) -> None:
+        """Add the row space of rows, working on the free columns alone.
+
+        The basis is the identity on its pivot columns, so eliminating them
+        leaves a residual that is zero there: only its free columns are
+        computed and reduced, and so are the old rows' updates."""
+        taken = set(self.pivots)
+        free = [c for c in range(self.ncols) if c not in taken]
         if self.pivots:
-            rows = rows - rows.take_cols(self.pivots) @ self.basis
-        red, piv = rows.rref()
-        if not piv:
+            rows = rows.take_cols(free) - rows.take_cols(self.pivots) @ self.basis.take_cols(free)
+        red, fpiv = rows.rref()
+        if not fpiv:
             return
-        red = red.take_rows(range(len(piv)))
+        red = red.take_rows(range(len(fpiv)))
+        piv = [free[j] for j in fpiv]
         if self.pivots:
-            self.basis = self.basis - self.basis.take_cols(piv) @ red
+            self.basis = self.basis - (self.basis.take_cols(piv) @ red).place_cols(free, self.ncols)
+        red = red.place_cols(free, self.ncols)
         allpiv = self.pivots + piv
         order = sorted(range(len(allpiv)), key=allpiv.__getitem__)
         self.basis = self.basis.vstack(red).take_rows(order)
@@ -328,18 +338,6 @@ class SpanningCertifier:
     def closes(self, d: int, e: int) -> bool:
         acc = self.piece(d, e)
         return acc.rank == acc.ncols
-
-
-def spanning_certificate(omega: OmegaTensor, degrees: tuple[int, int]) -> bool:
-    """True iff the (d, e) bigraded piece of the form ideal is everything.
-
-    Sound certificate of non-degeneracy over the algebraic closure; monotone
-    in each degree.
-    """
-    d, e = degrees
-    if d < 1 or e < 1:
-        raise ValueError("degrees must be >= 1")
-    return SpanningCertifier(omega).closes(d, e)
 
 
 # -- classification ----------------------------------------------------------

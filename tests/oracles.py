@@ -3,9 +3,9 @@
 `witness_search_by_loops` is the witness scan with every contraction of
 the flattening written out as a loop over its entries: the same point
 enumeration, the same partner (the first kernel basis vector of the
-contraction) and the same mod-311 lift for rational tensors as
-`nondeg.witness_search`, which does the contractions with Kronecker
-products instead.
+contraction) and the same lift for rational tensors (from the first prime
+from 311 on that divides no denominator) as `nondeg.witness_search`, which
+does the contractions with Kronecker products instead.
 
 `classify_scan_first` decides with the whole witness scan before any
 certificate piece: the rank bound, then the loop scan above, then the
@@ -18,6 +18,12 @@ bigraded piece of the ideal of the 4n bilinear generator forms: every
 product of a monomial of degree d - 1 in H*, a monomial of degree e - 1 in
 V* and a generator, ranked in one elimination.  `nondeg.SpanningCertifier`
 builds the same piece incrementally from lower pieces.
+
+`add_full_width` is the update of a reduced row-echelon basis by a batch of
+rows with every product and elimination across all columns: the batch is
+reduced by the whole basis, the residual is eliminated, and every old row is
+updated on every column.  `nondeg._Accumulator.add` computes the same basis
+and pivots on the free columns alone.
 
 `splitting_order_by_generators` is the general section-module computation of
 the splitting order of E_L = O(a) (+) O(-a) on a line L: the display is
@@ -34,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from instantons.bases import hv_index, mono_mul, monomial_index_map, monomials
-from instantons.fields import ExtensionField, PrimeField
+from instantons.fields import ExtensionField, PrimeField, is_prime
 from instantons.geometry import Line
 from instantons.linalg import Mat, Subspace
 from instantons.monads import Monad, MonadError
@@ -102,12 +108,14 @@ def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096, field_size_
             return h, v, fld
     if base.kind != "rational":
         return None
-    aux = PrimeField(311)
-    rows = []
-    for r in m_base.rows():
-        if any(Fraction(x).denominator % aux.p == 0 for x in r):
-            return None
-        rows.append([Fraction(x).numerator * pow(Fraction(x).denominator, -1, aux.p) for x in r])
+    # the first prime from 311 on that divides no denominator
+    dens = {Fraction(x).denominator for r in m_base.rows() for x in r}
+    p = 311
+    while not is_prime(p) or any(d % p == 0 for d in dens):
+        p += 1
+    aux = PrimeField(p)
+    rows = [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) for x in r]
+            for r in m_base.rows()]
     m_p = Mat.from_rows(aux, rows, m_base.ncols)
 
     def centered(x: int) -> Fraction:
@@ -171,6 +179,21 @@ def piece_rank_by_spanning_set(omega, d: int, e: int) -> int:
                         out[pos] = f.add(out[pos], g[hv_index(a, k)])
                 rows.append(out)
     return Mat.from_rows(f, rows, len(idx_h) * len(idx_v)).rank()
+
+
+def add_full_width(basis: Mat, pivots: list[int], rows: Mat) -> tuple[Mat, list[int]]:
+    """Reference for the basis and pivots after `nondeg._Accumulator.add`."""
+    if pivots:
+        rows = rows - rows.take_cols(pivots) @ basis
+    red, piv = rows.rref()
+    if not piv:
+        return basis, pivots
+    red = red.take_rows(range(len(piv)))
+    if pivots:
+        basis = basis - basis.take_cols(piv) @ red
+    allpiv = pivots + piv
+    order = sorted(range(len(allpiv)), key=allpiv.__getitem__)
+    return basis.vstack(red).take_rows(order), sorted(allpiv)
 
 
 def _graded_on_line(field, coef, n_out: int, n_in: int, d: int) -> Mat:

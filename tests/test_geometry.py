@@ -11,12 +11,14 @@ from instantons.geometry import (
     nc_quadric_ideal,
     pencil_jump_poly,
     plucker_bilinear,
+    plucker_of_span,
     plucker_quadric,
     point_plane_pencil,
     quadrics_through_line,
     splitting_order,
     triple_span,
 )
+from instantons import linalg
 from instantons.linalg import Mat, Stream, Subspace
 from instantons.monads import MonadError, build_monad
 from instantons.polys import roots as poly_roots
@@ -24,9 +26,18 @@ from instantons.tensors import OmegaTensor
 from oracles import splitting_order_by_generators
 
 
+def _line_from_equations(field, z0: list, z1: list) -> Line:
+    """The line cut out by two equations in V*."""
+    W = Subspace.from_spanning(Mat.from_rows(field, [z0, z1], 4))
+    if W.dim != 2:
+        raise ValueError("equations are proportional")
+    U = W.basis.kernel()
+    return Line(field, U, W, plucker_of_span(field, U.basis.row(0), U.basis.row(1)))
+
+
 def test_line_constructions_agree(F):
     l1 = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
-    l2 = Line.from_equations(F, [0, 0, 1, 0], [0, 0, 0, 1])
+    l2 = _line_from_equations(F, [0, 0, 1, 0], [0, 0, 0, 1])
     l3 = Line.from_plucker(F, l1.plucker)
     assert l1.U == l2.U == l3.U
     assert l1.W == l2.W
@@ -35,6 +46,17 @@ def test_line_constructions_agree(F):
         Line.from_points(F, [1, 0, 0, 0], [2, 0, 0, 0])
     with pytest.raises(ValueError):
         Line.from_plucker(F, [1, 0, 0, 0, 0, 1])  # fails the decomposability quadric
+
+
+def test_line_from_points_reduces_twice(F, monkeypatch):
+    # the span of the points is reduced once and its kernel once: the basis
+    # of U, already reduced, is not eliminated again
+    shapes = []
+    real = linalg._np_rref
+    monkeypatch.setattr(linalg, "_np_rref", lambda a, p: shapes.append(a.shape) or real(a, p))
+    line = Line.from_points(F, [1, 2, 0, 3], [0, 1, 5, 1])
+    assert shapes == [(2, 4), (2, 4)]
+    assert line.U.basis.kernel() == line.W
 
 
 def test_lines_meet_via_bilinear(F):
