@@ -21,10 +21,13 @@ from .monads import (
     sigma_kernel,
     tangent_dim,
 )
-from .nondeg import Budget, DEFAULT_BUDGET, Verdict, classify
+from .nondeg import Verdict, classify
 from .tensors import OmegaTensor, tensor_to_obj
 
 SCHEMA_VERSION = 3
+# random hyperplanes tried by find_xi, and 2-dimensional subspaces by find_pair
+XI_TRIALS = 50
+PAIR_TRIALS = 64
 
 
 def rank_preservation_checks(omega: OmegaTensor, xi: list) -> tuple[bool, bool, bool, bool]:
@@ -52,9 +55,7 @@ def rank_preservation_checks(omega: OmegaTensor, xi: list) -> tuple[bool, bool, 
     return b1, b2, b3, b4
 
 
-def find_xi(
-    omega: OmegaTensor, trials: int = 50, seed=0
-) -> tuple[list, int, int, list[tuple[int, int]]]:
+def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int, int]]]:
     """Search random hyperplanes for one minimizing h1 of the restriction at
     twist 1.
 
@@ -68,7 +69,7 @@ def find_xi(
     st = Stream("find_xi", f.spec_str(), n, seed)
     best: tuple[list, int, int] | None = None
     log: list[tuple[int, int]] = []
-    for t in range(trials):
+    for t in range(XI_TRIALS):
         xi = st.next_vector(f, n)
         if all(f.is_zero(x) for x in xi):
             continue
@@ -81,27 +82,26 @@ def find_xi(
         if h1 == 0:
             break
     if best is None:
-        raise RuntimeError(f"no rank-preserving hyperplane in {trials} trials")
+        raise RuntimeError(f"no rank-preserving hyperplane in {XI_TRIALS} trials")
     return best[0], best[1], best[2], log
 
 
-def find_pair(omega: OmegaTensor, trials: int = 64, seed=0) -> tuple[Subspace, int]:
+def find_pair(omega: OmegaTensor, seed=0) -> tuple[Subspace, int]:
     """Random 2-dimensional subspaces of H* until one meets N trivially."""
     from .geometry import k_intersection
 
     f, n = omega.field, omega.n
     if n < 5:
         raise ValueError("the 2-dimensional search is for n >= 5")
-    plain = build_monad(omega, quick_check=False)
     st = Stream("find_pair", f.spec_str(), n, seed)
-    for t in range(trials):
+    for t in range(PAIR_TRIALS):
         rows = [st.next_vector(f, n), st.next_vector(f, n)]
         K = Subspace.from_spanning(Mat.from_rows(f, rows, n))
         if K.dim != 2:
             continue
-        if k_intersection(omega, K, monad=plain).dim == 0:
+        if k_intersection(omega, K).dim == 0:
             return K, t + 1
-    raise RuntimeError(f"no trivial 2-dimensional slice found in {trials} trials")
+    raise RuntimeError(f"no trivial 2-dimensional slice found in {PAIR_TRIALS} trials")
 
 
 def fiber_dim_check(omega_bar: OmegaTensor) -> tuple[int, int, bool]:
@@ -110,7 +110,7 @@ def fiber_dim_check(omega_bar: OmegaTensor) -> tuple[int, int, bool]:
     from .families import fiber_solution_space
 
     m = build_monad(omega_bar)
-    sol = fiber_solution_space(omega_bar, monad=m).dim
+    sol = fiber_solution_space(omega_bar).dim
     expected = omega_bar.n + m.h_values(1)[0]
     return sol, expected, sol == expected
 
@@ -229,12 +229,7 @@ def subject_of(omega: OmegaTensor, extra: dict | None = None) -> dict:
 
 
 def smoothness_certificate(
-    omega: OmegaTensor,
-    budget: Budget = DEFAULT_BUDGET,
-    *,
-    subject_extra: dict | None = None,
-    induction_seed=None,
-    dmax: int = 3,
+    omega: OmegaTensor, *, subject_extra: dict | None = None, induction_seed=None
 ) -> Certificate:
     """Assemble the full pointwise certificate for a tensor.
 
@@ -245,7 +240,7 @@ def smoothness_certificate(
     that need a bundle display left empty.
     """
     f, n = omega.field, omega.n
-    verdict = classify(omega, budget)
+    verdict = classify(omega)
     rank = omega.rank()
     m_half = rank // 2
     extra = {"r": rank - 2 * n}
@@ -268,7 +263,7 @@ def smoothness_certificate(
     )
     if cert.modular:
         plain = build_monad(omega, quick_check=False)
-        table = coh_table(omega, dmax, monad=plain)
+        table = coh_table(omega)
         cert.coh_rows = [list(r) for r in table.rows]
         cert.s2 = table.s2
         cert.dim_N = table.dim_N

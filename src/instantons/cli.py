@@ -16,7 +16,6 @@ from .fields import field_from_spec
 from .geometry import Line, h0_line, point_plane_pencil, pencil_jump_poly, splitting_order
 from .linalg import Mat, Stream
 from .monads import build_monad, coh_table
-from .nondeg import DEFAULT_BUDGET
 from .polys import roots as poly_roots
 from .tensors import read_tensor, tensor_to_obj, write_tensor
 
@@ -78,7 +77,10 @@ def _load_tensor(args, field):
         return t
     if getattr(args, "example", None):
         return named_example(args.example, field, seed=args.seed)
-    n_str, r_str = args.sample.split(",")
+    params = args.sample.split(",")
+    if len(params) != 2:
+        raise ValueError(f"--sample {args.sample!r}: expected N,R")
+    n_str, r_str = params
     return sample_instanton(int(n_str), int(r_str), field, args.seed)
 
 
@@ -134,7 +136,6 @@ def _run(args) -> int:
         omega = _load_tensor(args, field)
         cert = smoothness_certificate(
             omega,
-            DEFAULT_BUDGET,
             subject_extra={"config": _config_echo(args)},
             induction_seed=args.seed if args.induction else None,
         )
@@ -145,6 +146,7 @@ def _run(args) -> int:
     if args.command == "table":
         omega = _load_tensor(args, field)
         if args.kind == "coh":
+            build_monad(omega)  # the quick degeneracy check on the input
             table = coh_table(omega, args.dmax)
             _emit(_csv_header(args) + table.csv(), args.out)
             return 0
@@ -182,7 +184,6 @@ def _run(args) -> int:
 
 
 def _lines_table(args, field, omega) -> int:
-    m = build_monad(omega, quick_check=False)
     st = Stream("cli_lines", field.spec_str(), args.seed)
     rows = ["plucker,order,h0,det"]
     done = 0
@@ -194,8 +195,8 @@ def _lines_table(args, field, omega) -> int:
         except ValueError:
             continue
         done += 1
-        a = splitting_order(omega, line, monad=m)
-        h0 = h0_line(omega, line, monad=m)
+        a = splitting_order(omega, line)
+        h0 = h0_line(omega, line)
         det = omega.contract_line(line.plucker).det()
         pl = ":".join(field.to_str(x) for x in line.plucker)
         rows.append(f"{pl},{a},{h0},{field.to_str(det)}")
@@ -218,11 +219,12 @@ def _pencil_table(args, field, omega) -> int:
     rows.append(f"degree,{len(poly) - 1}")
     for i, c in enumerate(poly):
         rows.append(f"coeff_{i},{field.to_str(c)}")
-    monad = build_monad(omega) if found else None
+    if found:
+        build_monad(omega)  # the quick degeneracy check on the input
     for root in found:
         lam = [field.add(a, field.mul(root, b)) for a, b in zip(lam0, lam1)]
         line = Line.from_plucker(field, lam)
-        order = splitting_order(omega, line, monad=monad)
+        order = splitting_order(omega, line)
         rows.append(f"root,{field.to_str(root)}")
         rows.append(f"order_at_root,{order}")
     rows.append(f"residual_degree,{len(residual) - 1 if residual else -1}")

@@ -11,11 +11,11 @@ from functools import lru_cache
 from .fields import Field
 from .linalg import Mat, Pattern, Stream, Subspace
 from .monads import Monad, MonadError, build_monad
-from .nondeg import Budget, LIGHT_BUDGET, classify
+from .nondeg import LIGHT_BUDGET, classify
 from .polys import interpolate as poly_interpolate
 from .polys import roots as poly_roots
 from .polys import trim as poly_trim
-from .tensors import MAX_N, OmegaTensor, SkewForm, block_sum, unflatten
+from .tensors import MAX_N, OmegaTensor, block_sum, unflatten
 from .bases import form_slots, hv_index, sym_pairs
 
 RETRY_LIMIT = 64
@@ -218,7 +218,10 @@ def named_example(name: str, field: Field, seed=0) -> OmegaTensor:
     if name == "three-nc":
         return three_nc_tensor(field, seed=seed)
     if name.startswith("sum-family:"):
-        t0_str, t1_str = name[len("sum-family:"):].split(",")
+        params = name[len("sum-family:"):].split(",")
+        if len(params) != 2:
+            raise ValueError(f"example {name!r}: expected sum-family:<t0>,<t1>")
+        t0_str, t1_str = params
         fam = RestrictedSumFamily(field, seed=seed)
         return fam.tensor(field.parse(t0_str), field.parse(t1_str))
     raise ValueError(f"unknown example id {name!r}; known: {', '.join(NAMED_EXAMPLES)}")
@@ -246,7 +249,7 @@ def sample_full(n: int, field: Field, seed) -> OmegaTensor:
     raise SampleError(f"no full-rank tensor after {RETRY_LIMIT} draws (n={n}, seed={seed})")
 
 
-def sample_corank2(n: int, field: Field, seed, budget: Budget = LIGHT_BUDGET) -> OmegaTensor:
+def sample_corank2(n: int, field: Field, seed) -> OmegaTensor:
     """Non-degenerate tensor of rank exactly 4n - 2, found on a random pencil.
 
     The determinant of the flattening along w0 + t w1 is interpolated as a
@@ -272,7 +275,7 @@ def sample_corank2(n: int, field: Field, seed, budget: Budget = LIGHT_BUDGET) ->
             return OmegaTensor(n, f, w0.coeffs + w1.coeffs.scale(t))
 
         points = [f.of_int(i) for i in range(4 * n + 1)]
-        values = [member(t).flatten().mat.det() for t in points]
+        values = [member(t).flatten().det() for t in points]
         poly = poly_trim(poly_interpolate(points, values, f), f)
         if not poly:
             continue  # the whole pencil is singular; try another
@@ -281,7 +284,7 @@ def sample_corank2(n: int, field: Field, seed, budget: Budget = LIGHT_BUDGET) ->
             cand = member(t)
             if cand.rank() != 4 * n - 2:
                 continue
-            if not classify(cand, budget).is_degenerate:
+            if not classify(cand, LIGHT_BUDGET).is_degenerate:
                 return cand
     raise SampleError(f"no corank-2 point found (n={n}, seed={seed})")
 
@@ -301,36 +304,34 @@ def _fiber_pattern(nbar: int, mm: int) -> Pattern:
     return Pattern((nbar * 10, 4 * mm), (mm, 4 * nbar), terms)
 
 
-def fiber_solution_space(omega_bar: OmegaTensor, *, monad: Monad | None = None) -> Subspace:
+def fiber_solution_space(omega_bar: OmegaTensor) -> Subspace:
     """Solution space of the linear system that extends a display one step up.
 
     Unknown is the map u1: N -> V*; the constraint is that u1 o phi o u-bar*
     is skew with respect to V in every H-bar slot.  The dimension equals
     (dim H-bar) + h0 E(1) of the base tensor, which is checked elsewhere.
     """
-    m = monad if monad is not None else build_monad(omega_bar)
+    m = build_monad(omega_bar, quick_check=False)
     return m.wmat.gather(_fiber_pattern(m.nH, m.m)).kernel()
 
 
 def _fold(tl: Mat, tr: Mat, flat: Mat) -> OmegaTensor:
     """The tensor over H_{n+1} whose flattening is [[tl, tr], [-tr^T, flat]]."""
     big = tl.hstack(tr).vstack((-tr.transpose()).hstack(flat))
-    return unflatten(SkewForm(big.nrows // 4, tl.field, big))
+    return unflatten(big)
 
 
 def _assemble_extension(omega_bar: OmegaTensor, monad: Monad, u1: Mat) -> OmegaTensor:
     """Fold the block operator [[u1 phi u1*, u1 w], [-(u1 w)^T, flat]] into a
     tensor over H_{n+1}; the solved skew conditions make the fold exact."""
     tr = u1 @ monad.wmat
-    out = _fold(u1 @ monad.phi @ u1.transpose(), tr, omega_bar.flatten().mat)
+    out = _fold(u1 @ monad.phi @ u1.transpose(), tr, omega_bar.flatten())
     if out.rank() != omega_bar.rank():
         raise AssertionError("extension changed the rank")
     return out
 
 
-def extend_fiber(
-    omega_bar: OmegaTensor, seed, budget: Budget = LIGHT_BUDGET
-) -> OmegaTensor:
+def extend_fiber(omega_bar: OmegaTensor, seed) -> OmegaTensor:
     """One induction step (n-1, r+2) -> (n, r) over the given base tensor.
 
     Draws seeded points of the extension solution space until the assembled
@@ -341,7 +342,7 @@ def extend_fiber(
     m = build_monad(omega_bar)
     if m.r < 4:
         raise MonadError("base display must have r >= 4 to extend downward")
-    space = fiber_solution_space(omega_bar, monad=m)
+    space = fiber_solution_space(omega_bar)
     expected = omega_bar.n + m.h_values(1)[0]
     if space.dim != expected:
         raise AssertionError(
@@ -354,7 +355,7 @@ def extend_fiber(
         if u1.is_zero():
             continue
         cand = _assemble_extension(omega_bar, m, u1)
-        if not classify(cand, budget).is_degenerate:
+        if not classify(cand, LIGHT_BUDGET).is_degenerate:
             return cand
     raise SampleError(f"extension fiber produced no admissible tensor (seed={seed})")
 
@@ -377,7 +378,7 @@ def extend_affine(omega_bar: OmegaTensor, alpha: Mat) -> OmegaTensor:
     nbar = omega_bar.n
     if alpha.nrows != nbar or alpha.ncols != 6:
         raise ValueError("alpha must be an n-bar x 6 coefficient matrix")
-    flat = omega_bar.flatten().mat
+    flat = omega_bar.flatten()
     if flat.rank() != 4 * nbar:
         raise MonadError("affine extension needs a full-rank base tensor")
     # A: V -> (H-bar (x) V)* columns; A[k, 4b+l] = alpha_b(e_k, e_l), the
@@ -389,9 +390,7 @@ def extend_affine(omega_bar: OmegaTensor, alpha: Mat) -> OmegaTensor:
     return out
 
 
-def sample_instanton(
-    n: int, r: int, field: Field, seed, budget: Budget = LIGHT_BUDGET
-) -> OmegaTensor:
+def sample_instanton(n: int, r: int, field: Field, seed) -> OmegaTensor:
     """Member of M(n, r) built constructively.
 
     r = 2n comes from the open stratum, r = 2n-2 from a pencil, and anything
@@ -405,6 +404,6 @@ def sample_instanton(
         return sample_full(n, field, seed)
     _require_finite(field, f"sampling M({n}, {r}) with r < 2n")
     if r == 2 * n - 2:
-        return sample_corank2(n, field, seed, budget)
-    base = sample_instanton(n - 1, r + 2, field, ("chain", seed, n - 1), budget)
-    return extend_fiber(base, ("chain", seed, n), budget)
+        return sample_corank2(n, field, seed)
+    base = sample_instanton(n - 1, r + 2, field, ("chain", seed, n - 1))
+    return extend_fiber(base, ("chain", seed, n))

@@ -12,7 +12,7 @@ from functools import lru_cache
 from .bases import WEDGE_PAIRS, sym_index_map
 from .fields import Field
 from .linalg import Mat, Pattern, Subspace, kron
-from .monads import Monad, MonadError, build_monad
+from .monads import MonadError, build_monad
 from .polys import interpolate as poly_interpolate
 from .polys import trim as poly_trim
 from .tensors import OmegaTensor, sym_square, wedge_matrix
@@ -111,22 +111,22 @@ def _h_star_times(omega: OmegaTensor, w: Mat) -> Subspace:
     return Subspace.from_spanning(kron(Mat.identity(omega.field, omega.n), w))
 
 
-def h0_plane(omega: OmegaTensor, plane: Plane, *, monad: Monad | None = None) -> int:
+def h0_plane(omega: OmegaTensor, plane: Plane) -> int:
     """h0 of E restricted to the plane: dim N meet (H* (x) <z>)."""
-    m = monad if monad is not None else build_monad(omega)
+    m = build_monad(omega, quick_check=False)
     return m.N.intersect(_h_star_times(omega, Mat.from_rows(omega.field, [plane.z], 4))).dim
 
 
-def h0_line(omega: OmegaTensor, line: Line, *, monad: Monad | None = None) -> int:
+def h0_line(omega: OmegaTensor, line: Line) -> int:
     """h0 of E restricted to the line: dim N meet (H* (x) W)."""
-    m = monad if monad is not None else build_monad(omega)
+    m = build_monad(omega, quick_check=False)
     return m.N.intersect(_h_star_times(omega, line.W.basis)).dim
 
 
 # -- splitting order on a line ----------------------------------------------
 
 
-def splitting_order(omega: OmegaTensor, line: Line, *, monad: Monad | None = None) -> int:
+def splitting_order(omega: OmegaTensor, line: Line) -> int:
     """Splitting order a of E_L = O(a) (+) O(-a) for a rank-2 bundle.
 
     The display restricted to L and twisted by -1 gives
@@ -136,7 +136,7 @@ def splitting_order(omega: OmegaTensor, line: Line, *, monad: Monad | None = Non
     1977).  On a degenerate tensor E is not a bundle and the number is not a
     splitting order.
     """
-    m = monad if monad is not None else build_monad(omega)
+    m = build_monad(omega, quick_check=False)
     if m.r != 2:
         raise MonadError("splitting order is defined for rank-2 displays only")
     return m.nH - omega.contract_line(line.plucker).rank()
@@ -186,10 +186,10 @@ def point_plane_pencil(field: Field, p: list, q0: list, q1: list) -> tuple[list,
 # -- intersections with K (x) V* ---------------------------------------------
 
 
-def k_intersection(omega: OmegaTensor, K: Subspace, *, monad: Monad | None = None) -> Subspace:
+def k_intersection(omega: OmegaTensor, K: Subspace) -> Subspace:
     """N meet (K (x) V*) inside H* (x) V*, for a subspace K of H*."""
     f, n = omega.field, omega.n
-    m = monad if monad is not None else build_monad(omega)
+    m = build_monad(omega, quick_check=False)
     if K.dim == 0:
         return Subspace.zero(f, 4 * n)
     return m.N.intersect(Subspace.from_spanning(kron(K.basis, Mat.identity(f, 4))))

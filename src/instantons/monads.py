@@ -125,39 +125,44 @@ class Monad:
         h0 = (a.ncols - rank_a) - bm.rank()
         return h0, h1
 
-    def left_defect(self, d: int = 1) -> int:
-        """Kernel dimension of the left map on sections; nonzero flags a
-        degenerate defining tensor."""
-        bm = self.beta(d)
+    def left_defect(self) -> int:
+        """Kernel dimension of the left map on sections at twist 1; nonzero
+        flags a degenerate defining tensor."""
+        bm = self.beta(1)
         return bm.ncols - bm.rank()
 
 
 def build_monad(omega: OmegaTensor, *, quick_check: bool = True) -> Monad:
-    """Horrocks display of an admissible tensor.
+    """Horrocks display of an admissible tensor, built on the first call and
+    kept on the tensor.
 
     Requires rank 2n+r with 2 <= r <= 2n.  When quick_check is set a cheap
     scan over the standard basis vectors rejects blatantly degenerate input;
     full non-degeneracy classification is the caller's separate step.
     """
-    f, n = omega.field, omega.n
-    M = omega.flatten().mat
-    N = M.row_space()
-    rank = N.dim
-    r = rank - 2 * n
-    if rank % 2 != 0:
-        raise MonadError("skew flattening must have even rank")
-    if r < 2 or r > 2 * n:
-        raise MonadError(f"rank {rank} violates the admissible range [2n+2, 4n] for n={n}")
+    # omega._monad is written here only: a display is kept once its rank
+    # check has passed, so a rank error is raised on every call
+    n = omega.n
+    if omega._monad is None:
+        N = omega.image()
+        rank = N.dim
+        r = rank - 2 * n
+        if rank % 2 != 0:
+            raise MonadError("skew flattening must have even rank")
+        if r < 2 or r > 2 * n:
+            raise MonadError(f"rank {rank} violates the admissible range [2n+2, 4n] for n={n}")
     if quick_check:
         w = _standard_witness(omega)
         if w is not None:
             raise MonadError(f"tensor is degenerate (witness at basis pair {w})")
-    return _monad_from_image(omega, N)
+    if omega._monad is None:
+        omega._monad = _monad_from_image(omega, N)
+    return omega._monad
 
 
 def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:
     f, n = omega.field, omega.n
-    M = omega.flatten().mat
+    M = omega.flatten()
     piv = N.pivots
     phi = M.take_rows(piv).take_cols(piv)
     B = N.basis
@@ -172,7 +177,7 @@ def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:
 def _standard_witness(omega: OmegaTensor) -> tuple[int, int] | None:
     """Look for h = e_a, v = e_k with omega(h (x) v) = 0 (a zero column
     4a + k of the flattening); cheap necessary test."""
-    col = omega.flatten().mat.first_deficient_block(1)
+    col = omega.flatten().first_deficient_block(1)
     return None if col is None else divmod(col, 4)
 
 
@@ -230,9 +235,9 @@ class CohTable:
         return "\n".join(lines) + "\n"
 
 
-def coh_table(omega: OmegaTensor, dmax: int = 3, *, monad: Monad | None = None) -> CohTable:
+def coh_table(omega: OmegaTensor, dmax: int = 3) -> CohTable:
     """Cohomology table of an admissible tensor for twists -2..dmax."""
-    m = monad if monad is not None else build_monad(omega)
+    m = build_monad(omega, quick_check=False)
     rows = [(d, *m.h_values(d)) for d in range(-2, dmax + 1)]
     t = CohTable(
         n=m.nH,
@@ -305,14 +310,15 @@ def _sigma_pattern(dim_n: int, n: int) -> Pattern:
     return Pattern((dim_n * 4 * n, len(skew_pairs(n)) * 10), (dim_n, 4 * n), terms)
 
 
-def sigma_kernel(omega: OmegaTensor, *, monad: Monad | None = None) -> Subspace:
+def sigma_kernel(omega: OmegaTensor) -> Subspace:
     """{sigma in wedge^2 H (x) S^2 V : sigma o omega = 0}.
 
     sigma acts as an anti-selfdual map H* (x) V* -> H (x) V; composing with
     the inclusion of N = Im(omega) is linear in sigma's coordinates, and the
-    kernel dimension equals h^2 of S^2 E for admissible tensors.
+    kernel dimension equals h^2 of S^2 E for admissible tensors.  N is the
+    image of the flattening, so no display is needed.
     """
-    basis = monad.N.basis if monad is not None else omega.image().basis
+    basis = omega.image().basis
     return basis.gather(_sigma_pattern(basis.nrows, omega.n)).kernel()
 
 
@@ -383,7 +389,7 @@ def tangent_dim(omega: OmegaTensor, ambient: str) -> int:
     """
     if ambient not in ("fullSkew", "symLambda"):
         raise ValueError("ambient must be 'fullSkew' or 'symLambda'")
-    kb = omega.flatten().mat.kernel().basis
+    kb = omega.flatten().kernel().basis
     mat = kron(kb, kb).gather(_tangent_pattern(omega.n, kb.nrows, ambient))
     return mat.ncols - mat.rank()
 

@@ -24,6 +24,8 @@ from .tensors import OmegaTensor
 DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = (
     (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4),
 )
+# the witness scan stops before an extension field with more elements
+FIELD_SIZE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,6 @@ class Budget:
 
     max_ext_degree: int = 2
     point_cap: int = 4096
-    field_size_cap: int = 1 << 20
     schedule: tuple[tuple[int, int], ...] = DEFAULT_SCHEDULE
 
 
@@ -104,7 +105,7 @@ def _flatten_in_field(omega: OmegaTensor, target: Field) -> Mat | None:
     field, or reduced from Q mod the prime of target; None when a denominator
     vanishes mod that prime."""
     base = omega.field
-    m = omega.flatten().mat
+    m = omega.flatten()
     if target == base:
         return m
     rows = m.rows()
@@ -179,7 +180,6 @@ def witness_search(
     omega: OmegaTensor,
     max_ext_degree: int = 1,
     point_cap: int = 4096,
-    field_size_cap: int = 1 << 20,
     start: int = 0,
     points: dict | None = None,
 ) -> tuple[list, list, Field] | None:
@@ -187,7 +187,7 @@ def witness_search(
 
     Scans the smaller of P(H), P(V) over the base field and then over
     extensions of degree up to max_ext_degree (finite base fields only),
-    subject to the point cap and a cap on the extension field size.  A
+    subject to the point cap and to FIELD_SIZE_CAP elements per field.  A
     returned witness is re-verified exactly before being reported.
 
     Each field's scan begins at point index start.  classify passes the
@@ -202,7 +202,7 @@ def witness_search(
     degrees = range(1, max_ext_degree + 1) if base.kind == "prime" else [1]
     for j in degrees:
         if base.kind == "prime":
-            if base.p**j > field_size_cap:
+            if base.p**j > FIELD_SIZE_CAP:
                 break
             fld = base if j == 1 else ExtensionField(base.p, j)
         else:
@@ -229,7 +229,7 @@ def _lifted_witness(omega: OmegaTensor, start: int, point_cap: int, points: dict
         p += 1
     aux = m_p.field
     q = omega.field
-    m_q = omega.flatten().mat
+    m_q = omega.flatten()
 
     def centered(x: int) -> Fraction:
         return Fraction(x - p if x > p // 2 else x)
@@ -312,7 +312,7 @@ class SpanningCertifier:
         acc = _Accumulator(self.field, _ambient(self.n, d, e))
         if (d, e) == (1, 1):
             # the flattening's columns as bilinear forms on H (x) V
-            acc.add(self.omega.flatten().mat.transpose())
+            acc.add(self.omega.flatten().transpose())
         else:
             # the (d, e) piece is S^1 H* times the (d-1, e) piece, or S^1 V*
             # times the (d, e-1) piece; a monomial times a variable is one
@@ -395,12 +395,11 @@ def classify(omega: OmegaTensor, budget: Budget = DEFAULT_BUDGET) -> Verdict:
         return None
 
     if rank <= 2 * n:
-        w = witness_search(omega, 1, min(budget.point_cap, 512), budget.field_size_cap,
-                           points=points)
+        w = witness_search(omega, 1, min(budget.point_cap, 512), points=points)
         reason = f"rank {rank} <= 2n" if w else f"rank {rank} <= 2n (stratum bound)"
         return verdict("degenerate", "rank-bound", reason, w)
     basis = min(budget.point_cap, n, 4)  # the scanned side has dimension min(n, 4)
-    w = witness_search(omega, 1, basis, budget.field_size_cap, points=points)
+    w = witness_search(omega, 1, basis, points=points)
     if w is not None:
         return verdict("degenerate", "basis-points", "witness found by scan", w)
     schedule = budget.schedule
@@ -410,8 +409,8 @@ def classify(omega: OmegaTensor, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     found = certified("cheap-pieces", schedule[:cheap])
     if found is not None:
         return found
-    w = witness_search(omega, budget.max_ext_degree, budget.point_cap, budget.field_size_cap,
-                       start=basis, points=points)
+    w = witness_search(omega, budget.max_ext_degree, budget.point_cap, start=basis,
+                       points=points)
     if w is not None:
         return verdict("degenerate", "scan", "witness found by scan", w)
     found = certified("pieces", schedule[cheap:])

@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .fields import Field
@@ -88,51 +89,31 @@ ROOT_SCAN_LIMIT = 1 << 21
 
 
 def roots(coeffs: list, field: Field) -> tuple[list, list]:
-    """All roots locatable exactly, plus the residual (root-free) factor.
+    """All roots in the field with their multiplicity, plus the residual
+    factor, which has no root in the field.
 
-    Finite fields: exhaustive scan of the field, then repeated division.
-    Rationals: rational-root extraction on the primitive integer form.
-    The residual factor is what remains after dividing out located roots
-    (up to the scan's reach); for finite prime fields it is genuinely
-    root-free over that field.
+    The candidates are every element of a finite field (GF(p) is scanned at
+    once by _prime_root_candidates) and, over Q, the ratios that the rational
+    root theorem allows; each root is divided out as often as it divides.
     """
     coeffs = trim(coeffs, field)
     if not coeffs:
         raise ValueError("zero polynomial has every root")
-    found = []
-    rest = coeffs
     if field.kind == "prime":
         if field.p >= ROOT_SCAN_LIMIT:
             raise ValueError(
                 f"root finding scans every element of {field.spec_str()}, which is only "
                 f"supported for primes below 2^21 = {ROOT_SCAN_LIMIT}")
-        candidates = _prime_root_candidates(rest, field.p)
-        for x in candidates:
-            while rest and len(rest) > 1 and field.is_zero(evaluate(rest, x, field)):
-                found.append(x)
-                rest = divmod_poly(rest, [field.neg(x), field.one()], field)[0]
-        return found, rest
-    if field.kind == "prime-extension":
-        for x in field.elements():
-            while rest and len(rest) > 1 and field.is_zero(evaluate(rest, x, field)):
-                found.append(x)
-                rest = divmod_poly(rest, [field.neg(x), field.one()], field)[0]
-        return found, rest
-    # rationals: scale to integers, try divisor ratios of constant/leading
-    denom = 1
-    for c in coeffs:
-        denom = denom * Fraction(c).denominator // _gcd_int(denom, Fraction(c).denominator)
-    ints = [int(Fraction(c) * denom) for c in coeffs]
-    while len(rest) > 1:
-        root = _rational_root(ints)
-        if root is None:
-            break
-        found.append(root)
-        rest = divmod_poly(rest, [field.neg(root), field.one()], field)[0]
-        denom = 1
-        for c in rest:
-            denom = denom * Fraction(c).denominator // _gcd_int(denom, Fraction(c).denominator)
-        ints = [int(Fraction(c) * denom) for c in rest]
+        candidates = _prime_root_candidates(coeffs, field.p)
+    elif field.kind == "prime-extension":
+        candidates = field.elements()
+    else:
+        candidates = _rational_root_candidates(coeffs)
+    found, rest = [], coeffs
+    for x in candidates:
+        while len(rest) > 1 and field.is_zero(evaluate(rest, x, field)):
+            found.append(x)
+            rest = divmod_poly(rest, [field.neg(x), field.one()], field)[0]
     return found, rest
 
 
@@ -145,12 +126,6 @@ def _prime_root_candidates(coeffs: list, p: int) -> list[int]:
     for c in reversed(coeffs):
         acc = (acc * xs + int(c)) % p
     return [int(x) for x in np.nonzero(acc == 0)[0]]
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def _divisors(n: int) -> list[int]:
@@ -166,21 +141,14 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _rational_root(ints: list[int]) -> Fraction | None:
-    if not ints:
-        return None
-    # strip trailing zero coefficients of x^0 as roots at 0
-    if ints[0] == 0:
-        return Fraction(0)
-    lead = ints[-1]
-    const = ints[0]
-    for q in _divisors(lead):
-        for p in _divisors(const):
-            for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return cand
-    return None
+def _rational_root_candidates(coeffs: list):
+    """0, then +-p/q with q dividing the leading and p the lowest nonzero
+    coefficient of the integer form, by q and then p."""
+    denom = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * denom) for c in coeffs]
+    low = next(c for c in ints if c)
+    yield Fraction(0)
+    for q in _divisors(ints[-1]):
+        for p in _divisors(low):
+            yield Fraction(p, q)
+            yield Fraction(-p, q)

@@ -24,7 +24,7 @@ from .families import (
     sample_instanton,
     thooft_tensor,
 )
-from .fields import Field, GF32003, PrimeField, QQ
+from .fields import Field, PrimeField, QQ
 from .geometry import (
     Line,
     nc_quadric_ideal,
@@ -95,7 +95,7 @@ def crit_transcription(ctx: SuiteContext) -> tuple[bool, dict]:
         d["witness_is_e0_e0"] = h == [one, zero] and v == [one, zero, zero, zero]
         ok = ok and d["witness_is_e0_e0"]
         # exact re-contraction of the witness against the flattening
-        col = t.flatten().mat.take_cols([0])
+        col = t.flatten().take_cols([0])
         d["contraction_zero"] = col.is_zero()
         ok = ok and d["contraction_zero"]
     d["classified"] = classify(t).status
@@ -338,7 +338,7 @@ def crit_affine_ext(ctx: SuiteContext) -> tuple[bool, dict]:
             roundtrip = ext.restrict_xi(xi) == base
             rank_ok = ext.rank() == 12
             # corner block of the flattening must be skew on V
-            corner = ext.flatten().mat.take_rows([0, 1, 2, 3]).take_cols([0, 1, 2, 3])
+            corner = ext.flatten().take_rows([0, 1, 2, 3]).take_cols([0, 1, 2, 3])
             skew_ok = (corner + corner.transpose()).is_zero()
             good = roundtrip and rank_ok and skew_ok and fibre_ok
             per.append(
@@ -381,7 +381,7 @@ def crit_xi_search(ctx: SuiteContext) -> tuple[bool, dict]:
     ok = True
     for seed in range(ctx.chain_count):
         t = ctx.chain52(seed)
-        xi, h1, trial, _log = find_xi(t, 50, seed=("xi", seed))
+        xi, h1, trial, _log = find_xi(t, seed=("xi", seed))
         rep = propagation_check(t, xi)
         entry = {"seed": seed, "h1_bar": h1, "trial": trial, **rep.to_obj()}
         good = h1 <= 1 and rep.inequality_holds and rep.implication_holds
@@ -417,7 +417,6 @@ def crit_geometry(ctx: SuiteContext) -> tuple[bool, dict]:
     pencil_total = 0
     for idx, t in enumerate(samples):
         n = t.n
-        m = build_monad(t, quick_check=False)
         orders = []
         lines_done = 0
         while lines_done < 50:
@@ -429,8 +428,8 @@ def crit_geometry(ctx: SuiteContext) -> tuple[bool, dict]:
                 continue
             lines_done += 1
             total_lines += 1
-            a = splitting_order(t, line, monad=m)
-            h0 = h0_line(t, line, monad=m)
+            a = splitting_order(t, line)
+            h0 = h0_line(t, line)
             det = t.contract_line(line.plucker).det()
             jump_consistent = (a >= 1) == f.is_zero(det)
             in_range = 0 <= a <= n
@@ -515,20 +514,15 @@ CRITERIA: list[tuple[str, str, str, callable]] = [
 RATIONAL_SAFE = {"transcription", "thooft", "quadric-ideals", "rational-audit"}
 
 
-def run_suite(
-    field: Field | None = None,
-    only: str | None = None,
-    chain_count: int = 20,
-    printer=print,
-) -> dict:
-    """Run the acceptance battery; returns a JSON-ready summary."""
-    f = field if field is not None else GF32003
-    ctx = SuiteContext(f, chain_count=chain_count)
+def run_suite(field: Field, only: str | None = None, chain_count: int = 20) -> dict:
+    """Run the acceptance battery, printing one line per criterion; returns a
+    JSON-ready summary."""
+    ctx = SuiteContext(field, chain_count=chain_count)
     results: list[CriterionResult] = []
     for cid, tag, desc, fn in CRITERIA:
         if only and only not in (tag, cid, cid.lower()):
             continue
-        if f.kind == "rational" and tag not in RATIONAL_SAFE:
+        if field.kind == "rational" and tag not in RATIONAL_SAFE:
             continue
         t0 = time.time()
         try:
@@ -537,10 +531,9 @@ def run_suite(
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
         res = CriterionResult(cid, tag, desc, passed, time.time() - t0, details)
         results.append(res)
-        if printer:
-            printer(res.line())
+        print(res.line())
     summary = {
-        "field": f.spec_str(),
+        "field": field.spec_str(),
         "chain_count": chain_count,
         "passed": all(r.passed for r in results),
         "criteria": [r.to_obj() for r in results],

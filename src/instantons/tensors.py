@@ -79,7 +79,7 @@ class OmegaTensor:
     doubling it, so published coefficient matrices transcribe literally.
     """
 
-    __slots__ = ("n", "field", "coeffs", "_sym_idx", "_flat")
+    __slots__ = ("n", "field", "coeffs", "_sym_idx", "_flat", "_monad")
 
     def __init__(self, n: int, field: Field, coeffs: Mat):
         if coeffs.nrows != n * (n + 1) // 2 or coeffs.ncols != 6:
@@ -89,6 +89,9 @@ class OmegaTensor:
         self.coeffs = coeffs
         self._sym_idx = sym_index_map(n)
         self._flat = None
+        # the Horrocks display, kept by monads.build_monad, which alone reads
+        # and writes it: like the flattening, it is a function of the tensor
+        self._monad = None
 
     # -- constructors ---------------------------------------------------
 
@@ -130,20 +133,19 @@ class OmegaTensor:
 
     # -- flattening -------------------------------------------------------
 
-    def flatten(self) -> "SkewForm":
-        """The tensor as a skew 4n x 4n form on H (x) V; built on the first
-        call and kept, since the tensor is immutable."""
+    def flatten(self) -> Mat:
+        """The tensor as the 4n x 4n matrix of a skew form on H (x) V; built
+        on the first call and kept, since the tensor is immutable."""
         if self._flat is None:
-            flat = self.coeffs.gather(_flatten_pattern(self.n))
-            self._flat = SkewForm(self.n, self.field, flat)
+            self._flat = _skew(self.coeffs.gather(_flatten_pattern(self.n)))
         return self._flat
 
     def rank(self) -> int:
-        return self.flatten().mat.rank()
+        return self.flatten().rank()
 
     def image(self) -> Subspace:
         """Image subspace N of the flattening, in H* (x) V* coordinates."""
-        return self.flatten().mat.row_space()
+        return self.flatten().row_space()
 
     # -- functorial operations ---------------------------------------------
 
@@ -188,26 +190,6 @@ class OmegaTensor:
         return f"OmegaTensor(n={self.n}, {self.field.spec_str()})"
 
 
-class SkewForm:
-    """A skew bilinear form on H (x) V as its 4n x 4n matrix."""
-
-    __slots__ = ("n", "field", "mat")
-
-    def __init__(self, n: int, field: Field, mat: Mat):
-        if mat.nrows != 4 * n or mat.ncols != 4 * n:
-            raise ValueError("wrong shape for a form on H (x) V")
-        if not (mat + mat.transpose()).is_zero():
-            raise ValueError("matrix is not skew-symmetric")
-        self.n = n
-        self.field = field
-        self.mat = mat
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SkewForm):
-            return NotImplemented
-        return self.n == other.n and self.mat == other.mat
-
-
 class SkewHPart:
     """Coordinates in wedge^2 H* (x) S^2 V*: one row per pair i < j of
     H*-indices (lex), one column per monomial x_k x_l, k <= l."""
@@ -224,31 +206,43 @@ class SkewHPart:
     def is_zero(self) -> bool:
         return self.coeffs.is_zero()
 
-    def flatten(self) -> SkewForm:
-        return SkewForm(self.n, self.field, self.coeffs.gather(_flatten_pattern(self.n, True)))
+    def flatten(self) -> Mat:
+        return _skew(self.coeffs.gather(_flatten_pattern(self.n, True)))
 
 
-def decompose(s: SkewForm) -> tuple[OmegaTensor, SkewHPart]:
-    """Split a skew form on H (x) V into its two canonical summands.
+def _skew(flat: Mat) -> Mat:
+    """flat, after checking the invariant that a flattening is skew."""
+    if not (flat + flat.transpose()).is_zero():
+        raise AssertionError("a flattening is not skew-symmetric")
+    return flat
+
+
+def decompose(m: Mat) -> tuple[OmegaTensor, SkewHPart]:
+    """Split the 4n x 4n matrix of a skew form on H (x) V into its two
+    canonical summands.
 
     Returns (sym_part, skewH_part) with
-    flatten(sym_part) + flatten(skewH_part) == s, checked exactly.
+    sym_part.flatten() + skewH_part.flatten() == m, checked exactly.
     """
-    f, n = s.field, s.n
+    if m.nrows != m.ncols or m.nrows == 0 or m.nrows % 4:
+        raise ValueError(f"a {m.nrows} x {m.ncols} matrix is not a form on H (x) V: "
+                         "its side must be 4n with n >= 1")
+    if not (m + m.transpose()).is_zero():
+        raise ValueError("matrix is not skew-symmetric")
+    f, n = m.field, m.nrows // 4
     if f.kind == "prime" and f.p == 2:
         raise ValueError("canonical split needs characteristic != 2")
     half = f.inv(f.of_int(2))
-    m = s.mat
     sym = OmegaTensor(n, f, m.gather(_split_pattern(n, False)).scale(half))
     skewh = SkewHPart(n, f, m.gather(_split_pattern(n, True)).scale(half))
-    if not (sym.flatten().mat + skewh.flatten().mat == m):
+    if not (sym.flatten() + skewh.flatten() == m):
         raise ArithmeticError("canonical split failed to reconstruct input")
     return sym, skewh
 
 
-def unflatten(s: SkewForm) -> OmegaTensor:
+def unflatten(m: Mat) -> OmegaTensor:
     """Inverse of flatten on forms that lie in the S^2 (x) wedge^2 summand."""
-    sym, skewh = decompose(s)
+    sym, skewh = decompose(m)
     if not skewh.is_zero():
         raise ValueError("form has a nonzero wedge^2 H* (x) S^2 V* component")
     return sym
@@ -299,21 +293,40 @@ def tensor_to_obj(t: OmegaTensor) -> dict:
 MAX_N = 5
 
 
+def _values(obj, what: str, keys: tuple[str, ...]) -> list:
+    """The values at keys of a JSON object; a ValueError names what is missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object with the keys {', '.join(keys)}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} key")
+    return [obj[key] for key in keys]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def tensor_from_obj(obj: dict) -> OmegaTensor:
-    field = field_from_spec(obj["field"])
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
+    spec, n, items = _values(obj, "a tensor file", ("field", "n", "entries"))
+    field = field_from_spec(spec)
+    if not _is_int(n) or not 1 <= n <= MAX_N:
         raise ValueError(f"n = {n!r}: dim H must be an integer 1 <= n <= {MAX_N}")
+    if not isinstance(items, list):
+        raise ValueError("'entries' must be a JSON list of entry objects")
     entries = {}
-    for e in obj["entries"]:
-        key = int(e["i"]), int(e["j"]), int(e["k"]), int(e["l"])
+    for pos, e in enumerate(items):
+        *key, c = _values(e, f"entry {pos}", ("i", "j", "k", "l", "c"))
+        key = tuple(key)
+        if not all(_is_int(x) for x in key):
+            raise ValueError(f"entry {pos}: (i,j,k,l) = {key!r} must be integers")
         if key in entries:
             raise ValueError(f"duplicate entry (i,j,k,l) = {key}")
         try:
-            entries[key] = field.parse(str(e["c"]))
+            entries[key] = field.parse(str(c))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(
-                f"entry (i,j,k,l) = {key}: coefficient {e['c']!r} is not an element of "
+                f"entry (i,j,k,l) = {key}: coefficient {c!r} is not an element of "
                 f"{field.spec_str()} ({exc})"
             ) from None
     return OmegaTensor.from_entries(n, field, entries)

@@ -44,7 +44,13 @@ from instantons.fields import ExtensionField, PrimeField, is_prime
 from instantons.geometry import Line
 from instantons.linalg import Mat, Subspace
 from instantons.monads import Monad, MonadError
-from instantons.nondeg import DEFAULT_BUDGET, SpanningCertifier, Verdict, projective_points
+from instantons.nondeg import (
+    DEFAULT_BUDGET,
+    FIELD_SIZE_CAP,
+    SpanningCertifier,
+    Verdict,
+    projective_points,
+)
 
 
 def _contract_side(m: Mat, n: int, point: list, scan_h: bool, fld) -> Mat:
@@ -88,15 +94,15 @@ def _scan(m: Mat, n: int, fld, point_cap: int):
             yield (point, partner) if scan_h else (partner, point)
 
 
-def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096, field_size_cap=1 << 20):
+def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096):
     """Reference for `nondeg.witness_search`, with the same arguments."""
     n, base = omega.n, omega.field
-    m_base = omega.flatten().mat
+    m_base = omega.flatten()
     degrees = range(1, max_ext_degree + 1) if base.kind == "prime" else [1]
     for j in degrees:
         fld = base
         if base.kind == "prime":
-            if base.p**j > field_size_cap:
+            if base.p**j > FIELD_SIZE_CAP:
                 break
             if j > 1:
                 fld = ExtensionField(base.p, j)
@@ -140,12 +146,11 @@ def classify_scan_first(omega, budget=DEFAULT_BUDGET) -> Verdict:
                        reason=reason)
 
     if rank <= 2 * n:
-        w = witness_search_by_loops(omega, 1, min(budget.point_cap, 512), budget.field_size_cap)
+        w = witness_search_by_loops(omega, 1, min(budget.point_cap, 512))
         if w is not None:
             return degenerate(w, f"rank {rank} <= 2n")
         return Verdict("degenerate", reason=f"rank {rank} <= 2n (stratum bound)")
-    w = witness_search_by_loops(omega, budget.max_ext_degree, budget.point_cap,
-                                budget.field_size_cap)
+    w = witness_search_by_loops(omega, budget.max_ext_degree, budget.point_cap)
     if w is not None:
         return degenerate(w, "witness found by scan")
     cert = SpanningCertifier(omega)
@@ -165,7 +170,7 @@ def spanning_set_cells(n: int, d: int, e: int) -> int:
 def piece_rank_by_spanning_set(omega, d: int, e: int) -> int:
     """Rank of the (d, e) piece from its explicit spanning set."""
     f, n = omega.field, omega.n
-    gens = omega.flatten().mat.transpose()  # row c: the form sum m[4a+k, c] x_a y_k
+    gens = omega.flatten().transpose()  # row c: the form sum m[4a+k, c] x_a y_k
     idx_h, idx_v = monomial_index_map(n, d), monomial_index_map(4, e)
     rows = []
     for c in range(gens.nrows):

@@ -33,7 +33,7 @@ from instantons.monads import (
     sigma_kernel,
     tangent_dim,
 )
-from instantons.tensors import SkewForm, SkewHPart, decompose
+from instantons.tensors import SkewHPart, decompose
 
 F7 = PrimeField(7)
 
@@ -92,18 +92,18 @@ def _maps(name: str) -> dict[str, str]:
     """Digest of every structured map of one input tensor."""
     t = TENSORS[name]()
     f, n = t.field, t.n
-    out = {"tensor": _digest(t.coeffs), "flatten": _digest(t.flatten().mat)}
+    out = {"tensor": _digest(t.coeffs), "flatten": _digest(t.flatten())}
     m = build_monad(t, quick_check=False)
     out["monad"] = _digest(m.umat, m.wmat, m.phi)
     out["alpha"] = _digest(*(m.alpha(d) for d in range(-2, 4)))
     out["beta"] = _digest(*(m.beta(d) for d in range(-2, 4)))
     out["s2_cohomology"] = _recorded(s2_cohomology, m)
-    out["sigma_kernel"] = _recorded(sigma_kernel, t, monad=m)
+    out["sigma_kernel"] = _recorded(sigma_kernel, t)
     out["gamma_kernel"] = _recorded(gamma_kernel, m)
     w = Mat.from_rows(f, [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 5]], 4)
     out["gamma_kernel_plane"] = _recorded(gamma_kernel_plane, m, w)
     out["tangent_dim"] = _digest(*(_recorded(tangent_dim, t, a) for a in ("fullSkew", "symLambda")))
-    out["fiber_solution_space"] = _recorded(fiber_solution_space, t, monad=m)
+    out["fiber_solution_space"] = _recorded(fiber_solution_space, t)
     xi = [f.of_int(v) for v in (1, 2, 3, 5, 7)[:n]]
     bar = restricted_monad(t, xi)
     out["restricted"] = _digest(bar.umat, bar.wmat, *(bar.alpha(d) for d in range(0, 3)),
@@ -113,10 +113,10 @@ def _maps(name: str) -> dict[str, str]:
     parts = decompose(t.flatten())
     skew_h = SkewHPart(n, f, Mat.from_rows(
         f, [[(i + 2 * j) % 5 for j in range(10)] for i in range(n * (n - 1) // 2)], 10))
-    mixed = decompose(SkewForm(n, f, t.flatten().mat + skew_h.flatten().mat))
+    mixed = decompose(t.flatten() + skew_h.flatten())
     out["tensor_ops"] = _digest(
         t.contract_line(lam), t.apply_h_map(g).coeffs, t.entry_skew_matrix(0, 1),
-        t.entry_skew_matrix(1, 1), parts[0].coeffs, parts[1].coeffs, skew_h.flatten().mat,
+        t.entry_skew_matrix(1, 1), parts[0].coeffs, parts[1].coeffs, skew_h.flatten(),
         mixed[0].coeffs, mixed[1].coeffs,
     )
     return out

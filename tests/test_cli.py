@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from instantons import cli, families, geometry, monads
+from instantons import cli, families, monads
 from instantons.cli import main
 from instantons.families import SampleError
 
@@ -66,21 +66,25 @@ def test_table_pencil_small_field_is_input_error(capsys):
     assert "fp:5" in err and "n = 5" in err
 
 
-@pytest.mark.parametrize("source,roots", [(["--sample", "5,2", "--seed", "1"], 2),
-                                          (["--example", "thooft4"], 0)])
-def test_table_pencil_builds_display_once(monkeypatch, capsys, source, roots):
-    # one display serves every root's splitting order; none without a root
+@pytest.mark.parametrize("source,roots", [((["sample", "--n", "5", "--r", "2"], "1"), 2),
+                                          ((["export", "--id", "thooft4"], "0"), 0)])
+def test_table_pencil_builds_display_once(monkeypatch, capsys, tmp_path, source, roots):
+    # one display of the input tensor serves the quick check and every root's
+    # splitting order; none is built without a root.  The tensor is read from
+    # a file, so that no display built while sampling it counts.
+    write, seed = source
+    path = tmp_path / "t.json"
+    assert run([*write, "--seed", seed, "--out", str(path)]) == 0
     builds = []
+    build = monads._monad_from_image
 
-    def counting(build):
-        def wrapped(*args, **kwargs):
-            builds.append(1)
-            return build(*args, **kwargs)
-        return wrapped
+    def counting(omega, N):
+        builds.append(omega)
+        return build(omega, N)
 
-    monkeypatch.setattr(cli, "build_monad", counting(cli.build_monad))
-    monkeypatch.setattr(geometry, "build_monad", counting(geometry.build_monad))
-    assert run(["table", "pencil", *source]) == 0
+    monkeypatch.setattr(monads, "_monad_from_image", counting)
+    capsys.readouterr()
+    assert run(["table", "pencil", "--tensor", str(path), "--seed", seed]) == 0
     assert capsys.readouterr().out.count("order_at_root,") == roots
     assert len(builds) == min(roots, 1)
 
@@ -106,13 +110,30 @@ def _entry(i, j, k, l, c):
     ("rational", [_entry(0, 0, 0, 1, "1"), _entry(1, 1, 2, 3, "1/0")],
      "entry (i,j,k,l) = (1, 1, 2, 3): coefficient '1/0'"),
     ("fp:32003", [_entry(0, 1, 0, 2, "x")], "entry (i,j,k,l) = (0, 1, 0, 2): coefficient 'x'"),
+    # a case without a field gives the whole file
+    (None, [_entry(0, 0, 0, 1, "1")], "a tensor file must be a JSON object"),
+    (None, {"n": 2, "field": "fp:32003"}, "a tensor file has no 'entries' key"),
+    ("fp:32003", {"0": _entry(0, 0, 0, 1, "1")}, "'entries' must be a JSON list"),
+    ("fp:32003", [_entry(0, 0, 0, 1, "1"), 7], "entry 1 must be a JSON object"),
+    ("fp:32003", [{"i": 0, "j": 0, "k": 0, "c": "1"}], "entry 0 has no 'l' key"),
+    ("fp:32003", [_entry(0, True, 0, 1, "1")], "entry 0: (i,j,k,l) = (0, True, 0, 1) must be integers"),
 ])
 def test_bad_tensor_entry_is_input_error(tmp_path, capsys, field, entries, message):
     path = tmp_path / "t.json"
-    path.write_text(json.dumps({"n": 2, "field": field, "entries": entries}))
+    path.write_text(json.dumps({"n": 2, "field": field, "entries": entries} if field else entries))
     assert run(["certify", "--tensor", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["certify", "--sample", "5"], "error: --sample '5': expected N,R"),
+    (["certify", "--example", "sum-family:1"], "expected sum-family:<t0>,<t1>"),
+])
+def test_malformed_source_names_the_expected_form(capsys, argv, expected):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert expected in err and "Traceback" not in err
 
 
 def test_sample_and_reload(tmp_path):

@@ -71,12 +71,11 @@ def test_h0_plane_examples(F, chain52):
     nc = nc_tensor(F)
     assert h0_plane(nc, Plane(F, [1, 0, 0, 0])) == 1
     st = Stream("planes", 0)
-    m = build_monad(chain52)
     for _ in range(10):
         z = st.next_vector(F, 4)
         if all(F.is_zero(x) for x in z):
             continue
-        h = h0_plane(chain52, Plane(F, z), monad=m)
+        h = h0_plane(chain52, Plane(F, z))
         assert 0 <= h <= 1  # rank-2 bound on plane sections
     with pytest.raises(MonadError):
         h0_plane(OmegaTensor.zero(2, F), Plane(F, [1, 0, 0, 0]))
@@ -101,11 +100,10 @@ def test_splitting_requires_rank_two(F, full36):
 
 
 def test_generic_line_on_chain(F, chain52):
-    m = build_monad(chain52)
     st = Stream("chain_lines", 0)
     line = Line.from_points(F, st.next_vector(F, 4), st.next_vector(F, 4))
-    assert splitting_order(chain52, line, monad=m) == 0
-    assert h0_line(chain52, line, monad=m) == 2
+    assert splitting_order(chain52, line) == 0
+    assert h0_line(chain52, line) == 2
     # cross-check of the intersection count against the restriction
     sub = chain52.image().intersect(
         _wedge_space(F, 5, line.W.basis.rows())
@@ -128,18 +126,16 @@ def test_maximal_jumping_line_on_net_tensor(F):
     # the banded-net bundle carries jumping lines of the highest possible
     # order n; the coordinate line through e0, e2 realizes it
     th5 = thooft_tensor(5, F)
-    m = build_monad(th5, quick_check=False)
     line = Line.from_points(F, [1, 0, 0, 0], [0, 0, 1, 0])
-    a = splitting_order(th5, line, monad=m)
+    a = splitting_order(th5, line)
     assert a == 5
-    assert h0_line(th5, line, monad=m) == 6  # a + 1
+    assert h0_line(th5, line) == 6  # a + 1
     assert F.is_zero(th5.contract_line(line.plucker).det())
 
 
 def test_high_order_event_found_by_pencil_scan(F):
     # scan a pencil through the order-5 line: the root recovers it
     th5 = thooft_tensor(5, F)
-    m = build_monad(th5, quick_check=False)
     lam0, lam1 = point_plane_pencil(F, [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0])
     poly = pencil_jump_poly(th5, lam0, lam1)
     found, _ = poly_roots(poly, F)
@@ -147,9 +143,9 @@ def test_high_order_event_found_by_pencil_scan(F):
     for root in found:
         lam = [F.add(a, F.mul(root, b)) for a, b in zip(lam0, lam1)]
         line = Line.from_plucker(F, lam)
-        a_val = splitting_order(th5, line, monad=m)
+        a_val = splitting_order(th5, line)
         orders.append(a_val)
-        assert h0_line(th5, line, monad=m) == max(2, a_val + 1)
+        assert h0_line(th5, line) == max(2, a_val + 1)
     assert max(orders) >= 2
     assert max(orders) <= 5
 
@@ -184,14 +180,13 @@ def test_pencil_degree_and_validation(F, chain52):
 
 
 def test_k_intersection_cases(F, chain52):
-    m = build_monad(chain52)
     st = Stream("ktest", 0)
     K = Subspace.from_spanning(Mat.from_rows(F, [st.next_vector(F, 5) for _ in range(2)], 5))
-    assert k_intersection(chain52, K, monad=m).dim == 0
+    assert k_intersection(chain52, K).dim == 0
     th5 = thooft_tensor(5, F)
     K2 = Subspace.from_spanning(Mat.from_rows(F, [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]], 5))
     assert k_intersection(th5, K2).dim == 0
-    assert k_intersection(chain52, Subspace.full(F, 5), monad=m) == chain52.image()
+    assert k_intersection(chain52, Subspace.full(F, 5)) == chain52.image()
 
 
 def test_k_intersection_meets_banded_net(F):
@@ -247,7 +242,6 @@ def test_two_lines_in_stable_plane_order_bound(F):
     # on a stable plane (no sections of the restriction) the orders of any
     # two lines inside it sum to at most n
     t = sample_instanton(3, 2, F, ("plane_bound", 0))
-    m = build_monad(t)
     st = Stream("plane_lines", 0)
     planes_done = 0
     while planes_done < 3:
@@ -255,7 +249,7 @@ def test_two_lines_in_stable_plane_order_bound(F):
         if all(F.is_zero(x) for x in z):
             continue
         plane = Plane(F, z)
-        if h0_plane(t, plane, monad=m) != 0:
+        if h0_plane(t, plane) != 0:
             continue
         planes_done += 1
         w = plane.W.basis  # three points spanning the plane
@@ -276,8 +270,8 @@ def test_two_lines_in_stable_plane_order_bound(F):
             except ValueError:
                 continue
             pairs_done += 1
-            a1 = splitting_order(t, l1, monad=m)
-            a2 = splitting_order(t, l2, monad=m)
+            a1 = splitting_order(t, l1)
+            a2 = splitting_order(t, l2)
             assert a1 + a2 <= 3
 
 
@@ -378,7 +372,7 @@ def test_splitting_order_matches_section_module_oracle(spec):
     for t, lines in cases:
         m = build_monad(t, quick_check=False)
         for line in lines:
-            a = splitting_order(t, line, monad=m)
+            a = splitting_order(t, line)
             if a != splitting_order_by_generators(m, line):
                 mismatches.append((t, line.plucker, a))
             top_orders += a == t.n

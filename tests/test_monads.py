@@ -19,7 +19,7 @@ from instantons.monads import (
     sigma_kernel,
     tangent_dim,
 )
-from instantons.tensors import OmegaTensor, block_sum
+from instantons.tensors import OmegaTensor, block_sum, tensor_from_obj, tensor_to_obj
 
 
 def test_build_monad_nc(F):
@@ -152,7 +152,7 @@ def test_gamma_kernel_plane(F, chain52):
     # constrained kernels vanish along with the ambient one
     from instantons.certify import find_xi
 
-    xi, h1, _t, _log = find_xi(chain52, 50, seed=0)
+    xi, h1, _t, _log = find_xi(chain52, seed=0)
     assert h1 == 0
     bar = restricted_monad(chain52, xi)
     st = Stream("gkp", 0)
@@ -201,3 +201,37 @@ def test_tangent_dims(F, corank2_n2, full36):
 
 def test_gamma_kernel_nc_tensor(F):
     assert gamma_kernel(build_monad(nc_tensor(F), quick_check=False)).dim == 0
+
+
+def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
+    # every function of a tensor that needs its display reads the one kept
+    # on the tensor; a tensor read back from its file format starts without one
+    from instantons import monads
+    from instantons.families import fiber_solution_space
+    from instantons.geometry import Line, h0_line, k_intersection, splitting_order
+
+    t = tensor_from_obj(tensor_to_obj(chain52))
+    builds = []
+    build = monads._monad_from_image
+
+    def counting(omega, N):
+        builds.append(omega)
+        return build(omega, N)
+
+    monkeypatch.setattr(monads, "_monad_from_image", counting)
+    line = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
+    coh_table(t)
+    sigma_kernel(t)
+    h0_line(t, line)
+    splitting_order(t, line)
+    k_intersection(t, Subspace.full(F, 5))
+    fiber_solution_space(t)
+    first = build_monad(t, quick_check=False)
+    assert build_monad(t) is first
+    assert builds == [t]
+    # a rank error is raised on every call, and nothing is kept
+    zero = OmegaTensor.zero(2, F)
+    for _ in range(2):
+        with pytest.raises(MonadError):
+            build_monad(zero, quick_check=False)
+    assert builds == [t]

@@ -1,10 +1,15 @@
-"""Every function and method of the package is named somewhere.
+"""Every function and method of the package is named somewhere, and every
+parameter with a default is passed somewhere.
 
 A function defined in src/instantons is an orphan when no name or attribute
 in src/, tests/ or perfbench/ refers to it: nothing can call it.  Dunder
 methods are exempt, since Python calls them itself.  The scan is by name, so
 a function that shares its name with one in use (a method called `rank`, say)
 passes; it catches the code that nothing names at all.
+
+A parameter with a default that no call passes is an option that every caller
+leaves at one value: a constant written as an option.  Calls are matched to a
+function by name, and to a class's __init__ by the class name.
 """
 
 from __future__ import annotations
@@ -48,9 +53,59 @@ def orphans() -> list[str]:
     return found
 
 
+def _calls() -> dict[str, list[ast.Call]]:
+    """The calls in src/, tests/ and perfbench/ by the name they call."""
+    calls: dict[str, list[ast.Call]] = {}
+    for _path, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Does call pass the parameter named name, at position (not counting
+    self; None for a keyword-only parameter)?"""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unpassed_defaults() -> list[str]:
+    calls = _calls()
+    found = []
+    for path, tree in _trees(PACKAGE):
+        owner = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner[node] if isinstance(owner[node], ast.ClassDef) else None
+            name = cls.name if cls and node.name == "__init__" else node.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            skip = 1 if cls and not static else 0
+            a = node.args
+            positional = a.posonlyargs + a.args
+            params = [(i - skip, p.arg) for i, p in enumerate(positional)
+                      if i >= len(positional) - len(a.defaults)]
+            params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for position, param in params:
+                if not any(_passes(c, position, param) for c in calls.get(name, [])):
+                    found.append(f"{path.stem}.{name}({param}) (line {node.lineno})")
+    return found
+
+
 def test_no_orphaned_functions():
     assert orphans() == []
 
 
+def test_every_default_is_passed_somewhere():
+    assert unpassed_defaults() == []
+
+
 if __name__ == "__main__":
     print("\n".join(orphans()) or "no orphans")
+    print("\n".join(unpassed_defaults()) or "every default is passed")

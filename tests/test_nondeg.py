@@ -127,11 +127,11 @@ def test_extension_witness_tower():
     # and the certificate never closes
     t = _conjugate_pair_f3()
     assert t.rank() == 6
-    assert witness_search(t, 1, 10**6, 10**6) is None
-    w = witness_search(t, 2, 10**6, 10**6)
+    assert witness_search(t, 1, 10**6) is None
+    w = witness_search(t, 2, 10**6)
     assert w is not None and w[2].spec_str() == "fp:3^2"
     assert not SpanningCertifier(t).closes(3, 3)
-    v = classify(t, Budget(max_ext_degree=2, point_cap=10**6, field_size_cap=10**6))
+    v = classify(t, Budget(max_ext_degree=2, point_cap=10**6))
     assert v.is_degenerate and v.witness_field == "fp:3^2"
 
 
@@ -179,7 +179,7 @@ def test_agreement_small_field():
     open_cases = 0
     for _ in range(100):
         t = random_tensor(2, f5, st)
-        w = witness_search(t, max_ext_degree=2, point_cap=10**6, field_size_cap=10**6)
+        w = witness_search(t, max_ext_degree=2, point_cap=10**6)
         cert = SpanningCertifier(t).closes(3, 3)
         if w is not None and cert:
             unsound += 1
@@ -207,7 +207,7 @@ def _vanishing_at(fld, n: int, h: list, v: list, lam: list) -> OmegaTensor:
     cols = []
     for t in range(size):
         unit = OmegaTensor.from_vec(n, fld, [fld.one() if s == t else fld.zero() for s in range(size)])
-        m = unit.flatten().mat
+        m = unit.flatten()
         row_sums = []
         for i in range(m.nrows):
             acc = fld.zero()
@@ -264,7 +264,7 @@ def _ser(w):
 def test_witness_search_matches_loop_oracle(spec, ext, data):
     fld = field_from_spec(spec)
     t = data.draw(_tensors(fld))
-    args = (t, ext, ORACLE_POINT_CAP, 10**6)
+    args = (t, ext, ORACLE_POINT_CAP)
     assert _ser(witness_search(*args)) == _ser(witness_search_by_loops(*args))
 
 
@@ -460,8 +460,7 @@ def test_classify_matches_scan_first_oracle_on_frozen_tensors(F, Q, corank2_n2):
     # 6) first closes at (4, 6), a piece of 420 columns
     hidden = _vanishing_at(F, 3, [1, 3, 5], [1, 2, 0, 4], [1, 2])
     cases = (
-        (_conjugate_pair_f3(), Budget(max_ext_degree=2, point_cap=10**6, field_size_cap=10**6),
-         "scan"),
+        (_conjugate_pair_f3(), Budget(max_ext_degree=2, point_cap=10**6), "scan"),
         (_beyond_small_height_q(Q), Budget(), "scan"),
         (hidden, Budget(point_cap=ORACLE_POINT_CAP, schedule=_oracle_schedule(3)), "none"),
         (corank2_n2, Budget(point_cap=ORACLE_POINT_CAP, schedule=((1, 1), (4, 6))), "pieces"),
@@ -491,8 +490,7 @@ def test_searched_records_work_done(F, chain52):
     assert v.status == "unknown" and v.searched["stage"] == "none"
     assert v.searched["points"] == {"fp:3": 4}  # all of P^1(F_3)
     assert v.searched["pieces"] == [[1, 1, 8, 6]]
-    v = classify(t, Budget(max_ext_degree=2, point_cap=30, field_size_cap=10**6,
-                           schedule=((1, 1),)))
+    v = classify(t, Budget(max_ext_degree=2, point_cap=30, schedule=((1, 1),)))
     assert v.is_degenerate and v.searched["stage"] == "scan"
     assert v.searched["points"]["fp:3"] == 4 and v.searched["points"]["fp:3^2"] >= 1
 

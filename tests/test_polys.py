@@ -1,6 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
-from instantons.fields import QQ, ExtensionField
+import pytest
+from hypothesis import given, strategies as st
+
+from instantons.fields import QQ, ExtensionField, field_from_spec
 from instantons.polys import evaluate, mul, roots
 
 
@@ -40,3 +44,44 @@ def test_roots_in_the_extension_beyond_the_prime_field():
     for x in found:
         assert f25.is_zero(evaluate(poly, x, f25))
     assert all(f25.mul(x, x) == f25.of_int(2) for x in outside)
+
+
+def _elements(fld):
+    if fld.kind == "rational":
+        return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+    if fld.kind == "prime-extension":
+        return st.tuples(*[st.integers(0, fld.p - 1)] * fld.k)
+    return st.integers(0, fld.p - 1).map(fld.of_int)
+
+
+@st.composite
+def _cofactors(draw, fld):
+    """A factor whose roots, if any, roots must find too; over Q a product of
+    quadratics x^2 + a x + b with a^2 < 4b, which has no rational root."""
+    if fld.kind != "rational":
+        coeffs = draw(st.lists(_elements(fld), max_size=4))
+        return coeffs + [draw(_elements(fld).filter(lambda x: not fld.is_zero(x)))]
+    out = [draw(_elements(fld).filter(bool))]
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.integers(-4, 4))
+        b = draw(st.integers(a * a // 4 + 1, 9))
+        out = mul(out, [Fraction(b), Fraction(a), Fraction(1)], fld)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["fp:7", "fp:32003", "fp:5^2", "rational"])
+@given(data=st.data())
+def test_roots_finds_planted_roots_with_multiplicity(spec, data):
+    fld = field_from_spec(spec)
+    planted = data.draw(st.lists(_elements(fld), max_size=5))
+    planted += planted[: data.draw(st.integers(0, 2))]  # repeated roots
+    cofactor = data.draw(_cofactors(fld))
+    linear = [[fld.neg(x), fld.one()] for x in planted]
+    poly = _product(linear + [cofactor], fld)
+    found, residual = roots(poly, fld)
+    assert not Counter(planted) - Counter(found)
+    assert _product([[fld.neg(x), fld.one()] for x in found] + [residual], fld) == poly
+    if fld.kind == "rational":
+        assert residual == cofactor
+    else:
+        assert not any(fld.is_zero(evaluate(residual, x, fld)) for x in fld.elements())

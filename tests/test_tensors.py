@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from instantons.families import (
     degenerate_rank6,
@@ -8,6 +10,7 @@ from instantons.families import (
     random_tensor,
     three_nc_tensor,
 )
+from instantons.fields import field_from_spec
 from instantons.linalg import Mat, Stream, sample_invertible
 from instantons.tensors import (
     OmegaTensor,
@@ -23,7 +26,7 @@ from instantons.tensors import (
 
 def test_flatten_zero_and_small_ranks(F):
     zero = OmegaTensor.zero(2, F)
-    assert zero.flatten().mat.is_zero()
+    assert zero.flatten().is_zero()
     single = nc_tensor(F, [1, 0, 0, 0, 0, 0])  # x0 ^ x1
     assert single.rank() == 2
     assert nc_tensor(F).rank() == 4
@@ -34,7 +37,7 @@ def test_flatten_skew_and_even_rank(F):
     for n in (1, 2, 3):
         for _ in range(4):
             t = random_tensor(n, F, st)
-            m = t.flatten().mat
+            m = t.flatten()
             assert (m + m.transpose()).is_zero()
             assert m.rank() % 2 == 0
 
@@ -44,7 +47,7 @@ def test_degenerate_rank6_transcription(F, Q):
         t = degenerate_rank6(fld)
         assert t.rank() == 6
         # degenerate at h = e0, v = e0: that column of the flattening vanishes
-        assert t.flatten().mat.take_cols([0]).is_zero()
+        assert t.flatten().take_cols([0]).is_zero()
 
 
 def test_decompose_roundtrip(F):
@@ -64,13 +67,11 @@ def test_decompose_dimension_bookkeeping(F):
             c = st.next_element(F)
             rows[i][j] = c
             rows[j][i] = F.neg(c)
-    from instantons.tensors import SkewForm
-
-    s = SkewForm(2, F, Mat.from_rows(F, rows, 8))
+    s = Mat.from_rows(F, rows, 8)
     sym, skewh = decompose(s)
     assert sym.coeffs.nrows * sym.coeffs.ncols == 18
     assert skewh.coeffs.nrows * skewh.coeffs.ncols == 10
-    assert sym.flatten().mat + skewh.flatten().mat == s.mat
+    assert sym.flatten() + skewh.flatten() == s
 
 
 def test_decompose_pure_skewh_part(F):
@@ -87,7 +88,7 @@ def test_image_dims(F, chain52):
     assert nc_tensor(F).image().dim == 4
     assert chain52.image().dim == 12
     assert OmegaTensor.zero(3, F).image().dim == 0
-    assert chain52.flatten().mat.kernel().dim == 8  # rank-nullity against rank 12
+    assert chain52.flatten().kernel().dim == 8  # rank-nullity against rank 12
 
 
 def test_contract_line_convention(F):
@@ -203,3 +204,54 @@ def test_tensor_file_roundtrip(F, Q, tmp_path):
     obj = tensor_to_obj(tq)
     assert {e["c"] for e in obj["entries"]} == {"3/7", "-2"}
     assert tensor_from_obj(json.loads(json.dumps(obj))) == tq
+
+
+# -- round trips, derandomized over small and large primes and Q -------------
+
+ROUNDTRIP_FIELDS = ["fp:32003", "fp:7", "rational"]
+
+
+def _elements(fld):
+    if fld.kind == "rational":
+        return st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7))
+    return st.integers(0, fld.p - 1).map(fld.of_int)
+
+
+def _matrix(data, fld, nrows: int, ncols: int) -> Mat:
+    rows = data.draw(st.lists(st.lists(_elements(fld), min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    return Mat.from_rows(fld, rows, ncols)
+
+
+def _tensor(data, fld) -> OmegaTensor:
+    n = data.draw(st.integers(1, 5))
+    return OmegaTensor(n, fld, _matrix(data, fld, n * (n + 1) // 2, 6))
+
+
+@pytest.mark.parametrize("spec", ROUNDTRIP_FIELDS)
+@given(data=st.data())
+def test_flatten_decompose_and_file_round_trips(spec, data):
+    fld = field_from_spec(spec)
+    t = _tensor(data, fld)
+    s = SkewHPart(t.n, fld, _matrix(data, fld, t.n * (t.n - 1) // 2, 10))
+    sym, skewh = decompose(t.flatten() + s.flatten())
+    assert sym == t and skewh.coeffs == s.coeffs
+    assert unflatten(t.flatten()) == t
+    assert tensor_from_obj(json.loads(json.dumps(tensor_to_obj(t)))) == t
+
+
+@pytest.mark.parametrize("spec", ROUNDTRIP_FIELDS)
+@given(data=st.data())
+def test_decompose_rejects_a_matrix_that_is_no_skew_form(spec, data):
+    fld = field_from_spec(spec)
+    m = _tensor(data, fld).flatten()
+    # one more nonzero entry breaks the skew symmetry (the characteristic is not 2)
+    i, j = (data.draw(st.integers(0, m.nrows - 1)) for _ in range(2))
+    c = data.draw(_elements(fld).filter(lambda x: not fld.is_zero(x)))
+    bump = Mat.from_rows(fld, [[c if (r, k) == (i, j) else fld.zero() for k in range(m.ncols)]
+                               for r in range(m.nrows)], m.ncols)
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        decompose(m + bump)
+    side = data.draw(st.integers(1, 22).filter(lambda x: x % 4))
+    with pytest.raises(ValueError, match="side must be 4n"):
+        decompose(Mat.zeros(fld, side, side))
