@@ -15,10 +15,10 @@ from .linalg import Mat, Stream, Subspace, kron
 from .monads import (
     build_monad,
     coh_table,
-    gamma_kernel,
+    gamma_kernel_dim,
     restricted_monad,
     s2_cohomology,
-    sigma_kernel,
+    sigma_kernel_dim,
     tangent_dim,
 )
 from .nondeg import Verdict, classify
@@ -75,7 +75,7 @@ def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int,
             continue
         if omega.restrict_xi(xi).rank() != rank:
             continue
-        h1 = gamma_kernel(restricted_monad(omega, xi)).dim
+        h1 = gamma_kernel_dim(restricted_monad(omega, xi))
         log.append((t, h1))
         if best is None or h1 < best[1]:
             best = (xi, h1, t)
@@ -147,7 +147,7 @@ def propagation_check(omega: OmegaTensor, xi: list) -> PropagationReport:
     bar = restricted_monad(omega, xi)
     h2 = s2_cohomology(plain)[2]
     h2_bar = s2_cohomology(bar)[2]
-    h1_bar = gamma_kernel(bar).dim
+    h1_bar = gamma_kernel_dim(bar)
     implication = True
     if h2_bar == 0 and h1_bar == 0:
         implication = h2 == 0
@@ -257,7 +257,7 @@ def smoothness_certificate(
     cert.tangent_sym_lambda = tangent_dim(omega, "symLambda")
     cert.expected_full_skew = full_skew_tangent_dim(n, m_half)
     cert.expected_sym_lambda = expected_stratum_dim(n, m_half)
-    cert.sigma_kernel_dim = sigma_kernel(omega).dim
+    cert.sigma_kernel_dim = sigma_kernel_dim(omega)
     cert.consistency.append(
         ("tangent_full_skew_formula", cert.tangent_full_skew == cert.expected_full_skew)
     )
@@ -268,7 +268,7 @@ def smoothness_certificate(
         cert.s2 = table.s2
         cert.dim_N = table.dim_N
         cert.dim_Q = table.dim_Q
-        cert.gamma_kernel_dim = gamma_kernel(plain).dim
+        cert.gamma_kernel_dim = gamma_kernel_dim(plain)
         cert.smooth_point = cert.sigma_kernel_dim == 0
         cert.consistency.append(("sigma_kernel_is_h2_s2", cert.sigma_kernel_dim == table.s2[2]))
         cert.consistency.append(

@@ -4,9 +4,10 @@
 # Prime fields with small modulus run on int64 numpy arrays (integer
 # arithmetic mod p, no floats); the rationals and extension fields use plain
 # Python elements.  This module alone chooses and knows the storage; the rest
-# of the package works through Mat's methods.  Gaussian elimination pivots on the first nonzero entry,
-# so reduced row-echelon forms are canonical and equality of subspaces is
-# literal equality of their stored bases.
+# of the package works through Mat's methods.  A rank over Q is first taken
+# mod one prime, with exact elimination over Q when that cannot settle it.
+# Gaussian elimination pivots on the first nonzero entry, so reduced forms
+# are canonical and equality of subspaces is equality of their stored bases.
 
 from __future__ import annotations
 
@@ -16,11 +17,13 @@ from itertools import chain
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, PrimeField
 
 # primes below this run on int64 arrays; _require_int64_exact checks that
 # each product's sums stay exact
 _NP_PRIME_LIMIT = 1 << 21
+# the largest of them: a rank over Q is first taken mod this prime
+_RANK_PRIME = PrimeField(2097143)
 
 
 def _use_np(field: Field) -> bool:
@@ -249,9 +252,9 @@ class Mat:
             raise ValueError("shape mismatch in matmul")
         f = self.field
         if _use_np(f):
-            # a zero column of self meets a row of other that adds nothing
+            # an inner index adds nothing where a column of self or a row of other is zero
             a, b = self._a, other._a
-            live = a.any(axis=0)
+            live = a.any(axis=0) & b.any(axis=1)
             if not live.all():
                 a, b = a[:, live], b[live]
             _require_int64_exact(a.shape[1], f.p)
@@ -413,8 +416,28 @@ class Mat:
             elif _use_np(self.field):
                 self._rank = _np_rank(self._a, self.field.p)
             else:
-                self._rank = len(_generic_rref(self._a, self.field, forward=True)[1])
+                # a rank mod p is a lower bound of the rank over Q: a full one is the rank
+                mod_p = self.reduce_mod(_RANK_PRIME) if self.field.kind == "rational" else None
+                full = min(self.nrows, self.ncols)
+                if mod_p is not None and _np_rank(mod_p._a, _RANK_PRIME.p) == full:
+                    self._rank = full
+                else:
+                    self._rank = len(_generic_rref(self._a, self.field, forward=True)[1])
         return self._rank
+
+    def reduce_mod(self, target: Field) -> "Mat | None":
+        """This rational matrix mod the prime of target, an int64-backend
+        prime field; None when that prime divides a denominator."""
+        p = target.p
+        a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
+        for i, row in enumerate(self._a):
+            for j, x in enumerate(row):
+                if not x:
+                    continue
+                if (d := x.denominator) % p == 0:
+                    return None
+                a[i, j] = x.numerator % p if d == 1 else x.numerator * pow(d, -1, p) % p
+        return Mat.from_np(target, a)
 
     def first_deficient_block(self, width: int) -> int | None:
         """Index b of the first block of columns b*width .. (b+1)*width - 1

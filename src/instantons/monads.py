@@ -310,8 +310,8 @@ def _sigma_pattern(dim_n: int, n: int) -> Pattern:
     return Pattern((dim_n * 4 * n, len(skew_pairs(n)) * 10), (dim_n, 4 * n), terms)
 
 
-def sigma_kernel(omega: OmegaTensor) -> Subspace:
-    """{sigma in wedge^2 H (x) S^2 V : sigma o omega = 0}.
+def sigma_kernel_dim(omega: OmegaTensor) -> int:
+    """dim {sigma in wedge^2 H (x) S^2 V : sigma o omega = 0}.
 
     sigma acts as an anti-selfdual map H* (x) V* -> H (x) V; composing with
     the inclusion of N = Im(omega) is linear in sigma's coordinates, and the
@@ -319,7 +319,8 @@ def sigma_kernel(omega: OmegaTensor) -> Subspace:
     image of the flattening, so no display is needed.
     """
     basis = omega.image().basis
-    return basis.gather(_sigma_pattern(basis.nrows, omega.n)).kernel()
+    mat = basis.gather(_sigma_pattern(basis.nrows, omega.n))
+    return mat.ncols - mat.rank()
 
 
 @lru_cache(maxsize=None)
@@ -333,27 +334,24 @@ def _gamma_pattern(nH: int, m: int) -> Pattern:
     return Pattern((m * 4, nH * 10), (4 * nH, m), terms)
 
 
-def _gamma_system(monad: Monad) -> Mat:
-    return monad.umat.gather(_gamma_pattern(monad.nH, monad.m))
-
-
-def gamma_kernel(monad: Monad) -> Subspace:
-    """{gamma in H-bar (x) S^2 V : gamma o u = 0}; dimension equals h1 E(1)."""
-    return _gamma_system(monad).kernel()
+def gamma_kernel_dim(monad: Monad) -> int:
+    """dim {gamma in H-bar (x) S^2 V : gamma o u = 0}, which equals h1 E(1)."""
+    mat = monad.umat.gather(_gamma_pattern(monad.nH, monad.m))
+    return mat.ncols - mat.rank()
 
 
 def gamma_kernel_plane(monad: Monad, w_basis: Mat) -> Subspace:
-    """gamma_kernel cut down to maps with image inside a 3-space W of V.
+    """The gamma with gamma o u = 0 and image inside a 3-space W of V.
 
     w_basis holds three independent rows spanning W.  The result is returned
-    in the same H (x) S^2 V coordinates as gamma_kernel; its dimension equals
+    in H (x) S^2 V coordinates; its dimension equals
     h1 of E restricted to the plane P(W), twisted by 1.
     """
     if w_basis.nrows != 3 or w_basis.rank() != 3:
         raise ValueError("W must be 3-dimensional")
     # row (b, r <= s): the symmetric matrix of w_r w_s in slot b, in S^2 V coordinates
     embed = kron(Mat.identity(monad.field, monad.nH), sym_square(w_basis.transpose()).transpose())
-    sol = (_gamma_system(monad) @ embed.transpose()).kernel()
+    sol = (monad.umat.gather(_gamma_pattern(monad.nH, monad.m)) @ embed.transpose()).kernel()
     return Subspace.from_spanning(sol.basis @ embed)
 
 

@@ -108,15 +108,9 @@ def _flatten_in_field(omega: OmegaTensor, target: Field) -> Mat | None:
     m = omega.flatten()
     if target == base:
         return m
-    rows = m.rows()
     if base.kind == "rational":
-        p = target.p
-        if any(x.denominator % p == 0 for r in rows for x in r):
-            return None
-        rows = [[x.numerator * pow(x.denominator, -1, p) for x in r] for r in rows]
-    else:
-        rows = [[target.embed(x) for x in r] for r in rows]
-    return Mat.from_rows(target, rows, m.ncols)
+        return m.reduce_mod(target)
+    return Mat.from_rows(target, [[target.embed(x) for x in r] for r in m.rows()], m.ncols)
 
 
 def _column(fld: Field, vec: list) -> Mat:

@@ -35,7 +35,7 @@ from .geometry import (
     h0_line,
 )
 from .linalg import Mat, Stream, Subspace, sample_invertible
-from .monads import build_monad, gamma_kernel, restricted_monad, s2_cohomology, sigma_kernel, tangent_dim
+from .monads import build_monad, gamma_kernel_dim, restricted_monad, s2_cohomology, sigma_kernel_dim, tangent_dim
 from .nondeg import DEFAULT_BUDGET, classify, witness_search
 from .tensors import OmegaTensor, block_sum
 
@@ -112,7 +112,7 @@ def crit_thooft(ctx: SuiteContext) -> tuple[bool, dict]:
     for n, xi in ((4, [0, 1, 0, 0]), (5, [0, 0, 1, 0, 0])):
         t = thooft_tensor(n, f)
         xi_f = [f.of_int(x) for x in xi]
-        gdim = gamma_kernel(restricted_monad(t, xi_f)).dim
+        gdim = gamma_kernel_dim(restricted_monad(t, xi_f))
         d[f"n{n}_rank"] = t.rank()
         d[f"n{n}_gamma_dim"] = gdim
         ok = ok and t.rank() == 2 * n + 2 and gdim == 0
@@ -231,7 +231,7 @@ def crit_corank2_smooth(ctx: SuiteContext) -> tuple[bool, dict]:
     for n in (2, 3):
         for seed in range(10):
             t = sample_corank2(n, f, ("smooth", n, seed))
-            sdim = sigma_kernel(t).dim
+            sdim = sigma_kernel_dim(t)
             dims.append({"n": n, "seed": seed, "sigma_dim": sdim})
             ok = ok and sdim == 0
     return ok, {"samples": dims}
@@ -365,7 +365,7 @@ def crit_family_scan(ctx: SuiteContext) -> tuple[bool, dict]:
                 bad.append({"t": [t0, t1], "rank": rank})
                 continue
             if (t0 == 0) != (t1 == 0):  # exactly one coordinate vanishes
-                gdim = gamma_kernel(build_monad(t, quick_check=False)).dim
+                gdim = gamma_kernel_dim(build_monad(t, quick_check=False))
                 boundary_checked += 1
                 if rank != 10 or gdim != 0:
                     bad.append({"t": [t0, t1], "rank": rank, "gamma": gdim})

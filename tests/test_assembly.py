@@ -26,11 +26,11 @@ from instantons.fields import GF32003, QQ, PrimeField
 from instantons.linalg import Mat
 from instantons.monads import (
     build_monad,
-    gamma_kernel,
+    gamma_kernel_dim,
     gamma_kernel_plane,
     restricted_monad,
     s2_cohomology,
-    sigma_kernel,
+    sigma_kernel_dim,
     tangent_dim,
 )
 from instantons.tensors import SkewHPart, decompose
@@ -98,8 +98,8 @@ def _maps(name: str) -> dict[str, str]:
     out["alpha"] = _digest(*(m.alpha(d) for d in range(-2, 4)))
     out["beta"] = _digest(*(m.beta(d) for d in range(-2, 4)))
     out["s2_cohomology"] = _recorded(s2_cohomology, m)
-    out["sigma_kernel"] = _recorded(sigma_kernel, t)
-    out["gamma_kernel"] = _recorded(gamma_kernel, m)
+    out["sigma_kernel_dim"] = _recorded(sigma_kernel_dim, t)
+    out["gamma_kernel_dim"] = _recorded(gamma_kernel_dim, m)
     w = Mat.from_rows(f, [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 5]], 4)
     out["gamma_kernel_plane"] = _recorded(gamma_kernel_plane, m, w)
     out["tangent_dim"] = _digest(*(_recorded(tangent_dim, t, a) for a in ("fullSkew", "symLambda")))
@@ -142,7 +142,9 @@ def all_digests() -> dict[str, dict[str, str]]:
     return out
 
 
-# recorded from the nested-loop assembly
+# recorded from the nested-loop assembly; the sigma_kernel_dim and
+# gamma_kernel_dim digests from the kernels' .dim before those functions
+# returned the dimension alone
 PINNED: dict[str, dict[str, str]] = {
     "constructions-fp:32003": {
         "extend_affine": "c01ac8f0ad547905",
@@ -172,12 +174,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "b819292db861cda8",
         "fiber_solution_space": "42463097d2665426",
         "flatten": "ebf57ec8263f0848",
-        "gamma_kernel": "eaebcafca84d2569",
+        "gamma_kernel_dim": "6981fe3d8acbad43",
         "gamma_kernel_plane": "7af0c36a5aa60f13",
         "monad": "f3e3adf0f9c58d3d",
         "restricted": "601ca4375e2d1bac",
         "s2_cohomology": "de6ac2d5f90ad187",
-        "sigma_kernel": "24d4c1923f3d9f48",
+        "sigma_kernel_dim": "3324c84d57df3b1a",
         "tangent_dim": "f65a2ac05e7df4b4",
         "tensor": "b390779b352b11f8",
         "tensor_ops": "4c75d1d09fd29bfb",
@@ -187,12 +189,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "95fe22398b097aca",
         "fiber_solution_space": "0b2e485f0afcb2a2",
         "flatten": "ff1f82919e5009fc",
-        "gamma_kernel": "e7dcaf88cc1c1b40",
+        "gamma_kernel_dim": "ed4d9deb077bfda9",
         "gamma_kernel_plane": "9a76ae390338aa04",
         "monad": "3a6bc30bd4621361",
         "restricted": "f7f8dce018469d1f",
         "s2_cohomology": "3d8ad8edf5c65406",
-        "sigma_kernel": "0d308f3db278cd87",
+        "sigma_kernel_dim": "fd7e32ee71fb65ec",
         "tangent_dim": "b8c77b2a7163eb62",
         "tensor": "dcfae93414457c83",
         "tensor_ops": "43109b0d9fdabc7f",
@@ -202,12 +204,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "7626c6a55f706744",
         "fiber_solution_space": "5225d9b933daa00b",
         "flatten": "6aa1e9d819a9b8a4",
-        "gamma_kernel": "d424bebdbdee6b6a",
+        "gamma_kernel_dim": "a4b126774b515449",
         "gamma_kernel_plane": "21880adb135cb478",
         "monad": "11b1f7e4eba350c2",
         "restricted": "a34ec9c64fa6ed12",
         "s2_cohomology": "55db3999598f9722",
-        "sigma_kernel": "409392bbdaff6b67",
+        "sigma_kernel_dim": "f7e20ab6bb00bc51",
         "tangent_dim": "a6458659f4ddf9b0",
         "tensor": "2aa93c4382840d8e",
         "tensor_ops": "25d0849b96447cc0",
@@ -217,12 +219,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "1a0a69a18daeb143",
         "fiber_solution_space": "6440a35e2fa2da4b",
         "flatten": "5167a7dd2a4e805d",
-        "gamma_kernel": "8c662ec1cf25aa88",
+        "gamma_kernel_dim": "29f528a3e2ffa1b3",
         "gamma_kernel_plane": "72b1386126622f64",
         "monad": "f9bbdc372a3f892e",
         "restricted": "89e9010f645b0615",
         "s2_cohomology": "55080925a4339d10",
-        "sigma_kernel": "16578a4a9cea1453",
+        "sigma_kernel_dim": "4d16a97172fe8788",
         "tangent_dim": "0a2246ad2470e26f",
         "tensor": "0fa6b126a6eb6873",
         "tensor_ops": "f1d23cf4b03d274b",
@@ -232,12 +234,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "8506779652155750",
         "fiber_solution_space": "88e48d790250a8f8",
         "flatten": "ca51831ece8d7f7b",
-        "gamma_kernel": "eaa3414914827978",
+        "gamma_kernel_dim": "0535e449277aec2f",
         "gamma_kernel_plane": "c10d5c5ebbf9648b",
         "monad": "d8be61fe539f1fad",
         "restricted": "d3ea29b799d64502",
         "s2_cohomology": "338ab51ccde650fa",
-        "sigma_kernel": "ccae0a5ed29c1c68",
+        "sigma_kernel_dim": "1f873da189b310a5",
         "tangent_dim": "6da0ad299f42a4b4",
         "tensor": "7109ec644c1e2013",
         "tensor_ops": "0c0c05b12b7f71f2",
@@ -247,12 +249,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "2135134c909d7e8c",
         "fiber_solution_space": "e2ac2a7bcc32b31a",
         "flatten": "86462da78c6dbc98",
-        "gamma_kernel": "6cafbe08c525dbd9",
+        "gamma_kernel_dim": "e21984f512e46982",
         "gamma_kernel_plane": "8419a7b82c450f8b",
         "monad": "c54fa0c5368a2ae5",
         "restricted": "f202445e195d75cb",
         "s2_cohomology": "3c5cb1667472e84f",
-        "sigma_kernel": "ccb3b62ae332a044",
+        "sigma_kernel_dim": "cfae80e270b62f21",
         "tangent_dim": "ae69ed10ac89c095",
         "tensor": "0e05fa3db88de772",
         "tensor_ops": "84772f86d30d22b0",
@@ -262,12 +264,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "c78a699ae32be8ba",
         "fiber_solution_space": "30bdee857deb2f6d",
         "flatten": "d9de9671dca3a148",
-        "gamma_kernel": "2157055d9f0f2504",
+        "gamma_kernel_dim": "f4bef9c5a1097104",
         "gamma_kernel_plane": "c6ac02b991fc362f",
         "monad": "68e47aeebf177497",
         "restricted": "fcfa8dbc3ef2b372",
         "s2_cohomology": "35f2851644b88e32",
-        "sigma_kernel": "195bf110e610a180",
+        "sigma_kernel_dim": "c041bab7c850dabf",
         "tangent_dim": "a40d6d7bbf155274",
         "tensor": "0bd29b7837619372",
         "tensor_ops": "419fc3e68eb3fbc2",
@@ -277,12 +279,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "b14fde693659838d",
         "fiber_solution_space": "deae314a5f42f196",
         "flatten": "1c4c547131b78743",
-        "gamma_kernel": "f6fcbade5a764246",
+        "gamma_kernel_dim": "1072e79a16d2c318",
         "gamma_kernel_plane": "050b1e56ee1fc091",
         "monad": "9e3f6a23681d02f0",
         "restricted": "37cfddb70b27418a",
         "s2_cohomology": "4f8d12f2967180fd",
-        "sigma_kernel": "d114c83ceddf589a",
+        "sigma_kernel_dim": "451e5d2b2014eb92",
         "tangent_dim": "96576415be3b5b21",
         "tensor": "6f6474c160f6813f",
         "tensor_ops": "5fd44537004dc7a6",
@@ -292,12 +294,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "24a512f0429fabc9",
         "fiber_solution_space": "cd6afcee0a6f37cf",
         "flatten": "9f96b43915eb96cf",
-        "gamma_kernel": "2b36239fdbc06c06",
+        "gamma_kernel_dim": "707fc42d7263e5a4",
         "gamma_kernel_plane": "99a4174d701b260a",
         "monad": "88e726fa897cfbd5",
         "restricted": "997cb1232befbe6f",
         "s2_cohomology": "7bb5d3c4fce00cb2",
-        "sigma_kernel": "57acb685ec58a664",
+        "sigma_kernel_dim": "006fed34df9b6b88",
         "tangent_dim": "9aca905b4dd19345",
         "tensor": "7cda0ddb59206a26",
         "tensor_ops": "74c3a399f48a1113",
@@ -307,12 +309,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "2e0ab105d09fd7db",
         "fiber_solution_space": "85eb52445683d6c9",
         "flatten": "fd80071d500a5f3a",
-        "gamma_kernel": "37fbde4cae4a2edb",
+        "gamma_kernel_dim": "9cf62bdd53b0fdfb",
         "gamma_kernel_plane": "8f41eee450ceaf1b",
         "monad": "b35a262c460431db",
         "restricted": "b305430d83fffe0d",
         "s2_cohomology": "d9e0ede9761f5a24",
-        "sigma_kernel": "d4293e15c25579bd",
+        "sigma_kernel_dim": "155c17551bf62fde",
         "tangent_dim": "ecafaf10381c7207",
         "tensor": "166e5f6c2ba68381",
         "tensor_ops": "e3668c644253b4ec",
@@ -322,12 +324,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "fbbd3c0702f22dd4",
         "fiber_solution_space": "003e80a2f69401fe",
         "flatten": "bf4dec03568f2691",
-        "gamma_kernel": "4b24a8eaf2ecb47f",
+        "gamma_kernel_dim": "edbbd910c9fd77e0",
         "gamma_kernel_plane": "747a59083cceb06b",
         "monad": "ca8b68b171964694",
         "restricted": "8fdd76255d83287d",
         "s2_cohomology": "19da2f672cc57173",
-        "sigma_kernel": "66e3af18abd126e0",
+        "sigma_kernel_dim": "251fbc9bf3b3a9d6",
         "tangent_dim": "a1474976fa46e2c9",
         "tensor": "22279aba096b5c2c",
         "tensor_ops": "51ff05518f38b53a",
@@ -337,12 +339,12 @@ PINNED: dict[str, dict[str, str]] = {
         "beta": "db7d964b885c4368",
         "fiber_solution_space": "2106d06ab34e2827",
         "flatten": "52971764e97774ab",
-        "gamma_kernel": "9fad5dd07c77b669",
+        "gamma_kernel_dim": "4688f87234a248a6",
         "gamma_kernel_plane": "e7a99efbca23d1f5",
         "monad": "1514f3e4ecf21f37",
         "restricted": "2993d129d03b43dc",
         "s2_cohomology": "6dd7fb26c38cbea3",
-        "sigma_kernel": "3e706bda50d95182",
+        "sigma_kernel_dim": "10d46f2a792d8c67",
         "tangent_dim": "6a00545893e2cb5a",
         "tensor": "03f2de7e71b8d4a3",
         "tensor_ops": "b51f83def9e50222",

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +214,26 @@ def test_rational_sampling_below_open_stratum_is_input_error(argv, what, capsys)
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert what in err and "unsupported in rational mode" in err and "Traceback" not in err
+
+
+# sample_instanton(5, 2, QQ, 7), written once with the rational sampling
+# guard lifted: its entries have numerators and denominators of over 1200 bits
+RATIONAL_52 = Path(__file__).parent / "fixtures" / "rational-5-2-seed7.json"
+
+
+def test_rational_certificate_at_c2_5(tmp_path):
+    # the paper's smoothness case in rational mode: h1(S^2 E) = 8n - 3 = 37
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--tensor", str(RATIONAL_52), "--field", "rational", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    v = obj["verdicts"]
+    assert obj["consistent"] is True
+    assert v["nondegeneracy"]["status"] == "certified-nondegenerate"
+    assert v["nondegeneracy"]["certified_degrees"] == [2, 1]
+    assert v["coh_table"] == [[-2, 0, 0], [-1, 0, 5], [0, 0, 8], [1, 0, 7], [2, 0, 0], [3, 15, 0]]
+    assert v["s2"] == [0, 37, 0]
+    assert (v["sigma_kernel_dim"], v["gamma_kernel_dim"]) == (0, 7)
+    assert v["tangent_dims"] == {"fullSkew": 162, "symLambda": 62}
 
 
 @pytest.mark.parametrize("n", [0, -1, 6, "x", 2.5, True])

@@ -176,16 +176,26 @@ def test_place_cols_undoes_take_cols(F, Q):
 
 def test_rational_matmul_agrees_with_prime_product(Q):
     # small integers with many zeros: the generic product skips zero entries
-    # on both sides, the int64 product only the zero columns of its left factor
+    # on both sides, the int64 product the inner indices where a column of
+    # its left factor or a row of its right factor is zero; here inner index
+    # l is dead on the left when l % 3 == 1 and on the right when l % 3 == 2
     st = Stream("matmul", 0)
-    for shape in ((3, 4, 5), (6, 1, 2), (1, 7, 1), (0, 3, 2)):
+    for shape in ((3, 4, 5), (6, 1, 2), (1, 7, 1), (0, 3, 2), (2, 3, 0)):
         r, k, c = shape
         ints = [[[st.next_below(7) - 3 if st.next_below(3) else 0 for _ in range(cols)]
                  for _ in range(rows)] for rows, cols in ((r, k), (k, c))]
+        for row in ints[0]:
+            row[1::3] = [0] * len(row[1::3])
+        for l in range(2, k, 3):
+            ints[1][l] = [0] * c
         prod = Mat.from_rows(Q, ints[0], k) @ Mat.from_rows(Q, ints[1], c)
         reduced = [[int(x) % 32003 for x in row] for row in prod.rows()]
         expect = Mat.from_rows(GF32003, ints[0], k) @ Mat.from_rows(GF32003, ints[1], c)
-        assert reduced == expect.rows()
+        assert (expect.nrows, expect.ncols) == (r, c) and reduced == expect.rows()
+    # no inner index is live on both sides
+    a = Mat.from_rows(GF32003, [[1, 0, 2], [3, 0, 0]], 3)
+    b = Mat.from_rows(GF32003, [[0, 0], [5, 6], [0, 0]], 2)
+    assert a @ b == Mat.zeros(GF32003, 2, 2)
 
 
 def _explicit_kernel_basis(m: Mat) -> Mat:
@@ -402,6 +412,74 @@ def test_rank_builds_no_reduced_form(spec, monkeypatch):
     assert sample_matrix(6, 9, fld, 2).rank() == 6
 
 
+RANK_PRIME = linalg._RANK_PRIME.p
+
+
+def _q_entry():
+    """A rational that stresses the reduction mod the rank prime: one of
+    small height, a multiple of the prime, one with the prime in its
+    denominator, or one whose numerator and denominator have 1000 bits or more."""
+    big = st.integers(1 << 1000, 1 << 1100)
+    return st.one_of(
+        st.fractions(-50, 50, max_denominator=7),
+        st.integers(-3, 3).map(lambda k: Fraction(k * RANK_PRIME)),
+        st.builds(lambda a, k: Fraction(a, k * RANK_PRIME), st.integers(-50, 50), st.integers(1, 3)),
+        st.builds(lambda a, b, sign: Fraction(sign * a, b), big, big, st.sampled_from([1, -1])),
+    )
+
+
+@given(data=st.data())
+def test_rational_rank_through_the_rank_prime(data):
+    # oracle: forward elimination over Q; the shapes include 0 x k and k x 0,
+    # and a product through a small inner dimension makes the rank deficient
+    short, long = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 7))
+    nrows, ncols = data.draw(st.sampled_from([(0, long), (long, 0), (short + 2, long), (long, short + 2)]))
+
+    def block(r, c):
+        return Mat.from_rows(QQ, [data.draw(st.lists(_q_entry(), min_size=c, max_size=c))
+                                  for _ in range(r)], c)
+
+    m = block(nrows, ncols)
+    if data.draw(st.booleans()):
+        inner = data.draw(st.integers(0, 3))
+        m = block(nrows, inner) @ block(inner, ncols)
+    # a row scaled by the prime vanishes mod the prime but not over Q
+    rows = m.rows()
+    for i in data.draw(st.sets(st.integers(0, nrows - 1), max_size=2)) if nrows else ():
+        rows[i] = [x * RANK_PRIME for x in rows[i]]
+    m = Mat.from_rows(QQ, rows, ncols)
+    assert m.rank() == len(linalg._generic_rref(m.rows(), QQ, forward=True)[1])
+    residues = m.reduce_mod(linalg._RANK_PRIME)
+    if residues is None:
+        assert any(x.denominator % RANK_PRIME == 0 for r in m.rows() for x in r)
+    else:
+        assert residues.rows() == [[x.numerator * pow(x.denominator, -1, RANK_PRIME) % RANK_PRIME
+                                    for x in r] for r in m.rows()]
+
+
+def test_rational_rank_falls_back_only_when_the_prime_cannot_decide(monkeypatch):
+    calls = []
+    generic = linalg._generic_rref
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generic(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_generic_rref", counted)
+    # rank 1 mod the prime, 2 over Q
+    assert Mat.from_rows(QQ, [[1, 0], [0, RANK_PRIME]]).rank() == 2
+    # no reduction mod the prime at all
+    inverse_entry = Mat.from_rows(QQ, [[1, 0], [0, Fraction(1, RANK_PRIME)]])
+    assert inverse_entry.reduce_mod(linalg._RANK_PRIME) is None
+    assert inverse_entry.rank() == 2
+    assert len(calls) == 2
+    calls.clear()
+    assert sample_matrix(5, 8, QQ, 0).rank() == 5
+    assert not calls
+    assert (sample_matrix(6, 2, QQ, 1) @ sample_matrix(2, 6, QQ, 2)).rank() == 2
+    assert len(calls) == 1
+
+
 def test_rref_and_rank_are_kept(monkeypatch):
     calls = Counter()
     for name in ("_np_rref", "_np_rank", "_generic_rref"):
@@ -409,8 +487,9 @@ def test_rref_and_rank_are_kept(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(linalg, name, counted)
-    # one forward elimination for the rank and one RREF, each run once
-    once = {GF32003: {"_np_rank": 1, "_np_rref": 1}, QQ: {"_generic_rref": 2}}
+    # one forward elimination for the rank and one RREF, each run once; the
+    # rank over Q is full mod the rank prime, so it needs no elimination over Q
+    once = {GF32003: {"_np_rank": 1, "_np_rref": 1}, QQ: {"_np_rank": 1, "_generic_rref": 1}}
     for fld in (GF32003, QQ):
         calls.clear()
         m = sample_matrix(5, 8, fld, 0) @ sample_matrix(8, 8, fld, 1)

@@ -12,11 +12,11 @@ from instantons.monads import (
     MonadError,
     build_monad,
     coh_table,
-    gamma_kernel,
+    gamma_kernel_dim,
     gamma_kernel_plane,
     restricted_monad,
     s2_cohomology,
-    sigma_kernel,
+    sigma_kernel_dim,
     tangent_dim,
 )
 from instantons.tensors import OmegaTensor, block_sum, tensor_from_obj, tensor_to_obj
@@ -124,13 +124,13 @@ def test_s2_riemann_roch_across_n(F):
 def test_sigma_gamma_cross_checks(F, chain52, corank2_n3, full36):
     for t in (nc_tensor(F), chain52, corank2_n3, full36):
         m = build_monad(t)
-        assert sigma_kernel(t).dim == s2_cohomology(m)[2]
-        assert gamma_kernel(m).dim == m.h_values(1)[1]
+        assert sigma_kernel_dim(t) == s2_cohomology(m)[2]
+        assert gamma_kernel_dim(m) == m.h_values(1)[1]
 
 
 def test_sigma_kernel_corank2(F, corank2_n2, corank2_n3):
-    assert sigma_kernel(corank2_n2).dim == 0
-    assert sigma_kernel(corank2_n3).dim == 0
+    assert sigma_kernel_dim(corank2_n2) == 0
+    assert sigma_kernel_dim(corank2_n3) == 0
 
 
 def test_gamma_kernel_plane(F, chain52):
@@ -172,7 +172,7 @@ def test_restricted_monad_matches_direct_build(F, chain52):
     for d in (-1, 0, 1, 2):
         assert bar.h_values(d) == direct.h_values(d)
     assert s2_cohomology(bar) == s2_cohomology(direct)
-    assert gamma_kernel(bar).dim == gamma_kernel(direct).dim
+    assert gamma_kernel_dim(bar) == gamma_kernel_dim(direct)
 
 
 def test_restricted_monad_rank_drop(F):
@@ -200,7 +200,7 @@ def test_tangent_dims(F, corank2_n2, full36):
 
 
 def test_gamma_kernel_nc_tensor(F):
-    assert gamma_kernel(build_monad(nc_tensor(F), quick_check=False)).dim == 0
+    assert gamma_kernel_dim(build_monad(nc_tensor(F), quick_check=False)) == 0
 
 
 def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
@@ -221,7 +221,7 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
     monkeypatch.setattr(monads, "_monad_from_image", counting)
     line = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
     coh_table(t)
-    sigma_kernel(t)
+    sigma_kernel_dim(t)
     h0_line(t, line)
     splitting_order(t, line)
     k_intersection(t, Subspace.full(F, 5))
