@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .bases import expected_stratum_dim, full_skew_tangent_dim
+from .geometry import k_intersection_dim
 from .linalg import Mat, Stream, Subspace, kron
 from .monads import (
     build_monad,
@@ -45,8 +46,9 @@ def rank_preservation_checks(omega: OmegaTensor, xi: list) -> tuple[bool, bool, 
     # (i) rank comparison
     b1 = omega.restrict_xi(xi).rank() == rank
     # (ii) trivial intersection with xi (x) V*
-    xi_v = kron(Mat.from_rows(f, [xi], n), Mat.identity(f, 4))
-    b2 = plain.N.intersect(xi_v.row_space()).dim == 0
+    xi_row = Mat.from_rows(f, [xi], n)
+    b2 = k_intersection_dim(omega, xi_row) == 0
+    xi_v = kron(xi_row, Mat.identity(f, 4))
     # (iii) injectivity into the cokernel: residuals mod N stay independent
     residuals = [plain.N.reduce(r) for r in xi_v.rows()]
     b3 = Mat.from_rows(f, residuals, 4 * n).rank() == 4
@@ -88,8 +90,6 @@ def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int,
 
 def find_pair(omega: OmegaTensor, seed=0) -> tuple[Subspace, int]:
     """Random 2-dimensional subspaces of H* until one meets N trivially."""
-    from .geometry import k_intersection
-
     f, n = omega.field, omega.n
     if n < 5:
         raise ValueError("the 2-dimensional search is for n >= 5")
@@ -99,7 +99,7 @@ def find_pair(omega: OmegaTensor, seed=0) -> tuple[Subspace, int]:
         K = Subspace.from_spanning(Mat.from_rows(f, rows, n))
         if K.dim != 2:
             continue
-        if k_intersection(omega, K).dim == 0:
+        if k_intersection_dim(omega, K.basis) == 0:
             return K, t + 1
     raise RuntimeError(f"no trivial 2-dimensional slice found in {PAIR_TRIALS} trials")
 

@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -13,14 +14,16 @@ from . import __version__
 from .certify import smoothness_certificate
 from .families import NAMED_EXAMPLES, named_example, sample_instanton
 from .fields import field_from_spec
-from .geometry import Line, h0_line, point_plane_pencil, pencil_jump_poly, splitting_order
+from .geometry import Line, line_invariants, point_plane_pencil, pencil_jump_poly, splitting_orders
 from .linalg import Mat, Stream
 from .monads import build_monad, coh_table
 from .polys import roots as poly_roots
 from .tensors import read_tensor, tensor_to_obj, write_tensor
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--field", default="fp:32003", help='coefficient field: "rational" or "fp:<p>"'
@@ -185,19 +188,16 @@ def _run(args) -> int:
 
 def _lines_table(args, field, omega) -> int:
     st = Stream("cli_lines", field.spec_str(), args.seed)
-    rows = ["plucker,order,h0,det"]
-    done = 0
-    while done < args.count:
+    lines = []
+    while len(lines) < args.count:
         u0 = st.next_vector(field, 4)
         u1 = st.next_vector(field, 4)
         try:
-            line = Line.from_points(field, u0, u1)
+            lines.append(Line.from_points(field, u0, u1))
         except ValueError:
             continue
-        done += 1
-        a = splitting_order(omega, line)
-        h0 = h0_line(omega, line)
-        det = omega.contract_line(line.plucker).det()
+    rows = ["plucker,order,h0,det"]
+    for line, (a, h0, det) in zip(lines, line_invariants(omega, lines)):
         pl = ":".join(field.to_str(x) for x in line.plucker)
         rows.append(f"{pl},{a},{h0},{field.to_str(det)}")
     _emit(_csv_header(args) + "\n".join(rows) + "\n", args.out)
@@ -221,10 +221,10 @@ def _pencil_table(args, field, omega) -> int:
         rows.append(f"coeff_{i},{field.to_str(c)}")
     if found:
         build_monad(omega)  # the quick degeneracy check on the input
-    for root in found:
-        lam = [field.add(a, field.mul(root, b)) for a, b in zip(lam0, lam1)]
-        line = Line.from_plucker(field, lam)
-        order = splitting_order(omega, line)
+    # every member of the pencil is decomposable: pencil_jump_poly checked it
+    lams = [[field.add(a, field.mul(root, b)) for a, b in zip(lam0, lam1)] for root in found]
+    orders = splitting_orders(omega, lams)[0] if found else []
+    for root, order in zip(found, orders):
         rows.append(f"root,{field.to_str(root)}")
         rows.append(f"order_at_root,{order}")
     rows.append(f"residual_degree,{len(residual) - 1 if residual else -1}")

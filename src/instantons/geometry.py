@@ -1,15 +1,20 @@
-# Restriction geometry along lines and planes of P(V): sections of E on a
-# plane or line as intersections inside H* (x) V*, splitting orders on lines
-# as a = n - rank w(lambda) (the display restricted to the line and twisted
-# by -1 gives 0 -> H0(E_L(-1)) -> H -> H*; Barth, Math. Ann. 226, 1977),
-# determinants of the associated net of quadrics, and the quadric-ideal
-# computations attached to maps from a null-correlation bundle to O(1).
+# Restriction geometry along lines and planes of P(V).  A line is its
+# Pluecker vector divided by its first nonzero coordinate, and the reduced
+# bases of its points U and equations W are read off that vector and its
+# dual.  h0 on a line is dim N - rank(N.basis @ (I_n (x) U^T)), since
+# N meet (H* (x) W) is the kernel of N -> H* (x) U*; the splitting order is
+# a = n - rank w(lambda) (the display restricted to the line and twisted by
+# -1 gives 0 -> H0(E_L(-1)) -> H -> H*; Barth, Math. Ann. 226, 1977).  A
+# table of lines takes one block elimination for all orders and
+# determinants and one for all h0.  Also determinants of the net of quadrics
+# along pencils, and the quadric ideals of maps from a null-correlation
+# bundle to O(1).
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .bases import WEDGE_PAIRS, sym_index_map
+from .bases import WEDGE_INDEX, WEDGE_PAIRS, sym_index_map
 from .fields import Field
 from .linalg import Mat, Pattern, Subspace, kron
 from .monads import MonadError, build_monad
@@ -47,6 +52,33 @@ def plucker_bilinear(field: Field, a: list, b: list):
     return acc
 
 
+def _echelon_of_plucker(field: Field, lam: list) -> tuple[list, Subspace]:
+    """lam divided by its first nonzero coordinate, and the reduced basis of
+    the 2-space it is the Pluecker vector of.
+
+    That coordinate (k, l) is the pivot pair of the reduced basis b0, b1, so
+    with P the antisymmetric extension of the divided vector (P(k, l) = 1),
+    b0[j] = P(j, l) and b1[j] = P(k, j); no elimination is needed.
+    """
+    f = field
+    first = next((i for i, x in enumerate(lam) if not f.is_zero(x)), None)
+    if first is None:
+        raise ValueError("zero Pluecker vector")
+    inv = f.inv(lam[first])
+    unit = [f.mul(inv, x) for x in lam]
+    zero = f.zero()
+
+    def entry(i, j):
+        if i == j:
+            return zero
+        return unit[WEDGE_INDEX[i, j]] if i < j else f.neg(unit[WEDGE_INDEX[j, i]])
+
+    k, l = WEDGE_PAIRS[first]
+    basis = Mat.from_rows(f, [[entry(j, l) for j in range(4)], [entry(k, j) for j in range(4)]], 4)
+    basis._rref = basis, [k, l]
+    return unit, Subspace(f, 4, basis, [k, l])
+
+
 class Line:
     """A line in P(V): 2-dimensional space U of points, its 2-dimensional
     space W of equations in V*, and the decomposable Pluecker vector of U."""
@@ -63,31 +95,27 @@ class Line:
         if not field.is_zero(plucker_quadric(field, plucker)):
             raise ValueError("Pluecker vector is not decomposable")
         # W must annihilate the Pluecker vector under contraction
-        lmat = wedge_matrix(field, plucker)
-        for r in range(2):
-            contracted = lmat @ Mat.from_rows(field, [[x] for x in W.basis.row(r)], 1)
-            if not contracted.is_zero():
-                raise ValueError("equations do not annihilate the Pluecker vector")
+        if not (wedge_matrix(field, plucker) @ W.basis.transpose()).is_zero():
+            raise ValueError("equations do not annihilate the Pluecker vector")
 
     @staticmethod
     def from_points(field: Field, u0: list, u1: list) -> "Line":
-        U = Subspace.from_spanning(Mat.from_rows(field, [u0, u1], 4))
-        if U.dim != 2:
+        lam = plucker_of_span(field, u0, u1)
+        if all(field.is_zero(x) for x in lam):
             raise ValueError("points are proportional")
-        W = U.basis.kernel()
-        b0, b1 = U.basis.row(0), U.basis.row(1)
-        return Line(field, U, W, plucker_of_span(field, b0, b1))
+        return Line.from_plucker(field, lam)
 
     @staticmethod
     def from_plucker(field: Field, lam: list) -> "Line":
-        if all(field.is_zero(x) for x in lam):
-            raise ValueError("zero Pluecker vector")
+        """The line with Pluecker vector lam, kept divided by its first
+        nonzero coordinate."""
         if not field.is_zero(plucker_quadric(field, lam)):
             raise ValueError("Pluecker vector is not decomposable")
-        lmat = wedge_matrix(field, lam)
-        U = lmat.column_space()
-        W = U.basis.kernel()
-        return Line(field, U, W, lam)
+        unit, U = _echelon_of_plucker(field, lam)
+        # W is the annihilator of U, with Pluecker vector lam's dual
+        f = field
+        W = _echelon_of_plucker(f, [lam[5], f.neg(lam[4]), lam[3], lam[2], f.neg(lam[1]), lam[0]])[1]
+        return Line(field, U, W, unit)
 
 
 class Plane:
@@ -103,43 +131,75 @@ class Plane:
         self.W = Mat.from_rows(field, [z], 4).kernel()  # the 3-space of points
 
 
-# -- section counts by intersection ----------------------------------------
+# -- section counts as projected ranks --------------------------------------
 
 
-def _h_star_times(omega: OmegaTensor, w: Mat) -> Subspace:
-    """H* (x) W inside H* (x) V*, for W spanned by the rows of w."""
-    return Subspace.from_spanning(kron(Mat.identity(omega.field, omega.n), w))
+def _section_counts(omega: OmegaTensor, spaces: list[Mat]) -> list[int]:
+    """dim N meet (H* (x) ann S) inside H* (x) V* for each space S of points,
+    given by the rows of a basis (all of one size k).
+
+    The meet is the kernel of N -> H* (x) S*, so its dimension is dim N minus
+    the rank of N.basis @ (I_n (x) S^T): the products of all spaces are
+    one matmul, ranked as n k-column blocks by one elimination.
+    """
+    m = build_monad(omega, quick_check=False)
+    f, n, count = omega.field, omega.n, len(spaces)
+    k = spaces[0].nrows
+    points = Mat.from_rows(f, [r for s in spaces for r in s.rows()], 4).transpose()
+    prod = m.N.basis @ kron(Mat.identity(f, n), points)
+    # column a * k * count + k * i + t of the product belongs to space i
+    order = [(a * count + i) * k + t for i in range(count) for a in range(n) for t in range(k)]
+    return [m.N.dim - r for r in prod.take_cols(order).block_ranks(n * k)[0]]
 
 
 def h0_plane(omega: OmegaTensor, plane: Plane) -> int:
     """h0 of E restricted to the plane: dim N meet (H* (x) <z>)."""
-    m = build_monad(omega, quick_check=False)
-    return m.N.intersect(_h_star_times(omega, Mat.from_rows(omega.field, [plane.z], 4))).dim
+    return _section_counts(omega, [plane.W.basis])[0]
 
 
 def h0_line(omega: OmegaTensor, line: Line) -> int:
     """h0 of E restricted to the line: dim N meet (H* (x) W)."""
-    m = build_monad(omega, quick_check=False)
-    return m.N.intersect(_h_star_times(omega, line.W.basis)).dim
+    return _section_counts(omega, [line.U.basis])[0]
 
 
 # -- splitting order on a line ----------------------------------------------
 
 
-def splitting_order(omega: OmegaTensor, line: Line) -> int:
-    """Splitting order a of E_L = O(a) (+) O(-a) for a rank-2 bundle.
+def splitting_orders(omega: OmegaTensor, lams: list[list]) -> tuple[list[int], list]:
+    """Splitting orders a of E_L = O(a) (+) O(-a) for a rank-2 bundle, and the
+    determinants of the contracted quadrics, for the lines with Pluecker
+    vectors lams.
 
     The display restricted to L and twisted by -1 gives
     0 -> H0(E_L(-1)) -> H -> H*, the last map being the contracted quadric
     w(lambda) of the line; h0(E_L(-1)) = a, so a = n - rank w(lambda), the
     jumping-line criterion with its multiplicity (Barth, Math. Ann. 226,
-    1977).  On a degenerate tensor E is not a bundle and the number is not a
-    splitting order.
+    1977).  The quadrics are ranked side by side in one elimination, which
+    also gives their determinants.  On a degenerate tensor E is not a bundle
+    and the number is not a splitting order.
     """
     m = build_monad(omega, quick_check=False)
     if m.r != 2:
         raise MonadError("splitting order is defined for rank-2 displays only")
-    return m.nH - omega.contract_line(line.plucker).rank()
+    ranks, dets = omega.contract_lines(lams).block_ranks(omega.n)
+    return [m.nH - r for r in ranks], dets
+
+
+def splitting_order(omega: OmegaTensor, line: Line) -> int:
+    """Splitting order of E on one line (see splitting_orders)."""
+    return splitting_orders(omega, [line.plucker])[0][0]
+
+
+def line_invariants(omega: OmegaTensor, lines: list[Line]) -> list[tuple[int, int, object]]:
+    """(splitting order, h0, det w(lambda)) of each line.  The orders and
+    determinants come from one elimination of the contracted quadrics, h0 from
+    another of N's projections, so h0 = max(2, a + 1) checks one against the
+    other."""
+    if not lines:
+        return []
+    orders, dets = splitting_orders(omega, [line.plucker for line in lines])
+    h0s = _section_counts(omega, [line.U.basis for line in lines])
+    return list(zip(orders, h0s, dets))
 
 
 # -- nets of quadrics --------------------------------------------------------
@@ -166,10 +226,8 @@ def pencil_jump_poly(omega: OmegaTensor, lam0: list, lam1: list) -> list:
     if not f.is_zero(plucker_bilinear(f, lam0, lam1)):
         raise ValueError("pencil leaves the decomposable locus")
     points = [f.of_int(i) for i in range(n + 1)]
-    values = []
-    for t in points:
-        lam = [f.add(a, f.mul(t, b)) for a, b in zip(lam0, lam1)]
-        values.append(omega.contract_line(lam).det())
+    lams = [[f.add(a, f.mul(t, b)) for a, b in zip(lam0, lam1)] for t in points]
+    values = omega.contract_lines(lams).block_ranks(n)[1]
     return poly_trim(poly_interpolate(points, values, f), f)
 
 
@@ -186,13 +244,12 @@ def point_plane_pencil(field: Field, p: list, q0: list, q1: list) -> tuple[list,
 # -- intersections with K (x) V* ---------------------------------------------
 
 
-def k_intersection(omega: OmegaTensor, K: Subspace) -> Subspace:
-    """N meet (K (x) V*) inside H* (x) V*, for a subspace K of H*."""
-    f, n = omega.field, omega.n
+def k_intersection_dim(omega: OmegaTensor, k: Mat) -> int:
+    """dim N meet (K (x) V*) inside H* (x) V*, for the subspace K of H*
+    spanned by the independent rows of k: dim N + 4 dim K - rank[N; K (x) V*]."""
     m = build_monad(omega, quick_check=False)
-    if K.dim == 0:
-        return Subspace.zero(f, 4 * n)
-    return m.N.intersect(Subspace.from_spanning(kron(K.basis, Mat.identity(f, 4))))
+    span = kron(k, Mat.identity(omega.field, 4))
+    return m.N.dim + span.nrows - m.N.basis.vstack(span).rank()
 
 
 # -- quadric ideals from null-correlation maps -------------------------------

@@ -95,30 +95,56 @@ def _np_rank(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _np_first_deficient(stack: np.ndarray, p: int) -> int | None:
-    """Index of the first matrix of a (B, R, w) int64 stack mod p whose rank
-    is below w, or None: one elimination vectorized over the stack."""
+def _np_block_ranks(stack: np.ndarray, p: int) -> tuple[list[int], list[int] | None]:
+    """Ranks of the matrices of a (B, R, w) int64 stack mod p and, when
+    R == w, their determinants: one forward elimination vectorized over the
+    stack.
+
+    Column c of every matrix is eliminated at once: with d the first nonzero
+    entry of column c, in row i, every row becomes d * row - entry * row_i,
+    so no row moves and no inverse is taken.  Row i itself becomes zero, as
+    each earlier pivot row already is, so the next column's first nonzero
+    entry lies in a row not yet used.  Each row is so scaled by every pivot
+    chosen before its own: on a square matrix of full rank the pivots d_c,
+    with the sign of the permutation c -> pivot row, give
+    det = sign * prod d_c^(c + 2 - w).
+    """
     nb, nrows, width = stack.shape
-    if nb == 0:
-        return None
-    if nrows < width:
-        return 0
+    if nrows == 0:
+        return [0] * nb, None
     # each update is pivot * row - entry * pivot_row: two products mod p
     _require_int64_exact(2, p)
-    a = stack.copy()
-    full = np.ones(nb, dtype=bool)
+    a = stack % p
     batch = np.arange(nb)
+    pivots = np.zeros((nb, width), dtype=np.int64)
+    rows = np.zeros((nb, width), dtype=np.int64)
     for c in range(width):
-        nz = a[:, c:, c] != 0
-        full &= nz.any(axis=1)
-        pr = c + nz.argmax(axis=1)
-        top = a[batch, c].copy()
-        a[batch, c] = a[batch, pr]
-        a[batch, pr] = top
-        below = a[:, c + 1:, c:]
-        a[:, c + 1:, c:] = (below * a[:, c:c + 1, c:c + 1] - below[:, :, :1] * a[:, c:c + 1, c:]) % p
-    bad = np.flatnonzero(~full)
-    return int(bad[0]) if bad.size else None
+        col = a[:, :, c]
+        pr = (col != 0).argmax(axis=1)
+        piv = col[batch, pr]
+        pivots[:, c], rows[:, c] = piv, pr
+        if c + 1 < width:
+            # in place on the view of the later columns; a matrix without a
+            # pivot here has a zero column, and is scaled by 1
+            rest = a[:, :, c + 1:]
+            update = col[:, :, None] * rest[batch, pr][:, None, :]
+            rest *= np.where(piv == 0, 1, piv)[:, None, None]
+            rest -= update
+            rest %= p
+    ranks = np.count_nonzero(pivots, axis=1).tolist()
+    if nrows != width:
+        return ranks, None
+    # det = sign * d_(w-1) / prod over c < w - 2 of d_c^(w-2-c)
+    den = np.ones(nb, dtype=np.int64)
+    for c in range(width - 2):
+        for _ in range(width - 2 - c):
+            den = den * pivots[:, c] % p
+    # the sign: the parity of the inversions of the permutation c -> pivot row
+    odd = np.triu(rows[:, :, None] > rows[:, None, :], 1).sum(axis=(1, 2)) % 2
+    num = np.where(odd == 1, p - pivots[:, -1], pivots[:, -1])
+    dets = [x * pow(y, -1, p) % p if r == width else 0
+            for x, y, r in zip(num.tolist(), den.tolist(), ranks)]
+    return ranks, dets
 
 
 def _generic_rref(rows: list[list], field: Field,
@@ -169,16 +195,17 @@ class Mat:
     pure; none mutate their arguments.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_a", "_rref", "_rank")
+    __slots__ = ("field", "nrows", "ncols", "_a", "_rref", "_rank", "_kernel")
 
     def __init__(self, field: Field, nrows: int, ncols: int, data):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self._a = data
-        # kept by rref() and rank(): the matrix never changes
+        # kept by rref(), rank() (and det()) and kernel(): the matrix never changes
         self._rref = None
         self._rank = None
+        self._kernel = None
 
     # -- constructors -------------------------------------------------
 
@@ -439,32 +466,46 @@ class Mat:
                 a[i, j] = x.numerator % p if d == 1 else x.numerator * pow(d, -1, p) % p
         return Mat.from_np(target, a)
 
-    def first_deficient_block(self, width: int) -> int | None:
-        """Index b of the first block of columns b*width .. (b+1)*width - 1
-        whose rank is below width, or None; ncols is a multiple of width."""
+    def _blocks(self, width: int):
+        """The blocks of columns b*width .. (b+1)*width - 1, made lazily."""
         if width < 1 or self.ncols % width:
             raise ValueError("column count is not a multiple of the block width")
-        nblocks = self.ncols // width
+        return (self.take_cols(range(b * width, (b + 1) * width)) for b in range(self.ncols // width))
+
+    def block_ranks(self, width: int) -> tuple[list[int], list | None]:
+        """Ranks of the blocks of width columns and, when they are square,
+        their determinants (else None): one elimination over all blocks on
+        the int64 backend, one per block on the others."""
+        blocks = self._blocks(width)
         if _use_np(self.field):
-            stack = self._a.reshape(self.nrows, nblocks, width).transpose(1, 0, 2)
-            return _np_first_deficient(stack, self.field.p)
-        for b in range(nblocks):
-            if self.take_cols(range(b * width, (b + 1) * width)).rank() < width:
-                return b
-        return None
+            stack = self._a.reshape(self.nrows, self.ncols // width, width).transpose(1, 0, 2)
+            return _np_block_ranks(stack, self.field.p)
+        blocks = list(blocks)
+        dets = [b.det() for b in blocks] if self.nrows == width else None  # det() keeps its rank
+        return [b.rank() for b in blocks], dets
+
+    def first_deficient_block(self, width: int) -> int | None:
+        """Index of the first block of width columns whose rank is below
+        width, or None; the generic backends stop at that block."""
+        ranks = self.block_ranks(width)[0] if _use_np(self.field) else (
+            b.rank() for b in self._blocks(width))
+        return next((b for b, r in enumerate(ranks) if r < width), None)
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical Subspace: one vector
         per free column c, e_c minus column c of the RREF on the pivots."""
-        r, piv = self.rref()
-        f, n = self.field, self.ncols
-        if len(piv) == n:
-            return Subspace.zero(f, n)
-        pivots = set(piv)
-        free = [c for c in range(n) if c not in pivots]
-        red = r.take_rows(range(len(piv))).take_cols(free).transpose()
-        basis = Mat.identity(f, len(free)).place_cols(free, n) - red.place_cols(piv, n)
-        return Subspace.from_spanning(basis)
+        if self._kernel is None:
+            r, piv = self.rref()
+            f, n = self.field, self.ncols
+            pivots = set(piv)
+            free = [c for c in range(n) if c not in pivots]
+            if not free:
+                self._kernel = Subspace.zero(f, n)
+            else:
+                red = r.take_rows(range(len(piv))).take_cols(free).transpose()
+                basis = Mat.identity(f, len(free)).place_cols(free, n) - red.place_cols(piv, n)
+                self._kernel = Subspace.from_spanning(basis)
+        return self._kernel
 
     def row_space(self) -> "Subspace":
         return Subspace.from_spanning(self)
@@ -502,6 +543,7 @@ class Mat:
             raise ValueError("not square")
         f = self.field
         rows, piv, swaps = _generic_rref(self.rows(), f, forward=True)
+        self._rank = len(piv)
         if len(piv) < self.nrows:
             return f.zero()
         acc = f.one()

@@ -76,7 +76,7 @@ class Monad:
     symplectic matrix on N recovered from the tensor, never assumed.
     """
 
-    __slots__ = ("field", "nH", "m", "N", "phi", "umat", "wmat")
+    __slots__ = ("field", "nH", "m", "N", "phi", "umat", "wmat", "_beta")
 
     def __init__(self, field: Field, nH: int, N: Subspace, phi: Mat, umat: Mat, wmat: Mat):
         self.field = field
@@ -86,6 +86,7 @@ class Monad:
         self.phi = phi
         self.umat = umat
         self.wmat = wmat
+        self._beta = {}
         if not (phi + phi.transpose()).is_zero():
             raise MonadError("phi is not skew")
         if phi.rank() != self.m:
@@ -111,8 +112,11 @@ class Monad:
         return self.umat.gather(_graded_pattern(self.nH, self.m, d, True))
 
     def beta(self, d: int) -> Mat:
-        """Sections map H-bar (x) S^(d-1) -> N (x) S^d."""
-        return self.wmat.gather(_graded_pattern(self.m, self.nH, d - 1, False))
+        """Sections map H-bar (x) S^(d-1) -> N (x) S^d, built once per twist:
+        h_values(1) and left_defect share beta(1) and its rank."""
+        if d not in self._beta:
+            self._beta[d] = self.wmat.gather(_graded_pattern(self.m, self.nH, d - 1, False))
+        return self._beta[d]
 
     def h_values(self, d: int) -> tuple[int, int]:
         """(h0, h1) of the display's cohomology at twist d, for d >= -2."""

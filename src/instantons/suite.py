@@ -27,12 +27,11 @@ from .families import (
 from .fields import Field, PrimeField, QQ
 from .geometry import (
     Line,
+    line_invariants,
     nc_quadric_ideal,
     pencil_jump_poly,
     point_plane_pencil,
-    splitting_order,
     triple_span,
-    h0_line,
 )
 from .linalg import Mat, Stream, Subspace, sample_invertible
 from .monads import build_monad, gamma_kernel_dim, restricted_monad, s2_cohomology, sigma_kernel_dim, tangent_dim
@@ -417,20 +416,17 @@ def crit_geometry(ctx: SuiteContext) -> tuple[bool, dict]:
     pencil_total = 0
     for idx, t in enumerate(samples):
         n = t.n
-        orders = []
-        lines_done = 0
-        while lines_done < 50:
+        lines = []
+        while len(lines) < 50:
             u0 = st.next_vector(f, 4)
             u1 = st.next_vector(f, 4)
             try:
-                line = Line.from_points(f, u0, u1)
+                lines.append(Line.from_points(f, u0, u1))
             except ValueError:
                 continue
-            lines_done += 1
-            total_lines += 1
-            a = splitting_order(t, line)
-            h0 = h0_line(t, line)
-            det = t.contract_line(line.plucker).det()
+        total_lines += len(lines)
+        orders = []
+        for a, h0, det in line_invariants(t, lines):
             jump_consistent = (a >= 1) == f.is_zero(det)
             in_range = 0 <= a <= n
             h_consistent = h0 == max(2, a + 1)

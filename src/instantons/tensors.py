@@ -42,10 +42,12 @@ def _split_pattern(n: int, skew_h: bool) -> Pattern:
 
 
 @lru_cache(maxsize=None)
-def _symmetric_pattern(n: int) -> Pattern:
-    """A column of values on the pairs i <= j to the symmetric n x n matrix."""
-    terms = [(r, c, p, 0, 1) for p, (i, j) in enumerate(sym_pairs(n)) for r, c in {(i, j), (j, i)}]
-    return Pattern((n, n), (n * (n + 1) // 2, 1), terms)
+def _symmetric_pattern(n: int, count: int) -> Pattern:
+    """count columns of values on the pairs i <= j to the count symmetric
+    n x n matrices side by side."""
+    terms = [(r, b * n + c, p, b, 1) for b in range(count)
+             for p, (i, j) in enumerate(sym_pairs(n)) for r, c in {(i, j), (j, i)}]
+    return Pattern((n, n * count), (n * (n + 1) // 2, count), terms)
 
 
 @lru_cache(maxsize=None)
@@ -175,8 +177,12 @@ class OmegaTensor:
 
     def contract_line(self, lam: list) -> Mat:
         """Pair the wedge^2 V* part against lam in wedge^2 V: an n x n quadric."""
-        lam_col = Mat.from_rows(self.field, [[x] for x in lam], 1)
-        return (self.coeffs @ lam_col).gather(_symmetric_pattern(self.n))
+        return self.contract_lines([lam])
+
+    def contract_lines(self, lams: list[list]) -> Mat:
+        """The quadrics of contract_line for each of lams, side by side."""
+        lam_cols = Mat.from_rows(self.field, lams, 6).transpose()
+        return (self.coeffs @ lam_cols).gather(_symmetric_pattern(self.n, len(lams)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OmegaTensor):

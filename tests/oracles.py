@@ -33,6 +33,16 @@ coordinates fails to generate M_d from M_(d-1) (a fresh minimal generator of
 the section module), 0 when no failure occurs.  It is far slower than the
 corank formula in `geometry.splitting_order` and shares nothing with it but
 the display.
+
+`line_by_elimination` and `line_invariants_by_line` are the per-line path
+the lines table took before it was batched: the point space U is reduced
+from the two points, the equation space W is U's kernel and the Pluecker
+vector is that of U's reduced basis; the splitting order is n minus the
+rank of the line's contracted quadric, h0 the dimension of the Zassenhaus
+intersection N meet (H* (x) W), and the determinant the quadric's own
+forward elimination.  `geometry.Line.from_points` reads U and W off the
+normalized Pluecker vector, and `geometry.line_invariants` ranks all of a
+table's lines in two eliminations.
 """
 
 from __future__ import annotations
@@ -41,9 +51,9 @@ from fractions import Fraction
 
 from instantons.bases import hv_index, mono_mul, monomial_index_map, monomials
 from instantons.fields import ExtensionField, PrimeField, is_prime
-from instantons.geometry import Line
-from instantons.linalg import Mat, Subspace
-from instantons.monads import Monad, MonadError
+from instantons.geometry import Line, plucker_of_span
+from instantons.linalg import Mat, Subspace, kron
+from instantons.monads import Monad, MonadError, build_monad
 from instantons.nondeg import (
     DEFAULT_BUDGET,
     FIELD_SIZE_CAP,
@@ -278,3 +288,23 @@ def splitting_order_by_generators(m: Monad, line: Line) -> int:
         if generated.dim < cur.dim:
             order = d
     return order
+
+
+def line_by_elimination(field, u0: list, u1: list) -> Line:
+    """The line through two points, with U and W found by elimination."""
+    U = Subspace.from_spanning(Mat.from_rows(field, [u0, u1], 4))
+    if U.dim != 2:
+        raise ValueError("points are proportional")
+    W = U.basis.kernel()
+    return Line(field, U, W, plucker_of_span(field, U.basis.row(0), U.basis.row(1)))
+
+
+def line_invariants_by_line(omega, line: Line) -> tuple:
+    """(splitting order, h0, det w(lambda)) of one line, each by its own elimination."""
+    f, n = omega.field, omega.n
+    m = build_monad(omega, quick_check=False)
+    if m.r != 2:
+        raise MonadError("splitting order is defined for rank-2 displays only")
+    quadric = omega.contract_line(line.plucker)
+    h_star_w = Subspace.from_spanning(kron(Mat.identity(f, n), line.W.basis))
+    return n - quadric.rank(), m.N.intersect(h_star_w).dim, quadric.det()

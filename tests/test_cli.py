@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,28 @@ from instantons.families import SampleError
 
 def run(argv):
     return main(argv)
+
+
+def test_consecutive_calls_match_separate_processes(capsys):
+    # the parser is built once per process; no option of one call leaks into
+    # the next (the last call relies on the defaults the earlier ones override)
+    calls = [
+        ["table", "lines", "--example", "thooft3", "--count", "3", "--seed", "4",
+         "--field", "fp:7"],
+        ["certify", "--example", "degenerate-rank6", "--json"],
+        ["table", "coh", "--example", "nc", "--dmax", "1"],
+        ["export", "--id", "nc", "--field", "rational"],
+        ["table", "pencil", "--example", "thooft3"],
+        ["table", "lines", "--example", "nc", "--count", "2"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in calls:
+        code = run(argv)
+        out = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "instantons.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out.out, out.err) == (alone.returncode, alone.stdout, alone.stderr)
+    assert cli._parser() is cli._parser()
 
 
 def test_certify_example_writes_consistent_cert(tmp_path, capsys):

@@ -1,13 +1,17 @@
-import pytest
+from functools import cache
 
-from instantons.families import nc_tensor, sample_instanton, thooft_tensor
+import pytest
+from hypothesis import given, strategies as st
+
+from instantons.families import degenerate_rank6, nc_tensor, sample_instanton, thooft_tensor
 from instantons.fields import field_from_spec
 from instantons.geometry import (
     Line,
     Plane,
     h0_line,
     h0_plane,
-    k_intersection,
+    k_intersection_dim,
+    line_invariants,
     nc_quadric_ideal,
     pencil_jump_poly,
     plucker_bilinear,
@@ -19,11 +23,11 @@ from instantons.geometry import (
     triple_span,
 )
 from instantons import linalg
-from instantons.linalg import Mat, Stream, Subspace
+from instantons.linalg import Mat, Stream, Subspace, kron
 from instantons.monads import MonadError, build_monad
 from instantons.polys import roots as poly_roots
 from instantons.tensors import OmegaTensor
-from oracles import splitting_order_by_generators
+from oracles import line_by_elimination, line_invariants_by_line, splitting_order_by_generators
 
 
 def _line_from_equations(field, z0: list, z1: list) -> Line:
@@ -48,15 +52,60 @@ def test_line_constructions_agree(F):
         Line.from_plucker(F, [1, 0, 0, 0, 0, 1])  # fails the decomposability quadric
 
 
-def test_line_from_points_reduces_twice(F, monkeypatch):
-    # the span of the points is reduced once and its kernel once: the basis
-    # of U, already reduced, is not eliminated again
-    shapes = []
-    real = linalg._np_rref
-    monkeypatch.setattr(linalg, "_np_rref", lambda a, p: shapes.append(a.shape) or real(a, p))
+def test_line_from_points_eliminates_nothing(F, monkeypatch):
+    # U and W are read off the normalized Pluecker vector and its dual
+    calls = []
+    for name in ("_np_rref", "_np_rank", "_np_block_ranks", "_generic_rref"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
     line = Line.from_points(F, [1, 2, 0, 3], [0, 1, 5, 1])
-    assert shapes == [(2, 4), (2, 4)]
+    assert calls == []
+    monkeypatch.undo()
     assert line.U.basis.kernel() == line.W
+
+
+@cache
+def _line_tensors(spec: str) -> list[OmegaTensor]:
+    """Rank-2 tensors at n = 1..5: samples where the field allows them
+    (the samplers need p > 4n and cannot reach r < 2n over Q), randomized
+    't Hooft tensors elsewhere, and the banded-net, degenerate and
+    null-correlation examples."""
+    field = field_from_spec(spec)
+    if spec == "fp:32003":
+        drawn = [sample_instanton(n, 2, field, ("line_oracle", n)) for n in (2, 3, 4, 5)]
+    else:
+        drawn = [thooft_tensor(n, field, seed=1) for n in (2, 3, 4, 5)]
+    return drawn + [thooft_tensor(5, field), degenerate_rank6(field), nc_tensor(field)]
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:7", "fp:5^2", "rational"])
+@given(data=st.data())
+def test_batched_lines_match_the_per_line_eliminations(spec, data):
+    # points with zero coordinates often, so that leading Pluecker
+    # coordinates vanish and every pivot pair (k, l) of U and of W occurs
+    field = field_from_spec(spec)
+    tensors = _line_tensors(spec)
+    omega = tensors[data.draw(st.integers(0, len(tensors) - 1))]
+    stream = Stream("line_oracle", spec, data.draw(st.integers(0, 10**6)))
+    zero_mask = st.lists(st.booleans(), min_size=4, max_size=4)
+    lines = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        u0, u1 = ([field.zero() if z else stream.next_element(field) for z in data.draw(zero_mask)]
+                  for _ in range(2))
+        try:
+            expect = line_by_elimination(field, u0, u1)
+        except ValueError:
+            with pytest.raises(ValueError):
+                Line.from_points(field, u0, u1)
+            continue
+        line = Line.from_points(field, u0, u1)
+        assert line.plucker == expect.plucker
+        assert line.U == expect.U and line.W == expect.W
+        assert line.U.pivots == expect.U.pivots and line.W.pivots == expect.W.pivots
+        assert Line.from_plucker(field, line.plucker).W == expect.W
+        lines.append(line)
+    assert line_invariants(omega, lines) == [line_invariants_by_line(omega, l) for l in lines]
 
 
 def test_lines_meet_via_bilinear(F):
@@ -179,14 +228,22 @@ def test_pencil_degree_and_validation(F, chain52):
         pencil_jump_poly(nc, [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1])
 
 
+def _k_meet(omega, K: Subspace) -> Subspace:
+    """N meet (K (x) V*) by the Zassenhaus intersection: the oracle."""
+    return omega.image().intersect(
+        Subspace.from_spanning(kron(K.basis, Mat.identity(omega.field, 4))))
+
+
 def test_k_intersection_cases(F, chain52):
     st = Stream("ktest", 0)
     K = Subspace.from_spanning(Mat.from_rows(F, [st.next_vector(F, 5) for _ in range(2)], 5))
-    assert k_intersection(chain52, K).dim == 0
+    assert k_intersection_dim(chain52, K.basis) == _k_meet(chain52, K).dim == 0
     th5 = thooft_tensor(5, F)
     K2 = Subspace.from_spanning(Mat.from_rows(F, [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]], 5))
-    assert k_intersection(th5, K2).dim == 0
-    assert k_intersection(chain52, Subspace.full(F, 5)) == chain52.image()
+    assert k_intersection_dim(th5, K2.basis) == _k_meet(th5, K2).dim == 0
+    full = Subspace.full(F, 5)
+    assert k_intersection_dim(chain52, full.basis) == chain52.image().dim == 12
+    assert _k_meet(chain52, full) == chain52.image()
 
 
 def test_k_intersection_meets_banded_net(F):
@@ -194,7 +251,7 @@ def test_k_intersection_meets_banded_net(F):
     # e0* (x) V* + e1* (x) V*, so the intersection is nonzero
     th5 = thooft_tensor(5, F)
     K = Subspace.from_spanning(Mat.from_rows(F, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], 5))
-    assert k_intersection(th5, K).dim >= 1
+    assert k_intersection_dim(th5, K.basis) == _k_meet(th5, K).dim >= 1
 
 
 def test_nc_quadric_ideal_exact_spans(F, Q):

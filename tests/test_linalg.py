@@ -393,6 +393,33 @@ def test_rank_matches_rref_and_transpose(spec, data):
     assert rank <= min(m.nrows, m.ncols)
 
 
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:7", "fp:2097143", "rational", "fp:5^2"])
+@given(data=st.data())
+def test_block_ranks_match_per_block_rank_and_det(spec, data):
+    # blocks of rank 0 (all zero, or through an empty product), with zero
+    # columns, of full rank and in between, square or not, and matrices with
+    # no block at all; square ones also with their rows permuted (a permuted
+    # identity among them), so that pivots come in every row order, and one
+    # drawn invertible
+    fld = field_from_spec(spec)
+    width = data.draw(st.integers(1, 5))
+    nrows = data.draw(st.sampled_from([width, width, 0, 1, width + 1, 2 * width + 2]))
+    blocks = [_adversarial(data, fld, (nrows, width)) for _ in range(data.draw(st.integers(0, 5)))]
+    if nrows == width:
+        blocks.append(sample_invertible(width, fld, Stream("block_ranks", data.draw(st.integers(0, 999)))))
+        perm = data.draw(st.permutations(range(width)))
+        blocks += [b.take_rows(perm) for b in blocks]
+        blocks.insert(data.draw(st.integers(0, len(blocks))), Mat.identity(fld, width).take_rows(perm))
+    m = Mat.zeros(fld, nrows, 0)
+    for b in blocks:
+        m = m.hstack(b)
+    ranks, dets = m.block_ranks(width)
+    assert ranks == [b.rank() for b in blocks]
+    assert dets == ([b.det() for b in blocks] if nrows == width else None)
+    assert m.first_deficient_block(width) == next(
+        (i for i, r in enumerate(ranks) if r < width), None)
+
+
 @pytest.mark.parametrize("spec", ["fp:32003", "fp:2097143", "rational", "fp:5^2"])
 def test_rank_builds_no_reduced_form(spec, monkeypatch):
     # with nothing kept, rank runs forward elimination only; on the generic

@@ -208,7 +208,7 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
     # on the tensor; a tensor read back from its file format starts without one
     from instantons import monads
     from instantons.families import fiber_solution_space
-    from instantons.geometry import Line, h0_line, k_intersection, splitting_order
+    from instantons.geometry import Line, h0_line, k_intersection_dim, splitting_order
 
     t = tensor_from_obj(tensor_to_obj(chain52))
     builds = []
@@ -224,7 +224,7 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
     sigma_kernel_dim(t)
     h0_line(t, line)
     splitting_order(t, line)
-    k_intersection(t, Subspace.full(F, 5))
+    k_intersection_dim(t, Subspace.full(F, 5).basis)
     fiber_solution_space(t)
     first = build_monad(t, quick_check=False)
     assert build_monad(t) is first
