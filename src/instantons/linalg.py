@@ -8,6 +8,7 @@
 # mod one prime, with exact elimination over Q when that cannot settle it.
 # Gaussian elimination pivots on the first nonzero entry, so reduced forms
 # are canonical and equality of subspaces is equality of their stored bases.
+# The int64 RREF first peels off rows with one nonzero entry; it is unique.
 
 from __future__ import annotations
 
@@ -38,30 +39,51 @@ def _require_int64_exact(k: int, p: int) -> None:
 
 
 def _np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form of an int64 matrix mod p, with pivot columns."""
-    a = np.mod(a, p).astype(np.int64, copy=True)
-    nrows, ncols = a.shape
+    """Reduced row-echelon form of int64 residues mod p, with pivot columns.
+
+    A row whose one nonzero entry is in column c puts e_c in the row space, so
+    column c is cleared from every row while such rows appear.  The dense loop
+    runs on the columns left nonzero, which it never fills; its rows and the
+    e_c share no nonzero column, so sorted by pivot they are the row space's
+    reduced row-echelon form, which is unique.
+    """
+    i, j = np.nonzero(a)
+    peeled = np.zeros(a.shape[1], dtype=bool)
+    while (single := np.bincount(i, minlength=a.shape[0])[i] == 1).any():
+        peeled[j[single]] = True
+        i, j = i[~peeled[j]], j[~peeled[j]]
+    cols = np.flatnonzero(np.bincount(j, minlength=a.shape[1]))
+    b = a[:, cols]
+    nrows, ncols = b.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.nonzero(b[r:, c])[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
+            b[[r, pr]] = b[[pr, r]]
+        inv = pow(int(b[r, c]), -1, p)
+        b[r] = b[r] * inv % p
+        col = b[:, c].copy()
         col[r] = 0
         rows = np.nonzero(col)[0]
         if rows.size:
-            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % p
+            b[rows] = (b[rows] - np.outer(col[rows], b[r])) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    if cols.size == a.shape[1]:  # nothing peeled and no zero column: b is the whole matrix
+        return b, pivots
+    piv = peeled.copy()
+    piv[cols[pivots]] = True
+    at = np.cumsum(piv) - 1  # the row of pivot column c: the pivots before c
+    out = np.zeros(a.shape, dtype=np.int64)
+    out[at[peeled], peeled] = 1
+    out[at[cols[pivots]][:, None], cols] = b[:r]
+    return out, np.flatnonzero(piv).tolist()
 
 
 def _np_rank(a: np.ndarray, p: int) -> int:

@@ -92,10 +92,9 @@ def projective_points(field: Field, dim: int, cap: int):
         vals = ([Fraction(x) for x in (0, 1, -1, 2, -2)] if field.kind == "rational"
                 else list(field.elements()))
         for lead in range(dim):
-            for tail in product(vals, repeat=dim - lead - 1):
-                # a zero tail is a basis vector, already emitted
-                if not all(field.is_zero(x) for x in tail):
-                    yield [zero] * lead + [one, *tail]
+            # vals lists zero first: the first tail's point is a basis vector, already emitted
+            for tail in islice(product(vals, repeat=dim - lead - 1), 1, None):
+                yield [zero] * lead + [one, *tail]
 
     return islice(chain(basis, charts()), cap)
 

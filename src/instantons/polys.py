@@ -84,7 +84,8 @@ def interpolate(points: list, values: list, field: Field) -> list:
 
 
 # the scan evaluates the polynomial at every element of GF(p) at once, as
-# int64 arrays of length p whose Horner products stay below 2^63
+# int64 arrays of length p whose Horner products stay below 2^63; over Q,
+# trial division of coefficients below ROOT_SCAN_LIMIT^2 tries no more divisors
 ROOT_SCAN_LIMIT = 1 << 21
 
 
@@ -147,6 +148,9 @@ def _rational_root_candidates(coeffs: list):
     denom = math.lcm(*(Fraction(c).denominator for c in coeffs))
     ints = [int(Fraction(c) * denom) for c in coeffs]
     low = next(c for c in ints if c)
+    if (big := max(abs(ints[-1]), abs(low))) >= ROOT_SCAN_LIMIT ** 2:
+        raise ValueError(f"rational root finding trial-divides only coefficients below 2^42; "
+                         f"this polynomial has a {big.bit_length()}-bit coefficient")
     yield Fraction(0)
     for q in _divisors(ints[-1]):
         for p in _divisors(low):

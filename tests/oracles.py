@@ -43,11 +43,24 @@ intersection N meet (H* (x) W), and the determinant the quadric's own
 forward elimination.  `geometry.Line.from_points` reads U and W off the
 normalized Pluecker vector, and `geometry.line_invariants` ranks all of a
 table's lines in two eliminations.
+
+`rref_dense` is Gauss-Jordan elimination mod p over every column of an int64
+matrix, one pivot at a time.  `linalg._np_rref` first peels off rows with a
+single nonzero entry and runs the same loop on what is left; the reduced
+row-echelon form is unique, so both return the same array and pivots.
+
+`projective_points_by_filter` is the point enumerator that tests every chart
+point's tail for zero and drops the zero tails, whose points are basis
+vectors.  `nondeg.projective_points` skips the first tail of each chart
+instead, which is the zero one because every field lists zero first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice, product
+
+import numpy as np
 
 from instantons.bases import hv_index, mono_mul, monomial_index_map, monomials
 from instantons.fields import ExtensionField, PrimeField, is_prime
@@ -308,3 +321,46 @@ def line_invariants_by_line(omega, line: Line) -> tuple:
     quadric = omega.contract_line(line.plucker)
     h_star_w = Subspace.from_spanning(kron(Mat.identity(f, n), line.W.basis))
     return n - quadric.rank(), m.N.intersect(h_star_w).dim, quadric.det()
+
+
+def rref_dense(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reference for `linalg._np_rref`: the dense loop over every column."""
+    a = np.mod(a, p).astype(np.int64, copy=True)
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = a[r] * inv % p
+        col = a[:, c].copy()
+        col[r] = 0
+        rows = np.nonzero(col)[0]
+        if rows.size:
+            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def projective_points_by_filter(field, dim: int, cap: int):
+    """Reference for `nondeg.projective_points`, testing each tail for zero."""
+    one, zero = field.one(), field.zero()
+    basis = ([one if j == i else zero for j in range(dim)] for i in range(dim))
+
+    def charts():
+        vals = ([Fraction(x) for x in (0, 1, -1, 2, -2)] if field.kind == "rational"
+                else list(field.elements()))
+        for lead in range(dim):
+            for tail in product(vals, repeat=dim - lead - 1):
+                if not all(field.is_zero(x) for x in tail):
+                    yield [zero] * lead + [one, *tail]
+
+    return islice(chain(basis, charts()), cap)

@@ -246,6 +246,17 @@ def test_rational_sampling_below_open_stratum_is_input_error(argv, what, capsys)
 RATIONAL_52 = Path(__file__).parent / "fixtures" / "rational-5-2-seed7.json"
 
 
+def test_rational_pencil_with_huge_coefficients_is_input_error():
+    # the fixture's pencil polynomial has coefficients of over 1000 bits, far
+    # past what trial division for rational roots can factor
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "instantons.cli", "table", "pencil", "--tensor",
+                           str(RATIONAL_52), "--field", "rational"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "1449-bit coefficient" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_rational_certificate_at_c2_5(tmp_path):
     # the paper's smoothness case in rational mode: h1(S^2 E) = 8n - 3 = 37
     out = tmp_path / "cert.json"

@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import rref_dense
 
 from instantons import linalg
 from instantons.fields import ExtensionField, PrimeField, QQ, field_from_spec, GF32003
@@ -619,3 +620,61 @@ def test_int64_storage_holds_residues(spec):
     assert Mat.from_rows(fld, [[p, -p]], 2).is_zero()
     assert Mat.from_rows(fld, [[-1, p + 2]], 2) == Mat.from_rows(fld, [[p - 1, 2]], 2)
     assert (a - a).is_zero() and a + (-a) == Mat.zeros(fld, 3, 6)
+
+
+@st.composite
+def _peelable(draw, p):
+    """A sparse int64 matrix mod p with planted rows of one nonzero entry,
+    some on a shared column, chains of rows that become such rows only after
+    an earlier peel round, and zero rows and columns; either side may be 0."""
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    unit = st.integers(1, p - 1)
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), unit)
+    a = np.array(draw(st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols)),
+                 dtype=np.int64).reshape(nrows, ncols)
+    if nrows and ncols:
+        rows = draw(st.permutations(range(nrows)))
+        # a chain on columns c0, c1, ...: v e_c0, then x e_c(i-1) + y e_ci,
+        # which is a unit row once c(i-1) is peeled
+        chain = draw(st.lists(st.integers(0, ncols - 1), max_size=nrows, unique=True))
+        for i, c in enumerate(chain):
+            a[rows[i]] = 0
+            a[rows[i], c] = draw(unit)
+            if i:
+                a[rows[i], chain[i - 1]] = draw(unit)
+        for r in rows[len(chain):]:
+            if draw(st.booleans()):  # few columns: unit rows often share one
+                a[r] = 0
+                a[r, draw(st.integers(0, min(ncols, 3) - 1))] = draw(unit)
+        for r in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+            a[r] = 0
+        for c in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+            a[:, c] = 0
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 7, 32003, 2097143])
+@given(data=st.data())
+def test_np_rref_equals_the_dense_loop(p, data):
+    # the unit-row peel gives the dense loop's array and pivots, bit for bit,
+    # and the kernel built on it is the one the dense loop's RREF spans
+    a = data.draw(_peelable(p))
+    want, want_piv = rref_dense(a, p)
+    got, got_piv = linalg._np_rref(a, p)
+    assert got.dtype == np.int64 and got_piv == want_piv and all(type(c) is int for c in got_piv)
+    assert np.array_equal(got, want)
+    # a Mat reduces its entries on construction: shifted by multiples of p
+    # they give the same RREF
+    fld = PrimeField(p)
+    red, piv = Mat.from_np(fld, a + p * data.draw(st.sampled_from([0, 1, -1]))).rref()
+    assert np.array_equal(red._a, want) and piv == want_piv
+    ncols = a.shape[1]
+    free = [c for c in range(ncols) if c not in want_piv]
+    vecs = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, f in enumerate(free):
+        vecs[k, f] = 1
+        vecs[k, want_piv] = -want[:len(want_piv), f]
+    ker_basis, ker_piv = rref_dense(vecs, p)
+    ker = Mat.from_np(fld, a).kernel()
+    assert ker.dim == len(free) and ker.pivots == ker_piv
+    assert np.array_equal(ker.basis._a, ker_basis[:len(free)])

@@ -9,6 +9,7 @@ from oracles import (
     add_full_width,
     classify_scan_first,
     piece_rank_by_spanning_set,
+    projective_points_by_filter,
     spanning_set_cells,
     witness_search_by_loops,
 )
@@ -578,6 +579,32 @@ def test_projective_points_lists_the_field_only_for_chart_points(monkeypatch):
     assert not listed
     assert next(points) == [1, 0, 0, 1] and listed == [1]
     assert len(list(points)) == 199 - 4 and listed == [1]
+
+
+@pytest.mark.parametrize("spec,dim", [("fp:7", 1), ("fp:7", 2), ("fp:7", 3), ("fp:7", 4),
+                                      ("fp:7^2", 2), ("rational", 3)])
+def test_projective_points_match_the_filtering_enumerator(spec, dim):
+    # caps 0, 1, dim, dim + 1 and one past the first chart, which has
+    # |vals|^(dim - 1) - 1 points after the dim basis vectors
+    fld = field_from_spec(spec)
+    nvals = 5 if fld.kind == "rational" else fld.order
+    for cap in (0, 1, dim, dim + 1, dim + nvals ** (dim - 1) + 3):
+        assert list(projective_points(fld, dim, cap)) == list(
+            projective_points_by_filter(fld, dim, cap))
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "fp:7", "fp:32003", "fp:7^2", "fp:2^3", "rational"])
+def test_chart_values_start_with_zero(spec):
+    # projective_points drops the first tail of each chart as the zero one:
+    # a finite field lists zero first, and over Q every point of the charts
+    # on 0, +-1, +-2 comes out once, none of them a repeated basis vector
+    fld = field_from_spec(spec)
+    if fld.kind != "rational":
+        assert fld.is_zero(next(iter(fld.elements())))
+    nvals = 5 if fld.kind == "rational" else fld.order
+    for dim in [d for d in (1, 2, 3) if nvals ** d < 10 ** 6]:
+        points = [tuple(v) for v in projective_points(fld, dim, 10 ** 6)]
+        assert len(points) == len(set(points)) == (nvals ** dim - 1) // (nvals - 1)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,21 @@
+"""The benchmark's seed-0 runs check every op's output against
+perfbench/reference.json; one cycle of each workload keeps them in the suite."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+@pytest.mark.parametrize("workload", ["certify-chains", "verdicts", "lines", "rational"])
+def test_benchmark_seed0_matches_reference(workload):
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "0", "--seconds", "0",
+         "--trace", "0"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0

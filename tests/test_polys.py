@@ -31,6 +31,18 @@ def test_rational_roots_leave_the_irreducible_quadratic():
     assert residual == [Fraction(7, 4) * c for c in quad]
 
 
+def test_rational_roots_refuse_coefficients_past_the_trial_division_bound():
+    # trial division tries divisors up to a coefficient's square root, at most
+    # ROOT_SCAN_LIMIT of them: the leading or the lowest coefficient at 2^42
+    # is refused with its bit size, whatever lies between them
+    for poly in ([Fraction(1 << 42), Fraction(1)], [Fraction(0), Fraction(3), Fraction(1 << 42)],
+                 [Fraction(-(1 << 42), 5), Fraction(1), Fraction(1, 5)]):
+        with pytest.raises(ValueError, match="43-bit coefficient"):
+            roots(poly, QQ)
+    found, residual = roots([Fraction(-(1 << 40)), Fraction(1 << 41), Fraction(1)], QQ)
+    assert not found and len(residual) == 3
+
+
 def test_roots_in_the_extension_beyond_the_prime_field():
     # 2 is not a square mod 5, so x^2 - 2 has its roots in GF(25) \ GF(5);
     # (x - 3) adds one root in GF(5)
