@@ -25,7 +25,7 @@ from .monads import (
 from .nondeg import Verdict, classify
 from .tensors import OmegaTensor, tensor_to_obj
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # random hyperplanes tried by find_xi, and 2-dimensional subspaces by find_pair
 XI_TRIALS = 50
 PAIR_TRIALS = 64
@@ -234,10 +234,10 @@ def smoothness_certificate(
     """Assemble the full pointwise certificate for a tensor.
 
     The headline smooth-point verdict is the vanishing of the sigma kernel,
-    cross-checked against h2 of the symmetric square and against the tangent
-    dimension of the rank stratum hitting its expected value.  Degenerate
-    tensors still get a certificate, flagged non-modular, with the fields
-    that need a bundle display left empty.
+    read off as h2 of the symmetric square, cross-checked against the
+    tangent dimension of the rank stratum hitting its expected value.
+    Degenerate tensors still get a certificate, flagged non-modular, with
+    the fields that need a bundle display left empty.
     """
     f, n = omega.field, omega.n
     verdict = classify(omega)
@@ -253,52 +253,46 @@ def smoothness_certificate(
         rank=rank,
         modular=not verdict.is_degenerate and 2 <= rank - 2 * n <= 2 * n,
     )
-    cert.tangent_full_skew = tangent_dim(omega, "fullSkew")
-    cert.tangent_sym_lambda = tangent_dim(omega, "symLambda")
-    cert.expected_full_skew = full_skew_tangent_dim(n, m_half)
+    # restricting the skew forms on H (x) V to the kernel of the flattening
+    # is onto its wedge^2, so the full-skew tangent dimension is the formula
+    cert.tangent_full_skew = cert.expected_full_skew = full_skew_tangent_dim(n, m_half)
+    cert.tangent_sym_lambda = tangent_dim(omega)
     cert.expected_sym_lambda = expected_stratum_dim(n, m_half)
-    cert.sigma_kernel_dim = sigma_kernel_dim(omega)
-    cert.consistency.append(
-        ("tangent_full_skew_formula", cert.tangent_full_skew == cert.expected_full_skew)
-    )
-    if cert.modular:
-        plain = build_monad(omega, quick_check=False)
-        table = coh_table(omega)
-        cert.coh_rows = [list(r) for r in table.rows]
-        cert.s2 = table.s2
-        cert.dim_N = table.dim_N
-        cert.dim_Q = table.dim_Q
-        cert.gamma_kernel_dim = gamma_kernel_dim(plain)
-        cert.smooth_point = cert.sigma_kernel_dim == 0
-        cert.consistency.append(("sigma_kernel_is_h2_s2", cert.sigma_kernel_dim == table.s2[2]))
-        cert.consistency.append(
-            ("gamma_kernel_is_h1_E1", cert.gamma_kernel_dim == table.h(1)[1])
-        )
-        cert.consistency.append(
-            (
-                "smooth_iff_expected_tangent",
-                (cert.sigma_kernel_dim == 0)
-                == (cert.tangent_sym_lambda == cert.expected_sym_lambda),
-            )
-        )
-        cert.consistency.append(("h0_E_vanishes", table.h(0)[0] == 0))
-        cert.consistency.append(("h1_E_minus2_vanishes", table.h(-2)[1] == 0))
-        cert.consistency.append(("left_defect_zero", plain.left_defect() == 0))
-        if induction_seed is not None:
-            try:
-                xi, h1bar, trial, _log = find_xi(omega, seed=induction_seed)
-                rep = propagation_check(omega, xi)
-                cert.induction_witness = {
-                    "xi": [f.to_str(x) for x in xi],
-                    "trial": trial,
-                    "rank_preserved": True,
-                    "h1_bar_1": h1bar,
-                    "h2_s2_bar": rep.h2_s2_bar,
-                    "propagation": rep.to_obj(),
-                }
-                cert.consistency.append(("propagation_implication", rep.implication_holds))
-                cert.consistency.append(("propagation_inequality", rep.inequality_holds))
-            except RuntimeError as exc:
-                cert.induction_witness = {"error": str(exc)}
-                cert.consistency.append(("induction_witness_found", False))
+    if not cert.modular:
+        cert.sigma_kernel_dim = sigma_kernel_dim(omega)
+        return cert
+    plain = build_monad(omega, quick_check=False)
+    table = coh_table(omega)
+    cert.coh_rows = [list(r) for r in table.rows]
+    cert.s2 = table.s2
+    cert.dim_N = table.dim_N
+    cert.dim_Q = table.dim_Q
+    # the sigma and gamma systems are -d1^T of the S^2 complex and alpha(1)^T
+    cert.sigma_kernel_dim = table.s2[2]
+    cert.gamma_kernel_dim = table.h(1)[1]
+    cert.smooth_point = cert.sigma_kernel_dim == 0
+    expected_tangent = cert.tangent_sym_lambda == cert.expected_sym_lambda
+    cert.consistency += [
+        ("smooth_iff_expected_tangent", cert.smooth_point == expected_tangent),
+        ("h0_E_vanishes", table.h(0)[0] == 0),
+        ("h1_E_minus2_vanishes", table.h(-2)[1] == 0),
+        ("left_defect_zero", plain.left_defect() == 0),
+    ]
+    if induction_seed is not None:
+        try:
+            xi, h1bar, trial, _log = find_xi(omega, seed=induction_seed)
+            rep = propagation_check(omega, xi)
+            cert.induction_witness = {
+                "xi": [f.to_str(x) for x in xi],
+                "trial": trial,
+                "rank_preserved": True,
+                "h1_bar_1": h1bar,
+                "h2_s2_bar": rep.h2_s2_bar,
+                "propagation": rep.to_obj(),
+            }
+            cert.consistency.append(("propagation_implication", rep.implication_holds))
+            cert.consistency.append(("propagation_inequality", rep.inequality_holds))
+        except RuntimeError as exc:
+            cert.induction_witness = {"error": str(exc)}
+            cert.consistency.append(("induction_witness_found", False))
     return cert

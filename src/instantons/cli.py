@@ -133,7 +133,14 @@ def main(argv=None) -> int:
         raise
 
 
+# the least value of each numeric option of a subcommand
+_LEAST = {"chains": 1, "count": 0, "dmax": -2}
+
+
 def _run(args) -> int:
+    for name, least in _LEAST.items():
+        if getattr(args, name, least) < least:
+            raise ValueError(f"--{name} {getattr(args, name)}: must be at least {least}")
     field = field_from_spec(args.field)
     if args.command == "certify":
         omega = _load_tensor(args, field)

@@ -339,6 +339,8 @@ def extend_fiber(omega_bar: OmegaTensor, seed) -> OmegaTensor:
     points (u1 = 0 is always one), so rejection is expected.
     """
     f = omega_bar.field
+    if f.p == 2:
+        raise ValueError(f"the extension fiber needs characteristic != 2, not {f.spec_str()}")
     m = build_monad(omega_bar)
     if m.r < 4:
         raise MonadError("base display must have r >= 4 to extend downward")

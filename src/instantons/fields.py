@@ -217,19 +217,19 @@ def _find_irreducible(p: int, k: int) -> tuple:
     """First monic irreducible of degree k over GF(p), in lex coefficient order.
 
     Returned as coefficient tuple (c0, ..., c_{k-1}, 1).  Irreducibility is
-    checked by the absence of roots for k <= 3 plus a gcd test with x^(p^d)-x
-    for higher k; degrees used here stay tiny so brute force is fine.
+    Rabin's test: f divides x^(p^k) - x, and gcd(f, x^(p^(k/q)) - x) = 1 for
+    every prime q dividing k.
     """
+    from .polys import divmod_poly, trim  # polys imports this module
+
     if k == 1:
         return (0, 1)
+    gf, x = PrimeField(p), (0, 1) + (0,) * (k - 2)
+    primes = [q for q in range(2, k + 1) if k % q == 0 and is_prime(q)]
 
-    def poly_pow_x(q: int, modulus: tuple) -> tuple:
-        # x^q mod modulus via square-and-multiply
-        result = (0, 1) + (0,) * (k - 2)  # the polynomial x
-        result = tuple(result[:k])
-        acc = (1,) + (0,) * (k - 1)
-        base = result
-        e = q
+    def pow_x(e: int, modulus: tuple) -> tuple:
+        # x^e mod modulus by square-and-multiply
+        acc, base = (1,) + (0,) * (k - 1), x
         while e:
             if e & 1:
                 acc = _poly_mul_mod(acc, base, modulus, p)
@@ -238,37 +238,21 @@ def _find_irreducible(p: int, k: int) -> tuple:
         return acc
 
     def is_irred(mod: tuple) -> bool:
-        # f irreducible of degree k iff x^(p^k) == x mod f and
-        # gcd-style check x^(p^(k/q)) != x for prime divisors q of k.
-        x = (0, 1) + (0,) * (k - 2)
-        x = tuple(x[:k])
-        if poly_pow_x(p**k, mod) != x:
+        if pow_x(p**k, mod) != x:
             return False
-        q = 2
-        kk = k
-        divisors = set()
-        while q * q <= kk:
-            if kk % q == 0:
-                divisors.add(q)
-                while kk % q == 0:
-                    kk //= q
-            q += 1
-        if kk > 1:
-            divisors.add(kk)
-        for q in divisors:
-            if poly_pow_x(p ** (k // q), mod) == x:
+        for q in primes:
+            # gcd(f, x^(p^(k/q)) - x) by Euclid
+            h = pow_x(p ** (k // q), mod)
+            a, b = list(mod), trim([(c - (i == 1)) % p for i, c in enumerate(h)], gf)
+            while b:
+                a, b = b, divmod_poly(a, b, gf)[1]
+            if len(a) > 1:
                 return False
         return True
 
     # enumerate monic polynomials by lex order on (c0, ..., c_{k-1})
-    total = p**k
-    for idx in range(total):
-        coeffs = []
-        t = idx
-        for _ in range(k):
-            coeffs.append(t % p)
-            t //= p
-        mod = tuple(coeffs) + (1,)
+    for idx in range(p**k):
+        mod = tuple(idx // p**i % p for i in range(k)) + (1,)
         if is_irred(mod):
             return mod
     raise RuntimeError("no irreducible polynomial found")  # unreachable

@@ -303,45 +303,27 @@ def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
 # -- dual kernel spaces ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _sigma_pattern(dim_n: int, n: int) -> Pattern:
-    """sigma o (inclusion of N), linear in the coordinates of sigma: the
-    unknown (i < j, p <= q) fills the flattening slots (r, c) of
-    wedge^2 H (x) S^2 V, so row s * 4n + r takes entry c of basis vector s."""
-    slots = form_slots(n, skew_h=True)
-    terms = ((s * 4 * n + r, p * 10 + q, s, c, sign)
-             for s in range(dim_n) for r, c, p, q, sign in slots)
-    return Pattern((dim_n * 4 * n, len(skew_pairs(n)) * 10), (dim_n, 4 * n), terms)
-
-
 def sigma_kernel_dim(omega: OmegaTensor) -> int:
     """dim {sigma in wedge^2 H (x) S^2 V : sigma o omega = 0}.
 
-    sigma acts as an anti-selfdual map H* (x) V* -> H (x) V; composing with
-    the inclusion of N = Im(omega) is linear in sigma's coordinates, and the
-    kernel dimension equals h^2 of S^2 E for admissible tensors.  N is the
-    image of the flattening, so no display is needed.
+    sigma acts as an anti-selfdual map H* (x) V* -> H (x) V; composed with
+    the inclusion of N = Im(omega) it is linear in sigma's coordinates, and
+    that linear system is minus the transpose of d1 of the symmetric-square
+    complex.  So the kernel dimension is the cokernel dimension of d1, which
+    is h^2 of S^2 E for admissible tensors.  d1 is gathered from the basis
+    of N, the image of the flattening, so no display is needed.
     """
     basis = omega.image().basis
-    mat = basis.gather(_sigma_pattern(basis.nrows, omega.n))
-    return mat.ncols - mat.rank()
-
-
-@lru_cache(maxsize=None)
-def _gamma_pattern(nH: int, m: int) -> Pattern:
-    """gamma o u, linear in gamma: the unknown (b, p <= q) is the entry
-    (p, q) and (q, p) of Q_b, and (gamma o u)(nu_s)[k] is the sum over l of
-    u[(b, l), s] Q_b[k, l]."""
-    terms = ((s * 4 + k, b * 10 + ci, hv_index(b, l), s, 1)
-             for b in range(nH) for ci, (p, q) in enumerate(sym_pairs(4))
-             for k, l in {(p, q), (q, p)} for s in range(m))
-    return Pattern((m * 4, nH * 10), (4 * nH, m), terms)
+    d1 = basis.transpose().gather(_s2_patterns(omega.n, basis.nrows)[2])
+    return d1.nrows - d1.rank()
 
 
 def gamma_kernel_dim(monad: Monad) -> int:
-    """dim {gamma in H-bar (x) S^2 V : gamma o u = 0}, which equals h1 E(1)."""
-    mat = monad.umat.gather(_gamma_pattern(monad.nH, monad.m))
-    return mat.ncols - mat.rank()
+    """dim {gamma in H-bar (x) S^2 V : gamma o u = 0}: the linear system in
+    gamma is alpha(1) transposed, so this is the cokernel dimension of
+    alpha(1), h1 E(1)."""
+    a = monad.alpha(1)
+    return a.nrows - a.rank()
 
 
 def gamma_kernel_plane(monad: Monad, w_basis: Mat) -> Subspace:
@@ -355,7 +337,7 @@ def gamma_kernel_plane(monad: Monad, w_basis: Mat) -> Subspace:
         raise ValueError("W must be 3-dimensional")
     # row (b, r <= s): the symmetric matrix of w_r w_s in slot b, in S^2 V coordinates
     embed = kron(Mat.identity(monad.field, monad.nH), sym_square(w_basis.transpose()).transpose())
-    sol = (monad.umat.gather(_gamma_pattern(monad.nH, monad.m)) @ embed.transpose()).kernel()
+    sol = (monad.alpha(1).transpose() @ embed.transpose()).kernel()
     return Subspace.from_spanning(sol.basis @ embed)
 
 
@@ -363,35 +345,24 @@ def gamma_kernel_plane(monad: Monad, w_basis: Mat) -> Subspace:
 
 
 @lru_cache(maxsize=None)
-def _tangent_pattern(n: int, kd: int, ambient: str) -> Pattern:
+def _tangent_pattern(n: int, kd: int) -> Pattern:
     """tau(k_s, k_t) for the pairs s < t of kd kernel vectors, linear in the
-    unknowns of tau, from the products k_s[x] k_t[y] at (s kd + t, 4n x + y)
-    of kron(K, K)."""
-    dim = 4 * n
-    if ambient == "fullSkew":
-        # the skew unknown tau[al, be] = z, tau[be, al] = -z
-        unknowns = skew_pairs(dim)
-        slots = [(al, be, u, 1) for u, (al, be) in enumerate(unknowns)]
-        slots += [(be, al, u, -1) for u, (al, be) in enumerate(unknowns)]
-    else:
-        # the flattening of the basis tensor (p, w) is +-1 at its slots
-        unknowns = range(3 * n * (n + 1))
-        slots = [(r, c, p * 6 + w, sign) for r, c, p, w, sign in form_slots(n)]
-    terms = ((row, u, s * kd + t, x * dim + y, sign)
-             for row, (s, t) in enumerate(skew_pairs(kd)) for x, y, u, sign in slots)
-    return Pattern((kd * (kd - 1) // 2, len(unknowns)), (kd * kd, dim * dim), terms)
+    coordinates of tau in S^2 H* (x) wedge^2 V*, from the products
+    k_s[x] k_t[y] at (s kd + t, 4n x + y) of kron(K, K); the flattening of
+    the basis tensor (p, w) is +-1 at its slots."""
+    dim, slots = 4 * n, form_slots(n)
+    terms = ((row, p * 6 + w, s * kd + t, x * dim + y, sign)
+             for row, (s, t) in enumerate(skew_pairs(kd)) for x, y, p, w, sign in slots)
+    return Pattern((kd * (kd - 1) // 2, 3 * n * (n + 1)), (kd * kd, dim * dim), terms)
 
 
-def tangent_dim(omega: OmegaTensor, ambient: str) -> int:
-    """dim of {tau in ambient : tau vanishes on ker x ker of the flattening}.
-
-    ambient is "fullSkew" (all skew forms on H (x) V) or "symLambda"
-    (the S^2 H* (x) wedge^2 V* summand).  At a smooth point of the rank
-    stratum this is the stratum's tangent dimension.
+def tangent_dim(omega: OmegaTensor) -> int:
+    """dim of {tau in S^2 H* (x) wedge^2 V* : tau vanishes on ker x ker of
+    the flattening}.  At a smooth point of the rank stratum this is the
+    stratum's tangent dimension.  In the full space of skew forms on H (x) V
+    the same count is bases.full_skew_tangent_dim, since restriction to the
+    kernel K maps the skew forms onto wedge^2 K*.
     """
-    if ambient not in ("fullSkew", "symLambda"):
-        raise ValueError("ambient must be 'fullSkew' or 'symLambda'")
     kb = omega.flatten().kernel().basis
-    mat = kron(kb, kb).gather(_tangent_pattern(omega.n, kb.nrows, ambient))
+    mat = kron(kb, kb).gather(_tangent_pattern(omega.n, kb.nrows))
     return mat.ncols - mat.rank()
-

@@ -304,8 +304,9 @@ class SpanningCertifier:
             raise ValueError("bigraded degrees start at (1, 1)")
         acc = _Accumulator(self.field, _ambient(self.n, d, e))
         if (d, e) == (1, 1):
-            # the flattening's columns as bilinear forms on H (x) V
-            acc.add(self.omega.flatten().transpose())
+            # the flattening's columns as bilinear forms on H (x) V: they span
+            # N, whose reduced basis is kept, so this runs no elimination
+            acc.add(self.omega.image().basis)
         else:
             # the (d, e) piece is S^1 H* times the (d-1, e) piece, or S^1 V*
             # times the (d, e-1) piece; a monomial times a variable is one

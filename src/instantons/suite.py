@@ -216,7 +216,7 @@ def crit_tangents(ctx: SuiteContext) -> tuple[bool, dict]:
     d = {}
     ok = True
     for name, t, expected in cases:
-        got = tangent_dim(t, "symLambda")
+        got = tangent_dim(t)
         d[name] = {"tangent": got, "expected": expected}
         ok = ok and got == expected
     return ok, d

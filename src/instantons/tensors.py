@@ -236,8 +236,8 @@ def decompose(m: Mat) -> tuple[OmegaTensor, SkewHPart]:
     if not (m + m.transpose()).is_zero():
         raise ValueError("matrix is not skew-symmetric")
     f, n = m.field, m.nrows // 4
-    if f.kind == "prime" and f.p == 2:
-        raise ValueError("canonical split needs characteristic != 2")
+    if f.p == 2:
+        raise ValueError(f"canonical split needs characteristic != 2, not {f.spec_str()}")
     half = f.inv(f.of_int(2))
     sym = OmegaTensor(n, f, m.gather(_split_pattern(n, False)).scale(half))
     skewh = SkewHPart(n, f, m.gather(_split_pattern(n, True)).scale(half))

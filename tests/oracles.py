@@ -49,6 +49,22 @@ matrix, one pivot at a time.  `linalg._np_rref` first peels off rows with a
 single nonzero entry and runs the same loop on what is left; the reduced
 row-echelon form is unique, so both return the same array and pivots.
 
+`sigma_kernel_dim_by_slots`, `gamma_kernel_dim_by_slots` and
+`tangent_dim_full_skew` are the kernel systems the certificate once built
+for itself.  The sigma system fills the flattening slots of each unknown in
+wedge^2 H (x) S^2 V against the basis of N; `monads.sigma_kernel_dim` takes
+the cokernel of d1 of the symmetric-square complex, whose matrix is minus
+the transpose of that system.  The gamma system puts each unknown in
+H-bar (x) S^2 V at its S^2 V pairs against umat; `monads.gamma_kernel_dim`
+takes the cokernel of alpha(1), its transpose.  The full-skew tangent system
+asks all skew forms on H (x) V to vanish on the kernel K of the flattening;
+restriction to K is onto wedge^2 K*, so the certificate reports
+`bases.full_skew_tangent_dim` instead.
+
+`has_monic_factor_by_search` decides whether a monic polynomial over GF(p)
+is reducible by trial division by every monic polynomial of degree 1 up to
+half its own; `fields._find_irreducible` uses Rabin's test instead.
+
 `projective_points_by_filter` is the point enumerator that tests every chart
 point's tail for zero and drops the zero tails, whose points are basis
 vectors.  `nondeg.projective_points` skips the first tail of each chart
@@ -62,10 +78,18 @@ from itertools import chain, islice, product
 
 import numpy as np
 
-from instantons.bases import hv_index, mono_mul, monomial_index_map, monomials
+from instantons.bases import (
+    form_slots,
+    hv_index,
+    mono_mul,
+    monomial_index_map,
+    monomials,
+    skew_pairs,
+    sym_pairs,
+)
 from instantons.fields import ExtensionField, PrimeField, is_prime
 from instantons.geometry import Line, plucker_of_span
-from instantons.linalg import Mat, Subspace, kron
+from instantons.linalg import Mat, Pattern, Subspace, kron
 from instantons.monads import Monad, MonadError, build_monad
 from instantons.nondeg import (
     DEFAULT_BUDGET,
@@ -364,3 +388,70 @@ def projective_points_by_filter(field, dim: int, cap: int):
                     yield [zero] * lead + [one, *tail]
 
     return islice(chain(basis, charts()), cap)
+
+
+def sigma_pattern(dim_n: int, n: int) -> Pattern:
+    """sigma o (inclusion of N), linear in the coordinates of sigma: the
+    unknown (i < j, p <= q) fills the flattening slots (r, c) of
+    wedge^2 H (x) S^2 V, so row s * 4n + r takes entry c of basis vector s."""
+    slots = form_slots(n, skew_h=True)
+    terms = ((s * 4 * n + r, p * 10 + q, s, c, sign)
+             for s in range(dim_n) for r, c, p, q, sign in slots)
+    return Pattern((dim_n * 4 * n, len(skew_pairs(n)) * 10), (dim_n, 4 * n), terms)
+
+
+def sigma_kernel_dim_by_slots(omega) -> int:
+    """Reference for `monads.sigma_kernel_dim`."""
+    basis = omega.image().basis
+    mat = basis.gather(sigma_pattern(basis.nrows, omega.n))
+    return mat.ncols - mat.rank()
+
+
+def gamma_pattern(nH: int, m: int) -> Pattern:
+    """gamma o u, linear in gamma: the unknown (b, p <= q) is the entry
+    (p, q) and (q, p) of Q_b, and (gamma o u)(nu_s)[k] is the sum over l of
+    u[(b, l), s] Q_b[k, l]."""
+    terms = ((s * 4 + k, b * 10 + ci, hv_index(b, l), s, 1)
+             for b in range(nH) for ci, (p, q) in enumerate(sym_pairs(4))
+             for k, l in {(p, q), (q, p)} for s in range(m))
+    return Pattern((m * 4, nH * 10), (4 * nH, m), terms)
+
+
+def gamma_kernel_dim_by_slots(monad: Monad) -> int:
+    """Reference for `monads.gamma_kernel_dim`."""
+    mat = monad.umat.gather(gamma_pattern(monad.nH, monad.m))
+    return mat.ncols - mat.rank()
+
+
+def tangent_dim_full_skew(omega) -> int:
+    """dim of {tau skew on H (x) V : tau vanishes on K x K}, K the kernel of
+    the flattening, by elimination; the skew unknown tau[al, be] = z sits at
+    +z and at tau[be, al] = -z."""
+    dim = 4 * omega.n
+    kb = omega.flatten().kernel().basis
+    kd = kb.nrows
+    unknowns = skew_pairs(dim)
+    slots = [(al, be, u, 1) for u, (al, be) in enumerate(unknowns)]
+    slots += [(be, al, u, -1) for u, (al, be) in enumerate(unknowns)]
+    terms = ((row, u, s * kd + t, x * dim + y, sign)
+             for row, (s, t) in enumerate(skew_pairs(kd)) for x, y, u, sign in slots)
+    pattern = Pattern((kd * (kd - 1) // 2, len(unknowns)), (kd * kd, dim * dim), terms)
+    mat = kron(kb, kb).gather(pattern)
+    return mat.ncols - mat.rank()
+
+
+def has_monic_factor_by_search(f: tuple, p: int) -> bool:
+    """Whether the monic f = (c0, ..., c_{k-1}, 1) over GF(p) has a monic
+    factor of degree 1 .. k // 2, by dividing by each one."""
+    k = len(f) - 1
+    for d in range(1, k // 2 + 1):
+        for idx in range(p**d):
+            g = [idx // p**i % p for i in range(d)] + [1]
+            rem = list(f)
+            for shift in range(k - d, -1, -1):
+                c = rem[shift + d]
+                for i, gi in enumerate(g):
+                    rem[shift + i] = (rem[shift + i] - c * gi) % p
+            if not any(rem[:d]):
+                return True
+    return False

@@ -10,6 +10,12 @@ digested, in call order.  The digests were recorded from the nested-loop
 assembly this package used before its maps were built by `Mat.gather`, so
 the assembly, the row order and the column order are all unchanged.
 
+The sigma and gamma systems and the full-skew tangent system are no longer
+built by the package: it reads their kernel dimensions off d1, alpha(1) and
+a formula.  Their digests come from the oracles that keep them, and the
+tests at the end prove those identities term by term on every shape the
+package reaches.
+
 Run this file as a script to print the digests of the current code.
 """
 
@@ -24,16 +30,19 @@ from instantons.families import extend_affine, extend_fiber, fiber_solution_spac
 from instantons.families import sample_full, sample_instanton, thooft_tensor
 from instantons.fields import GF32003, QQ, PrimeField
 from instantons.linalg import Mat
+from instantons.bases import full_skew_tangent_dim
+from instantons.linalg import Stream, sample_invertible, sample_matrix
 from instantons.monads import (
+    _graded_pattern,
+    _s2_patterns,
     build_monad,
-    gamma_kernel_dim,
     gamma_kernel_plane,
     restricted_monad,
     s2_cohomology,
-    sigma_kernel_dim,
     tangent_dim,
 )
-from instantons.tensors import SkewHPart, decompose
+from instantons.tensors import OmegaTensor, SkewHPart, decompose
+import oracles
 
 F7 = PrimeField(7)
 
@@ -98,11 +107,11 @@ def _maps(name: str) -> dict[str, str]:
     out["alpha"] = _digest(*(m.alpha(d) for d in range(-2, 4)))
     out["beta"] = _digest(*(m.beta(d) for d in range(-2, 4)))
     out["s2_cohomology"] = _recorded(s2_cohomology, m)
-    out["sigma_kernel_dim"] = _recorded(sigma_kernel_dim, t)
-    out["gamma_kernel_dim"] = _recorded(gamma_kernel_dim, m)
+    out["sigma_kernel_dim"] = _recorded(oracles.sigma_kernel_dim_by_slots, t)
+    out["gamma_kernel_dim"] = _recorded(oracles.gamma_kernel_dim_by_slots, m)
     w = Mat.from_rows(f, [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 5]], 4)
     out["gamma_kernel_plane"] = _recorded(gamma_kernel_plane, m, w)
-    out["tangent_dim"] = _digest(*(_recorded(tangent_dim, t, a) for a in ("fullSkew", "symLambda")))
+    out["tangent_dim"] = _digest(_recorded(oracles.tangent_dim_full_skew, t), _recorded(tangent_dim, t))
     out["fiber_solution_space"] = _recorded(fiber_solution_space, t)
     xi = [f.of_int(v) for v in (1, 2, 3, 5, 7)[:n]]
     bar = restricted_monad(t, xi)
@@ -144,7 +153,9 @@ def all_digests() -> dict[str, dict[str, str]]:
 
 # recorded from the nested-loop assembly; the sigma_kernel_dim and
 # gamma_kernel_dim digests from the kernels' .dim before those functions
-# returned the dimension alone
+# returned the dimension alone.  Those two digests and the full-skew half of
+# tangent_dim are now taken from the systems kept in oracles, which the
+# package reads off d1, alpha(1) and a formula (tested below)
 PINNED: dict[str, dict[str, str]] = {
     "constructions-fp:32003": {
         "extend_affine": "c01ac8f0ad547905",
@@ -360,6 +371,63 @@ def test_structured_maps_are_pinned(name):
 @pytest.mark.parametrize("field", [GF32003, QQ, F7], ids=lambda f: f.spec_str())
 def test_constructions_are_pinned(field):
     assert _constructions(field) == PINNED[f"constructions-{field.spec_str()}"]
+
+
+def _linear_map(pattern, transpose_out: bool = False, transpose_src: bool = False,
+                sign: int = 1) -> dict:
+    """The linear map src -> sign * src.gather(pattern) as its nonzero
+    coefficients {(r, c, i, j): coefficient}, with (r, c) the output entry
+    and (i, j) the source entry; either index pair may be transposed."""
+    ncols, src_ncols = pattern.shape[1], pattern.src_shape[1]
+    out: dict = {}
+    for dst, src, s in zip(pattern._dst.tolist(), pattern._src.tolist(), pattern._sign.tolist()):
+        (r, c), (i, j) = divmod(dst, ncols), divmod(src, src_ncols)
+        key = (*((c, r) if transpose_out else (r, c)), *((j, i) if transpose_src else (i, j)))
+        out[key] = out.get(key, 0) + sign * s
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sigma_system_is_minus_d1_transposed(n):
+    # B.gather(sigma system) == -(B^T.gather(d1))^T for every basis B of N
+    for m in range(0, 4 * n + 1, 2):
+        sigma = oracles.sigma_pattern(m, n)
+        d1 = _s2_patterns(n, m)[2]
+        assert _linear_map(sigma) == _linear_map(d1, True, True, sign=-1)
+        assert sigma.shape == d1.shape[::-1]
+
+
+@pytest.mark.parametrize("nH", range(0, 6))
+def test_gamma_system_is_alpha1_transposed(nH):
+    # umat.gather(gamma system) == alpha(1)^T for every umat
+    for m in range(1, 4 * (nH + 1) + 1):
+        gamma = oracles.gamma_pattern(nH, m)
+        alpha1 = _graded_pattern(nH, m, 1, True)
+        assert _linear_map(gamma) == _linear_map(alpha1, transpose_out=True)
+        assert gamma.shape == alpha1.shape[::-1]
+
+
+def _tensors_of_every_rank(n: int, field):
+    """A tensor of each even rank 0 .. 4n: j blocks e_a e_a (x) x_k ^ x_l of
+    rank 2 on disjoint coordinates, moved by a random element of GL(H); and
+    one with random coefficients."""
+    blocks = [(a, a, k, k + 1) for a in range(n) for k in (0, 2)]
+    g = sample_invertible(n, field, Stream("every-rank", field.spec_str(), n))
+    for j in range(2 * n + 1):
+        yield OmegaTensor.from_entries(n, field, {b: field.one() for b in blocks[:j]}).conjugate(g)
+    yield OmegaTensor(n, field, sample_matrix(n * (n + 1) // 2, 6, field, ("every-rank", n)))
+
+
+@pytest.mark.parametrize("field,nmax", [(GF32003, 5), (F7, 5), (QQ, 4)],
+                         ids=["fp:32003", "fp:7", "rational"])
+def test_full_skew_tangent_is_the_formula(field, nmax):
+    ranks = set()
+    for n in range(1, nmax + 1):
+        for t in _tensors_of_every_rank(n, field):
+            rank = t.rank()
+            ranks.add((n, rank))
+            assert oracles.tangent_dim_full_skew(t) == full_skew_tangent_dim(n, rank // 2)
+    assert ranks >= {(n, r) for n in range(1, nmax + 1) for r in range(0, 4 * n + 1, 2)}
 
 
 if __name__ == "__main__":

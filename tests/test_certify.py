@@ -3,6 +3,7 @@ import json
 import pytest
 
 from instantons.certify import (
+    SCHEMA_VERSION,
     fiber_dim_check,
     find_pair,
     find_xi,
@@ -136,6 +137,27 @@ def test_certificate_degenerate_flagged(F):
     assert cert.consistent  # internal checks still hold
 
 
+def test_certificate_layout_is_pinned(F):
+    # the schema version and the consistency checks a certificate emits: a
+    # change to either has to change this pin, and the other with it
+    t = thooft_tensor(3, F)
+    certs = {
+        "modular": smoothness_certificate(t),
+        "modular-induction": smoothness_certificate(t, induction_seed=0),
+        "degenerate": smoothness_certificate(degenerate_rank6(F)),
+    }
+    names = {case: sorted(name for name, _ok in c.consistency) for case, c in certs.items()}
+    modular = ["h0_E_vanishes", "h1_E_minus2_vanishes", "left_defect_zero",
+               "smooth_iff_expected_tangent"]
+    assert (SCHEMA_VERSION, names) == (4, {
+        "modular": modular,
+        "modular-induction": sorted(modular + ["propagation_implication",
+                                               "propagation_inequality"]),
+        "degenerate": [],
+    })
+    assert all(c.to_obj()["schema_version"] == SCHEMA_VERSION for c in certs.values())
+
+
 def test_certificate_idempotent(F, corank2_n2):
     a = smoothness_certificate(corank2_n2, induction_seed=1).to_obj()
     b = smoothness_certificate(corank2_n2, induction_seed=1).to_obj()
@@ -146,19 +168,20 @@ ELIMINATIONS = ("_np_rref", "_np_rank", "_generic_rref")
 
 
 @pytest.mark.parametrize("make,counts", [
-    (lambda: sample_instanton(5, 2, GF32003, 7), (12, 20, 0)),
-    (lambda: thooft_tensor(3, QQ), (0, 23, 13)),
-    (lambda: degenerate_rank6(QQ), (0, 5, 6)),
-    (lambda: sample_full(2, QQ, 1), (0, 22, 2)),
-    (lambda: nc_tensor(QQ), (0, 21, 2)),
+    (lambda: sample_instanton(5, 2, GF32003, 7), (11, 17, 0)),
+    (lambda: thooft_tensor(3, QQ), (0, 20, 11)),
+    (lambda: degenerate_rank6(QQ), (0, 4, 6)),
+    (lambda: sample_full(2, QQ, 1), (0, 19, 1)),
+    (lambda: nc_tensor(QQ), (0, 18, 1)),
 ], ids=["chain52", "thooft3-q", "degenerate-rank6-q", "full2-q", "nc-q"])
 def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # calls of each elimination kernel in one certificate.  Over Q each rank
     # first runs _np_rank on the residues mod one prime, and _generic_rref
-    # only when that rank is not full (or for an RREF); the kernel
-    # dimensions of sigma and gamma are ranks.  The two tangent dimensions
-    # share one kernel of the flattening, and h_values(1) and left_defect one
-    # beta(1) with its rank.  The tensor is read back through
+    # only when that rank is not full (or for an RREF).  The display, the
+    # (1,1) certificate piece and the tangent kernel share one RREF of the
+    # flattening; a modular certificate reads the sigma and gamma kernel
+    # dimensions off its cohomology table, and h_values(1) and left_defect
+    # share one beta(1) with its rank.  The tensor is read back through
     # the file format, so that no display built while constructing it is reused.
     t = tensor_from_obj(tensor_to_obj(make()))
     calls = dict.fromkeys(ELIMINATIONS, 0)

@@ -45,7 +45,7 @@ def test_certify_example_writes_consistent_cert(tmp_path, capsys):
     assert obj["consistent"] is True
     assert obj["verdicts"]["nondegeneracy"]["status"] == "degenerate"
     assert obj["verdicts"]["modular"] is False
-    assert obj["schema_version"] == 3
+    assert obj["schema_version"] == 4
 
 
 def test_certify_sampled_tensor(tmp_path):
@@ -124,6 +124,34 @@ def test_corank2_sampling_small_field_is_input_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "fp:7" in err and "n = 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["fp:2", "fp:2^2"])
+def test_characteristic_2_extension_is_input_error(field, capsys):
+    # M(4, 4) is sampled by extending a (3, 6) tensor, and the extension
+    # fiber needs 2 to be invertible
+    assert run(["sample", "--n", "4", "--r", "4", "--field", field]) == 2
+    err = capsys.readouterr().err
+    assert f"characteristic != 2, not {field}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["suite", "--chains", "0"], "--chains 0: must be at least 1"),
+    (["suite", "--chains", "-1", "--only", "chains"], "--chains -1: must be at least 1"),
+    (["table", "lines", "--example", "nc", "--count", "-1"], "--count -1: must be at least 0"),
+    (["table", "coh", "--example", "nc", "--dmax", "-3"], "--dmax -3: must be at least -2"),
+    (["table", "lines", "--example", "nc", "--count", "0"], None),
+    (["table", "coh", "--example", "nc", "--dmax", "-2"], None),
+])
+def test_numeric_options_below_their_range_are_input_errors(argv, error, capsys):
+    # --chains 0 once passed the chains criterion with no chain checked, and
+    # --count -1 and --dmax -3 printed empty tables
+    assert run(argv) == (2 if error else 0)
+    out = capsys.readouterr()
+    if error:
+        assert out.out == "" and out.err == f"error: {error}\n"
+    else:
+        assert out.err == "" and out.out
 
 
 def _entry(i, j, k, l, c):

@@ -5,10 +5,18 @@ from itertools import permutations
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import rref_dense
+from oracles import has_monic_factor_by_search, rref_dense
 
 from instantons import linalg
-from instantons.fields import ExtensionField, PrimeField, QQ, field_from_spec, GF32003
+from instantons.fields import (
+    GF32003,
+    QQ,
+    ExtensionField,
+    PrimeField,
+    _find_irreducible,
+    field_from_spec,
+    is_prime,
+)
 from instantons.linalg import (
     Mat,
     Pattern,
@@ -40,6 +48,33 @@ def test_extension_field_arithmetic():
     assert len(list(e.elements())) == 49
     s = e.to_str((3, 5))
     assert e.parse(s) == (3, 5)
+
+
+# every (p, k) with p^(k // 2) <= 1000, k >= 2
+IRREDUCIBLE_CASES = [(p, k) for k in range(2, 20) for p in range(2, 1001)
+                     if is_prime(p) and p ** (k // 2) <= 1000]
+
+
+@pytest.mark.parametrize("k", sorted({k for _p, k in IRREDUCIBLE_CASES}))
+def test_extension_modulus_is_irreducible(k):
+    for p in (p for p, kk in IRREDUCIBLE_CASES if kk == k):
+        f = _find_irreducible(p, k)
+        assert len(f) == k + 1 and f[-1] == 1
+        assert not has_monic_factor_by_search(f, p), (p, k, f)
+        if p**k <= 20000:
+            # and it is the first monic irreducible in lex order of (c0, ..., c_{k-1})
+            monic = (tuple(j // p**i % p for i in range(k)) + (1,) for j in range(p**k))
+            assert f == next(g for g in monic if not has_monic_factor_by_search(g, p))
+
+
+def test_extension_field_with_two_prime_factors_in_its_degree():
+    # 6 = 2 * 3: x^6 + x + 1 has the root 1 mod 3, and was once taken as the modulus
+    e = ExtensionField(3, 6)
+    assert e.modulus != (1, 1, 0, 0, 0, 0, 1)
+    assert not has_monic_factor_by_search(e.modulus, 3)
+    for a in e.elements():
+        if not e.is_zero(a):
+            assert e.mul(a, e.inv(a)) == e.one()
 
 
 def test_rank_trivial_cases(F):

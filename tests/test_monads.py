@@ -186,17 +186,11 @@ def test_restricted_monad_rank_drop(F):
 
 def test_tangent_dims(F, corank2_n2, full36):
     # full rank: the kernel is zero, so the whole ambient is tangent
-    assert tangent_dim(full36, "symLambda") == 36
-    assert tangent_dim(full36, "fullSkew") == 66
-    assert tangent_dim(corank2_n2, "symLambda") == 17
-    from instantons.bases import full_skew_tangent_dim
-
-    assert tangent_dim(corank2_n2, "fullSkew") == full_skew_tangent_dim(2, 3)
+    assert tangent_dim(full36) == 36
+    assert tangent_dim(corank2_n2) == 17
     alpha = Mat.from_rows(F, [Stream("tan", i).next_vector(F, 6) for i in range(3)], 6)
     e44 = extend_affine(full36, alpha)
-    assert tangent_dim(e44, "symLambda") == 54
-    with pytest.raises(ValueError):
-        tangent_dim(full36, "other")
+    assert tangent_dim(e44) == 54
 
 
 def test_gamma_kernel_nc_tensor(F):

@@ -84,6 +84,14 @@ def test_decompose_pure_skewh_part(F):
         unflatten(part.flatten())
 
 
+@pytest.mark.parametrize("spec", ["fp:2", "fp:2^2"])
+def test_decompose_needs_characteristic_not_2(spec):
+    f = field_from_spec(spec)
+    with pytest.raises(ValueError) as info:
+        decompose(Mat.zeros(f, 4, 4))
+    assert f"characteristic != 2, not {spec}" in str(info.value)
+
+
 def test_image_dims(F, chain52):
     assert nc_tensor(F).image().dim == 4
     assert chain52.image().dim == 12
