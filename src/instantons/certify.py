@@ -62,12 +62,16 @@ def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int,
     twist 1.
 
     Returns (xi, h1_bar, trial_index, log of (trial, h1) for rank-preserving
-    trials).  Raises if no trial preserves the rank, which for a generic
-    tensor would contradict the expected openness of that condition.
+    trials).  Raises a ValueError above rank 4(n - 1), which no hyperplane
+    keeps, and a RuntimeError if no trial preserves the rank, which for a
+    generic tensor would contradict the expected openness of that condition.
     """
     f, n = omega.field, omega.n
     plain = build_monad(omega, quick_check=False)
     rank = plain.m
+    if rank > 4 * (n - 1):
+        raise ValueError(f"rank {rank} exceeds 4(n - 1) = {4 * (n - 1)}, the largest rank "
+                         "of a restriction to a hyperplane of H: no hyperplane keeps it")
     st = Stream("find_xi", f.spec_str(), n, seed)
     best: tuple[list, int, int] | None = None
     log: list[tuple[int, int]] = []

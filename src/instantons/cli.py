@@ -56,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="emit cohomology or line-scan tables as CSV")
     t.add_argument("kind", choices=["coh", "lines", "pencil"])
     add_source(t)
-    t.add_argument("--dmax", type=int, default=3, help="largest twist for coh tables")
+    t.add_argument("--dmax", type=int, default=3, help="largest twist for coh tables, at most 12")
     t.add_argument("--count", type=int, default=50, help="number of scanned lines")
 
     s = sub.add_parser("sample", parents=[common],
@@ -133,14 +133,19 @@ def main(argv=None) -> int:
         raise
 
 
-# the least value of each numeric option of a subcommand
+# the least value of each numeric option of a subcommand, and the largest
+# where there is one: a coh table's sections maps grow as dmax^3 on each side
 _LEAST = {"chains": 1, "count": 0, "dmax": -2}
+_MOST = {"dmax": 12}
 
 
 def _run(args) -> int:
     for name, least in _LEAST.items():
         if getattr(args, name, least) < least:
             raise ValueError(f"--{name} {getattr(args, name)}: must be at least {least}")
+    for name, most in _MOST.items():
+        if getattr(args, name, most) > most:
+            raise ValueError(f"--{name} {getattr(args, name)}: must be at most {most}")
     field = field_from_spec(args.field)
     if args.command == "certify":
         omega = _load_tensor(args, field)

@@ -320,6 +320,24 @@ class Mat:
             out.append(row)
         return Mat(f, self.nrows, other.ncols, out)
 
+    def annihilates(self, other: "Mat") -> bool:
+        """Whether self @ other is zero: on int64, from the products of the
+        nonzeros (i, k) of self and (k, j) of other alone, summed mod p."""
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in matmul")
+        if not _use_np(self.field):
+            return (self @ other).is_zero()
+        fa, fb = np.flatnonzero(self._a), np.flatnonzero(other._a)
+        (i, k), (bk, bj) = np.divmod(fa, self.ncols), np.divmod(fb, other.ncols)
+        per_row = np.bincount(bk, minlength=other.nrows)
+        count = per_row[k]
+        # the nonzeros of other's row k (bk is sorted), for each nonzero (i, k) of self in turn
+        at = np.arange(count.sum()) + np.repeat(np.cumsum(per_row)[k] - np.cumsum(count), count)
+        out = np.zeros(self.nrows * other.ncols, dtype=np.int64)
+        np.add.at(out, np.repeat(i * other.ncols, count) + bj[at],
+                  np.repeat(self._a.ravel()[fa], count) * other._a.ravel()[fb][at] % self.field.p)
+        return not (out % self.field.p).any()
+
     def __add__(self, other: "Mat") -> "Mat":
         self._check_shape(other)
         f = self.field

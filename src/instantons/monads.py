@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
 from .bases import (
     euler_chi,
@@ -76,7 +77,7 @@ class Monad:
     symplectic matrix on N recovered from the tensor, never assumed.
     """
 
-    __slots__ = ("field", "nH", "m", "N", "phi", "umat", "wmat", "_beta")
+    __slots__ = ("field", "nH", "m", "N", "phi", "umat", "wmat", "_beta", "_onto", "_s2")
 
     def __init__(self, field: Field, nH: int, N: Subspace, phi: Mat, umat: Mat, wmat: Mat):
         self.field = field
@@ -87,6 +88,9 @@ class Monad:
         self.umat = umat
         self.wmat = wmat
         self._beta = {}
+        # kept once found: the least twist d >= 0 where alpha is onto, the S^2 triple
+        self._onto = inf
+        self._s2 = None
         if not (phi + phi.transpose()).is_zero():
             raise MonadError("phi is not skew")
         if phi.rank() != self.m:
@@ -119,14 +123,20 @@ class Monad:
         return self._beta[d]
 
     def h_values(self, d: int) -> tuple[int, int]:
-        """(h0, h1) of the display's cohomology at twist d, for d >= -2."""
+        """(h0, h1) of the display's cohomology at twist d, for d >= -2.
+
+        alpha is S-linear and N (x) S^(d+1) = S^1 . (N (x) S^d) for d >= 0,
+        so im alpha(d+1) = S^1 . im alpha(d): above a twist d >= 0 where
+        alpha is onto, it is onto, and its rank is its row count with no
+        gather and no elimination.  Every beta(d) is ranked."""
         if d < -2:
             raise MonadError("twist below the acyclicity window")
-        a = self.alpha(d)
-        bm = self.beta(d)
-        rank_a = a.rank()
-        h1 = a.nrows - rank_a
-        h0 = (a.ncols - rank_a) - bm.rank()
+        nrows = self.nH * num_monomials(4, d + 1)
+        rank_a = nrows if d > self._onto else self.alpha(d).rank()
+        if rank_a == nrows and 0 <= d < self._onto:
+            self._onto = d
+        h1 = nrows - rank_a
+        h0 = (self.m * num_monomials(4, d) - rank_a) - self.beta(d).rank()
         return h0, h1
 
     def left_defect(self) -> int:
@@ -186,7 +196,8 @@ def _standard_witness(omega: OmegaTensor) -> tuple[int, int] | None:
 
 
 def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
-    """Display of the restriction to ker(xi) that keeps the full middle N.
+    """Display of the restriction to ker(xi) that keeps the full middle N,
+    kept on the tensor by xi as build_monad keeps the display.
 
     The middle space stays Im(omega); only the end spaces shrink to the
     hyperplane.  When the restricted tensor keeps full rank this is the
@@ -195,14 +206,16 @@ def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
     """
     from .tensors import kernel_inclusion
 
-    plain = build_monad(omega, quick_check=False)
-    j = kernel_inclusion(omega.field, xi)
-    eye = Mat.identity(omega.field, 4)
-    proj = kron(j.transpose(), eye)  # H* (x) V* -> H-bar* (x) V*
-    incl = kron(j, eye)  # H-bar (x) V -> H (x) V
-    umat = proj @ plain.umat
-    wmat = plain.wmat @ incl
-    return Monad(omega.field, omega.n - 1, plain.N, plain.phi, umat, wmat)
+    key = tuple(xi)
+    if key not in omega._restricted:
+        plain = build_monad(omega, quick_check=False)
+        j = kernel_inclusion(omega.field, xi)
+        eye = Mat.identity(omega.field, 4)
+        proj = kron(j.transpose(), eye)  # H* (x) V* -> H-bar* (x) V*
+        incl = kron(j, eye)  # H-bar (x) V -> H (x) V
+        omega._restricted[key] = Monad(omega.field, omega.n - 1, plain.N, plain.phi,
+                                       proj @ plain.umat, plain.wmat @ incl)
+    return omega._restricted[key]
 
 
 # -- cohomology tables ---------------------------------------------------
@@ -278,26 +291,28 @@ def _s2_patterns(nH: int, m: int) -> tuple[Pattern, Pattern, Pattern]:
             Pattern((len(hpair) * 10, m * c1), (c1, m), d1))
 
 
+def _s2_maps(monad: Monad) -> tuple[Mat, Mat]:
+    """d0 and d1 of the symmetric-square complex, gathered from the display."""
+    n_part, h_part, d1_pattern = _s2_patterns(monad.nH, monad.m)
+    return (monad.umat.gather(n_part).hstack(monad.wmat.gather(h_part)),
+            monad.umat.gather(d1_pattern))
+
+
 def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
-    """(h0, h1, h2) of S^2 E from the five-term symmetric-square complex.
+    """(h0, h1, h2) of S^2 E from the five-term symmetric-square complex,
+    computed once and kept on the display.
 
     Global sections of the acyclic terms give
         S^2 N (+) H (x) H* --d0--> N (x) H* (x) V* --d1--> wedge^2 H* (x) S^2 V*
     and the three cohomology dimensions are read off positions 0, 1, 2.
     """
-    n_part, h_part, d1_pattern = _s2_patterns(monad.nH, monad.m)
-    d0m = monad.umat.gather(n_part).hstack(monad.wmat.gather(h_part))
-    d1m = monad.umat.gather(d1_pattern)
-    if not (d1m @ d0m).is_zero():
-        raise AssertionError("symmetric-square complex is not a complex")
-
-    dim_c0, dim_c1, dim_c2 = d0m.ncols, d0m.nrows, d1m.nrows
-    rank0 = d0m.rank()
-    rank1 = d1m.rank()
-    h0 = dim_c0 - rank0
-    h1 = (dim_c1 - rank1) - rank0
-    h2 = dim_c2 - rank1
-    return h0, h1, h2
+    if monad._s2 is None:
+        d0m, d1m = _s2_maps(monad)
+        if not d1m.annihilates(d0m):
+            raise AssertionError("symmetric-square complex is not a complex")
+        rank0, rank1 = d0m.rank(), d1m.rank()
+        monad._s2 = (d0m.ncols - rank0, d0m.nrows - rank1 - rank0, d1m.nrows - rank1)
+    return monad._s2
 
 
 # -- dual kernel spaces ----------------------------------------------------

@@ -65,6 +65,16 @@ restriction to K is onto wedge^2 K*, so the certificate reports
 is reducible by trial division by every monic polynomial of degree 1 up to
 half its own; `fields._find_irreducible` uses Rabin's test instead.
 
+`coh_rows_every_twist` is the cohomology table of a display with alpha and
+beta gathered and ranked at every twist.  `Monad.h_values`, which
+`monads.coh_table` walks upward, takes alpha's rank to be its row count
+above a twist d >= 0 where alpha is onto, since im alpha(d+1) is
+S^1 . im alpha(d) there.
+
+`s2_is_complex_dense` is the check that the symmetric-square complex is a
+complex by the dense product d1 @ d0; `monads.s2_cohomology` forms only the
+products of nonzero entries, through `Mat.annihilates`.
+
 `projective_points_by_filter` is the point enumerator that tests every chart
 point's tail for zero and drops the zero tails, whose points are basis
 vectors.  `nondeg.projective_points` skips the first tail of each chart
@@ -90,7 +100,7 @@ from instantons.bases import (
 from instantons.fields import ExtensionField, PrimeField, is_prime
 from instantons.geometry import Line, plucker_of_span
 from instantons.linalg import Mat, Pattern, Subspace, kron
-from instantons.monads import Monad, MonadError, build_monad
+from instantons.monads import Monad, MonadError, _s2_maps, build_monad
 from instantons.nondeg import (
     DEFAULT_BUDGET,
     FIELD_SIZE_CAP,
@@ -455,3 +465,19 @@ def has_monic_factor_by_search(f: tuple, p: int) -> bool:
             if not any(rem[:d]):
                 return True
     return False
+
+
+def coh_rows_every_twist(m: Monad, dmax: int) -> list[tuple[int, int, int]]:
+    """Reference for the rows (d, h0, h1) of `monads.coh_table`, d = -2..dmax."""
+    rows = []
+    for d in range(-2, dmax + 1):
+        a, b = m.alpha(d), m.beta(d)
+        rank_a = a.rank()
+        rows.append((d, a.ncols - rank_a - b.rank(), a.nrows - rank_a))
+    return rows
+
+
+def s2_is_complex_dense(m: Monad) -> bool:
+    """Reference for the check in `monads.s2_cohomology` that d1 @ d0 = 0."""
+    d0, d1 = _s2_maps(m)
+    return (d1 @ d0).is_zero()

@@ -158,21 +158,50 @@ def test_certificate_layout_is_pinned(F):
     assert all(c.to_obj()["schema_version"] == SCHEMA_VERSION for c in certs.values())
 
 
-def test_certificate_idempotent(F, corank2_n2):
-    a = smoothness_certificate(corank2_n2, induction_seed=1).to_obj()
-    b = smoothness_certificate(corank2_n2, induction_seed=1).to_obj()
+def test_certificate_idempotent(F, chain52):
+    # the second certificate reuses the display, its S^2 triple and the
+    # restricted displays the first one kept on the tensor
+    a = smoothness_certificate(chain52, induction_seed=1).to_obj()
+    b = smoothness_certificate(chain52, induction_seed=1).to_obj()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_induction_certificate_reuses_display_work(monkeypatch):
+    # the display keeps its S^2 triple and the tensor its restricted
+    # displays, so propagation_check reuses the triple coh_table computed
+    # and the restricted display find_xi built (the first trial keeps the
+    # rank and has h1 = 0); read back through the file format, the tensor
+    # starts with no display
+    from instantons import monads
+
+    t = tensor_from_obj(tensor_to_obj(sample_instanton(5, 2, GF32003, 7)))
+    assemblies, displays = [], []
+    s2_maps, init = monads._s2_maps, monads.Monad.__init__
+
+    def counting_maps(monad):
+        assemblies.append(monad.nH)
+        return s2_maps(monad)
+
+    def counting_init(self, field, nH, *args):
+        displays.append(nH)
+        init(self, field, nH, *args)
+
+    monkeypatch.setattr(monads, "_s2_maps", counting_maps)
+    monkeypatch.setattr(monads.Monad, "__init__", counting_init)
+    cert = smoothness_certificate(t, induction_seed=0)
+    assert cert.consistent and cert.induction_witness["trial"] == 0
+    assert (assemblies, displays) == ([5, 4], [5, 4])
 
 
 ELIMINATIONS = ("_np_rref", "_np_rank", "_generic_rref")
 
 
 @pytest.mark.parametrize("make,counts", [
-    (lambda: sample_instanton(5, 2, GF32003, 7), (11, 17, 0)),
-    (lambda: thooft_tensor(3, QQ), (0, 20, 11)),
+    (lambda: sample_instanton(5, 2, GF32003, 7), (11, 16, 0)),
+    (lambda: thooft_tensor(3, QQ), (0, 19, 11)),
     (lambda: degenerate_rank6(QQ), (0, 4, 6)),
-    (lambda: sample_full(2, QQ, 1), (0, 19, 1)),
-    (lambda: nc_tensor(QQ), (0, 18, 1)),
+    (lambda: sample_full(2, QQ, 1), (0, 16, 1)),
+    (lambda: nc_tensor(QQ), (0, 15, 1)),
 ], ids=["chain52", "thooft3-q", "degenerate-rank6-q", "full2-q", "nc-q"])
 def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # calls of each elimination kernel in one certificate.  Over Q each rank
@@ -180,8 +209,9 @@ def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # only when that rank is not full (or for an RREF).  The display, the
     # (1,1) certificate piece and the tangent kernel share one RREF of the
     # flattening; a modular certificate reads the sigma and gamma kernel
-    # dimensions off its cohomology table, and h_values(1) and left_defect
-    # share one beta(1) with its rank.  The tensor is read back through
+    # dimensions off its cohomology table, h_values(1) and left_defect
+    # share one beta(1) with its rank, and alpha is not ranked above the
+    # first twist d >= 0 where it is onto.  The tensor is read back through
     # the file format, so that no display built while constructing it is reused.
     t = tensor_from_obj(tensor_to_obj(make()))
     calls = dict.fromkeys(ELIMINATIONS, 0)

@@ -350,3 +350,30 @@ def test_sampler_out_of_budget_exits_1(monkeypatch, capsys):
     assert run(["sample", "--n", "3", "--r", "6"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("internal invariant failed: no full-rank tensor after 0 draws")
+
+
+@pytest.mark.parametrize("dmax,error", [
+    ("12", None),
+    ("13", "--dmax 13: must be at most 12"),
+])
+def test_dmax_above_its_cap_is_input_error(dmax, error, capsys):
+    # the sections maps grow as dmax^3 on each side: --dmax 400 ran out of memory
+    assert run(["table", "coh", "--sample", "2,2", "--dmax", dmax]) == (2 if error else 0)
+    out = capsys.readouterr()
+    if error:
+        assert out.out == "" and out.err == f"error: {error}\n"
+    else:
+        assert out.err == "" and out.out.splitlines()[-1] == "12,882,0"
+
+
+@pytest.mark.parametrize("sample,code", [("2,2", 2), ("3,2", 0)])
+def test_induction_needs_a_rank_a_hyperplane_can_keep(sample, code, capsys):
+    # a restriction to a hyperplane of H has rank at most 4(n - 1): rank 6 at
+    # n = 2 is refused before any trial, rank 8 at n = 3 is searched
+    assert run(["certify", "--induction", "--sample", sample]) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.out == "" and "rank 6 exceeds 4(n - 1) = 4" in out.err
+        assert "Traceback" not in out.err
+    else:
+        assert out.err == "" and json.loads(out.out)["consistent"] is True

@@ -713,3 +713,20 @@ def test_np_rref_equals_the_dense_loop(p, data):
     ker = Mat.from_np(fld, a).kernel()
     assert ker.dim == len(free) and ker.pivots == ker_piv
     assert np.array_equal(ker.basis._a, ker_basis[:len(free)])
+
+
+@pytest.mark.parametrize("spec", LINALG_FIELDS + ["fp:2097143"])
+@given(data=st.data())
+def test_annihilates_is_the_dense_product(spec, data):
+    # Mat.annihilates forms only the products of nonzero entries; in about
+    # half the draws the columns of other lie in the kernel of self
+    fld = field_from_spec(spec)
+    nrows, inner, ncols = (data.draw(st.integers(0, 7)) for _ in range(3))
+    a = _low_rank(data, fld, nrows, inner)
+    b = _low_rank(data, fld, inner, ncols)
+    if data.draw(st.booleans()):
+        ker = a.kernel().basis
+        b = ker.transpose() @ _low_rank(data, fld, ker.nrows, ncols)
+    assert a.annihilates(b) == (a @ b).is_zero()
+    with pytest.raises(ValueError):
+        a.annihilates(Mat.zeros(fld, inner + 1, ncols))

@@ -1,12 +1,18 @@
+import oracles
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
-from instantons.bases import euler_chi
+from instantons import monads
+from instantons.bases import euler_chi, sym_index_map, wedge_coord
 from instantons.families import (
     extend_affine,
     nc_tensor,
+    random_tensor,
     sample_full,
     sample_instanton,
+    thooft_tensor,
 )
+from instantons.fields import field_from_spec
 from instantons.linalg import Mat, Stream, Subspace
 from instantons.monads import (
     MonadError,
@@ -229,3 +235,73 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
         with pytest.raises(MonadError):
             build_monad(zero, quick_check=False)
     assert builds == [t]
+
+
+def _planted_witness(n: int, f, seed) -> OmegaTensor:
+    """A random tensor whose flattening kills e_0 (x) e_0: degenerate at that
+    one point, where alpha is onto at no twist (h1 E(d) = 1 for d >= 1)."""
+    rows = random_tensor(n, f, Stream("planted", n, seed)).coeffs.rows()
+    for b in range(n):
+        for l in (1, 2, 3):
+            rows[sym_index_map(n)[0, b]][wedge_coord(0, l)[0]] = f.zero()
+    return OmegaTensor(n, f, Mat.from_rows(f, rows, 6))
+
+
+@given(spec=st.sampled_from(["fp:7", "fp:32003", "rational"]), n=st.integers(1, 5),
+       r_half=st.integers(1, 5), dmax=st.integers(-2, 5), seed=st.integers(0, 99),
+       kind=st.sampled_from(["table", "restricted", "degenerate"]),
+       xi=st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+@example(spec="fp:7", n=1, r_half=1, dmax=5, seed=0, kind="restricted", xi=[1, 0, 0, 0, 0])
+@example(spec="rational", n=1, r_half=1, dmax=5, seed=0, kind="restricted", xi=[2, 0, 0, 0, 0])
+@settings(max_examples=40)
+def test_coh_table_matches_every_twist_oracle(spec, n, r_half, dmax, seed, kind, xi):
+    # alpha is ranked only up to the first twist d >= 0 where it is onto; the
+    # rows equal those with alpha ranked at every twist: on coh tables of
+    # sampled tensors, on displays restricted to a hyperplane (nH = 0 at
+    # n = 1) and on degenerate displays, whose alpha is never onto
+    f = field_from_spec(spec)
+    if spec == "rational" and n == 5:
+        reject()  # n = 5 is drawn over fp only: exact elimination over Q is slow there
+    if kind == "degenerate":
+        omega = _planted_witness(max(n, 2), f, seed)
+    elif spec == "rational":
+        # rational mode samples r = 2n only; the thooft tensors have r = 2
+        omega = thooft_tensor(n, f) if 1 < n and r_half < n else sample_full(n, f, seed)
+    else:
+        try:
+            omega = sample_instanton(n, 2 * min(r_half, n), f, seed)
+        except ValueError:
+            reject()  # corank-2 sampling over fp:7 needs 4n < 7
+    m = build_monad(omega, quick_check=False)
+    if kind == "table":
+        rows = coh_table(omega, dmax).rows
+    else:
+        if kind == "restricted":
+            xi = [f.of_int(x) for x in xi[:omega.n]]
+            m = restricted_monad(omega, xi if any(xi) else [f.one()] + xi[1:])
+        rows = [(d, *m.h_values(d)) for d in range(-2, dmax + 1)]
+    assert rows == oracles.coh_rows_every_twist(m, dmax)
+
+
+@pytest.mark.parametrize("spec", ["fp:7", "fp:32003", "rational"])
+@given(n=st.integers(2, 4), seed=st.integers(0, 99), pick=st.integers(0, 10**6),
+       delta=st.integers(1, 6))
+@settings(max_examples=10)
+def test_s2_check_fails_on_a_perturbed_d0(spec, n, seed, pick, delta):
+    # the sparse check agrees with the dense product on the complex, and one
+    # changed entry of d0, in a row k where column k of d1 is nonzero, makes
+    # d1 @ d0 nonzero in that column and s2_cohomology raise
+    f = field_from_spec(spec)
+    m = build_monad(sample_full(n, f, seed), quick_check=False)
+    d0, d1 = monads._s2_maps(m)
+    assert d1.annihilates(d0) and oracles.s2_is_complex_dense(m)
+    live = [k for k in range(d1.ncols) if not d1.take_cols([k]).is_zero()]
+    k, j = live[pick % len(live)], pick // len(live) % d0.ncols
+    rows = d0.rows()
+    rows[k][j] = f.add(rows[k][j], f.of_int(delta))
+    bad = Mat.from_rows(f, rows, d0.ncols)
+    assert not d1.annihilates(bad) and not (d1 @ bad).is_zero()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monads, "_s2_maps", lambda monad: (bad, d1))
+        with pytest.raises(AssertionError, match="not a complex"):
+            s2_cohomology(m)
