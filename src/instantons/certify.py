@@ -16,7 +16,7 @@ from .linalg import Mat, Stream, Subspace, kron
 from .monads import (
     build_monad,
     coh_table,
-    gamma_kernel_dim,
+    reject_basis_witness,
     restricted_monad,
     s2_cohomology,
     sigma_kernel_dim,
@@ -41,7 +41,7 @@ def rank_preservation_checks(omega: OmegaTensor, xi: list) -> tuple[bool, bool, 
     f, n = omega.field, omega.n
     if all(f.is_zero(x) for x in xi):
         raise ValueError("xi must be nonzero")
-    plain = build_monad(omega, quick_check=False)
+    plain = build_monad(omega)
     rank = plain.m
     # (i) rank comparison
     b1 = omega.restrict_xi(xi).rank() == rank
@@ -67,8 +67,7 @@ def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int,
     generic tensor would contradict the expected openness of that condition.
     """
     f, n = omega.field, omega.n
-    plain = build_monad(omega, quick_check=False)
-    rank = plain.m
+    rank = build_monad(omega).m
     if rank > 4 * (n - 1):
         raise ValueError(f"rank {rank} exceeds 4(n - 1) = {4 * (n - 1)}, the largest rank "
                          "of a restriction to a hyperplane of H: no hyperplane keeps it")
@@ -79,9 +78,11 @@ def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int,
         xi = st.next_vector(f, n)
         if all(f.is_zero(x) for x in xi):
             continue
-        if omega.restrict_xi(xi).rank() != rank:
+        # test (iv) of rank_preservation_checks, on the display read next
+        bar = restricted_monad(omega, xi)
+        if bar.h_values(0)[0] != 0:
             continue
-        h1 = gamma_kernel_dim(restricted_monad(omega, xi))
+        h1 = bar.h_values(1)[1]
         log.append((t, h1))
         if best is None or h1 < best[1]:
             best = (xi, h1, t)
@@ -114,6 +115,7 @@ def fiber_dim_check(omega_bar: OmegaTensor) -> tuple[int, int, bool]:
     from .families import fiber_solution_space
 
     m = build_monad(omega_bar)
+    reject_basis_witness(omega_bar)
     sol = fiber_solution_space(omega_bar).dim
     expected = omega_bar.n + m.h_values(1)[0]
     return sol, expected, sol == expected
@@ -147,11 +149,10 @@ def propagation_check(omega: OmegaTensor, xi: list) -> PropagationReport:
     checks = rank_preservation_checks(omega, xi)
     if not all(checks):
         raise ValueError("xi drops the rank; propagation needs a preserving xi")
-    plain = build_monad(omega, quick_check=False)
     bar = restricted_monad(omega, xi)
-    h2 = s2_cohomology(plain)[2]
+    h2 = s2_cohomology(build_monad(omega))[2]
     h2_bar = s2_cohomology(bar)[2]
-    h1_bar = gamma_kernel_dim(bar)
+    h1_bar = bar.h_values(1)[1]
     implication = True
     if h2_bar == 0 and h1_bar == 0:
         implication = h2 == 0
@@ -265,7 +266,6 @@ def smoothness_certificate(
     if not cert.modular:
         cert.sigma_kernel_dim = sigma_kernel_dim(omega)
         return cert
-    plain = build_monad(omega, quick_check=False)
     table = coh_table(omega)
     cert.coh_rows = [list(r) for r in table.rows]
     cert.s2 = table.s2
@@ -280,7 +280,7 @@ def smoothness_certificate(
         ("smooth_iff_expected_tangent", cert.smooth_point == expected_tangent),
         ("h0_E_vanishes", table.h(0)[0] == 0),
         ("h1_E_minus2_vanishes", table.h(-2)[1] == 0),
-        ("left_defect_zero", plain.left_defect() == 0),
+        ("left_defect_zero", build_monad(omega).left_defect() == 0),
     ]
     if induction_seed is not None:
         try:

@@ -16,7 +16,7 @@ from .families import NAMED_EXAMPLES, named_example, sample_instanton
 from .fields import field_from_spec
 from .geometry import Line, line_invariants, point_plane_pencil, pencil_jump_poly, splitting_orders
 from .linalg import Mat, Stream
-from .monads import build_monad, coh_table
+from .monads import build_monad, coh_table, reject_basis_witness
 from .polys import roots as poly_roots
 from .tensors import read_tensor, tensor_to_obj, write_tensor
 
@@ -161,7 +161,8 @@ def _run(args) -> int:
     if args.command == "table":
         omega = _load_tensor(args, field)
         if args.kind == "coh":
-            build_monad(omega)  # the quick degeneracy check on the input
+            build_monad(omega)  # its rank check comes before the basis-pair gate
+            reject_basis_witness(omega)
             table = coh_table(omega, args.dmax)
             _emit(_csv_header(args) + table.csv(), args.out)
             return 0
@@ -232,7 +233,8 @@ def _pencil_table(args, field, omega) -> int:
     for i, c in enumerate(poly):
         rows.append(f"coeff_{i},{field.to_str(c)}")
     if found:
-        build_monad(omega)  # the quick degeneracy check on the input
+        build_monad(omega)  # its rank check comes before the basis-pair gate
+        reject_basis_witness(omega)
     # every member of the pencil is decomposable: pencil_jump_poly checked it
     lams = [[field.add(a, field.mul(root, b)) for a, b in zip(lam0, lam1)] for root in found]
     orders = splitting_orders(omega, lams)[0] if found else []

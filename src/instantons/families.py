@@ -9,8 +9,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .fields import Field
-from .linalg import Mat, Pattern, Stream, Subspace
-from .monads import Monad, MonadError, build_monad
+from .linalg import Mat, Pattern, Stream, Subspace, kron
+from .monads import Monad, MonadError, build_monad, reject_basis_witness
 from .nondeg import LIGHT_BUDGET, classify
 from .polys import interpolate as poly_interpolate
 from .polys import roots as poly_roots
@@ -107,7 +107,7 @@ def thooft_tensor(n: int, field: Field, seed=0) -> OmegaTensor:
     for _ in range(RETRY_LIMIT):
         cand = OmegaTensor.from_vec(n, f, _random_point(space, st))
         if cand.rank() == ncols:
-            h0e1 = build_monad(cand, quick_check=False).h_values(1)[0]
+            h0e1 = build_monad(cand).h_values(1)[0]
             if h0e1 != 2:
                 raise AssertionError(f"net tensor has h0 E(1) = {h0e1}, expected 2")
             return cand
@@ -275,7 +275,11 @@ def sample_corank2(n: int, field: Field, seed) -> OmegaTensor:
             return OmegaTensor(n, f, w0.coeffs + w1.coeffs.scale(t))
 
         points = [f.of_int(i) for i in range(4 * n + 1)]
-        values = [member(t).flatten().det() for t in points]
+        # the flattening is linear in the tensor, so the members' flattenings
+        # side by side are kron(ones, flat w0) + kron(points, flat w1)
+        ones = Mat.from_rows(f, [[f.one()] * len(points)], len(points))
+        flats = kron(ones, w0.flatten()) + kron(Mat.from_rows(f, [points], len(points)), w1.flatten())
+        values = flats.block_ranks(4 * n)[1]
         poly = poly_trim(poly_interpolate(points, values, f), f)
         if not poly:
             continue  # the whole pencil is singular; try another
@@ -311,7 +315,7 @@ def fiber_solution_space(omega_bar: OmegaTensor) -> Subspace:
     is skew with respect to V in every H-bar slot.  The dimension equals
     (dim H-bar) + h0 E(1) of the base tensor, which is checked elsewhere.
     """
-    m = build_monad(omega_bar, quick_check=False)
+    m = build_monad(omega_bar)
     return m.wmat.gather(_fiber_pattern(m.nH, m.m)).kernel()
 
 
@@ -342,6 +346,7 @@ def extend_fiber(omega_bar: OmegaTensor, seed) -> OmegaTensor:
     if f.p == 2:
         raise ValueError(f"the extension fiber needs characteristic != 2, not {f.spec_str()}")
     m = build_monad(omega_bar)
+    reject_basis_witness(omega_bar)
     if m.r < 4:
         raise MonadError("base display must have r >= 4 to extend downward")
     space = fiber_solution_space(omega_bar)

@@ -142,7 +142,7 @@ def _section_counts(omega: OmegaTensor, spaces: list[Mat]) -> list[int]:
     the rank of N.basis @ (I_n (x) S^T): the products of all spaces are
     one matmul, ranked as n k-column blocks by one elimination.
     """
-    m = build_monad(omega, quick_check=False)
+    m = build_monad(omega)
     f, n, count = omega.field, omega.n, len(spaces)
     k = spaces[0].nrows
     points = Mat.from_rows(f, [r for s in spaces for r in s.rows()], 4).transpose()
@@ -178,7 +178,7 @@ def splitting_orders(omega: OmegaTensor, lams: list[list]) -> tuple[list[int], l
     also gives their determinants.  On a degenerate tensor E is not a bundle
     and the number is not a splitting order.
     """
-    m = build_monad(omega, quick_check=False)
+    m = build_monad(omega)
     if m.r != 2:
         raise MonadError("splitting order is defined for rank-2 displays only")
     ranks, dets = omega.contract_lines(lams).block_ranks(omega.n)
@@ -247,7 +247,7 @@ def point_plane_pencil(field: Field, p: list, q0: list, q1: list) -> tuple[list,
 def k_intersection_dim(omega: OmegaTensor, k: Mat) -> int:
     """dim N meet (K (x) V*) inside H* (x) V*, for the subspace K of H*
     spanned by the independent rows of k: dim N + 4 dim K - rank[N; K (x) V*]."""
-    m = build_monad(omega, quick_check=False)
+    m = build_monad(omega)
     span = kron(k, Mat.identity(omega.field, 4))
     return m.N.dim + span.nrows - m.N.basis.vstack(span).rank()
 

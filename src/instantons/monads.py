@@ -29,7 +29,7 @@ from .bases import (
 )
 from .fields import Field
 from .linalg import Mat, Pattern, Subspace, kron
-from .tensors import OmegaTensor, sym_square
+from .tensors import OmegaTensor, kernel_inclusion, sym_square
 
 # Each structured map below is one Mat.gather of a matrix of the display
 # (umat, wmat, the basis of N, products of kernel vectors) along a Pattern
@@ -77,7 +77,8 @@ class Monad:
     symplectic matrix on N recovered from the tensor, never assumed.
     """
 
-    __slots__ = ("field", "nH", "m", "N", "phi", "umat", "wmat", "_beta", "_onto", "_s2")
+    __slots__ = ("field", "nH", "m", "N", "phi", "umat", "wmat", "_ranks", "_onto", "_s2",
+                 "_restricted")
 
     def __init__(self, field: Field, nH: int, N: Subspace, phi: Mat, umat: Mat, wmat: Mat):
         self.field = field
@@ -87,10 +88,12 @@ class Monad:
         self.phi = phi
         self.umat = umat
         self.wmat = wmat
-        self._beta = {}
-        # kept once found: the least twist d >= 0 where alpha is onto, the S^2 triple
+        # kept once found: the ranks of alpha(d) and beta(d) by twist d, the least twist
+        # d >= 0 where alpha is onto, the S^2 triple, the restricted displays by xi
+        self._ranks = {}
         self._onto = inf
         self._s2 = None
+        self._restricted = {}
         if not (phi + phi.transpose()).is_zero():
             raise MonadError("phi is not skew")
         if phi.rank() != self.m:
@@ -116,14 +119,13 @@ class Monad:
         return self.umat.gather(_graded_pattern(self.nH, self.m, d, True))
 
     def beta(self, d: int) -> Mat:
-        """Sections map H-bar (x) S^(d-1) -> N (x) S^d, built once per twist:
-        h_values(1) and left_defect share beta(1) and its rank."""
-        if d not in self._beta:
-            self._beta[d] = self.wmat.gather(_graded_pattern(self.m, self.nH, d - 1, False))
-        return self._beta[d]
+        """Sections map H-bar (x) S^(d-1) -> N (x) S^d."""
+        return self.wmat.gather(_graded_pattern(self.m, self.nH, d - 1, False))
 
     def h_values(self, d: int) -> tuple[int, int]:
-        """(h0, h1) of the display's cohomology at twist d, for d >= -2.
+        """(h0, h1) of the display's cohomology at twist d, for d >= -2, from
+        the ranks of alpha(d) and beta(d), kept by twist.  h1 at twist 1 is the
+        dimension of the gamma kernel, whose system is alpha(1) transposed.
 
         alpha is S-linear and N (x) S^(d+1) = S^1 . (N (x) S^d) for d >= 0,
         so im alpha(d+1) = S^1 . im alpha(d): above a twist d >= 0 where
@@ -132,32 +134,32 @@ class Monad:
         if d < -2:
             raise MonadError("twist below the acyclicity window")
         nrows = self.nH * num_monomials(4, d + 1)
-        rank_a = nrows if d > self._onto else self.alpha(d).rank()
-        if rank_a == nrows and 0 <= d < self._onto:
-            self._onto = d
-        h1 = nrows - rank_a
-        h0 = (self.m * num_monomials(4, d) - rank_a) - self.beta(d).rank()
-        return h0, h1
+        if d not in self._ranks:
+            rank_a = nrows if d > self._onto else self.alpha(d).rank()
+            if rank_a == nrows and 0 <= d < self._onto:
+                self._onto = d
+            self._ranks[d] = rank_a, self.beta(d).rank()
+        rank_a, rank_b = self._ranks[d]
+        return self.m * num_monomials(4, d) - rank_a - rank_b, nrows - rank_a
 
     def left_defect(self) -> int:
-        """Kernel dimension of the left map on sections at twist 1; nonzero
-        flags a degenerate defining tensor."""
-        bm = self.beta(1)
-        return bm.ncols - bm.rank()
+        """Kernel dimension of the left map on sections at twist 1, nH minus
+        the rank of beta(1); nonzero flags a degenerate defining tensor."""
+        self.h_values(1)
+        return self.nH - self._ranks[1][1]
 
 
-def build_monad(omega: OmegaTensor, *, quick_check: bool = True) -> Monad:
+def build_monad(omega: OmegaTensor) -> Monad:
     """Horrocks display of an admissible tensor, built on the first call and
     kept on the tensor.
 
-    Requires rank 2n+r with 2 <= r <= 2n.  When quick_check is set a cheap
-    scan over the standard basis vectors rejects blatantly degenerate input;
-    full non-degeneracy classification is the caller's separate step.
+    Requires rank 2n+r with 2 <= r <= 2n.  Non-degeneracy is the caller's
+    separate step: reject_basis_witness or nondeg.classify.
     """
     # omega._monad is written here only: a display is kept once its rank
     # check has passed, so a rank error is raised on every call
-    n = omega.n
     if omega._monad is None:
+        n = omega.n
         N = omega.image()
         rank = N.dim
         r = rank - 2 * n
@@ -165,13 +167,16 @@ def build_monad(omega: OmegaTensor, *, quick_check: bool = True) -> Monad:
             raise MonadError("skew flattening must have even rank")
         if r < 2 or r > 2 * n:
             raise MonadError(f"rank {rank} violates the admissible range [2n+2, 4n] for n={n}")
-    if quick_check:
-        w = _standard_witness(omega)
-        if w is not None:
-            raise MonadError(f"tensor is degenerate (witness at basis pair {w})")
-    if omega._monad is None:
         omega._monad = _monad_from_image(omega, N)
     return omega._monad
+
+
+def reject_basis_witness(omega: OmegaTensor) -> None:
+    """Raise a MonadError when omega(e_a (x) e_k) = 0 for basis vectors e_a, e_k, a zero
+    column 4a + k of the flattening: a cheap test that rejects blatant degeneracy."""
+    col = omega.flatten().first_deficient_block(1)
+    if col is not None:
+        raise MonadError(f"tensor is degenerate (witness at basis pair {divmod(col, 4)})")
 
 
 def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:
@@ -188,34 +193,25 @@ def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:
     return Monad(f, n, N, phi, umat, wmat)
 
 
-def _standard_witness(omega: OmegaTensor) -> tuple[int, int] | None:
-    """Look for h = e_a, v = e_k with omega(h (x) v) = 0 (a zero column
-    4a + k of the flattening); cheap necessary test."""
-    col = omega.flatten().first_deficient_block(1)
-    return None if col is None else divmod(col, 4)
-
-
 def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
     """Display of the restriction to ker(xi) that keeps the full middle N,
-    kept on the tensor by xi as build_monad keeps the display.
+    built once per xi and kept on the display of omega.
 
     The middle space stays Im(omega); only the end spaces shrink to the
     hyperplane.  When the restricted tensor keeps full rank this is the
     display of the restricted tensor; when the rank drops, h0 of the result
     is positive and it is not a bundle display.
     """
-    from .tensors import kernel_inclusion
-
+    plain = build_monad(omega)
     key = tuple(xi)
-    if key not in omega._restricted:
-        plain = build_monad(omega, quick_check=False)
+    if key not in plain._restricted:
         j = kernel_inclusion(omega.field, xi)
         eye = Mat.identity(omega.field, 4)
         proj = kron(j.transpose(), eye)  # H* (x) V* -> H-bar* (x) V*
         incl = kron(j, eye)  # H-bar (x) V -> H (x) V
-        omega._restricted[key] = Monad(omega.field, omega.n - 1, plain.N, plain.phi,
+        plain._restricted[key] = Monad(omega.field, omega.n - 1, plain.N, plain.phi,
                                        proj @ plain.umat, plain.wmat @ incl)
-    return omega._restricted[key]
+    return plain._restricted[key]
 
 
 # -- cohomology tables ---------------------------------------------------
@@ -254,7 +250,7 @@ class CohTable:
 
 def coh_table(omega: OmegaTensor, dmax: int = 3) -> CohTable:
     """Cohomology table of an admissible tensor for twists -2..dmax."""
-    m = build_monad(omega, quick_check=False)
+    m = build_monad(omega)
     rows = [(d, *m.h_values(d)) for d in range(-2, dmax + 1)]
     t = CohTable(
         n=m.nH,
@@ -331,14 +327,6 @@ def sigma_kernel_dim(omega: OmegaTensor) -> int:
     basis = omega.image().basis
     d1 = basis.transpose().gather(_s2_patterns(omega.n, basis.nrows)[2])
     return d1.nrows - d1.rank()
-
-
-def gamma_kernel_dim(monad: Monad) -> int:
-    """dim {gamma in H-bar (x) S^2 V : gamma o u = 0}: the linear system in
-    gamma is alpha(1) transposed, so this is the cokernel dimension of
-    alpha(1), h1 E(1)."""
-    a = monad.alpha(1)
-    return a.nrows - a.rank()
 
 
 def gamma_kernel_plane(monad: Monad, w_basis: Mat) -> Subspace:

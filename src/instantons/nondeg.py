@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain, islice, product
 
-from .bases import num_monomials, times_variable
+from .bases import hv_index, num_monomials, times_variable
 from .fields import ExtensionField, Field, PrimeField, is_prime
 from .linalg import Mat, kron
 from .tensors import OmegaTensor
@@ -126,27 +126,23 @@ def _candidates(m: Mat, n: int, fld: Field, start: int, stop: int, points: dict)
     in enumeration order.
 
     Scans the smaller of P(H), P(V), a chunk of points at a time: the points
-    h of a chunk, as the columns of P, are contracted in one product
-    m @ (P (x) I_4), whose columns 4b .. 4b + 3 belong to point b; points v
-    as m @ (I_n (x) P), with the columns reordered so that each point's n
-    columns are consecutive.  Mat.first_deficient_block finds the next point
-    whose contraction has a kernel; its partner is the first vector of that
-    contraction's kernel basis.  The points scanned, through the last one
-    yielded, are added to points[fld.spec_str()].
+    of a chunk, as the columns of P, are contracted in one product
+    m @ (P (x) I_w), whose columns wb .. wb + w - 1 belong to point b.  The
+    columns of m are indexed 4a + k, (a, k) in H x V; to scan P(V) they are
+    first reordered to k n + a, once per field.  Mat.first_deficient_block
+    finds the next point whose contraction has a kernel; its partner is the
+    first vector of that contraction's kernel basis.  The points scanned,
+    through the last one yielded, are added to points[fld.spec_str()].
     """
     scan_h = n <= 4
     dim, width = (n, 4) if scan_h else (4, n)
+    if not scan_h:
+        m = m.take_cols([hv_index(a, k) for k in range(4) for a in range(n)])
     eye = Mat.identity(fld, width)
     key = fld.spec_str()
     todo = islice(projective_points(fld, dim, stop), start, None)
     while chunk := list(islice(todo, _CHUNK)):
-        pts = Mat.from_rows(fld, chunk, dim).transpose()
-        if scan_h:
-            prod = m @ kron(pts, eye)
-        else:
-            size = len(chunk)
-            prod = (m @ kron(eye, pts)).take_cols(
-                [j * size + b for b in range(size) for j in range(n)])
+        prod = m @ kron(Mat.from_rows(fld, chunk, dim).transpose(), eye)
         done = 0
         while done < len(chunk):
             rest = prod if done == 0 else prod.take_cols(range(done * width, prod.ncols))
@@ -156,8 +152,7 @@ def _candidates(m: Mat, n: int, fld: Field, start: int, stop: int, points: dict)
                 break
             points[key] = points.get(key, 0) + hit + 1
             point = chunk[done + hit]
-            col = _column(fld, point)
-            ker = (m @ (kron(col, eye) if scan_h else kron(eye, col))).kernel()
+            ker = (m @ kron(_column(fld, point), eye)).kernel()
             if ker.dim == 0:
                 raise AssertionError("a rank-deficient contraction has a zero kernel")
             partner = ker.basis.row(0)

@@ -81,7 +81,7 @@ class OmegaTensor:
     doubling it, so published coefficient matrices transcribe literally.
     """
 
-    __slots__ = ("n", "field", "coeffs", "_sym_idx", "_flat", "_monad", "_restricted")
+    __slots__ = ("n", "field", "coeffs", "_sym_idx", "_flat", "_monad")
 
     def __init__(self, n: int, field: Field, coeffs: Mat):
         if coeffs.nrows != n * (n + 1) // 2 or coeffs.ncols != 6:
@@ -91,11 +91,9 @@ class OmegaTensor:
         self.coeffs = coeffs
         self._sym_idx = sym_index_map(n)
         self._flat = None
-        # the Horrocks display and its restrictions by xi, kept by
-        # monads.build_monad and monads.restricted_monad, which alone read and
-        # write them: like the flattening, they are functions of the tensor
+        # the Horrocks display, kept by monads.build_monad, which alone reads
+        # and writes it: like the flattening, it is a function of the tensor
         self._monad = None
-        self._restricted = {}
 
     # -- constructors ---------------------------------------------------
 

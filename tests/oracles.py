@@ -55,8 +55,8 @@ for itself.  The sigma system fills the flattening slots of each unknown in
 wedge^2 H (x) S^2 V against the basis of N; `monads.sigma_kernel_dim` takes
 the cokernel of d1 of the symmetric-square complex, whose matrix is minus
 the transpose of that system.  The gamma system puts each unknown in
-H-bar (x) S^2 V at its S^2 V pairs against umat; `monads.gamma_kernel_dim`
-takes the cokernel of alpha(1), its transpose.  The full-skew tangent system
+H-bar (x) S^2 V at its S^2 V pairs against umat; `Monad.h_values(1)` reads
+its dimension as h1 at twist 1, the cokernel of alpha(1), its transpose.  The full-skew tangent system
 asks all skew forms on H (x) V to vanish on the kernel K of the flattening;
 restriction to K is onto wedge^2 K*, so the certificate reports
 `bases.full_skew_tangent_dim` instead.
@@ -70,6 +70,12 @@ beta gathered and ranked at every twist.  `Monad.h_values`, which
 `monads.coh_table` walks upward, takes alpha's rank to be its row count
 above a twist d >= 0 where alpha is onto, since im alpha(d+1) is
 S^1 . im alpha(d) there.
+
+`find_xi_by_rank` is the hyperplane search that tests each drawn xi by the
+rank of the restricted tensor and takes h1 at twist 1 from the gamma system
+of that tensor's own display.  `certify.find_xi` tests h0 at twist 0 of the
+display restricted to ker(xi) instead, whose h1 at twist 1 it reads next:
+h0 there is dim N meet (xi (x) V*), which is 0 exactly when the rank is kept.
 
 `s2_is_complex_dense` is the check that the symmetric-square complex is a
 complex by the dense product d1 @ d0; `monads.s2_cohomology` forms only the
@@ -97,9 +103,10 @@ from instantons.bases import (
     skew_pairs,
     sym_pairs,
 )
+from instantons.certify import XI_TRIALS
 from instantons.fields import ExtensionField, PrimeField, is_prime
 from instantons.geometry import Line, plucker_of_span
-from instantons.linalg import Mat, Pattern, Subspace, kron
+from instantons.linalg import Mat, Pattern, Stream, Subspace, kron
 from instantons.monads import Monad, MonadError, _s2_maps, build_monad
 from instantons.nondeg import (
     DEFAULT_BUDGET,
@@ -349,7 +356,7 @@ def line_by_elimination(field, u0: list, u1: list) -> Line:
 def line_invariants_by_line(omega, line: Line) -> tuple:
     """(splitting order, h0, det w(lambda)) of one line, each by its own elimination."""
     f, n = omega.field, omega.n
-    m = build_monad(omega, quick_check=False)
+    m = build_monad(omega)
     if m.r != 2:
         raise MonadError("splitting order is defined for rank-2 displays only")
     quadric = omega.contract_line(line.plucker)
@@ -475,6 +482,32 @@ def coh_rows_every_twist(m: Monad, dmax: int) -> list[tuple[int, int, int]]:
         rank_a = a.rank()
         rows.append((d, a.ncols - rank_a - b.rank(), a.nrows - rank_a))
     return rows
+
+
+def find_xi_by_rank(omega, seed=0) -> tuple[list, int, int, list[tuple[int, int]]]:
+    """Reference for `certify.find_xi`, from the same stream of trials."""
+    f, n = omega.field, omega.n
+    rank = omega.rank()
+    if rank > 4 * (n - 1):
+        raise ValueError(f"rank {rank} exceeds 4(n - 1)")
+    st = Stream("find_xi", f.spec_str(), n, seed)
+    best, log = None, []
+    for t in range(XI_TRIALS):
+        xi = st.next_vector(f, n)
+        if all(f.is_zero(x) for x in xi):
+            continue
+        restricted = omega.restrict_xi(xi)
+        if restricted.rank() != rank:
+            continue
+        h1 = gamma_kernel_dim_by_slots(build_monad(restricted))
+        log.append((t, h1))
+        if best is None or h1 < best[1]:
+            best = (xi, h1, t)
+        if h1 == 0:
+            break
+    if best is None:
+        raise RuntimeError(f"no rank-preserving hyperplane in {XI_TRIALS} trials")
+    return best[0], best[1], best[2], log
 
 
 def s2_is_complex_dense(m: Monad) -> bool:

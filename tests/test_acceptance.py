@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from instantons.fields import GF32003
-from instantons.suite import CRITERIA, SuiteContext
+from instantons.fields import GF32003, QQ
+from instantons.suite import CRITERIA, SuiteContext, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -23,3 +23,11 @@ def test_criterion(ctx, cid, tag, desc, fn):
     line = f"{cid:<4} {tag:<16} {'PASS' if passed else 'FAIL'} ({time.time() - t0:.1f}s) {desc}"
     print(line)
     assert passed, f"{cid} failed: {details}"
+
+
+def test_rational_battery_is_criteria_1_to_3():
+    # under --field rational, C1-C3 run over Q themselves; the rational audit
+    # compares Q with the prime field it runs over, so it is left out
+    summary = run_suite(QQ)
+    assert [c["cid"] for c in summary["criteria"]] == ["C1", "C2", "C3"]
+    assert summary["passed"]

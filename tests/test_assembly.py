@@ -102,7 +102,7 @@ def _maps(name: str) -> dict[str, str]:
     t = TENSORS[name]()
     f, n = t.field, t.n
     out = {"tensor": _digest(t.coeffs), "flatten": _digest(t.flatten())}
-    m = build_monad(t, quick_check=False)
+    m = build_monad(t)
     out["monad"] = _digest(m.umat, m.wmat, m.phi)
     out["alpha"] = _digest(*(m.alpha(d) for d in range(-2, 4)))
     out["beta"] = _digest(*(m.beta(d) for d in range(-2, 4)))

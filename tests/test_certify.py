@@ -1,5 +1,6 @@
 import json
 
+import oracles
 import pytest
 
 from instantons.certify import (
@@ -20,9 +21,9 @@ from instantons.families import (
     sample_instanton,
     thooft_tensor,
 )
-from instantons.fields import GF32003, QQ
+from instantons.fields import GF32003, QQ, PrimeField
 from instantons.linalg import Mat, Stream, sample_invertible
-from instantons.tensors import block_sum, tensor_from_obj, tensor_to_obj
+from instantons.tensors import OmegaTensor, block_sum, tensor_from_obj, tensor_to_obj
 
 
 def test_checks_all_true_on_constructed_extension(F, full36):
@@ -129,6 +130,35 @@ def test_certificate_corank2_dims(F, corank2_n2):
     assert cert.tangent_sym_lambda == 17
 
 
+def _conjugated_block_sum() -> OmegaTensor:
+    # the (3,2) sample plus a null correlation over F_11, moved by a random g:
+    # rank 12 = 4(n - 1), and the first hyperplane drawn at seed 0 drops it
+    f = PrimeField(11)
+    base = block_sum(sample_instanton(3, 2, f, 1), nc_tensor(f))
+    return base.conjugate(sample_invertible(4, f, Stream("g", 1)))
+
+
+@pytest.mark.parametrize("make,seed,first_drops", [
+    (lambda: sample_instanton(5, 2, GF32003, 7), 0, False),
+    (lambda: sample_instanton(5, 2, GF32003, 7), 1, False),
+    (lambda: sample_instanton(5, 2, GF32003, 7), 2, False),
+    (lambda: sample_instanton(4, 4, GF32003, 0), 0, False),
+    (lambda: sample_instanton(3, 2, GF32003, 0), 0, False),
+    (_conjugated_block_sum, 0, True),
+], ids=["chain52-0", "chain52-1", "chain52-2", "sample44", "sample32", "block-sum-fp11"])
+def test_find_xi_matches_rank_based_loop(make, seed, first_drops):
+    # find_xi keeps a hyperplane when the restricted display has no sections
+    # at twist 0; the reference keeps it when the restricted tensor keeps the
+    # rank, and reads h1(1) off that tensor's own display
+    t = make()
+    expected = oracles.find_xi_by_rank(tensor_from_obj(tensor_to_obj(t)), seed)
+    assert find_xi(t, seed) == expected
+    f = t.field
+    first = Stream("find_xi", f.spec_str(), t.n, seed).next_vector(f, t.n)
+    assert (t.restrict_xi(first).rank() < t.rank()) == first_drops
+    assert (expected[3][0][0] > 0) == first_drops
+
+
 def test_certificate_degenerate_flagged(F):
     cert = smoothness_certificate(degenerate_rank6(F))
     assert cert.modular is False
@@ -159,16 +189,16 @@ def test_certificate_layout_is_pinned(F):
 
 
 def test_certificate_idempotent(F, chain52):
-    # the second certificate reuses the display, its S^2 triple and the
-    # restricted displays the first one kept on the tensor
+    # the second certificate reuses the display the first one kept on the
+    # tensor, with its ranks, its S^2 triple and its restricted displays
     a = smoothness_certificate(chain52, induction_seed=1).to_obj()
     b = smoothness_certificate(chain52, induction_seed=1).to_obj()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_induction_certificate_reuses_display_work(monkeypatch):
-    # the display keeps its S^2 triple and the tensor its restricted
-    # displays, so propagation_check reuses the triple coh_table computed
+    # the display keeps its S^2 triple and its restricted displays, so
+    # propagation_check reuses the triple coh_table computed
     # and the restricted display find_xi built (the first trial keeps the
     # rank and has h1 = 0); read back through the file format, the tensor
     # starts with no display
@@ -209,8 +239,8 @@ def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # only when that rank is not full (or for an RREF).  The display, the
     # (1,1) certificate piece and the tangent kernel share one RREF of the
     # flattening; a modular certificate reads the sigma and gamma kernel
-    # dimensions off its cohomology table, h_values(1) and left_defect
-    # share one beta(1) with its rank, and alpha is not ranked above the
+    # dimensions off its cohomology table, left_defect reads the rank of
+    # beta(1) that h_values(1) kept, and alpha is not ranked above the
     # first twist d >= 0 where it is onto.  The tensor is read back through
     # the file format, so that no display built while constructing it is reused.
     t = tensor_from_obj(tensor_to_obj(make()))

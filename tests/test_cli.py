@@ -95,8 +95,8 @@ def test_table_pencil_small_field_is_input_error(capsys):
 @pytest.mark.parametrize("source,roots", [((["sample", "--n", "5", "--r", "2"], "1"), 2),
                                           ((["export", "--id", "thooft4"], "0"), 0)])
 def test_table_pencil_builds_display_once(monkeypatch, capsys, tmp_path, source, roots):
-    # one display of the input tensor serves the quick check and every root's
-    # splitting order; none is built without a root.  The tensor is read from
+    # one display of the input tensor, built before the basis-pair gate, serves
+    # every root's splitting order; none is built without a root.  The tensor is read from
     # a file, so that no display built while sampling it counts.
     write, seed = source
     path = tmp_path / "t.json"
@@ -252,6 +252,19 @@ def test_suite_single_criterion(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert '"passed": true' in out
+
+
+def test_suite_stdout_is_the_json_summary(capsys):
+    # the progress lines, with their wall-clock times, go to stderr, so
+    # stdout parses as JSON and is the same on every run
+    outs = []
+    for _ in range(2):
+        assert run(["suite", "--only", "transcription"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("C1 ")
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    assert [c["cid"] for c in json.loads(outs[0])["criteria"]] == ["C1"]
 
 
 @pytest.mark.parametrize("argv,what", [

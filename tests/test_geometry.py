@@ -427,7 +427,7 @@ def test_splitting_order_matches_section_module_oracle(spec):
         cases.append((t, lines))
     mismatches, top_orders = [], 0
     for t, lines in cases:
-        m = build_monad(t, quick_check=False)
+        m = build_monad(t)
         for line in lines:
             a = splitting_order(t, line)
             if a != splitting_order_by_generators(m, line):

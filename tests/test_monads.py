@@ -1,3 +1,5 @@
+import random
+
 import oracles
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -18,7 +20,6 @@ from instantons.monads import (
     MonadError,
     build_monad,
     coh_table,
-    gamma_kernel_dim,
     gamma_kernel_plane,
     restricted_monad,
     s2_cohomology,
@@ -53,9 +54,9 @@ def test_build_monad_rejects_bad_rank(F):
 def test_quick_degeneracy_scan(F):
     t = block_sum(nc_tensor(F), nc_tensor(F))
     t_deg = block_sum(t, OmegaTensor.zero(1, F))  # rank 8 = 2n+2 for n=3, but degenerate
-    with pytest.raises(MonadError):
-        build_monad(t_deg)
-    assert build_monad(t_deg, quick_check=False).m == 8
+    with pytest.raises(MonadError, match=r"witness at basis pair \(2, 0\)"):
+        monads.reject_basis_witness(t_deg)
+    assert build_monad(t_deg).m == 8
 
 
 def test_h_values_fixed_rows(F, chain52, full36):
@@ -122,7 +123,7 @@ def test_s2_riemann_roch_across_n(F):
     # h1 - h2 of S^2 E equals 8n - 3 for rank-2 samples of every reachable n
     for n in (3, 4):
         t = sample_instanton(n, 2, F, ("rr", n))
-        h0, h1, h2 = s2_cohomology(build_monad(t, quick_check=False))
+        h0, h1, h2 = s2_cohomology(build_monad(t))
         assert h0 == 0
         assert h1 - h2 == 8 * n - 3
 
@@ -131,7 +132,7 @@ def test_sigma_gamma_cross_checks(F, chain52, corank2_n3, full36):
     for t in (nc_tensor(F), chain52, corank2_n3, full36):
         m = build_monad(t)
         assert sigma_kernel_dim(t) == s2_cohomology(m)[2]
-        assert gamma_kernel_dim(m) == m.h_values(1)[1]
+        assert oracles.gamma_kernel_dim_by_slots(m) == m.h_values(1)[1]
 
 
 def test_sigma_kernel_corank2(F, corank2_n2, corank2_n3):
@@ -173,12 +174,12 @@ def test_gamma_kernel_plane(F, chain52):
 def test_restricted_monad_matches_direct_build(F, chain52):
     xi = [F.of_int(1), F.of_int(3), F.of_int(5), F.of_int(7), F.of_int(11)]
     bar = restricted_monad(chain52, xi)
-    direct = build_monad(chain52.restrict_xi(xi), quick_check=False)
+    direct = build_monad(chain52.restrict_xi(xi))
     assert chain52.restrict_xi(xi).rank() == chain52.rank()
     for d in (-1, 0, 1, 2):
         assert bar.h_values(d) == direct.h_values(d)
     assert s2_cohomology(bar) == s2_cohomology(direct)
-    assert gamma_kernel_dim(bar) == gamma_kernel_dim(direct)
+    assert bar.h_values(1)[1] == direct.h_values(1)[1]
 
 
 def test_restricted_monad_rank_drop(F):
@@ -200,7 +201,7 @@ def test_tangent_dims(F, corank2_n2, full36):
 
 
 def test_gamma_kernel_nc_tensor(F):
-    assert gamma_kernel_dim(build_monad(nc_tensor(F), quick_check=False)) == 0
+    assert build_monad(nc_tensor(F)).h_values(1)[1] == 0
 
 
 def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
@@ -226,14 +227,14 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
     splitting_order(t, line)
     k_intersection_dim(t, Subspace.full(F, 5).basis)
     fiber_solution_space(t)
-    first = build_monad(t, quick_check=False)
+    first = build_monad(t)
     assert build_monad(t) is first
     assert builds == [t]
     # a rank error is raised on every call, and nothing is kept
     zero = OmegaTensor.zero(2, F)
     for _ in range(2):
         with pytest.raises(MonadError):
-            build_monad(zero, quick_check=False)
+            build_monad(zero)
     assert builds == [t]
 
 
@@ -249,7 +250,7 @@ def _planted_witness(n: int, f, seed) -> OmegaTensor:
 
 @given(spec=st.sampled_from(["fp:7", "fp:32003", "rational"]), n=st.integers(1, 5),
        r_half=st.integers(1, 5), dmax=st.integers(-2, 5), seed=st.integers(0, 99),
-       kind=st.sampled_from(["table", "restricted", "degenerate"]),
+       kind=st.sampled_from(["table", "restricted", "degenerate", "shuffled"]),
        xi=st.lists(st.integers(-3, 3), min_size=5, max_size=5))
 @example(spec="fp:7", n=1, r_half=1, dmax=5, seed=0, kind="restricted", xi=[1, 0, 0, 0, 0])
 @example(spec="rational", n=1, r_half=1, dmax=5, seed=0, kind="restricted", xi=[2, 0, 0, 0, 0])
@@ -258,7 +259,9 @@ def test_coh_table_matches_every_twist_oracle(spec, n, r_half, dmax, seed, kind,
     # alpha is ranked only up to the first twist d >= 0 where it is onto; the
     # rows equal those with alpha ranked at every twist: on coh tables of
     # sampled tensors, on displays restricted to a hyperplane (nH = 0 at
-    # n = 1) and on degenerate displays, whose alpha is never onto
+    # n = 1), on degenerate displays, whose alpha is never onto, and on
+    # displays whose ranks are kept in a shuffled order of twists, with
+    # left_defect and a restricted display's ranks taken in between
     f = field_from_spec(spec)
     if spec == "rational" and n == 5:
         reject()  # n = 5 is drawn over fp only: exact elimination over Q is slow there
@@ -272,9 +275,22 @@ def test_coh_table_matches_every_twist_oracle(spec, n, r_half, dmax, seed, kind,
             omega = sample_instanton(n, 2 * min(r_half, n), f, seed)
         except ValueError:
             reject()  # corank-2 sampling over fp:7 needs 4n < 7
-    m = build_monad(omega, quick_check=False)
+    m = build_monad(omega)
     if kind == "table":
         rows = coh_table(omega, dmax).rows
+    elif kind == "shuffled":
+        twists = list(range(-2, dmax + 1))
+        random.Random(seed).shuffle(twists)
+        xi = [f.of_int(x) for x in xi[:omega.n]]
+        bar = restricted_monad(omega, xi if any(xi) else [f.one()] + xi[1:])
+        got, got_bar = {}, {}
+        for d in twists:
+            got[d] = m.h_values(d)
+            beta1 = m.beta(1)
+            assert m.left_defect() == beta1.ncols - beta1.rank()
+            got_bar[dmax - 2 - d] = bar.h_values(dmax - 2 - d)
+        rows = [(d, *got[d]) for d in sorted(got)]
+        assert [(d, *got_bar[d]) for d in sorted(got_bar)] == oracles.coh_rows_every_twist(bar, dmax)
     else:
         if kind == "restricted":
             xi = [f.of_int(x) for x in xi[:omega.n]]
@@ -292,7 +308,7 @@ def test_s2_check_fails_on_a_perturbed_d0(spec, n, seed, pick, delta):
     # changed entry of d0, in a row k where column k of d1 is nonzero, makes
     # d1 @ d0 nonzero in that column and s2_cohomology raise
     f = field_from_spec(spec)
-    m = build_monad(sample_full(n, f, seed), quick_check=False)
+    m = build_monad(sample_full(n, f, seed))
     d0, d1 = monads._s2_maps(m)
     assert d1.annihilates(d0) and oracles.s2_is_complex_dense(m)
     live = [k for k in range(d1.ncols) if not d1.take_cols([k]).is_zero()]
