@@ -14,7 +14,6 @@ from .monads import Monad, MonadError, build_monad, reject_basis_witness
 from .nondeg import LIGHT_BUDGET, classify
 from .polys import interpolate as poly_interpolate
 from .polys import roots as poly_roots
-from .polys import trim as poly_trim
 from .tensors import MAX_N, OmegaTensor, block_sum, unflatten
 from .bases import form_slots, hv_index, sym_pairs
 
@@ -280,7 +279,7 @@ def sample_corank2(n: int, field: Field, seed) -> OmegaTensor:
         ones = Mat.from_rows(f, [[f.one()] * len(points)], len(points))
         flats = kron(ones, w0.flatten()) + kron(Mat.from_rows(f, [points], len(points)), w1.flatten())
         values = flats.block_ranks(4 * n)[1]
-        poly = poly_trim(poly_interpolate(points, values, f), f)
+        poly = poly_interpolate(points, values, f)
         if not poly:
             continue  # the whole pencil is singular; try another
         found, _residual = poly_roots(poly, f)

@@ -7,17 +7,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin with the 13 prime bases 2..41 has no strong pseudoprime below
+# this bound (Sorenson & Webster, Math. Comp. 86, 2017)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for the moduli used here."""
+    """Deterministic Miller-Rabin test; a ValueError at or above the bound
+    where its bases stop being exact."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"primality is decided only below {_MILLER_RABIN_BOUND}; got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -213,6 +231,16 @@ def _poly_mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
     return tuple(prod[:k])
 
 
+def _pow_mod(a: tuple, e: int, modulus: tuple, p: int) -> tuple:
+    """a^e mod the monic modulus, by square-and-multiply."""
+    acc = (1,) + (0,) * (len(modulus) - 2)
+    for bit in bin(e)[2:]:
+        acc = _poly_mul_mod(acc, acc, modulus, p)
+        if bit == "1":
+            acc = _poly_mul_mod(acc, a, modulus, p)
+    return acc
+
+
 def _find_irreducible(p: int, k: int) -> tuple:
     """First monic irreducible of degree k over GF(p), in lex coefficient order.
 
@@ -220,33 +248,20 @@ def _find_irreducible(p: int, k: int) -> tuple:
     Rabin's test: f divides x^(p^k) - x, and gcd(f, x^(p^(k/q)) - x) = 1 for
     every prime q dividing k.
     """
-    from .polys import divmod_poly, trim  # polys imports this module
+    from .polys import gcd, trim  # polys imports this module
 
     if k == 1:
         return (0, 1)
     gf, x = PrimeField(p), (0, 1) + (0,) * (k - 2)
     primes = [q for q in range(2, k + 1) if k % q == 0 and is_prime(q)]
 
-    def pow_x(e: int, modulus: tuple) -> tuple:
-        # x^e mod modulus by square-and-multiply
-        acc, base = (1,) + (0,) * (k - 1), x
-        while e:
-            if e & 1:
-                acc = _poly_mul_mod(acc, base, modulus, p)
-            base = _poly_mul_mod(base, base, modulus, p)
-            e >>= 1
-        return acc
-
     def is_irred(mod: tuple) -> bool:
-        if pow_x(p**k, mod) != x:
+        if _pow_mod(x, p**k, mod, p) != x:
             return False
         for q in primes:
-            # gcd(f, x^(p^(k/q)) - x) by Euclid
-            h = pow_x(p ** (k // q), mod)
-            a, b = list(mod), trim([(c - (i == 1)) % p for i, c in enumerate(h)], gf)
-            while b:
-                a, b = b, divmod_poly(a, b, gf)[1]
-            if len(a) > 1:
+            h = _pow_mod(x, p ** (k // q), mod, p)
+            h_minus_x = trim([(c - (i == 1)) % p for i, c in enumerate(h)], gf)
+            if len(gcd(list(mod), h_minus_x, gf)) > 1:
                 return False
         return True
 
@@ -300,17 +315,7 @@ class ExtensionField(Field):
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
-        # a^(q-2) with q = p^k
-        q = self.p**self.k
-        acc = self.one()
-        base = a
-        e = q - 2
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return _pow_mod(a, self.p**self.k - 2, self.modulus, self.p)  # a^(q-2)
 
     def is_zero(self, a) -> bool:
         return all(x % self.p == 0 for x in a)
@@ -337,10 +342,6 @@ class ExtensionField(Field):
     @property
     def order(self) -> int:
         return self.p**self.k
-
-    def embed(self, a: int):
-        """Embed a GF(p) element."""
-        return self.of_int(a)
 
     def spec_str(self) -> str:
         return f"fp:{self.p}^{self.k}"

@@ -19,7 +19,6 @@ from .fields import Field
 from .linalg import Mat, Pattern, Subspace, kron
 from .monads import MonadError, build_monad
 from .polys import interpolate as poly_interpolate
-from .polys import trim as poly_trim
 from .tensors import OmegaTensor, sym_square, wedge_matrix
 
 # -- Pluecker algebra ------------------------------------------------------
@@ -228,7 +227,7 @@ def pencil_jump_poly(omega: OmegaTensor, lam0: list, lam1: list) -> list:
     points = [f.of_int(i) for i in range(n + 1)]
     lams = [[f.add(a, f.mul(t, b)) for a, b in zip(lam0, lam1)] for t in points]
     values = omega.contract_lines(lams).block_ranks(n)[1]
-    return poly_trim(poly_interpolate(points, values, f), f)
+    return poly_interpolate(points, values, f)
 
 
 def point_plane_pencil(field: Field, p: list, q0: list, q1: list) -> tuple[list, list]:

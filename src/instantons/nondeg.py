@@ -109,7 +109,7 @@ def _flatten_in_field(omega: OmegaTensor, target: Field) -> Mat | None:
         return m
     if base.kind == "rational":
         return m.reduce_mod(target)
-    return Mat.from_rows(target, [[target.embed(x) for x in r] for r in m.rows()], m.ncols)
+    return Mat.from_rows(target, m.rows(), m.ncols)
 
 
 def _column(fld: Field, vec: list) -> Mat:

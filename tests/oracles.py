@@ -65,6 +65,17 @@ restriction to K is onto wedge^2 K*, so the certificate reports
 is reducible by trial division by every monic polynomial of degree 1 up to
 half its own; `fields._find_irreducible` uses Rabin's test instead.
 
+`is_prime_by_trial_division` divides by every odd number up to the square
+root; `fields.is_prime` is a deterministic Miller-Rabin test.
+
+`roots_by_scan` tries every candidate root in turn: every element of a finite
+field (GF(p) by one vectorized Horner pass over all p residues) and, over Q,
+0 and then +-a/b for b dividing the leading and a the lowest nonzero
+coefficient of the integer form, by b and then a, each divisor found by
+trial division.  `polys.roots` takes the distinct roots from gcd(f, x^q - x)
+over GF(q), and over Q from roots mod one prime lifted by Newton's
+iteration; both divide each root out as often as it divides.
+
 `coh_rows_every_twist` is the cohomology table of a display with alpha and
 beta gathered and ranked at every twist.  `Monad.h_values`, which
 `monads.coh_table` walks upward, takes alpha's rank to be its row count
@@ -92,6 +103,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, islice, product
 
+import math
+
 import numpy as np
 
 from instantons.bases import (
@@ -108,6 +121,7 @@ from instantons.fields import ExtensionField, PrimeField, is_prime
 from instantons.geometry import Line, plucker_of_span
 from instantons.linalg import Mat, Pattern, Stream, Subspace, kron
 from instantons.monads import Monad, MonadError, _s2_maps, build_monad
+from instantons.polys import divmod_poly, evaluate, trim
 from instantons.nondeg import (
     DEFAULT_BUDGET,
     FIELD_SIZE_CAP,
@@ -172,7 +186,7 @@ def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096):
                 fld = ExtensionField(base.p, j)
         m = m_base
         if fld != base:
-            m = Mat.from_rows(fld, [[fld.embed(x) for x in r] for r in m_base.rows()], m.ncols)
+            m = Mat.from_rows(fld, m_base.rows(), m.ncols)
         for h, v in _scan(m, n, fld, point_cap):
             assert _verify_witness(m, n, h, v, fld)
             return h, v, fld
@@ -472,6 +486,61 @@ def has_monic_factor_by_search(f: tuple, p: int) -> bool:
             if not any(rem[:d]):
                 return True
     return False
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _divisors(n: int) -> list[int]:
+    n, out, d = abs(n), [], 1
+    while d * d <= n:
+        if n % d == 0:
+            out += [d, n // d] if d != n // d else [d]
+        d += 1
+    return sorted(out)
+
+
+def _rational_root_candidates(coeffs: list):
+    denom = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * denom) for c in coeffs]
+    low = next(c for c in ints if c)
+    yield Fraction(0)
+    for b in _divisors(ints[-1]):
+        for a in _divisors(low):
+            yield Fraction(a, b)
+            yield Fraction(-a, b)
+
+
+def roots_by_scan(coeffs: list, field) -> tuple[list, list]:
+    """Reference for `polys.roots`, for fields of order p < 2^31 and
+    coefficients of small height."""
+    coeffs = trim(coeffs, field)
+    if field.kind == "prime":
+        # Horner on all residues at once; every product stays below p^2 < 2^62
+        xs, acc = np.arange(field.p, dtype=np.int64), np.zeros(field.p, dtype=np.int64)
+        for c in reversed(coeffs):
+            acc = (acc * xs + int(c)) % field.p
+        candidates = [int(x) for x in np.nonzero(acc == 0)[0]]
+    elif field.kind == "prime-extension":
+        candidates = field.elements()
+    else:
+        candidates = _rational_root_candidates(coeffs)
+    found, rest = [], coeffs
+    for x in candidates:
+        while len(rest) > 1 and field.is_zero(evaluate(rest, x, field)):
+            found.append(x)
+            rest = divmod_poly(rest, [field.neg(x), field.one()], field)[0]
+    return found, rest
 
 
 def coh_rows_every_twist(m: Monad, dmax: int) -> list[tuple[int, int, int]]:

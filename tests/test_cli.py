@@ -287,15 +287,14 @@ def test_rational_sampling_below_open_stratum_is_input_error(argv, what, capsys)
 RATIONAL_52 = Path(__file__).parent / "fixtures" / "rational-5-2-seed7.json"
 
 
-def test_rational_pencil_with_huge_coefficients_is_input_error():
-    # the fixture's pencil polynomial has coefficients of over 1000 bits, far
-    # past what trial division for rational roots can factor
+def test_rational_pencil_with_huge_coefficients_has_no_root():
+    # the fixture's pencil polynomial has coefficients of over 1000 bits
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "instantons.cli", "table", "pencil", "--tensor",
                            str(RATIONAL_52), "--field", "rational"],
                           capture_output=True, text=True, env=env, timeout=30)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "1449-bit coefficient" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "\nroot," not in proc.stdout and proc.stdout.endswith("\nresidual_degree,5\n")
 
 
 def test_rational_certificate_at_c2_5(tmp_path):
@@ -322,11 +321,25 @@ def test_tensor_file_n_out_of_range_is_input_error(tmp_path, capsys, n):
     assert f"n = {n!r}" in err and "1 <= n <= 5" in err and "Traceback" not in err
 
 
-def test_root_scan_beyond_int64_fields_is_input_error(capsys):
-    # the exhaustive root scan would allocate an array of p elements
-    assert run(["table", "pencil", "--example", "nc", "--field", "fp:1000000007"]) == 2
+def test_pencil_root_over_a_prime_past_int64_products(capsys):
+    # p^2 > 2^63: each printed root is a zero of the printed polynomial
+    assert run(["table", "pencil", "--example", "nc", "--field", "fp:1000000007"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    coeffs = [int(v) for k, v in rows if k.startswith("coeff_")]
+    found = [int(v) for k, v in rows if k == "root"]
+    assert found and all(sum(c * r**i for i, c in enumerate(coeffs)) % 1000000007 == 0
+                         for r in found)
+
+
+def test_prime_field_below_2_to_the_64():
+    # the largest prime below 2^64: Miller-Rabin decides it at once
+    assert run(["sample", "--n", "2", "--r", "2", "--field", "fp:18446744073709551557"]) == 0
+
+
+def test_prime_field_past_the_primality_bound_is_input_error(capsys):
+    assert run(["certify", "--example", "nc", "--field", "fp:3317044064679887385961981"]) == 2
     err = capsys.readouterr().err
-    assert "fp:1000000007" in err and "2^21" in err and "Traceback" not in err
+    assert "3317044064679887385961981" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("exc", [

@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import has_monic_factor_by_search, rref_dense
+from oracles import has_monic_factor_by_search, is_prime_by_trial_division, rref_dense
 
 from instantons import linalg
 from instantons.fields import (
@@ -48,6 +48,21 @@ def test_extension_field_arithmetic():
     assert len(list(e.elements())) == 49
     s = e.to_str((3, 5))
     assert e.parse(s) == (3, 5)
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(200_000) if is_prime(n)] == \
+        [n for n in range(200_000) if is_prime_by_trial_division(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # a Carmichael number, then strong pseudoprimes to the bases 2..7,
+    # 2..23 and 2..37
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(18446744073709551557)  # the largest prime below 2^64
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
 
 
 # every (p, k) with p^(k // 2) <= 1000, k >= 2

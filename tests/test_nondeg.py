@@ -499,7 +499,7 @@ def test_searched_records_work_done(F, chain52):
 def test_nondeg_keeps_storage_private():
     # linalg alone knows how a field is stored: every other module of the
     # package works through Mat's methods and Pattern, imports no private
-    # name of linalg, and only polys (its vectorized root scan) imports numpy
+    # name of linalg, and imports no numpy
     package = Path(instantons.nondeg.__file__).parent
     modules = sorted(p for p in package.glob("*.py") if p.stem != "linalg")
     assert {"nondeg", "monads", "tensors", "families"} <= {p.stem for p in modules}
@@ -514,7 +514,7 @@ def test_nondeg_keeps_storage_private():
                     assert not any(a.name.startswith("_") for a in node.names), path.stem
             else:
                 continue
-            assert "numpy" not in names or path.stem == "polys", path.stem
+            assert "numpy" not in names, path.stem
 
 
 # SHA-256 digests (first 16 hex digits) of the points projective_points

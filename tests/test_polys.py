@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import roots_by_scan
 
 from instantons.fields import QQ, ExtensionField, field_from_spec
 from instantons.polys import evaluate, mul, roots
@@ -31,16 +32,17 @@ def test_rational_roots_leave_the_irreducible_quadratic():
     assert residual == [Fraction(7, 4) * c for c in quad]
 
 
-def test_rational_roots_refuse_coefficients_past_the_trial_division_bound():
-    # trial division tries divisors up to a coefficient's square root, at most
-    # ROOT_SCAN_LIMIT of them: the leading or the lowest coefficient at 2^42
-    # is refused with its bit size, whatever lies between them
-    for poly in ([Fraction(1 << 42), Fraction(1)], [Fraction(0), Fraction(3), Fraction(1 << 42)],
-                 [Fraction(-(1 << 42), 5), Fraction(1), Fraction(1, 5)]):
-        with pytest.raises(ValueError, match="43-bit coefficient"):
-            roots(poly, QQ)
-    found, residual = roots([Fraction(-(1 << 40)), Fraction(1 << 41), Fraction(1)], QQ)
-    assert not found and len(residual) == 3
+def test_rational_roots_of_coefficients_past_2_to_the_42():
+    # the leading or the lowest coefficient at 2^42: no height is refused
+    big = Fraction(1 << 42)
+    found, residual = roots([big, Fraction(1)], QQ)
+    assert found == [-big] and residual == [Fraction(1)]
+    found, residual = roots([Fraction(0), Fraction(3), big], QQ)
+    assert found == [Fraction(0), Fraction(-3, 1 << 42)] and residual == [big]
+    # x^2 + 5x - 2^42 and x^2 + 2^41 x - 2^40 have non-square discriminants
+    for poly in ([-big / 5, Fraction(1), Fraction(1, 5)],
+                 [Fraction(-(1 << 40)), Fraction(1 << 41), Fraction(1)]):
+        assert roots(poly, QQ) == ([], poly)
 
 
 def test_roots_in_the_extension_beyond_the_prime_field():
@@ -97,3 +99,37 @@ def test_roots_finds_planted_roots_with_multiplicity(spec, data):
         assert residual == cofactor
     else:
         assert not any(fld.is_zero(evaluate(residual, x, fld)) for x in fld.elements())
+
+
+def _planted(data, fld, elements):
+    planted = data.draw(st.lists(elements, max_size=5))
+    planted += planted[: data.draw(st.integers(0, 2))]  # repeated roots
+    cofactor = data.draw(_cofactors(fld))
+    return planted, _product([[fld.neg(x), fld.one()] for x in planted] + [cofactor], fld)
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "fp:7", "fp:32003", "fp:2^3", "fp:3^2", "rational"])
+@given(data=st.data())
+def test_roots_match_the_scan(spec, data):
+    # the same roots in the same order, with multiplicity, and the same residual
+    fld = field_from_spec(spec)
+    _planted_roots, poly = _planted(data, fld, _elements(fld))
+    assert roots(poly, fld) == roots_by_scan(poly, fld)
+
+
+def _beyond_the_scan(fld):
+    if fld.kind != "rational":
+        return _elements(fld)
+    return st.builds(Fraction, st.integers(-(1 << 64), 1 << 64), st.integers(1, 1 << 64)).filter(
+        lambda x: max(abs(x.numerator), x.denominator) > 1 << 42)
+
+
+@pytest.mark.parametrize("spec", ["fp:2147483647", "rational"])
+@given(data=st.data())
+def test_roots_beyond_the_scan(spec, data):
+    # a field too large to scan, and rational roots of height above 2^42
+    fld = field_from_spec(spec)
+    planted, poly = _planted(data, fld, _beyond_the_scan(fld))
+    found, residual = roots(poly, fld)
+    assert not Counter(planted) - Counter(found)
+    assert _product([[fld.neg(x), fld.one()] for x in found] + [residual], fld) == poly
