@@ -76,15 +76,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load_tensor(args, field):
     if getattr(args, "tensor", None):
-        t = read_tensor(args.tensor)
-        return t
+        return read_tensor(args.tensor)
     if getattr(args, "example", None):
         return named_example(args.example, field, seed=args.seed)
-    params = args.sample.split(",")
-    if len(params) != 2:
-        raise ValueError(f"--sample {args.sample!r}: expected N,R")
-    n_str, r_str = params
-    return sample_instanton(int(n_str), int(r_str), field, args.seed)
+    try:
+        n, r = (int(x) for x in args.sample.split(","))
+    except ValueError:
+        raise ValueError(f"--sample {args.sample!r}: expected N,R integers") from None
+    return sample_instanton(n, r, field, args.seed)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, count, islice, product
 
 from .bases import hv_index, num_monomials, times_variable
 from .fields import ExtensionField, Field, PrimeField, is_prime
@@ -233,39 +233,66 @@ def _lifted_witness(omega: OmegaTensor, start: int, point_cap: int, points: dict
 # -- spanning certificate ----------------------------------------------------
 
 class _Accumulator:
-    """Reduced row-echelon basis of a growing row space."""
+    """RREF of a growing row space: row i is e_pivots[i] + block[i] on free."""
 
     def __init__(self, field: Field, ncols: int):
         self.ncols = ncols
-        self.basis = Mat.zeros(field, 0, ncols)
-        self.pivots: list[int] = []
+        self.block = Mat.zeros(field, 0, ncols)
+        self._set_pivots([])
+
+    def _set_pivots(self, pivots: list[int]) -> None:
+        self.pivots = pivots
+        self.free = sorted(set(range(self.ncols)).difference(pivots))
+        # slot[c]: the row pivoting at c, or -1 - the position of c in free
+        self._slot = dict(zip(pivots, count())) | dict(zip(self.free, count(-1, -1)))
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, rows: Mat) -> None:
-        """Add the row space of rows, working on the free columns alone.
+    @property
+    def basis(self) -> Mat:
+        eye = Mat.identity(self.block.field, self.rank).place_cols(self.pivots, self.ncols)
+        return eye + self.block.place_cols(self.free, self.ncols)
 
-        The basis is the identity on its pivot columns, so eliminating them
-        leaves a residual that is zero there: only its free columns are
-        computed and reduced, and so are the old rows' updates."""
-        taken = set(self.pivots)
-        free = [c for c in range(self.ncols) if c not in taken]
-        if self.pivots:
-            rows = rows.take_cols(free) - rows.take_cols(self.pivots) @ self.basis.take_cols(free)
-        red, fpiv = rows.rref()
+    def add_reduced(self, pivots: list[int], free: list[int], block: Mat, idx) -> None:
+        """Add the span of the reduced basis e_pivots[i] + block[i] on free,
+        each column c moved to idx[c]: an increasing idx keeps it reduced, so
+        an empty accumulator takes it as it is.  Else the rows whose pivot
+        lands on a pivot p are negated, and each row is reduced by the basis
+        on the free columns alone: it starts from p's block row (the others
+        from a unit vector), adds its entries that land on free columns and
+        subtracts those that land on pivots times the pivots' block rows."""
+        if list(idx) != sorted(set(idx)):
+            raise AssertionError("a certificate piece's column map is not increasing")
+        if not self.pivots:
+            self._set_pivots([idx[c] for c in pivots])
+            self.block = block.place_cols([-1 - self._slot[idx[c]] for c in free], len(self.free))
+            return
+        nfree = len(self.free)
+        lands = [self._slot[idx[c]] for c in pivots]
+        on_p = [i for i, s in enumerate(lands) if s >= 0]
+        on_f = [i for i, s in enumerate(lands) if s < 0]
+        cols = [self._slot[idx[c]] for c in free]
+        cols_p = [k for k, s in enumerate(cols) if s >= 0]
+        cols_f = [k for k, s in enumerate(cols) if s < 0]
+        rows = (-block.take_rows(on_p)).vstack(block.take_rows(on_f))
+        res = self.block.take_rows([lands[i] for i in on_p]).vstack(
+            Mat.identity(block.field, len(on_f)).place_cols([-1 - lands[i] for i in on_f], nfree))
+        if cols_f:
+            res = res + rows.take_cols(cols_f).place_cols([-1 - cols[k] for k in cols_f], nfree)
+        if cols_p:
+            res = res - rows.take_cols(cols_p) @ self.block.take_rows([cols[k] for k in cols_p])
+        red, fpiv = res.rref()
         if not fpiv:
             return
-        red = red.take_rows(range(len(fpiv)))
-        piv = [free[j] for j in fpiv]
-        if self.pivots:
-            self.basis = self.basis - (self.basis.take_cols(piv) @ red).place_cols(free, self.ncols)
-        red = red.place_cols(free, self.ncols)
-        allpiv = self.pivots + piv
+        keep = sorted(set(range(nfree)).difference(fpiv))
+        red = red.take_rows(range(len(fpiv))).take_cols(keep)
+        old = self.block.take_cols(keep) - self.block.take_cols(fpiv) @ red
+        allpiv = self.pivots + [self.free[j] for j in fpiv]
         order = sorted(range(len(allpiv)), key=allpiv.__getitem__)
-        self.basis = self.basis.vstack(red).take_rows(order)
-        self.pivots = sorted(allpiv)
+        self.block = old.vstack(red).take_rows(order)
+        self._set_pivots(sorted(allpiv))
 
 
 def _ambient(n: int, d: int, e: int) -> int:
@@ -292,21 +319,21 @@ class SpanningCertifier:
         self.built: list[list[int]] = []
 
     def piece(self, d: int, e: int) -> _Accumulator:
-        key = (d, e)
-        if key in self._pieces:
-            return self._pieces[key]
+        if (d, e) in self._pieces:
+            return self._pieces[d, e]
         if d < 1 or e < 1:
             raise ValueError("bigraded degrees start at (1, 1)")
         acc = _Accumulator(self.field, _ambient(self.n, d, e))
         if (d, e) == (1, 1):
-            # the flattening's columns as bilinear forms on H (x) V: they span
-            # N, whose reduced basis is kept, so this runs no elimination
-            acc.add(self.omega.image().basis)
+            # the flattening's columns, as forms on H (x) V, span N: its reduced basis
+            image = self.omega.image()
+            free = [c for c in range(acc.ncols) if c not in image.pivots]
+            acc.add_reduced(image.pivots, free, image.basis.take_cols(free), range(acc.ncols))
         else:
             # the (d, e) piece is S^1 H* times the (d-1, e) piece, or S^1 V*
             # times the (d, e-1) piece; a monomial times a variable is one
             # monomial, so each multiple of a row is the row with its columns
-            # moved to the column h * count_v + v of their product
+            # moved to the column h * count_v + v of their product (in order)
             count_v = num_monomials(4, e)
             if d > 1:
                 prev = self.piece(d - 1, e)
@@ -317,10 +344,9 @@ class SpanningCertifier:
                 places = [[h * count_v + tv for h in range(num_monomials(self.n, d)) for tv in img]
                           for img in times_variable(4, e - 1)]
             for idx in places:
-                acc.add(prev.basis.place_cols(idx, acc.ncols))
-                if acc.rank == acc.ncols:
-                    break
-        self._pieces[key] = acc
+                if acc.rank < acc.ncols:
+                    acc.add_reduced(prev.pivots, prev.free, prev.block, idx)
+        self._pieces[d, e] = acc
         self.built.append([d, e, acc.ncols, acc.rank])
         return acc
 

@@ -22,8 +22,10 @@ builds the same piece incrementally from lower pieces.
 `add_full_width` is the update of a reduced row-echelon basis by a batch of
 rows with every product and elimination across all columns: the batch is
 reduced by the whole basis, the residual is eliminated, and every old row is
-updated on every column.  `nondeg._Accumulator.add` computes the same basis
-and pivots on the free columns alone.
+updated on every column.  `nondeg._Accumulator.add_reduced` takes the batch
+as a reduced basis (pivots and the block on its free columns) with its
+columns moved by an increasing map, and computes the same basis and pivots
+on the accumulator's free columns alone.
 
 `splitting_order_by_generators` is the general section-module computation of
 the splitting order of E_L = O(a) (+) O(-a) on a line L: the display is
@@ -265,7 +267,8 @@ def piece_rank_by_spanning_set(omega, d: int, e: int) -> int:
 
 
 def add_full_width(basis: Mat, pivots: list[int], rows: Mat) -> tuple[Mat, list[int]]:
-    """Reference for the basis and pivots after `nondeg._Accumulator.add`."""
+    """Reference for the basis and pivots after `nondeg._Accumulator.add_reduced`,
+    given its batch as dense rows placed at their columns' images."""
     if pivots:
         rows = rows - rows.take_cols(pivots) @ basis
     red, piv = rows.rref()

@@ -183,6 +183,7 @@ def test_bad_tensor_entry_is_input_error(tmp_path, capsys, field, entries, messa
 @pytest.mark.parametrize("argv,expected", [
     (["certify", "--sample", "5"], "error: --sample '5': expected N,R"),
     (["certify", "--example", "sum-family:1"], "expected sum-family:<t0>,<t1>"),
+    (["certify", "--sample", "2,x"], "error: --sample '2,x': expected N,R integers"),
 ])
 def test_malformed_source_names_the_expected_form(capsys, argv, expected):
     assert run(argv) == 2

@@ -16,7 +16,7 @@ from oracles import (
 
 import instantons.nondeg
 
-from instantons.bases import num_monomials
+from instantons.bases import num_monomials, times_variable
 from instantons.families import (
     degenerate_rank6,
     nc_tensor,
@@ -286,69 +286,83 @@ def test_piece_ranks_match_spanning_set_oracle(spec, data):
 
 
 # the int64 backend at a small, a mid-size and the largest prime it takes,
-# and the generic one over Q and over an extension field
-ACCUMULATOR_FIELDS = ["fp:32003", "fp:7", "fp:2097143", "rational", "fp:5^2"]
+# and the generic one over Q and over two extension fields
+ACCUMULATOR_FIELDS = ["fp:32003", "fp:7", "fp:2097143", "rational", "fp:3^2", "fp:5^2"]
 
 
 @st.composite
-def _batches(draw, fld, ncols: int):
-    """Lists of row batches with zero rows, repeated rows and rows in the
-    span of the rows drawn before them; the last batch closes the space."""
+def _reduced_batches(draw, fld, ncols: int):
+    """Reduced bases (pivots, free, block) of random rows, each with a strictly
+    increasing map of its columns into range(ncols), some repeated whole (so
+    already in the span); the last closes the space."""
     ints = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
     k = getattr(fld, "k", 1)
 
     def element(xs):
         return tuple(x % fld.p for x in xs) if k > 1 else fld.of_int(xs[0])
 
-    rows = st.lists(st.lists(ints, min_size=k, max_size=k), min_size=ncols, max_size=ncols)
-    seen: list[list] = []
     batches = []
     for _ in range(draw(st.integers(1, 5))):
-        batch = []
-        for _ in range(draw(st.integers(1, 6))):
-            kind = draw(st.sampled_from(["new", "zero", "repeat", "span"]))
-            if kind == "zero" or (kind != "new" and not seen):
-                row = [fld.zero()] * ncols
-            elif kind == "repeat":
-                row = draw(st.sampled_from(seen))
-            elif kind == "new":
-                row = [element(xs) for xs in draw(rows)]
-            else:
-                coeffs = [fld.of_int(draw(st.integers(-2, 2))) for _ in seen]
-                row = (Mat.from_rows(fld, [coeffs], len(seen))
-                       @ Mat.from_rows(fld, seen, ncols)).row(0)
-            batch.append(row)
-            seen.append(row)
-        batches.append(Mat.from_rows(fld, batch, ncols))
-    return batches + [Mat.identity(fld, ncols)]
+        if batches and draw(st.booleans()):
+            batches.append(batches[-1])
+            continue
+        width = draw(st.integers(1, ncols))
+        entries = st.lists(st.lists(ints, min_size=k, max_size=k), min_size=width, max_size=width)
+        rows = draw(st.lists(entries, min_size=1, max_size=6))
+        red, pivots = Mat.from_rows(fld, [[element(xs) for xs in r] for r in rows], width).rref()
+        free = [c for c in range(width) if c not in pivots]
+        idx = sorted(draw(st.lists(st.integers(0, ncols - 1), min_size=width, max_size=width,
+                                   unique=True)))
+        batches.append((pivots, free, red.take_rows(range(len(pivots))).take_cols(free), idx))
+    return batches + [(list(range(ncols)), [], Mat.zeros(fld, ncols, 0), list(range(ncols)))]
 
 
 @pytest.mark.parametrize("spec", ACCUMULATOR_FIELDS)
 @settings(max_examples=25)
 @given(data=st.data())
 def test_accumulator_matches_full_width_oracle(spec, data):
+    # each reduced batch, placed densely at its columns' images, is added by
+    # the oracle across all columns
     fld = field_from_spec(spec)
     ncols = data.draw(st.integers(1, 10))
     acc = _Accumulator(fld, ncols)
     basis, pivots = Mat.zeros(fld, 0, ncols), []
-    for rows in data.draw(_batches(fld, ncols)):
-        acc.add(rows)
-        basis, pivots = add_full_width(basis, pivots, rows)
+    for piv, free, block, idx in data.draw(_reduced_batches(fld, ncols)):
+        width = len(idx)
+        dense = Mat.identity(fld, len(piv)).place_cols(piv, width) + block.place_cols(free, width)
+        acc.add_reduced(piv, free, block, idx)
+        basis, pivots = add_full_width(basis, pivots, dense.place_cols(idx, ncols))
         assert acc.pivots == pivots
         assert acc.basis == basis
     assert acc.rank == ncols
 
 
-def test_accumulator_products_span_only_free_columns(F, monkeypatch):
-    # while a piece is built, every product inside _Accumulator.add has at
-    # most as many columns as the batch found free
-    free, widths = [], []
-    add, matmul = _Accumulator.add, Mat.__matmul__
+@pytest.mark.parametrize("nvars", [3, 4, 5])
+@pytest.mark.parametrize("degree", range(6))
+def test_times_variable_images_are_increasing(nvars, degree):
+    # multiplying by a variable keeps the monomial order, which lets a piece
+    # take its lower piece's reduced basis with its columns moved as it is
+    for img in times_variable(nvars, degree):
+        assert all(a < b for a, b in zip(img, img[1:]))
 
-    def counted_add(self, rows):
+
+@pytest.mark.parametrize("idx", [[2, 1], [1, 1]])
+def test_accumulator_rejects_a_map_that_is_not_increasing(F, idx):
+    acc = _Accumulator(F, 3)
+    with pytest.raises(AssertionError, match="not increasing"):
+        acc.add_reduced([0], [1], Mat.from_rows(F, [[1]], 1), idx)
+
+
+def test_accumulator_products_span_only_free_columns(F, monkeypatch):
+    # while a piece is built, every product inside _Accumulator.add_reduced
+    # has at most as many columns as the batch found free
+    free, widths = [], []
+    add, matmul = _Accumulator.add_reduced, Mat.__matmul__
+
+    def counted_add(self, *args):
         free.append(self.ncols - self.rank)
         try:
-            add(self, rows)
+            add(self, *args)
         finally:
             free.pop()
 
@@ -357,7 +371,7 @@ def test_accumulator_products_span_only_free_columns(F, monkeypatch):
             widths.append((b.ncols, free[-1]))
         return matmul(a, b)
 
-    monkeypatch.setattr(_Accumulator, "add", counted_add)
+    monkeypatch.setattr(_Accumulator, "add_reduced", counted_add)
     monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
     t = block_sum(degenerate_rank6(F), sample_full(1, F, 5))
     assert SpanningCertifier(t).piece(3, 3).rank == 198
