@@ -133,7 +133,7 @@ def main(argv=None) -> int:
 
 
 # the least value of each numeric option of a subcommand, and the largest
-# where there is one: a coh table's sections maps grow as dmax^3 on each side
+# where there is one: a degenerate display ranks every twist's maps, dmax^3 a side
 _LEAST = {"chains": 1, "count": 0, "dmax": -2}
 _MOST = {"dmax": 12}
 

@@ -87,16 +87,17 @@ def _np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _np_rank(a: np.ndarray, p: int) -> int:
-    """Rank of an int64 matrix mod p by forward elimination alone.
+    """Rank of an int64 matrix mod p by forward elimination alone, of a tall
+    matrix's transpose: the loop ends once every row holds a pivot.
 
     Each step updates only the trailing block (rows below the pivot, columns
     after it) and leaves it unreduced: only the pivot column and the scaled
     pivot row are reduced mod p, so each of the at most min(shape) updates
     adds less than (p-1)^2 to an entry's absolute value.
     """
+    a = np.mod(a.T if a.shape[0] > a.shape[1] else a, p, order="C")
     nrows, ncols = a.shape
     _require_int64_exact(min(nrows, ncols) + 1, p)
-    a = np.mod(a, p)
     r = 0
     for c in range(ncols):
         if r == nrows:

@@ -128,9 +128,13 @@ class Monad:
         dimension of the gamma kernel, whose system is alpha(1) transposed.
 
         alpha is S-linear and N (x) S^(d+1) = S^1 . (N (x) S^d) for d >= 0,
-        so im alpha(d+1) = S^1 . im alpha(d): above a twist d >= 0 where
+        so im alpha(d+1) = S^1 . im alpha(d): above a twist d0 >= 0 where
         alpha is onto, it is onto, and its rank is its row count with no
-        gather and no elimination.  Every beta(d) is ranked."""
+        gather and no elimination.  Then the sheaf map alpha is onto at every
+        point (H-bar* (x) O(d0 + 1) is globally generated), so beta = phi o
+        alpha* (wmat = phi umat^T) is injective at every point and, H^0 being
+        left exact, on sections: at d >= d0 beta(d) has rank its column count.
+        beta(1), whose rank left_defect reads, is ranked all the same."""
         if d < -2:
             raise MonadError("twist below the acyclicity window")
         nrows = self.nH * num_monomials(4, d + 1)
@@ -138,7 +142,8 @@ class Monad:
             rank_a = nrows if d > self._onto else self.alpha(d).rank()
             if rank_a == nrows and 0 <= d < self._onto:
                 self._onto = d
-            self._ranks[d] = rank_a, self.beta(d).rank()
+            cols = self.nH * num_monomials(4, d - 1)
+            self._ranks[d] = rank_a, cols if d != 1 and self._onto <= d else self.beta(d).rank()
         rank_a, rank_b = self._ranks[d]
         return self.m * num_monomials(4, d) - rank_a - rank_b, nrows - rank_a
 

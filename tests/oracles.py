@@ -81,8 +81,10 @@ iteration; both divide each root out as often as it divides.
 `coh_rows_every_twist` is the cohomology table of a display with alpha and
 beta gathered and ranked at every twist.  `Monad.h_values`, which
 `monads.coh_table` walks upward, takes alpha's rank to be its row count
-above a twist d >= 0 where alpha is onto, since im alpha(d+1) is
-S^1 . im alpha(d) there.
+above a twist d0 >= 0 where alpha is onto, since im alpha(d+1) is
+S^1 . im alpha(d) there, and beta's rank to be its column count at every
+twist d >= d0 but 1, since beta = phi o alpha* is then injective at every
+point, and so on sections.
 
 `find_xi_by_rank` is the hyperplane search that tests each drawn xi by the
 rank of the restricted tensor and takes h1 at twist 1 from the gamma system

@@ -393,6 +393,15 @@ def test_dmax_above_its_cap_is_input_error(dmax, error, capsys):
         assert out.err == "" and out.out.splitlines()[-1] == "12,882,0"
 
 
+def test_coh_table_at_the_dmax_cap_is_pinned(capsys):
+    # the slowest n = 5 table at the cap: beta is ranked only below the
+    # twist where alpha is first onto, so its largest maps are never gathered
+    assert run(["table", "coh", "--sample", "5,10", "--dmax", "12"]) == 0
+    h0 = [25, 80, 175, 320, 525, 800, 1155, 1600, 2145, 2800, 3575, 4480]
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "d,h0,h1", "-2,0,0", "-1,0,5", "0,0,0", *(f"{d},{x},0" for d, x in enumerate(h0, 1))]
+
+
 @pytest.mark.parametrize("sample,code", [("2,2", 2), ("3,2", 0)])
 def test_induction_needs_a_rank_a_hyperplane_can_keep(sample, code, capsys):
     # a restriction to a hyperplane of H has rank at most 4(n - 1): rank 6 at

@@ -598,6 +598,21 @@ def test_np_rank_checks_int64_exactness_for_every_step(monkeypatch):
             assert rank == len(linalg._np_rref(a, p)[1])
 
 
+@pytest.mark.parametrize("spec", ["fp:7", "fp:32003"])
+@given(short=st.integers(0, 12), extra=st.integers(1, 20), planted=st.integers(0, 12),
+       tall=st.booleans(), seed=st.integers(0, 999))
+def test_np_rank_of_a_planted_rank_tall_or_wide(spec, short, extra, planted, tall, seed):
+    # _np_rank eliminates a tall matrix's transpose; the product of the first
+    # k columns and the first k rows of two invertible matrices has rank k
+    fld = field_from_spec(spec)
+    nrows, ncols = (short + extra, short) if tall else (short, short + extra)
+    k = min(planted, short)
+    left = sample_invertible(nrows, fld, Stream("planted_rank", seed, 0)).take_cols(list(range(k)))
+    right = sample_invertible(ncols, fld, Stream("planted_rank", seed, 1)).take_rows(list(range(k)))
+    m = left @ right
+    assert m.rank() == k == len(linalg._generic_rref(m.rows(), fld, forward=True)[1])
+
+
 def _square(data, fld, n: int) -> Mat:
     """An n x n matrix: entries drawn freely, or one of _adversarial's
     singular-prone kinds."""

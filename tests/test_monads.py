@@ -250,23 +250,32 @@ def _planted_witness(n: int, f, seed) -> OmegaTensor:
 
 @given(spec=st.sampled_from(["fp:7", "fp:32003", "rational"]), n=st.integers(1, 5),
        r_half=st.integers(1, 5), dmax=st.integers(-2, 5), seed=st.integers(0, 99),
-       kind=st.sampled_from(["table", "restricted", "degenerate", "shuffled"]),
+       kind=st.sampled_from(["table", "restricted", "degenerate", "defect", "shuffled"]),
        xi=st.lists(st.integers(-3, 3), min_size=5, max_size=5))
 @example(spec="fp:7", n=1, r_half=1, dmax=5, seed=0, kind="restricted", xi=[1, 0, 0, 0, 0])
 @example(spec="rational", n=1, r_half=1, dmax=5, seed=0, kind="restricted", xi=[2, 0, 0, 0, 0])
+@example(spec="fp:32003", n=3, r_half=3, dmax=5, seed=0, kind="table", xi=[0, 0, 0, 0, 0])
+@example(spec="rational", n=2, r_half=2, dmax=5, seed=0, kind="restricted", xi=[1, 0, 0, 0, 0])
+@example(spec="fp:7", n=4, r_half=1, dmax=5, seed=0, kind="defect", xi=[0, 0, 0, 0, 0])
 @settings(max_examples=40)
 def test_coh_table_matches_every_twist_oracle(spec, n, r_half, dmax, seed, kind, xi):
-    # alpha is ranked only up to the first twist d >= 0 where it is onto; the
-    # rows equal those with alpha ranked at every twist: on coh tables of
-    # sampled tensors, on displays restricted to a hyperplane (nH = 0 at
-    # n = 1), on degenerate displays, whose alpha is never onto, and on
-    # displays whose ranks are kept in a shuffled order of twists, with
-    # left_defect and a restricted display's ranks taken in between
+    # alpha is ranked only up to the first twist d0 >= 0 where it is onto,
+    # and beta(d) only below d0 and at twist 1; the rows equal those with
+    # alpha and beta ranked at every twist: on coh tables of sampled tensors
+    # (at r = 2n alpha(0) is square and onto, so d0 = 0), on displays
+    # restricted to a hyperplane (nH = 0 at n = 1; at r = 2n the restriction
+    # drops the rank, and h0 at twist 0 is positive), on degenerate displays,
+    # whose alpha is never onto, and on displays whose ranks are kept in a
+    # shuffled order of twists, with left_defect and a restricted display's
+    # ranks taken in between; and on displays whose beta kills a summand of
+    # H at every twist d >= 1 (a zero block in a block sum)
     f = field_from_spec(spec)
     if spec == "rational" and n == 5:
         reject()  # n = 5 is drawn over fp only: exact elimination over Q is slow there
     if kind == "degenerate":
         omega = _planted_witness(max(n, 2), f, seed)
+    elif kind == "defect":
+        omega = block_sum(sample_full(max(n, 3) - 1, f, seed), OmegaTensor.zero(1, f))
     elif spec == "rational":
         # rational mode samples r = 2n only; the thooft tensors have r = 2
         omega = thooft_tensor(n, f) if 1 < n and r_half < n else sample_full(n, f, seed)
@@ -297,6 +306,24 @@ def test_coh_table_matches_every_twist_oracle(spec, n, r_half, dmax, seed, kind,
             m = restricted_monad(omega, xi if any(xi) else [f.one()] + xi[1:])
         rows = [(d, *m.h_values(d)) for d in range(-2, dmax + 1)]
     assert rows == oracles.coh_rows_every_twist(m, dmax)
+
+
+def test_beta_is_gathered_only_below_the_onto_twist_and_at_one(monkeypatch):
+    # alpha of the (5,2) display is first onto at twist 2, so from there on
+    # beta(d) has rank its column count; a degenerate display's alpha is
+    # onto at no twist, so its beta is gathered at every twist.  The sample
+    # is read back through the file format, with no display kept
+    f, gathered, beta = field_from_spec("fp:32003"), [], monads.Monad.beta
+    t = tensor_from_obj(tensor_to_obj(sample_instanton(5, 2, f, 0)))
+    planted = _planted_witness(2, f, 0)
+    monkeypatch.setattr(monads.Monad, "beta", lambda self, d: gathered.append(d) or beta(self, d))
+    coh_table(t, 6)
+    assert gathered == [-2, -1, 0, 1]
+    gathered.clear()
+    m = build_monad(planted)
+    for d in range(-2, 7):
+        m.h_values(d)
+    assert gathered == list(range(-2, 7))
 
 
 @pytest.mark.parametrize("spec", ["fp:7", "fp:32003", "rational"])
