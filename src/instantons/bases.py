@@ -10,8 +10,6 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb
 
-DIM_V = 4
-
 # basis of wedge^2 V* (and wedge^2 V): index pairs k < l in lex order
 WEDGE_PAIRS: list[tuple[int, int]] = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 WEDGE_INDEX = {pair: i for i, pair in enumerate(WEDGE_PAIRS)}

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .bases import expected_stratum_dim, full_skew_tangent_dim
 from .geometry import k_intersection_dim
@@ -16,7 +16,7 @@ from .linalg import Mat, Stream, Subspace, kron
 from .monads import (
     build_monad,
     coh_table,
-    reject_basis_witness,
+    gated_display,
     restricted_monad,
     s2_cohomology,
     sigma_kernel_dim,
@@ -114,8 +114,7 @@ def fiber_dim_check(omega_bar: OmegaTensor) -> tuple[int, int, bool]:
     computed by independent routes (linear solve vs cohomology)."""
     from .families import fiber_solution_space
 
-    m = build_monad(omega_bar)
-    reject_basis_witness(omega_bar)
+    m = gated_display(omega_bar)
     sol = fiber_solution_space(omega_bar).dim
     expected = omega_bar.n + m.h_values(1)[0]
     return sol, expected, sol == expected
@@ -128,15 +127,6 @@ class PropagationReport:
     h1_bar_1: int
     implication_holds: bool
     inequality_holds: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "h2_s2": self.h2_s2,
-            "h2_s2_bar": self.h2_s2_bar,
-            "h1_bar_1": self.h1_bar_1,
-            "implication_holds": self.implication_holds,
-            "inequality_holds": self.inequality_holds,
-        }
 
 
 def propagation_check(omega: OmegaTensor, xi: list) -> PropagationReport:
@@ -194,7 +184,7 @@ class Certificate:
             "schema_version": self.schema_version,
             "subject": self.subject,
             "verdicts": {
-                "nondegeneracy": self.nondegeneracy.to_obj(),
+                "nondegeneracy": asdict(self.nondegeneracy),
                 "rank": self.rank,
                 "modular": self.modular,
                 "sigma_kernel_dim": self.sigma_kernel_dim,
@@ -292,7 +282,7 @@ def smoothness_certificate(
                 "rank_preserved": True,
                 "h1_bar_1": h1bar,
                 "h2_s2_bar": rep.h2_s2_bar,
-                "propagation": rep.to_obj(),
+                "propagation": asdict(rep),
             }
             cert.consistency.append(("propagation_implication", rep.implication_holds))
             cert.consistency.append(("propagation_inequality", rep.inequality_holds))

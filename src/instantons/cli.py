@@ -14,9 +14,9 @@ from . import __version__
 from .certify import smoothness_certificate
 from .families import NAMED_EXAMPLES, named_example, sample_instanton
 from .fields import field_from_spec
-from .geometry import Line, line_invariants, point_plane_pencil, pencil_jump_poly, splitting_orders
-from .linalg import Mat, Stream
-from .monads import build_monad, coh_table, reject_basis_witness
+from .geometry import line_invariants, pencil_jump_poly, random_lines, random_pencil, splitting_orders
+from .linalg import Stream
+from .monads import coh_table, gated_display
 from .polys import roots as poly_roots
 from .tensors import read_tensor, tensor_to_obj, write_tensor
 
@@ -86,6 +86,16 @@ def _load_tensor(args, field):
     return sample_instanton(n, r, field, args.seed)
 
 
+def _written(args, omega):
+    """omega, which certify, sample and export write out in the file format:
+    refused over an extension field, since its entries are rational or in a
+    prime field."""
+    if omega.field.kind == "prime-extension":
+        raise ValueError(f"--field {args.field!r}: {args.command} writes the tensor out, "
+                         "so expected rational or fp:<p>")
+    return omega
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -145,9 +155,12 @@ def _run(args) -> int:
     for name, most in _MOST.items():
         if getattr(args, name, most) > most:
             raise ValueError(f"--{name} {getattr(args, name)}: must be at most {most}")
-    field = field_from_spec(args.field)
+    try:
+        field = field_from_spec(args.field)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None  # "--field '<spec>': ..."
     if args.command == "certify":
-        omega = _load_tensor(args, field)
+        omega = _written(args, _load_tensor(args, field))
         cert = smoothness_certificate(
             omega,
             subject_extra={"config": _config_echo(args)},
@@ -160,8 +173,7 @@ def _run(args) -> int:
     if args.command == "table":
         omega = _load_tensor(args, field)
         if args.kind == "coh":
-            build_monad(omega)  # its rank check comes before the basis-pair gate
-            reject_basis_witness(omega)
+            gated_display(omega)
             table = coh_table(omega, args.dmax)
             _emit(_csv_header(args) + table.csv(), args.out)
             return 0
@@ -170,14 +182,14 @@ def _run(args) -> int:
         return _pencil_table(args, field, omega)
 
     if args.command == "sample":
-        omega = sample_instanton(args.n, args.r, field, args.seed)
+        omega = _written(args, sample_instanton(args.n, args.r, field, args.seed))
         obj = tensor_to_obj(omega)
         obj["config"] = _config_echo(args)
         _emit(json.dumps(obj, indent=2 if args.json else None, sort_keys=True), args.out)
         return 0
 
     if args.command == "export":
-        omega = named_example(args.id, field, seed=args.seed)
+        omega = _written(args, named_example(args.id, field, seed=args.seed))
         if args.out:
             write_tensor(omega, args.out)
         else:
@@ -199,15 +211,7 @@ def _run(args) -> int:
 
 
 def _lines_table(args, field, omega) -> int:
-    st = Stream("cli_lines", field.spec_str(), args.seed)
-    lines = []
-    while len(lines) < args.count:
-        u0 = st.next_vector(field, 4)
-        u1 = st.next_vector(field, 4)
-        try:
-            lines.append(Line.from_points(field, u0, u1))
-        except ValueError:
-            continue
+    lines = random_lines(field, Stream("cli_lines", field.spec_str(), args.seed), args.count)
     rows = ["plucker,order,h0,det"]
     for line, (a, h0, det) in zip(lines, line_invariants(omega, lines)):
         pl = ":".join(field.to_str(x) for x in line.plucker)
@@ -217,14 +221,7 @@ def _lines_table(args, field, omega) -> int:
 
 
 def _pencil_table(args, field, omega) -> int:
-    st = Stream("cli_pencil", field.spec_str(), args.seed)
-    while True:
-        p = st.next_vector(field, 4)
-        q0 = st.next_vector(field, 4)
-        q1 = st.next_vector(field, 4)
-        if Mat.from_rows(field, [p, q0, q1], 4).rank() == 3:
-            break
-    lam0, lam1 = point_plane_pencil(field, p, q0, q1)
+    lam0, lam1 = random_pencil(field, Stream("cli_pencil", field.spec_str(), args.seed))
     poly = pencil_jump_poly(omega, lam0, lam1)
     found, residual = poly_roots(poly, field) if poly else ([], [])
     rows = ["key,value"]
@@ -232,8 +229,7 @@ def _pencil_table(args, field, omega) -> int:
     for i, c in enumerate(poly):
         rows.append(f"coeff_{i},{field.to_str(c)}")
     if found:
-        build_monad(omega)  # its rank check comes before the basis-pair gate
-        reject_basis_witness(omega)
+        gated_display(omega)
     # every member of the pencil is decomposable: pencil_jump_poly checked it
     lams = [[field.add(a, field.mul(root, b)) for a, b in zip(lam0, lam1)] for root in found]
     orders = splitting_orders(omega, lams)[0] if found else []

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from .fields import Field
 from .linalg import Mat, Pattern, Stream, Subspace, kron
-from .monads import Monad, MonadError, build_monad, reject_basis_witness
+from .monads import Monad, MonadError, build_monad, gated_display
 from .nondeg import LIGHT_BUDGET, classify
 from .polys import interpolate as poly_interpolate
 from .polys import roots as poly_roots
@@ -211,18 +211,21 @@ def named_example(name: str, field: Field, seed=0) -> OmegaTensor:
     if name == "degenerate-rank6":
         return degenerate_rank6(field)
     if name.startswith("thooft"):
-        return thooft_tensor(int(name[len("thooft"):]), field, seed)
+        digits = name[len("thooft"):]
+        if not digits.isdecimal():
+            raise ValueError(f"example {name!r}: expected thooft<n>, n in 2..5")
+        return thooft_tensor(int(digits), field, seed)
     if name == "two-sum":
         return two_instanton_sum(field, seed)
     if name == "three-nc":
         return three_nc_tensor(field, seed=seed)
     if name.startswith("sum-family:"):
-        params = name[len("sum-family:"):].split(",")
-        if len(params) != 2:
-            raise ValueError(f"example {name!r}: expected sum-family:<t0>,<t1>")
-        t0_str, t1_str = params
-        fam = RestrictedSumFamily(field, seed=seed)
-        return fam.tensor(field.parse(t0_str), field.parse(t1_str))
+        try:
+            t0, t1 = (field.parse(x) for x in name[len("sum-family:"):].split(","))
+        except ValueError:
+            raise ValueError(f"example {name!r}: expected sum-family:<t0>,<t1>, "
+                             f"t0 and t1 in {field.spec_str()}") from None
+        return RestrictedSumFamily(field, seed=seed).tensor(t0, t1)
     raise ValueError(f"unknown example id {name!r}; known: {', '.join(NAMED_EXAMPLES)}")
 
 
@@ -344,8 +347,7 @@ def extend_fiber(omega_bar: OmegaTensor, seed) -> OmegaTensor:
     f = omega_bar.field
     if f.p == 2:
         raise ValueError(f"the extension fiber needs characteristic != 2, not {f.spec_str()}")
-    m = build_monad(omega_bar)
-    reject_basis_witness(omega_bar)
+    m = gated_display(omega_bar)
     if m.r < 4:
         raise MonadError("base display must have r >= 4 to extend downward")
     space = fiber_solution_space(omega_bar)

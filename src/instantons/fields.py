@@ -352,16 +352,17 @@ GF32003 = PrimeField(32003)
 
 
 def field_from_spec(spec: str) -> Field:
-    """Parse "rational" | "fp:<p>" | "fp:<p>^<k>" into a field object."""
+    """Parse "rational" | "fp:<p>" | "fp:<p>^<k>" into a field object; a
+    ValueError starts with "field <spec>:"."""
     if spec == "rational":
         return QQ
-    if spec.startswith("fp:"):
-        body = spec[3:]
-        if "^" in body:
-            ps, ks = body.split("^")
-            return ExtensionField(int(ps), int(ks))
-        p = int(body)
-        if p == 32003:
-            return GF32003
-        return PrimeField(p)
-    raise ValueError(f"unknown field spec {spec!r}")
+    p, caret, k = spec.removeprefix("fp:").partition("^")
+    if not spec.startswith("fp:") or not p.isdecimal() or caret and not k.isdecimal():
+        raise ValueError(f"field {spec!r}: expected rational, fp:<p> or fp:<p>^<k>, "
+                         "p and k integers")
+    try:
+        if caret:
+            return ExtensionField(int(p), int(k))
+        return GF32003 if int(p) == 32003 else PrimeField(int(p))
+    except ValueError as exc:
+        raise ValueError(f"field {spec!r}: {exc}") from None

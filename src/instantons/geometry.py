@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .bases import WEDGE_INDEX, WEDGE_PAIRS, sym_index_map
 from .fields import Field
-from .linalg import Mat, Pattern, Subspace, kron
+from .linalg import Mat, Pattern, Stream, Subspace, kron
 from .monads import MonadError, build_monad
 from .polys import interpolate as poly_interpolate
 from .tensors import OmegaTensor, sym_square, wedge_matrix
@@ -238,6 +238,31 @@ def point_plane_pencil(field: Field, p: list, q0: list, q1: list) -> tuple[list,
     lam0 = plucker_of_span(field, p, q0)
     lam1 = plucker_of_span(field, p, q1)
     return lam0, lam1
+
+
+# -- seeded draws ------------------------------------------------------------
+
+
+def random_lines(field: Field, stream: Stream, count: int) -> list[Line]:
+    """count lines, each through two points drawn from stream; a pair of
+    proportional points is dropped and the next pair drawn."""
+    lines = []
+    while len(lines) < count:
+        try:
+            lines.append(Line.from_points(field, stream.next_vector(field, 4),
+                                          stream.next_vector(field, 4)))
+        except ValueError:
+            continue
+    return lines
+
+
+def random_pencil(field: Field, stream: Stream) -> tuple[list, list]:
+    """point_plane_pencil of a point and two more points drawn from stream,
+    drawn again until the three are independent."""
+    while True:
+        p, q0, q1 = (stream.next_vector(field, 4) for _ in range(3))
+        if Mat.from_rows(field, [p, q0, q1], 4).rank() == 3:
+            return point_plane_pencil(field, p, q0, q1)
 
 
 # -- intersections with K (x) V* ---------------------------------------------

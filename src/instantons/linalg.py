@@ -507,30 +507,19 @@ class Mat:
                 a[i, j] = x.numerator % p if d == 1 else x.numerator * pow(d, -1, p) % p
         return Mat.from_np(target, a)
 
-    def _blocks(self, width: int):
-        """The blocks of columns b*width .. (b+1)*width - 1, made lazily."""
+    def block_ranks(self, width: int) -> tuple[list[int], list | None]:
+        """Ranks of the blocks of width columns, b*width .. (b+1)*width - 1,
+        and, when they are square, their determinants (else None): one
+        elimination over all blocks on the int64 backend, one per block on
+        the others."""
         if width < 1 or self.ncols % width:
             raise ValueError("column count is not a multiple of the block width")
-        return (self.take_cols(range(b * width, (b + 1) * width)) for b in range(self.ncols // width))
-
-    def block_ranks(self, width: int) -> tuple[list[int], list | None]:
-        """Ranks of the blocks of width columns and, when they are square,
-        their determinants (else None): one elimination over all blocks on
-        the int64 backend, one per block on the others."""
-        blocks = self._blocks(width)
         if _use_np(self.field):
             stack = self._a.reshape(self.nrows, self.ncols // width, width).transpose(1, 0, 2)
             return _np_block_ranks(stack, self.field.p)
-        blocks = list(blocks)
+        blocks = [self.take_cols(range(c, c + width)) for c in range(0, self.ncols, width)]
         dets = [b.det() for b in blocks] if self.nrows == width else None  # det() keeps its rank
         return [b.rank() for b in blocks], dets
-
-    def first_deficient_block(self, width: int) -> int | None:
-        """Index of the first block of width columns whose rank is below
-        width, or None; the generic backends stop at that block."""
-        ranks = self.block_ranks(width)[0] if _use_np(self.field) else (
-            b.rank() for b in self._blocks(width))
-        return next((b for b, r in enumerate(ranks) if r < width), None)
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical Subspace: one vector

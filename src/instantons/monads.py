@@ -159,7 +159,7 @@ def build_monad(omega: OmegaTensor) -> Monad:
     kept on the tensor.
 
     Requires rank 2n+r with 2 <= r <= 2n.  Non-degeneracy is the caller's
-    separate step: reject_basis_witness or nondeg.classify.
+    separate step: gated_display or nondeg.classify.
     """
     # omega._monad is written here only: a display is kept once its rank
     # check has passed, so a rank error is raised on every call
@@ -176,12 +176,17 @@ def build_monad(omega: OmegaTensor) -> Monad:
     return omega._monad
 
 
-def reject_basis_witness(omega: OmegaTensor) -> None:
-    """Raise a MonadError when omega(e_a (x) e_k) = 0 for basis vectors e_a, e_k, a zero
-    column 4a + k of the flattening: a cheap test that rejects blatant degeneracy."""
-    col = omega.flatten().first_deficient_block(1)
-    if col is not None:
-        raise MonadError(f"tensor is degenerate (witness at basis pair {divmod(col, 4)})")
+def gated_display(omega: OmegaTensor) -> Monad:
+    """The display of build_monad, whose rank check comes first, once no
+    basis pair is a witness: a MonadError names a pair with
+    omega(e_a (x) e_k) = 0, a zero column 4a + k of the flattening, a cheap
+    test that rejects blatant degeneracy."""
+    monad = build_monad(omega)
+    ranks = omega.flatten().block_ranks(1)[0]
+    if 0 in ranks:
+        pair = divmod(ranks.index(0), 4)
+        raise MonadError(f"tensor is degenerate (witness at basis pair {pair})")
+    return monad
 
 
 def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:

@@ -6,9 +6,9 @@
 # the whole space.  A closed certificate proves non-degeneracy over the
 # algebraic closure; a found witness disproves it exactly; anything else is
 # reported as unknown, never guessed.  Both are written on Mat alone
-# (products, Kronecker products, column placement, rref, the first column
-# block of deficient rank): how a field is stored, numpy or Python elements,
-# is linalg's business.
+# (products, Kronecker products, column placement, rref, the ranks of column
+# blocks): how a field is stored, numpy or Python elements, is linalg's
+# business.
 
 from __future__ import annotations
 
@@ -62,17 +62,6 @@ class Verdict:
     @property
     def is_certified(self) -> bool:
         return self.status == "certified-nondegenerate"
-
-    def to_obj(self) -> dict:
-        return {
-            "status": self.status,
-            "witness_h": self.witness_h,
-            "witness_v": self.witness_v,
-            "witness_field": self.witness_field,
-            "certified_degrees": list(self.certified_degrees) if self.certified_degrees else None,
-            "reason": self.reason,
-            "searched": self.searched,
-        }
 
 
 # -- witness scan -----------------------------------------------------------
@@ -129,10 +118,11 @@ def _candidates(m: Mat, n: int, fld: Field, start: int, stop: int, points: dict)
     of a chunk, as the columns of P, are contracted in one product
     m @ (P (x) I_w), whose columns wb .. wb + w - 1 belong to point b.  The
     columns of m are indexed 4a + k, (a, k) in H x V; to scan P(V) they are
-    first reordered to k n + a, once per field.  Mat.first_deficient_block
-    finds the next point whose contraction has a kernel; its partner is the
-    first vector of that contraction's kernel basis.  The points scanned,
-    through the last one yielded, are added to points[fld.spec_str()].
+    first reordered to k n + a, once per field.  Mat.block_ranks ranks every
+    contraction of a chunk at once; the partner of a point whose contraction
+    has a kernel is the first vector of that block's kernel basis.  The
+    points scanned, through the last one yielded, are added to
+    points[fld.spec_str()].
     """
     scan_h = n <= 4
     dim, width = (n, 4) if scan_h else (4, n)
@@ -144,20 +134,17 @@ def _candidates(m: Mat, n: int, fld: Field, start: int, stop: int, points: dict)
     while chunk := list(islice(todo, _CHUNK)):
         prod = m @ kron(Mat.from_rows(fld, chunk, dim).transpose(), eye)
         done = 0
-        while done < len(chunk):
-            rest = prod if done == 0 else prod.take_cols(range(done * width, prod.ncols))
-            hit = rest.first_deficient_block(width)
-            if hit is None:
-                points[key] = points.get(key, 0) + len(chunk) - done
-                break
-            points[key] = points.get(key, 0) + hit + 1
-            point = chunk[done + hit]
-            ker = (m @ kron(_column(fld, point), eye)).kernel()
+        for b, rank in enumerate(prod.block_ranks(width)[0]):
+            if rank == width:
+                continue
+            points[key] = points.get(key, 0) + b + 1 - done
+            done = b + 1
+            ker = prod.take_cols(range(b * width, done * width)).kernel()
             if ker.dim == 0:
                 raise AssertionError("a rank-deficient contraction has a zero kernel")
             partner = ker.basis.row(0)
-            yield (point, partner) if scan_h else (partner, point)
-            done += hit + 1
+            yield (chunk[b], partner) if scan_h else (partner, chunk[b])
+        points[key] = points.get(key, 0) + len(chunk) - done
 
 
 def _is_witness(m: Mat, h: list, v: list, fld: Field) -> bool:
@@ -181,8 +168,10 @@ def witness_search(
     Each field's scan begins at point index start.  classify passes the
     number of standard-basis points once it has scanned them over the base
     field: a basis point with no partner there has none over an extension
-    or, lifted from the auxiliary prime, over Q either.  The points scanned
-    in each field are added to points, keyed by the field's spec.
+    or, lifted from the auxiliary prime, over Q either.  So the lifted scan
+    begins after the basis points in any case, and is skipped, reduction
+    and all, when the cap leaves it no point.  The points scanned in each
+    field are added to points, keyed by the field's spec.
     """
     if points is None:
         points = {}
@@ -200,8 +189,9 @@ def witness_search(
             if not _is_witness(m, h, v, fld):
                 raise AssertionError("witness failed exact re-verification")
             return h, v, fld
-    if base.kind == "rational":
-        return _lifted_witness(omega, start, point_cap, points)
+    lift_start = max(start, min(omega.n, 4))
+    if base.kind == "rational" and lift_start < point_cap:
+        return _lifted_witness(omega, lift_start, point_cap, points)
     return None
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict
 
 from .certify import (
     fiber_dim_check,
@@ -27,40 +27,17 @@ from .families import (
 )
 from .fields import Field, PrimeField, QQ
 from .geometry import (
-    Line,
     line_invariants,
     nc_quadric_ideal,
     pencil_jump_poly,
-    point_plane_pencil,
+    random_lines,
+    random_pencil,
     triple_span,
 )
 from .linalg import Mat, Stream, Subspace, sample_invertible
 from .monads import build_monad, restricted_monad, s2_cohomology, sigma_kernel_dim, tangent_dim
 from .nondeg import DEFAULT_BUDGET, classify, witness_search
 from .tensors import OmegaTensor, block_sum
-
-
-@dataclass
-class CriterionResult:
-    cid: str
-    tag: str
-    description: str
-    passed: bool
-    seconds: float
-    details: dict = dc_field(default_factory=dict)
-
-    def line(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return f"{self.cid:<4} {self.tag:<16} {mark}  ({self.seconds:.1f}s)  {self.description}"
-
-    def to_obj(self) -> dict:
-        return {
-            "cid": self.cid,
-            "tag": self.tag,
-            "description": self.description,
-            "passed": self.passed,
-            "details": self.details,
-        }
 
 
 class SuiteContext:
@@ -382,7 +359,7 @@ def crit_xi_search(ctx: SuiteContext) -> tuple[bool, dict]:
         t = ctx.chain52(seed)
         xi, h1, trial, _log = find_xi(t, seed=("xi", seed))
         rep = propagation_check(t, xi)
-        entry = {"seed": seed, "h1_bar": h1, "trial": trial, **rep.to_obj()}
+        entry = {"seed": seed, "h1_bar": h1, "trial": trial, **asdict(rep)}
         good = h1 <= 1 and rep.inequality_holds and rep.implication_holds
         entry["ok"] = good
         per.append(entry)
@@ -416,14 +393,7 @@ def crit_geometry(ctx: SuiteContext) -> tuple[bool, dict]:
     pencil_total = 0
     for idx, t in enumerate(samples):
         n = t.n
-        lines = []
-        while len(lines) < 50:
-            u0 = st.next_vector(f, 4)
-            u1 = st.next_vector(f, 4)
-            try:
-                lines.append(Line.from_points(f, u0, u1))
-            except ValueError:
-                continue
+        lines = random_lines(f, st, 50)
         total_lines += len(lines)
         orders = []
         for a, h0, det in line_invariants(t, lines):
@@ -437,15 +407,8 @@ def crit_geometry(ctx: SuiteContext) -> tuple[bool, dict]:
             orders.append({"order": a, "h0": h0, "det_zero": f.is_zero(det),
                            "ok": jump_consistent and in_range and h_consistent})
         degs = []
-        for pp in range(2):
-            while True:
-                p = st.next_vector(f, 4)
-                q0 = st.next_vector(f, 4)
-                q1 = st.next_vector(f, 4)
-                if Mat.from_rows(f, [p, q0, q1], 4).rank() == 3:
-                    break
-            lam0, lam1 = point_plane_pencil(f, p, q0, q1)
-            poly = pencil_jump_poly(t, lam0, lam1)
+        for _ in range(2):
+            poly = pencil_jump_poly(t, *random_pencil(f, st))
             degs.append(len(poly) - 1)
             pencil_total += 1
             if len(poly) - 1 == n:
@@ -515,7 +478,7 @@ def run_suite(field: Field, only: str | None = None, chain_count: int = 20) -> d
     """Run the acceptance battery, printing one line per criterion, with its
     wall-clock time, to stderr; returns a JSON-ready summary."""
     ctx = SuiteContext(field, chain_count=chain_count)
-    results: list[CriterionResult] = []
+    criteria = []
     for cid, tag, desc, fn in CRITERIA:
         if only and only not in (tag, cid, cid.lower()):
             continue
@@ -526,13 +489,9 @@ def run_suite(field: Field, only: str | None = None, chain_count: int = 20) -> d
             passed, details = fn(ctx)
         except Exception as exc:  # a crash is a failure with a reason, not an abort
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
-        res = CriterionResult(cid, tag, desc, passed, time.time() - t0, details)
-        results.append(res)
-        print(res.line(), file=sys.stderr)
-    summary = {
-        "field": field.spec_str(),
-        "chain_count": chain_count,
-        "passed": all(r.passed for r in results),
-        "criteria": [r.to_obj() for r in results],
-    }
-    return summary
+        mark = "PASS" if passed else "FAIL"
+        print(f"{cid:<4} {tag:<16} {mark}  ({time.time() - t0:.1f}s)  {desc}", file=sys.stderr)
+        criteria.append({"cid": cid, "tag": tag, "description": desc, "passed": passed,
+                         "details": details})
+    return {"field": field.spec_str(), "chain_count": chain_count,
+            "passed": all(c["passed"] for c in criteria), "criteria": criteria}

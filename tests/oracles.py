@@ -155,7 +155,7 @@ def _contract_side(m: Mat, n: int, point: list, scan_h: bool, fld) -> Mat:
     return Mat.from_rows(fld, rows, cols)
 
 
-def _verify_witness(m: Mat, n: int, h: list, v: list, fld) -> bool:
+def verify_witness(m: Mat, n: int, h: list, v: list, fld) -> bool:
     for i in range(m.nrows):
         mrow = m.row(i)
         acc = fld.zero()
@@ -167,13 +167,15 @@ def _verify_witness(m: Mat, n: int, h: list, v: list, fld) -> bool:
     return True
 
 
-def _scan(m: Mat, n: int, fld, point_cap: int):
+def scan_by_loops(m: Mat, n: int, fld, point_cap: int):
+    """(index, h, v) for each point of the scanned side, up to point_cap,
+    whose contraction has a kernel; the partner is its first kernel vector."""
     scan_h = n <= 4
-    for point in projective_points(fld, n if scan_h else 4, point_cap):
+    for i, point in enumerate(projective_points(fld, n if scan_h else 4, point_cap)):
         ker = _contract_side(m, n, point, scan_h, fld).kernel()
         if ker.dim > 0:
             partner = ker.basis.row(0)
-            yield (point, partner) if scan_h else (partner, point)
+            yield (i, point, partner) if scan_h else (i, partner, point)
 
 
 def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096):
@@ -191,8 +193,8 @@ def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096):
         m = m_base
         if fld != base:
             m = Mat.from_rows(fld, m_base.rows(), m.ncols)
-        for h, v in _scan(m, n, fld, point_cap):
-            assert _verify_witness(m, n, h, v, fld)
+        for _i, h, v in scan_by_loops(m, n, fld, point_cap):
+            assert verify_witness(m, n, h, v, fld)
             return h, v, fld
     if base.kind != "rational":
         return None
@@ -209,10 +211,10 @@ def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096):
     def centered(x: int) -> Fraction:
         return Fraction(x - aux.p if x > aux.p // 2 else x)
 
-    for h_p, v_p in _scan(m_p, n, aux, point_cap):
+    for _i, h_p, v_p in scan_by_loops(m_p, n, aux, point_cap):
         h = [centered(x) for x in h_p]
         v = [centered(x) for x in v_p]
-        if any(h) and any(v) and _verify_witness(m_base, n, h, v, base):
+        if any(h) and any(v) and verify_witness(m_base, n, h, v, base):
             return h, v, base
     return None
 

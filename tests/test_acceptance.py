@@ -8,7 +8,7 @@ import time
 import pytest
 
 from instantons.fields import GF32003, QQ
-from instantons.suite import CRITERIA, SuiteContext, run_suite
+from instantons.suite import CRITERIA, SuiteContext, crit_geometry, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -31,3 +31,14 @@ def test_rational_battery_is_criteria_1_to_3():
     summary = run_suite(QQ)
     assert [c["cid"] for c in summary["criteria"]] == ["C1", "C2", "C3"]
     assert summary["passed"]
+
+
+def test_geometry_details_are_pinned(ctx):
+    # C12's details as recorded from the line and pencil draws written out in
+    # the criterion; its lines and pencils come from one stream, in order
+    passed, details = crit_geometry(ctx)
+    assert passed
+    assert details == {
+        "lines": 500, "trivial_fraction": 1.0, "pencil_generic_fraction": 1.0,
+        "samples": [{"n": n, "orders_ok": True, "jumping": 0, "pencil_degrees": [n, n]}
+                    for n in (2, 2, 2, 3, 3, 3, 4, 4, 5, 5)]}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -77,11 +78,30 @@ def test_table_lines_deterministic(tmp_path):
     assert cols == "plucker,order,h0,det"
 
 
+# SHA-256 digests (first 16 hex digits) of the CSV bodies, header row
+# included, recorded from the line draws written out in the CLI: a shared
+# draw must consume the stream the same way
+LINES_TABLE_DIGESTS = {
+    "--sample 3,2 --count 30 --seed 4": (31, "04dbde9fe5073c83"),
+    "--example thooft4 --count 20": (21, "9243bcc69267e1e7"),
+}
+
+
+@pytest.mark.parametrize("source", LINES_TABLE_DIGESTS)
+def test_table_lines_is_pinned(capsys, source):
+    assert run(["table", "lines", *source.split()]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+    assert (len(rows), digest) == LINES_TABLE_DIGESTS[source]
+
+
 def test_table_pencil(capsys):
-    code = run(["table", "pencil", "--sample", "5,2", "--seed", "7"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "degree,5" in out
+    # the CSV body as recorded from the pencil draw written out in the CLI
+    assert run(["table", "pencil", "--sample", "5,2", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "key,value", "degree,5", "coeff_0,13640", "coeff_1,5518", "coeff_2,9592",
+        "coeff_3,3935", "coeff_4,20317", "coeff_5,29273", "root,14176", "order_at_root,1",
+        "residual_degree,4"]
 
 
 def test_table_pencil_small_field_is_input_error(capsys):
@@ -184,6 +204,10 @@ def test_bad_tensor_entry_is_input_error(tmp_path, capsys, field, entries, messa
     (["certify", "--sample", "5"], "error: --sample '5': expected N,R"),
     (["certify", "--example", "sum-family:1"], "expected sum-family:<t0>,<t1>"),
     (["certify", "--sample", "2,x"], "error: --sample '2,x': expected N,R integers"),
+    (["certify", "--example", "thooft"], "error: example 'thooft': expected thooft<n>, n in 2..5"),
+    (["certify", "--example", "thoofta"], "error: example 'thoofta': expected thooft<n>"),
+    (["certify", "--example", "sum-family:1,x"],
+     "error: example 'sum-family:1,x': expected sum-family:<t0>,<t1>, t0 and t1 in fp:32003"),
 ])
 def test_malformed_source_names_the_expected_form(capsys, argv, expected):
     assert run(argv) == 2
@@ -220,8 +244,21 @@ def test_malformed_tensor_is_input_error(tmp_path):
     assert run(["certify", "--tensor", str(bad2)]) == 2
 
 
-def test_bad_field_spec():
-    assert run(["certify", "--example", "nc", "--field", "fp:10"]) == 2
+def test_bad_field_spec(capsys):
+    # each message names the option, the spec and the expected form
+    expected = "expected rational, fp:<p> or fp:<p>^<k>, p and k integers"
+    for spec, message in [("fp:10", "modulus 10 is not prime"), ("fp:", expected),
+                          ("fp:x", expected), ("fp:7^x", expected), ("fp:5^2^3", expected),
+                          ("float", expected)]:
+        assert run(["certify", "--example", "nc", "--field", spec]) == 2
+        assert capsys.readouterr().err == f"error: --field {spec!r}: {message}\n"
+    # certify, sample and export write the tensor out, and the file format has
+    # no extension-field entries
+    for argv in (["certify", "--example", "nc"], ["sample", "--n", "3", "--r", "6"],
+                 ["export", "--id", "nc"]):
+        assert run([*argv, "--field", "fp:5^2"]) == 2
+        assert capsys.readouterr().err == (f"error: --field 'fp:5^2': {argv[0]} writes the "
+                                           "tensor out, so expected rational or fp:<p>\n")
 
 
 def test_rational_mode_table(capsys):

@@ -279,34 +279,12 @@ def test_kernel_is_span_of_explicit_basis(spec):
     assert full >= 3
 
 
-def _blocks_of_random_rank(fld, st: Stream):
-    """A matrix of blocks, a quarter of them of rank below the width, and its
-    block width."""
-    width = 1 + st.next_below(5)
-    nrows = st.next_below(2 * width + 2)
-    m = Mat.zeros(fld, nrows, 0)
-    for _ in range(st.next_below(7)):
-        r = width if st.next_below(4) else st.next_below(width)
-        a = Mat.from_rows(fld, [st.next_vector(fld, r) for _ in range(nrows)], r)
-        b = Mat.from_rows(fld, [st.next_vector(fld, width) for _ in range(r)], width)
-        m = m.hstack(a @ b)
-    return m, width
-
-
 @pytest.mark.parametrize("spec", ["fp:32003", "fp:7", "rational", "fp:5^2"])
-def test_first_deficient_block_matches_block_ranks(spec):
+def test_block_ranks_rejects_a_width_that_does_not_divide(spec):
     fld = field_from_spec(spec)
-    st = Stream("first_deficient_block", spec)
-    hits = 0
-    for _ in range(60):
-        m, width = _blocks_of_random_rank(fld, st)
-        blocks = [m.take_cols(range(b * width, (b + 1) * width)) for b in range(m.ncols // width)]
-        expect = next((b for b, blk in enumerate(blocks) if blk.rank() < width), None)
-        assert m.first_deficient_block(width) == expect
-        hits += expect is not None and expect > 0
-    assert hits >= 5
-    with pytest.raises(ValueError):
-        Mat.zeros(fld, 2, 5).first_deficient_block(2)
+    for width in (0, 2):
+        with pytest.raises(ValueError):
+            Mat.zeros(fld, 2, 5).block_ranks(width)
 
 
 def test_int64_exactness_guard():
@@ -467,8 +445,6 @@ def test_block_ranks_match_per_block_rank_and_det(spec, data):
     ranks, dets = m.block_ranks(width)
     assert ranks == [b.rank() for b in blocks]
     assert dets == ([b.det() for b in blocks] if nrows == width else None)
-    assert m.first_deficient_block(width) == next(
-        (i for i, r in enumerate(ranks) if r < width), None)
 
 
 @pytest.mark.parametrize("spec", ["fp:32003", "fp:2097143", "rational", "fp:5^2"])

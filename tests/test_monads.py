@@ -55,8 +55,13 @@ def test_quick_degeneracy_scan(F):
     t = block_sum(nc_tensor(F), nc_tensor(F))
     t_deg = block_sum(t, OmegaTensor.zero(1, F))  # rank 8 = 2n+2 for n=3, but degenerate
     with pytest.raises(MonadError, match=r"witness at basis pair \(2, 0\)"):
-        monads.reject_basis_witness(t_deg)
+        monads.gated_display(t_deg)
     assert build_monad(t_deg).m == 8
+    # the display passes the gate where no basis pair is a witness; the rank
+    # check comes first, so a zero tensor is refused for its rank
+    assert monads.gated_display(t) is build_monad(t)
+    with pytest.raises(MonadError, match="admissible range"):
+        monads.gated_display(OmegaTensor.zero(2, F))
 
 
 def test_h_values_fixed_rows(F, chain52, full36):

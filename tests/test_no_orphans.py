@@ -1,11 +1,13 @@
-"""Every function and method of the package is named somewhere, and every
-parameter with a default is passed somewhere.
+"""Every function, method, class and module-level constant of the package is
+named somewhere, and every parameter with a default is passed somewhere.
 
-A function defined in src/instantons is an orphan when no name or attribute
-in src/, tests/ or perfbench/ refers to it: nothing can call it.  Dunder
-methods are exempt, since Python calls them itself.  The scan is by name, so
-a function that shares its name with one in use (a method called `rank`, say)
-passes; it catches the code that nothing names at all.
+A function, class or module-level constant defined in src/instantons is an
+orphan when no name or attribute in src/, tests/ or perfbench/ refers to it:
+nothing can call or read it.  An assignment is not a reference, so a
+constant is not named by its own definition.  Dunder names are exempt, since
+Python uses them itself.  The scan is by name, so a definition that shares
+its name with one in use (a method called `rank`, say) passes; it catches
+the code that nothing names at all.
 
 A parameter with a default that no call passes is an option that every caller
 leaves at one value: a constant written as an option.  Calls are matched to a
@@ -30,7 +32,7 @@ def _trees(*dirs: Path):
 def _named(tree: ast.AST) -> set[str]:
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -45,12 +47,17 @@ def orphans() -> list[str]:
         named |= _named(tree)
     found = []
     for path, tree in _trees(PACKAGE):
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")) and name not in named:
-                    found.append(f"{path.stem}.{name} (line {node.lineno})")
-    return found
+        defined = [(node.name, node) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(t.id, t) for target in targets for t in ast.walk(target)
+                            if isinstance(t, ast.Name)]
+        for name, node in defined:
+            if not (name.startswith("__") and name.endswith("__")) and name not in named:
+                found.append(f"{path.stem}.{name} (line {node.lineno})")
+    return sorted(found)
 
 
 def _calls() -> dict[str, list[ast.Call]]:

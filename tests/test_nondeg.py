@@ -10,7 +10,9 @@ from oracles import (
     classify_scan_first,
     piece_rank_by_spanning_set,
     projective_points_by_filter,
+    scan_by_loops,
     spanning_set_cells,
+    verify_witness,
     witness_search_by_loops,
 )
 
@@ -25,12 +27,13 @@ from instantons.families import (
     thooft_tensor,
 )
 from instantons.fields import PrimeField, field_from_spec
-from instantons.linalg import Mat, Stream
+from instantons.linalg import Mat, Stream, sample_matrix
 from instantons.nondeg import (
     DEFAULT_SCHEDULE,
     Budget,
     SpanningCertifier,
     _Accumulator,
+    _candidates,
     classify,
     projective_points,
     witness_search,
@@ -168,6 +171,29 @@ def test_rational_tensor_scanned_mod_the_next_prime_when_311_divides_a_denominat
     assert h == [Fraction(1), Fraction(7)]
     assert v == [Fraction(1), Fraction(3), Fraction(0), Fraction(5)]
     assert "fp:313" in points and "fp:311" not in points
+
+
+@pytest.mark.parametrize("n,start", [(3, 0), (3, 5), (5, 0), (5, 250)])
+def test_scan_yields_each_deficient_block_in_order(n, start):
+    # a random matrix with as many rows as a contraction has columns: on
+    # GF(7) about one contraction in seven is singular, so a chunk of the
+    # scan holds several deficient blocks (at n = 5 the blocks are square,
+    # 5 by 5, and the 400 points of P^3 fill two chunks).  Each is yielded
+    # in enumeration order with the partner of the per-point loop, which
+    # lies in its contraction's kernel, and points counts through it.
+    fld = PrimeField(7)
+    width = 4 if n <= 4 else n
+    m = sample_matrix(width, 4 * n, fld, ("scan", n))
+    expected = [(i, h, v) for i, h, v in scan_by_loops(m, n, fld, 400) if i >= start]
+    assert len(expected) >= 5
+    points = {}
+    found = _candidates(m, n, fld, start, 400, points)
+    for i, h, v in expected:
+        assert next(found) == (h, v)
+        assert verify_witness(m, n, h, v, fld)
+        assert points == {"fp:7": i + 1 - start}
+    assert next(found, None) is None
+    assert points == {"fp:7": len(list(projective_points(fld, min(n, 4), 400))) - start}
 
 
 def test_agreement_small_field():
@@ -486,7 +512,7 @@ def test_classify_matches_scan_first_oracle_on_frozen_tensors(F, Q, corank2_n2):
         assert _outcome(v) == _outcome(classify_scan_first(t, budget))
 
 
-def test_searched_records_work_done(F, chain52):
+def test_searched_records_work_done(F, Q, chain52):
     # a (5,2) chain: four basis points, then the cheap pieces close at (2, 1)
     v = classify(chain52)
     assert v.certified_degrees == (2, 1)
@@ -498,6 +524,10 @@ def test_searched_records_work_done(F, chain52):
     v = classify(degenerate_rank6(F))
     assert v.searched["stage"] == "basis-points"
     assert v.searched["points"] == {"fp:32003": 1} and v.searched["pieces"] == []
+    # over Q the lifted scan mod 311 begins after the basis points, which the
+    # scan over Q has covered, so at the basis-point stage it scans nothing
+    v = classify(thooft_tensor(3, Q))
+    assert v.searched["stage"] == "cheap-pieces" and v.searched["points"] == {"rational": 3}
     # an unknown verdict says how far each piece got and how many points the
     # scan visited in each field
     t = _conjugate_pair_f3()
