@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .fields import Field
-from .linalg import Mat, Pattern, Stream, Subspace, kron
+from .linalg import Mat, Pattern, Stream, Subspace
 from .monads import Monad, MonadError, build_monad, gated_display
 from .nondeg import LIGHT_BUDGET, classify
 from .polys import interpolate as poly_interpolate
@@ -220,11 +220,16 @@ def named_example(name: str, field: Field, seed=0) -> OmegaTensor:
     if name == "three-nc":
         return three_nc_tensor(field, seed=seed)
     if name.startswith("sum-family:"):
+        # an element of GF(p^k) is k comma-separated coordinates
+        parts, k = name[len("sum-family:"):].split(","), field.k
         try:
-            t0, t1 = (field.parse(x) for x in name[len("sum-family:"):].split(","))
+            if len(parts) != 2 * k:
+                raise ValueError(name)
+            t0, t1 = field.parse(",".join(parts[:k])), field.parse(",".join(parts[k:]))
         except ValueError:
+            each = f", each {k} comma-separated coordinates" if k > 1 else ""
             raise ValueError(f"example {name!r}: expected sum-family:<t0>,<t1>, "
-                             f"t0 and t1 in {field.spec_str()}") from None
+                             f"t0 and t1 in {field.spec_str()}{each}") from None
         return RestrictedSumFamily(field, seed=seed).tensor(t0, t1)
     raise ValueError(f"unknown example id {name!r}; known: {', '.join(NAMED_EXAMPLES)}")
 
@@ -277,10 +282,9 @@ def sample_corank2(n: int, field: Field, seed) -> OmegaTensor:
             return OmegaTensor(n, f, w0.coeffs + w1.coeffs.scale(t))
 
         points = [f.of_int(i) for i in range(4 * n + 1)]
-        # the flattening is linear in the tensor, so the members' flattenings
-        # side by side are kron(ones, flat w0) + kron(points, flat w1)
-        ones = Mat.from_rows(f, [[f.one()] * len(points)], len(points))
-        flats = kron(ones, w0.flatten()) + kron(Mat.from_rows(f, [points], len(points)), w1.flatten())
+        # the flattening is linear in the tensor: member t's is flat w0 + t flat w1
+        pencil = Mat.from_rows(f, [[f.one(), t] for t in points], 2)
+        flats = w0.flatten().hstack(w1.flatten()).contract_blocks(pencil, 4 * n)
         values = flats.block_ranks(4 * n)[1]
         poly = poly_interpolate(points, values, f)
         if not poly:

@@ -324,7 +324,10 @@ class ExtensionField(Field):
         return (n % self.p,) + (0,) * (self.k - 1)
 
     def parse(self, s: str):
-        return tuple(int(t) % self.p for t in s.split(","))
+        coords = s.split(",")
+        if len(coords) != self.k:
+            raise ValueError(f"expected {self.k} comma-separated coordinates, got {s!r}")
+        return tuple(int(t) % self.p for t in coords)
 
     def to_str(self, a) -> str:
         return ",".join(str(x % self.p) for x in a)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bases import WEDGE_INDEX, WEDGE_PAIRS, sym_index_map
+from .bases import WEDGE_INDEX, WEDGE_PAIRS, hv_index, sym_index_map
 from .fields import Field
 from .linalg import Mat, Pattern, Stream, Subspace, kron
 from .monads import MonadError, build_monad
@@ -138,17 +138,15 @@ def _section_counts(omega: OmegaTensor, spaces: list[Mat]) -> list[int]:
     given by the rows of a basis (all of one size k).
 
     The meet is the kernel of N -> H* (x) S*, so its dimension is dim N minus
-    the rank of N.basis @ (I_n (x) S^T): the products of all spaces are
-    one matmul, ranked as n k-column blocks by one elimination.
+    the rank of N.basis @ (I_n (x) S^T): one Mat.contract_blocks product for
+    all spaces, ranked as n k-column blocks by one elimination.
     """
     m = build_monad(omega)
-    f, n, count = omega.field, omega.n, len(spaces)
-    k = spaces[0].nrows
-    points = Mat.from_rows(f, [r for s in spaces for r in s.rows()], 4).transpose()
-    prod = m.N.basis @ kron(Mat.identity(f, n), points)
-    # column a * k * count + k * i + t of the product belongs to space i
-    order = [(a * count + i) * k + t for i in range(count) for a in range(n) for t in range(k)]
-    return [m.N.dim - r for r in prod.take_cols(order).block_ranks(n * k)[0]]
+    n, k = omega.n, spaces[0].nrows
+    points = Mat.from_rows(omega.field, [r for s in spaces for r in s.rows()], 4)
+    # N's columns reordered from (a, v) to (v, a): block j is N contracted with point j
+    by_v = m.N.basis.take_cols([hv_index(a, v) for v in range(4) for a in range(n)])
+    return [m.N.dim - r for r in by_v.contract_blocks(points, n).block_ranks(n * k)[0]]
 
 
 def h0_plane(omega: OmegaTensor, plane: Plane) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -119,9 +119,9 @@ def _np_rank(a: np.ndarray, p: int) -> int:
 
 
 def _np_block_ranks(stack: np.ndarray, p: int) -> tuple[list[int], list[int] | None]:
-    """Ranks of the matrices of a (B, R, w) int64 stack mod p and, when
-    R == w, their determinants: one forward elimination vectorized over the
-    stack.
+    """Ranks of the matrices of a (B, R, w) stack of int64 residues mod p
+    and, when R == w, their determinants: one forward elimination vectorized
+    over the stack.
 
     Column c of every matrix is eliminated at once: with d the first nonzero
     entry of column c, in row i, every row becomes d * row - entry * row_i,
@@ -137,23 +137,25 @@ def _np_block_ranks(stack: np.ndarray, p: int) -> tuple[list[int], list[int] | N
         return [0] * nb, None
     # each update is pivot * row - entry * pivot_row: two products mod p
     _require_int64_exact(2, p)
-    a = stack % p
+    # a[c, i, b] is entry (i, c) of matrix b: every step runs along the stack
+    a = stack.transpose(2, 1, 0).copy()
     batch = np.arange(nb)
-    pivots = np.zeros((nb, width), dtype=np.int64)
-    rows = np.zeros((nb, width), dtype=np.int64)
+    pivots = np.zeros((width, nb), dtype=np.int64)
+    rows = np.zeros((width, nb), dtype=np.int64)
     for c in range(width):
-        col = a[:, :, c]
-        pr = (col != 0).argmax(axis=1)
-        piv = col[batch, pr]
-        pivots[:, c], rows[:, c] = piv, pr
+        col = a[c]
+        pr = (col != 0).argmax(axis=0)
+        piv = col[pr, batch]
+        pivots[c], rows[c] = piv, pr
         if c + 1 < width:
-            # in place on the view of the later columns; a matrix without a
-            # pivot here has a zero column, and is scaled by 1
-            rest = a[:, :, c + 1:]
-            update = col[:, :, None] * rest[batch, pr][:, None, :]
-            rest *= np.where(piv == 0, 1, piv)[:, None, None]
+            # in place on the later columns; a matrix without a pivot here
+            # has a zero column, and is scaled by 1
+            rest = a[c + 1:]
+            update = col * rest[:, pr, batch][:, None, :]
+            rest *= np.where(piv == 0, 1, piv)
             rest -= update
             rest %= p
+    pivots, rows = pivots.T, rows.T
     ranks = np.count_nonzero(pivots, axis=1).tolist()
     if nrows != width:
         return ranks, None
@@ -274,6 +276,36 @@ class Mat:
         a = np.mod(a, field.p).astype(np.int64, copy=False)
         return Mat(field, a.shape[0], a.shape[1], a)
 
+    @staticmethod
+    def projective_points(field: Field, dim: int, start: int, stop: int) -> "Mat":
+        """Points start .. stop - 1 of P^(dim-1) as rows, fewer where it ends.
+        Point t of chart lead has zeros before a one at lead and, after it,
+        the base-|vals| digits of t read in vals: elements() order (over
+        GF(p) the residues), or 0, 1, -1, 2, -2 over Q, a small-height
+        sample.  The basis vectors, t = 0 of each chart, come first, then the
+        charts from t = 1.  Only elements() up to the largest digit are listed."""
+        q = 5 if field.kind == "rational" else field.order
+        base = min(q, stop)  # t < stop: so large a base gives t's digits too
+        spans = [(i, 0, 1) for i in range(dim)] + [(i, 1, q ** (dim - 1 - i)) for i in range(dim)]
+        first, digits = 0, [np.zeros((0, dim), dtype=np.int64)]  # digit -1 stands for one
+        for lead, t0, t1 in spans:
+            if first >= stop:
+                break
+            t = np.arange(max(start, first), min(stop, first + t1 - t0)) - first + t0
+            seg = np.zeros((len(t), dim), dtype=np.int64)
+            seg[:, lead] = -1
+            for c in range(dim - 1, lead, -1):
+                t, seg[:, c] = np.divmod(t, base)
+            digits.append(seg)
+            first += t1 - t0
+        d = np.concatenate(digits)
+        if _use_np(field):
+            return Mat(field, len(d), dim, np.where(d < 0, 1, d))
+        vals = ([Fraction(x) for x in (0, 1, -1, 2, -2)] if field.kind == "rational"
+                else list(islice(field.elements(), int(d.max(initial=0)) + 1)))
+        one = field.one()
+        return Mat(field, len(d), dim, [[one if x < 0 else vals[x] for x in r] for r in d.tolist()])
+
     # -- access -------------------------------------------------------
 
     def get(self, i: int, j: int):
@@ -321,6 +353,19 @@ class Mat:
             out.append(row)
         return Mat(f, self.nrows, other.ncols, out)
 
+    def contract_blocks(self, points: "Mat", width: int) -> "Mat":
+        """self @ kron(points^T, I_width): block b of width columns is the sum
+        over a of points[b, a] times block a of self.  On int64 it is one
+        product of points with the blocks of self as rows; otherwise, or on a
+        shape mismatch, which the product rejects, it is formed as written."""
+        f, nrows, nb, dim = self.field, self.nrows, points.nrows, points.ncols
+        if not _use_np(f) or self.ncols != dim * width:
+            return self @ kron(points.transpose(), Mat.identity(f, width))
+        _require_int64_exact(dim, f.p)
+        blocks = self._a.reshape(nrows, dim, width).transpose(1, 0, 2).reshape(dim, -1)
+        prod = (points._a @ blocks % f.p).reshape(nb, nrows, width).transpose(1, 0, 2)
+        return Mat(f, nrows, nb * width, prod.reshape(nrows, nb * width))
+
     def annihilates(self, other: "Mat") -> bool:
         """Whether self @ other is zero: on int64, from the products of the
         nonzeros (i, k) of self and (k, j) of other alone, summed mod p."""
@@ -342,8 +387,10 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         self._check_shape(other)
         f = self.field
-        if _use_np(f):
-            return Mat.from_np(f, self._a + other._a)
+        if _use_np(f):  # residues in [0, p): one conditional correction by p
+            a = self._a + other._a
+            np.subtract(a, f.p, out=a, where=a >= f.p)
+            return Mat(f, self.nrows, self.ncols, a)
         data = [
             [f.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(self._a, other._a)
         ]
@@ -353,7 +400,9 @@ class Mat:
         self._check_shape(other)
         f = self.field
         if _use_np(f):
-            return Mat.from_np(f, self._a - other._a)
+            a = self._a - other._a
+            np.add(a, f.p, out=a, where=a < 0)
+            return Mat(f, self.nrows, self.ncols, a)
         # x - 0 is x: the accumulator subtracts mostly-zero products
         data = [
             [x if f.is_zero(y) else f.sub(x, y) for x, y in zip(r1, r2)]
@@ -364,7 +413,7 @@ class Mat:
     def __neg__(self) -> "Mat":
         f = self.field
         if _use_np(f):
-            return Mat.from_np(f, -self._a)
+            return Mat(f, self.nrows, self.ncols, np.where(self._a == 0, 0, f.p - self._a))
         return Mat(f, self.nrows, self.ncols, [[f.neg(x) for x in r] for r in self._a])
 
     def scale(self, c) -> "Mat":
@@ -778,7 +827,10 @@ def kron(a: Mat, b: Mat) -> Mat:
     nrows, ncols = a.nrows * b.nrows, a.ncols * b.ncols
     if _use_np(f):
         return Mat(f, nrows, ncols, np.kron(a._a, b._a) % f.p)
-    data = [[f.mul(x, y) for x in ar for y in br] for ar in a._a for br in b._a]
+    # x y is zero where x or y is: most entries of kron(points, I) are
+    z = f.zero()
+    data = [[z if f.is_zero(x) or f.is_zero(y) else f.mul(x, y) for x in ar for y in br]
+            for ar in a._a for br in b._a]
     return Mat(f, nrows, ncols, data)
 
 

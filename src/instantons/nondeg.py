@@ -1,7 +1,9 @@
 # Deciding whether a tensor pairs nonzero against every decomposable vector
 # h (x) v.  Two one-sided procedures cooperate: an exhaustive-with-budget
 # witness scan over the projective spaces of H and V (through small extension
-# fields), and a sound emptiness certificate that checks a bigraded piece of
+# fields), which screens each chunk of points through a fixed sketch of the
+# flattening and contracts only the points it leaves with the flattening
+# itself, and a sound emptiness certificate that checks a bigraded piece of
 # the ideal generated by the 4n bilinear forms <omega(h (x) v), basis> equals
 # the whole space.  A closed certificate proves non-degeneracy over the
 # algebraic closure; a found witness disproves it exactly; anything else is
@@ -14,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain, count, islice, product
+from functools import cache
+from itertools import count
 
 from .bases import hv_index, num_monomials, times_variable
 from .fields import ExtensionField, Field, PrimeField, is_prime
-from .linalg import Mat, kron
+from .linalg import Mat, Stream
 from .tensors import OmegaTensor
 
 DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = (
@@ -67,27 +70,6 @@ class Verdict:
 # -- witness scan -----------------------------------------------------------
 
 
-def projective_points(field: Field, dim: int, cap: int):
-    """Standard basis vectors first, then leading-one affine charts, capped.
-
-    Lazy: a field's elements are listed only when the first chart point is
-    asked for.  Over Q the charts draw on small-height values only; the scan
-    is a heuristic there.
-    """
-    one, zero = field.one(), field.zero()
-    basis = ([one if j == i else zero for j in range(dim)] for i in range(dim))
-
-    def charts():
-        vals = ([Fraction(x) for x in (0, 1, -1, 2, -2)] if field.kind == "rational"
-                else list(field.elements()))
-        for lead in range(dim):
-            # vals lists zero first: the first tail's point is a basis vector, already emitted
-            for tail in islice(product(vals, repeat=dim - lead - 1), 1, None):
-                yield [zero] * lead + [one, *tail]
-
-    return islice(chain(basis, charts()), cap)
-
-
 def _flatten_in_field(omega: OmegaTensor, target: Field) -> Mat | None:
     """The flattening with its entries embedded into an extension of the base
     field, or reduced from Q mod the prime of target; None when a denominator
@@ -101,54 +83,69 @@ def _flatten_in_field(omega: OmegaTensor, target: Field) -> Mat | None:
     return Mat.from_rows(target, m.rows(), m.ncols)
 
 
-def _column(fld: Field, vec: list) -> Mat:
-    return Mat.from_rows(fld, [[x] for x in vec], 1)
+@cache
+def _sketch(fld: Field, nrows: int, width: int) -> Mat:
+    """The scan's fixed screen L: width + 1 rows, and in each column j one
+    nonzero entry, in row j mod (width + 1), drawn from a Stream keyed by
+    the field and the shape, and kept.  L m costs one product per nonzero
+    of m."""
+    st = Stream("witness-sketch", fld.spec_str(), nrows, width)
+    vals = [fld.one() if fld.is_zero(x) else x for x in st.next_vector(fld, nrows)]
+    rows = [[x if j % (width + 1) == i else fld.zero() for j, x in enumerate(vals)]
+            for i in range(width + 1)]
+    return Mat.from_rows(fld, rows, nrows)
 
 
-# points contracted in one product: with n <= 5 a chunk's product and its
-# elimination stack stay under 1 MB
-_CHUNK = 256
+# points screened in one product: with n <= 5 a chunk's sketched product and
+# its elimination stack hold (w + 1) w 1024 <= 30 720 entries, 240 kB
+_CHUNK = 1024
 
 
 def _candidates(m: Mat, n: int, fld: Field, start: int, stop: int, points: dict):
     """(h, v) with m @ (h (x) v) = 0, for the points of index start .. stop - 1
     in enumeration order.
 
-    Scans the smaller of P(H), P(V), a chunk of points at a time: the points
-    of a chunk, as the columns of P, are contracted in one product
-    m @ (P (x) I_w), whose columns wb .. wb + w - 1 belong to point b.  The
-    columns of m are indexed 4a + k, (a, k) in H x V; to scan P(V) they are
-    first reordered to k n + a, once per field.  Mat.block_ranks ranks every
-    contraction of a chunk at once; the partner of a point whose contraction
-    has a kernel is the first vector of that block's kernel basis.  The
-    points scanned, through the last one yielded, are added to
-    points[fld.spec_str()].
+    Scans the smaller of P(H), P(V), a chunk of Mat.projective_points at a
+    time, as the rows of P: column block b of m.contract_blocks(P, w) is the
+    contraction of point b.  The columns of m are indexed 4a + k, (a, k) in
+    H x V; to scan P(V) they are first reordered to k n + a.  The chunk is
+    contracted first with the sketch g = L m, L of w + 1 rows: rank(L M) <=
+    rank(M), so a point whose block of g has rank w has no partner, and only
+    the rest are contracted with m itself; a full contraction passed as
+    deficient costs time, never a verdict.  A point's partner is the first
+    vector of its contraction's kernel basis.  The points scanned, through
+    the last one yielded, are added to points[fld.spec_str()].
     """
     scan_h = n <= 4
     dim, width = (n, 4) if scan_h else (4, n)
     if not scan_h:
         m = m.take_cols([hv_index(a, k) for k in range(4) for a in range(n)])
-    eye = Mat.identity(fld, width)
+    g = _sketch(fld, m.nrows, width) @ m
     key = fld.spec_str()
-    todo = islice(projective_points(fld, dim, stop), start, None)
-    while chunk := list(islice(todo, _CHUNK)):
-        prod = m @ kron(Mat.from_rows(fld, chunk, dim).transpose(), eye)
+    for lo in range(start, stop, _CHUNK):
+        chunk = Mat.projective_points(fld, dim, lo, min(stop, lo + _CHUNK))
+        if chunk.nrows == 0:
+            return
+        ranks = g.contract_blocks(chunk, width).block_ranks(width)[0]
+        suspects = [b for b, rank in enumerate(ranks) if rank < width]
         done = 0
-        for b, rank in enumerate(prod.block_ranks(width)[0]):
-            if rank == width:
-                continue
-            points[key] = points.get(key, 0) + b + 1 - done
-            done = b + 1
-            ker = prod.take_cols(range(b * width, done * width)).kernel()
-            if ker.dim == 0:
-                raise AssertionError("a rank-deficient contraction has a zero kernel")
-            partner = ker.basis.row(0)
-            yield (chunk[b], partner) if scan_h else (partner, chunk[b])
-        points[key] = points.get(key, 0) + len(chunk) - done
+        if suspects:
+            prod = m.contract_blocks(chunk.take_rows(suspects), width)
+            for i, (b, rank) in enumerate(zip(suspects, prod.block_ranks(width)[0])):
+                if rank == width:
+                    continue
+                points[key] = points.get(key, 0) + b + 1 - done
+                done = b + 1
+                ker = prod.take_cols(range(i * width, (i + 1) * width)).kernel()
+                if ker.dim == 0:
+                    raise AssertionError("a rank-deficient contraction has a zero kernel")
+                partner = ker.basis.row(0)
+                yield (chunk.row(b), partner) if scan_h else (partner, chunk.row(b))
+        points[key] = points.get(key, 0) + chunk.nrows - done
 
 
 def _is_witness(m: Mat, h: list, v: list, fld: Field) -> bool:
-    return (m @ kron(_column(fld, h), _column(fld, v))).is_zero()
+    return (m @ Mat.from_rows(fld, [[fld.mul(x, y)] for x in h for y in v], 1)).is_zero()
 
 
 def witness_search(
@@ -158,12 +155,14 @@ def witness_search(
     start: int = 0,
     points: dict | None = None,
 ) -> tuple[list, list, Field] | None:
-    """First (h, v) with omega(h (x) v) = 0 in a fixed enumeration order.
+    """First (h, v) with omega(h (x) v) = 0 in Mat.projective_points' order.
 
     Scans the smaller of P(H), P(V) over the base field and then over
     extensions of degree up to max_ext_degree (finite base fields only),
     subject to the point cap and to FIELD_SIZE_CAP elements per field.  A
-    returned witness is re-verified exactly before being reported.
+    returned witness is re-verified exactly before being reported.  The
+    fixed sketch that screens the points (see _candidates) changes neither
+    the witness, nor its partner, nor the points counted.
 
     Each field's scan begins at point index start.  classify passes the
     number of standard-basis points once it has scanned them over the base

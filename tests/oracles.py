@@ -5,7 +5,8 @@ the flattening written out as a loop over its entries: the same point
 enumeration, the same partner (the first kernel basis vector of the
 contraction) and the same lift for rational tensors (from the first prime
 from 311 on that divides no denominator) as `nondeg.witness_search`, which
-does the contractions with Kronecker products instead.
+does the contractions with Kronecker products instead, and contracts with
+the flattening itself only the points that a fixed sketch of it leaves.
 
 `classify_scan_first` decides with the whole witness scan before any
 certificate piece: the rank bound, then the loop scan above, then the
@@ -98,8 +99,9 @@ products of nonzero entries, through `Mat.annihilates`.
 
 `projective_points_by_filter` is the point enumerator that tests every chart
 point's tail for zero and drops the zero tails, whose points are basis
-vectors.  `nondeg.projective_points` skips the first tail of each chart
-instead, which is the zero one because every field lists zero first.
+vectors.  `Mat.projective_points` builds points start .. stop - 1 by index
+arithmetic instead: a chart's point t >= 1 has the digits of t for its tail,
+and t = 0 is the zero tail because every field lists zero first.
 """
 
 from __future__ import annotations
@@ -131,7 +133,6 @@ from instantons.nondeg import (
     FIELD_SIZE_CAP,
     SpanningCertifier,
     Verdict,
-    projective_points,
 )
 
 
@@ -167,19 +168,25 @@ def verify_witness(m: Mat, n: int, h: list, v: list, fld) -> bool:
     return True
 
 
-def scan_by_loops(m: Mat, n: int, fld, point_cap: int):
-    """(index, h, v) for each point of the scanned side, up to point_cap,
-    whose contraction has a kernel; the partner is its first kernel vector."""
+def scan_by_loops(m: Mat, n: int, fld, point_cap: int, start: int = 0, points=None):
+    """(index, h, v) for each point of the scanned side, from index start up
+    to point_cap, whose contraction has a kernel; the partner is its first
+    kernel vector.  Each point visited is counted in points[fld.spec_str()]."""
     scan_h = n <= 4
-    for i, point in enumerate(projective_points(fld, n if scan_h else 4, point_cap)):
+    points = {} if points is None else points
+    todo = islice(projective_points_by_filter(fld, n if scan_h else 4, point_cap), start, None)
+    for i, point in enumerate(todo, start):
+        points[fld.spec_str()] = points.get(fld.spec_str(), 0) + 1
         ker = _contract_side(m, n, point, scan_h, fld).kernel()
         if ker.dim > 0:
             partner = ker.basis.row(0)
             yield (i, point, partner) if scan_h else (i, partner, point)
 
 
-def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096):
-    """Reference for `nondeg.witness_search`, with the same arguments."""
+def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096, points=None):
+    """Reference for `nondeg.witness_search`, with the same arguments: the
+    points scanned in each field are added to points.  The lifted scan of a
+    rational tensor begins after the basis points, as there."""
     n, base = omega.n, omega.field
     m_base = omega.flatten()
     degrees = range(1, max_ext_degree + 1) if base.kind == "prime" else [1]
@@ -193,10 +200,10 @@ def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096):
         m = m_base
         if fld != base:
             m = Mat.from_rows(fld, m_base.rows(), m.ncols)
-        for _i, h, v in scan_by_loops(m, n, fld, point_cap):
+        for _i, h, v in scan_by_loops(m, n, fld, point_cap, points=points):
             assert verify_witness(m, n, h, v, fld)
             return h, v, fld
-    if base.kind != "rational":
+    if base.kind != "rational" or min(n, 4) >= point_cap:
         return None
     # the first prime from 311 on that divides no denominator
     dens = {Fraction(x).denominator for r in m_base.rows() for x in r}
@@ -211,7 +218,7 @@ def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096):
     def centered(x: int) -> Fraction:
         return Fraction(x - aux.p if x > aux.p // 2 else x)
 
-    for _i, h_p, v_p in scan_by_loops(m_p, n, aux, point_cap):
+    for _i, h_p, v_p in scan_by_loops(m_p, n, aux, point_cap, min(n, 4), points):
         h = [centered(x) for x in h_p]
         v = [centered(x) for x in v_p]
         if any(h) and any(v) and verify_witness(m_base, n, h, v, base):
@@ -413,7 +420,7 @@ def rref_dense(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def projective_points_by_filter(field, dim: int, cap: int):
-    """Reference for `nondeg.projective_points`, testing each tail for zero."""
+    """Reference for `Mat.projective_points`, testing each tail for zero."""
     one, zero = field.one(), field.zero()
     basis = ([one if j == i else zero for j in range(dim)] for i in range(dim))
 

@@ -229,9 +229,9 @@ ELIMINATIONS = ("_np_rref", "_np_rank", "_generic_rref")
 @pytest.mark.parametrize("make,counts", [
     (lambda: sample_instanton(5, 2, GF32003, 7), (9, 14, 0)),
     (lambda: thooft_tensor(3, QQ), (0, 17, 9)),
-    (lambda: degenerate_rank6(QQ), (0, 5, 6)),
+    (lambda: degenerate_rank6(QQ), (0, 6, 7)),
     (lambda: sample_full(2, QQ, 1), (0, 13, 1)),
-    (lambda: nc_tensor(QQ), (0, 11, 2)),
+    (lambda: nc_tensor(QQ), (0, 12, 1)),
 ], ids=["chain52", "thooft3-q", "degenerate-rank6-q", "full2-q", "nc-q"])
 def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # calls of each elimination kernel in one certificate.  Over Q each rank
@@ -244,10 +244,12 @@ def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # reads the rank of beta(1) that h_values(1) kept, alpha is not ranked
     # above the first twist d0 >= 0 where it is onto, and beta is not ranked
     # at d0 or above, save beta(1).  The degenerate display's alpha is onto
-    # at no twist, so its every beta is ranked.  The witness scan ranks every
-    # contraction of a chunk: over Q each through its own rank, or, when the
-    # contractions are square (n = 1), through its determinant, a forward
-    # _generic_rref.  The tensor is read back through the file format, so
+    # at no twist, so its every beta is ranked.  The witness scan ranks each
+    # point's (w + 1) x w block of its fixed sketch, over Q through a rank mod
+    # one prime (never square, so no determinant), and ranks the point's own
+    # contraction only where that block is deficient, as at the witness e_0
+    # of degenerate_rank6: one rank more there, a forward _generic_rref
+    # after a deficient _np_rank.  The tensor is read back through the file format, so
     # that no display built while constructing it is reused.
     t = tensor_from_obj(tensor_to_obj(make()))
     calls = dict.fromkeys(ELIMINATIONS, 0)

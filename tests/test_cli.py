@@ -191,6 +191,9 @@ def _entry(i, j, k, l, c):
     ("fp:32003", [_entry(0, 0, 0, 1, "1"), 7], "entry 1 must be a JSON object"),
     ("fp:32003", [{"i": 0, "j": 0, "k": 0, "c": "1"}], "entry 0 has no 'l' key"),
     ("fp:32003", [_entry(0, True, 0, 1, "1")], "entry 0: (i,j,k,l) = (0, True, 0, 1) must be integers"),
+    # an element of GF(11^2) is two coordinates, never one
+    ("fp:11^2", [_entry(0, 0, 0, 1, "1")],
+     "coefficient '1' is not an element of fp:11^2 (expected 2 comma-separated coordinates, got '1')"),
 ])
 def test_bad_tensor_entry_is_input_error(tmp_path, capsys, field, entries, message):
     path = tmp_path / "t.json"
@@ -208,11 +211,23 @@ def test_bad_tensor_entry_is_input_error(tmp_path, capsys, field, entries, messa
     (["certify", "--example", "thoofta"], "error: example 'thoofta': expected thooft<n>"),
     (["certify", "--example", "sum-family:1,x"],
      "error: example 'sum-family:1,x': expected sum-family:<t0>,<t1>, t0 and t1 in fp:32003"),
+    (["table", "coh", "--example", "sum-family:1,2", "--field", "fp:11^2"],
+     "error: example 'sum-family:1,2': expected sum-family:<t0>,<t1>, t0 and t1 in fp:11^2, "
+     "each 2 comma-separated coordinates"),
+    (["table", "coh", "--example", "sum-family:1,0,2", "--field", "fp:11^2"],
+     "each 2 comma-separated coordinates"),
 ])
 def test_malformed_source_names_the_expected_form(capsys, argv, expected):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert expected in err and "Traceback" not in err
+
+
+def test_sum_family_over_an_extension_field(capsys):
+    # t0 and t1 over GF(11^2) are two coordinates each: t0 = 1, t1 = 2 + 3x
+    assert run(["table", "coh", "--example", "sum-family:1,0,2,3", "--field", "fp:11^2"]) == 0
+    out = capsys.readouterr().out
+    assert '"field": "fp:11^2"' in out and out.splitlines()[1] == "d,h0,h1"
 
 
 def test_sample_and_reload(tmp_path):

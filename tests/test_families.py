@@ -15,6 +15,7 @@ from instantons.families import (
     three_nc_tensor,
     two_instanton_sum,
 )
+from instantons.fields import ExtensionField
 from instantons.linalg import Mat, Stream
 from instantons.monads import MonadError, build_monad
 from instantons.nondeg import classify
@@ -28,6 +29,15 @@ def test_named_example_ids(F):
     assert named_example("three-nc", F).rank() == 12
     with pytest.raises(ValueError):
         named_example("mystery", F)
+
+
+def test_sum_family_reads_extension_field_coordinates():
+    # over GF(p^k) t0 and t1 are k coordinates each, 2k in all
+    f = ExtensionField(11, 2)
+    assert named_example("sum-family:1,0,2,3", f) == RestrictedSumFamily(f, seed=0).tensor((1, 0), (2, 3))
+    for bad in ("sum-family:1,2", "sum-family:1,0,2", "sum-family:1,0,2,3,4"):
+        with pytest.raises(ValueError, match="each 2 comma-separated coordinates"):
+            named_example(bad, f)
 
 
 def test_thooft_net_shape(F):

@@ -48,6 +48,10 @@ def test_extension_field_arithmetic():
     assert len(list(e.elements())) == 49
     s = e.to_str((3, 5))
     assert e.parse(s) == (3, 5)
+    # an element is exactly k coordinates
+    for bad in ("3", "3,5,0"):
+        with pytest.raises(ValueError, match="expected 2 comma-separated coordinates"):
+            e.parse(bad)
 
 
 def test_is_prime_agrees_with_trial_division():

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
 )
 
 import instantons.nondeg
+from instantons import linalg
 
 from instantons.bases import num_monomials, times_variable
 from instantons.families import (
@@ -26,7 +28,7 @@ from instantons.families import (
     sample_full,
     thooft_tensor,
 )
-from instantons.fields import PrimeField, field_from_spec
+from instantons.fields import ExtensionField, PrimeField, field_from_spec
 from instantons.linalg import Mat, Stream, sample_matrix
 from instantons.nondeg import (
     DEFAULT_SCHEDULE,
@@ -35,7 +37,6 @@ from instantons.nondeg import (
     _Accumulator,
     _candidates,
     classify,
-    projective_points,
     witness_search,
 )
 from instantons.tensors import OmegaTensor, block_sum
@@ -193,7 +194,7 @@ def test_scan_yields_each_deficient_block_in_order(n, start):
         assert verify_witness(m, n, h, v, fld)
         assert points == {"fp:7": i + 1 - start}
     assert next(found, None) is None
-    assert points == {"fp:7": len(list(projective_points(fld, min(n, 4), 400))) - start}
+    assert points == {"fp:7": Mat.projective_points(fld, min(n, 4), 0, 400).nrows - start}
 
 
 def test_agreement_small_field():
@@ -293,6 +294,86 @@ def test_witness_search_matches_loop_oracle(spec, ext, data):
     t = data.draw(_tensors(fld))
     args = (t, ext, ORACLE_POINT_CAP)
     assert _ser(witness_search(*args)) == _ser(witness_search_by_loops(*args))
+
+
+# the screened scan's fields: tiny ones, where the sketch often passes a
+# contraction of full rank as deficient (fp:2 and fp:3 through their
+# quadratic extensions), an extension field as the base field, a prime where
+# it almost never does, and Q, whose planted witnesses are found mod 311
+SCREEN_FIELDS = ["fp:2", "fp:3", "fp:7", "fp:3^2", "fp:32003", "rational"]
+
+
+def _zero_sketch(fld, nrows, width):
+    return Mat.zeros(fld, width + 1, nrows)
+
+
+@pytest.mark.parametrize("sketch", ["zero", "fixed"])
+@pytest.mark.parametrize("spec", SCREEN_FIELDS)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_screened_scan_matches_loop_oracle(spec, sketch, data):
+    # with a zero sketch every point goes on to its exact contraction, with
+    # the fixed one only the points its screen cannot clear: either way the
+    # witness, its partner and the points scanned in each field are the loop
+    # scan's.  Chunks of 1 and 7 points put chunk boundaries inside the cap.
+    fld = field_from_spec(spec)
+    t = data.draw(_tensors(fld))
+    ext = 2 if spec in ("fp:2", "fp:3") else 1
+    got, expected = {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instantons.nondeg, "_CHUNK", data.draw(st.sampled_from([1, 7, 1024])))
+        if sketch == "zero":
+            mp.setattr(instantons.nondeg, "_sketch", _zero_sketch)
+        w = witness_search(t, ext, ORACLE_POINT_CAP, points=got)
+    assert _ser(w) == _ser(witness_search_by_loops(t, ext, ORACLE_POINT_CAP, points=expected))
+    assert got == expected
+
+
+def _with_witness_at(n: int, point: list, seed) -> OmegaTensor:
+    """degenerate_rank6 (+) sample_full(n - 2) over fp:32003, conjugated by a
+    seeded g that moves the rank-6 summand's witness h = e_0, v = e_0 to
+    h = point: the construction of the benchmark's placed witnesses."""
+    f = PrimeField(32003)
+    st = Stream("witness-at", n, seed)
+    base = block_sum(degenerate_rank6(f), sample_full(n - 2, f, st.next_u64()))
+    while True:
+        cols = [point] + [st.next_vector(f, n) for _ in range(n - 1)]
+        g_inv = Mat.from_rows(f, [list(r) for r in zip(*cols)], n)
+        if g_inv.rank() == n:
+            return base.conjugate(g_inv.inverse())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_witness_planted_at_a_chunk_boundary(n, offset):
+    # point _CHUNK + offset of the scan is [1, 0, .., 0, k], k = index - n + 1:
+    # the last point of the first chunk, or the first or second of the next
+    index = instantons.nondeg._CHUNK + offset
+    point = [1] + [0] * (n - 2) + [index - n + 1]
+    t = _with_witness_at(n, point, offset)
+    got, expected = {}, {}
+    w = witness_search(t, 1, 4096, points=got)
+    assert w[0] == point and got == {"fp:32003": index + 1}
+    assert _ser(w) == _ser(witness_search_by_loops(t, 1, 4096, points=expected))
+    assert got == expected
+
+
+def test_scan_work_is_pinned(monkeypatch):
+    # a witness beyond the cap: the scan ranks the 5 x 4 sketched block of
+    # each of the 4096 points, in four calls of one chunk each, and no point
+    # goes on to its 12 x 4 contraction.  Ranking every contraction itself,
+    # as the scan once did, would stack 4096 * 12 = 49 152 rows.
+    t = _with_witness_at(3, [1, 3, 5], 0)
+    stacks = []
+
+    def counting(stack, p):
+        stacks.append(stack.shape)
+        return real(stack, p)
+
+    real = linalg._np_block_ranks
+    monkeypatch.setattr(linalg, "_np_block_ranks", counting)
+    assert witness_search(t, 1, 4096) is None
+    assert (len(stacks), sum(b * r for b, r, _ in stacks)) == (4, 20480)
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in ORACLE_FIELDS])
@@ -561,8 +642,8 @@ def test_nondeg_keeps_storage_private():
             assert "numpy" not in names, path.stem
 
 
-# SHA-256 digests (first 16 hex digits) of the points projective_points
-# yields, for caps 1, dim, dim + 1 and 200, recorded from the chart
+# SHA-256 digests (first 16 hex digits) of the points Mat.projective_points
+# builds from index 0, for caps 1, dim, dim + 1 and 200, recorded from the chart
 # recursion the enumerator replaced: the order is pinned point for point
 POINT_ORDER_DIGESTS = {
     ("rational", 1): "0889a34434e586e9 0889a34434e586e9 0889a34434e586e9 0889a34434e586e9",
@@ -600,7 +681,7 @@ POINT_ORDER_DIGESTS = {
 
 def _points_digest(fld, dim: int, cap: int) -> str:
     h = hashlib.sha256()
-    for v in projective_points(fld, dim, cap):
+    for v in Mat.projective_points(fld, dim, 0, cap).rows():
         h.update((",".join(fld.to_str(x) for x in v) + ";").encode())
     return h.hexdigest()[:16]
 
@@ -612,34 +693,57 @@ def test_projective_points_order_is_pinned(spec, dim):
     assert got == POINT_ORDER_DIGESTS[spec, dim]
 
 
-def test_projective_points_lists_the_field_only_for_chart_points(monkeypatch):
-    # the basis points come without listing the field; the scan's
-    # basis-point stage asks for no more
-    fld = PrimeField(7)
+def test_projective_points_list_a_prefix_of_the_field(monkeypatch):
+    # an extension field's elements are listed only as far as the largest
+    # digit of the points asked for: at most its zero for the basis points
+    fld = field_from_spec("fp:7^2")
     listed = []
-    monkeypatch.setattr(fld, "elements", lambda: listed.append(1) or iter(range(7)))
-    points = projective_points(fld, 4, 200)
-    assert [next(points) for _ in range(4)] == [[int(i == j) for j in range(4)] for i in range(4)]
-    assert not listed
-    assert next(points) == [1, 0, 0, 1] and listed == [1]
-    assert len(list(points)) == 199 - 4 and listed == [1]
+
+    def elements():
+        for x in ExtensionField(7, 2).elements():
+            listed.append(x)
+            yield x
+
+    monkeypatch.setattr(fld, "elements", elements)
+    one, zero = fld.one(), fld.zero()
+    basis = Mat.projective_points(fld, 3, 0, 3).rows()
+    assert basis == [[one if i == j else zero for j in range(3)] for i in range(3)]
+    assert len(listed) <= 1
+    listed.clear()
+    assert Mat.projective_points(fld, 3, 3, 5).rows() == [[one, zero, (1, 0)], [one, zero, (2, 0)]]
+    assert len(listed) == 3
 
 
 @pytest.mark.parametrize("spec,dim", [("fp:7", 1), ("fp:7", 2), ("fp:7", 3), ("fp:7", 4),
-                                      ("fp:7^2", 2), ("rational", 3)])
+                                      ("fp:7^2", 2), ("rational", 3), ("fp:2", 4),
+                                      ("fp:3^2", 3), ("fp:32003", 2), ("rational", 4)])
 def test_projective_points_match_the_filtering_enumerator(spec, dim):
-    # caps 0, 1, dim, dim + 1 and one past the first chart, which has
-    # |vals|^(dim - 1) - 1 points after the dim basis vectors
+    # ranges that start and stop on either side of the boundaries of the
+    # basis and of each chart: chart lead begins at index
+    # dim + sum over l < lead of (|vals|^(dim - 1 - l) - 1)
     fld = field_from_spec(spec)
     nvals = 5 if fld.kind == "rational" else fld.order
-    for cap in (0, 1, dim, dim + 1, dim + nvals ** (dim - 1) + 3):
-        assert list(projective_points(fld, dim, cap)) == list(
-            projective_points_by_filter(fld, dim, cap))
+    edges = [0, dim]
+    for lead in range(dim):
+        edges.append(edges[-1] + nvals ** (dim - 1 - lead) - 1)
+    cuts = sorted({max(0, e + d) for e in edges for d in (-2, 0, 1) if e + d < 40_000})
+    for start in cuts:
+        for stop in [c for c in cuts if c >= start][:4]:
+            expected = list(islice(projective_points_by_filter(fld, dim, stop), start, None))
+            assert Mat.projective_points(fld, dim, start, stop).rows() == expected
+
+
+def test_projective_points_over_a_large_prime():
+    # a prime above the int64 limit: the digits are the residues themselves,
+    # and no element is listed
+    fld = field_from_spec("fp:18446744073709551557")
+    assert Mat.projective_points(fld, 3, 1, 6).rows() == [
+        [0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 0, 2], [1, 0, 3]]
 
 
 @pytest.mark.parametrize("spec", ["fp:2", "fp:7", "fp:32003", "fp:7^2", "fp:2^3", "rational"])
 def test_chart_values_start_with_zero(spec):
-    # projective_points drops the first tail of each chart as the zero one:
+    # Mat.projective_points skips each chart's first tail as the zero one:
     # a finite field lists zero first, and over Q every point of the charts
     # on 0, +-1, +-2 comes out once, none of them a repeated basis vector
     fld = field_from_spec(spec)
@@ -647,7 +751,7 @@ def test_chart_values_start_with_zero(spec):
         assert fld.is_zero(next(iter(fld.elements())))
     nvals = 5 if fld.kind == "rational" else fld.order
     for dim in [d for d in (1, 2, 3) if nvals ** d < 10 ** 6]:
-        points = [tuple(v) for v in projective_points(fld, dim, 10 ** 6)]
+        points = [tuple(v) for v in Mat.projective_points(fld, dim, 0, 10 ** 6).rows()]
         assert len(points) == len(set(points)) == (nvals ** dim - 1) // (nvals - 1)
 
 
