@@ -1,8 +1,8 @@
 # Certification of a tensor's pointwise data: the four equivalent
-# rank-preservation tests for a hyperplane restriction, randomized searches
-# for good hyperplanes and good 2-dimensional subspaces, the extension-fiber
-# dimension identity, vanishing propagation through a restriction, and the
-# assembled smoothness certificate with all of its internal cross-checks.
+# rank-preservation tests for a hyperplane restriction, a randomized search
+# for a good hyperplane, the extension-fiber dimension identity, vanishing
+# propagation through a restriction, and the assembled smoothness
+# certificate with all of its internal cross-checks.
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 from .bases import expected_stratum_dim, full_skew_tangent_dim
 from .geometry import k_intersection_dim
-from .linalg import Mat, Stream, Subspace, kron
+from .linalg import Mat, Stream, kron
 from .monads import (
     build_monad,
     coh_table,
@@ -26,9 +26,8 @@ from .nondeg import Verdict, classify
 from .tensors import OmegaTensor, tensor_to_obj
 
 SCHEMA_VERSION = 4
-# random hyperplanes tried by find_xi, and 2-dimensional subspaces by find_pair
+# random hyperplanes tried by find_xi
 XI_TRIALS = 50
-PAIR_TRIALS = 64
 
 
 def rank_preservation_checks(omega: OmegaTensor, xi: list) -> tuple[bool, bool, bool, bool]:
@@ -91,22 +90,6 @@ def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int,
     if best is None:
         raise RuntimeError(f"no rank-preserving hyperplane in {XI_TRIALS} trials")
     return best[0], best[1], best[2], log
-
-
-def find_pair(omega: OmegaTensor, seed=0) -> tuple[Subspace, int]:
-    """Random 2-dimensional subspaces of H* until one meets N trivially."""
-    f, n = omega.field, omega.n
-    if n < 5:
-        raise ValueError("the 2-dimensional search is for n >= 5")
-    st = Stream("find_pair", f.spec_str(), n, seed)
-    for t in range(PAIR_TRIALS):
-        rows = [st.next_vector(f, n), st.next_vector(f, n)]
-        K = Subspace.from_spanning(Mat.from_rows(f, rows, n))
-        if K.dim != 2:
-            continue
-        if k_intersection_dim(omega, K.basis) == 0:
-            return K, t + 1
-    raise RuntimeError(f"no trivial 2-dimensional slice found in {PAIR_TRIALS} trials")
 
 
 def fiber_dim_check(omega_bar: OmegaTensor) -> tuple[int, int, bool]:

@@ -115,20 +115,15 @@ def thooft_tensor(n: int, field: Field, seed=0) -> OmegaTensor:
     )
 
 
-def three_nc_tensor(field: Field, etas: list[list] | None = None, seed=0) -> OmegaTensor:
+def three_nc_tensor(field: Field, seed=0) -> OmegaTensor:
     """Block-diagonal sum of three indecomposable 2-forms over H_3."""
     f = field
-    if etas is None:
-        st = Stream("three_nc", f.spec_str(), seed)
-        etas = []
-        while len(etas) < 3:
-            cand = st.next_vector(f, 6)
-            if nc_tensor(f, cand).rank() == 4:
-                etas.append(cand)
-    parts = [nc_tensor(f, e) for e in etas]
-    for t in parts:
-        if t.rank() != 4:
-            raise ValueError("each 2-form must be indecomposable (rank 4)")
+    st = Stream("three_nc", f.spec_str(), seed)
+    parts = []
+    while len(parts) < 3:
+        part = nc_tensor(f, st.next_vector(f, 6))
+        if part.rank() == 4:
+            parts.append(part)
     return block_sum(block_sum(parts[0], parts[1]), parts[2])
 
 

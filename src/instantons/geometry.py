@@ -1,7 +1,7 @@
-# Restriction geometry along lines and planes of P(V).  A line is its
-# Pluecker vector divided by its first nonzero coordinate, and the reduced
-# bases of its points U and equations W are read off that vector and its
-# dual.  h0 on a line is dim N - rank(N.basis @ (I_n (x) U^T)), since
+# Restriction geometry along lines of P(V).  A line is its Pluecker vector
+# divided by its first nonzero coordinate, and the reduced bases of its
+# points U and equations W are read off that vector and its dual.
+# h0 on a line is dim N - rank(N.basis @ (I_n (x) U^T)), since
 # N meet (H* (x) W) is the kernel of N -> H* (x) U*; the splitting order is
 # a = n - rank w(lambda) (the display restricted to the line and twisted by
 # -1 gives 0 -> H0(E_L(-1)) -> H -> H*; Barth, Math. Ann. 226, 1977).  A
@@ -19,7 +19,7 @@ from .fields import Field
 from .linalg import Mat, Pattern, Stream, Subspace, kron
 from .monads import MonadError, build_monad
 from .polys import interpolate as poly_interpolate
-from .tensors import OmegaTensor, sym_square, wedge_matrix
+from .tensors import OmegaTensor, wedge_matrix
 
 # -- Pluecker algebra ------------------------------------------------------
 
@@ -117,19 +117,6 @@ class Line:
         return Line(field, U, W, unit)
 
 
-class Plane:
-    """A plane in P(V), given by one nonzero equation z in V*."""
-
-    __slots__ = ("field", "z", "W")
-
-    def __init__(self, field: Field, z: list):
-        if all(field.is_zero(x) for x in z):
-            raise ValueError("plane equation must be nonzero")
-        self.field = field
-        self.z = z
-        self.W = Mat.from_rows(field, [z], 4).kernel()  # the 3-space of points
-
-
 # -- section counts as projected ranks --------------------------------------
 
 
@@ -147,16 +134,6 @@ def _section_counts(omega: OmegaTensor, spaces: list[Mat]) -> list[int]:
     # N's columns reordered from (a, v) to (v, a): block j is N contracted with point j
     by_v = m.N.basis.take_cols([hv_index(a, v) for v in range(4) for a in range(n)])
     return [m.N.dim - r for r in by_v.contract_blocks(points, n).block_ranks(n * k)[0]]
-
-
-def h0_plane(omega: OmegaTensor, plane: Plane) -> int:
-    """h0 of E restricted to the plane: dim N meet (H* (x) <z>)."""
-    return _section_counts(omega, [plane.W.basis])[0]
-
-
-def h0_line(omega: OmegaTensor, line: Line) -> int:
-    """h0 of E restricted to the line: dim N meet (H* (x) W)."""
-    return _section_counts(omega, [line.U.basis])[0]
 
 
 # -- splitting order on a line ----------------------------------------------
@@ -180,11 +157,6 @@ def splitting_orders(omega: OmegaTensor, lams: list[list]) -> tuple[list[int], l
         raise MonadError("splitting order is defined for rank-2 displays only")
     ranks, dets = omega.contract_lines(lams).block_ranks(omega.n)
     return [m.nH - r for r in ranks], dets
-
-
-def splitting_order(omega: OmegaTensor, line: Line) -> int:
-    """Splitting order of E on one line (see splitting_orders)."""
-    return splitting_orders(omega, [line.plucker])[0][0]
 
 
 def line_invariants(omega: OmegaTensor, lines: list[Line]) -> list[tuple[int, int, object]]:
@@ -317,8 +289,3 @@ def triple_span(field: Field, pairs: list[tuple[list, list]]) -> bool:
         total = ideal if total is None else total.sum(ideal)
     return total.dim == 10
 
-
-def quadrics_through_line(field: Field, line: Line) -> Subspace:
-    """Degree-2 part of the ideal of a line: a 7-dimensional space."""
-    # rows: the products u0 u0, u0 u1, u1 u1 of the line's two points
-    return sym_square(line.U.basis).kernel()

@@ -592,19 +592,6 @@ class Mat:
     def column_space(self) -> "Subspace":
         return Subspace.from_spanning(self.transpose())
 
-    def solve(self, b: list) -> list | None:
-        """One solution x of self @ x = b, or None if inconsistent."""
-        f = self.field
-        bm = Mat.from_rows(f, [[x] for x in b], 1)
-        aug = self.hstack(bm)
-        r, piv = aug.rref()
-        if self.ncols in piv:
-            return None
-        x = [f.zero()] * self.ncols
-        for i, pc in enumerate(piv):
-            x[pc] = r.get(i, self.ncols)
-        return x
-
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
             raise ValueError("not square")
@@ -707,32 +694,15 @@ class Subspace:
     def zero(field: Field, ambient: int) -> "Subspace":
         return Subspace(field, ambient, Mat.zeros(field, 0, ambient), [])
 
-    @staticmethod
-    def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, Mat.identity(field, ambient), list(range(ambient)))
-
     @property
     def dim(self) -> int:
         return self.basis.nrows
 
-    def _split(self, vec: list) -> tuple[Mat, Mat]:
-        """vec's entries on the pivot columns, and its residual after
-        eliminating them: the basis is reduced, so one product does it."""
-        v = Mat.from_rows(self.field, [vec], self.ambient)
-        coords = v.take_cols(self.pivots)
-        return coords, v - coords @ self.basis
-
     def reduce(self, vec: list) -> list:
-        """Canonical residual of vec after eliminating the pivot coordinates."""
-        return self._split(vec)[1].row(0)
-
-    def contains(self, vec: list) -> bool:
-        return self._split(vec)[1].is_zero()
-
-    def coords(self, vec: list) -> list | None:
-        """Coordinates of vec in the stored basis, or None if not contained."""
-        coords, rest = self._split(vec)
-        return coords.row(0) if rest.is_zero() else None
+        """Canonical residual of vec after eliminating the pivot coordinates:
+        the basis is reduced, so one product does it."""
+        v = Mat.from_rows(self.field, [vec], self.ambient)
+        return (v - v.take_cols(self.pivots) @ self.basis).row(0)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -832,12 +802,6 @@ def kron(a: Mat, b: Mat) -> Mat:
     data = [[z if f.is_zero(x) or f.is_zero(y) else f.mul(x, y) for x in ar for y in br]
             for ar in a._a for br in b._a]
     return Mat(f, nrows, ncols, data)
-
-
-def sample_matrix(rows: int, cols: int, field: Field, seed) -> Mat:
-    """Deterministic pseudo-random matrix; same (shape, field, seed) -> same Mat."""
-    st = Stream("sample_matrix", field.spec_str(), rows, cols, seed)
-    return Mat.from_rows(field, [st.next_vector(field, cols) for _ in range(rows)], cols)
 
 
 def sample_invertible(n: int, field: Field, stream: Stream) -> Mat:

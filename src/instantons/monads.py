@@ -29,7 +29,7 @@ from .bases import (
 )
 from .fields import Field
 from .linalg import Mat, Pattern, Subspace, kron
-from .tensors import OmegaTensor, kernel_inclusion, sym_square
+from .tensors import OmegaTensor, kernel_inclusion
 
 # Each structured map below is one Mat.gather of a matrix of the display
 # (umat, wmat, the basis of N, products of kernel vectors) along a Pattern
@@ -179,13 +179,15 @@ def build_monad(omega: OmegaTensor) -> Monad:
 def gated_display(omega: OmegaTensor) -> Monad:
     """The display of build_monad, whose rank check comes first, once no
     basis pair is a witness: a MonadError names a pair with
-    omega(e_a (x) e_k) = 0, a zero column 4a + k of the flattening, a cheap
-    test that rejects blatant degeneracy."""
+    omega(e_a (x) e_k) = 0, a zero column 4a + k of the flattening.  Each
+    column is tested for zero, with no elimination: a cheap test that
+    rejects blatant degeneracy."""
     monad = build_monad(omega)
-    ranks = omega.flatten().block_ranks(1)[0]
-    if 0 in ranks:
-        pair = divmod(ranks.index(0), 4)
-        raise MonadError(f"tensor is degenerate (witness at basis pair {pair})")
+    f = omega.field
+    cols = omega.flatten().transpose().rows()
+    zero = next((c for c, col in enumerate(cols) if all(f.is_zero(x) for x in col)), None)
+    if zero is not None:
+        raise MonadError(f"tensor is degenerate (witness at basis pair {divmod(zero, 4)})")
     return monad
 
 
@@ -337,21 +339,6 @@ def sigma_kernel_dim(omega: OmegaTensor) -> int:
     basis = omega.image().basis
     d1 = basis.transpose().gather(_s2_patterns(omega.n, basis.nrows)[2])
     return d1.nrows - d1.rank()
-
-
-def gamma_kernel_plane(monad: Monad, w_basis: Mat) -> Subspace:
-    """The gamma with gamma o u = 0 and image inside a 3-space W of V.
-
-    w_basis holds three independent rows spanning W.  The result is returned
-    in H (x) S^2 V coordinates; its dimension equals
-    h1 of E restricted to the plane P(W), twisted by 1.
-    """
-    if w_basis.nrows != 3 or w_basis.rank() != 3:
-        raise ValueError("W must be 3-dimensional")
-    # row (b, r <= s): the symmetric matrix of w_r w_s in slot b, in S^2 V coordinates
-    embed = kron(Mat.identity(monad.field, monad.nH), sym_square(w_basis.transpose()).transpose())
-    sol = (monad.alpha(1).transpose() @ embed.transpose()).kernel()
-    return Subspace.from_spanning(sol.basis @ embed)
 
 
 # -- tangent spaces of the rank strata -------------------------------------

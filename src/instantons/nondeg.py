@@ -159,10 +159,11 @@ def witness_search(
 
     Scans the smaller of P(H), P(V) over the base field and then over
     extensions of degree up to max_ext_degree (finite base fields only),
-    subject to the point cap and to FIELD_SIZE_CAP elements per field.  A
-    returned witness is re-verified exactly before being reported.  The
-    fixed sketch that screens the points (see _candidates) changes neither
-    the witness, nor its partner, nor the points counted.
+    subject to the point cap; the base field is scanned at any size, an
+    extension only up to FIELD_SIZE_CAP elements.  A returned witness is
+    re-verified exactly before being reported.  The fixed sketch that
+    screens the points (see _candidates) changes neither the witness, nor
+    its partner, nor the points counted.
 
     Each field's scan begins at point index start.  classify passes the
     number of standard-basis points once it has scanned them over the base
@@ -178,7 +179,7 @@ def witness_search(
     degrees = range(1, max_ext_degree + 1) if base.kind == "prime" else [1]
     for j in degrees:
         if base.kind == "prime":
-            if base.p**j > FIELD_SIZE_CAP:
+            if j > 1 and base.p**j > FIELD_SIZE_CAP:
                 break
             fld = base if j == 1 else ExtensionField(base.p, j)
         else:

@@ -34,7 +34,7 @@ restricted to L, the section spaces M_d of E_L(d) are computed for
 d = 0..n, and a is the largest d at which multiplication by the line's two
 coordinates fails to generate M_d from M_(d-1) (a fresh minimal generator of
 the section module), 0 when no failure occurs.  It is far slower than the
-corank formula in `geometry.splitting_order` and shares nothing with it but
+corank formula in `geometry.splitting_orders` and shares nothing with it but
 the display.
 
 `line_by_elimination` and `line_invariants_by_line` are the per-line path
@@ -46,6 +46,9 @@ intersection N meet (H* (x) W), and the determinant the quadric's own
 forward elimination.  `geometry.Line.from_points` reads U and W off the
 normalized Pluecker vector, and `geometry.line_invariants` ranks all of a
 table's lines in two eliminations.
+
+`h0_on_plane` is h0 of E restricted to the plane z = 0, the Zassenhaus
+intersection N meet (H* (x) <z>); the package computes h0 on lines only.
 
 `rref_dense` is Gauss-Jordan elimination mod p over every column of an int64
 matrix, one pivot at a time.  `linalg._np_rref` first peels off rows with a
@@ -102,12 +105,15 @@ point's tail for zero and drops the zero tails, whose points are basis
 vectors.  `Mat.projective_points` builds points start .. stop - 1 by index
 arithmetic instead: a chart's point t >= 1 has the digits of t for its tail,
 and t = 0 is the zero tail because every field lists zero first.
+
+`sample_matrix` is not an oracle: it is the seeded matrix that tests draw
+their inputs from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, islice
 
 import math
 
@@ -193,7 +199,7 @@ def witness_search_by_loops(omega, max_ext_degree=1, point_cap=4096, points=None
     for j in degrees:
         fld = base
         if base.kind == "prime":
-            if base.p**j > FIELD_SIZE_CAP:
+            if j > 1 and base.p**j > FIELD_SIZE_CAP:
                 break
             if j > 1:
                 fld = ExtensionField(base.p, j)
@@ -392,6 +398,13 @@ def line_invariants_by_line(omega, line: Line) -> tuple:
     return n - quadric.rank(), m.N.intersect(h_star_w).dim, quadric.det()
 
 
+def h0_on_plane(omega, z: list) -> int:
+    """h0 of E restricted to the plane z = 0 of P(V): dim N meet (H* (x) <z>)."""
+    f = omega.field
+    h_star_z = Subspace.from_spanning(kron(Mat.identity(f, omega.n), Mat.from_rows(f, [z], 4)))
+    return build_monad(omega).N.intersect(h_star_z).dim
+
+
 def rref_dense(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reference for `linalg._np_rref`: the dense loop over every column."""
     a = np.mod(a, p).astype(np.int64, copy=True)
@@ -424,11 +437,24 @@ def projective_points_by_filter(field, dim: int, cap: int):
     one, zero = field.one(), field.zero()
     basis = ([one if j == i else zero for j in range(dim)] for i in range(dim))
 
+    def vals():
+        if field.kind == "rational":
+            return [Fraction(x) for x in (0, 1, -1, 2, -2)]
+        return field.elements()
+
+    def tails(k):
+        """product(vals(), repeat=k), drawn lazily: the elements of a large
+        field are never listed."""
+        if k == 0:
+            yield ()
+            return
+        for x in vals():
+            for rest in tails(k - 1):
+                yield (x, *rest)
+
     def charts():
-        vals = ([Fraction(x) for x in (0, 1, -1, 2, -2)] if field.kind == "rational"
-                else list(field.elements()))
         for lead in range(dim):
-            for tail in product(vals, repeat=dim - lead - 1):
+            for tail in tails(dim - lead - 1):
                 if not all(field.is_zero(x) for x in tail):
                     yield [zero] * lead + [one, *tail]
 
@@ -597,3 +623,9 @@ def s2_is_complex_dense(m: Monad) -> bool:
     """Reference for the check in `monads.s2_cohomology` that d1 @ d0 = 0."""
     d0, d1 = _s2_maps(m)
     return (d1 @ d0).is_zero()
+
+
+def sample_matrix(rows: int, cols: int, field, seed) -> Mat:
+    """Deterministic pseudo-random matrix; same (shape, field, seed) -> same Mat."""
+    st = Stream("sample_matrix", field.spec_str(), rows, cols, seed)
+    return Mat.from_rows(field, [st.next_vector(field, cols) for _ in range(rows)], cols)

@@ -31,12 +31,11 @@ from instantons.families import sample_full, sample_instanton, thooft_tensor
 from instantons.fields import GF32003, QQ, PrimeField
 from instantons.linalg import Mat
 from instantons.bases import full_skew_tangent_dim
-from instantons.linalg import Stream, sample_invertible, sample_matrix
+from instantons.linalg import Stream, sample_invertible
 from instantons.monads import (
     _graded_pattern,
     _s2_patterns,
     build_monad,
-    gamma_kernel_plane,
     restricted_monad,
     s2_cohomology,
     tangent_dim,
@@ -109,8 +108,6 @@ def _maps(name: str) -> dict[str, str]:
     out["s2_cohomology"] = _recorded(s2_cohomology, m)
     out["sigma_kernel_dim"] = _recorded(oracles.sigma_kernel_dim_by_slots, t)
     out["gamma_kernel_dim"] = _recorded(oracles.gamma_kernel_dim_by_slots, m)
-    w = Mat.from_rows(f, [[1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, 5]], 4)
-    out["gamma_kernel_plane"] = _recorded(gamma_kernel_plane, m, w)
     out["tangent_dim"] = _digest(_recorded(oracles.tangent_dim_full_skew, t), _recorded(tangent_dim, t))
     out["fiber_solution_space"] = _recorded(fiber_solution_space, t)
     xi = [f.of_int(v) for v in (1, 2, 3, 5, 7)[:n]]
@@ -186,7 +183,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "42463097d2665426",
         "flatten": "ebf57ec8263f0848",
         "gamma_kernel_dim": "6981fe3d8acbad43",
-        "gamma_kernel_plane": "7af0c36a5aa60f13",
         "monad": "f3e3adf0f9c58d3d",
         "restricted": "601ca4375e2d1bac",
         "s2_cohomology": "de6ac2d5f90ad187",
@@ -201,7 +197,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "0b2e485f0afcb2a2",
         "flatten": "ff1f82919e5009fc",
         "gamma_kernel_dim": "ed4d9deb077bfda9",
-        "gamma_kernel_plane": "9a76ae390338aa04",
         "monad": "3a6bc30bd4621361",
         "restricted": "f7f8dce018469d1f",
         "s2_cohomology": "3d8ad8edf5c65406",
@@ -216,7 +211,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "5225d9b933daa00b",
         "flatten": "6aa1e9d819a9b8a4",
         "gamma_kernel_dim": "a4b126774b515449",
-        "gamma_kernel_plane": "21880adb135cb478",
         "monad": "11b1f7e4eba350c2",
         "restricted": "a34ec9c64fa6ed12",
         "s2_cohomology": "55db3999598f9722",
@@ -231,7 +225,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "6440a35e2fa2da4b",
         "flatten": "5167a7dd2a4e805d",
         "gamma_kernel_dim": "29f528a3e2ffa1b3",
-        "gamma_kernel_plane": "72b1386126622f64",
         "monad": "f9bbdc372a3f892e",
         "restricted": "89e9010f645b0615",
         "s2_cohomology": "55080925a4339d10",
@@ -246,7 +239,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "88e48d790250a8f8",
         "flatten": "ca51831ece8d7f7b",
         "gamma_kernel_dim": "0535e449277aec2f",
-        "gamma_kernel_plane": "c10d5c5ebbf9648b",
         "monad": "d8be61fe539f1fad",
         "restricted": "d3ea29b799d64502",
         "s2_cohomology": "338ab51ccde650fa",
@@ -261,7 +253,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "e2ac2a7bcc32b31a",
         "flatten": "86462da78c6dbc98",
         "gamma_kernel_dim": "e21984f512e46982",
-        "gamma_kernel_plane": "8419a7b82c450f8b",
         "monad": "c54fa0c5368a2ae5",
         "restricted": "f202445e195d75cb",
         "s2_cohomology": "3c5cb1667472e84f",
@@ -276,7 +267,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "30bdee857deb2f6d",
         "flatten": "d9de9671dca3a148",
         "gamma_kernel_dim": "f4bef9c5a1097104",
-        "gamma_kernel_plane": "c6ac02b991fc362f",
         "monad": "68e47aeebf177497",
         "restricted": "fcfa8dbc3ef2b372",
         "s2_cohomology": "35f2851644b88e32",
@@ -291,7 +281,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "deae314a5f42f196",
         "flatten": "1c4c547131b78743",
         "gamma_kernel_dim": "1072e79a16d2c318",
-        "gamma_kernel_plane": "050b1e56ee1fc091",
         "monad": "9e3f6a23681d02f0",
         "restricted": "37cfddb70b27418a",
         "s2_cohomology": "4f8d12f2967180fd",
@@ -306,7 +295,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "cd6afcee0a6f37cf",
         "flatten": "9f96b43915eb96cf",
         "gamma_kernel_dim": "707fc42d7263e5a4",
-        "gamma_kernel_plane": "99a4174d701b260a",
         "monad": "88e726fa897cfbd5",
         "restricted": "997cb1232befbe6f",
         "s2_cohomology": "7bb5d3c4fce00cb2",
@@ -321,7 +309,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "85eb52445683d6c9",
         "flatten": "fd80071d500a5f3a",
         "gamma_kernel_dim": "9cf62bdd53b0fdfb",
-        "gamma_kernel_plane": "8f41eee450ceaf1b",
         "monad": "b35a262c460431db",
         "restricted": "b305430d83fffe0d",
         "s2_cohomology": "d9e0ede9761f5a24",
@@ -336,7 +323,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "003e80a2f69401fe",
         "flatten": "bf4dec03568f2691",
         "gamma_kernel_dim": "edbbd910c9fd77e0",
-        "gamma_kernel_plane": "747a59083cceb06b",
         "monad": "ca8b68b171964694",
         "restricted": "8fdd76255d83287d",
         "s2_cohomology": "19da2f672cc57173",
@@ -351,7 +337,6 @@ PINNED: dict[str, dict[str, str]] = {
         "fiber_solution_space": "2106d06ab34e2827",
         "flatten": "52971764e97774ab",
         "gamma_kernel_dim": "4688f87234a248a6",
-        "gamma_kernel_plane": "e7a99efbca23d1f5",
         "monad": "1514f3e4ecf21f37",
         "restricted": "2993d129d03b43dc",
         "s2_cohomology": "6dd7fb26c38cbea3",
@@ -415,7 +400,7 @@ def _tensors_of_every_rank(n: int, field):
     g = sample_invertible(n, field, Stream("every-rank", field.spec_str(), n))
     for j in range(2 * n + 1):
         yield OmegaTensor.from_entries(n, field, {b: field.one() for b in blocks[:j]}).conjugate(g)
-    yield OmegaTensor(n, field, sample_matrix(n * (n + 1) // 2, 6, field, ("every-rank", n)))
+    yield OmegaTensor(n, field, oracles.sample_matrix(n * (n + 1) // 2, 6, field, ("every-rank", n)))
 
 
 @pytest.mark.parametrize("field,nmax", [(GF32003, 5), (F7, 5), (QQ, 4)],

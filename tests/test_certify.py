@@ -6,7 +6,6 @@ import pytest
 from instantons.certify import (
     SCHEMA_VERSION,
     fiber_dim_check,
-    find_pair,
     find_xi,
     propagation_check,
     rank_preservation_checks,
@@ -21,7 +20,7 @@ from instantons.families import (
     sample_instanton,
     thooft_tensor,
 )
-from instantons.fields import GF32003, QQ, PrimeField
+from instantons.fields import GF32003, QQ, PrimeField, field_from_spec
 from instantons.linalg import Mat, Stream, sample_invertible
 from instantons.tensors import OmegaTensor, block_sum, tensor_from_obj, tensor_to_obj
 
@@ -79,13 +78,6 @@ def test_find_xi_on_chain_and_net(F, chain52):
     assert all(h >= h1 for _t, h in log)
     xi5, h15, _t, _l = find_xi(thooft_tensor(5, F), seed=0)
     assert h15 == 0
-
-
-def test_find_pair(F, chain52):
-    U, trials = find_pair(chain52, seed=0)
-    assert U.dim == 2 and trials <= 8
-    with pytest.raises(ValueError):
-        find_pair(sample_instanton(3, 2, F, 0), seed=0)
 
 
 def test_fiber_dim_examples(F, full36):
@@ -165,6 +157,20 @@ def test_certificate_degenerate_flagged(F):
     assert cert.nondegeneracy.is_degenerate
     assert cert.coh_rows is None
     assert cert.consistent  # internal checks still hold
+
+
+@pytest.mark.parametrize("spec", ["fp:1048583", "fp:1000000007"])
+def test_certificates_over_primes_above_the_field_cap(spec):
+    # the witness scan covers the base field at any size, so a degenerate
+    # tensor is flagged there and gets no cohomology table
+    f = field_from_spec(spec)
+    cert = smoothness_certificate(degenerate_rank6(f))
+    assert cert.nondegeneracy.is_degenerate and cert.modular is False
+    assert cert.nondegeneracy.searched["points"] == {spec: 1}
+    assert cert.coh_rows is None and cert.consistent
+    cert = smoothness_certificate(sample_instanton(3, 2, f, 0), induction_seed=0)
+    assert cert.modular and cert.consistent and cert.smooth_point
+    assert cert.nondegeneracy.searched["points"] == {spec: 3}
 
 
 def test_certificate_layout_is_pinned(F):

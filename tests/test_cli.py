@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from instantons import cli, families, monads
 from instantons.cli import main
@@ -465,3 +466,59 @@ def test_induction_needs_a_rank_a_hyperplane_can_keep(sample, code, capsys):
         assert "Traceback" not in out.err
     else:
         assert out.err == "" and json.loads(out.out)["consistent"] is True
+
+
+@pytest.mark.parametrize("spec", ["fp:2097143", "fp:1000000007"])
+def test_degenerate_example_over_a_prime_above_the_field_cap(tmp_path, spec):
+    # the witness scan covers the base field at any size: the basis-pair
+    # witness is found, and no cohomology table is built for the tensor
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--example", "degenerate-rank6", "--field", spec, "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    verdict = obj["verdicts"]["nondegeneracy"]
+    assert verdict["status"] == "degenerate" and verdict["searched"]["stage"] == "basis-points"
+    assert verdict["searched"]["points"] == {spec: 1}
+    assert obj["verdicts"]["modular"] is False and obj["verdicts"]["coh_table"] is None
+
+
+def test_transcription_criterion_over_a_prime_above_the_field_cap(capsys):
+    assert run(["suite", "--only", "transcription", "--field", "fp:2097143"]) == 0
+    details = json.loads(capsys.readouterr().out)["criteria"][0]["details"]
+    assert details["classified"] == "degenerate" and details["witness_found"] is True
+
+
+FUZZ_FIELDS = ["fp:2", "fp:3", "fp:7", "fp:32003", "fp:2097143", "fp:3^2", "rational"]
+FUZZ_COMMANDS = [["certify"], ["table", "coh"], ["table", "lines", "--count", "3"],
+                 ["table", "pencil"]]
+
+
+@st.composite
+def _tensor_files(draw):
+    """A tensor file with up to 12 nonzero-or-zero entries of small height."""
+    spec = draw(st.sampled_from(FUZZ_FIELDS))
+    n = draw(st.integers(1, 5))
+    slots = [(i, j, k, l) for i in range(n) for j in range(i, n)
+             for k in range(4) for l in range(k + 1, 4)]
+    coeff = st.integers(-3, 3).map(str)
+    if spec == "fp:3^2":
+        coeff = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda c: f"{c[0]},{c[1]}")
+    elif spec == "rational":
+        coeff = st.one_of(coeff, st.sampled_from(["1/2", "-2/3", "5/7"]))
+    keys = draw(st.lists(st.sampled_from(slots), unique=True, max_size=12))
+    entries = [{"i": i, "j": j, "k": k, "l": l, "c": draw(coeff)} for i, j, k, l in keys]
+    return {"n": n, "field": spec, "entries": entries}
+
+
+@settings(max_examples=200)
+@given(obj=_tensor_files(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_cli_on_small_tensor_files_exits_cleanly(tmp_path_factory, obj, command):
+    # every run exits 0 or 2 (bad input), or 1 with a certificate that says
+    # it is inconsistent; an exception escaping main would be a traceback
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path, out = tmp / "t.json", tmp / "out"
+    path.write_text(json.dumps(obj))
+    code = run([*command, "--tensor", str(path), "--field", obj["field"], "--out", str(out)])
+    if code == 1:
+        assert command == ["certify"] and json.loads(out.read_text())["consistent"] is False
+    else:
+        assert code in (0, 2)

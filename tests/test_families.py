@@ -12,7 +12,6 @@ from instantons.families import (
     sample_instanton,
     thooft_net,
     thooft_tensor,
-    three_nc_tensor,
     two_instanton_sum,
 )
 from instantons.fields import ExtensionField
@@ -158,11 +157,6 @@ def test_chain52_instanton_conditions(F, chain52):
     assert m.h_values(0)[0] == 0
     assert m.h_values(-2) == (0, 0)
     assert m.left_defect() == 0
-
-
-def test_three_nc_rejects_decomposable(F):
-    with pytest.raises(ValueError):
-        three_nc_tensor(F, etas=[[1, 0, 0, 0, 0, 0]] * 3)
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (2, 4), (3, 2), (3, 4), (3, 6), (4, 4), (5, 4)])

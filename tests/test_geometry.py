@@ -7,9 +7,6 @@ from instantons.families import degenerate_rank6, nc_tensor, sample_instanton, t
 from instantons.fields import field_from_spec
 from instantons.geometry import (
     Line,
-    Plane,
-    h0_line,
-    h0_plane,
     k_intersection_dim,
     line_invariants,
     nc_quadric_ideal,
@@ -18,8 +15,7 @@ from instantons.geometry import (
     plucker_of_span,
     plucker_quadric,
     point_plane_pencil,
-    quadrics_through_line,
-    splitting_order,
+    splitting_orders,
     triple_span,
 )
 from instantons import linalg
@@ -27,7 +23,12 @@ from instantons.linalg import Mat, Stream, Subspace, kron
 from instantons.monads import MonadError, build_monad
 from instantons.polys import roots as poly_roots
 from instantons.tensors import OmegaTensor
-from oracles import line_by_elimination, line_invariants_by_line, splitting_order_by_generators
+from oracles import (
+    h0_on_plane,
+    line_by_elimination,
+    line_invariants_by_line,
+    splitting_order_by_generators,
+)
 
 
 def _line_from_equations(field, z0: list, z1: list) -> Line:
@@ -116,43 +117,26 @@ def test_lines_meet_via_bilinear(F):
     assert F.is_zero(plucker_bilinear(F, a, c))  # they share e0
 
 
-def test_h0_plane_examples(F, chain52):
-    nc = nc_tensor(F)
-    assert h0_plane(nc, Plane(F, [1, 0, 0, 0])) == 1
-    st = Stream("planes", 0)
-    for _ in range(10):
-        z = st.next_vector(F, 4)
-        if all(F.is_zero(x) for x in z):
-            continue
-        h = h0_plane(chain52, Plane(F, z))
-        assert 0 <= h <= 1  # rank-2 bound on plane sections
-    with pytest.raises(MonadError):
-        h0_plane(OmegaTensor.zero(2, F), Plane(F, [1, 0, 0, 0]))
-    with pytest.raises(ValueError):
-        Plane(F, [0, 0, 0, 0])
-
-
 def test_h0_line_and_splitting_nc(F):
     nc = nc_tensor(F)
     non_iso = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
     iso = Line.from_points(F, [1, 0, 0, 0], [0, 0, 1, 0])
-    assert splitting_order(nc, non_iso) == 0
-    assert splitting_order(nc, iso) == 1
-    assert h0_line(nc, non_iso) == 2
-    assert h0_line(nc, iso) == 2  # max(2, a+1) with a = 1
+    (a0, h0_0, _), (a1, h0_1, _) = line_invariants(nc, [non_iso, iso])
+    assert (a0, a1) == (0, 1)
+    assert h0_0 == 2
+    assert h0_1 == 2  # max(2, a+1) with a = 1
 
 
 def test_splitting_requires_rank_two(F, full36):
     line = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
     with pytest.raises(MonadError):
-        splitting_order(full36, line)
+        splitting_orders(full36, [line.plucker])
 
 
 def test_generic_line_on_chain(F, chain52):
     st = Stream("chain_lines", 0)
     line = Line.from_points(F, st.next_vector(F, 4), st.next_vector(F, 4))
-    assert splitting_order(chain52, line) == 0
-    assert h0_line(chain52, line) == 2
+    assert line_invariants(chain52, [line])[0][:2] == (0, 2)
     # cross-check of the intersection count against the restriction
     sub = chain52.image().intersect(
         _wedge_space(F, 5, line.W.basis.rows())
@@ -176,9 +160,9 @@ def test_maximal_jumping_line_on_net_tensor(F):
     # order n; the coordinate line through e0, e2 realizes it
     th5 = thooft_tensor(5, F)
     line = Line.from_points(F, [1, 0, 0, 0], [0, 0, 1, 0])
-    a = splitting_order(th5, line)
+    a, h0, _det = line_invariants(th5, [line])[0]
     assert a == 5
-    assert h0_line(th5, line) == 6  # a + 1
+    assert h0 == 6  # a + 1
     assert F.is_zero(th5.contract_line(line.plucker).det())
 
 
@@ -192,9 +176,9 @@ def test_high_order_event_found_by_pencil_scan(F):
     for root in found:
         lam = [F.add(a, F.mul(root, b)) for a, b in zip(lam0, lam1)]
         line = Line.from_plucker(F, lam)
-        a_val = splitting_order(th5, line)
+        a_val, h0, _det = line_invariants(th5, [line])[0]
         orders.append(a_val)
-        assert h0_line(th5, line) == max(2, a_val + 1)
+        assert h0 == max(2, a_val + 1)
     assert max(orders) >= 2
     assert max(orders) <= 5
 
@@ -209,7 +193,7 @@ def test_pencil_degree_and_validation(F, chain52):
     found, _ = poly_roots(poly, F)
     assert len(found) == 1
     lam = [F.add(a, F.mul(found[0], b)) for a, b in zip(lam0, lam1)]
-    assert splitting_order(nc, Line.from_plucker(F, lam)) == 1
+    assert splitting_orders(nc, [lam])[0] == [1]
     # generic pencils on a (5,2) tensor reach the full degree n
     st = Stream("pencils", 1)
     degs = []
@@ -241,7 +225,7 @@ def test_k_intersection_cases(F, chain52):
     th5 = thooft_tensor(5, F)
     K2 = Subspace.from_spanning(Mat.from_rows(F, [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]], 5))
     assert k_intersection_dim(th5, K2.basis) == _k_meet(th5, K2).dim == 0
-    full = Subspace.full(F, 5)
+    full = Subspace.from_spanning(Mat.identity(F, 5))
     assert k_intersection_dim(chain52, full.basis) == chain52.image().dim == 12
     assert _k_meet(chain52, full) == chain52.image()
 
@@ -305,11 +289,10 @@ def test_two_lines_in_stable_plane_order_bound(F):
         z = st.next_vector(F, 4)
         if all(F.is_zero(x) for x in z):
             continue
-        plane = Plane(F, z)
-        if h0_plane(t, plane) != 0:
+        if h0_on_plane(t, z) != 0:
             continue
         planes_done += 1
-        w = plane.W.basis  # three points spanning the plane
+        w = Mat.from_rows(F, [z], 4).kernel().basis  # three points spanning the plane
         pairs_done = 0
         while pairs_done < 5:
             c1 = st.next_vector(F, 3)
@@ -327,8 +310,7 @@ def test_two_lines_in_stable_plane_order_bound(F):
             except ValueError:
                 continue
             pairs_done += 1
-            a1 = splitting_order(t, l1)
-            a2 = splitting_order(t, l2)
+            a1, a2 = splitting_orders(t, [l1.plucker, l2.plucker])[0]
             assert a1 + a2 <= 3
 
 
@@ -374,12 +356,6 @@ def test_skew_line_pairs_have_disjoint_ideals(F):
     i1 = nc_quadric_ideal(F, eta1, alpha1)
     i2 = nc_quadric_ideal(F, eta2, alpha2)
     assert i1.intersect(i2).dim == 0
-
-
-def test_quadrics_through_line(F):
-    line = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
-    space = quadrics_through_line(F, line)
-    assert space.dim == 7
 
 
 def _coordinate_lines(field):
@@ -428,8 +404,8 @@ def test_splitting_order_matches_section_module_oracle(spec):
     mismatches, top_orders = [], 0
     for t, lines in cases:
         m = build_monad(t)
-        for line in lines:
-            a = splitting_order(t, line)
+        orders = splitting_orders(t, [line.plucker for line in lines])[0]
+        for line, a in zip(lines, orders):
             if a != splitting_order_by_generators(m, line):
                 mismatches.append((t, line.plucker, a))
             top_orders += a == t.n

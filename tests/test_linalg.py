@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import has_monic_factor_by_search, is_prime_by_trial_division, rref_dense
+from oracles import has_monic_factor_by_search, is_prime_by_trial_division, rref_dense, sample_matrix
 
 from instantons import linalg
 from instantons.fields import (
@@ -25,7 +25,6 @@ from instantons.linalg import (
     _require_int64_exact,
     kron,
     sample_invertible,
-    sample_matrix,
 )
 
 
@@ -119,7 +118,7 @@ def test_kernel_trivial(F):
     assert Mat.identity(F, 5).kernel().dim == 0
     k = Mat.zeros(F, 3, 6).kernel()
     assert k.dim == 6
-    assert k == Subspace.full(F, 6)
+    assert k == Subspace.from_spanning(Mat.identity(F, 6))
 
 
 def test_kernel_vectors_annihilate(F):
@@ -159,8 +158,8 @@ def test_intersect_properties(F):
 
 
 def test_intersect_ambient_mismatch(F):
-    a = Subspace.full(F, 4)
-    b = Subspace.full(F, 5)
+    a = Subspace.from_spanning(Mat.identity(F, 4))
+    b = Subspace.from_spanning(Mat.identity(F, 5))
     with pytest.raises(ValueError):
         a.intersect(b)
 
@@ -173,9 +172,12 @@ def test_subspace_canonical_equality(F):
 
 def test_subspace_reduce_and_coords(F):
     s = Subspace.from_spanning(Mat.from_rows(F, [[1, 0, 2], [0, 1, 3]], 3))
-    assert s.contains([1, 1, 5])
-    assert s.coords([1, 1, 5]) == [1, 1]
-    assert not s.contains([0, 0, 1])
+    # a member reduces to zero, and its coordinates are its entries at the pivots
+    v = [1, 1, 5]
+    assert s.reduce(v) == [0, 0, 0]
+    coords = [v[p] for p in s.pivots]
+    assert Mat.from_rows(F, [coords], 2) @ s.basis == Mat.from_rows(F, [v], 3)
+    assert s.reduce([0, 0, 1]) == [0, 0, 1]
 
 
 def test_solve_and_inverse(F):
@@ -183,10 +185,8 @@ def test_solve_and_inverse(F):
     assert m.rank() == 5
     inv = m.inverse()
     assert m @ inv == Mat.identity(F, 5)
-    b = [1, 2, 3, 4, 5]
-    x = m.solve(b)
-    out = m @ Mat.from_rows(F, [[v] for v in x], 1)
-    assert [out.get(i, 0) for i in range(5)] == b
+    b = Mat.from_rows(F, [[v] for v in (1, 2, 3, 4, 5)], 1)
+    assert m @ (inv @ b) == b
 
 
 def test_det_rational():
@@ -372,7 +372,7 @@ def test_sum_and_intersection_dimensions(spec, data):
     u, w = Subspace.from_spanning(a), Subspace.from_spanning(b)
     total, meet = u.sum(w), u.intersect(w)
     assert total.dim + meet.dim == u.dim + w.dim
-    assert all(u.contains(r) and w.contains(r) for r in meet.basis.rows())
+    assert all(u.reduce(r) == w.reduce(r) == [fld.zero()] * ncols for r in meet.basis.rows())
     assert total == w.sum(u) and meet == w.intersect(u)
 
 

@@ -20,7 +20,6 @@ from instantons.monads import (
     MonadError,
     build_monad,
     coh_table,
-    gamma_kernel_plane,
     restricted_monad,
     s2_cohomology,
     sigma_kernel_dim,
@@ -32,7 +31,7 @@ from instantons.tensors import OmegaTensor, block_sum, tensor_from_obj, tensor_t
 def test_build_monad_nc(F):
     m = build_monad(nc_tensor(F))
     assert m.m == 4 and m.r == 2
-    assert m.N == Subspace.full(F, 4)
+    assert m.N == Subspace.from_spanning(Mat.identity(F, 4))
     assert (m.phi + m.phi.transpose()).is_zero()
 
 
@@ -145,37 +144,6 @@ def test_sigma_kernel_corank2(F, corank2_n2, corank2_n3):
     assert sigma_kernel_dim(corank2_n3) == 0
 
 
-def test_gamma_kernel_plane(F, chain52):
-    from instantons.monads import Monad
-
-    # nc display: ambient gamma space is trivial already
-    nc_m = build_monad(nc_tensor(F))
-    w = Mat.from_rows(F, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4)
-    assert gamma_kernel_plane(nc_m, w).dim == 0
-    # the zero tensor gives a zero-middle display: the constraint is vacuous
-    # and the plane-constrained solutions fill all of H (x) S^2 W
-    m0 = Monad(F, 1, Subspace.zero(F, 4), Mat.zeros(F, 0, 0), Mat.zeros(F, 4, 0), Mat.zeros(F, 0, 4))
-    assert gamma_kernel_plane(m0, w).dim == 6
-    with pytest.raises(ValueError):
-        gamma_kernel_plane(nc_m, Mat.from_rows(F, [[1, 0, 0, 0]], 4))
-    with pytest.raises(ValueError):
-        gamma_kernel_plane(nc_m, Mat.from_rows(F, [[1, 0, 0, 0]] * 3, 4))
-    # a (4,4) display from a good hyperplane of a (5,2) chain: the plane-
-    # constrained kernels vanish along with the ambient one
-    from instantons.certify import find_xi
-
-    xi, h1, _t, _log = find_xi(chain52, seed=0)
-    assert h1 == 0
-    bar = restricted_monad(chain52, xi)
-    st = Stream("gkp", 0)
-    for _ in range(3):
-        rows = [st.next_vector(F, 4) for _ in range(3)]
-        wmat = Mat.from_rows(F, rows, 4)
-        if wmat.rank() != 3:
-            continue
-        assert gamma_kernel_plane(bar, wmat).dim == 0
-
-
 def test_restricted_monad_matches_direct_build(F, chain52):
     xi = [F.of_int(1), F.of_int(3), F.of_int(5), F.of_int(7), F.of_int(11)]
     bar = restricted_monad(chain52, xi)
@@ -214,7 +182,7 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
     # on the tensor; a tensor read back from its file format starts without one
     from instantons import monads
     from instantons.families import fiber_solution_space
-    from instantons.geometry import Line, h0_line, k_intersection_dim, splitting_order
+    from instantons.geometry import Line, k_intersection_dim, line_invariants
 
     t = tensor_from_obj(tensor_to_obj(chain52))
     builds = []
@@ -228,9 +196,8 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
     line = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
     coh_table(t)
     sigma_kernel_dim(t)
-    h0_line(t, line)
-    splitting_order(t, line)
-    k_intersection_dim(t, Subspace.full(F, 5).basis)
+    line_invariants(t, [line])
+    k_intersection_dim(t, Mat.identity(F, 5))
     fiber_solution_space(t)
     first = build_monad(t)
     assert build_monad(t) is first

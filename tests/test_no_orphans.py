@@ -2,16 +2,20 @@
 named somewhere, and every parameter with a default is passed somewhere.
 
 A function, class or module-level constant defined in src/instantons is an
-orphan when no name or attribute in src/, tests/ or perfbench/ refers to it:
-nothing can call or read it.  An assignment is not a reference, so a
-constant is not named by its own definition.  Dunder names are exempt, since
-Python uses them itself.  The scan is by name, so a definition that shares
-its name with one in use (a method called `rank`, say) passes; it catches
-the code that nothing names at all.
+orphan when no name or attribute in src/ or perfbench/ refers to it: no
+command, criterion or benchmark can call or read it.  A name in tests/ does
+not count, since code that only tests reach is not part of the program.  The
+methods in perfbench/spans.py's METHODS are looked up by string, which the
+scan cannot see, so they count as named.  An assignment is not a reference,
+so a constant is not named by its own definition.  Dunder names are exempt,
+since Python uses them itself.  The scan is by name, so a definition that
+shares its name with one in use (a method called `rank`, say) passes; it
+catches the code that nothing names at all.
 
-A parameter with a default that no call passes is an option that every caller
-leaves at one value: a constant written as an option.  Calls are matched to a
-function by name, and to a class's __init__ by the class name.
+A parameter with a default that no call in src/ or perfbench/ passes is an
+option that every caller leaves at one value: a constant written as an
+option.  Calls are matched to a function by name, and to a class's __init__
+by the class name.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "instantons"
+# the code whose names and calls count as use
+USERS = (ROOT / "src", ROOT / "perfbench")
 
 
 def _trees(*dirs: Path):
@@ -41,9 +47,17 @@ def _named(tree: ast.AST) -> set[str]:
     return names
 
 
+def _traced_methods() -> set[str]:
+    """The method names in perfbench/spans.py's METHODS."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    node = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "METHODS")
+    return {meth for _module, _cls, meth, _name in ast.literal_eval(node.value)}
+
+
 def orphans() -> list[str]:
-    named = set()
-    for _path, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
+    named = _traced_methods()
+    for _path, tree in _trees(*USERS):
         named |= _named(tree)
     found = []
     for path, tree in _trees(PACKAGE):
@@ -61,9 +75,9 @@ def orphans() -> list[str]:
 
 
 def _calls() -> dict[str, list[ast.Call]]:
-    """The calls in src/, tests/ and perfbench/ by the name they call."""
+    """The calls in src/ and perfbench/ by the name they call."""
     calls: dict[str, list[ast.Call]] = {}
-    for _path, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
+    for _path, tree in _trees(*USERS):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func

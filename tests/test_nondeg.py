@@ -11,6 +11,7 @@ from oracles import (
     classify_scan_first,
     piece_rank_by_spanning_set,
     projective_points_by_filter,
+    sample_matrix,
     scan_by_loops,
     spanning_set_cells,
     verify_witness,
@@ -29,7 +30,7 @@ from instantons.families import (
     thooft_tensor,
 )
 from instantons.fields import ExtensionField, PrimeField, field_from_spec
-from instantons.linalg import Mat, Stream, sample_matrix
+from instantons.linalg import Mat, Stream
 from instantons.nondeg import (
     DEFAULT_SCHEDULE,
     Budget,
@@ -222,6 +223,9 @@ def test_agreement_small_field():
 
 # (field, extension degree of the scan); n = 5 scans P(V) instead of P(H)
 ORACLE_FIELDS = [("fp:5", 2), ("fp:7", 1), ("fp:32003", 1), ("rational", 1)]
+# the first prime above FIELD_SIZE_CAP, and one past the int64 backend: the
+# base field is scanned at any size
+LARGE_PRIMES = [("fp:1048583", 1), ("fp:1000000007", 1)]
 ORACLE_POINT_CAP = 200
 # largest explicit spanning set the piece oracle ranks, per backend
 ORACLE_CELLS = {"prime": 150_000, "rational": 15_000}
@@ -286,7 +290,7 @@ def _ser(w):
                                    [w[2].to_str(x) for x in w[1]], w[2].spec_str())
 
 
-@pytest.mark.parametrize("spec,ext", ORACLE_FIELDS)
+@pytest.mark.parametrize("spec,ext", ORACLE_FIELDS + LARGE_PRIMES)
 @settings(max_examples=12)
 @given(data=st.data())
 def test_witness_search_matches_loop_oracle(spec, ext, data):
@@ -565,7 +569,7 @@ def _block_sums(draw, fld):
     return block_sum(degenerate_rank6(fld), sample_full(k, fld, draw(st.integers(0, 9))))
 
 
-@pytest.mark.parametrize("spec,ext", ORACLE_FIELDS)
+@pytest.mark.parametrize("spec,ext", ORACLE_FIELDS + LARGE_PRIMES)
 @settings(max_examples=12)
 @given(data=st.data())
 def test_classify_matches_scan_first_oracle(spec, ext, data):
@@ -619,6 +623,20 @@ def test_searched_records_work_done(F, Q, chain52):
     v = classify(t, Budget(max_ext_degree=2, point_cap=30, schedule=((1, 1),)))
     assert v.is_degenerate and v.searched["stage"] == "scan"
     assert v.searched["points"]["fp:3"] == 4 and v.searched["points"]["fp:3^2"] >= 1
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ext in LARGE_PRIMES])
+def test_classify_scans_the_base_field_above_the_cap(spec):
+    # a prime field larger than FIELD_SIZE_CAP is scanned too: the witness of
+    # degenerate_rank6 is its first basis point, and a 't Hooft tensor scans
+    # its three basis points before the cheap pieces close
+    fld = field_from_spec(spec)
+    v = classify(degenerate_rank6(fld))
+    assert v.is_degenerate and v.witness_field == spec
+    assert v.searched["stage"] == "basis-points" and v.searched["points"] == {spec: 1}
+    v = classify(thooft_tensor(3, fld))
+    assert v.status == "certified-nondegenerate"
+    assert v.searched["stage"] == "cheap-pieces" and v.searched["points"] == {spec: 3}
 
 
 def test_nondeg_keeps_storage_private():

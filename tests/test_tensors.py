@@ -170,15 +170,14 @@ def test_restrict_conjugate_equivariance(F, full36):
     # the two restrictions are conjugate by the base change between kernel bases
     jl = kernel_inclusion(F, xi)
     jr = kernel_inclusion(F, xi_t)
-    # g maps ker(xi o g^{-1})... solve jr @ s = g @ jl for the 2x2 base change
+    ker = Mat.from_rows(F, [xi_t], 3).kernel()
+    assert jr == ker.basis.transpose()
+    # g maps ker(xi) onto ker(xi o g^{-1}); the 2x2 base change s with
+    # jr @ s = g @ jl holds the coordinates of g @ jl's columns in the reduced
+    # basis jr, which are their entries at its pivots
     target = g @ jl
-    s_cols = []
-    for c in range(2):
-        col = [target.get(i, c) for i in range(3)]
-        sol = jr.solve(col)
-        assert sol is not None
-        s_cols.append(sol)
-    s = Mat.from_rows(F, s_cols, 2).transpose()
+    assert all(ker.reduce(col) == [0, 0, 0] for col in target.transpose().rows())
+    s = target.take_rows(ker.pivots)
     assert right.apply_h_map(s) == left
 
 
