@@ -41,31 +41,21 @@ def hv_index(a: int, k: int) -> int:
     return 4 * a + k
 
 
-def form_pairs(n: int, skew_h: bool = False) -> tuple[list, list, int]:
-    """(H pairs, V pairs, sign of swapping the H pair) indexing the coefficients
-    of S^2 H* (x) wedge^2 V* or, with skew_h, of wedge^2 H* (x) S^2 V*."""
-    if skew_h:
-        return skew_pairs(n), sym_pairs(4), -1
-    return sym_pairs(n), WEDGE_PAIRS, 1
+def form_slots(n: int) -> list[tuple[int, int, int, int, int]]:
+    """Where the coefficients of a tensor in S^2 H* (x) wedge^2 V* sit in its
+    4n x 4n skew matrix.
 
-
-def form_slots(n: int, skew_h: bool = False) -> list[tuple[int, int, int, int, int]]:
-    """Where the coefficients of a skew form on H (x) V sit in its 4n x 4n matrix.
-
-    The coefficient c at (H pair p = (i, j), V pair q = (k, l)) of a form in
-    S^2 H* (x) wedge^2 V* (or, with skew_h, in wedge^2 H* (x) S^2 V*) is +c
-    at ((i,k), (j,l)), and at the entries with i, j or k, l swapped it is c
-    times the sign of the swap (-1 for the skew factor); an entry reached
-    twice is filled once.  Returned as (row, col, p, q, sign).
+    The coefficient c at (H pair p = (i, j), V pair q = (k, l)) is +c at
+    ((i,k), (j,l)), and at the entries with i, j or k, l swapped it is c
+    times the sign of the swap (-1 for k, l); an entry reached twice is
+    filled once.  Returned as (row, col, p, q, sign).
     """
-    h_pairs, v_pairs, h_sign = form_pairs(n, skew_h)
-    v_sign = -h_sign
     out = []
-    for p, (i, j) in enumerate(h_pairs):
-        for q, (k, l) in enumerate(v_pairs):
+    for p, (i, j) in enumerate(sym_pairs(n)):
+        for q, (k, l) in enumerate(WEDGE_PAIRS):
             slots = {}
-            for a, b, c, d, sign in ((i, j, k, l, 1), (j, i, k, l, h_sign),
-                                     (i, j, l, k, v_sign), (j, i, l, k, h_sign * v_sign)):
+            for a, b, c, d, sign in ((i, j, k, l, 1), (j, i, k, l, 1),
+                                     (i, j, l, k, -1), (j, i, l, k, -1)):
                 slots.setdefault((hv_index(a, c), hv_index(b, d)), sign)
             out += [(r, c, p, q, sign) for (r, c), sign in slots.items()]
     return out

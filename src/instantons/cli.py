@@ -76,7 +76,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load_tensor(args, field):
     if getattr(args, "tensor", None):
-        return read_tensor(args.tensor)
+        omega = read_tensor(args.tensor)
+        if omega.field != field:
+            raise ValueError(f"--tensor {args.tensor!r} is over {omega.field.spec_str()}, "
+                             f"but --field is {field.spec_str()}")
+        return omega
     if getattr(args, "example", None):
         return named_example(args.example, field, seed=args.seed)
     try:
@@ -213,8 +217,8 @@ def _run(args) -> int:
 def _lines_table(args, field, omega) -> int:
     lines = random_lines(field, Stream("cli_lines", field.spec_str(), args.seed), args.count)
     rows = ["plucker,order,h0,det"]
-    for line, (a, h0, det) in zip(lines, line_invariants(omega, lines)):
-        pl = ":".join(field.to_str(x) for x in line.plucker)
+    for (lam, _points), (a, h0, det) in zip(lines, line_invariants(omega, lines)):
+        pl = ":".join(field.to_str(x) for x in lam)
         rows.append(f"{pl},{a},{h0},{field.to_str(det)}")
     _emit(_csv_header(args) + "\n".join(rows) + "\n", args.out)
     return 0

@@ -1,8 +1,8 @@
 # Restriction geometry along lines of P(V).  A line is its Pluecker vector
-# divided by its first nonzero coordinate, and the reduced bases of its
-# points U and equations W are read off that vector and its dual.
-# h0 on a line is dim N - rank(N.basis @ (I_n (x) U^T)), since
-# N meet (H* (x) W) is the kernel of N -> H* (x) U*; the splitting order is
+# divided by its first nonzero coordinate, and the two points it was drawn
+# through.  h0 on a line is dim N - rank(N.basis @ (I_n (x) S^T)) for the
+# matrix S of those points, since N meet (H* (x) ann S) is the kernel of
+# N -> H* (x) S*, which depends only on the span of S; the splitting order is
 # a = n - rank w(lambda) (the display restricted to the line and twisted by
 # -1 gives 0 -> H0(E_L(-1)) -> H -> H*; Barth, Math. Ann. 226, 1977).  A
 # table of lines takes one block elimination for all orders and
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bases import WEDGE_INDEX, WEDGE_PAIRS, hv_index, sym_index_map
+from .bases import WEDGE_PAIRS, hv_index, sym_index_map
 from .fields import Field
 from .linalg import Mat, Pattern, Stream, Subspace, kron
 from .monads import MonadError, build_monad
@@ -51,86 +51,34 @@ def plucker_bilinear(field: Field, a: list, b: list):
     return acc
 
 
-def _echelon_of_plucker(field: Field, lam: list) -> tuple[list, Subspace]:
-    """lam divided by its first nonzero coordinate, and the reduced basis of
-    the 2-space it is the Pluecker vector of.
-
-    That coordinate (k, l) is the pivot pair of the reduced basis b0, b1, so
-    with P the antisymmetric extension of the divided vector (P(k, l) = 1),
-    b0[j] = P(j, l) and b1[j] = P(k, j); no elimination is needed.
-    """
-    f = field
-    first = next((i for i, x in enumerate(lam) if not f.is_zero(x)), None)
+def line_through(field: Field, u0: list, u1: list) -> tuple[list, list]:
+    """The line through the points u0 and u1: its Pluecker vector divided by
+    its first nonzero coordinate, and [u0, u1]."""
+    lam = plucker_of_span(field, u0, u1)
+    first = next((x for x in lam if not field.is_zero(x)), None)
     if first is None:
-        raise ValueError("zero Pluecker vector")
-    inv = f.inv(lam[first])
-    unit = [f.mul(inv, x) for x in lam]
-    zero = f.zero()
-
-    def entry(i, j):
-        if i == j:
-            return zero
-        return unit[WEDGE_INDEX[i, j]] if i < j else f.neg(unit[WEDGE_INDEX[j, i]])
-
-    k, l = WEDGE_PAIRS[first]
-    basis = Mat.from_rows(f, [[entry(j, l) for j in range(4)], [entry(k, j) for j in range(4)]], 4)
-    basis._rref = basis, [k, l]
-    return unit, Subspace(f, 4, basis, [k, l])
-
-
-class Line:
-    """A line in P(V): 2-dimensional space U of points, its 2-dimensional
-    space W of equations in V*, and the decomposable Pluecker vector of U."""
-
-    __slots__ = ("field", "U", "W", "plucker")
-
-    def __init__(self, field: Field, U: Subspace, W: Subspace, plucker: list):
-        self.field = field
-        self.U = U
-        self.W = W
-        self.plucker = plucker
-        if U.dim != 2 or W.dim != 2:
-            raise ValueError("a line needs 2-dimensional point and equation spaces")
-        if not field.is_zero(plucker_quadric(field, plucker)):
-            raise ValueError("Pluecker vector is not decomposable")
-        # W must annihilate the Pluecker vector under contraction
-        if not (wedge_matrix(field, plucker) @ W.basis.transpose()).is_zero():
-            raise ValueError("equations do not annihilate the Pluecker vector")
-
-    @staticmethod
-    def from_points(field: Field, u0: list, u1: list) -> "Line":
-        lam = plucker_of_span(field, u0, u1)
-        if all(field.is_zero(x) for x in lam):
-            raise ValueError("points are proportional")
-        return Line.from_plucker(field, lam)
-
-    @staticmethod
-    def from_plucker(field: Field, lam: list) -> "Line":
-        """The line with Pluecker vector lam, kept divided by its first
-        nonzero coordinate."""
-        if not field.is_zero(plucker_quadric(field, lam)):
-            raise ValueError("Pluecker vector is not decomposable")
-        unit, U = _echelon_of_plucker(field, lam)
-        # W is the annihilator of U, with Pluecker vector lam's dual
-        f = field
-        W = _echelon_of_plucker(f, [lam[5], f.neg(lam[4]), lam[3], lam[2], f.neg(lam[1]), lam[0]])[1]
-        return Line(field, U, W, unit)
+        raise ValueError("points are proportional")
+    inv = field.inv(first)
+    unit = [field.mul(inv, x) for x in lam]
+    if not field.is_zero(plucker_quadric(field, unit)):
+        raise AssertionError("the Pluecker vector of two points is not decomposable")
+    return unit, [u0, u1]
 
 
 # -- section counts as projected ranks --------------------------------------
 
 
-def _section_counts(omega: OmegaTensor, spaces: list[Mat]) -> list[int]:
+def _section_counts(omega: OmegaTensor, spaces: list[list]) -> list[int]:
     """dim N meet (H* (x) ann S) inside H* (x) V* for each space S of points,
-    given by the rows of a basis (all of one size k).
+    given by a list of spanning points (all of one length k).
 
     The meet is the kernel of N -> H* (x) S*, so its dimension is dim N minus
     the rank of N.basis @ (I_n (x) S^T): one Mat.contract_blocks product for
     all spaces, ranked as n k-column blocks by one elimination.
     """
     m = build_monad(omega)
-    n, k = omega.n, spaces[0].nrows
-    points = Mat.from_rows(omega.field, [r for s in spaces for r in s.rows()], 4)
+    n, k = omega.n, len(spaces[0])
+    points = Mat.from_rows(omega.field, [r for s in spaces for r in s], 4)
     # N's columns reordered from (a, v) to (v, a): block j is N contracted with point j
     by_v = m.N.basis.take_cols([hv_index(a, v) for v in range(4) for a in range(n)])
     return [m.N.dim - r for r in by_v.contract_blocks(points, n).block_ranks(n * k)[0]]
@@ -159,15 +107,15 @@ def splitting_orders(omega: OmegaTensor, lams: list[list]) -> tuple[list[int], l
     return [m.nH - r for r in ranks], dets
 
 
-def line_invariants(omega: OmegaTensor, lines: list[Line]) -> list[tuple[int, int, object]]:
-    """(splitting order, h0, det w(lambda)) of each line.  The orders and
-    determinants come from one elimination of the contracted quadrics, h0 from
-    another of N's projections, so h0 = max(2, a + 1) checks one against the
-    other."""
+def line_invariants(omega: OmegaTensor, lines: list[tuple[list, list]]) -> list[tuple[int, int, object]]:
+    """(splitting order, h0, det w(lambda)) of each line (Pluecker vector,
+    points).  The orders and determinants come from one elimination of the
+    contracted quadrics, h0 from another of N's projections onto the points,
+    so h0 = max(2, a + 1) checks one against the other."""
     if not lines:
         return []
-    orders, dets = splitting_orders(omega, [line.plucker for line in lines])
-    h0s = _section_counts(omega, [line.U.basis for line in lines])
+    orders, dets = splitting_orders(omega, [lam for lam, _points in lines])
+    h0s = _section_counts(omega, [points for _lam, points in lines])
     return list(zip(orders, h0s, dets))
 
 
@@ -200,39 +148,30 @@ def pencil_jump_poly(omega: OmegaTensor, lam0: list, lam1: list) -> list:
     return poly_interpolate(points, values, f)
 
 
-def point_plane_pencil(field: Field, p: list, q0: list, q1: list) -> tuple[list, list]:
-    """Pencil of lines through the point p inside the plane spanned with q0, q1.
-
-    Returns (lam0, lam1) with lam0 + t lam1 decomposable for every t.
-    """
-    lam0 = plucker_of_span(field, p, q0)
-    lam1 = plucker_of_span(field, p, q1)
-    return lam0, lam1
-
-
 # -- seeded draws ------------------------------------------------------------
 
 
-def random_lines(field: Field, stream: Stream, count: int) -> list[Line]:
-    """count lines, each through two points drawn from stream; a pair of
+def random_lines(field: Field, stream: Stream, count: int) -> list[tuple[list, list]]:
+    """count lines, each line_through two points drawn from stream; a pair of
     proportional points is dropped and the next pair drawn."""
     lines = []
     while len(lines) < count:
         try:
-            lines.append(Line.from_points(field, stream.next_vector(field, 4),
-                                          stream.next_vector(field, 4)))
+            lines.append(line_through(field, stream.next_vector(field, 4),
+                                      stream.next_vector(field, 4)))
         except ValueError:
             continue
     return lines
 
 
 def random_pencil(field: Field, stream: Stream) -> tuple[list, list]:
-    """point_plane_pencil of a point and two more points drawn from stream,
-    drawn again until the three are independent."""
+    """(lam0, lam1) for three points p, q0, q1 drawn from stream, drawn again
+    until they are independent: lam0 + t lam1 is the line through p and
+    q0 + t q1, so the pencil is the lines through p in the plane of the three."""
     while True:
         p, q0, q1 = (stream.next_vector(field, 4) for _ in range(3))
         if Mat.from_rows(field, [p, q0, q1], 4).rank() == 3:
-            return point_plane_pencil(field, p, q0, q1)
+            return plucker_of_span(field, p, q0), plucker_of_span(field, p, q1)
 
 
 # -- intersections with K (x) V* ---------------------------------------------

@@ -1,8 +1,7 @@
 # Tensors in S^2 H* (x) wedge^2 V* and their flattenings to skew forms on
 # H (x) V, together with the functorial operations: restriction to a
 # hyperplane of H, GL(H) conjugation, block sums, contraction against a line,
-# and the canonical split of a skew form into its S^2 (x) wedge^2 and
-# wedge^2 (x) S^2 parts.
+# and the way back from a skew form in the S^2 (x) wedge^2 summand.
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ from functools import lru_cache
 
 from .bases import (
     WEDGE_PAIRS,
-    form_pairs,
     form_slots,
     hv_index,
     sym_index_map,
@@ -23,22 +21,18 @@ from .linalg import Mat, Pattern, Subspace, kron
 
 
 @lru_cache(maxsize=None)
-def _flatten_pattern(n: int, skew_h: bool = False) -> Pattern:
+def _flatten_pattern(n: int) -> Pattern:
     """Coefficients (one row per H pair, one column per V pair) to the 4n x 4n form."""
-    h_pairs, v_pairs, _sign = form_pairs(n, skew_h)
-    return Pattern((4 * n, 4 * n), (len(h_pairs), len(v_pairs)), form_slots(n, skew_h))
+    return Pattern((4 * n, 4 * n), (n * (n + 1) // 2, 6), form_slots(n))
 
 
 @lru_cache(maxsize=None)
-def _split_pattern(n: int, skew_h: bool) -> Pattern:
-    """Twice the coefficients of one summand of a skew 4n x 4n form: the entry
-    at ((i,k), (j,l)) plus, for the wedge^2 H* summand minus, the one at
-    ((j,k), (i,l))."""
-    h_pairs, v_pairs, sign = form_pairs(n, skew_h)
-    terms = ((p, q, hv_index(a, k), hv_index(b, l), s)
-             for p, (i, j) in enumerate(h_pairs) for q, (k, l) in enumerate(v_pairs)
-             for a, b, s in ((i, j, 1), (j, i, sign)))
-    return Pattern((len(h_pairs), len(v_pairs)), (4 * n, 4 * n), terms)
+def _unflatten_pattern(n: int) -> Pattern:
+    """The entry at ((i,k), (j,l)) of a 4n x 4n form for each coefficient
+    (i <= j, k < l)."""
+    terms = ((p, q, hv_index(i, k), hv_index(j, l), 1)
+             for p, (i, j) in enumerate(sym_pairs(n)) for q, (k, l) in enumerate(WEDGE_PAIRS))
+    return Pattern((n * (n + 1) // 2, 6), (4 * n, 4 * n), terms)
 
 
 @lru_cache(maxsize=None)
@@ -196,26 +190,6 @@ class OmegaTensor:
         return f"OmegaTensor(n={self.n}, {self.field.spec_str()})"
 
 
-class SkewHPart:
-    """Coordinates in wedge^2 H* (x) S^2 V*: one row per pair i < j of
-    H*-indices (lex), one column per monomial x_k x_l, k <= l."""
-
-    __slots__ = ("n", "field", "coeffs")
-
-    def __init__(self, n: int, field: Field, coeffs: Mat):
-        if coeffs.nrows != n * (n - 1) // 2 or coeffs.ncols != 10:
-            raise ValueError("coefficient matrix has wrong shape")
-        self.n = n
-        self.field = field
-        self.coeffs = coeffs
-
-    def is_zero(self) -> bool:
-        return self.coeffs.is_zero()
-
-    def flatten(self) -> Mat:
-        return _skew(self.coeffs.gather(_flatten_pattern(self.n, True)))
-
-
 def _skew(flat: Mat) -> Mat:
     """flat, after checking the invariant that a flattening is skew."""
     if not (flat + flat.transpose()).is_zero():
@@ -223,12 +197,13 @@ def _skew(flat: Mat) -> Mat:
     return flat
 
 
-def decompose(m: Mat) -> tuple[OmegaTensor, SkewHPart]:
-    """Split the 4n x 4n matrix of a skew form on H (x) V into its two
-    canonical summands.
+def unflatten(m: Mat) -> OmegaTensor:
+    """Inverse of flatten on the skew forms in the S^2 H* (x) wedge^2 V* summand.
 
-    Returns (sym_part, skewH_part) with
-    sym_part.flatten() + skewH_part.flatten() == m, checked exactly.
+    The coefficient at (i <= j, k < l) is the entry of m at ((i,k), (j,l)).
+    Outside characteristic 2 the skew forms on H (x) V are the direct sum of
+    that summand and wedge^2 H* (x) S^2 V*, so the tensor read off flattens
+    back to m exactly when m's wedge^2 H* (x) S^2 V* part is zero.
     """
     if m.nrows != m.ncols or m.nrows == 0 or m.nrows % 4:
         raise ValueError(f"a {m.nrows} x {m.ncols} matrix is not a form on H (x) V: "
@@ -238,20 +213,10 @@ def decompose(m: Mat) -> tuple[OmegaTensor, SkewHPart]:
     f, n = m.field, m.nrows // 4
     if f.p == 2:
         raise ValueError(f"canonical split needs characteristic != 2, not {f.spec_str()}")
-    half = f.inv(f.of_int(2))
-    sym = OmegaTensor(n, f, m.gather(_split_pattern(n, False)).scale(half))
-    skewh = SkewHPart(n, f, m.gather(_split_pattern(n, True)).scale(half))
-    if not (sym.flatten() + skewh.flatten() == m):
-        raise ArithmeticError("canonical split failed to reconstruct input")
-    return sym, skewh
-
-
-def unflatten(m: Mat) -> OmegaTensor:
-    """Inverse of flatten on forms that lie in the S^2 (x) wedge^2 summand."""
-    sym, skewh = decompose(m)
-    if not skewh.is_zero():
+    t = OmegaTensor(n, f, m.gather(_unflatten_pattern(n)))
+    if t.flatten() != m:
         raise ValueError("form has a nonzero wedge^2 H* (x) S^2 V* component")
-    return sym
+    return t
 
 
 def kernel_inclusion(field: Field, xi: list) -> Mat:

@@ -43,9 +43,16 @@ from the two points, the equation space W is U's kernel and the Pluecker
 vector is that of U's reduced basis; the splitting order is n minus the
 rank of the line's contracted quadric, h0 the dimension of the Zassenhaus
 intersection N meet (H* (x) W), and the determinant the quadric's own
-forward elimination.  `geometry.Line.from_points` reads U and W off the
-normalized Pluecker vector, and `geometry.line_invariants` ranks all of a
-table's lines in two eliminations.
+forward elimination.  `geometry.line_through` divides the Pluecker vector of
+the two points by its first nonzero coordinate, and
+`geometry.line_invariants` ranks all of a table's lines in two
+eliminations, taking h0 from the two points themselves.
+
+`skew_h_slots` places the coefficients of wedge^2 H* (x) S^2 V*, the
+summand of the skew forms on H (x) V that no tensor flattens to, as
+`bases.form_slots` places those of S^2 H* (x) wedge^2 V*.  `sigma_pattern`
+fills them with unknowns, and `skew_h_flatten` builds the forms that
+`tensors.unflatten` must refuse.
 
 `h0_on_plane` is h0 of E restricted to the plane z = 0, the Zassenhaus
 intersection N meet (H* (x) <z>); the package computes h0 on lines only.
@@ -120,7 +127,6 @@ import math
 import numpy as np
 
 from instantons.bases import (
-    form_slots,
     hv_index,
     mono_mul,
     monomial_index_map,
@@ -130,7 +136,7 @@ from instantons.bases import (
 )
 from instantons.certify import XI_TRIALS
 from instantons.fields import ExtensionField, PrimeField, is_prime
-from instantons.geometry import Line, plucker_of_span
+from instantons.geometry import plucker_of_span
 from instantons.linalg import Mat, Pattern, Stream, Subspace, kron
 from instantons.monads import Monad, MonadError, _s2_maps, build_monad
 from instantons.polys import divmod_poly, evaluate, trim
@@ -322,10 +328,12 @@ def _graded_on_line(field, coef, n_out: int, n_in: int, d: int) -> Mat:
     return Mat.from_rows(field, rows, ncols)
 
 
-def _restricted_maps(m: Monad, line: Line, d: int) -> tuple[Mat, Mat]:
-    """(alpha_d, beta_d) of the display restricted to the line: each x_k is
-    replaced by its linear form in the two coordinates of the line."""
-    f, subs = m.field, line.U.basis
+def _restricted_maps(m: Monad, points: list, d: int) -> tuple[Mat, Mat]:
+    """(alpha_d, beta_d) of the display restricted to the line through the
+    two points: each x_k is replaced by its linear form in the line's two
+    coordinates."""
+    f = m.field
+    subs = Mat.from_rows(f, points, 4)
 
     def on_line(entry, rv):
         acc = f.zero()
@@ -342,7 +350,7 @@ def _restricted_maps(m: Monad, line: Line, d: int) -> tuple[Mat, Mat]:
     return alpha, beta
 
 
-def splitting_order_by_generators(m: Monad, line: Line) -> int:
+def splitting_order_by_generators(m: Monad, points: list) -> int:
     """Splitting order from minimal generators of the restricted section module."""
     if m.r != 2:
         raise MonadError("splitting order is defined for rank-2 displays only")
@@ -350,7 +358,7 @@ def splitting_order_by_generators(m: Monad, line: Line) -> int:
     kers: dict[int, Subspace] = {}
     betas: dict[int, Mat] = {}
     for d in range(0, n + 1):
-        alpha, betas[d] = _restricted_maps(m, line, d)
+        alpha, betas[d] = _restricted_maps(m, points, d)
         kers[d] = alpha.kernel()
     order = 0
     for d in range(1, n + 1):
@@ -378,23 +386,25 @@ def splitting_order_by_generators(m: Monad, line: Line) -> int:
     return order
 
 
-def line_by_elimination(field, u0: list, u1: list) -> Line:
-    """The line through two points, with U and W found by elimination."""
+def line_by_elimination(field, u0: list, u1: list) -> tuple[Subspace, Subspace, list]:
+    """(U, W, Pluecker vector) of the line through two points, with the
+    point space U and the equation space W found by elimination."""
     U = Subspace.from_spanning(Mat.from_rows(field, [u0, u1], 4))
     if U.dim != 2:
         raise ValueError("points are proportional")
-    W = U.basis.kernel()
-    return Line(field, U, W, plucker_of_span(field, U.basis.row(0), U.basis.row(1)))
+    return U, U.basis.kernel(), plucker_of_span(field, U.basis.row(0), U.basis.row(1))
 
 
-def line_invariants_by_line(omega, line: Line) -> tuple:
-    """(splitting order, h0, det w(lambda)) of one line, each by its own elimination."""
+def line_invariants_by_line(omega, u0: list, u1: list) -> tuple:
+    """(splitting order, h0, det w(lambda)) of the line through two points,
+    each by its own elimination."""
     f, n = omega.field, omega.n
     m = build_monad(omega)
     if m.r != 2:
         raise MonadError("splitting order is defined for rank-2 displays only")
-    quadric = omega.contract_line(line.plucker)
-    h_star_w = Subspace.from_spanning(kron(Mat.identity(f, n), line.W.basis))
+    _U, W, plucker = line_by_elimination(f, u0, u1)
+    quadric = omega.contract_line(plucker)
+    h_star_w = Subspace.from_spanning(kron(Mat.identity(f, n), W.basis))
     return n - quadric.rank(), m.N.intersect(h_star_w).dim, quadric.det()
 
 
@@ -461,11 +471,34 @@ def projective_points_by_filter(field, dim: int, cap: int):
     return islice(chain(basis, charts()), cap)
 
 
+def skew_h_slots(n: int) -> list[tuple[int, int, int, int, int]]:
+    """Where the coefficient c at (H pair p = (i < j), V pair q = (k <= l))
+    of wedge^2 H* (x) S^2 V* sits in a 4n x 4n skew matrix: +c at
+    ((i,k), (j,l)), and at the entries with i, j or k, l swapped c times the
+    sign of the swap (-1 for i, j); an entry reached twice is filled once.
+    Returned as (row, col, p, q, sign)."""
+    out = []
+    for p, (i, j) in enumerate(skew_pairs(n)):
+        for q, (k, l) in enumerate(sym_pairs(4)):
+            slots = {}
+            for a, b, c, d, sign in ((i, j, k, l, 1), (j, i, k, l, -1),
+                                     (i, j, l, k, 1), (j, i, l, k, -1)):
+                slots.setdefault((hv_index(a, c), hv_index(b, d)), sign)
+            out += [(r, c, p, q, sign) for (r, c), sign in slots.items()]
+    return out
+
+
+def skew_h_flatten(n: int, coeffs: Mat) -> Mat:
+    """The 4n x 4n skew form of the coefficients of wedge^2 H* (x) S^2 V*:
+    one row per pair i < j, one column per pair k <= l."""
+    return coeffs.gather(Pattern((4 * n, 4 * n), (coeffs.nrows, 10), skew_h_slots(n)))
+
+
 def sigma_pattern(dim_n: int, n: int) -> Pattern:
     """sigma o (inclusion of N), linear in the coordinates of sigma: the
     unknown (i < j, p <= q) fills the flattening slots (r, c) of
     wedge^2 H (x) S^2 V, so row s * 4n + r takes entry c of basis vector s."""
-    slots = form_slots(n, skew_h=True)
+    slots = skew_h_slots(n)
     terms = ((s * 4 * n + r, p * 10 + q, s, c, sign)
              for s in range(dim_n) for r, c, p, q, sign in slots)
     return Pattern((dim_n * 4 * n, len(skew_pairs(n)) * 10), (dim_n, 4 * n), terms)

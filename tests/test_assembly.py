@@ -40,7 +40,7 @@ from instantons.monads import (
     s2_cohomology,
     tangent_dim,
 )
-from instantons.tensors import OmegaTensor, SkewHPart, decompose
+from instantons.tensors import OmegaTensor, unflatten
 import oracles
 
 F7 = PrimeField(7)
@@ -116,14 +116,17 @@ def _maps(name: str) -> dict[str, str]:
                                 *(bar.beta(d) for d in range(0, 3)))
     lam = [f.of_int(v) for v in (1, 2, 0, 3, 0, 4)]
     g = Mat.from_rows(f, [[(3 * i + 5 * j + 1) % 7 for j in range(n - 1)] for i in range(n)], n - 1)
-    parts = decompose(t.flatten())
-    skew_h = SkewHPart(n, f, Mat.from_rows(
-        f, [[(i + 2 * j) % 5 for j in range(10)] for i in range(n * (n - 1) // 2)], 10))
-    mixed = decompose(t.flatten() + skew_h.flatten())
+    skew_h = Mat.from_rows(
+        f, [[(i + 2 * j) % 5 for j in range(10)] for i in range(n * (n - 1) // 2)], 10)
+    skew_h_form = oracles.skew_h_flatten(n, skew_h)
+    with pytest.raises(ValueError, match="nonzero wedge"):
+        unflatten(t.flatten() + skew_h_form)
+    # the two summands of t's flattening, the skew_h form, and the two
+    # summands of their sum, which unflatten refuses
     out["tensor_ops"] = _digest(
         t.contract_line(lam), t.apply_h_map(g).coeffs, t.entry_skew_matrix(0, 1),
-        t.entry_skew_matrix(1, 1), parts[0].coeffs, parts[1].coeffs, skew_h.flatten(),
-        mixed[0].coeffs, mixed[1].coeffs,
+        t.entry_skew_matrix(1, 1), unflatten(t.flatten()).coeffs,
+        Mat.zeros(f, skew_h.nrows, 10), skew_h_form, t.coeffs, skew_h,
     )
     return out
 

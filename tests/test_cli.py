@@ -85,15 +85,31 @@ def test_table_lines_deterministic(tmp_path):
 LINES_TABLE_DIGESTS = {
     "--sample 3,2 --count 30 --seed 4": (31, "04dbde9fe5073c83"),
     "--example thooft4 --count 20": (21, "9243bcc69267e1e7"),
+    "--example thooft4 --count 20 --field fp:7^2": (21, "710264624b418f89"),
+    "--example thooft3 --count 10 --field rational": (11, "96f936e4a31ae0c7"),
+    "--example thooft3 --count 10 --field fp:1000000007": (11, "9992801f23eee563"),
 }
+PENCIL_TABLE_DIGESTS = {
+    "--example thooft4 --field fp:5^2": (10, "7c128723ab6d759c"),
+    "--example thooft3 --field rational": (7, "558c66c7e29af389"),
+    "--example thooft3 --field fp:1000000007": (13, "436d79fca5a2f4d1"),
+}
+
+
+def _table_digest(capsys, kind: str, source: str) -> tuple[int, str]:
+    assert run(["table", kind, *source.split()]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    return len(rows), hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("source", LINES_TABLE_DIGESTS)
 def test_table_lines_is_pinned(capsys, source):
-    assert run(["table", "lines", *source.split()]) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
-    assert (len(rows), digest) == LINES_TABLE_DIGESTS[source]
+    assert _table_digest(capsys, "lines", source) == LINES_TABLE_DIGESTS[source]
+
+
+@pytest.mark.parametrize("source", PENCIL_TABLE_DIGESTS)
+def test_table_pencil_is_pinned(capsys, source):
+    assert _table_digest(capsys, "pencil", source) == PENCIL_TABLE_DIGESTS[source]
 
 
 def test_table_pencil(capsys):
@@ -258,6 +274,19 @@ def test_malformed_tensor_is_input_error(tmp_path):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps({"n": 2, "field": "fp:32003"}))
     assert run(["certify", "--tensor", str(bad2)]) == 2
+
+
+@pytest.mark.parametrize("command", [["certify"], ["table", "coh"],
+                                     ["table", "lines", "--count", "3"], ["table", "pencil"]])
+def test_tensor_file_over_another_field_is_input_error(tmp_path, capsys, command):
+    # a tensor file's entries are read in its own field, so --field must name it
+    path = tmp_path / "t.json"
+    assert run(["export", "--id", "thooft3", "--field", "fp:7", "--out", str(path)]) == 0
+    assert run([*command, "--tensor", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: --tensor {str(path)!r} is over fp:7, "
+                                       "but --field is fp:32003\n")
+    assert run([*command, "--tensor", str(path), "--field", "fp:7",
+                "--out", str(tmp_path / "out")]) == 0
 
 
 def test_bad_field_spec(capsys):

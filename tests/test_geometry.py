@@ -6,19 +6,17 @@ from hypothesis import given, strategies as st
 from instantons.families import degenerate_rank6, nc_tensor, sample_instanton, thooft_tensor
 from instantons.fields import field_from_spec
 from instantons.geometry import (
-    Line,
     k_intersection_dim,
     line_invariants,
+    line_through,
     nc_quadric_ideal,
     pencil_jump_poly,
     plucker_bilinear,
     plucker_of_span,
     plucker_quadric,
-    point_plane_pencil,
     splitting_orders,
     triple_span,
 )
-from instantons import linalg
 from instantons.linalg import Mat, Stream, Subspace, kron
 from instantons.monads import MonadError, build_monad
 from instantons.polys import roots as poly_roots
@@ -31,39 +29,29 @@ from oracles import (
 )
 
 
-def _line_from_equations(field, z0: list, z1: list) -> Line:
-    """The line cut out by two equations in V*."""
-    W = Subspace.from_spanning(Mat.from_rows(field, [z0, z1], 4))
-    if W.dim != 2:
-        raise ValueError("equations are proportional")
-    U = W.basis.kernel()
-    return Line(field, U, W, plucker_of_span(field, U.basis.row(0), U.basis.row(1)))
+def _pencil(field, p: list, q0: list, q1: list) -> tuple[list, list]:
+    """(lam0, lam1): lam0 + t lam1 is the line through p and q0 + t q1."""
+    return plucker_of_span(field, p, q0), plucker_of_span(field, p, q1)
+
+
+def _on_pencil(field, p: list, q0: list, q1: list, t) -> tuple[list, list]:
+    """The line through p and q0 + t q1, the member t of _pencil(p, q0, q1)."""
+    return line_through(field, p, [field.add(a, field.mul(t, b)) for a, b in zip(q0, q1)])
 
 
 def test_line_constructions_agree(F):
-    l1 = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
-    l2 = _line_from_equations(F, [0, 0, 1, 0], [0, 0, 0, 1])
-    l3 = Line.from_plucker(F, l1.plucker)
-    assert l1.U == l2.U == l3.U
-    assert l1.W == l2.W
-    assert F.is_zero(plucker_quadric(F, l1.plucker))
+    # the line z2 = z3 = 0 through two of its points: line_through and the
+    # elimination give one Pluecker vector, divided by its first coordinate,
+    # and the elimination's equations are z2 and z3
+    lam, points = line_through(F, [2, 3, 0, 0], [1, 4, 0, 0])
+    assert points == [[2, 3, 0, 0], [1, 4, 0, 0]]
+    assert lam == line_through(F, [1, 0, 0, 0], [0, 1, 0, 0])[0] == [1, 0, 0, 0, 0, 0]
+    _U, W, by_elimination = line_by_elimination(F, [2, 3, 0, 0], [1, 4, 0, 0])
+    assert by_elimination == lam
+    assert W == Subspace.from_spanning(Mat.from_rows(F, [[0, 0, 1, 0], [0, 0, 0, 1]], 4))
+    assert F.is_zero(plucker_quadric(F, lam))
     with pytest.raises(ValueError):
-        Line.from_points(F, [1, 0, 0, 0], [2, 0, 0, 0])
-    with pytest.raises(ValueError):
-        Line.from_plucker(F, [1, 0, 0, 0, 0, 1])  # fails the decomposability quadric
-
-
-def test_line_from_points_eliminates_nothing(F, monkeypatch):
-    # U and W are read off the normalized Pluecker vector and its dual
-    calls = []
-    for name in ("_np_rref", "_np_rank", "_np_block_ranks", "_generic_rref"):
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name,
-                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
-    line = Line.from_points(F, [1, 2, 0, 3], [0, 1, 5, 1])
-    assert calls == []
-    monkeypatch.undo()
-    assert line.U.basis.kernel() == line.W
+        line_through(F, [1, 0, 0, 0], [2, 0, 0, 0])
 
 
 @cache
@@ -84,7 +72,7 @@ def _line_tensors(spec: str) -> list[OmegaTensor]:
 @given(data=st.data())
 def test_batched_lines_match_the_per_line_eliminations(spec, data):
     # points with zero coordinates often, so that leading Pluecker
-    # coordinates vanish and every pivot pair (k, l) of U and of W occurs
+    # coordinates vanish and each coordinate is sometimes the first nonzero one
     field = field_from_spec(spec)
     tensors = _line_tensors(spec)
     omega = tensors[data.draw(st.integers(0, len(tensors) - 1))]
@@ -95,32 +83,30 @@ def test_batched_lines_match_the_per_line_eliminations(spec, data):
         u0, u1 = ([field.zero() if z else stream.next_element(field) for z in data.draw(zero_mask)]
                   for _ in range(2))
         try:
-            expect = line_by_elimination(field, u0, u1)
+            expect = line_by_elimination(field, u0, u1)[2]
         except ValueError:
             with pytest.raises(ValueError):
-                Line.from_points(field, u0, u1)
+                line_through(field, u0, u1)
             continue
-        line = Line.from_points(field, u0, u1)
-        assert line.plucker == expect.plucker
-        assert line.U == expect.U and line.W == expect.W
-        assert line.U.pivots == expect.U.pivots and line.W.pivots == expect.W.pivots
-        assert Line.from_plucker(field, line.plucker).W == expect.W
+        line = line_through(field, u0, u1)
+        assert line == (expect, [u0, u1])
         lines.append(line)
-    assert line_invariants(omega, lines) == [line_invariants_by_line(omega, l) for l in lines]
+    assert line_invariants(omega, lines) == [line_invariants_by_line(omega, *points)
+                                             for _lam, points in lines]
 
 
 def test_lines_meet_via_bilinear(F):
-    a = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0]).plucker
-    b = Line.from_points(F, [0, 0, 1, 0], [0, 0, 0, 1]).plucker
-    c = Line.from_points(F, [1, 0, 0, 0], [0, 0, 1, 0]).plucker
+    a = line_through(F, [1, 0, 0, 0], [0, 1, 0, 0])[0]
+    b = line_through(F, [0, 0, 1, 0], [0, 0, 0, 1])[0]
+    c = line_through(F, [1, 0, 0, 0], [0, 0, 1, 0])[0]
     assert not F.is_zero(plucker_bilinear(F, a, b))  # skew lines
     assert F.is_zero(plucker_bilinear(F, a, c))  # they share e0
 
 
 def test_h0_line_and_splitting_nc(F):
     nc = nc_tensor(F)
-    non_iso = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
-    iso = Line.from_points(F, [1, 0, 0, 0], [0, 0, 1, 0])
+    non_iso = line_through(F, [1, 0, 0, 0], [0, 1, 0, 0])
+    iso = line_through(F, [1, 0, 0, 0], [0, 0, 1, 0])
     (a0, h0_0, _), (a1, h0_1, _) = line_invariants(nc, [non_iso, iso])
     assert (a0, a1) == (0, 1)
     assert h0_0 == 2
@@ -128,18 +114,18 @@ def test_h0_line_and_splitting_nc(F):
 
 
 def test_splitting_requires_rank_two(F, full36):
-    line = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
+    lam, _points = line_through(F, [1, 0, 0, 0], [0, 1, 0, 0])
     with pytest.raises(MonadError):
-        splitting_orders(full36, [line.plucker])
+        splitting_orders(full36, [lam])
 
 
 def test_generic_line_on_chain(F, chain52):
     st = Stream("chain_lines", 0)
-    line = Line.from_points(F, st.next_vector(F, 4), st.next_vector(F, 4))
-    assert line_invariants(chain52, [line])[0][:2] == (0, 2)
+    u0, u1 = st.next_vector(F, 4), st.next_vector(F, 4)
+    assert line_invariants(chain52, [line_through(F, u0, u1)])[0][:2] == (0, 2)
     # cross-check of the intersection count against the restriction
     sub = chain52.image().intersect(
-        _wedge_space(F, 5, line.W.basis.rows())
+        _wedge_space(F, 5, line_by_elimination(F, u0, u1)[1].basis.rows())
     )
     assert sub.dim == 2
 
@@ -159,24 +145,22 @@ def test_maximal_jumping_line_on_net_tensor(F):
     # the banded-net bundle carries jumping lines of the highest possible
     # order n; the coordinate line through e0, e2 realizes it
     th5 = thooft_tensor(5, F)
-    line = Line.from_points(F, [1, 0, 0, 0], [0, 0, 1, 0])
+    line = line_through(F, [1, 0, 0, 0], [0, 0, 1, 0])
     a, h0, _det = line_invariants(th5, [line])[0]
     assert a == 5
     assert h0 == 6  # a + 1
-    assert F.is_zero(th5.contract_line(line.plucker).det())
+    assert F.is_zero(th5.contract_line(line[0]).det())
 
 
 def test_high_order_event_found_by_pencil_scan(F):
     # scan a pencil through the order-5 line: the root recovers it
     th5 = thooft_tensor(5, F)
-    lam0, lam1 = point_plane_pencil(F, [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0])
-    poly = pencil_jump_poly(th5, lam0, lam1)
+    p, q0, q1 = [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]
+    poly = pencil_jump_poly(th5, *_pencil(F, p, q0, q1))
     found, _ = poly_roots(poly, F)
     orders = []
     for root in found:
-        lam = [F.add(a, F.mul(root, b)) for a, b in zip(lam0, lam1)]
-        line = Line.from_plucker(F, lam)
-        a_val, h0, _det = line_invariants(th5, [line])[0]
+        a_val, h0, _det = line_invariants(th5, [_on_pencil(F, p, q0, q1, root)])[0]
         orders.append(a_val)
         assert h0 == max(2, a_val + 1)
     assert max(orders) >= 2
@@ -187,7 +171,7 @@ def test_pencil_degree_and_validation(F, chain52):
     nc = nc_tensor(F)
     # pencil of lines through e0 inside the plane containing e1: the root
     # marks the unique isotropic line of the pencil
-    lam0, lam1 = point_plane_pencil(F, [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0])
+    lam0, lam1 = _pencil(F, [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0])
     poly = pencil_jump_poly(nc, lam0, lam1)
     assert len(poly) - 1 == 1
     found, _ = poly_roots(poly, F)
@@ -202,7 +186,7 @@ def test_pencil_degree_and_validation(F, chain52):
             p, q0, q1 = (st.next_vector(F, 4) for _ in range(3))
             if Mat.from_rows(F, [p, q0, q1], 4).rank() == 3:
                 break
-        lam0, lam1 = point_plane_pencil(F, p, q0, q1)
+        lam0, lam1 = _pencil(F, p, q0, q1)
         degs.append(len(pencil_jump_poly(chain52, lam0, lam1)) - 1)
     assert max(degs) == 5
     # zero tensor gives the zero polynomial
@@ -305,12 +289,12 @@ def test_two_lines_in_stable_plane_order_bound(F):
                 ]
 
             try:
-                l1 = Line.from_points(F, combo(c1), combo(st.next_vector(F, 3)))
-                l2 = Line.from_points(F, combo(c2), combo(st.next_vector(F, 3)))
+                l1 = line_through(F, combo(c1), combo(st.next_vector(F, 3)))[0]
+                l2 = line_through(F, combo(c2), combo(st.next_vector(F, 3)))[0]
             except ValueError:
                 continue
             pairs_done += 1
-            a1, a2 = splitting_orders(t, [l1.plucker, l2.plucker])[0]
+            a1, a2 = splitting_orders(t, [l1, l2])[0]
             assert a1 + a2 <= 3
 
 
@@ -360,16 +344,12 @@ def test_skew_line_pairs_have_disjoint_ideals(F):
 
 def _coordinate_lines(field):
     e = [[int(k == i) for k in range(4)] for i in range(4)]
-    return [Line.from_points(field, e[i], e[j]) for i in range(4) for j in range(i + 1, 4)]
+    return [line_through(field, e[i], e[j]) for i in range(4) for j in range(i + 1, 4)]
 
 
 def _pencil_root_lines(field, omega, p, q0, q1):
-    lam0, lam1 = point_plane_pencil(field, p, q0, q1)
-    found, _ = poly_roots(pencil_jump_poly(omega, lam0, lam1), field)
-    return [
-        Line.from_plucker(field, [field.add(a, field.mul(t, b)) for a, b in zip(lam0, lam1)])
-        for t in found
-    ]
+    found, _ = poly_roots(pencil_jump_poly(omega, *_pencil(field, p, q0, q1)), field)
+    return [_on_pencil(field, p, q0, q1, t) for t in found]
 
 
 @pytest.mark.parametrize("spec", ["fp:32003", "fp:7"])
@@ -392,7 +372,7 @@ def test_splitting_order_matches_section_module_oracle(spec):
         lines = []
         while len(lines) < 4:
             try:
-                lines.append(Line.from_points(field, st.next_vector(field, 4), st.next_vector(field, 4)))
+                lines.append(line_through(field, st.next_vector(field, 4), st.next_vector(field, 4)))
             except ValueError:
                 continue
         while True:
@@ -404,10 +384,10 @@ def test_splitting_order_matches_section_module_oracle(spec):
     mismatches, top_orders = [], 0
     for t, lines in cases:
         m = build_monad(t)
-        orders = splitting_orders(t, [line.plucker for line in lines])[0]
-        for line, a in zip(lines, orders):
-            if a != splitting_order_by_generators(m, line):
-                mismatches.append((t, line.plucker, a))
+        orders = splitting_orders(t, [lam for lam, _points in lines])[0]
+        for (lam, points), a in zip(lines, orders):
+            if a != splitting_order_by_generators(m, points):
+                mismatches.append((t, lam, a))
             top_orders += a == t.n
     assert mismatches == []
     assert top_orders >= 1  # some line reaches the maximal order a = n

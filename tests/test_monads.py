@@ -182,7 +182,7 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
     # on the tensor; a tensor read back from its file format starts without one
     from instantons import monads
     from instantons.families import fiber_solution_space
-    from instantons.geometry import Line, k_intersection_dim, line_invariants
+    from instantons.geometry import k_intersection_dim, line_invariants, line_through
 
     t = tensor_from_obj(tensor_to_obj(chain52))
     builds = []
@@ -193,7 +193,7 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
         return build(omega, N)
 
     monkeypatch.setattr(monads, "_monad_from_image", counting)
-    line = Line.from_points(F, [1, 0, 0, 0], [0, 1, 0, 0])
+    line = line_through(F, [1, 0, 0, 0], [0, 1, 0, 0])
     coh_table(t)
     sigma_kernel_dim(t)
     line_invariants(t, [line])

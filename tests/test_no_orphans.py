@@ -16,6 +16,10 @@ A parameter with a default that no call in src/ or perfbench/ passes is an
 option that every caller leaves at one value: a constant written as an
 option.  Calls are matched to a function by name, and to a class's __init__
 by the class name.
+
+An attribute that src/instantons assigns and that no attribute read in src/
+or perfbench/ names (the METHODS names count as read) is stored for nothing
+the program does.  Like the orphan scan, this one goes by name.
 """
 
 from __future__ import annotations
@@ -74,6 +78,27 @@ def orphans() -> list[str]:
     return sorted(found)
 
 
+def _read_attributes() -> set[str]:
+    """The attribute names read (not assigned) in src/ and perfbench/, and
+    the METHODS names."""
+    read = _traced_methods()
+    for _path, tree in _trees(*USERS):
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    return read
+
+
+def unread_attributes() -> list[str]:
+    read = _read_attributes()
+    found = []
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and node.attr not in read):
+                found.append(f"{path.stem}.{node.attr} (line {node.lineno})")
+    return sorted(set(found))
+
+
 def _calls() -> dict[str, list[ast.Call]]:
     """The calls in src/ and perfbench/ by the name they call."""
     calls: dict[str, list[ast.Call]] = {}
@@ -127,6 +152,11 @@ def test_every_default_is_passed_somewhere():
     assert unpassed_defaults() == []
 
 
+def test_every_stored_attribute_is_read_somewhere():
+    assert unread_attributes() == []
+
+
 if __name__ == "__main__":
     print("\n".join(orphans()) or "no orphans")
     print("\n".join(unpassed_defaults()) or "every default is passed")
+    print("\n".join(unread_attributes()) or "every stored attribute is read")

@@ -14,14 +14,13 @@ from instantons.fields import field_from_spec
 from instantons.linalg import Mat, Stream, sample_invertible
 from instantons.tensors import (
     OmegaTensor,
-    SkewHPart,
     block_sum,
-    decompose,
     kernel_inclusion,
     tensor_from_obj,
     tensor_to_obj,
     unflatten,
 )
+from oracles import skew_h_flatten
 
 
 def test_flatten_zero_and_small_ranks(F):
@@ -53,42 +52,23 @@ def test_degenerate_rank6_transcription(F, Q):
 def test_decompose_roundtrip(F):
     st = Stream("decomp", 1)
     t = random_tensor(2, F, st)
-    sym, skewh = decompose(t.flatten())
-    assert sym == t
-    assert skewh.is_zero()
-
-
-def test_decompose_dimension_bookkeeping(F):
-    # a random skew form on H (x) V with n = 2 splits into 18 + 10 coordinates
-    st = Stream("decomp2", 3)
-    rows = [[F.zero()] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(i + 1, 8):
-            c = st.next_element(F)
-            rows[i][j] = c
-            rows[j][i] = F.neg(c)
-    s = Mat.from_rows(F, rows, 8)
-    sym, skewh = decompose(s)
-    assert sym.coeffs.nrows * sym.coeffs.ncols == 18
-    assert skewh.coeffs.nrows * skewh.coeffs.ncols == 10
-    assert sym.flatten() + skewh.flatten() == s
+    assert unflatten(t.flatten()) == t
 
 
 def test_decompose_pure_skewh_part(F):
+    # a form in wedge^2 H* (x) S^2 V* alone has no S^2 H* (x) wedge^2 V* part
     st = Stream("decomp3", 5)
-    part = SkewHPart(2, F, Mat.from_rows(F, [st.next_vector(F, 10)], 10))
-    sym, skewh = decompose(part.flatten())
-    assert sym.coeffs.is_zero()
-    assert skewh.coeffs == part.coeffs
-    with pytest.raises(ValueError):
-        unflatten(part.flatten())
+    form = skew_h_flatten(2, Mat.from_rows(F, [st.next_vector(F, 10)], 10))
+    assert (form + form.transpose()).is_zero()
+    with pytest.raises(ValueError, match="nonzero wedge"):
+        unflatten(form)
 
 
 @pytest.mark.parametrize("spec", ["fp:2", "fp:2^2"])
 def test_decompose_needs_characteristic_not_2(spec):
     f = field_from_spec(spec)
     with pytest.raises(ValueError) as info:
-        decompose(Mat.zeros(f, 4, 4))
+        unflatten(Mat.zeros(f, 4, 4))
     assert f"characteristic != 2, not {spec}" in str(info.value)
 
 
@@ -240,10 +220,12 @@ def _tensor(data, fld) -> OmegaTensor:
 def test_flatten_decompose_and_file_round_trips(spec, data):
     fld = field_from_spec(spec)
     t = _tensor(data, fld)
-    s = SkewHPart(t.n, fld, _matrix(data, fld, t.n * (t.n - 1) // 2, 10))
-    sym, skewh = decompose(t.flatten() + s.flatten())
-    assert sym == t and skewh.coeffs == s.coeffs
     assert unflatten(t.flatten()) == t
+    # adding a nonzero wedge^2 H* (x) S^2 V* part makes the form no flattening
+    s = _matrix(data, fld, t.n * (t.n - 1) // 2, 10)
+    if not s.is_zero():
+        with pytest.raises(ValueError, match="nonzero wedge"):
+            unflatten(t.flatten() + skew_h_flatten(t.n, s))
     assert tensor_from_obj(json.loads(json.dumps(tensor_to_obj(t)))) == t
 
 
@@ -258,7 +240,7 @@ def test_decompose_rejects_a_matrix_that_is_no_skew_form(spec, data):
     bump = Mat.from_rows(fld, [[c if (r, k) == (i, j) else fld.zero() for k in range(m.ncols)]
                                for r in range(m.nrows)], m.ncols)
     with pytest.raises(ValueError, match="not skew-symmetric"):
-        decompose(m + bump)
+        unflatten(m + bump)
     side = data.draw(st.integers(1, 22).filter(lambda x: x % 4))
     with pytest.raises(ValueError, match="side must be 4n"):
-        decompose(Mat.zeros(fld, side, side))
+        unflatten(Mat.zeros(fld, side, side))
