@@ -15,13 +15,6 @@ WEDGE_PAIRS: list[tuple[int, int]] = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2
 WEDGE_INDEX = {pair: i for i, pair in enumerate(WEDGE_PAIRS)}
 
 
-def wedge_coord(k: int, l: int) -> tuple[int, int]:
-    """(index, sign) of e_k ^ e_l in the ordered wedge basis; k != l."""
-    if k < l:
-        return WEDGE_INDEX[(k, l)], 1
-    return WEDGE_INDEX[(l, k)], -1
-
-
 def sym_pairs(n: int) -> list[tuple[int, int]]:
     """Basis (i, j), i <= j, of S^2 of an n-dimensional space, lex order."""
     return [(i, j) for i in range(n) for j in range(i, n)]

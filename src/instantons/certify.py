@@ -11,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .bases import expected_stratum_dim, full_skew_tangent_dim
+from .families import fiber_solution_space
 from .geometry import k_intersection_dim
 from .linalg import Mat, Stream, kron
 from .monads import (
@@ -95,8 +96,6 @@ def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int,
 def fiber_dim_check(omega_bar: OmegaTensor) -> tuple[int, int, bool]:
     """Compare the extension solution-space dimension against dim H + h0 E(1),
     computed by independent routes (linear solve vs cohomology)."""
-    from .families import fiber_solution_space
-
     m = gated_display(omega_bar)
     sol = fiber_solution_space(omega_bar).dim
     expected = omega_bar.n + m.h_values(1)[0]

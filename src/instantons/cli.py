@@ -70,7 +70,6 @@ def _parser() -> argparse.ArgumentParser:
 
     u = sub.add_parser("suite", parents=[common], help="run the acceptance battery")
     u.add_argument("--only", default=None, help="restrict to one criterion tag or id")
-    u.add_argument("--chains", type=int, default=20, help="number of (5,2) chain samples")
     return p
 
 
@@ -148,7 +147,7 @@ def main(argv=None) -> int:
 
 # the least value of each numeric option of a subcommand, and the largest
 # where there is one: a degenerate display ranks every twist's maps, dmax^3 a side
-_LEAST = {"chains": 1, "count": 0, "dmax": -2}
+_LEAST = {"count": 0, "dmax": -2}
 _MOST = {"dmax": 12}
 
 
@@ -203,7 +202,7 @@ def _run(args) -> int:
     if args.command == "suite":
         from .suite import run_suite
 
-        summary = run_suite(field=field, only=args.only, chain_count=args.chains)
+        summary = run_suite(field=field, only=args.only)
         summary["config"] = _config_echo(args)
         text = json.dumps(summary, indent=2 if args.json else None, sort_keys=True)
         if args.out:

@@ -47,57 +47,16 @@ class Field:
     arithmetic on them.  A field object doubles as its own spec: ``kind`` is
     one of "rational" | "prime" | "prime-extension", with modulus ``p`` and
     extension degree ``k`` when finite.
+
+    Every field class provides zero(), one(), add, sub, mul, neg, inv (a
+    ZeroDivisionError at 0), is_zero, of_int, to_str, its inverse parse, and
+    spec_str(), the spec field_from_spec reads back.  The finite ones also
+    provide elements(), in a fixed order, and the property order, their count.
     """
 
     kind: str
     p: int | None
     k: int
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def of_int(self, n: int):
-        raise NotImplementedError
-
-    def parse(self, s: str):
-        """Inverse of :meth:`to_str`."""
-        raise NotImplementedError
-
-    def to_str(self, a) -> str:
-        raise NotImplementedError
-
-    def elements(self):
-        """Iterate all field elements (finite fields only)."""
-        raise NotImplementedError
-
-    @property
-    def order(self) -> int | None:
-        """Number of elements, or None for the rationals."""
-        return None
-
-    def spec_str(self) -> str:
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"Field({self.spec_str()})"

@@ -220,17 +220,16 @@ class Mat:
     pure; none mutate their arguments.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_a", "_rref", "_rank", "_kernel")
+    __slots__ = ("field", "nrows", "ncols", "_a", "_rref", "_rank")
 
     def __init__(self, field: Field, nrows: int, ncols: int, data):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self._a = data
-        # kept by rref(), rank() (and det()) and kernel(): the matrix never changes
+        # kept by rref() and rank() (and det()): the matrix never changes
         self._rref = None
         self._rank = None
-        self._kernel = None
 
     # -- constructors -------------------------------------------------
 
@@ -307,11 +306,6 @@ class Mat:
         return Mat(field, len(d), dim, [[one if x < 0 else vals[x] for x in r] for r in d.tolist()])
 
     # -- access -------------------------------------------------------
-
-    def get(self, i: int, j: int):
-        if _use_np(self.field):
-            return int(self._a[i, j])
-        return self._a[i][j]
 
     def row(self, i: int) -> list:
         if _use_np(self.field):
@@ -437,9 +431,6 @@ class Mat:
         return all(
             f.is_zero(f.sub(x, y)) for r1, r2 in zip(self._a, other._a) for x, y in zip(r1, r2)
         )
-
-    def __hash__(self):
-        return hash((self.field.spec_str(), self.nrows, self.ncols, str(self.rows())))
 
     def is_zero(self) -> bool:
         if _use_np(self.field):
@@ -573,18 +564,15 @@ class Mat:
     def kernel(self) -> "Subspace":
         """Right kernel {v : self @ v = 0} as a canonical Subspace: one vector
         per free column c, e_c minus column c of the RREF on the pivots."""
-        if self._kernel is None:
-            r, piv = self.rref()
-            f, n = self.field, self.ncols
-            pivots = set(piv)
-            free = [c for c in range(n) if c not in pivots]
-            if not free:
-                self._kernel = Subspace.zero(f, n)
-            else:
-                red = r.take_rows(range(len(piv))).take_cols(free).transpose()
-                basis = Mat.identity(f, len(free)).place_cols(free, n) - red.place_cols(piv, n)
-                self._kernel = Subspace.from_spanning(basis)
-        return self._kernel
+        r, piv = self.rref()
+        f, n = self.field, self.ncols
+        pivots = set(piv)
+        free = [c for c in range(n) if c not in pivots]
+        if not free:
+            return Subspace.zero(f, n)
+        red = r.take_rows(range(len(piv))).take_cols(free).transpose()
+        basis = Mat.identity(f, len(free)).place_cols(free, n) - red.place_cols(piv, n)
+        return Subspace.from_spanning(basis)
 
     def row_space(self) -> "Subspace":
         return Subspace.from_spanning(self)
@@ -729,9 +717,6 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         return self.ambient == other.ambient and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
 
     def _check(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:

@@ -73,21 +73,22 @@ class Monad:
     nH is the dimension of the end space H-bar (n for the monad of a tensor,
     n-1 after restriction to a hyperplane of H); m = dim N is the middle
     dimension.  umat (4*nH x m) is the fiberwise right map N -> H-bar* (x) V*;
-    wmat (m x 4*nH) is the fiberwise left map H-bar (x) V -> N; phi is the
-    symplectic matrix on N recovered from the tensor, never assumed.
+    phi is the symplectic matrix on N recovered from the tensor, never
+    assumed; the fiberwise left map H-bar (x) V -> N is derived from them,
+    wmat = phi umat^T (m x 4*nH), so beta = phi o alpha*.
     """
 
     __slots__ = ("field", "nH", "m", "N", "phi", "umat", "wmat", "_ranks", "_onto", "_s2",
                  "_restricted")
 
-    def __init__(self, field: Field, nH: int, N: Subspace, phi: Mat, umat: Mat, wmat: Mat):
+    def __init__(self, field: Field, nH: int, N: Subspace, phi: Mat, umat: Mat):
         self.field = field
         self.nH = nH
         self.m = phi.nrows
         self.N = N
         self.phi = phi
         self.umat = umat
-        self.wmat = wmat
+        self.wmat = phi @ umat.transpose()
         # kept once found: the ranks of alpha(d) and beta(d) by twist d, the least twist
         # d >= 0 where alpha is onto, the S^2 triple, the restricted displays by xi
         self._ranks = {}
@@ -192,17 +193,14 @@ def gated_display(omega: OmegaTensor) -> Monad:
 
 
 def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:
-    f, n = omega.field, omega.n
     M = omega.flatten()
     piv = N.pivots
     phi = M.take_rows(piv).take_cols(piv)
     B = N.basis
-    umat = B.transpose()
-    wmat = phi @ B
     # self-certification: u o phi o u* must reproduce the flattening exactly
     if not (B.transpose() @ phi @ B == M):
         raise MonadError("failed to factor the flattening through phi")
-    return Monad(f, n, N, phi, umat, wmat)
+    return Monad(omega.field, omega.n, N, phi, B.transpose())
 
 
 def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
@@ -218,11 +216,9 @@ def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
     key = tuple(xi)
     if key not in plain._restricted:
         j = kernel_inclusion(omega.field, xi)
-        eye = Mat.identity(omega.field, 4)
-        proj = kron(j.transpose(), eye)  # H* (x) V* -> H-bar* (x) V*
-        incl = kron(j, eye)  # H-bar (x) V -> H (x) V
+        proj = kron(j.transpose(), Mat.identity(omega.field, 4))  # H* (x) V* -> H-bar* (x) V*
         plain._restricted[key] = Monad(omega.field, omega.n - 1, plain.N, plain.phi,
-                                       proj @ plain.umat, plain.wmat @ incl)
+                                       proj @ plain.umat)
     return plain._restricted[key]
 
 

@@ -240,11 +240,6 @@ class _Accumulator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    @property
-    def basis(self) -> Mat:
-        eye = Mat.identity(self.block.field, self.rank).place_cols(self.pivots, self.ncols)
-        return eye + self.block.place_cols(self.free, self.ncols)
-
     def add_reduced(self, pivots: list[int], free: list[int], block: Mat, idx) -> None:
         """Add the span of the reduced basis e_pivots[i] + block[i] on free,
         each column c moved to idx[c]: an increasing idx keeps it reduced, so

@@ -40,12 +40,14 @@ from .nondeg import DEFAULT_BUDGET, classify, witness_search
 from .tensors import OmegaTensor, block_sum
 
 
+CHAIN_COUNT = 20  # the (5,2) induction-chain tensors C4 and C11 check
+
+
 class SuiteContext:
     """Shared fixtures: the twenty induction-chain tensors are sampled once."""
 
-    def __init__(self, field: Field, chain_count: int = 20):
+    def __init__(self, field: Field):
         self.field = field
-        self.chain_count = chain_count
         self._chains: dict[int, OmegaTensor] = {}
 
     def chain52(self, seed: int) -> OmegaTensor:
@@ -145,7 +147,7 @@ def crit_chains(ctx: SuiteContext) -> tuple[bool, dict]:
     fixed cohomology table entries, and vanishing of h2 S^2."""
     per_seed = []
     ok = True
-    for seed in range(ctx.chain_count):
+    for seed in range(CHAIN_COUNT):
         t = ctx.chain52(seed)
         m = build_monad(t)
         verdict = classify(t, DEFAULT_BUDGET)
@@ -355,7 +357,7 @@ def crit_xi_search(ctx: SuiteContext) -> tuple[bool, dict]:
     inequality holds whenever h2 S^2 of the restriction vanishes."""
     per = []
     ok = True
-    for seed in range(ctx.chain_count):
+    for seed in range(CHAIN_COUNT):
         t = ctx.chain52(seed)
         xi, h1, trial, _log = find_xi(t, seed=("xi", seed))
         rep = propagation_check(t, xi)
@@ -426,7 +428,7 @@ def crit_geometry(ctx: SuiteContext) -> tuple[bool, dict]:
 
 def crit_rational_audit(ctx: SuiteContext) -> tuple[bool, dict]:
     """Criteria 1-3 re-run over the exact rationals with identical outcomes."""
-    qctx = SuiteContext(QQ, chain_count=0)
+    qctx = SuiteContext(QQ)
     d = {}
     ok = True
     for name, fn in (
@@ -474,16 +476,19 @@ CRITERIA: list[tuple[str, str, str, callable]] = [
 RATIONAL_SAFE = {"transcription", "thooft", "quadric-ideals"}
 
 
-def run_suite(field: Field, only: str | None = None, chain_count: int = 20) -> dict:
+def run_suite(field: Field, only: str | None = None) -> dict:
     """Run the acceptance battery, printing one line per criterion, with its
-    wall-clock time, to stderr; returns a JSON-ready summary."""
-    ctx = SuiteContext(field, chain_count=chain_count)
+    wall-clock time, to stderr; returns a JSON-ready summary.  An only that
+    selects no criterion run over field is a ValueError before any runs."""
+    runs = [c for c in CRITERIA if field.kind != "rational" or c[1] in RATIONAL_SAFE]
+    chosen = [c for c in runs if not only or only in (c[1], c[0], c[0].lower())]
+    if not chosen:
+        names = ", ".join(f"{cid} ({tag})" for cid, tag, _desc, _fn in runs)
+        raise ValueError(f"--only {only!r} selects no criterion that runs over "
+                         f"{field.spec_str()}; expected one of {names}")
+    ctx = SuiteContext(field)
     criteria = []
-    for cid, tag, desc, fn in CRITERIA:
-        if only and only not in (tag, cid, cid.lower()):
-            continue
-        if field.kind == "rational" and tag not in RATIONAL_SAFE:
-            continue
+    for cid, tag, desc, fn in chosen:
         t0 = time.time()
         try:
             passed, details = fn(ctx)
@@ -493,5 +498,5 @@ def run_suite(field: Field, only: str | None = None, chain_count: int = 20) -> d
         print(f"{cid:<4} {tag:<16} {mark}  ({time.time() - t0:.1f}s)  {desc}", file=sys.stderr)
         criteria.append({"cid": cid, "tag": tag, "description": desc, "passed": passed,
                          "details": details})
-    return {"field": field.spec_str(), "chain_count": chain_count,
+    return {"field": field.spec_str(), "chain_count": CHAIN_COUNT,
             "passed": all(c["passed"] for c in criteria), "criteria": criteria}

@@ -14,7 +14,7 @@ from .bases import (
     hv_index,
     sym_index_map,
     sym_pairs,
-    wedge_coord,
+    WEDGE_INDEX,
 )
 from .fields import Field, field_from_spec
 from .linalg import Mat, Pattern, Subspace, kron
@@ -92,10 +92,6 @@ class OmegaTensor:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(n: int, field: Field) -> "OmegaTensor":
-        return OmegaTensor(n, field, Mat.zeros(field, n * (n + 1) // 2, 6))
-
-    @staticmethod
     def from_entries(n: int, field: Field, entries) -> "OmegaTensor":
         """Build from {(i, j, k, l): c} with i <= j and k < l."""
         rows = [[field.zero()] * 6 for _ in range(n * (n + 1) // 2)]
@@ -103,7 +99,7 @@ class OmegaTensor:
         for (i, j, k, l), c in entries.items():
             if i > j or k >= l or l > 3 or k < 0 or j >= n or i < 0:
                 raise ValueError(f"bad index quadruple {(i, j, k, l)}")
-            rows[sym[(i, j)]][wedge_coord(k, l)[0]] = c
+            rows[sym[i, j]][WEDGE_INDEX[k, l]] = c
         return OmegaTensor(n, field, Mat.from_rows(field, rows, 6))
 
     @staticmethod
@@ -182,9 +178,6 @@ class OmegaTensor:
         if not isinstance(other, OmegaTensor):
             return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
 
     def __repr__(self) -> str:
         return f"OmegaTensor(n={self.n}, {self.field.spec_str()})"

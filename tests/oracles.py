@@ -135,7 +135,7 @@ from instantons.bases import (
     sym_pairs,
 )
 from instantons.certify import XI_TRIALS
-from instantons.fields import ExtensionField, PrimeField, is_prime
+from instantons.fields import QQ, ExtensionField, PrimeField, is_prime
 from instantons.geometry import plucker_of_span
 from instantons.linalg import Mat, Pattern, Stream, Subspace, kron
 from instantons.monads import Monad, MonadError, _s2_maps, build_monad
@@ -146,6 +146,7 @@ from instantons.nondeg import (
     SpanningCertifier,
     Verdict,
 )
+from instantons.tensors import OmegaTensor
 
 
 def _contract_side(m: Mat, n: int, point: list, scan_h: bool, fld) -> Mat:
@@ -333,19 +334,19 @@ def _restricted_maps(m: Monad, points: list, d: int) -> tuple[Mat, Mat]:
     two points: each x_k is replaced by its linear form in the line's two
     coordinates."""
     f = m.field
-    subs = Mat.from_rows(f, points, 4)
+    subs, umat, wmat = Mat.from_rows(f, points, 4).rows(), m.umat.rows(), m.wmat.rows()
 
     def on_line(entry, rv):
         acc = f.zero()
         for k in range(4):
-            acc = f.add(acc, f.mul(entry(k), subs.get(rv, k)))
+            acc = f.add(acc, f.mul(entry(k), subs[rv][k]))
         return acc
 
     alpha = _graded_on_line(
-        f, lambda a, s, rv: on_line(lambda k: m.umat.get(hv_index(a, k), s), rv), m.nH, m.m, d
+        f, lambda a, s, rv: on_line(lambda k: umat[hv_index(a, k)][s], rv), m.nH, m.m, d
     )
     beta = _graded_on_line(
-        f, lambda s, a, rv: on_line(lambda k: m.wmat.get(s, hv_index(a, k)), rv), m.m, m.nH, d - 1
+        f, lambda s, a, rv: on_line(lambda k: wmat[s][hv_index(a, k)], rv), m.m, m.nH, d - 1
     )
     return alpha, beta
 
@@ -656,6 +657,29 @@ def s2_is_complex_dense(m: Monad) -> bool:
     """Reference for the check in `monads.s2_cohomology` that d1 @ d0 = 0."""
     d0, d1 = _s2_maps(m)
     return (d1 @ d0).is_zero()
+
+
+def accumulator_basis(acc) -> Mat:
+    """The reduced basis a `nondeg._Accumulator` stands for: row i is
+    e_pivots[i] + block[i] on the free columns."""
+    eye = Mat.identity(acc.block.field, acc.rank).place_cols(acc.pivots, acc.ncols)
+    return eye + acc.block.place_cols(acc.free, acc.ncols)
+
+
+def beyond_small_height_q() -> OmegaTensor:
+    """A frozen rank-6 rational tensor built to vanish at h = (1, 7),
+    v = (1, 3, 0, 5): a witness beyond the small-height direct scan, found
+    by the scan mod the auxiliary prime and lifted."""
+    coeffs = [
+        "1", "2", "15", "12", "-2", "-9", "5", "14", "-183/35", "17", "46/35",
+        "538/35", "10", "14", "-1392/245", "12", "479/245", "2367/245",
+    ]
+    return OmegaTensor.from_vec(2, QQ, [Fraction(c) for c in coeffs])
+
+
+def zero_tensor(n: int, field) -> OmegaTensor:
+    """The zero tensor in S^2 H* (x) wedge^2 V*, dim H = n."""
+    return OmegaTensor(n, field, Mat.zeros(field, n * (n + 1) // 2, 6))
 
 
 def sample_matrix(rows: int, cols: int, field, seed) -> Mat:

@@ -13,7 +13,7 @@ from instantons.suite import CRITERIA, SuiteContext, crit_geometry, run_suite
 
 @pytest.fixture(scope="module")
 def ctx():
-    return SuiteContext(GF32003, chain_count=20)
+    return SuiteContext(GF32003)
 
 
 @pytest.mark.parametrize("cid,tag,desc,fn", CRITERIA, ids=[c[0] for c in CRITERIA])

@@ -173,16 +173,15 @@ def test_characteristic_2_extension_is_input_error(field, capsys):
 
 
 @pytest.mark.parametrize("argv,error", [
-    (["suite", "--chains", "0"], "--chains 0: must be at least 1"),
-    (["suite", "--chains", "-1", "--only", "chains"], "--chains -1: must be at least 1"),
+    (["sample", "--n", "0", "--r", "2"], "samplers cover 1 <= n <= 5"),
+    (["sample", "--n", "2", "--r", "0"], "(n, r) = (2, 0) is not an admissible pair"),
     (["table", "lines", "--example", "nc", "--count", "-1"], "--count -1: must be at least 0"),
     (["table", "coh", "--example", "nc", "--dmax", "-3"], "--dmax -3: must be at least -2"),
     (["table", "lines", "--example", "nc", "--count", "0"], None),
     (["table", "coh", "--example", "nc", "--dmax", "-2"], None),
 ])
 def test_numeric_options_below_their_range_are_input_errors(argv, error, capsys):
-    # --chains 0 once passed the chains criterion with no chain checked, and
-    # --count -1 and --dmax -3 printed empty tables
+    # --count -1 and --dmax -3 once printed empty tables
     assert run(argv) == (2 if error else 0)
     out = capsys.readouterr()
     if error:
@@ -335,6 +334,25 @@ def test_suite_single_criterion(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert '"passed": true' in out
+
+
+@pytest.mark.parametrize("argv,runs", [
+    (["--only", "nonsense"], "C1 (transcription), C2 (thooft), C3 (quadric-ideals), C4 (chains)"),
+    (["--only", "chains", "--field", "rational"],
+     "C1 (transcription), C2 (thooft), C3 (quadric-ideals)\n"),
+])
+def test_suite_selection_that_runs_no_criterion_is_input_error(argv, runs, capsys):
+    # such a selection once printed "criteria": [] and "passed": true; C4
+    # does not run over Q.  The message names what runs over the field.
+    assert run(["suite", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: --only {argv[1]!r} selects no criterion")
+    assert runs in out.err
+
+
+def test_suite_criterion_over_the_rationals(capsys):
+    assert run(["suite", "--only", "transcription", "--field", "rational"]) == 0
+    assert [c["cid"] for c in json.loads(capsys.readouterr().out)["criteria"]] == ["C1"]
 
 
 def test_suite_stdout_is_the_json_summary(capsys):

@@ -44,8 +44,8 @@ def test_thooft_net_shape(F):
     assert net.nrows == 20 and net.ncols == 12
     assert net.column_space().dim == 12
     # row a carries the four coordinates in columns 2a..2a+3
-    assert net.get(4 * 2 + 1, 2 * 2 + 1) == 1
-    assert net.get(0, 5) == 0
+    assert net.row(4 * 2 + 1)[2 * 2 + 1] == 1
+    assert net.row(0)[5] == 0
 
 
 def test_thooft_tensor_properties(F):

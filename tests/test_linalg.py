@@ -216,7 +216,7 @@ def test_kron_matches_definition(F, Q):
             for j in range(3):
                 for r in range(3):
                     for c in range(2):
-                        assert k.get(3 * i + r, 2 * j + c) == fld.mul(a.get(i, j), b.get(r, c))
+                        assert k.row(3 * i + r)[2 * j + c] == fld.mul(a.row(i)[j], b.row(r)[c])
 
 
 def test_place_cols_undoes_take_cols(F, Q):
@@ -262,7 +262,7 @@ def _explicit_kernel_basis(m: Mat) -> Mat:
         v = [f.zero()] * m.ncols
         v[fc] = f.one()
         for i, pc in enumerate(piv):
-            v[pc] = f.neg(r.get(i, fc))
+            v[pc] = f.neg(r.row(i)[fc])
         vecs.append(v)
     return Mat.from_rows(f, vecs, m.ncols)
 
@@ -317,7 +317,7 @@ def test_gather_matches_definition(spec):
                             src_shape[1])
         expect = [[fld.zero()] * shape[1] for _ in range(shape[0])]
         for r, c, i, j, sign in terms:
-            x = src.get(i, j)
+            x = src.row(i)[j]
             expect[r][c] = fld.add(expect[r][c], x if sign > 0 else fld.neg(x))
         got = src.gather(Pattern(shape, src_shape, terms))
         assert got == Mat.from_rows(fld, expect, shape[1])
@@ -603,12 +603,12 @@ def _square(data, fld, n: int) -> Mat:
 
 
 def _leibniz_det(m: Mat):
-    f, n = m.field, m.nrows
+    f, n, rows = m.field, m.nrows, m.rows()
     total = f.zero()
     for perm in permutations(range(n)):
         term = f.one()
         for i, j in enumerate(perm):
-            term = f.mul(term, m.get(i, j))
+            term = f.mul(term, rows[i][j])
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total = f.sub(total, term) if inversions % 2 else f.add(total, term)
     return total

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from instantons import monads
-from instantons.bases import euler_chi, sym_index_map, wedge_coord
+from instantons.bases import WEDGE_INDEX, euler_chi, sym_index_map
 from instantons.families import (
     extend_affine,
     nc_tensor,
@@ -45,14 +45,14 @@ def test_build_monad_self_certifies(F, full36, chain52):
 
 def test_build_monad_rejects_bad_rank(F):
     with pytest.raises(MonadError):
-        build_monad(OmegaTensor.zero(2, F))
+        build_monad(oracles.zero_tensor(2, F))
     with pytest.raises(MonadError):
-        build_monad(block_sum(nc_tensor(F), OmegaTensor.zero(1, F)))  # rank 4 = 2n
+        build_monad(block_sum(nc_tensor(F), oracles.zero_tensor(1, F)))  # rank 4 = 2n
 
 
 def test_quick_degeneracy_scan(F):
     t = block_sum(nc_tensor(F), nc_tensor(F))
-    t_deg = block_sum(t, OmegaTensor.zero(1, F))  # rank 8 = 2n+2 for n=3, but degenerate
+    t_deg = block_sum(t, oracles.zero_tensor(1, F))  # rank 8 = 2n+2 for n=3, but degenerate
     with pytest.raises(MonadError, match=r"witness at basis pair \(2, 0\)"):
         monads.gated_display(t_deg)
     assert build_monad(t_deg).m == 8
@@ -60,7 +60,7 @@ def test_quick_degeneracy_scan(F):
     # check comes first, so a zero tensor is refused for its rank
     assert monads.gated_display(t) is build_monad(t)
     with pytest.raises(MonadError, match="admissible range"):
-        monads.gated_display(OmegaTensor.zero(2, F))
+        monads.gated_display(oracles.zero_tensor(2, F))
 
 
 def test_h_values_fixed_rows(F, chain52, full36):
@@ -203,7 +203,7 @@ def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
     assert build_monad(t) is first
     assert builds == [t]
     # a rank error is raised on every call, and nothing is kept
-    zero = OmegaTensor.zero(2, F)
+    zero = oracles.zero_tensor(2, F)
     for _ in range(2):
         with pytest.raises(MonadError):
             build_monad(zero)
@@ -216,7 +216,7 @@ def _planted_witness(n: int, f, seed) -> OmegaTensor:
     rows = random_tensor(n, f, Stream("planted", n, seed)).coeffs.rows()
     for b in range(n):
         for l in (1, 2, 3):
-            rows[sym_index_map(n)[0, b]][wedge_coord(0, l)[0]] = f.zero()
+            rows[sym_index_map(n)[0, b]][WEDGE_INDEX[0, l]] = f.zero()
     return OmegaTensor(n, f, Mat.from_rows(f, rows, 6))
 
 
@@ -247,7 +247,7 @@ def test_coh_table_matches_every_twist_oracle(spec, n, r_half, dmax, seed, kind,
     if kind == "degenerate":
         omega = _planted_witness(max(n, 2), f, seed)
     elif kind == "defect":
-        omega = block_sum(sample_full(max(n, 3) - 1, f, seed), OmegaTensor.zero(1, f))
+        omega = block_sum(sample_full(max(n, 3) - 1, f, seed), oracles.zero_tensor(1, f))
     elif spec == "rational":
         # rational mode samples r = 2n only; the thooft tensors have r = 2
         omega = thooft_tensor(n, f) if 1 < n and r_half < n else sample_full(n, f, seed)

@@ -20,12 +20,27 @@ by the class name.
 An attribute that src/instantons assigns and that no attribute read in src/
 or perfbench/ names (the METHODS names count as read) is stored for nothing
 the program does.  Like the orphan scan, this one goes by name.
+
+The reach test closes the gap the name scans leave: it runs a fixed list of
+CLI commands in this process under sys.setprofile and checks that every
+function and method defined in src/instantons was entered, each told apart
+by its file and first line, not by its name.  A __repr__ and the METHODS
+entries are exempt: Python calls the one only to show an object, and the
+benchmark calls the others.  The package's function caches are emptied
+first, so that a function an earlier test filled a cache from is entered
+again.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import sys
 from pathlib import Path
+
+from instantons import cli
+from instantons.tensors import write_tensor
+from oracles import beyond_small_height_q
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "instantons"
@@ -51,12 +66,17 @@ def _named(tree: ast.AST) -> set[str]:
     return names
 
 
-def _traced_methods() -> set[str]:
-    """The method names in perfbench/spans.py's METHODS."""
+def _traced_entries() -> set[tuple[str, str, str]]:
+    """The (module, class, method) entries of perfbench/spans.py's METHODS."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
     node = next(node for node in tree.body if isinstance(node, ast.Assign)
                 and getattr(node.targets[0], "id", None) == "METHODS")
-    return {meth for _module, _cls, meth, _name in ast.literal_eval(node.value)}
+    return {(module, cls, meth) for module, cls, meth, _name in ast.literal_eval(node.value)}
+
+
+def _traced_methods() -> set[str]:
+    """The method names in perfbench/spans.py's METHODS."""
+    return {meth for _module, _cls, meth in _traced_entries()}
 
 
 def orphans() -> list[str]:
@@ -144,6 +164,83 @@ def unpassed_defaults() -> list[str]:
     return found
 
 
+# CLI commands that between them enter every function of the package; the
+# files {hidden} (a rational tensor whose witness is found only by the lifted
+# scan) and {exported} are written by the test
+REACH_COMMANDS = (
+    "certify --example thooft3 --induction",
+    "certify --example degenerate-rank6 --field rational",
+    "certify --example three-nc --field fp:7",
+    "certify --example two-sum --field fp:2097143",
+    "certify --sample 5,2",
+    "certify --tensor {hidden} --field rational",
+    "table coh --example sum-family:1,0,0,1 --field fp:11^2",
+    "table lines --example thooft3 --field fp:5^2 --count 3",
+    "table pencil --example thooft4 --field fp:5^2 --seed 1",
+    "table pencil --example nc --field fp:2^3",
+    "table lines --example nc --field rational --count 2",
+    "table pencil --example thooft3 --field rational",
+    "export --id nc --out {exported}",
+    "table coh --tensor {exported}",
+    "sample --n 3 --r 2",
+    "suite",
+)
+
+
+def _package_modules() -> list:
+    return [importlib.import_module(f"instantons.{path.stem}")
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def _definitions(module) -> dict[tuple[str, int], str]:
+    """(file, first line) of every function and method the module defines,
+    nested ones too, to its dotted name; a decorated function's code starts
+    at its first decorator."""
+    path = str(Path(module.__file__).resolve())
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[path, line] = name
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(Path(path).read_text()), f"{module.__name__.split('.')[-1]}.")
+    return found
+
+
+def unentered(argvs: list[list[str]]) -> list[str]:
+    """The functions and methods of the package that running the commands
+    does not enter, but a __repr__ and the METHODS entries."""
+    modules = _package_modules()
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    entered = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(argvs)
+    starts = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in entered}
+    exempt = {".".join(entry) for entry in _traced_entries()}
+    return sorted(name for module in modules for key, name in _definitions(module).items()
+                  if key not in starts and not name.endswith(".__repr__") and name not in exempt)
+
+
 def test_no_orphaned_functions():
     assert orphans() == []
 
@@ -154,6 +251,13 @@ def test_every_default_is_passed_somewhere():
 
 def test_every_stored_attribute_is_read_somewhere():
     assert unread_attributes() == []
+
+
+def test_every_function_is_entered_by_a_command(tmp_path):
+    files = {"hidden": tmp_path / "hidden.json", "exported": tmp_path / "exported.json"}
+    write_tensor(beyond_small_height_q(), str(files["hidden"]))
+    argvs = [[arg.format(**files) for arg in command.split()] for command in REACH_COMMANDS]
+    assert unentered(argvs) == []
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    accumulator_basis,
     add_full_width,
     classify_scan_first,
     piece_rank_by_spanning_set,
@@ -15,7 +16,9 @@ from oracles import (
     scan_by_loops,
     spanning_set_cells,
     verify_witness,
+    beyond_small_height_q,
     witness_search_by_loops,
+    zero_tensor,
 )
 
 import instantons.nondeg
@@ -50,7 +53,7 @@ def test_witness_on_degenerate_example(F):
 
 
 def test_witness_zero_tensor(F):
-    t = OmegaTensor.zero(2, F)
+    t = zero_tensor(2, F)
     h, v, fld = witness_search(t)
     assert h == [1, 0] and v == [1, 0, 0, 0]
 
@@ -87,7 +90,7 @@ def test_certificate_monotone_on_chain(F, chain52):
 
 
 def test_classify_stratum_degenerate(F):
-    t = block_sum(nc_tensor(F), OmegaTensor.zero(1, F))  # rank 4 <= 2n with n=2
+    t = block_sum(nc_tensor(F), zero_tensor(1, F))  # rank 4 <= 2n with n=2
     v = classify(t)
     assert v.is_degenerate
     assert "rank" in v.reason
@@ -118,16 +121,6 @@ def _conjugate_pair_f3() -> OmegaTensor:
     )
 
 
-def _beyond_small_height_q(Q) -> OmegaTensor:
-    # frozen rank-6 rational tensor built to vanish at h = (1, 7),
-    # v = (1, 3, 0, 5)
-    coeffs = [
-        "1", "2", "15", "12", "-2", "-9", "5", "14", "-183/35", "17", "46/35",
-        "538/35", "10", "14", "-1392/245", "12", "479/245", "2367/245",
-    ]
-    return OmegaTensor.from_vec(2, Q, [Fraction(c) for c in coeffs])
-
-
 def test_extension_witness_tower():
     # the base-field scan finds nothing, the degree-2 scan finds a witness,
     # and the certificate never closes
@@ -144,7 +137,7 @@ def test_extension_witness_tower():
 def test_rational_witness_found_by_auxiliary_reduction(Q):
     # the witness lies beyond the small-height direct scan and is recovered
     # by reduction mod the auxiliary prime plus lifting
-    t = _beyond_small_height_q(Q)
+    t = beyond_small_height_q()
     assert t.rank() == 6
     w = witness_search(t, point_cap=4096)
     assert w is not None
@@ -164,7 +157,7 @@ def test_rational_tensor_scanned_mod_the_next_prime_when_311_divides_a_denominat
     nc = nc_tensor(Q, [Fraction(1), 0, 0, 0, 0, third])
     assert instantons.nondeg._flatten_in_field(nc, aux) is None
     assert witness_search(nc, point_cap=4096) is None
-    hidden = _beyond_small_height_q(Q)
+    hidden = beyond_small_height_q()
     scaled = OmegaTensor(2, Q, hidden.coeffs.scale(third))
     assert instantons.nondeg._flatten_in_field(scaled, aux) is None
     points = {}
@@ -444,7 +437,7 @@ def test_accumulator_matches_full_width_oracle(spec, data):
         acc.add_reduced(piv, free, block, idx)
         basis, pivots = add_full_width(basis, pivots, dense.place_cols(idx, ncols))
         assert acc.pivots == pivots
-        assert acc.basis == basis
+        assert accumulator_basis(acc) == basis
     assert acc.rank == ncols
 
 
@@ -502,11 +495,11 @@ def _pieces_digest(t: OmegaTensor, schedule) -> str:
     h = hashlib.sha256()
     for d, e, _, _ in cert.built:
         acc = cert.piece(d, e)
-        assert acc.basis.take_cols(acc.pivots) == Mat.identity(f, acc.rank)
+        assert accumulator_basis(acc).take_cols(acc.pivots) == Mat.identity(f, acc.rank)
         taken = set(acc.pivots)
         free = [c for c in range(acc.ncols) if c not in taken]
         h.update(f"{d},{e}|{acc.ncols}|{acc.pivots}|".encode())
-        for row in acc.basis.take_cols(free).rows():
+        for row in accumulator_basis(acc).take_cols(free).rows():
             h.update((",".join(f.to_str(x) for x in row) + ";").encode())
     return h.hexdigest()[:16]
 
@@ -587,7 +580,7 @@ def test_classify_matches_scan_first_oracle_on_frozen_tensors(F, Q, corank2_n2):
     hidden = _vanishing_at(F, 3, [1, 3, 5], [1, 2, 0, 4], [1, 2])
     cases = (
         (_conjugate_pair_f3(), Budget(max_ext_degree=2, point_cap=10**6), "scan"),
-        (_beyond_small_height_q(Q), Budget(), "scan"),
+        (beyond_small_height_q(), Budget(), "scan"),
         (hidden, Budget(point_cap=ORACLE_POINT_CAP, schedule=_oracle_schedule(3)), "none"),
         (corank2_n2, Budget(point_cap=ORACLE_POINT_CAP, schedule=((1, 1), (4, 6))), "pieces"),
     )
