@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict
 
 from .bases import expected_stratum_dim, full_skew_tangent_dim
 from .families import fiber_solution_space
@@ -23,7 +23,7 @@ from .monads import (
     sigma_kernel_dim,
     tangent_dim,
 )
-from .nondeg import Verdict, classify
+from .nondeg import classify
 from .tensors import OmegaTensor, tensor_to_obj
 
 SCHEMA_VERSION = 4
@@ -102,21 +102,13 @@ def fiber_dim_check(omega_bar: OmegaTensor) -> tuple[int, int, bool]:
     return sol, expected, sol == expected
 
 
-@dataclass
-class PropagationReport:
-    h2_s2: int
-    h2_s2_bar: int
-    h1_bar_1: int
-    implication_holds: bool
-    inequality_holds: bool
-
-
-def propagation_check(omega: OmegaTensor, xi: list) -> PropagationReport:
+def propagation_check(omega: OmegaTensor, xi: list) -> dict:
     """Vanishing propagation through a rank-preserving restriction.
 
     Checks that h2 S^2 of the restriction = 0 together with h1(1) = 0 forces
     h2 S^2 = 0 upstairs, and that h2 S^2 upstairs never exceeds h1(1) of the
-    restriction while h2 S^2 downstairs vanishes.
+    restriction while h2 S^2 downstairs vanishes.  Returns the three
+    dimensions and the two verdicts by name.
     """
     checks = rank_preservation_checks(omega, xi)
     if not all(checks):
@@ -131,64 +123,8 @@ def propagation_check(omega: OmegaTensor, xi: list) -> PropagationReport:
     inequality = True
     if h2_bar == 0:
         inequality = h2 <= h1_bar
-    return PropagationReport(h2, h2_bar, h1_bar, implication, inequality)
-
-
-@dataclass
-class Certificate:
-    """A serialized, re-auditable verdict record for one tensor."""
-
-    schema_version: int
-    subject: dict
-    nondegeneracy: Verdict
-    rank: int
-    modular: bool
-    sigma_kernel_dim: int | None = None
-    gamma_kernel_dim: int | None = None
-    tangent_full_skew: int | None = None
-    tangent_sym_lambda: int | None = None
-    expected_full_skew: int | None = None
-    expected_sym_lambda: int | None = None
-    coh_rows: list | None = None
-    s2: tuple | None = None
-    dim_N: int | None = None
-    dim_Q: int | None = None
-    smooth_point: bool | None = None
-    induction_witness: dict | None = None
-    consistency: list = dc_field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return all(ok for _name, ok in self.consistency)
-
-    def to_obj(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "subject": self.subject,
-            "verdicts": {
-                "nondegeneracy": asdict(self.nondegeneracy),
-                "rank": self.rank,
-                "modular": self.modular,
-                "sigma_kernel_dim": self.sigma_kernel_dim,
-                "gamma_kernel_dim": self.gamma_kernel_dim,
-                "tangent_dims": {
-                    "fullSkew": self.tangent_full_skew,
-                    "symLambda": self.tangent_sym_lambda,
-                },
-                "expected_dims": {
-                    "fullSkew": self.expected_full_skew,
-                    "symLambda": self.expected_sym_lambda,
-                },
-                "coh_table": self.coh_rows,
-                "s2": list(self.s2) if self.s2 is not None else None,
-                "dim_N": self.dim_N,
-                "dim_Q": self.dim_Q,
-                "smooth_point": self.smooth_point,
-                "induction_witness": self.induction_witness,
-            },
-            "consistency": [[name, ok] for name, ok in self.consistency],
-            "consistent": self.consistent,
-        }
+    return {"h2_s2": h2, "h2_s2_bar": h2_bar, "h1_bar_1": h1_bar,
+            "implication_holds": implication, "inequality_holds": inequality}
 
 
 def subject_of(omega: OmegaTensor, extra: dict | None = None) -> dict:
@@ -207,14 +143,16 @@ def subject_of(omega: OmegaTensor, extra: dict | None = None) -> dict:
 
 def smoothness_certificate(
     omega: OmegaTensor, *, subject_extra: dict | None = None, induction_seed=None
-) -> Certificate:
-    """Assemble the full pointwise certificate for a tensor.
+) -> dict:
+    """Assemble the full pointwise certificate for a tensor, as the JSON
+    object certify writes.
 
     The headline smooth-point verdict is the vanishing of the sigma kernel,
     read off as h2 of the symmetric square, cross-checked against the
     tangent dimension of the rank stratum hitting its expected value.
     Degenerate tensors still get a certificate, flagged non-modular, with
-    the fields that need a bundle display left empty.
+    the verdicts that need a bundle display left null.  "consistent" is
+    true when every named check in "consistency" holds.
     """
     f, n = omega.field, omega.n
     verdict = classify(omega)
@@ -223,52 +161,55 @@ def smoothness_certificate(
     extra = {"r": rank - 2 * n}
     if subject_extra:
         extra.update(subject_extra)
-    cert = Certificate(
-        schema_version=SCHEMA_VERSION,
-        subject=subject_of(omega, extra),
-        nondegeneracy=verdict,
-        rank=rank,
-        modular=not verdict.is_degenerate and 2 <= rank - 2 * n <= 2 * n,
-    )
+    subject = subject_of(omega, extra)
     # restricting the skew forms on H (x) V to the kernel of the flattening
     # is onto its wedge^2, so the full-skew tangent dimension is the formula
-    cert.tangent_full_skew = cert.expected_full_skew = full_skew_tangent_dim(n, m_half)
-    cert.tangent_sym_lambda = tangent_dim(omega)
-    cert.expected_sym_lambda = expected_stratum_dim(n, m_half)
-    if not cert.modular:
-        cert.sigma_kernel_dim = sigma_kernel_dim(omega)
+    full_skew = full_skew_tangent_dim(n, m_half)
+    v = {
+        "nondegeneracy": asdict(verdict),
+        "rank": rank,
+        "modular": not verdict.is_degenerate and 2 <= rank - 2 * n <= 2 * n,
+        "tangent_dims": {"fullSkew": full_skew, "symLambda": tangent_dim(omega)},
+        "expected_dims": {"fullSkew": full_skew, "symLambda": expected_stratum_dim(n, m_half)},
+        **dict.fromkeys(("gamma_kernel_dim", "coh_table", "s2", "dim_N", "dim_Q",
+                         "smooth_point", "induction_witness")),
+    }
+    cert = {"schema_version": SCHEMA_VERSION, "subject": subject, "verdicts": v,
+            "consistency": [], "consistent": True}
+    if not v["modular"]:
+        v["sigma_kernel_dim"] = sigma_kernel_dim(omega)
         return cert
-    table = coh_table(omega)
-    cert.coh_rows = [list(r) for r in table.rows]
-    cert.s2 = table.s2
-    cert.dim_N = table.dim_N
-    cert.dim_Q = table.dim_Q
+    m = build_monad(omega)
+    rows = coh_table(omega)
+    h = {d: (h0, h1) for d, h0, h1 in rows}
+    s2 = s2_cohomology(m)
     # the sigma and gamma systems are -d1^T of the S^2 complex and alpha(1)^T
-    cert.sigma_kernel_dim = table.s2[2]
-    cert.gamma_kernel_dim = table.h(1)[1]
-    cert.smooth_point = cert.sigma_kernel_dim == 0
-    expected_tangent = cert.tangent_sym_lambda == cert.expected_sym_lambda
-    cert.consistency += [
-        ("smooth_iff_expected_tangent", cert.smooth_point == expected_tangent),
-        ("h0_E_vanishes", table.h(0)[0] == 0),
-        ("h1_E_minus2_vanishes", table.h(-2)[1] == 0),
-        ("left_defect_zero", build_monad(omega).left_defect() == 0),
+    v.update(coh_table=[list(r) for r in rows], s2=list(s2), dim_N=m.m, dim_Q=4 * m.nH - m.m,
+             sigma_kernel_dim=s2[2], gamma_kernel_dim=h[1][1], smooth_point=s2[2] == 0)
+    expected_tangent = v["tangent_dims"]["symLambda"] == v["expected_dims"]["symLambda"]
+    checks = cert["consistency"]
+    checks += [
+        ["smooth_iff_expected_tangent", v["smooth_point"] == expected_tangent],
+        ["h0_E_vanishes", h[0][0] == 0],
+        ["h1_E_minus2_vanishes", h[-2][1] == 0],
+        ["left_defect_zero", m.left_defect() == 0],
     ]
     if induction_seed is not None:
         try:
             xi, h1bar, trial, _log = find_xi(omega, seed=induction_seed)
             rep = propagation_check(omega, xi)
-            cert.induction_witness = {
+            v["induction_witness"] = {
                 "xi": [f.to_str(x) for x in xi],
                 "trial": trial,
                 "rank_preserved": True,
                 "h1_bar_1": h1bar,
-                "h2_s2_bar": rep.h2_s2_bar,
-                "propagation": asdict(rep),
+                "h2_s2_bar": rep["h2_s2_bar"],
+                "propagation": rep,
             }
-            cert.consistency.append(("propagation_implication", rep.implication_holds))
-            cert.consistency.append(("propagation_inequality", rep.inequality_holds))
+            checks.append(["propagation_implication", rep["implication_holds"]])
+            checks.append(["propagation_inequality", rep["inequality_holds"]])
         except RuntimeError as exc:
-            cert.induction_witness = {"error": str(exc)}
-            cert.consistency.append(("induction_witness_found", False))
+            v["induction_witness"] = {"error": str(exc)}
+            checks.append(["induction_witness_found", False])
+    cert["consistent"] = all(ok for _name, ok in checks)
     return cert

@@ -18,6 +18,7 @@ from .geometry import line_invariants, pencil_jump_poly, random_lines, random_pe
 from .linalg import Stream
 from .monads import coh_table, gated_display
 from .polys import roots as poly_roots
+from .suite import run_suite
 from .tensors import read_tensor, tensor_to_obj, write_tensor
 
 
@@ -109,6 +110,10 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _emit_json(args, obj) -> None:
+    _emit(json.dumps(obj, indent=2 if args.json else None, sort_keys=True), args.out)
+
+
 def _config_echo(args) -> dict:
     return {
         "version": __version__,
@@ -169,16 +174,15 @@ def _run(args) -> int:
             subject_extra={"config": _config_echo(args)},
             induction_seed=args.seed if args.induction else None,
         )
-        obj = cert.to_obj()
-        _emit(json.dumps(obj, indent=2 if args.json else None, sort_keys=True), args.out)
-        return 0 if cert.consistent else 1
+        _emit_json(args, cert)
+        return 0 if cert["consistent"] else 1
 
     if args.command == "table":
         omega = _load_tensor(args, field)
         if args.kind == "coh":
             gated_display(omega)
-            table = coh_table(omega, args.dmax)
-            _emit(_csv_header(args) + table.csv(), args.out)
+            rows = "".join(f"{d},{h0},{h1}\n" for d, h0, h1 in coh_table(omega, args.dmax))
+            _emit(_csv_header(args) + "d,h0,h1\n" + rows, args.out)
             return 0
         if args.kind == "lines":
             return _lines_table(args, field, omega)
@@ -188,7 +192,7 @@ def _run(args) -> int:
         omega = _written(args, sample_instanton(args.n, args.r, field, args.seed))
         obj = tensor_to_obj(omega)
         obj["config"] = _config_echo(args)
-        _emit(json.dumps(obj, indent=2 if args.json else None, sort_keys=True), args.out)
+        _emit_json(args, obj)
         return 0
 
     if args.command == "export":
@@ -196,19 +200,13 @@ def _run(args) -> int:
         if args.out:
             write_tensor(omega, args.out)
         else:
-            _emit(json.dumps(tensor_to_obj(omega), sort_keys=True), args.out)
+            _emit_json(args, tensor_to_obj(omega))
         return 0
 
     if args.command == "suite":
-        from .suite import run_suite
-
         summary = run_suite(field=field, only=args.only)
         summary["config"] = _config_echo(args)
-        text = json.dumps(summary, indent=2 if args.json else None, sort_keys=True)
-        if args.out:
-            _emit(text, args.out)
-        else:
-            print(text)
+        _emit_json(args, summary)
         return 0 if summary["passed"] else 1
     return 2
 

@@ -160,14 +160,16 @@ class RestrictedSumFamily:
         raise SampleError("no admissible 2-instanton pair for the family")
 
     def _admissible(self, wp: OmegaTensor, ws: OmegaTensor) -> bool:
-        f = self.field
         eta = []
+        lo, hi = [0, 1, 2, 3], [4, 5, 6, 7]
         for t in (wp, ws):
-            m11 = t.entry_skew_matrix(1, 1)
+            # block (a, b) of the flattening is the skew matrix of the form at (a, b)
+            flat = t.flatten()
+            m11 = flat.take_rows(hi).take_cols(hi)
             if m11.rank() != 4:
                 return False
-            m00 = t.entry_skew_matrix(0, 0)
-            m01 = t.entry_skew_matrix(0, 1)
+            m00 = flat.take_rows(lo).take_cols(lo)
+            m01 = flat.take_rows(lo).take_cols(hi)
             schur = m00 - m01 @ m11.inverse() @ m01
             if schur.rank() != 2:
                 return False

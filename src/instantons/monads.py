@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
@@ -225,51 +224,17 @@ def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
 # -- cohomology tables ---------------------------------------------------
 
 
-@dataclass
-class CohTable:
-    """Twist-indexed cohomology of E(d) plus the symmetric-square triple."""
-
-    n: int
-    r: int
-    dim_N: int
-    dim_Q: int
-    rows: list[tuple[int, int, int]]  # (d, h0, h1)
-    s2: tuple[int, int, int]  # (h0, h1, h2) of S^2 E
-
-    def validate(self) -> None:
-        for d, h0, h1 in self.rows:
-            if h0 < 0 or h1 < 0:
-                raise AssertionError("negative cohomology dimension")
-            if h0 - h1 != euler_chi(self.n, self.r, d):
-                raise AssertionError(f"Euler identity fails at twist {d}")
-
-    def h(self, d: int) -> tuple[int, int]:
-        for dd, h0, h1 in self.rows:
-            if dd == d:
-                return h0, h1
-        raise KeyError(d)
-
-    def csv(self) -> str:
-        lines = ["d,h0,h1"]
-        for d, h0, h1 in self.rows:
-            lines.append(f"{d},{h0},{h1}")
-        return "\n".join(lines) + "\n"
-
-
-def coh_table(omega: OmegaTensor, dmax: int = 3) -> CohTable:
-    """Cohomology table of an admissible tensor for twists -2..dmax."""
+def coh_table(omega: OmegaTensor, dmax: int = 3) -> list[tuple[int, int, int]]:
+    """Rows (d, h0, h1) of the cohomology of E(d) of an admissible tensor for
+    twists -2..dmax, each checked against the Euler characteristic."""
     m = build_monad(omega)
     rows = [(d, *m.h_values(d)) for d in range(-2, dmax + 1)]
-    t = CohTable(
-        n=m.nH,
-        r=m.r,
-        dim_N=m.m,
-        dim_Q=4 * m.nH - m.m,
-        rows=rows,
-        s2=s2_cohomology(m),
-    )
-    t.validate()
-    return t
+    for d, h0, h1 in rows:
+        if h0 < 0 or h1 < 0:
+            raise AssertionError("negative cohomology dimension")
+        if h0 - h1 != euler_chi(m.nH, m.r, d):
+            raise AssertionError(f"Euler identity fails at twist {d}")
+    return rows
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict
 
 from .certify import (
     fiber_dim_check,
@@ -361,8 +360,8 @@ def crit_xi_search(ctx: SuiteContext) -> tuple[bool, dict]:
         t = ctx.chain52(seed)
         xi, h1, trial, _log = find_xi(t, seed=("xi", seed))
         rep = propagation_check(t, xi)
-        entry = {"seed": seed, "h1_bar": h1, "trial": trial, **asdict(rep)}
-        good = h1 <= 1 and rep.inequality_holds and rep.implication_holds
+        entry = {"seed": seed, "h1_bar": h1, "trial": trial, **rep}
+        good = h1 <= 1 and rep["inequality_holds"] and rep["implication_holds"]
         entry["ok"] = good
         per.append(entry)
         ok = ok and good

@@ -75,7 +75,7 @@ class OmegaTensor:
     doubling it, so published coefficient matrices transcribe literally.
     """
 
-    __slots__ = ("n", "field", "coeffs", "_sym_idx", "_flat", "_monad")
+    __slots__ = ("n", "field", "coeffs", "_flat", "_monad")
 
     def __init__(self, n: int, field: Field, coeffs: Mat):
         if coeffs.nrows != n * (n + 1) // 2 or coeffs.ncols != 6:
@@ -83,7 +83,6 @@ class OmegaTensor:
         self.n = n
         self.field = field
         self.coeffs = coeffs
-        self._sym_idx = sym_index_map(n)
         self._flat = None
         # the Horrocks display, kept by monads.build_monad, which alone reads
         # and writes it: like the flattening, it is a function of the tensor
@@ -110,18 +109,6 @@ class OmegaTensor:
             raise ValueError("wrong coefficient count")
         rows = [vec[6 * r : 6 * r + 6] for r in range(npairs)]
         return OmegaTensor(n, field, Mat.from_rows(field, rows, 6))
-
-    # -- element access ---------------------------------------------------
-
-    def entry_form(self, i: int, j: int) -> list:
-        """The wedge^2 V* entry at (i, j) as its 6 coefficients."""
-        if i > j:
-            i, j = j, i
-        return self.coeffs.row(self._sym_idx[(i, j)])
-
-    def entry_skew_matrix(self, i: int, j: int) -> Mat:
-        """Entry (i, j) as the 4x4 skew matrix of a 2-form on V."""
-        return wedge_matrix(self.field, self.entry_form(i, j))
 
     # -- flattening -------------------------------------------------------
 

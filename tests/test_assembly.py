@@ -121,11 +121,13 @@ def _maps(name: str) -> dict[str, str]:
     skew_h_form = oracles.skew_h_flatten(n, skew_h)
     with pytest.raises(ValueError, match="nonzero wedge"):
         unflatten(t.flatten() + skew_h_form)
-    # the two summands of t's flattening, the skew_h form, and the two
-    # summands of their sum, which unflatten refuses
+    # the skew matrices of the forms at (0, 1) and (1, 1), which are blocks
+    # of the flattening; the two summands of t's flattening, the skew_h form,
+    # and the two summands of their sum, which unflatten refuses
+    flat, lo, hi = t.flatten(), [0, 1, 2, 3], [4, 5, 6, 7]
     out["tensor_ops"] = _digest(
-        t.contract_line(lam), t.apply_h_map(g).coeffs, t.entry_skew_matrix(0, 1),
-        t.entry_skew_matrix(1, 1), unflatten(t.flatten()).coeffs,
+        t.contract_line(lam), t.apply_h_map(g).coeffs, flat.take_rows(lo).take_cols(hi),
+        flat.take_rows(hi).take_cols(hi), unflatten(t.flatten()).coeffs,
         Mat.zeros(f, skew_h.nrows, 10), skew_h_form, t.coeffs, skew_h,
     )
     return out

@@ -112,6 +112,28 @@ def test_table_pencil_is_pinned(capsys, source):
     assert _table_digest(capsys, "pencil", source) == PENCIL_TABLE_DIGESTS[source]
 
 
+# SHA-256 digests of the whole stdout of each command, recorded before the
+# certificate and the cohomology table were returned as the data they print
+STDOUT_DIGESTS = {
+    "certify --example thooft3 --induction":
+        "314bdea1af06ff153d2b576fc7f474b58670df13932e3b340ed85a2f0ea0cee9",
+    "certify --sample 5,2 --induction --json":
+        "9f2fb3651c69e22bbf8d9858fdc3aeb41554d0e4adc7070f747a1a81317318ae",
+    "certify --example degenerate-rank6 --field rational":
+        "31e1ca27d744e823366537e4f787a0728b4d3133df8ea5b837f696f198108080",
+    "certify --example three-nc --field fp:7":
+        "9122c33a5dfa911bba05ae158f53ee5271228734cd34ba41e77c78288274fa03",
+    "table coh --example thooft4 --field rational --dmax 6":
+        "da7cfb44e72f4b2d8dd840a706d709e9715c3320da0e9e0f8d9989f19f8612e8",
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_DIGESTS)
+def test_stdout_is_pinned(capsys, command):
+    assert run(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_DIGESTS[command]
+
+
 def test_table_pencil(capsys):
     # the CSV body as recorded from the pencil draw written out in the CLI
     assert run(["table", "pencil", "--sample", "5,2", "--seed", "7"]) == 0
@@ -262,6 +284,20 @@ def test_export_roundtrip(tmp_path):
     from instantons.tensors import read_tensor
 
     assert read_tensor(str(out)).rank() == 4
+
+
+def test_export_json_pretty_prints(capsys):
+    # --json pretty-prints export's stdout as it does certify's, sample's and
+    # suite's; without it the output is the compact JSON of the tensor
+    from instantons.families import nc_tensor
+    from instantons.fields import GF32003
+    from instantons.tensors import tensor_to_obj
+
+    obj = tensor_to_obj(nc_tensor(GF32003))
+    assert run(["export", "--id", "nc", "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert run(["export", "--id", "nc"]) == 0
+    assert capsys.readouterr().out == json.dumps(obj, sort_keys=True) + "\n"
 
 
 def test_malformed_tensor_is_input_error(tmp_path):

@@ -99,19 +99,16 @@ def test_full_rank_sections_against_binomial_oracle(F):
 
 
 def test_euler_identity(F, chain52, corank2_n2):
+    # dim N and dim Q = 4n - dim N are the certificate's
     for t in (nc_tensor(F), chain52, corank2_n2):
-        table = coh_table(t, 3)
-        for d, h0, h1 in table.rows:
-            assert h0 - h1 == euler_chi(table.n, table.r, d)
-        assert table.dim_N == 2 * table.n + table.r
-        assert table.dim_Q == 2 * table.n - table.r
-        assert table.h(0)[1] == table.dim_Q
-
-
-def test_coh_table_csv(F):
-    table = coh_table(nc_tensor(F), 1)
-    assert table.csv().splitlines()[0] == "d,h0,h1"
-    assert "1,5,0" in table.csv()
+        rows = coh_table(t, 3)
+        m = build_monad(t)
+        for d, h0, h1 in rows:
+            assert h0 - h1 == euler_chi(m.nH, m.r, d)
+        dim_q = 4 * m.nH - m.m
+        assert m.m == 2 * m.nH + m.r
+        assert dim_q == 2 * m.nH - m.r
+        assert {d: h1 for d, _h0, h1 in rows}[0] == dim_q
 
 
 def test_s2_values(F, chain52, corank2_n2):
@@ -258,7 +255,7 @@ def test_coh_table_matches_every_twist_oracle(spec, n, r_half, dmax, seed, kind,
             reject()  # corank-2 sampling over fp:7 needs 4n < 7
     m = build_monad(omega)
     if kind == "table":
-        rows = coh_table(omega, dmax).rows
+        rows = coh_table(omega, dmax)
     elif kind == "shuffled":
         twists = list(range(-2, dmax + 1))
         random.Random(seed).shuffle(twists)
