@@ -1,8 +1,7 @@
 # Certification of a tensor's pointwise data: the four equivalent
 # rank-preservation tests for a hyperplane restriction, a randomized search
-# for a good hyperplane, the extension-fiber dimension identity, vanishing
-# propagation through a restriction, and the assembled smoothness
-# certificate with all of its internal cross-checks.
+# for a good hyperplane, vanishing propagation through a restriction, and
+# the assembled smoothness certificate with all of its internal cross-checks.
 
 from __future__ import annotations
 
@@ -11,13 +10,11 @@ import json
 from dataclasses import asdict
 
 from .bases import expected_stratum_dim, full_skew_tangent_dim
-from .families import fiber_solution_space
 from .geometry import k_intersection_dim
 from .linalg import Mat, Stream, kron
 from .monads import (
     build_monad,
     coh_table,
-    gated_display,
     restricted_monad,
     s2_cohomology,
     sigma_kernel_dim,
@@ -91,15 +88,6 @@ def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int,
     if best is None:
         raise RuntimeError(f"no rank-preserving hyperplane in {XI_TRIALS} trials")
     return best[0], best[1], best[2], log
-
-
-def fiber_dim_check(omega_bar: OmegaTensor) -> tuple[int, int, bool]:
-    """Compare the extension solution-space dimension against dim H + h0 E(1),
-    computed by independent routes (linear solve vs cohomology)."""
-    m = gated_display(omega_bar)
-    sol = fiber_solution_space(omega_bar).dim
-    expected = omega_bar.n + m.h_values(1)[0]
-    return sol, expected, sol == expected
 
 
 def propagation_check(omega: OmegaTensor, xi: list) -> dict:

@@ -18,7 +18,6 @@ from .geometry import line_invariants, pencil_jump_poly, random_lines, random_pe
 from .linalg import Stream
 from .monads import coh_table, gated_display
 from .polys import roots as poly_roots
-from .suite import run_suite
 from .tensors import read_tensor, tensor_to_obj, write_tensor
 
 
@@ -204,6 +203,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "suite":
+        from .suite import run_suite  # the battery loads only for the command that runs it
         summary = run_suite(field=field, only=args.only)
         summary["config"] = _config_echo(args)
         _emit_json(args, summary)

@@ -6,15 +6,15 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .fields import Field
+from .geometry import det_pencil
 from .linalg import Mat, Pattern, Stream, Subspace
 from .monads import Monad, MonadError, build_monad, gated_display
 from .nondeg import LIGHT_BUDGET, classify
-from .polys import interpolate as poly_interpolate
 from .polys import roots as poly_roots
-from .tensors import MAX_N, OmegaTensor, block_sum, unflatten
+from .tensors import MAX_N, OmegaTensor, block_sum, unflatten, wedge_matrix
 from .bases import form_slots, hv_index, sym_pairs
 
 RETRY_LIMIT = 64
@@ -95,8 +95,7 @@ def thooft_tensor(n: int, field: Field, seed=0) -> OmegaTensor:
     f = field
     net = thooft_net(n, f)
     ncols = 2 * n + 2
-    nspace = net.column_space()
-    if nspace.dim != ncols:
+    if Subspace.from_spanning(net.transpose()).dim != ncols:
         raise AssertionError("net matrix must have independent columns")
     ann = net.transpose().kernel()  # functionals vanishing on N
     space = ann.basis.gather(_net_constraint_pattern(ann.dim, n)).kernel()
@@ -265,12 +264,6 @@ def sample_corank2(n: int, field: Field, seed) -> OmegaTensor:
         raise ValueError("corank-2 sampling needs n >= 2")
     f = field
     _require_finite(f, "corank-2 sampling (it needs roots of a random pencil determinant)")
-    if f.p is not None and f.p <= 4 * n:
-        raise ValueError(
-            f"corank-2 sampling interpolates the pencil determinant at the 4n + 1 = {4 * n + 1} "
-            f"points 0..4n, but they collide in {f.spec_str()} (characteristic {f.p} <= 4n, "
-            f"n = {n})"
-        )
     st = Stream("sample_corank2", f.spec_str(), n, seed)
     for trial in range(RETRY_LIMIT):
         w0 = random_tensor(n, f, st)
@@ -278,12 +271,8 @@ def sample_corank2(n: int, field: Field, seed) -> OmegaTensor:
         def member(t) -> OmegaTensor:
             return OmegaTensor(n, f, w0.coeffs + w1.coeffs.scale(t))
 
-        points = [f.of_int(i) for i in range(4 * n + 1)]
         # the flattening is linear in the tensor: member t's is flat w0 + t flat w1
-        pencil = Mat.from_rows(f, [[f.one(), t] for t in points], 2)
-        flats = w0.flatten().hstack(w1.flatten()).contract_blocks(pencil, 4 * n)
-        values = flats.block_ranks(4 * n)[1]
-        poly = poly_interpolate(points, values, f)
+        poly = det_pencil(w0.flatten(), w1.flatten(), f"corank-2 sampling at n = {n}")
         if not poly:
             continue  # the whole pencil is singular; try another
         found, _residual = poly_roots(poly, f)
@@ -316,10 +305,17 @@ def fiber_solution_space(omega_bar: OmegaTensor) -> Subspace:
 
     Unknown is the map u1: N -> V*; the constraint is that u1 o phi o u-bar*
     is skew with respect to V in every H-bar slot.  The dimension equals
-    (dim H-bar) + h0 E(1) of the base tensor, which is checked elsewhere.
+    (dim H-bar) + h0 E(1) of the base tensor, which fiber_dim_check checks.
     """
     m = build_monad(omega_bar)
     return m.wmat.gather(_fiber_pattern(m.nH, m.m)).kernel()
+
+
+def fiber_dim_check(omega_bar: OmegaTensor) -> tuple[Subspace, int]:
+    """The extension solution space and the dimension n-bar + h0 E(1) it
+    must have, computed by independent routes (linear solve vs cohomology)."""
+    m = gated_display(omega_bar)
+    return fiber_solution_space(omega_bar), omega_bar.n + m.h_values(1)[0]
 
 
 def _fold(tl: Mat, tr: Mat, flat: Mat) -> OmegaTensor:
@@ -351,8 +347,7 @@ def extend_fiber(omega_bar: OmegaTensor, seed) -> OmegaTensor:
     m = gated_display(omega_bar)
     if m.r < 4:
         raise MonadError("base display must have r >= 4 to extend downward")
-    space = fiber_solution_space(omega_bar)
-    expected = omega_bar.n + m.h_values(1)[0]
+    space, expected = fiber_dim_check(omega_bar)
     if space.dim != expected:
         raise AssertionError(
             f"extension space has dim {space.dim}, expected n-bar + h0 E(1) = {expected}"
@@ -367,14 +362,6 @@ def extend_fiber(omega_bar: OmegaTensor, seed) -> OmegaTensor:
         if not classify(cand, LIGHT_BUDGET).is_degenerate:
             return cand
     raise SampleError(f"extension fiber produced no admissible tensor (seed={seed})")
-
-
-@lru_cache(maxsize=None)
-def _skew_rows_pattern(nrows: int) -> Pattern:
-    """The 4x4 skew matrices of the 2-forms in the rows of a nrows x 6 matrix, side by side."""
-    terms = [(r, 4 * b + c, b, w, sign)
-             for b in range(nrows) for r, c, _p, w, sign in form_slots(1)]
-    return Pattern((4, 4 * nrows), (nrows, 6), terms)
 
 
 def extend_affine(omega_bar: OmegaTensor, alpha: Mat) -> OmegaTensor:
@@ -392,7 +379,7 @@ def extend_affine(omega_bar: OmegaTensor, alpha: Mat) -> OmegaTensor:
         raise MonadError("affine extension needs a full-rank base tensor")
     # A: V -> (H-bar (x) V)* columns; A[k, 4b+l] = alpha_b(e_k, e_l), the
     # skew matrices of the rows of alpha side by side
-    amat = alpha.gather(_skew_rows_pattern(nbar))
+    amat = reduce(Mat.hstack, (wedge_matrix(alpha.field, row) for row in alpha.rows()))
     out = _fold(-(amat @ flat.inverse() @ amat.transpose()), amat, flat)
     if out.rank() != 4 * nbar:
         raise AssertionError("affine extension changed the rank")

@@ -6,8 +6,9 @@
 # a = n - rank w(lambda) (the display restricted to the line and twisted by
 # -1 gives 0 -> H0(E_L(-1)) -> H -> H*; Barth, Math. Ann. 226, 1977).  A
 # table of lines takes one block elimination for all orders and
-# determinants and one for all h0.  Also determinants of the net of quadrics
-# along pencils, and the quadric ideals of maps from a null-correlation
+# determinants and one for all h0.  Also the determinant along a pencil of
+# matrices (of quadrics along a pencil of lines, of flattenings along a
+# pencil of tensors), and the quadric ideals of maps from a null-correlation
 # bundle to O(1).
 
 from __future__ import annotations
@@ -122,30 +123,38 @@ def line_invariants(omega: OmegaTensor, lines: list[tuple[list, list]]) -> list[
 # -- nets of quadrics --------------------------------------------------------
 
 
+def det_pencil(a: Mat, b: Mat, what: str) -> list:
+    """Coefficients of det(a + t b) for w x w matrices a and b, interpolated
+    from its values at t = 0..w: the blocks of [a | b] contracted with the
+    rows (1, t), ranked by one block elimination.  The points must stay
+    distinct in the field; what names the pencil in the error if not."""
+    f, w = a.field, a.nrows
+    if f.p is not None and f.p <= w:
+        raise ValueError(f"det(a + t b) for {what} is interpolated at the {w + 1} points "
+                         f"0..{w}, but they collide in {f.spec_str()} (characteristic {f.p})")
+    points = [f.of_int(i) for i in range(w + 1)]
+    pencil = Mat.from_rows(f, [[f.one(), t] for t in points], 2)
+    return poly_interpolate(points, a.hstack(b).contract_blocks(pencil, w).block_ranks(w)[1], f)
+
+
 def pencil_jump_poly(omega: OmegaTensor, lam0: list, lam1: list) -> list:
     """det of the contracted quadric along the pencil lam0 + t lam1.
 
     The pencil must stay inside the decomposable locus (checked through the
     Pluecker quadric); the result is the coefficient list of a polynomial of
-    degree at most n whose roots mark jumping lines of the pencil.  It is
-    interpolated from the points 0..n, which must stay distinct in the field.
+    degree at most n whose roots mark jumping lines of the pencil.  The
+    contraction is linear in the line, so the quadric of lam0 + t lam1 is
+    w(lam0) + t w(lam1).
     """
     f, n = omega.field, omega.n
-    if f.p is not None and f.p <= n:
-        raise ValueError(
-            f"the pencil determinant needs n + 1 = {n + 1} distinct points 0..n, but they "
-            f"collide in {f.spec_str()} (characteristic {f.p} <= n = {n})"
-        )
     if not f.is_zero(plucker_quadric(f, lam0)):
         raise ValueError("lam0 is not decomposable")
     if not f.is_zero(plucker_quadric(f, lam1)):
         raise ValueError("lam1 is not decomposable")
     if not f.is_zero(plucker_bilinear(f, lam0, lam1)):
         raise ValueError("pencil leaves the decomposable locus")
-    points = [f.of_int(i) for i in range(n + 1)]
-    lams = [[f.add(a, f.mul(t, b)) for a, b in zip(lam0, lam1)] for t in points]
-    values = omega.contract_lines(lams).block_ranks(n)[1]
-    return poly_interpolate(points, values, f)
+    return det_pencil(omega.contract_line(lam0), omega.contract_line(lam1),
+                      f"the jumping-line pencil of n = {n}")
 
 
 # -- seeded draws ------------------------------------------------------------

@@ -574,12 +574,6 @@ class Mat:
         basis = Mat.identity(f, len(free)).place_cols(free, n) - red.place_cols(piv, n)
         return Subspace.from_spanning(basis)
 
-    def row_space(self) -> "Subspace":
-        return Subspace.from_spanning(self)
-
-    def column_space(self) -> "Subspace":
-        return Subspace.from_spanning(self.transpose())
-
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
             raise ValueError("not square")

@@ -7,16 +7,13 @@ from __future__ import annotations
 
 import sys
 import time
+from functools import cache
 
-from .certify import (
-    fiber_dim_check,
-    find_xi,
-    propagation_check,
-    rank_preservation_checks,
-)
+from .certify import find_xi, propagation_check, rank_preservation_checks
 from .families import (
     RestrictedSumFamily,
     extend_affine,
+    fiber_dim_check,
     nc_tensor,
     degenerate_rank6,
     sample_corank2,
@@ -42,25 +39,18 @@ from .tensors import OmegaTensor, block_sum
 CHAIN_COUNT = 20  # the (5,2) induction-chain tensors C4 and C11 check
 
 
-class SuiteContext:
-    """Shared fixtures: the twenty induction-chain tensors are sampled once."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self._chains: dict[int, OmegaTensor] = {}
-
-    def chain52(self, seed: int) -> OmegaTensor:
-        if seed not in self._chains:
-            self._chains[seed] = sample_instanton(5, 2, self.field, ("suite", seed))
-        return self._chains[seed]
+@cache
+def chain52(field: Field, seed: int) -> OmegaTensor:
+    """The (5, 2) induction-chain tensor of seed, sampled once per field for
+    the criteria that share it."""
+    return sample_instanton(5, 2, field, ("suite", seed))
 
 
 # -- criteria ----------------------------------------------------------------
 
 
-def crit_transcription(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_transcription(f: Field) -> tuple[bool, dict]:
     """Rank-6 degenerate tensor: rank and the basis witness, exactly."""
-    f = ctx.field
     t = degenerate_rank6(f)
     rank = t.rank()
     w = witness_search(t)
@@ -80,10 +70,9 @@ def crit_transcription(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, d
 
 
-def crit_thooft(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_thooft(f: Field) -> tuple[bool, dict]:
     """Banded-net tensors: restriction along the published hyperplanes kills
     the gamma kernel (h1 of the restriction at twist 1 vanishes)."""
-    f = ctx.field
     d = {}
     ok = True
     for n, xi in ((4, [0, 1, 0, 0]), (5, [0, 0, 1, 0, 0])):
@@ -107,10 +96,9 @@ def _expected_ideal(field: Field, monos: list[dict]) -> Subspace:
     return Subspace.from_spanning(Mat.from_rows(field, rows, 10))
 
 
-def crit_quadric_ideals(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_quadric_ideals(f: Field) -> tuple[bool, dict]:
     """The two explicit 4-dimensional quadric ideals, and a searched triple
     spanning all ten quadrics."""
-    f = ctx.field
     one = f.one()
     z = f.zero()
     eta = [one, z, z, z, z, one]  # x0^x1 + x2^x3
@@ -141,13 +129,13 @@ def crit_quadric_ideals(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, d
 
 
-def crit_chains(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_chains(f: Field) -> tuple[bool, dict]:
     """Twenty induction-chain tensors at (5, 2): rank, certification, the
     fixed cohomology table entries, and vanishing of h2 S^2."""
     per_seed = []
     ok = True
     for seed in range(CHAIN_COUNT):
-        t = ctx.chain52(seed)
+        t = chain52(f, seed)
         m = build_monad(t)
         verdict = classify(t, DEFAULT_BUDGET)
         h_m1 = m.h_values(-1)
@@ -177,15 +165,14 @@ def crit_chains(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, {"samples": per_seed}
 
 
-def crit_tangents(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_tangents(f: Field) -> tuple[bool, dict]:
     """Tangent dimensions of the rank strata hit their expected values on
     samples of the four stratum types."""
-    f = ctx.field
     cases = [
         ("M(2,2)", sample_corank2(2, f, ("tan", 0)), 17),
         ("M(3,4)", sample_corank2(3, f, ("tan", 1)), 35),
         ("M(4,4)", sample_instanton(4, 4, f, ("tan", 2)), 54),
-        ("M(5,2)", ctx.chain52(0), 62),
+        ("M(5,2)", chain52(f, 0), 62),
     ]
     st = Stream("tangents_affine", f.spec_str())
     base = sample_full(3, f, ("tan", 3))
@@ -200,9 +187,8 @@ def crit_tangents(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, d
 
 
-def crit_corank2_smooth(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_corank2_smooth(f: Field) -> tuple[bool, dict]:
     """Sigma kernels vanish at twenty corank-2 points with n in {2, 3}."""
-    f = ctx.field
     dims = []
     ok = True
     for n in (2, 3):
@@ -214,10 +200,9 @@ def crit_corank2_smooth(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, {"samples": dims}
 
 
-def crit_equivalences(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_equivalences(f: Field) -> tuple[bool, dict]:
     """Two hundred (tensor, hyperplane) pairs: the four rank-preservation
     tests agree in every single case, across preserving and dropping mixes."""
-    f = ctx.field
     st = Stream("equiv", f.spec_str())
     agree = 0
     preserve = 0
@@ -225,8 +210,8 @@ def crit_equivalences(ctx: SuiteContext) -> tuple[bool, dict]:
     mismatches = []
     # preserving-heavy half: instanton samples with random hyperplanes
     tensors = [
-        ctx.chain52(0),
-        ctx.chain52(1),
+        chain52(f, 0),
+        chain52(f, 1),
         sample_instanton(4, 2, f, ("eq", 0)),
         sample_instanton(3, 2, f, ("eq", 1)),
     ]
@@ -268,10 +253,9 @@ def crit_equivalences(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, d
 
 
-def crit_fiber_dims(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_fiber_dims(f: Field) -> tuple[bool, dict]:
     """Extension-fiber dimension identity on twenty mixed bases, including
     the sum of two null-correlation tensors (value 12)."""
-    f = ctx.field
     bases: list[tuple[str, OmegaTensor]] = [
         ("two-nc", block_sum(nc_tensor(f), nc_tensor(f, [f.of_int(1), f.of_int(2), f.zero(), f.zero(), f.of_int(1), f.of_int(1)]))),
     ]
@@ -288,7 +272,8 @@ def crit_fiber_dims(ctx: SuiteContext) -> tuple[bool, dict]:
     ok = True
     two_nc_value = None
     for name, t in bases[:20]:
-        sol, exp, eq = fiber_dim_check(t)
+        space, exp = fiber_dim_check(t)
+        sol, eq = space.dim, space.dim == exp
         per.append({"base": name, "solution_dim": sol, "expected": exp, "equal": eq})
         if name == "two-nc":
             two_nc_value = sol
@@ -297,17 +282,17 @@ def crit_fiber_dims(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, {"bases": per}
 
 
-def crit_affine_ext(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_affine_ext(f: Field) -> tuple[bool, dict]:
     """Affine extension: exact restriction round-trip, rank preservation,
     V-skewness of the corner block, and the 18-dimensional fibre."""
-    f = ctx.field
     st = Stream("affine", f.spec_str())
     per = []
     ok = True
     for b in range(4):
         base = sample_full(3, f, ("aff", b))
-        sol, exp, eq = fiber_dim_check(base)
-        fibre_ok = sol == 18 and eq
+        space, exp = fiber_dim_check(base)
+        sol = space.dim
+        fibre_ok = sol == exp == 18
         for a in range(5):
             alpha = Mat.from_rows(f, [st.next_vector(f, 6) for _ in range(3)], 6)
             ext = extend_affine(base, alpha)
@@ -326,7 +311,7 @@ def crit_affine_ext(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, {"pairs": per[:20], "count": len(per)}
 
 
-def crit_family_scan(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_family_scan(f: Field) -> tuple[bool, dict]:
     """Full parameter scan of the two-2-instanton degeneration family over
     F_31: rank 12 iff t0 t1 != 0, gamma kernel 0 on the punctured axes."""
     f31 = PrimeField(31)
@@ -350,14 +335,14 @@ def crit_family_scan(ctx: SuiteContext) -> tuple[bool, dict]:
     return not bad and boundary_checked == 60, d
 
 
-def crit_xi_search(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_xi_search(f: Field) -> tuple[bool, dict]:
     """Hyperplane search on the twenty chains: h1 of the restriction at
     twist 1 reaches <= 1 within 50 trials, and the vanishing-propagation
     inequality holds whenever h2 S^2 of the restriction vanishes."""
     per = []
     ok = True
     for seed in range(CHAIN_COUNT):
-        t = ctx.chain52(seed)
+        t = chain52(f, seed)
         xi, h1, trial, _log = find_xi(t, seed=("xi", seed))
         rep = propagation_check(t, xi)
         entry = {"seed": seed, "h1_bar": h1, "trial": trial, **rep}
@@ -368,11 +353,10 @@ def crit_xi_search(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, {"samples": per}
 
 
-def crit_geometry(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_geometry(f: Field) -> tuple[bool, dict]:
     """Ten rank-2 samples x fifty lines: order bounds, the section-count
     consistency h0 = max(2, a+1), order >= 1 iff the net determinant
     vanishes; plus pencil degrees n on >= 95% of draws."""
-    f = ctx.field
     samples = [
         sample_instanton(2, 2, f, ("geo", 0)),
         sample_instanton(2, 2, f, ("geo", 1)),
@@ -382,8 +366,8 @@ def crit_geometry(ctx: SuiteContext) -> tuple[bool, dict]:
         sample_instanton(3, 2, f, ("geo", 5)),
         sample_instanton(4, 2, f, ("geo", 6)),
         sample_instanton(4, 2, f, ("geo", 7)),
-        ctx.chain52(0),
-        ctx.chain52(1),
+        chain52(f, 0),
+        chain52(f, 1),
     ]
     st = Stream("geom_lines", f.spec_str())
     per_sample = []
@@ -425,9 +409,8 @@ def crit_geometry(ctx: SuiteContext) -> tuple[bool, dict]:
     return ok, d
 
 
-def crit_rational_audit(ctx: SuiteContext) -> tuple[bool, dict]:
+def crit_rational_audit(f: Field) -> tuple[bool, dict]:
     """Criteria 1-3 re-run over the exact rationals with identical outcomes."""
-    qctx = SuiteContext(QQ)
     d = {}
     ok = True
     for name, fn in (
@@ -435,8 +418,8 @@ def crit_rational_audit(ctx: SuiteContext) -> tuple[bool, dict]:
         ("thooft", crit_thooft),
         ("quadric_ideals", crit_quadric_ideals),
     ):
-        passed_q, details_q = fn(qctx)
-        passed_p, details_p = fn(ctx)
+        passed_q, details_q = fn(QQ)
+        passed_p, details_p = fn(f)
         same = passed_q and passed_p
         d[name] = {"rational_pass": passed_q, "prime_pass": passed_p}
         # outcome values that must match across the two fields
@@ -485,12 +468,11 @@ def run_suite(field: Field, only: str | None = None) -> dict:
         names = ", ".join(f"{cid} ({tag})" for cid, tag, _desc, _fn in runs)
         raise ValueError(f"--only {only!r} selects no criterion that runs over "
                          f"{field.spec_str()}; expected one of {names}")
-    ctx = SuiteContext(field)
     criteria = []
     for cid, tag, desc, fn in chosen:
         t0 = time.time()
         try:
-            passed, details = fn(ctx)
+            passed, details = fn(field)
         except Exception as exc:  # a crash is a failure with a reason, not an abort
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
         mark = "PASS" if passed else "FAIL"

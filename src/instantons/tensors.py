@@ -124,7 +124,7 @@ class OmegaTensor:
 
     def image(self) -> Subspace:
         """Image subspace N of the flattening, in H* (x) V* coordinates."""
-        return self.flatten().row_space()
+        return Subspace.from_spanning(self.flatten())
 
     # -- functorial operations ---------------------------------------------
 

@@ -8,12 +8,12 @@ import time
 import pytest
 
 from instantons.fields import GF32003, QQ
-from instantons.suite import CRITERIA, SuiteContext, crit_geometry, run_suite
+from instantons.suite import CRITERIA, crit_geometry, run_suite
 
 
 @pytest.fixture(scope="module")
 def ctx():
-    return SuiteContext(GF32003)
+    return GF32003
 
 
 @pytest.mark.parametrize("cid,tag,desc,fn", CRITERIA, ids=[c[0] for c in CRITERIA])

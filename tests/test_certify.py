@@ -5,7 +5,6 @@ import pytest
 
 from instantons.certify import (
     SCHEMA_VERSION,
-    fiber_dim_check,
     find_xi,
     propagation_check,
     rank_preservation_checks,
@@ -15,6 +14,7 @@ from instantons import linalg
 from instantons.families import (
     degenerate_rank6,
     extend_fiber,
+    fiber_dim_check,
     nc_tensor,
     sample_full,
     sample_instanton,
@@ -82,11 +82,13 @@ def test_find_xi_on_chain_and_net(F, chain52):
 
 def test_fiber_dim_examples(F, full36):
     two_nc = block_sum(nc_tensor(F), nc_tensor(F, [1, 2, 0, 0, 1, 1]))
-    assert fiber_dim_check(two_nc) == (12, 12, True)
-    sol, exp, ok = fiber_dim_check(full36)
-    assert (sol, exp, ok) == (18, 18, True)
+    space, exp = fiber_dim_check(two_nc)
+    assert (space.dim, exp) == (12, 12)
+    space, exp = fiber_dim_check(full36)
+    assert (space.dim, exp) == (18, 18)
     th4_restricted = thooft_tensor(4, F).restrict_xi([0, 1, 0, 0])
-    assert fiber_dim_check(th4_restricted)[2] is True
+    space, exp = fiber_dim_check(th4_restricted)
+    assert space.dim == exp
 
 
 def test_propagation_on_chain(F, chain52):

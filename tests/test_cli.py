@@ -125,6 +125,17 @@ STDOUT_DIGESTS = {
         "9122c33a5dfa911bba05ae158f53ee5271228734cd34ba41e77c78288274fa03",
     "table coh --example thooft4 --field rational --dmax 6":
         "da7cfb44e72f4b2d8dd840a706d709e9715c3320da0e9e0f8d9989f19f8612e8",
+    # recorded before the pencil determinant and the fibre-dimension check
+    # each got one owner: the corank-2 determinant, the fibre check of one
+    # induction step, the jumping-line pencil and criterion C8
+    "sample --n 2 --r 2":
+        "72140f2137868aa05e282c36f60f7faa7d79ef57f7b1b4f3c369a1654df42d8e",
+    "sample --n 3 --r 2":
+        "e2c668e2219dbbb2c36f5ff2b8903cd64de96714581481bdf736d139e0caf960",
+    "table pencil --example thooft4 --seed 3":
+        "a4ef1cbfda6429991b73462e142363badccbedc99e05d9b19fa37afa1370864d",
+    "suite --only fiber-dims --json":
+        "61df14c06ed3f34f7ebc27471999fa96cf85403c6efc7fc4122a25418ee0cc55",
 }
 
 

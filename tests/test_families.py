@@ -15,7 +15,7 @@ from instantons.families import (
     two_instanton_sum,
 )
 from instantons.fields import ExtensionField
-from instantons.linalg import Mat, Stream
+from instantons.linalg import Mat, Stream, Subspace
 from instantons.monads import MonadError, build_monad
 from instantons.nondeg import classify
 
@@ -42,7 +42,7 @@ def test_sum_family_reads_extension_field_coordinates():
 def test_thooft_net_shape(F):
     net = thooft_net(5, F)
     assert net.nrows == 20 and net.ncols == 12
-    assert net.column_space().dim == 12
+    assert Subspace.from_spanning(net.transpose()).dim == 12
     # row a carries the four coordinates in columns 2a..2a+3
     assert net.row(4 * 2 + 1)[2 * 2 + 1] == 1
     assert net.row(0)[5] == 0
@@ -55,7 +55,7 @@ def test_thooft_tensor_properties(F):
         m = build_monad(t)
         assert m.h_values(1)[0] == 2  # the two extra sections at twist 1
         # image equals the net's column span
-        assert t.image() == thooft_net(n, F).column_space()
+        assert t.image() == Subspace.from_spanning(thooft_net(n, F).transpose())
     assert thooft_tensor(5, F, seed=0) == thooft_tensor(5, F, seed=0)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from instantons.families import degenerate_rank6, nc_tensor, sample_instanton, thooft_tensor
 from instantons.fields import field_from_spec
 from instantons.geometry import (
+    det_pencil,
     k_intersection_dim,
     line_invariants,
     line_through,
@@ -19,6 +20,7 @@ from instantons.geometry import (
 )
 from instantons.linalg import Mat, Stream, Subspace, kron
 from instantons.monads import MonadError, build_monad
+from instantons.polys import evaluate as poly_evaluate
 from instantons.polys import roots as poly_roots
 from instantons.tensors import OmegaTensor
 from oracles import (
@@ -195,6 +197,30 @@ def test_pencil_degree_and_validation(F, chain52):
     # leaving the decomposable locus is rejected
     with pytest.raises(ValueError):
         pencil_jump_poly(nc, [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1])
+
+
+@given(data=st.data())
+def test_det_pencil_evaluates_to_the_determinant(data):
+    # the interpolated polynomial at t is det(a + t b), at any t of the field;
+    # fp:7^2 has only the points 0..6 to interpolate at
+    w = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
+    spec = data.draw(st.sampled_from(["fp:32003", "rational"] + ["fp:7^2"] * (w < 7)))
+    field = field_from_spec(spec)
+    stream = Stream("det_pencil", spec, w, data.draw(st.integers(0, 10**6)))
+    a, b = (Mat.from_rows(field, [stream.next_vector(field, w) for _ in range(w)], w)
+            for _ in range(2))
+    t = stream.next_element(field)
+    poly = det_pencil(a, b, "a drawn pencil")
+    assert len(poly) <= w + 1
+    assert poly_evaluate(poly, t, field) == (a + b.scale(t)).det()
+
+
+def test_det_pencil_needs_distinct_points():
+    # 0..5 collide mod 5
+    f5 = field_from_spec("fp:5")
+    one = Mat.identity(f5, 5)
+    with pytest.raises(ValueError, match="a pencil of width 5.*fp:5"):
+        det_pencil(one, one, "a pencil of width 5")
 
 
 def _k_meet(omega, K: Subspace) -> Subspace:
