@@ -38,16 +38,15 @@ def rank_preservation_checks(omega: OmegaTensor, xi: list) -> tuple[bool, bool, 
     f, n = omega.field, omega.n
     if all(f.is_zero(x) for x in xi):
         raise ValueError("xi must be nonzero")
-    plain = build_monad(omega)
-    rank = plain.m
     # (i) rank comparison
-    b1 = omega.restrict_xi(xi).rank() == rank
+    b1 = omega.restrict_xi(xi).rank() == omega.rank()
     # (ii) trivial intersection with xi (x) V*
     xi_row = Mat.from_rows(f, [xi], n)
     b2 = k_intersection_dim(omega, xi_row) == 0
     xi_v = kron(xi_row, Mat.identity(f, 4))
     # (iii) injectivity into the cokernel: residuals mod N stay independent
-    residuals = [plain.N.reduce(r) for r in xi_v.rows()]
+    N = omega.image()
+    residuals = [N.reduce(r) for r in xi_v.rows()]
     b3 = Mat.from_rows(f, residuals, 4 * n).rank() == 4
     # (iv) no sections of the restricted display
     b4 = restricted_monad(omega, xi).h_values(0)[0] == 0
@@ -64,7 +63,7 @@ def find_xi(omega: OmegaTensor, seed=0) -> tuple[list, int, int, list[tuple[int,
     generic tensor would contradict the expected openness of that condition.
     """
     f, n = omega.field, omega.n
-    rank = build_monad(omega).m
+    rank = omega.rank()
     if rank > 4 * (n - 1):
         raise ValueError(f"rank {rank} exceeds 4(n - 1) = {4 * (n - 1)}, the largest rank "
                          "of a restriction to a hyperplane of H: no hyperplane keeps it")

@@ -9,8 +9,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .fields import Field
-from .geometry import det_pencil
-from .linalg import Mat, Pattern, Stream, Subspace
+from .linalg import Mat, Pattern, Stream, Subspace, det_pencil
 from .monads import Monad, MonadError, build_monad, gated_display
 from .nondeg import LIGHT_BUDGET, classify
 from .polys import roots as poly_roots
@@ -255,7 +254,7 @@ def sample_full(n: int, field: Field, seed) -> OmegaTensor:
 def sample_corank2(n: int, field: Field, seed) -> OmegaTensor:
     """Non-degenerate tensor of rank exactly 4n - 2, found on a random pencil.
 
-    The determinant of the flattening along w0 + t w1 is interpolated as a
+    The determinant of the flattening along w0 + t w1 is found as a
     polynomial in t; its roots in the field are scanned for a point where the
     rank drops by exactly one skew step and classification does not report
     degeneracy.
@@ -263,7 +262,9 @@ def sample_corank2(n: int, field: Field, seed) -> OmegaTensor:
     if n < 2:
         raise ValueError("corank-2 sampling needs n >= 2")
     f = field
-    _require_finite(f, "corank-2 sampling (it needs roots of a random pencil determinant)")
+    if f.kind == "rational":
+        raise ValueError("corank-2 sampling (it needs roots of a random pencil determinant) "
+                         "is unsupported in rational mode; use a prime field")
     st = Stream("sample_corank2", f.spec_str(), n, seed)
     for trial in range(RETRY_LIMIT):
         w0 = random_tensor(n, f, st)
@@ -283,11 +284,6 @@ def sample_corank2(n: int, field: Field, seed) -> OmegaTensor:
             if not classify(cand, LIGHT_BUDGET).is_degenerate:
                 return cand
     raise SampleError(f"no corank-2 point found (n={n}, seed={seed})")
-
-
-def _require_finite(field: Field, what: str) -> None:
-    if field.kind == "rational":
-        raise ValueError(f"{what} is unsupported in rational mode; use a prime field")
 
 
 @lru_cache(maxsize=None)
@@ -398,7 +394,6 @@ def sample_instanton(n: int, r: int, field: Field, seed) -> OmegaTensor:
         raise ValueError(f"(n, r) = ({n}, {r}) is not an admissible pair")
     if r == 2 * n:
         return sample_full(n, field, seed)
-    _require_finite(field, f"sampling M({n}, {r}) with r < 2n")
     if r == 2 * n - 2:
         return sample_corank2(n, field, seed)
     base = sample_instanton(n - 1, r + 2, field, ("chain", seed, n - 1))

@@ -1,15 +1,15 @@
-# Restriction geometry along lines of P(V).  A line is its Pluecker vector
-# divided by its first nonzero coordinate, and the two points it was drawn
-# through.  h0 on a line is dim N - rank(N.basis @ (I_n (x) S^T)) for the
-# matrix S of those points, since N meet (H* (x) ann S) is the kernel of
-# N -> H* (x) S*, which depends only on the span of S; the splitting order is
-# a = n - rank w(lambda) (the display restricted to the line and twisted by
-# -1 gives 0 -> H0(E_L(-1)) -> H -> H*; Barth, Math. Ann. 226, 1977).  A
-# table of lines takes one block elimination for all orders and
-# determinants and one for all h0.  Also the determinant along a pencil of
-# matrices (of quadrics along a pencil of lines, of flattenings along a
-# pencil of tensors), and the quadric ideals of maps from a null-correlation
-# bundle to O(1).
+# Restriction geometry along lines of P(V), read from the tensor alone: its
+# rank, its contracted quadrics and the image N of its flattening, with no
+# display built.  A line is its Pluecker vector divided by its first nonzero
+# coordinate, and the two points it was drawn through.  h0 on a line is
+# dim N - rank(N.basis @ (I_n (x) S^T)) for the matrix S of those points,
+# since N meet (H* (x) ann S) is the kernel of N -> H* (x) S*, which depends
+# only on the span of S; the splitting order is a = n - rank w(lambda) (the
+# display restricted to the line and twisted by -1 gives
+# 0 -> H0(E_L(-1)) -> H -> H*; Barth, Math. Ann. 226, 1977).  A table of
+# lines takes one block elimination for all orders and determinants and one
+# for all h0.  Also the determinant along a pencil of lines, and the quadric
+# ideals of maps from a null-correlation bundle to O(1).
 
 from __future__ import annotations
 
@@ -17,9 +17,7 @@ from functools import lru_cache
 
 from .bases import WEDGE_PAIRS, hv_index, sym_index_map
 from .fields import Field
-from .linalg import Mat, Pattern, Stream, Subspace, kron
-from .monads import MonadError, build_monad
-from .polys import interpolate as poly_interpolate
+from .linalg import Mat, Pattern, Stream, Subspace, det_pencil, kron
 from .tensors import OmegaTensor, wedge_matrix
 
 # -- Pluecker algebra ------------------------------------------------------
@@ -77,12 +75,11 @@ def _section_counts(omega: OmegaTensor, spaces: list[list]) -> list[int]:
     the rank of N.basis @ (I_n (x) S^T): one Mat.contract_blocks product for
     all spaces, ranked as n k-column blocks by one elimination.
     """
-    m = build_monad(omega)
-    n, k = omega.n, len(spaces[0])
+    N, n, k = omega.image(), omega.n, len(spaces[0])
     points = Mat.from_rows(omega.field, [r for s in spaces for r in s], 4)
     # N's columns reordered from (a, v) to (v, a): block j is N contracted with point j
-    by_v = m.N.basis.take_cols([hv_index(a, v) for v in range(4) for a in range(n)])
-    return [m.N.dim - r for r in by_v.contract_blocks(points, n).block_ranks(n * k)[0]]
+    by_v = N.basis.take_cols([hv_index(a, v) for v in range(4) for a in range(n)])
+    return [N.dim - r for r in by_v.contract_blocks(points, n).block_ranks(n * k)[0]]
 
 
 # -- splitting order on a line ----------------------------------------------
@@ -99,13 +96,14 @@ def splitting_orders(omega: OmegaTensor, lams: list[list]) -> tuple[list[int], l
     jumping-line criterion with its multiplicity (Barth, Math. Ann. 226,
     1977).  The quadrics are ranked side by side in one elimination, which
     also gives their determinants.  On a degenerate tensor E is not a bundle
-    and the number is not a splitting order.
+    and the number is not a splitting order.  A ValueError refuses a tensor
+    whose rank is not 2n + 2.
     """
-    m = build_monad(omega)
-    if m.r != 2:
-        raise MonadError("splitting order is defined for rank-2 displays only")
-    ranks, dets = omega.contract_lines(lams).block_ranks(omega.n)
-    return [m.nH - r for r in ranks], dets
+    n = omega.n
+    if omega.rank() != 2 * n + 2:
+        raise ValueError("splitting order is defined for rank-2 displays only")
+    ranks, dets = omega.contract_lines(lams).block_ranks(n)
+    return [n - r for r in ranks], dets
 
 
 def line_invariants(omega: OmegaTensor, lines: list[tuple[list, list]]) -> list[tuple[int, int, object]]:
@@ -120,21 +118,7 @@ def line_invariants(omega: OmegaTensor, lines: list[tuple[list, list]]) -> list[
     return list(zip(orders, h0s, dets))
 
 
-# -- nets of quadrics --------------------------------------------------------
-
-
-def det_pencil(a: Mat, b: Mat, what: str) -> list:
-    """Coefficients of det(a + t b) for w x w matrices a and b, interpolated
-    from its values at t = 0..w: the blocks of [a | b] contracted with the
-    rows (1, t), ranked by one block elimination.  The points must stay
-    distinct in the field; what names the pencil in the error if not."""
-    f, w = a.field, a.nrows
-    if f.p is not None and f.p <= w:
-        raise ValueError(f"det(a + t b) for {what} is interpolated at the {w + 1} points "
-                         f"0..{w}, but they collide in {f.spec_str()} (characteristic {f.p})")
-    points = [f.of_int(i) for i in range(w + 1)]
-    pencil = Mat.from_rows(f, [[f.one(), t] for t in points], 2)
-    return poly_interpolate(points, a.hstack(b).contract_blocks(pencil, w).block_ranks(w)[1], f)
+# -- pencils of lines --------------------------------------------------------
 
 
 def pencil_jump_poly(omega: OmegaTensor, lam0: list, lam1: list) -> list:
@@ -189,9 +173,8 @@ def random_pencil(field: Field, stream: Stream) -> tuple[list, list]:
 def k_intersection_dim(omega: OmegaTensor, k: Mat) -> int:
     """dim N meet (K (x) V*) inside H* (x) V*, for the subspace K of H*
     spanned by the independent rows of k: dim N + 4 dim K - rank[N; K (x) V*]."""
-    m = build_monad(omega)
-    span = kron(k, Mat.identity(omega.field, 4))
-    return m.N.dim + span.nrows - m.N.basis.vstack(span).rank()
+    N, span = omega.image(), kron(k, Mat.identity(omega.field, 4))
+    return N.dim + span.nrows - N.basis.vstack(span).rank()
 
 
 # -- quadric ideals from null-correlation maps -------------------------------

@@ -1,5 +1,6 @@
-# Dense exact linear algebra over the coefficient fields, plus the
-# deterministic counter-based sampling stream.
+# Dense exact linear algebra over the coefficient fields, the determinant
+# along a pencil of matrices, and the deterministic counter-based sampling
+# stream.
 #
 # Prime fields with small modulus run on int64 numpy arrays (integer
 # arithmetic mod p, no floats); the rationals and extension fields use plain
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
 
 import numpy as np
@@ -781,6 +783,39 @@ def kron(a: Mat, b: Mat) -> Mat:
     data = [[z if f.is_zero(x) or f.is_zero(y) else f.mul(x, y) for x in ar for y in br]
             for ar in a._a for br in b._a]
     return Mat(f, nrows, ncols, data)
+
+
+@lru_cache(maxsize=None)
+def _pencil_nodes(field: Field, w: int) -> tuple[Mat, Mat]:
+    """The rows (1, t) for the first w + 1 points t of field.elements(), or
+    0..w over Q, and the inverse of the matrix whose row j holds the t^j: it
+    takes the values of a polynomial of degree at most w at the points to
+    its coefficients."""
+    points = ([field.of_int(i) for i in range(w + 1)] if field.kind == "rational"
+              else list(islice(field.elements(), w + 1)))
+    powers = [[field.one()] * (w + 1)]
+    for _ in range(w):
+        powers.append([field.mul(x, t) for x, t in zip(powers[-1], points)])
+    return (Mat.from_rows(field, [[field.one(), t] for t in points], 2),
+            Mat.from_rows(field, powers, w + 1).inverse())
+
+
+def det_pencil(a: Mat, b: Mat, what: str) -> list:
+    """Coefficients, low degree first, of det(a + t b) for w x w matrices a
+    and b: the blocks of [a | b] contracted with the rows (1, t) at w + 1
+    points, their determinants from one block elimination, times the inverse
+    Vandermonde matrix of the points.  A finite field of at most w elements
+    has too few points; what names the pencil in the error."""
+    f, w = a.field, a.nrows
+    if f.kind != "rational" and f.order <= w:
+        raise ValueError(f"det(a + t b) for {what} has degree up to {w}, so it needs {w + 1} "
+                         f"points, but {f.spec_str()} has only {f.order} elements")
+    pencil, inverse = _pencil_nodes(f, w)
+    values = a.hstack(b).contract_blocks(pencil, w).block_ranks(w)[1]
+    coeffs = (Mat.from_rows(f, [values], w + 1) @ inverse).row(0)
+    while coeffs and f.is_zero(coeffs[-1]):
+        coeffs.pop()
+    return coeffs
 
 
 def sample_invertible(n: int, field: Field, stream: Stream) -> Mat:

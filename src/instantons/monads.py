@@ -26,7 +26,6 @@ from .bases import (
     sym_pairs,
     times_variable,
 )
-from .fields import Field
 from .linalg import Mat, Pattern, Subspace, kron
 from .tensors import OmegaTensor, kernel_inclusion
 
@@ -74,17 +73,15 @@ class Monad:
     dimension.  umat (4*nH x m) is the fiberwise right map N -> H-bar* (x) V*;
     phi is the symplectic matrix on N recovered from the tensor, never
     assumed; the fiberwise left map H-bar (x) V -> N is derived from them,
-    wmat = phi umat^T (m x 4*nH), so beta = phi o alpha*.
+    wmat = phi umat^T (m x 4*nH), so beta = phi o alpha*.  N itself is the
+    tensor's: OmegaTensor.image.
     """
 
-    __slots__ = ("field", "nH", "m", "N", "phi", "umat", "wmat", "_ranks", "_onto", "_s2",
-                 "_restricted")
+    __slots__ = ("nH", "m", "phi", "umat", "wmat", "_ranks", "_onto", "_s2", "_restricted")
 
-    def __init__(self, field: Field, nH: int, N: Subspace, phi: Mat, umat: Mat):
-        self.field = field
+    def __init__(self, nH: int, phi: Mat, umat: Mat):
         self.nH = nH
         self.m = phi.nrows
-        self.N = N
         self.phi = phi
         self.umat = umat
         self.wmat = phi @ umat.transpose()
@@ -199,7 +196,7 @@ def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:
     # self-certification: u o phi o u* must reproduce the flattening exactly
     if not (B.transpose() @ phi @ B == M):
         raise MonadError("failed to factor the flattening through phi")
-    return Monad(omega.field, omega.n, N, phi, B.transpose())
+    return Monad(omega.n, phi, B.transpose())
 
 
 def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
@@ -216,8 +213,7 @@ def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
     if key not in plain._restricted:
         j = kernel_inclusion(omega.field, xi)
         proj = kron(j.transpose(), Mat.identity(omega.field, 4))  # H* (x) V* -> H-bar* (x) V*
-        plain._restricted[key] = Monad(omega.field, omega.n - 1, plain.N, plain.phi,
-                                       proj @ plain.umat)
+        plain._restricted[key] = Monad(omega.n - 1, plain.phi, proj @ plain.umat)
     return plain._restricted[key]
 
 

@@ -65,24 +65,6 @@ def divmod_poly(a: list, b: list, field: Field) -> tuple[list, list]:
     return trim(q, field), r
 
 
-def interpolate(points: list, values: list, field: Field) -> list:
-    """Lagrange interpolation through distinct points; exact in the field."""
-    if len(points) != len(values):
-        raise ValueError("points/values length mismatch")
-    acc: list = []
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        num = [field.one()]
-        den = field.one()
-        for j, xj in enumerate(points):
-            if i == j:
-                continue
-            num = mul(num, [field.neg(xj), field.one()], field)
-            den = field.mul(den, field.sub(xi, xj))
-        scale = field.mul(yi, field.inv(den))
-        acc = add(acc, [field.mul(scale, c) for c in num], field)
-    return trim(acc, field)
-
-
 def gcd(a: list, b: list, field: Field) -> list:
     """The monic greatest common divisor, by Euclid; [] when both are zero."""
     while b:

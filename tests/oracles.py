@@ -333,7 +333,7 @@ def _restricted_maps(m: Monad, points: list, d: int) -> tuple[Mat, Mat]:
     """(alpha_d, beta_d) of the display restricted to the line through the
     two points: each x_k is replaced by its linear form in the line's two
     coordinates."""
-    f = m.field
+    f = m.umat.field
     subs, umat, wmat = Mat.from_rows(f, points, 4).rows(), m.umat.rows(), m.wmat.rows()
 
     def on_line(entry, rv):
@@ -355,7 +355,7 @@ def splitting_order_by_generators(m: Monad, points: list) -> int:
     """Splitting order from minimal generators of the restricted section module."""
     if m.r != 2:
         raise MonadError("splitting order is defined for rank-2 displays only")
-    f, n = m.field, m.nH
+    f, n = m.umat.field, m.nH
     kers: dict[int, Subspace] = {}
     betas: dict[int, Mat] = {}
     for d in range(0, n + 1):
@@ -406,14 +406,14 @@ def line_invariants_by_line(omega, u0: list, u1: list) -> tuple:
     _U, W, plucker = line_by_elimination(f, u0, u1)
     quadric = omega.contract_line(plucker)
     h_star_w = Subspace.from_spanning(kron(Mat.identity(f, n), W.basis))
-    return n - quadric.rank(), m.N.intersect(h_star_w).dim, quadric.det()
+    return n - quadric.rank(), omega.image().intersect(h_star_w).dim, quadric.det()
 
 
 def h0_on_plane(omega, z: list) -> int:
     """h0 of E restricted to the plane z = 0 of P(V): dim N meet (H* (x) <z>)."""
     f = omega.field
     h_star_z = Subspace.from_spanning(kron(Mat.identity(f, omega.n), Mat.from_rows(f, [z], 4)))
-    return build_monad(omega).N.intersect(h_star_z).dim
+    return omega.image().intersect(h_star_z).dim
 
 
 def rref_dense(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

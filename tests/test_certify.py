@@ -224,9 +224,9 @@ def test_induction_certificate_reuses_display_work(monkeypatch):
         assemblies.append(monad.nH)
         return s2_maps(monad)
 
-    def counting_init(self, field, nH, *args):
+    def counting_init(self, nH, *args):
         displays.append(nH)
-        init(self, field, nH, *args)
+        init(self, nH, *args)
 
     monkeypatch.setattr(monads, "_s2_maps", counting_maps)
     monkeypatch.setattr(monads.Monad, "__init__", counting_init)

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from instantons import cli, families, monads
 from instantons.cli import main
 from instantons.families import SampleError
+from instantons.fields import field_from_spec
+from instantons.polys import evaluate as poly_evaluate
 
 
 def run(argv):
@@ -155,7 +157,8 @@ def test_table_pencil(capsys):
 
 
 def test_table_pencil_small_field_is_input_error(capsys):
-    # the pencil determinant is interpolated at 0..n, which collide mod 5
+    # the pencil determinant has degree up to n = 5, so it needs 6 points,
+    # and fp:5 has 5
     code = run(["table", "pencil", "--example", "thooft5", "--field", "fp:5"])
     assert code == 2
     err = capsys.readouterr().err
@@ -190,7 +193,8 @@ def test_table_pencil_builds_display_once(monkeypatch, capsys, tmp_path, source,
     ["certify", "--example", "two-sum", "--field", "fp:7"],
 ])
 def test_corank2_sampling_small_field_is_input_error(argv, capsys):
-    # the pencil determinant is interpolated at 0..4n, which collide mod 7
+    # the pencil determinant has degree up to 4n = 8, so it needs 9 points,
+    # and fp:7 has 7
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "fp:7" in err and "n = 2" in err and "Traceback" not in err
@@ -416,22 +420,53 @@ def test_suite_stdout_is_the_json_summary(capsys):
 
 
 @pytest.mark.parametrize("argv,what", [
-    (["sample", "--n", "3", "--r", "4", "--field", "rational"], "sampling M(3, 4) with r < 2n"),
-    (["certify", "--sample", "5,2", "--field", "rational"], "sampling M(5, 2) with r < 2n"),
-    (["sample", "--n", "2", "--r", "2", "--field", "rational"], "sampling M(2, 2) with r < 2n"),
+    (["sample", "--n", "3", "--r", "4", "--field", "rational"], "corank-2 sampling"),
+    # (4, 2) climbs from the corank-2 stratum (3, 4)
+    (["certify", "--sample", "4,2", "--field", "rational"], "corank-2 sampling"),
+    (["sample", "--n", "2", "--r", "2", "--field", "rational"], "corank-2 sampling"),
     (["certify", "--example", "two-sum", "--field", "rational"], "corank-2 sampling"),
     (["table", "coh", "--example", "sum-family:1,2", "--field", "rational"], "corank-2 sampling"),
 ])
 def test_rational_sampling_below_open_stratum_is_input_error(argv, what, capsys):
-    # raised before any sampling work: over Q the samplers below the open
-    # stratum ran for minutes or did not end
+    # raised before any sampling work: a random pencil's determinant has no
+    # rational root, so over Q the corank-2 sampler would not end
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert what in err and "unsupported in rational mode" in err and "Traceback" not in err
 
 
-# sample_instanton(5, 2, QQ, 7), written once with the rational sampling
-# guard lifted: its entries have numerators and denominators of over 1200 bits
+@pytest.mark.parametrize("sample", ["3,2", "4,4"])
+def test_rational_chains_from_the_open_stratum_are_certified(sample, capsys):
+    # (3, 2) and (4, 4) climb the restriction induction from a full-rank
+    # tensor, so no corank-2 sample is needed over Q
+    assert run(["certify", "--sample", sample, "--field", "rational"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["consistent"] and cert["verdicts"]["smooth_point"]
+    assert cert["subject"]["r"] == int(sample.split(",")[1])
+
+
+def test_table_pencil_over_a_small_extension_field(capsys):
+    # fp:5^2 has characteristic 5 but 25 points for a determinant of degree
+    # up to 5; every root printed is a zero of the printed polynomial
+    f = field_from_spec("fp:5^2")
+    assert run(["table", "pencil", "--example", "thooft5", "--field", "fp:5^2"]) == 0
+    table = [row.split(",", 1) for row in capsys.readouterr().out.splitlines()[2:]]
+    coeffs = [f.parse(v) for k, v in table if k.startswith("coeff_")]
+    roots = [f.parse(v) for k, v in table if k == "root"]
+    assert len(coeffs) == 6 and roots
+    assert all(f.is_zero(poly_evaluate(coeffs, x, f)) for x in roots)
+
+
+def test_corank2_sampling_over_a_small_extension_field(capsys):
+    # fp:3^2 has 9 points, enough for the flattening's determinant of degree
+    # up to 4n = 8 along a pencil at n = 2
+    assert run(["table", "coh", "--sample", "2,2", "--field", "fp:3^2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "d,h0,h1", "-2,0,0", "-1,0,2", "0,0,2", "1,2,0", "2,12,0", "3,30,0"]
+
+
+# sample_instanton(5, 2, QQ, 7), written once: its entries have numerators
+# and denominators of over 1200 bits
 RATIONAL_52 = Path(__file__).parent / "fixtures" / "rational-5-2-seed7.json"
 
 

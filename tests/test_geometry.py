@@ -3,10 +3,10 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
+from instantons import monads
 from instantons.families import degenerate_rank6, nc_tensor, sample_instanton, thooft_tensor
 from instantons.fields import field_from_spec
 from instantons.geometry import (
-    det_pencil,
     k_intersection_dim,
     line_invariants,
     line_through,
@@ -15,14 +15,15 @@ from instantons.geometry import (
     plucker_bilinear,
     plucker_of_span,
     plucker_quadric,
+    random_lines,
     splitting_orders,
     triple_span,
 )
-from instantons.linalg import Mat, Stream, Subspace, kron
-from instantons.monads import MonadError, build_monad
+from instantons.linalg import Mat, Stream, Subspace, det_pencil, kron
+from instantons.monads import build_monad
 from instantons.polys import evaluate as poly_evaluate
 from instantons.polys import roots as poly_roots
-from instantons.tensors import OmegaTensor
+from instantons.tensors import OmegaTensor, tensor_from_obj, tensor_to_obj
 from oracles import (
     h0_on_plane,
     line_by_elimination,
@@ -118,8 +119,23 @@ def test_h0_line_and_splitting_nc(F):
 
 def test_splitting_requires_rank_two(F, full36):
     lam, _points = line_through(F, [1, 0, 0, 0], [0, 1, 0, 0])
-    with pytest.raises(MonadError):
+    with pytest.raises(ValueError, match="rank-2 displays only"):
         splitting_orders(full36, [lam])
+
+
+def test_line_geometry_builds_no_display(F, chain52, monkeypatch):
+    # orders, section counts and meets with K (x) V* read the tensor's rank,
+    # quadrics and image alone; read back through the file format, the
+    # tensor starts with no display
+    t = tensor_from_obj(tensor_to_obj(chain52))
+    builds = []
+    monkeypatch.setattr(monads, "_monad_from_image", lambda omega, N: builds.append(omega))
+    lines = random_lines(F, Stream("no_display"), 3)
+    lam0, lam1 = _pencil(F, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])
+    line_invariants(t, lines)
+    pencil_jump_poly(t, lam0, lam1)
+    k_intersection_dim(t, Mat.identity(F, 5))
+    assert builds == [] and t._monad is None
 
 
 def test_generic_line_on_chain(F, chain52):
@@ -201,10 +217,12 @@ def test_pencil_degree_and_validation(F, chain52):
 
 @given(data=st.data())
 def test_det_pencil_evaluates_to_the_determinant(data):
-    # the interpolated polynomial at t is det(a + t b), at any t of the field;
-    # fp:7^2 has only the points 0..6 to interpolate at
+    # the polynomial at t is det(a + t b), at any t of the field; the
+    # extension fields have more than w elements, though their characteristic
+    # may be at most w (fp:2^3 has 8, too few at w = 8)
     w = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
-    spec = data.draw(st.sampled_from(["fp:32003", "rational"] + ["fp:7^2"] * (w < 7)))
+    spec = data.draw(st.sampled_from(["fp:32003", "rational", "fp:7^2", "fp:3^2"]
+                                     + ["fp:2^3"] * (w < 8)))
     field = field_from_spec(spec)
     stream = Stream("det_pencil", spec, w, data.draw(st.integers(0, 10**6)))
     a, b = (Mat.from_rows(field, [stream.next_vector(field, w) for _ in range(w)], w)
@@ -216,7 +234,7 @@ def test_det_pencil_evaluates_to_the_determinant(data):
 
 
 def test_det_pencil_needs_distinct_points():
-    # 0..5 collide mod 5
+    # a determinant of degree up to 5 needs 6 points, and fp:5 has 5
     f5 = field_from_spec("fp:5")
     one = Mat.identity(f5, 5)
     with pytest.raises(ValueError, match="a pencil of width 5.*fp:5"):
@@ -389,7 +407,7 @@ def test_splitting_order_matches_section_module_oracle(spec):
         lines = _coordinate_lines(field)
         lines += _pencil_root_lines(field, t, [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0])
         cases.append((t, lines))
-    # the sampler interpolates at 0..4n, which collide mod 7; randomized
+    # corank-2 sampling needs 4n + 1 points, more than fp:7 has; randomized
     # 't Hooft tensors stand in for the samples there
     if field.p > 20:
         randomized = [sample_instanton(n, 2, field, ("oracle", n)) for n in (2, 3, 4, 5)]

@@ -29,9 +29,10 @@ from instantons.tensors import OmegaTensor, block_sum, tensor_from_obj, tensor_t
 
 
 def test_build_monad_nc(F):
-    m = build_monad(nc_tensor(F))
+    t = nc_tensor(F)
+    m = build_monad(t)
     assert m.m == 4 and m.r == 2
-    assert m.N == Subspace.from_spanning(Mat.identity(F, 4))
+    assert t.image() == Subspace.from_spanning(Mat.identity(F, 4))
     assert (m.phi + m.phi.transpose()).is_zero()
 
 

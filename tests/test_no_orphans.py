@@ -29,6 +29,10 @@ entries are exempt: Python calls the one only to show an object, and the
 benchmark calls the others.  The package's function caches are emptied
 first, so that a function an earlier test filled a cache from is entered
 again.
+
+The import-graph test pins the module edges that one owner per job removed:
+the line geometry reads the tensor, not its display, and the pencil
+determinant lives in linalg.
 """
 
 from __future__ import annotations
@@ -184,6 +188,7 @@ REACH_COMMANDS = (
     "table coh --tensor {exported}",
     "sample --n 3 --r 2",
     "suite",
+    "suite --only thooft --field fp:7^2",
 )
 
 
@@ -258,6 +263,18 @@ def test_every_function_is_entered_by_a_command(tmp_path):
     write_tensor(beyond_small_height_q(), str(files["hidden"]))
     argvs = [[arg.format(**files) for arg in command.split()] for command in REACH_COMMANDS]
     assert unentered(argvs) == []
+
+
+def _imports(module: str) -> set[str]:
+    """The package modules that src/instantons/<module>.py imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {node.module or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+def test_import_graph():
+    assert not _imports("geometry") & {"monads", "polys"}
+    assert "geometry" not in _imports("families")
 
 
 if __name__ == "__main__":
