@@ -399,7 +399,7 @@ class Mat:
             a = self._a - other._a
             np.add(a, f.p, out=a, where=a < 0)
             return Mat(f, self.nrows, self.ncols, a)
-        # x - 0 is x: the accumulator subtracts mostly-zero products
+        # x - 0 is x: kernel() subtracts a mostly-zero placed block
         data = [
             [x if f.is_zero(y) else f.sub(x, y) for x, y in zip(r1, r2)]
             for r1, r2 in zip(self._a, other._a)

@@ -5,23 +5,25 @@
 # flattening and contracts only the points it leaves with the flattening
 # itself, and a sound emptiness certificate that checks a bigraded piece of
 # the ideal generated by the 4n bilinear forms <omega(h (x) v), basis> equals
-# the whole space.  A closed certificate proves non-degeneracy over the
-# algebraic closure; a found witness disproves it exactly; anything else is
-# reported as unknown, never guessed.  Both are written on Mat alone
-# (products, Kronecker products, column placement, rref, the ranks of column
-# blocks): how a field is stored, numpy or Python elements, is linalg's
-# business.
+# the whole space.  A piece is ranked through its annihilator, Macaulay's
+# inverse system in its bidegree: the piece is full when the annihilator is
+# zero, and each annihilator follows from the one a degree lower in an
+# elimination as wide as that one's dimension times the number of variables.
+# A closed certificate proves non-degeneracy over the algebraic closure; a
+# found witness disproves it exactly; anything else is reported as unknown,
+# never guessed.  Both are written on Mat alone (products, Kronecker
+# products, gathers, column placement, kernels, the ranks of column blocks):
+# how a field is stored, numpy or Python elements, is linalg's business.
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cache
-from itertools import count
+from functools import cache, lru_cache
 
 from .bases import hv_index, num_monomials, times_variable
 from .fields import ExtensionField, Field, PrimeField, is_prime
-from .linalg import Mat, Stream
+from .linalg import Mat, Pattern, Stream
 from .tensors import OmegaTensor
 
 DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = (
@@ -222,129 +224,112 @@ def _lifted_witness(omega: OmegaTensor, start: int, point_cap: int, points: dict
 
 # -- spanning certificate ----------------------------------------------------
 
-class _Accumulator:
-    """RREF of a growing row space: row i is e_pivots[i] + block[i] on free."""
-
-    def __init__(self, field: Field, ncols: int):
-        self.ncols = ncols
-        self.block = Mat.zeros(field, 0, ncols)
-        self._set_pivots([])
-
-    def _set_pivots(self, pivots: list[int]) -> None:
-        self.pivots = pivots
-        self.free = sorted(set(range(self.ncols)).difference(pivots))
-        # slot[c]: the row pivoting at c, or -1 - the position of c in free
-        self._slot = dict(zip(pivots, count())) | dict(zip(self.free, count(-1, -1)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add_reduced(self, pivots: list[int], free: list[int], block: Mat, idx) -> None:
-        """Add the span of the reduced basis e_pivots[i] + block[i] on free,
-        each column c moved to idx[c]: an increasing idx keeps it reduced, so
-        an empty accumulator takes it as it is.  Else the rows whose pivot
-        lands on a pivot p are negated, and each row is reduced by the basis
-        on the free columns alone: it starts from p's block row (the others
-        from a unit vector), adds its entries that land on free columns and
-        subtracts those that land on pivots times the pivots' block rows."""
-        if list(idx) != sorted(set(idx)):
-            raise AssertionError("a certificate piece's column map is not increasing")
-        if not self.pivots:
-            self._set_pivots([idx[c] for c in pivots])
-            self.block = block.place_cols([-1 - self._slot[idx[c]] for c in free], len(self.free))
-            return
-        nfree = len(self.free)
-        lands = [self._slot[idx[c]] for c in pivots]
-        on_p = [i for i, s in enumerate(lands) if s >= 0]
-        on_f = [i for i, s in enumerate(lands) if s < 0]
-        cols = [self._slot[idx[c]] for c in free]
-        cols_p = [k for k, s in enumerate(cols) if s >= 0]
-        cols_f = [k for k, s in enumerate(cols) if s < 0]
-        rows = (-block.take_rows(on_p)).vstack(block.take_rows(on_f))
-        res = self.block.take_rows([lands[i] for i in on_p]).vstack(
-            Mat.identity(block.field, len(on_f)).place_cols([-1 - lands[i] for i in on_f], nfree))
-        if cols_f:
-            res = res + rows.take_cols(cols_f).place_cols([-1 - cols[k] for k in cols_f], nfree)
-        if cols_p:
-            res = res - rows.take_cols(cols_p) @ self.block.take_rows([cols[k] for k in cols_p])
-        red, fpiv = res.rref()
-        if not fpiv:
-            return
-        keep = sorted(set(range(nfree)).difference(fpiv))
-        red = red.take_rows(range(len(fpiv))).take_cols(keep)
-        old = self.block.take_cols(keep) - self.block.take_cols(fpiv) @ red
-        allpiv = self.pivots + [self.free[j] for j in fpiv]
-        order = sorted(range(len(allpiv)), key=allpiv.__getitem__)
-        self.block = old.vstack(red).take_rows(order)
-        self._set_pivots(sorted(allpiv))
-
 
 def _ambient(n: int, d: int, e: int) -> int:
     """Columns of the (d, e) piece: the monomials of S^d H* (x) S^e V*."""
     return num_monomials(n, d) * num_monomials(4, e)
 
 
+@lru_cache(maxsize=64)
+def _step_patterns(n: int, d: int, e: int, c: int) -> tuple[Pattern, Pattern]:
+    """Gathers from the transpose of a basis a_0 .. a_(c-1) of A, the
+    annihilator of the piece one degree lower, to the annihilator of (d, e).
+
+    The piece is the sum of x_i times the (d - 1, e) piece (at d = 1, of y_k
+    times the (1, e - 1) piece), so phi kills it exactly when every phi o x_i
+    = sum_j c_ij a_j lies in A.  Then phi[M] = sum_j c_ij a_j[M / x_i] for
+    every x_i dividing the monomial M: the first one, x_i0, gives phi (the
+    second gather) and each further one a constraint on the c_ij, which sit
+    at column i c + j (the first gather).  As the a_j are independent, the
+    map from the constraints' kernel to phi is one to one.
+    """
+    # column (o * nm + m) * inner + t: m one of the nm monomials of degree
+    # deg in the variables multiplied, o and t the monomial of the other factor
+    if d > 1:
+        nvars, deg, outer, inner = n, d, 1, num_monomials(4, e)
+    else:
+        nvars, deg, outer, inner = 4, e, n, 1
+    divisors = [[] for _ in range(num_monomials(nvars, deg))]
+    for i, img in enumerate(times_variable(nvars, deg - 1)):
+        for q, m in enumerate(img):
+            divisors[m].append((i, q))
+    nm, nq = len(divisors), num_monomials(nvars, deg - 1)
+    cols = [((o * nm + m) * inner + t, [(i, (o * nq + q) * inner + t) for i, q in divs])
+            for o in range(outer) for m, divs in enumerate(divisors) for t in range(inner)]
+    lower = (outer * nq * inner, c)
+    rows = [(first, other) for _, (first, *rest) in cols for other in rest]
+    constraints = Pattern((len(rows), nvars * c), lower, (
+        term for r, ((i0, q0), (i, q)) in enumerate(rows) for j in range(c)
+        for term in ((r, i * c + j, q, j, 1), (r, i0 * c + j, q0, j, -1))))
+    lift = Pattern((nvars * c, outer * nm * inner), lower, (
+        (i0 * c + j, col, q0, j, 1) for col, ((i0, q0), *_) in cols for j in range(c)))
+    return constraints, lift
+
+
+@dataclass(frozen=True, eq=False)
+class Piece:
+    """The (d, e) piece of the ideal, of ncols = dim S^d H* (x) S^e V*
+    columns, kept as a basis of its annihilator (Macaulay's inverse system
+    in that degree), one row per functional: rank = ncols - dim A."""
+
+    ncols: int
+    annihilator: Mat
+
+    @property
+    def rank(self) -> int:
+        return self.ncols - self.annihilator.nrows
+
+
 class SpanningCertifier:
     """Bigraded pieces of the ideal of the bilinear forms of a tensor.
 
-    Piece (d, e) lives in S^d H* (x) S^e V*; it is built incrementally by
-    multiplying lower pieces by the coordinate variables, so a whole schedule
-    of degree checks shares work.  closes(d, e) == True certifies, soundly,
-    that the forms have no common zero with both factors nonzero over the
-    algebraic closure.
+    Piece (d, e) lives in S^d H* (x) S^e V*.  Its annihilator is found from
+    the one of the lower piece it is a multiple of (see _step_patterns), in
+    an elimination whose width is the lower piece's corank times the number
+    of variables, so a whole schedule of degree checks shares work.
+    closes(d, e) == True certifies, soundly, that the forms have no common
+    zero with both factors nonzero over the algebraic closure.
     """
 
     def __init__(self, omega: OmegaTensor):
         self.omega = omega
-        self.field = omega.field
         self.n = omega.n
-        self._pieces: dict[tuple[int, int], _Accumulator] = {}
+        self._pieces: dict[tuple[int, int], Piece] = {}
         # [d, e, ambient, rank] of each piece, in the order they were built
         self.built: list[list[int]] = []
 
-    def piece(self, d: int, e: int) -> _Accumulator:
+    def piece(self, d: int, e: int) -> Piece:
         if (d, e) in self._pieces:
             return self._pieces[d, e]
         if d < 1 or e < 1:
             raise ValueError("bigraded degrees start at (1, 1)")
-        acc = _Accumulator(self.field, _ambient(self.n, d, e))
+        ncols = _ambient(self.n, d, e)
         if (d, e) == (1, 1):
-            # the flattening's columns, as forms on H (x) V, span N: its reduced basis
-            image = self.omega.image()
-            free = [c for c in range(acc.ncols) if c not in image.pivots]
-            acc.add_reduced(image.pivots, free, image.basis.take_cols(free), range(acc.ncols))
+            # the flattening is skew, so the forms it spans, its columns, are
+            # killed by exactly its right kernel
+            ann = self.omega.flatten().kernel().basis
         else:
-            # the (d, e) piece is S^1 H* times the (d-1, e) piece, or S^1 V*
-            # times the (d, e-1) piece; a monomial times a variable is one
-            # monomial, so each multiple of a row is the row with its columns
-            # moved to the column h * count_v + v of their product (in order)
-            count_v = num_monomials(4, e)
-            if d > 1:
-                prev = self.piece(d - 1, e)
-                places = [[th * count_v + v for th in img for v in range(count_v)]
-                          for img in times_variable(self.n, d - 1)]
-            else:
-                prev = self.piece(d, e - 1)
-                places = [[h * count_v + tv for h in range(num_monomials(self.n, d)) for tv in img]
-                          for img in times_variable(4, e - 1)]
-            for idx in places:
-                if acc.rank < acc.ncols:
-                    acc.add_reduced(prev.pivots, prev.free, prev.block, idx)
-        self._pieces[d, e] = acc
-        self.built.append([d, e, acc.ncols, acc.rank])
-        return acc
+            low = (self.piece(d - 1, e) if d > 1 else self.piece(d, e - 1)).annihilator
+            ann = Mat.zeros(low.field, 0, ncols)
+            if low.nrows:  # a zero annihilator stays zero
+                constraints, lift = _step_patterns(self.n, d, e, low.nrows)
+                low = low.transpose()
+                ann = low.gather(constraints).kernel().basis @ low.gather(lift)
+        piece = self._pieces[d, e] = Piece(ncols, ann)
+        self.built.append([d, e, ncols, piece.rank])
+        return piece
 
     def closes(self, d: int, e: int) -> bool:
-        acc = self.piece(d, e)
-        return acc.rank == acc.ncols
+        return self.piece(d, e).annihilator.nrows == 0
 
 
 # -- classification ----------------------------------------------------------
 
 
-# pieces of at most this many columns take milliseconds to build, so classify
-# runs the schedule's first such pieces before the full witness scan
+# classify runs the schedule's first pieces of at most this many columns
+# before the full witness scan.  A piece's cost follows the corank of the one
+# below it rather than its columns, but the bound stays: it decides which
+# stage closes, and so the work that a verdict's searched records
 _CHEAP_PIECE_COLUMNS = 400
 
 

@@ -14,19 +14,14 @@ schedule in order.  `nondeg.classify` builds cheap pieces before most of the
 scan; since a closed piece proves that no witness exists, both give the
 same verdict, closing bidegree and witness.
 
-`piece_rank_by_spanning_set` is the rank of the explicit spanning set of a
-bigraded piece of the ideal of the 4n bilinear generator forms: every
-product of a monomial of degree d - 1 in H*, a monomial of degree e - 1 in
-V* and a generator, ranked in one elimination.  `nondeg.SpanningCertifier`
-builds the same piece incrementally from lower pieces.
-
-`add_full_width` is the update of a reduced row-echelon basis by a batch of
-rows with every product and elimination across all columns: the batch is
-reduced by the whole basis, the residual is eliminated, and every old row is
-updated on every column.  `nondeg._Accumulator.add_reduced` takes the batch
-as a reduced basis (pivots and the block on its free columns) with its
-columns moved by an increasing map, and computes the same basis and pivots
-on the accumulator's free columns alone.
+`spanning_set` is the explicit spanning set of a bigraded piece of the
+ideal of the 4n bilinear generator forms: every product of a monomial of
+degree d - 1 in H*, a monomial of degree e - 1 in V* and a generator, one
+row each; `piece_rank_by_spanning_set` ranks it in one elimination.
+`nondeg.SpanningCertifier` keeps each piece as a basis of its annihilator
+instead, found from the lower piece's annihilator without the spanning set
+(Macaulay's inverse systems): its rows must kill every row of the spanning
+set and be independent, and its rank is the columns minus their number.
 
 `splitting_order_by_generators` is the general section-module computation of
 the splitting order of E_L = O(a) (+) O(-a) on a line L: the display is
@@ -271,8 +266,8 @@ def spanning_set_cells(n: int, d: int, e: int) -> int:
     return rows * len(monomials(n, d)) * len(monomials(4, e))
 
 
-def piece_rank_by_spanning_set(omega, d: int, e: int) -> int:
-    """Rank of the (d, e) piece from its explicit spanning set."""
+def spanning_set(omega, d: int, e: int) -> Mat:
+    """The explicit spanning set of the (d, e) piece, one product per row."""
     f, n = omega.field, omega.n
     gens = omega.flatten().transpose()  # row c: the form sum m[4a+k, c] x_a y_k
     idx_h, idx_v = monomial_index_map(n, d), monomial_index_map(4, e)
@@ -287,23 +282,12 @@ def piece_rank_by_spanning_set(omega, d: int, e: int) -> int:
                         pos = idx_h[mono_mul(mh, a)] * len(idx_v) + idx_v[mono_mul(mv, k)]
                         out[pos] = f.add(out[pos], g[hv_index(a, k)])
                 rows.append(out)
-    return Mat.from_rows(f, rows, len(idx_h) * len(idx_v)).rank()
+    return Mat.from_rows(f, rows, len(idx_h) * len(idx_v))
 
 
-def add_full_width(basis: Mat, pivots: list[int], rows: Mat) -> tuple[Mat, list[int]]:
-    """Reference for the basis and pivots after `nondeg._Accumulator.add_reduced`,
-    given its batch as dense rows placed at their columns' images."""
-    if pivots:
-        rows = rows - rows.take_cols(pivots) @ basis
-    red, piv = rows.rref()
-    if not piv:
-        return basis, pivots
-    red = red.take_rows(range(len(piv)))
-    if pivots:
-        basis = basis - basis.take_cols(piv) @ red
-    allpiv = pivots + piv
-    order = sorted(range(len(allpiv)), key=allpiv.__getitem__)
-    return basis.vstack(red).take_rows(order), sorted(allpiv)
+def piece_rank_by_spanning_set(omega, d: int, e: int) -> int:
+    """Rank of the (d, e) piece from its explicit spanning set."""
+    return spanning_set(omega, d, e).rank()
 
 
 def _graded_on_line(field, coef, n_out: int, n_in: int, d: int) -> Mat:
@@ -657,13 +641,6 @@ def s2_is_complex_dense(m: Monad) -> bool:
     """Reference for the check in `monads.s2_cohomology` that d1 @ d0 = 0."""
     d0, d1 = _s2_maps(m)
     return (d1 @ d0).is_zero()
-
-
-def accumulator_basis(acc) -> Mat:
-    """The reduced basis a `nondeg._Accumulator` stands for: row i is
-    e_pivots[i] + block[i] on the free columns."""
-    eye = Mat.identity(acc.block.field, acc.rank).place_cols(acc.pivots, acc.ncols)
-    return eye + acc.block.place_cols(acc.free, acc.ncols)
 
 
 def beyond_small_height_q() -> OmegaTensor:

@@ -239,8 +239,8 @@ ELIMINATIONS = ("_np_rref", "_np_rank", "_generic_rref")
 
 
 @pytest.mark.parametrize("make,counts", [
-    (lambda: sample_instanton(5, 2, GF32003, 7), (9, 14, 0)),
-    (lambda: thooft_tensor(3, QQ), (0, 17, 9)),
+    (lambda: sample_instanton(5, 2, GF32003, 7), (6, 14, 0)),
+    (lambda: thooft_tensor(3, QQ), (0, 17, 8)),
     (lambda: degenerate_rank6(QQ), (0, 6, 7)),
     (lambda: sample_full(2, QQ, 1), (0, 13, 1)),
     (lambda: nc_tensor(QQ), (0, 12, 1)),
@@ -250,12 +250,14 @@ def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # first runs _np_rank on the residues mod one prime, and _generic_rref
     # only when that rank is not full (or for an RREF).  The display, the
     # (1,1) certificate piece and the tangent kernel share one RREF of the
-    # flattening, and every piece takes its first batch, the lower piece's
-    # reduced basis, with no elimination; a modular certificate reads the
-    # sigma and gamma kernel dimensions off its cohomology table, left_defect
-    # reads the rank of beta(1) that h_values(1) kept, alpha is not ranked
-    # above the first twist d0 >= 0 where it is onto, and beta is not ranked
-    # at d0 or above, save beta(1).  The degenerate display's alpha is onto
+    # flattening, and each of the two kernels reduces its basis once.  Every
+    # later piece eliminates its constraint matrix, as wide as the lower
+    # piece's annihilator times the number of variables, and reduces the
+    # basis of that matrix's kernel when it is not zero.  A modular
+    # certificate reads the sigma and gamma kernel dimensions off its
+    # cohomology table, left_defect reads the rank of beta(1) that
+    # h_values(1) kept, alpha is not ranked above the first twist d0 >= 0
+    # where it is onto, and beta is not ranked at d0 or above, save beta(1).  The degenerate display's alpha is onto
     # at no twist, so its every beta is ranked.  The witness scan ranks each
     # point's (w + 1) x w block of its fixed sketch, over Q through a rank mod
     # one prime (never square, so no determinant), and ranks the point's own

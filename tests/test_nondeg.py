@@ -7,13 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
-    accumulator_basis,
-    add_full_width,
     classify_scan_first,
     piece_rank_by_spanning_set,
     projective_points_by_filter,
     sample_matrix,
     scan_by_loops,
+    spanning_set,
     spanning_set_cells,
     verify_witness,
     beyond_small_height_q,
@@ -38,7 +37,6 @@ from instantons.nondeg import (
     DEFAULT_SCHEDULE,
     Budget,
     SpanningCertifier,
-    _Accumulator,
     _candidates,
     classify,
     witness_search,
@@ -220,8 +218,18 @@ ORACLE_FIELDS = [("fp:5", 2), ("fp:7", 1), ("fp:32003", 1), ("rational", 1)]
 # base field is scanned at any size
 LARGE_PRIMES = [("fp:1048583", 1), ("fp:1000000007", 1)]
 ORACLE_POINT_CAP = 200
-# largest explicit spanning set the piece oracle ranks, per backend
-ORACLE_CELLS = {"prime": 150_000, "rational": 15_000}
+# the piece oracles add fp:2, and fp:3^2 and fp:1000000007 on the generic
+# backend (Python elements)
+PIECE_FIELDS = [spec for spec, _ in ORACLE_FIELDS] + ["fp:2", "fp:3^2", "fp:1000000007"]
+# largest explicit spanning set the piece oracles take, per backend
+ORACLE_CELLS = {"int64": 150_000, "generic": 15_000}
+
+
+def _oracle_pieces(t: OmegaTensor):
+    """The schedule's pieces whose explicit spanning set stays under the cap;
+    at n = 2 on the int64 backend that is the whole schedule."""
+    cap = ORACLE_CELLS["int64" if linalg._use_np(t.field) else "generic"]
+    return [(d, e) for d, e in DEFAULT_SCHEDULE if spanning_set_cells(t.n, d, e) <= cap]
 
 
 def _vanishing_at(fld, n: int, h: list, v: list, lam: list) -> OmegaTensor:
@@ -373,176 +381,125 @@ def test_scan_work_is_pinned(monkeypatch):
     assert (len(stacks), sum(b * r for b, r, _ in stacks)) == (4, 20480)
 
 
-@pytest.mark.parametrize("spec", [spec for spec, _ in ORACLE_FIELDS])
+@pytest.mark.parametrize("spec", PIECE_FIELDS)
 @settings(max_examples=12)
 @given(data=st.data())
 def test_piece_ranks_match_spanning_set_oracle(spec, data):
-    # every schedule piece whose explicit spanning set stays under the cap;
-    # at n = 2 over the prime fields that is the whole schedule
-    fld = field_from_spec(spec)
-    t = data.draw(_tensors(fld))
+    t = data.draw(_tensors(field_from_spec(spec)))
     cert = SpanningCertifier(t)
-    for d, e in DEFAULT_SCHEDULE:
-        if spanning_set_cells(t.n, d, e) <= ORACLE_CELLS[fld.kind]:
-            piece = cert.piece(d, e)
-            assert piece.ncols == num_monomials(t.n, d) * num_monomials(4, e)
-            assert piece.rank == piece_rank_by_spanning_set(t, d, e)
+    for d, e in _oracle_pieces(t):
+        piece = cert.piece(d, e)
+        assert piece.ncols == num_monomials(t.n, d) * num_monomials(4, e)
+        assert piece.rank == piece_rank_by_spanning_set(t, d, e)
 
 
-# the int64 backend at a small, a mid-size and the largest prime it takes,
-# and the generic one over Q and over two extension fields
-ACCUMULATOR_FIELDS = ["fp:32003", "fp:7", "fp:2097143", "rational", "fp:3^2", "fp:5^2"]
-
-
-@st.composite
-def _reduced_batches(draw, fld, ncols: int):
-    """Reduced bases (pivots, free, block) of random rows, each with a strictly
-    increasing map of its columns into range(ncols), some repeated whole (so
-    already in the span); the last closes the space."""
-    ints = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
-    k = getattr(fld, "k", 1)
-
-    def element(xs):
-        return tuple(x % fld.p for x in xs) if k > 1 else fld.of_int(xs[0])
-
-    batches = []
-    for _ in range(draw(st.integers(1, 5))):
-        if batches and draw(st.booleans()):
-            batches.append(batches[-1])
-            continue
-        width = draw(st.integers(1, ncols))
-        entries = st.lists(st.lists(ints, min_size=k, max_size=k), min_size=width, max_size=width)
-        rows = draw(st.lists(entries, min_size=1, max_size=6))
-        red, pivots = Mat.from_rows(fld, [[element(xs) for xs in r] for r in rows], width).rref()
-        free = [c for c in range(width) if c not in pivots]
-        idx = sorted(draw(st.lists(st.integers(0, ncols - 1), min_size=width, max_size=width,
-                                   unique=True)))
-        batches.append((pivots, free, red.take_rows(range(len(pivots))).take_cols(free), idx))
-    return batches + [(list(range(ncols)), [], Mat.zeros(fld, ncols, 0), list(range(ncols)))]
-
-
-@pytest.mark.parametrize("spec", ACCUMULATOR_FIELDS)
-@settings(max_examples=25)
+@pytest.mark.parametrize("spec", PIECE_FIELDS)
+@settings(max_examples=12)
 @given(data=st.data())
-def test_accumulator_matches_full_width_oracle(spec, data):
-    # each reduced batch, placed densely at its columns' images, is added by
-    # the oracle across all columns
-    fld = field_from_spec(spec)
-    ncols = data.draw(st.integers(1, 10))
-    acc = _Accumulator(fld, ncols)
-    basis, pivots = Mat.zeros(fld, 0, ncols), []
-    for piv, free, block, idx in data.draw(_reduced_batches(fld, ncols)):
-        width = len(idx)
-        dense = Mat.identity(fld, len(piv)).place_cols(piv, width) + block.place_cols(free, width)
-        acc.add_reduced(piv, free, block, idx)
-        basis, pivots = add_full_width(basis, pivots, dense.place_cols(idx, ncols))
-        assert acc.pivots == pivots
-        assert accumulator_basis(acc) == basis
-    assert acc.rank == ncols
+def test_annihilator_rows_kill_the_spanning_set(spec, data):
+    # each row of a piece's annihilator basis vanishes on every product in
+    # the piece's spanning set, and the rows are independent: with the rank
+    # oracle above, they span the whole annihilator
+    t = data.draw(_tensors(field_from_spec(spec)))
+    cert = SpanningCertifier(t)
+    for d, e in _oracle_pieces(t):
+        ann = cert.piece(d, e).annihilator
+        assert spanning_set(t, d, e).annihilates(ann.transpose())
+        assert ann.rank() == ann.nrows
 
 
 @pytest.mark.parametrize("nvars", [3, 4, 5])
 @pytest.mark.parametrize("degree", range(6))
 def test_times_variable_images_are_increasing(nvars, degree):
-    # multiplying by a variable keeps the monomial order, which lets a piece
-    # take its lower piece's reduced basis with its columns moved as it is
+    # multiplying by a variable is one to one on monomials and keeps their
+    # order; a piece's annihilator reads each monomial's quotients off these
+    # images
     for img in times_variable(nvars, degree):
         assert all(a < b for a, b in zip(img, img[1:]))
 
 
-@pytest.mark.parametrize("idx", [[2, 1], [1, 1]])
-def test_accumulator_rejects_a_map_that_is_not_increasing(F, idx):
-    acc = _Accumulator(F, 3)
-    with pytest.raises(AssertionError, match="not increasing"):
-        acc.add_reduced([0], [1], Mat.from_rows(F, [[1]], 1), idx)
-
-
-def test_accumulator_products_span_only_free_columns(F, monkeypatch):
-    # while a piece is built, every product inside _Accumulator.add_reduced
-    # has at most as many columns as the batch found free
-    free, widths = [], []
-    add, matmul = _Accumulator.add_reduced, Mat.__matmul__
-
-    def counted_add(self, *args):
-        free.append(self.ncols - self.rank)
-        try:
-            add(self, *args)
-        finally:
-            free.pop()
-
-    def counted_matmul(a, b):
-        if free:
-            widths.append((b.ncols, free[-1]))
-        return matmul(a, b)
-
-    monkeypatch.setattr(_Accumulator, "add_reduced", counted_add)
-    monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
-    t = block_sum(degenerate_rank6(F), sample_full(1, F, 5))
-    assert SpanningCertifier(t).piece(3, 3).rank == 198
-    assert len(widths) > 10
-    assert all(width <= limit for width, limit in widths)
-
-
-def _pieces_digest(t: OmegaTensor, schedule) -> str:
-    """Digest of the pivots and basis of every piece built for schedule.
-
-    A basis in RREF is the identity on its pivot columns, which is asserted,
-    so its rows on the free columns are all that is digested."""
-    cert = SpanningCertifier(t)
-    for d, e in schedule:
-        cert.piece(d, e)
-    f = t.field
-    h = hashlib.sha256()
-    for d, e, _, _ in cert.built:
-        acc = cert.piece(d, e)
-        assert accumulator_basis(acc).take_cols(acc.pivots) == Mat.identity(f, acc.rank)
-        taken = set(acc.pivots)
-        free = [c for c in range(acc.ncols) if c not in taken]
-        h.update(f"{d},{e}|{acc.ncols}|{acc.pivots}|".encode())
-        for row in accumulator_basis(acc).take_cols(free).rows():
-            h.update((",".join(f.to_str(x) for x in row) + ";").encode())
-    return h.hexdigest()[:16]
-
-
-def _piece_case(name: str, spec: str):
-    """The tensor of a pinned case and the schedule it is built through."""
+def _piece_case(name: str, spec: str) -> OmegaTensor:
+    """The tensor of a pinned case."""
     fld = field_from_spec(spec)
     if name.startswith("thooft"):
-        t = thooft_tensor(int(name[-1]), fld)
-    elif name.startswith("degsum"):
-        t = block_sum(degenerate_rank6(fld), sample_full(int(name[-1]) - 2, fld, 5))
-    elif name.startswith("full"):
-        t = sample_full(int(name[-1]), fld, 0)
-    else:
-        t = degenerate_rank6(fld)
-    # over Q the (4, 4) piece is left out: Fraction elimination at n = 3
-    # takes seconds there
-    return t, DEFAULT_SCHEDULE if fld.kind == "prime" else DEFAULT_SCHEDULE[:7]
+        return thooft_tensor(int(name[-1]), fld)
+    if name.startswith("degsum"):
+        return block_sum(degenerate_rank6(fld), sample_full(int(name[-1]) - 2, fld, 5))
+    if name.startswith("full"):
+        return sample_full(int(name[-1]), fld, 0)
+    return degenerate_rank6(fld)
 
 
-# SHA-256 digests (first 16 hex digits) of every piece's pivots and basis,
-# recorded from the accumulator that reduced and updated across all columns
-PIECE_DIGESTS = {
-    ("thooft2", "fp:32003"): "21b73c1078a8e5bd",
-    ("thooft3", "fp:32003"): "0f961600d30474ee",
-    ("thooft4", "fp:32003"): "89771997421a1614",
-    ("degsum3", "fp:32003"): "20b053d489a84b73",
-    ("degsum4", "fp:32003"): "7fc7c135adc4a748",
-    ("thooft2", "fp:7"): "21b73c1078a8e5bd",
-    ("thooft3", "fp:7"): "4208b7b2f5225059",
-    ("thooft4", "fp:7"): "aab7296017e94844",
-    ("degsum3", "fp:7"): "e45f27927ba32bb6",
-    ("degsum4", "fp:7"): "1cde4f82ab264853",
-    ("full2", "rational"): "22a342464c9ff18b",
-    ("full3", "rational"): "6d1e75b2551c71cb",
-    ("degenerate_rank6", "rational"): "f835553ea7d3567c",
-    ("thooft3", "rational"): "2ddc741da9a689b1",
+# [d, e, ambient, rank] of every piece of the default schedule, in build
+# order, recorded from the row-echelon accumulator that built each piece
+# from the lower piece's reduced basis, before pieces were ranked through
+# their annihilators
+PIECE_RANKS = {
+    ("thooft2", "fp:32003"): [
+        [1, 1, 8, 6], [1, 2, 20, 20], [2, 1, 12, 12], [2, 2, 30, 30], [1, 3, 40, 40],
+        [2, 3, 60, 60], [3, 2, 40, 40], [3, 3, 80, 80], [1, 4, 70, 70], [2, 4, 105, 105],
+        [3, 4, 140, 140], [4, 4, 175, 175]],
+    ("thooft3", "fp:32003"): [
+        [1, 1, 12, 8], [1, 2, 30, 27], [2, 1, 24, 24], [2, 2, 60, 60], [1, 3, 60, 60],
+        [2, 3, 120, 120], [3, 2, 100, 100], [3, 3, 200, 200], [1, 4, 105, 105],
+        [2, 4, 210, 210], [3, 4, 350, 350], [4, 4, 525, 525]],
+    ("thooft4", "fp:32003"): [
+        [1, 1, 16, 10], [1, 2, 40, 34], [2, 1, 40, 40], [2, 2, 100, 100], [1, 3, 80, 76],
+        [2, 3, 200, 200], [3, 2, 200, 200], [3, 3, 400, 400], [1, 4, 140, 140],
+        [2, 4, 350, 350], [3, 4, 700, 700], [4, 4, 1225, 1225]],
+    ("degsum3", "fp:32003"): [
+        [1, 1, 12, 10], [1, 2, 30, 28], [2, 1, 24, 22], [2, 2, 60, 58], [1, 3, 60, 58],
+        [2, 3, 120, 118], [3, 2, 100, 98], [3, 3, 200, 198], [1, 4, 105, 103],
+        [2, 4, 210, 208], [3, 4, 350, 348], [4, 4, 525, 523]],
+    ("degsum4", "fp:32003"): [
+        [1, 1, 16, 14], [1, 2, 40, 38], [2, 1, 40, 38], [2, 2, 100, 98], [1, 3, 80, 78],
+        [2, 3, 200, 198], [3, 2, 200, 198], [3, 3, 400, 398], [1, 4, 140, 138],
+        [2, 4, 350, 348], [3, 4, 700, 698], [4, 4, 1225, 1223]],
+    ("thooft2", "fp:7"): [
+        [1, 1, 8, 6], [1, 2, 20, 20], [2, 1, 12, 12], [2, 2, 30, 30], [1, 3, 40, 40],
+        [2, 3, 60, 60], [3, 2, 40, 40], [3, 3, 80, 80], [1, 4, 70, 70], [2, 4, 105, 105],
+        [3, 4, 140, 140], [4, 4, 175, 175]],
+    ("thooft3", "fp:7"): [
+        [1, 1, 12, 8], [1, 2, 30, 27], [2, 1, 24, 24], [2, 2, 60, 60], [1, 3, 60, 60],
+        [2, 3, 120, 120], [3, 2, 100, 100], [3, 3, 200, 200], [1, 4, 105, 105],
+        [2, 4, 210, 210], [3, 4, 350, 350], [4, 4, 525, 525]],
+    ("thooft4", "fp:7"): [
+        [1, 1, 16, 10], [1, 2, 40, 34], [2, 1, 40, 40], [2, 2, 100, 100], [1, 3, 80, 76],
+        [2, 3, 200, 200], [3, 2, 200, 200], [3, 3, 400, 400], [1, 4, 140, 140],
+        [2, 4, 350, 350], [3, 4, 700, 700], [4, 4, 1225, 1225]],
+    ("degsum3", "fp:7"): [
+        [1, 1, 12, 10], [1, 2, 30, 28], [2, 1, 24, 22], [2, 2, 60, 58], [1, 3, 60, 58],
+        [2, 3, 120, 118], [3, 2, 100, 98], [3, 3, 200, 198], [1, 4, 105, 103],
+        [2, 4, 210, 208], [3, 4, 350, 348], [4, 4, 525, 523]],
+    ("degsum4", "fp:7"): [
+        [1, 1, 16, 14], [1, 2, 40, 38], [2, 1, 40, 38], [2, 2, 100, 98], [1, 3, 80, 78],
+        [2, 3, 200, 198], [3, 2, 200, 198], [3, 3, 400, 398], [1, 4, 140, 138],
+        [2, 4, 350, 348], [3, 4, 700, 698], [4, 4, 1225, 1223]],
+    ("full2", "rational"): [
+        [1, 1, 8, 8], [1, 2, 20, 20], [2, 1, 12, 12], [2, 2, 30, 30], [1, 3, 40, 40],
+        [2, 3, 60, 60], [3, 2, 40, 40], [3, 3, 80, 80], [1, 4, 70, 70], [2, 4, 105, 105],
+        [3, 4, 140, 140], [4, 4, 175, 175]],
+    ("full3", "rational"): [
+        [1, 1, 12, 12], [1, 2, 30, 30], [2, 1, 24, 24], [2, 2, 60, 60], [1, 3, 60, 60],
+        [2, 3, 120, 120], [3, 2, 100, 100], [3, 3, 200, 200], [1, 4, 105, 105],
+        [2, 4, 210, 210], [3, 4, 350, 350], [4, 4, 525, 525]],
+    ("degenerate_rank6", "rational"): [
+        [1, 1, 8, 6], [1, 2, 20, 18], [2, 1, 12, 10], [2, 2, 30, 28], [1, 3, 40, 38],
+        [2, 3, 60, 58], [3, 2, 40, 38], [3, 3, 80, 78], [1, 4, 70, 68], [2, 4, 105, 103],
+        [3, 4, 140, 138], [4, 4, 175, 173]],
+    ("thooft3", "rational"): [
+        [1, 1, 12, 8], [1, 2, 30, 27], [2, 1, 24, 24], [2, 2, 60, 60], [1, 3, 60, 60],
+        [2, 3, 120, 120], [3, 2, 100, 100], [3, 3, 200, 200], [1, 4, 105, 105],
+        [2, 4, 210, 210], [3, 4, 350, 350], [4, 4, 525, 525]],
 }
 
 
-@pytest.mark.parametrize("name,spec", list(PIECE_DIGESTS))
+@pytest.mark.parametrize("name,spec", list(PIECE_RANKS))
 def test_pieces_are_pinned(name, spec):
-    assert _pieces_digest(*_piece_case(name, spec)) == PIECE_DIGESTS[name, spec]
+    cert = SpanningCertifier(_piece_case(name, spec))
+    for d, e in DEFAULT_SCHEDULE:
+        cert.piece(d, e)
+    assert cert.built == PIECE_RANKS[name, spec]
 
 
 def _outcome(v):
@@ -767,8 +724,6 @@ def test_chart_values_start_with_zero(spec):
 
 
 if __name__ == "__main__":
-    for name, spec in PIECE_DIGESTS:
-        print(f'    ("{name}", "{spec}"): "{_pieces_digest(*_piece_case(name, spec))}",')
     for spec, dim in sorted(POINT_ORDER_DIGESTS):
         fld = field_from_spec(spec)
         print(f'    ("{spec}", {dim}): "'

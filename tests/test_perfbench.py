@@ -1,5 +1,6 @@
 """The benchmark's seed-0 runs check every op's output against
-perfbench/reference.json; one cycle of each workload keeps them in the suite."""
+perfbench/reference.json; one cycle of each workload keeps them in the suite,
+and one short traced verdicts run keeps the per-layer wrapping there too."""
 
 import json
 import subprocess
@@ -19,3 +20,17 @@ def test_benchmark_seed0_matches_reference(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0
+
+
+def test_traced_verdicts_run_counts_the_pieces():
+    # the traced run wraps SpanningCertifier.piece, keeps each piece it
+    # returns in a WeakSet and adds up their column counts
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "verdicts", "--seed", "0", "--seconds", "1",
+         "--trace", "1"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["nondeg.piece.calls"]["value"] > 0
+    assert metrics["nondeg.piece.cols"]["value"] > 0
