@@ -1,6 +1,7 @@
 # Dense exact linear algebra over the coefficient fields, the determinant
-# along a pencil of matrices, and the deterministic counter-based sampling
-# stream.
+# along a pencil of matrices and the points where a polynomial vanishes, the
+# projective points in one fixed order, and the deterministic counter-based
+# sampling stream.
 #
 # Prime fields with small modulus run on int64 numpy arrays (integer
 # arithmetic mod p, no floats); the rationals and extension fields use plain
@@ -27,6 +28,10 @@ from .fields import Field, PrimeField
 _NP_PRIME_LIMIT = 1 << 21
 # the largest of them: a rank over Q is first taken mod this prime
 _RANK_PRIME = PrimeField(2097143)
+
+
+# the values a chart's digits are read in over Q: a small-height sample
+_Q_CHART_VALUES = (0, 1, -1, 2, -2)
 
 
 def _use_np(field: Field) -> bool:
@@ -285,7 +290,7 @@ class Mat:
         GF(p) the residues), or 0, 1, -1, 2, -2 over Q, a small-height
         sample.  The basis vectors, t = 0 of each chart, come first, then the
         charts from t = 1.  Only elements() up to the largest digit are listed."""
-        q = 5 if field.kind == "rational" else field.order
+        q = len(_Q_CHART_VALUES) if field.kind == "rational" else field.order
         base = min(q, stop)  # t < stop: so large a base gives t's digits too
         spans = [(i, 0, 1) for i in range(dim)] + [(i, 1, q ** (dim - 1 - i)) for i in range(dim)]
         first, digits = 0, [np.zeros((0, dim), dtype=np.int64)]  # digit -1 stands for one
@@ -302,10 +307,34 @@ class Mat:
         d = np.concatenate(digits)
         if _use_np(field):
             return Mat(field, len(d), dim, np.where(d < 0, 1, d))
-        vals = ([Fraction(x) for x in (0, 1, -1, 2, -2)] if field.kind == "rational"
+        vals = ([Fraction(x) for x in _Q_CHART_VALUES] if field.kind == "rational"
                 else list(islice(field.elements(), int(d.max(initial=0)) + 1)))
         one = field.one()
         return Mat(field, len(d), dim, [[one if x < 0 else vals[x] for x in r] for r in d.tolist()])
+
+    @staticmethod
+    def projective_runs(field: Field, dim: int, start: int, stop: int):
+        """Indices start .. stop - 1 of projective_points, fewer where it
+        ends, cut into consecutive runs: (lo, hi, size) for each, size the
+        length of the whole run.  The basis vectors are the first run, of
+        size dim.  Then each chart's points t come in runs of the same t
+        div |vals|: they differ only in the last coordinate, the digit
+        t mod |vals| read in vals, so they lie on the line h0 + x e_(dim-1),
+        h0 the run's point of digit 0 (e_lead in a chart's first run, which
+        starts at t = 1 and so has one point fewer)."""
+        q = len(_Q_CHART_VALUES) if field.kind == "rational" else field.order
+        if start < min(stop, dim):
+            yield start, min(stop, dim), dim
+        first = dim  # the index of the chart's point t = 1
+        for lead in range(dim - 1):
+            count = q ** (dim - 1 - lead) - 1
+            lo = max(start, first)
+            while lo < min(stop, first + count):
+                t0 = (lo - first + 1) // q * q
+                hi = min(stop, first + t0 + q - 1)
+                yield lo, hi, q - (t0 == 0)
+                lo = hi
+            first += count
 
     # -- access -------------------------------------------------------
 
@@ -352,11 +381,26 @@ class Mat:
     def contract_blocks(self, points: "Mat", width: int) -> "Mat":
         """self @ kron(points^T, I_width): block b of width columns is the sum
         over a of points[b, a] times block a of self.  On int64 it is one
-        product of points with the blocks of self as rows; otherwise, or on a
-        shape mismatch, which the product rejects, it is formed as written."""
+        product of points with the blocks of self as rows; otherwise each
+        block is that sum over the nonzero points[b, a], skipping zero
+        entries, with no Kronecker product formed."""
         f, nrows, nb, dim = self.field, self.nrows, points.nrows, points.ncols
-        if not _use_np(f) or self.ncols != dim * width:
-            return self @ kron(points.transpose(), Mat.identity(f, width))
+        if self.ncols != dim * width:
+            raise ValueError("shape mismatch in matmul")
+        if not _use_np(f):
+            terms = [[(a * width, c) for a, c in enumerate(p) if not f.is_zero(c)]
+                     for p in points._a]
+            data = []
+            for r in self._a:
+                row = []
+                for p in terms:
+                    acc = [f.zero()] * width
+                    for s, c in p:
+                        acc = [x if f.is_zero(y) else f.add(x, f.mul(c, y))
+                               for x, y in zip(acc, r[s:s + width])]
+                    row += acc
+                data.append(row)
+            return Mat(f, nrows, nb * width, data)
         _require_int64_exact(dim, f.p)
         blocks = self._a.reshape(nrows, dim, width).transpose(1, 0, 2).reshape(dim, -1)
         prod = (points._a @ blocks % f.p).reshape(nb, nrows, width).transpose(1, 0, 2)
@@ -800,22 +844,61 @@ def _pencil_nodes(field: Field, w: int) -> tuple[Mat, Mat]:
             Mat.from_rows(field, powers, w + 1).inverse())
 
 
+class FieldTooSmall(ValueError):
+    """A finite field with fewer elements than a computation needs points:
+    bad input, not a failed check."""
+
+
+def det_pencils(a: Mat, b: Mat, what: str) -> Mat:
+    """Row i: the coefficients, low degree first, of det(a_i + t b_i) for the
+    w x w blocks a_i of a and b_i of b, w x kw each.  [a | b] is contracted
+    with the rows (1, t) at w + 1 points, each a + t b a block of kw
+    columns; the k (w + 1) determinants come from one block elimination,
+    and each pencil's values times the inverse Vandermonde matrix of the
+    points are its coefficients.  A finite field of at most w elements has
+    too few points (FieldTooSmall); what names the pencils in the error."""
+    f, w = a.field, a.nrows
+    k = a.ncols // w
+    if f.kind != "rational" and f.order <= w:
+        raise FieldTooSmall(f"det(a + t b) for {what} has degree up to {w}, so it needs {w + 1} "
+                            f"points, but {f.spec_str()} has only {f.order} elements")
+    pencil, inverse = _pencil_nodes(f, w)
+    values = a.hstack(b).contract_blocks(pencil, k * w).block_ranks(w)[1]
+    return Mat.from_rows(f, [values[i::k] for i in range(k)], w + 1) @ inverse
+
+
 def det_pencil(a: Mat, b: Mat, what: str) -> list:
     """Coefficients, low degree first, of det(a + t b) for w x w matrices a
-    and b: the blocks of [a | b] contracted with the rows (1, t) at w + 1
-    points, their determinants from one block elimination, times the inverse
-    Vandermonde matrix of the points.  A finite field of at most w elements
-    has too few points; what names the pencil in the error."""
-    f, w = a.field, a.nrows
-    if f.kind != "rational" and f.order <= w:
-        raise ValueError(f"det(a + t b) for {what} has degree up to {w}, so it needs {w + 1} "
-                         f"points, but {f.spec_str()} has only {f.order} elements")
-    pencil, inverse = _pencil_nodes(f, w)
-    values = a.hstack(b).contract_blocks(pencil, w).block_ranks(w)[1]
-    coeffs = (Mat.from_rows(f, [values], w + 1) @ inverse).row(0)
+    and b (see det_pencils), without zero leading ones."""
+    f = a.field
+    coeffs = det_pencils(a, b, what).row(0)
     while coeffs and f.is_zero(coeffs[-1]):
         coeffs.pop()
     return coeffs
+
+
+def vanishing_rows(coeffs: Mat, xs: Mat, counts: list[int]) -> list[int]:
+    """The rows i of the one-column xs whose entry is a root of its
+    polynomial: row j of coeffs (coefficients low degree first) serves the
+    next counts[j] rows of xs, and a zero polynomial vanishes on all of
+    them.  Horner's rule: one vectorized pass down the column on int64,
+    row by row elsewhere."""
+    f = xs.field
+    if _use_np(f):
+        x = xs._a[:, 0]
+        acc = np.zeros_like(x)
+        for c in np.repeat(coeffs._a, counts, axis=0).T[::-1]:  # acc x + c < p^2
+            acc = (acc * x + c) % f.p
+        return np.flatnonzero(acc == 0).tolist()
+    rows = chain.from_iterable([row] * k for row, k in zip(coeffs._a, counts))
+    zeros = []
+    for i, (row, (x,)) in enumerate(zip(rows, xs._a)):
+        acc = f.zero()
+        for c in reversed(row):
+            acc = f.add(f.mul(acc, x), c)
+        if f.is_zero(acc):
+            zeros.append(i)
+    return zeros
 
 
 def sample_invertible(n: int, field: Field, stream: Stream) -> Mat:

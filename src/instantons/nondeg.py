@@ -1,19 +1,22 @@
 # Deciding whether a tensor pairs nonzero against every decomposable vector
-# h (x) v.  Two one-sided procedures cooperate: an exhaustive-with-budget
+# h (x) v.  Two one-sided procedures cooperate.  An exhaustive-with-budget
 # witness scan over the projective spaces of H and V (through small extension
-# fields), which screens each chunk of points through a fixed sketch of the
-# flattening and contracts only the points it leaves with the flattening
-# itself, and a sound emptiness certificate that checks a bigraded piece of
-# the ideal generated by the 4n bilinear forms <omega(h (x) v), basis> equals
-# the whole space.  A piece is ranked through its annihilator, Macaulay's
-# inverse system in its bidegree: the piece is full when the annihilator is
-# zero, and each annihilator follows from the one a degree lower in an
-# elimination as wide as that one's dimension times the number of variables.
-# A closed certificate proves non-degeneracy over the algebraic closure; a
-# found witness disproves it exactly; anything else is reported as unknown,
-# never guessed.  Both are written on Mat alone (products, Kronecker
-# products, gathers, column placement, kernels, the ranks of column blocks):
-# how a field is stored, numpy or Python elements, is linalg's business.
+# fields) screens the points through a fixed sketch of the flattening and
+# contracts only the points it leaves with the flattening itself: a long run
+# of the enumeration lies on one line, and there the only possible witnesses
+# are the roots of one polynomial, the determinant of the sketched
+# contraction along the line.  A sound emptiness certificate checks that a
+# bigraded piece of the ideal generated by the 4n bilinear forms
+# <omega(h (x) v), basis> equals the whole space.  A piece is ranked through
+# its annihilator, Macaulay's inverse system in its bidegree: the piece is
+# full when the annihilator is zero, and each annihilator follows from the
+# one a degree lower in an elimination as wide as that one's dimension times
+# the number of variables.  A closed certificate proves non-degeneracy over
+# the algebraic closure; a found witness disproves it exactly; anything else
+# is reported as unknown, never guessed.  Both are written on Mat alone
+# (products, Kronecker products, gathers, column placement, kernels, the
+# ranks of column blocks, pencil determinants): how a field is stored, numpy
+# or Python elements, is linalg's business.
 
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from functools import cache, lru_cache
 
 from .bases import hv_index, num_monomials, times_variable
 from .fields import ExtensionField, Field, PrimeField, is_prime
-from .linalg import Mat, Pattern, Stream
+from .linalg import Mat, Pattern, Stream, det_pencils, vanishing_rows
 from .tensors import OmegaTensor
 
 DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = (
@@ -90,7 +93,8 @@ def _sketch(fld: Field, nrows: int, width: int) -> Mat:
     """The scan's fixed screen L: width + 1 rows, and in each column j one
     nonzero entry, in row j mod (width + 1), drawn from a Stream keyed by
     the field and the shape, and kept.  L m costs one product per nonzero
-    of m."""
+    of m.  Its first width rows, a square sketch, screen the long runs of
+    points (see _candidates); all width + 1 rows screen the rest."""
     st = Stream("witness-sketch", fld.spec_str(), nrows, width)
     vals = [fld.one() if fld.is_zero(x) else x for x in st.next_vector(fld, nrows)]
     rows = [[x if j % (width + 1) == i else fld.zero() for j, x in enumerate(vals)]
@@ -103,33 +107,86 @@ def _sketch(fld: Field, nrows: int, width: int) -> Mat:
 _CHUNK = 1024
 
 
+def _pieces(fld: Field, dim: int, width: int, start: int, stop: int):
+    """Points start .. stop - 1 of the scan, in order, as (lo, hi, lines) of
+    at most _CHUNK points each.  A piece holds either points of the runs of
+    Mat.projective_runs of at most width + 1 points, with lines None, or
+    points of longer runs, each on one line: then lines lists each one's
+    (line, lo, hi), line the index of its first point scanned, so a run cut
+    at a piece's end goes on with the same line in the next piece."""
+    segments, long = [], None
+    for lo, hi, size in Mat.projective_runs(fld, dim, start, stop):
+        line = lo
+        while lo < hi:
+            if segments and (long != (size > width + 1)
+                             or segments[-1][2] - segments[0][1] == _CHUNK):
+                yield segments[0][1], segments[-1][2], segments if long else None
+                segments = []
+            long = size > width + 1
+            end = min(hi, (segments[0][1] if segments else lo) + _CHUNK)
+            segments.append((line, lo, end))
+            lo = end
+    if segments:
+        yield segments[0][1], segments[-1][2], segments if long else None
+
+
+def _line_determinants(square: Mat, points: Mat) -> Mat:
+    """Row i: the coefficients of det(a_i + x b), a_i and b the contractions
+    of the square sketch S = L' m with h0_i, row i of points with its last
+    coordinate set to 0, and with e_(dim-1).  As contraction is linear in
+    the point, a_i + x b = S M(h0_i + x e_(dim-1))."""
+    fld, dim, width = points.field, points.ncols, square.nrows
+    h0 = points.take_cols(range(dim - 1)).place_cols(range(dim - 1), dim)
+    e_last = Mat.identity(fld, dim).take_rows([dim - 1] * points.nrows)
+    return det_pencils(square.contract_blocks(h0, width), square.contract_blocks(e_last, width),
+                       "the witness scan's line screen")
+
+
 def _candidates(m: Mat, n: int, fld: Field, start: int, stop: int, points: dict):
     """(h, v) with m @ (h (x) v) = 0, for the points of index start .. stop - 1
     in enumeration order.
 
-    Scans the smaller of P(H), P(V), a chunk of Mat.projective_points at a
-    time, as the rows of P: column block b of m.contract_blocks(P, w) is the
-    contraction of point b.  The columns of m are indexed 4a + k, (a, k) in
-    H x V; to scan P(V) they are first reordered to k n + a.  The chunk is
-    contracted first with the sketch g = L m, L of w + 1 rows: rank(L M) <=
-    rank(M), so a point whose block of g has rank w has no partner, and only
-    the rest are contracted with m itself; a full contraction passed as
-    deficient costs time, never a verdict.  A point's partner is the first
-    vector of its contraction's kernel basis.  The points scanned, through
-    the last one yielded, are added to points[fld.spec_str()].
+    Scans the smaller of P(H), P(V), a piece of Mat.projective_points at a
+    time (see _pieces), as the rows of P: column block b of
+    m.contract_blocks(P, w) is the contraction M(h) of point b.  The columns
+    of m are indexed 4a + k, (a, k) in H x V; to scan P(V) they are first
+    reordered to k n + a.  Points are screened through the sketch L m, L of
+    w + 1 rows: rank(L M) <= rank(M), so only the points the screen leaves
+    are contracted with m itself.  A run of more than w + 1 points lies on a
+    line h0 + x e_last, where the square sketch L' of L's first w rows gives
+    the pencil L' M(h0) + x L' M(e_last).  A witness makes it singular, so
+    only the roots of its determinant, every point when that is zero, go on:
+    one det_pencils gives the polynomials, of degree at most w, of all lines
+    of a piece (w + 1 points each, which a field of more than w + 1
+    elements has).  On shorter runs each point's (w + 1) x w sketched block
+    is ranked.  A full contraction passed as deficient costs time, never a
+    verdict.  A point's partner is the first vector of its contraction's
+    kernel basis.  The points scanned, through the last one yielded, are
+    added to points[fld.spec_str()].
     """
     scan_h = n <= 4
     dim, width = (n, 4) if scan_h else (4, n)
     if not scan_h:
         m = m.take_cols([hv_index(a, k) for k in range(4) for a in range(n)])
     g = _sketch(fld, m.nrows, width) @ m
+    square = g.take_rows(range(width))
     key = fld.spec_str()
-    for lo in range(start, stop, _CHUNK):
-        chunk = Mat.projective_points(fld, dim, lo, min(stop, lo + _CHUNK))
-        if chunk.nrows == 0:
-            return
-        ranks = g.contract_blocks(chunk, width).block_ranks(width)[0]
-        suspects = [b for b, rank in enumerate(ranks) if rank < width]
+    last = None, None  # the last line screened, and its determinant's row
+    for lo, hi, lines in _pieces(fld, dim, width, start, stop):
+        chunk = Mat.projective_points(fld, dim, lo, hi)
+        if lines is None:
+            ranks = g.contract_blocks(chunk, width).block_ranks(width)[0]
+            suspects = [b for b, rank in enumerate(ranks) if rank < width]
+        else:
+            # only the first line can go on from the piece before
+            known = lines[0][0] == last[0]
+            dets = last[1] if known else Mat.zeros(fld, 0, width + 1)
+            if len(lines) > known:
+                starts = [a - lo for _, a, _ in lines[known:]]
+                dets = dets.vstack(_line_determinants(square, chunk.take_rows(starts)))
+            last = lines[-1][0], dets.take_rows([len(lines) - 1])
+            suspects = vanishing_rows(dets, chunk.take_cols([dim - 1]),
+                                      [b - a for _, a, b in lines])
         done = 0
         if suspects:
             prod = m.contract_blocks(chunk.take_rows(suspects), width)
@@ -164,7 +221,8 @@ def witness_search(
     subject to the point cap; the base field is scanned at any size, an
     extension only up to FIELD_SIZE_CAP elements.  A returned witness is
     re-verified exactly before being reported.  The fixed sketch that
-    screens the points (see _candidates) changes neither the witness, nor
+    screens the points (see _candidates), by rank a chunk at a time or by
+    the roots of one determinant per line, changes neither the witness, nor
     its partner, nor the points counted.
 
     Each field's scan begins at point index start.  classify passes the

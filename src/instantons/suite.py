@@ -30,7 +30,7 @@ from .geometry import (
     random_pencil,
     triple_span,
 )
-from .linalg import Mat, Stream, Subspace, sample_invertible
+from .linalg import FieldTooSmall, Mat, Stream, Subspace, sample_invertible
 from .monads import build_monad, restricted_monad, s2_cohomology, sigma_kernel_dim, tangent_dim
 from .nondeg import DEFAULT_BUDGET, classify, witness_search
 from .tensors import OmegaTensor, block_sum
@@ -461,7 +461,9 @@ RATIONAL_SAFE = {"transcription", "thooft", "quadric-ideals"}
 def run_suite(field: Field, only: str | None = None) -> dict:
     """Run the acceptance battery, printing one line per criterion, with its
     wall-clock time, to stderr; returns a JSON-ready summary.  An only that
-    selects no criterion run over field is a ValueError before any runs."""
+    selects no criterion run over field is a ValueError before any runs, and
+    a field too small for a criterion's pencil (FieldTooSmall) is bad input,
+    raised out of the battery rather than recorded as a failure."""
     runs = [c for c in CRITERIA if field.kind != "rational" or c[1] in RATIONAL_SAFE]
     chosen = [c for c in runs if not only or only in (c[1], c[0], c[0].lower())]
     if not chosen:
@@ -473,6 +475,8 @@ def run_suite(field: Field, only: str | None = None) -> dict:
         t0 = time.time()
         try:
             passed, details = fn(field)
+        except FieldTooSmall:
+            raise
         except Exception as exc:  # a crash is a failure with a reason, not an abort
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
         mark = "PASS" if passed else "FAIL"

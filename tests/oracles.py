@@ -6,7 +6,11 @@ enumeration, the same partner (the first kernel basis vector of the
 contraction) and the same lift for rational tensors (from the first prime
 from 311 on that divides no denominator) as `nondeg.witness_search`, which
 does the contractions with Kronecker products instead, and contracts with
-the flattening itself only the points that a fixed sketch of it leaves.
+the flattening itself only the points that a fixed sketch of it leaves:
+on a run of points along one line, the roots of the sketched contraction's
+determinant along the line, elsewhere the points whose sketched
+contraction is not of full rank.  This oracle contracts and ranks every
+point, so it shares neither screen.
 
 `classify_scan_first` decides with the whole witness scan before any
 certificate piece: the rank bound, then the loop scan above, then the

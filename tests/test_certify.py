@@ -258,12 +258,13 @@ def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # cohomology table, left_defect reads the rank of beta(1) that
     # h_values(1) kept, alpha is not ranked above the first twist d0 >= 0
     # where it is onto, and beta is not ranked at d0 or above, save beta(1).  The degenerate display's alpha is onto
-    # at no twist, so its every beta is ranked.  The witness scan ranks each
-    # point's (w + 1) x w block of its fixed sketch, over Q through a rank mod
-    # one prime (never square, so no determinant), and ranks the point's own
-    # contraction only where that block is deficient, as at the witness e_0
-    # of degenerate_rank6: one rank more there, a forward _generic_rref
-    # after a deficient _np_rank.  The tensor is read back through the file format, so
+    # at no twist, so its every beta is ranked.  The witness scan reaches only
+    # the basis points, a short run, and ranks each point's (w + 1) x w block
+    # of its fixed sketch, over Q through a rank mod one prime (never square,
+    # so no determinant), and ranks the point's own contraction only where
+    # that block is deficient, as at the witness e_0 of degenerate_rank6: one
+    # rank more there, a forward _generic_rref after a deficient _np_rank.
+    # The tensor is read back through the file format, so
     # that no display built while constructing it is reused.
     t = tensor_from_obj(tensor_to_obj(make()))
     calls = dict.fromkeys(ELIMINATIONS, 0)

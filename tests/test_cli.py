@@ -401,6 +401,32 @@ def test_suite_selection_that_runs_no_criterion_is_input_error(argv, runs, capsy
     assert runs in out.err
 
 
+@pytest.mark.parametrize("only,n", [("equivalences", 3), ("geometry", 2)])
+def test_suite_over_a_field_too_small_for_a_pencil_is_input_error(only, n, capsys):
+    # corank-2 sampling needs det(w0 + t w1) at 4n + 1 points, more than
+    # fp:7 has: that refusal is bad input (exit 2, naming the field), not a
+    # failed criterion
+    assert run(["suite", "--only", only, "--field", "fp:7"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: det(a + t b) for corank-2 sampling at n = {n}" in out.err
+    assert "fp:7 has only 7 elements" in out.err and "FAIL" not in out.err
+
+
+def test_suite_records_a_crashing_criterion_as_failed(monkeypatch, capsys):
+    # any other exception a criterion raises is a failure with its reason
+    from instantons import suite
+
+    def crash(field):
+        raise ValueError("no such thing")
+
+    monkeypatch.setattr(suite, "CRITERIA", [("C0", "crash", "raises", crash)])
+    assert run(["suite", "--only", "crash"]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("C0   crash            FAIL")
+    assert json.loads(out.out)["criteria"][0]["details"] == {"error": "ValueError: no such thing"}
+
+
 def test_suite_criterion_over_the_rationals(capsys):
     assert run(["suite", "--only", "transcription", "--field", "rational"]) == 0
     assert [c["cid"] for c in json.loads(capsys.readouterr().out)["criteria"]] == ["C1"]

@@ -19,7 +19,7 @@ from instantons.geometry import (
     splitting_orders,
     triple_span,
 )
-from instantons.linalg import Mat, Stream, Subspace, det_pencil, kron
+from instantons.linalg import Mat, Stream, Subspace, det_pencil, det_pencils, kron
 from instantons.monads import build_monad
 from instantons.polys import evaluate as poly_evaluate
 from instantons.polys import roots as poly_roots
@@ -219,18 +219,25 @@ def test_pencil_degree_and_validation(F, chain52):
 def test_det_pencil_evaluates_to_the_determinant(data):
     # the polynomial at t is det(a + t b), at any t of the field; the
     # extension fields have more than w elements, though their characteristic
-    # may be at most w (fp:2^3 has 8, too few at w = 8)
+    # may be at most w (fp:2^3 has 8, too few at w = 8).  det_pencils takes k
+    # pencils side by side, one coefficient row each, and det_pencil the
+    # first with its zero leading coefficients dropped
     w = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
+    k = data.draw(st.integers(1, 3))
     spec = data.draw(st.sampled_from(["fp:32003", "rational", "fp:7^2", "fp:3^2"]
                                      + ["fp:2^3"] * (w < 8)))
     field = field_from_spec(spec)
     stream = Stream("det_pencil", spec, w, data.draw(st.integers(0, 10**6)))
-    a, b = (Mat.from_rows(field, [stream.next_vector(field, w) for _ in range(w)], w)
+    a, b = (Mat.from_rows(field, [stream.next_vector(field, k * w) for _ in range(w)], k * w)
             for _ in range(2))
     t = stream.next_element(field)
-    poly = det_pencil(a, b, "a drawn pencil")
-    assert len(poly) <= w + 1
-    assert poly_evaluate(poly, t, field) == (a + b.scale(t)).det()
+    rows = det_pencils(a, b, "drawn pencils")
+    assert (rows.nrows, rows.ncols) == (k, w + 1)
+    for i in range(k):
+        a_i, b_i = (m.take_cols(range(i * w, (i + 1) * w)) for m in (a, b))
+        assert poly_evaluate(rows.row(i), t, field) == (a_i + b_i.scale(t)).det()
+    poly = det_pencil(a.take_cols(range(w)), b.take_cols(range(w)), "a drawn pencil")
+    assert len(poly) <= w + 1 and poly + [field.zero()] * (w + 1 - len(poly)) == rows.row(0)
 
 
 def test_det_pencil_needs_distinct_points():

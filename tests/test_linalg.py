@@ -25,6 +25,7 @@ from instantons.linalg import (
     _require_int64_exact,
     kron,
     sample_invertible,
+    vanishing_rows,
 )
 
 
@@ -740,3 +741,38 @@ def test_annihilates_is_the_dense_product(spec, data):
     assert a.annihilates(b) == (a @ b).is_zero()
     with pytest.raises(ValueError):
         a.annihilates(Mat.zeros(fld, inner + 1, ncols))
+
+
+@pytest.mark.parametrize("spec", ["fp:7", "fp:32003", "fp:2097143", "fp:3^2", "fp:1000000007",
+                                  "rational"])
+@given(data=st.data())
+def test_vanishing_rows_are_the_roots_in_the_column(spec, data):
+    # each polynomial at the entries of its rows by Horner's rule,
+    # vectorized on int64 and row by row elsewhere, against the polynomial
+    # evaluated entry by entry; a zero polynomial vanishes everywhere.
+    # Products of linear factors put roots in the column.
+    fld = field_from_spec(spec)
+    stream = Stream("vanishing-rows", spec, data.draw(st.integers(0, 10**6)))
+    polys, xs, counts = [], [], []
+    for _ in range(data.draw(st.integers(0, 6))):
+        roots = [stream.next_element(fld) for _ in range(data.draw(st.integers(0, 3)))]
+        coeffs = [fld.of_int(data.draw(st.integers(0, 2)))]
+        for r in roots:  # times (x - r)
+            coeffs = [fld.sub(a, fld.mul(r, b)) for a, b in zip(coeffs + [fld.zero()],
+                                                              [fld.zero()] + coeffs)]
+        points = roots + [stream.next_element(fld) for _ in range(data.draw(st.integers(0, 3)))]
+        polys.append(coeffs + [fld.zero()] * (4 - len(coeffs)))
+        xs += points
+        counts.append(len(points))
+
+    def value(coeffs, x):
+        acc, power = fld.zero(), fld.one()
+        for c in coeffs:
+            acc, power = fld.add(acc, fld.mul(c, power)), fld.mul(power, x)
+        return acc
+
+    per_row = [c for c, k in zip(polys, counts) for _ in range(k)]
+    expected = [i for i, (c, x) in enumerate(zip(per_row, xs)) if fld.is_zero(value(c, x))]
+    column = Mat.from_rows(fld, [[x] for x in xs], 1)
+    assert vanishing_rows(Mat.from_rows(fld, polys, 4), column, counts) == expected
+    assert vanishing_rows(Mat.zeros(fld, len(polys), 4), column, counts) == list(range(len(xs)))

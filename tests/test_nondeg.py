@@ -31,7 +31,7 @@ from instantons.families import (
     sample_full,
     thooft_tensor,
 )
-from instantons.fields import ExtensionField, PrimeField, field_from_spec
+from instantons.fields import QQ, ExtensionField, PrimeField, field_from_spec
 from instantons.linalg import Mat, Stream
 from instantons.nondeg import (
     DEFAULT_SCHEDULE,
@@ -169,11 +169,13 @@ def test_rational_tensor_scanned_mod_the_next_prime_when_311_divides_a_denominat
 @pytest.mark.parametrize("n,start", [(3, 0), (3, 5), (5, 0), (5, 250)])
 def test_scan_yields_each_deficient_block_in_order(n, start):
     # a random matrix with as many rows as a contraction has columns: on
-    # GF(7) about one contraction in seven is singular, so a chunk of the
-    # scan holds several deficient blocks (at n = 5 the blocks are square,
-    # 5 by 5, and the 400 points of P^3 fill two chunks).  Each is yielded
-    # in enumeration order with the partner of the per-point loop, which
-    # lies in its contraction's kernel, and points counts through it.
+    # GF(7) about one contraction in seven is singular, so the scan meets
+    # several deficient blocks, among the roots of its lines' determinants
+    # and (at n = 5, where the blocks are square, 5 by 5, and each chart's
+    # first run has only w + 1 = 6 points) in sketch-screened chunks.  Each
+    # is yielded in enumeration order with the partner of the per-point
+    # loop, which lies in its contraction's kernel, and points counts
+    # through it.
     fld = PrimeField(7)
     width = 4 if n <= 4 else n
     m = sample_matrix(width, 4 * n, fld, ("scan", n))
@@ -320,7 +322,8 @@ def test_screened_scan_matches_loop_oracle(spec, sketch, data):
     # with a zero sketch every point goes on to its exact contraction, with
     # the fixed one only the points its screen cannot clear: either way the
     # witness, its partner and the points scanned in each field are the loop
-    # scan's.  Chunks of 1 and 7 points put chunk boundaries inside the cap.
+    # scan's.  Chunks of 1 and 7 points put chunk boundaries inside the cap
+    # and cut a long run into pieces that share its line's determinant.
     fld = field_from_spec(spec)
     t = data.draw(_tensors(fld))
     ext = 2 if spec in ("fp:2", "fp:3") else 1
@@ -364,10 +367,13 @@ def test_witness_planted_at_a_chunk_boundary(n, offset):
 
 
 def test_scan_work_is_pinned(monkeypatch):
-    # a witness beyond the cap: the scan ranks the 5 x 4 sketched block of
-    # each of the 4096 points, in four calls of one chunk each, and no point
-    # goes on to its 12 x 4 contraction.  Ranking every contraction itself,
-    # as the scan once did, would stack 4096 * 12 = 49 152 rows.
+    # a witness beyond the cap: the scan ranks the 5 x 4 sketched blocks of
+    # the 3 basis points in one stack.  The other 4093 points lie on the line
+    # [1, 0, x], whose pencil determinant det(L' M(h0) + x L' M(e_2)) takes
+    # one stack of w + 1 = 5 square 4 x 4 blocks; none of the points is a
+    # root, so none goes on to its 12 x 4 contraction.  Ranking the 5 x 4
+    # sketched block of every point, as the scan once did, stacked 20 480
+    # rows in four calls, and ranking every contraction itself 49 152.
     t = _with_witness_at(3, [1, 3, 5], 0)
     stacks = []
 
@@ -378,7 +384,86 @@ def test_scan_work_is_pinned(monkeypatch):
     real = linalg._np_block_ranks
     monkeypatch.setattr(linalg, "_np_block_ranks", counting)
     assert witness_search(t, 1, 4096) is None
-    assert (len(stacks), sum(b * r for b, r, _ in stacks)) == (4, 20480)
+    assert stacks == [(3, 5, 4), (5, 4, 4)]
+
+
+# the line screen's fields: runs of 6 or 7 points over fp:7, 10 or 11 over
+# fp:11 and 48 or 49 over fp:7^2, so chart 0's second run lies inside the
+# cap; at n = 5 (w = 5) fp:7's first runs, of w + 1 points, keep the sketch
+LINE_FIELDS = ["fp:7", "fp:11", "fp:7^2"]
+_FIXED_SKETCH = instantons.nondeg._sketch
+
+
+def _square_zero_sketch(fld, nrows, width):
+    """The fixed sketch with its first width rows, the square part that
+    screens the long runs, zero: every line's determinant is the zero
+    polynomial, so every point of a long run goes on to its contraction."""
+    last = _FIXED_SKETCH(fld, nrows, width).take_rows([width])
+    return Mat.zeros(fld, width, nrows).vstack(last)
+
+
+def _planted(fld, n: int, point: list, other: list, lam: list) -> OmegaTensor:
+    """A tensor vanishing on h (x) v, the scanned side being point (h for
+    n <= 4, v for n = 5), the other (1, *other) and lam the coefficients of
+    _vanishing_at."""
+    other = [fld.one()] + [fld.of_int(x) for x in other]
+    h, v = (point, other) if n <= 4 else (other, point)
+    return _vanishing_at(fld, n, h, v, lam)
+
+
+def _scan_both(t, ext: int, cap: int, sketch: str, chunk: int = 1024):
+    got, expected = {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instantons.nondeg, "_CHUNK", chunk)
+        if sketch == "square-zero":
+            mp.setattr(instantons.nondeg, "_sketch", _square_zero_sketch)
+        w = witness_search(t, ext, cap, points=got)
+    assert _ser(w) == _ser(witness_search_by_loops(t, ext, cap, points=expected))
+    assert got == expected
+    return w, got
+
+
+@pytest.mark.parametrize("where", [-1, 0, 1])
+@pytest.mark.parametrize("spec", LINE_FIELDS)
+@settings(max_examples=6, derandomize=True)
+@given(data=st.data())
+def test_line_screen_matches_loop_oracle_at_run_boundaries(spec, where, data):
+    # a witness planted at the last point of chart 0's first run (where =
+    # -1), or at the first or second point of its second run: the witness,
+    # its partner and the points scanned are the loop scan's, with the
+    # fixed sketch and with one whose square part is zero.  A drawn tensor
+    # may have an earlier witness, never a later one.  Pieces of 1024 points
+    # hold every line in the cap; pieces that end after the second run's
+    # first point hold two lines, the second going on in the next piece.
+    fld = field_from_spec(spec)
+    n = data.draw(st.integers(3, 5))
+    dim = min(n, 4)
+    second = list(Mat.projective_runs(fld, dim, 0, ORACLE_POINT_CAP))[2]
+    index = second[0] + where
+    point = Mat.projective_points(fld, dim, index, index + 1).row(0)
+    other = data.draw(st.lists(st.integers(-7, 7), min_size=3 if n <= 4 else n - 1,
+                               max_size=3 if n <= 4 else n - 1))
+    t = _planted(fld, n, point, other, data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                                            max_size=8)))
+    sketch = data.draw(st.sampled_from(["fixed", "square-zero"]))
+    chunk = data.draw(st.sampled_from([1024, second[0] + 1 - dim]))
+    w, got = _scan_both(t, 1, ORACLE_POINT_CAP, sketch, chunk)
+    assert w is not None and got[spec] <= index + 1
+
+
+@pytest.mark.parametrize("n,point,index", [
+    (3, [1, 1, 3], 313), (4, [1, 0, 0, 5], 4), (5, [1, 0, 1, 3], 313)])
+def test_line_screen_finds_the_lifted_rational_witness(n, point, index):
+    # a small-height scan over Q cannot reach a 3 or a 5, so the planted
+    # witness is found mod 311 at scan index `index`, in chart 0's first or
+    # second run (both lines of 311 points), and lifted back
+    other = [2, -3, 5] + [1] * (n == 5)
+    t = _planted(QQ, n, [Fraction(x) for x in point], other, [1, 3, 2, 2, 1, 3])
+    for sketch in ("fixed", "square-zero"):
+        w, got = _scan_both(t, 1, 4096, sketch)
+        scanned, partner = (w[0], w[1]) if n <= 4 else (w[1], w[0])
+        assert scanned == point and partner == [1] + other and w[2] is QQ
+        assert got["fp:311"] == index + 1
 
 
 @pytest.mark.parametrize("spec", PIECE_FIELDS)
@@ -707,6 +792,31 @@ def test_projective_points_over_a_large_prime():
     fld = field_from_spec("fp:18446744073709551557")
     assert Mat.projective_points(fld, 3, 1, 6).rows() == [
         [0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 0, 2], [1, 0, 3]]
+
+
+@pytest.mark.parametrize("spec,dim", [("fp:2", 4), ("fp:7", 1), ("fp:7", 3), ("fp:7^2", 3),
+                                      ("fp:11", 4), ("rational", 4), ("fp:32003", 3),
+                                      ("fp:1000000007", 2)])
+def test_projective_runs_cut_the_enumeration_into_lines(spec, dim):
+    # the runs cover the points in order, the basis vectors first; past
+    # them a run's points differ only in the last coordinate, and the next
+    # run's first point elsewhere too; a run not cut by the cap has its
+    # size; a range cut anywhere gives the runs meeting it, cut to it, each
+    # with the size of the whole run
+    fld = field_from_spec(spec)
+    cap = 500
+    points = Mat.projective_points(fld, dim, 0, cap).rows()
+    runs = list(Mat.projective_runs(fld, dim, 0, cap))
+    assert [lo for lo, _, _ in runs] == [0] + [hi for _, hi, _ in runs[:-1]]
+    assert runs[0] == (0, dim, dim) and runs[-1][1] == len(points)
+    heads = [{tuple(p[:-1]) for p in points[lo:hi]} for lo, hi, _ in runs[1:]]
+    assert all(len(h) == 1 for h in heads) and len(set.union(set(), *heads)) == len(heads)
+    assert all(hi - lo == size for lo, hi, size in runs[:-1])
+    for start in range(0, len(points) + 2, 23):
+        for stop in (start, start + 1, start + 9, cap):
+            assert list(Mat.projective_runs(fld, dim, start, stop)) == [
+                (max(lo, start), min(hi, stop), size) for lo, hi, size in runs
+                if max(lo, start) < min(hi, stop)]
 
 
 @pytest.mark.parametrize("spec", ["fp:2", "fp:7", "fp:32003", "fp:7^2", "fp:2^3", "rational"])

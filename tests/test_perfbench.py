@@ -24,7 +24,10 @@ def test_benchmark_seed0_matches_reference(workload):
 
 def test_traced_verdicts_run_counts_the_pieces():
     # the traced run wraps SpanningCertifier.piece, keeps each piece it
-    # returns in a WeakSet and adds up their column counts
+    # returns in a WeakSet and adds up their column counts.  It also counts
+    # the kernels the witness scan takes, one per deficient contraction: of
+    # each cycle's five ops, the four placed witnesses take one each and
+    # hidden-n3 none, so however the scan screens its points it reads 0.8
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", "verdicts", "--seed", "0", "--seconds", "1",
          "--trace", "1"], capture_output=True, text=True, timeout=300)
@@ -34,3 +37,4 @@ def test_traced_verdicts_run_counts_the_pieces():
     metrics = result["metrics"]
     assert metrics["nondeg.piece.calls"]["value"] > 0
     assert metrics["nondeg.piece.cols"]["value"] > 0
+    assert metrics["nondeg.scan.points"]["value"] == pytest.approx(0.8)
