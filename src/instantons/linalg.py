@@ -7,7 +7,8 @@
 # arithmetic mod p, no floats); the rationals and extension fields use plain
 # Python elements.  This module alone chooses and knows the storage; the rest
 # of the package works through Mat's methods.  A rank over Q is first taken
-# mod one prime, with exact elimination over Q when that cannot settle it.
+# mod one prime, with exact elimination over Q when that cannot settle it; an
+# integer multiple of a rational matrix is read mod it and the primes below.
 # Gaussian elimination pivots on the first nonzero entry, so reduced forms
 # are canonical and equality of subspaces is equality of their stored bases.
 # The int64 RREF first peels off rows with one nonzero entry; it is unique.
@@ -15,23 +16,30 @@
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, count, islice
+from math import lcm
 
 import numpy as np
 
-from .fields import Field, PrimeField
+from .fields import Field, PrimeField, is_prime
 
 # primes below this run on int64 arrays; _require_int64_exact checks that
 # each product's sums stay exact
 _NP_PRIME_LIMIT = 1 << 21
 # the largest of them: a rank over Q is first taken mod this prime
 _RANK_PRIME = PrimeField(2097143)
-
-
 # the values a chart's digits are read in over Q: a small-height sample
 _Q_CHART_VALUES = (0, 1, -1, 2, -2)
+
+
+@lru_cache(maxsize=None)
+def _rank_prime(i: int) -> PrimeField:
+    """_RANK_PRIME for i = 0, then the i-th prime below it."""
+    start = _rank_prime(i - 1).p - 2 if i else _RANK_PRIME.p
+    return PrimeField(next(q for q in range(start, 2, -2) if is_prime(q)))
 
 
 def _use_np(field: Field) -> bool:
@@ -593,6 +601,16 @@ class Mat:
                 a[i, j] = x.numerator % p if d == 1 else x.numerator * pow(d, -1, p) % p
         return Mat.from_np(target, a)
 
+    def scaled_residues(self) -> tuple[int, Iterator["Mat"]]:
+        """L self, L the lcm of this rational matrix's denominators, as the
+        largest absolute value of its integer entries and its residues mod
+        _RANK_PRIME, then mod each next prime below it, made as they are read."""
+        flat = [x for r in self._a for x in r]
+        scale = lcm(*(x.denominator for x in flat))
+        ints = np.array([x.numerator * (scale // x.denominator) for x in flat], dtype=object)
+        return max(map(abs, ints), default=0), (
+            Mat.from_np(q, ints.reshape(self.nrows, self.ncols)) for q in map(_rank_prime, count()))
+
     def block_ranks(self, width: int) -> tuple[list[int], list | None]:
         """Ranks of the blocks of width columns, b*width .. (b+1)*width - 1,
         and, when they are square, their determinants (else None): one
@@ -659,9 +677,11 @@ class Pattern:
     shape and keeps it.  They are held as flat index arrays sorted by destination, so
     the int64 backend assembles with one fancy index and one segmented sum;
     the generic backend walks the terms whose source entry is not zero.
+    max_terms is the most terms on one entry.
     """
 
-    __slots__ = ("shape", "src_shape", "_dst", "_src", "_sign", "_dst_unique", "_dst_starts")
+    __slots__ = ("shape", "src_shape", "max_terms", "_dst", "_src", "_sign", "_dst_unique",
+                 "_dst_starts")
 
     def __init__(self, shape: tuple[int, int], src_shape: tuple[int, int], terms):
         r, c, i, j, sign = np.fromiter(chain.from_iterable(terms), dtype=np.int64).reshape(-1, 5).T
@@ -679,6 +699,7 @@ class Pattern:
         self._sign = sign[order].astype(np.int8)
         self._dst_starts = np.flatnonzero(np.diff(self._dst, prepend=-1)).astype(np.int32)
         self._dst_unique = self._dst[self._dst_starts]
+        self.max_terms = int(np.diff(self._dst_starts, append=self._dst.size).max(initial=0))
         self.shape = shape
         self.src_shape = src_shape
 

@@ -9,7 +9,8 @@
 # isomorphism N* -> N.  All cohomology is read off from the maps on twisted
 # global sections: every twist used keeps the three line-bundle terms acyclic
 # in intermediate degrees, so kernels and cokernels of concrete matrices give
-# the h^i exactly.
+# the h^i exactly.  Over Q the symmetric-square complex is checked and ranked
+# on int64 residues of integer multiples of the display's two small maps.
 
 from __future__ import annotations
 
@@ -256,11 +257,10 @@ def _s2_patterns(nH: int, m: int) -> tuple[Pattern, Pattern, Pattern]:
             Pattern((len(hpair) * 10, m * c1), (c1, m), d1))
 
 
-def _s2_maps(monad: Monad) -> tuple[Mat, Mat]:
-    """d0 and d1 of the symmetric-square complex, gathered from the display."""
-    n_part, h_part, d1_pattern = _s2_patterns(monad.nH, monad.m)
-    return (monad.umat.gather(n_part).hstack(monad.wmat.gather(h_part)),
-            monad.umat.gather(d1_pattern))
+def _s2_maps(nH: int, umat: Mat, wmat: Mat) -> tuple[Mat, Mat]:
+    """d0 and d1 of the symmetric-square complex of a display's umat and wmat."""
+    n_part, h_part, d1_pattern = _s2_patterns(nH, umat.ncols)
+    return umat.gather(n_part).hstack(wmat.gather(h_part)), umat.gather(d1_pattern)
 
 
 def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
@@ -270,11 +270,35 @@ def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
     Global sections of the acyclic terms give
         S^2 N (+) H (x) H* --d0--> N (x) H* (x) V* --d1--> wedge^2 H* (x) S^2 V*
     and the three cohomology dimensions are read off positions 0, 1, 2.
+    d1 @ d0 = 0 is checked first; d0 sends nu_s^2 to twice a vector, so
+    characteristic 2 is refused.  Over Q both maps come from int64 residues
+    of integer multiples of umat and wmat (column blocks times constants),
+    are checked mod primes whose product exceeds a bound B on d1 @ d0, and
+    are ranked mod the first, or over Q unless d0 is injective and d1 onto.
     """
     if monad._s2 is None:
-        d0m, d1m = _s2_maps(monad)
-        if not d1m.annihilates(d0m):
-            raise AssertionError("symmetric-square complex is not a complex")
+        f, nH = monad.umat.field, monad.nH
+        if f.p == 2:
+            raise ValueError(
+                f"the symmetric-square complex needs characteristic != 2, not {f.spec_str()}")
+        us, ws, bound = [monad.umat], [monad.wmat], 0
+        if f.kind == "rational":
+            # B: the inner dimension times the largest entries of d1 and of d0
+            (hu, us), (hw, ws) = monad.umat.scaled_residues(), monad.wmat.scaled_residues()
+            n_part, h_part, d1_part = _s2_patterns(nH, monad.m)
+            bound = d1_part.shape[1] * d1_part.max_terms * hu * max(
+                n_part.max_terms * hu, h_part.max_terms * hw)
+        maps, modulus = None, 1
+        for u, w in zip(us, ws):
+            d0m, d1m = _s2_maps(nH, u, w)
+            if not d1m.annihilates(d0m):
+                raise AssertionError("symmetric-square complex is not a complex")
+            maps, modulus = maps or (d0m, d1m), modulus * u.field.p
+            if modulus > bound:
+                break
+        d0m, d1m = maps
+        if d0m.field != f and (d0m.rank() < d0m.ncols or d1m.rank() < d1m.nrows):
+            d0m, d1m = _s2_maps(nH, monad.umat, monad.wmat)
         rank0, rank1 = d0m.rank(), d1m.rank()
         monad._s2 = (d0m.ncols - rank0, d0m.nrows - rank1 - rank0, d1m.nrows - rank1)
     return monad._s2

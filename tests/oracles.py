@@ -103,8 +103,13 @@ display restricted to ker(xi) instead, whose h1 at twist 1 it reads next:
 h0 there is dim N meet (xi (x) V*), which is 0 exactly when the rank is kept.
 
 `s2_is_complex_dense` is the check that the symmetric-square complex is a
-complex by the dense product d1 @ d0; `monads.s2_cohomology` forms only the
-products of nonzero entries, through `Mat.annihilates`.
+complex by the dense product d1 @ d0 over the display's field, and
+`s2_cohomology_by_fractions` the triple from d0 and d1 gathered over the
+display's field, checked so and ranked there by `Mat.rank`.
+`monads.s2_cohomology` forms only the products of nonzero entries, through
+`Mat.annihilates`, and over Q it gathers, checks and ranks d0 and d1 on the
+int64 residues of integer multiples of umat and wmat, mod as many primes as
+the height of the product asks for.
 
 `projective_points_by_filter` is the point enumerator that tests every chart
 point's tail for zero and drops the zero tails, whose points are basis
@@ -643,8 +648,18 @@ def find_xi_by_rank(omega, seed=0) -> tuple[list, int, int, list[tuple[int, int]
 
 def s2_is_complex_dense(m: Monad) -> bool:
     """Reference for the check in `monads.s2_cohomology` that d1 @ d0 = 0."""
-    d0, d1 = _s2_maps(m)
+    d0, d1 = _s2_maps(m.nH, m.umat, m.wmat)
     return (d1 @ d0).is_zero()
+
+
+def s2_cohomology_by_fractions(m: Monad) -> tuple[int, int, int]:
+    """Reference for `monads.s2_cohomology`: (h0, h1, h2) from d0 and d1
+    gathered over the display's field, checked by their dense product."""
+    if not s2_is_complex_dense(m):
+        raise AssertionError("symmetric-square complex is not a complex")
+    d0, d1 = _s2_maps(m.nH, m.umat, m.wmat)
+    rank0, rank1 = d0.rank(), d1.rank()
+    return d0.ncols - rank0, d0.nrows - rank1 - rank0, d1.nrows - rank1
 
 
 def beyond_small_height_q() -> OmegaTensor:

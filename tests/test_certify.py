@@ -220,9 +220,9 @@ def test_induction_certificate_reuses_display_work(monkeypatch):
     assemblies, displays = [], []
     s2_maps, init = monads._s2_maps, monads.Monad.__init__
 
-    def counting_maps(monad):
-        assemblies.append(monad.nH)
-        return s2_maps(monad)
+    def counting_maps(nH, umat, wmat):
+        assemblies.append(nH)
+        return s2_maps(nH, umat, wmat)
 
     def counting_init(self, nH, *args):
         displays.append(nH)

@@ -209,6 +209,16 @@ def test_characteristic_2_extension_is_input_error(field, capsys):
     assert f"characteristic != 2, not {field}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("example", ["thooft3", "nc"])
+def test_characteristic_2_symmetric_square_is_input_error(example, capsys):
+    # d0 sends nu_s^2 to twice a vector, so over fp:2 the S^2 triple read
+    # [9, 30, 0] for thooft3 and [5, 10, 0] for nc, not [0, 21, 0] and [0, 5, 0]
+    assert run(["certify", "--example", example, "--field", "fp:2"]) == 2
+    err = capsys.readouterr().err
+    assert "symmetric-square complex needs characteristic != 2, not fp:2" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,error", [
     (["sample", "--n", "0", "--r", "2"], "samplers cover 1 <= n <= 5"),
     (["sample", "--n", "2", "--r", "0"], "(n, r) = (2, 0) is not an admissible pair"),

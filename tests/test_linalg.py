@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -320,9 +321,11 @@ def test_gather_matches_definition(spec):
         for r, c, i, j, sign in terms:
             x = src.row(i)[j]
             expect[r][c] = fld.add(expect[r][c], x if sign > 0 else fld.neg(x))
-        got = src.gather(Pattern(shape, src_shape, terms))
+        pattern = Pattern(shape, src_shape, terms)
+        got = src.gather(pattern)
         assert got == Mat.from_rows(fld, expect, shape[1])
         assert (got.nrows, got.ncols) == shape
+        assert pattern.max_terms == max(Counter((r, c) for r, c, *_ in terms).values(), default=0)
     with pytest.raises(ValueError):
         Mat.zeros(fld, 2, 2).gather(Pattern((1, 1), (2, 3), []))
     for term in [(0, 2, 0, 0, 1), (0, 0, -1, 0, 1), (0, 0, 0, 3, 1), (0, 0, 0, 0, 2)]:
@@ -514,6 +517,15 @@ def test_rational_rank_through_the_rank_prime(data):
     else:
         assert residues.rows() == [[x.numerator * pow(x.denominator, -1, RANK_PRIME) % RANK_PRIME
                                     for x in r] for r in m.rows()]
+    # L m, L the lcm of the denominators: its height, and its residues mod
+    # the rank prime and the primes just below it, none skipped
+    scale = math.lcm(*(x.denominator for r in m.rows() for x in r))
+    ints = [[int(x * scale) for x in r] for r in m.rows()]
+    height, scaled = m.scaled_residues()
+    assert height == max((abs(x) for r in ints for x in r), default=0)
+    below = [p for p in range(RANK_PRIME, RANK_PRIME - 300, -1) if is_prime_by_trial_division(p)]
+    for p, res in zip(below[:3], scaled):
+        assert res.field.p == p and res.rows() == [[x % p for x in r] for r in ints]
 
 
 def test_rational_rank_falls_back_only_when_the_prime_cannot_decide(monkeypatch):

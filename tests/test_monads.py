@@ -1,10 +1,11 @@
+import math
 import random
 
 import oracles
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from instantons import monads
+from instantons import linalg, monads
 from instantons.bases import WEDGE_INDEX, euler_chi, sym_index_map
 from instantons.families import (
     extend_affine,
@@ -17,6 +18,7 @@ from instantons.families import (
 from instantons.fields import field_from_spec
 from instantons.linalg import Mat, Stream, Subspace
 from instantons.monads import (
+    Monad,
     MonadError,
     build_monad,
     coh_table,
@@ -178,7 +180,7 @@ def test_gamma_kernel_nc_tensor(F):
 def test_display_is_built_once_per_tensor(F, chain52, monkeypatch):
     # every function of a tensor that needs its display reads the one kept
     # on the tensor; a tensor read back from its file format starts without one
-    from instantons import monads
+    from instantons import linalg, monads
     from instantons.families import fiber_solution_space
     from instantons.geometry import k_intersection_dim, line_invariants, line_through
 
@@ -298,16 +300,36 @@ def test_beta_is_gathered_only_below_the_onto_twist_and_at_one(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["fp:7", "fp:32003", "rational"])
 @given(n=st.integers(2, 4), seed=st.integers(0, 99), pick=st.integers(0, 10**6),
-       delta=st.integers(1, 6))
+       delta=st.integers(1, 6), lift=st.integers(0, 2))
 @settings(max_examples=10)
-def test_s2_check_fails_on_a_perturbed_d0(spec, n, seed, pick, delta):
+def test_s2_check_fails_on_a_perturbed_d0(spec, n, seed, pick, delta, lift):
     # the sparse check agrees with the dense product on the complex, and one
-    # changed entry of d0, in a row k where column k of d1 is nonzero, makes
-    # d1 @ d0 nonzero in that column and s2_cohomology raise
+    # changed entry of d0 makes d1 @ d0 nonzero and s2_cohomology raise
     f = field_from_spec(spec)
     m = build_monad(sample_full(n, f, seed))
-    d0, d1 = monads._s2_maps(m)
-    assert d1.annihilates(d0) and oracles.s2_is_complex_dense(m)
+    assert oracles.s2_is_complex_dense(m)
+    if spec == "rational":
+        # over Q the check runs on residues of umat and wmat, so the change is
+        # to one entry of wmat, which moves a column block of d0's H (x) H*
+        # part, on a display built past Monad.__init__ (which derives wmat).
+        # A change by delta times the first lift rank primes vanishes mod
+        # those primes, and a later one has to catch it
+        bad = Monad.__new__(Monad)
+        for name in Monad.__slots__:
+            setattr(bad, name, getattr(m, name))
+        rows = m.wmat.rows()
+        s, j = divmod(pick % (m.m * 4 * n), 4 * n)
+        rows[s][j] += delta * math.prod(linalg._rank_prime(i).p for i in range(lift))
+        bad.wmat, bad._s2 = Mat.from_rows(f, rows, 4 * n), None
+        assert not oracles.s2_is_complex_dense(bad)
+        pairs = zip(bad.wmat.scaled_residues()[1], m.wmat.scaled_residues()[1])
+        assert [a == b for (a, b), _ in zip(pairs, range(lift + 1))] == [True] * lift + [False]
+        with pytest.raises(AssertionError, match="not a complex"):
+            s2_cohomology(bad)
+        return
+    # in a row k where column k of d1 is nonzero
+    d0, d1 = monads._s2_maps(m.nH, m.umat, m.wmat)
+    assert d1.annihilates(d0)
     live = [k for k in range(d1.ncols) if not d1.take_cols([k]).is_zero()]
     k, j = live[pick % len(live)], pick // len(live) % d0.ncols
     rows = d0.rows()
@@ -315,6 +337,48 @@ def test_s2_check_fails_on_a_perturbed_d0(spec, n, seed, pick, delta):
     bad = Mat.from_rows(f, rows, d0.ncols)
     assert not d1.annihilates(bad) and not (d1 @ bad).is_zero()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monads, "_s2_maps", lambda monad: (bad, d1))
+        mp.setattr(monads, "_s2_maps", lambda nH, umat, wmat: (bad, d1))
         with pytest.raises(AssertionError, match="not a complex"):
             s2_cohomology(m)
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 99), bits=st.sampled_from([0, 1000]),
+       restrict=st.booleans(), full=st.booleans())
+@settings(max_examples=16)
+def test_s2_residue_path_matches_fractions(n, seed, bits, restrict, full):
+    # over Q the triple read from residues equals the one from d0 and d1
+    # over Q, on a full-rank sample or a 't Hooft tensor (n >= 2), moved by
+    # g in GL(H) with entries of up to bits bits (bits = 1000 gives heights
+    # of thousands of bits, checked mod dozens of primes), and on its
+    # display restricted to a hyperplane when n >= 2.  The maps are gathered
+    # over Q only when h0 or h2 is nonzero
+    q, rng = field_from_spec("rational"), random.Random(seed)
+    t = sample_full(n, q, seed) if full or n == 1 else thooft_tensor(n, q, seed)
+    if bits:
+        g = Mat.identity(q, n) + Mat.from_rows(
+            q, [[rng.getrandbits(bits) for _ in range(n)] for _ in range(n)], n)
+        if g.rank() == n:
+            t = t.conjugate(g)
+    m = build_monad(t)
+    if restrict and n >= 2:
+        m = restricted_monad(t, [q.of_int(rng.randint(-2, 2)) for _ in range(n - 1)] + [q.one()])
+    fields, s2_maps = [], monads._s2_maps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monads, "_s2_maps", lambda nH, u, w: fields.append(u.field) or s2_maps(nH, u, w))
+        h0, h1, h2 = s2_cohomology(m)
+    assert (h0, h1, h2) == oracles.s2_cohomology_by_fractions(m)
+    assert (q in fields) == (h0 > 0 or h2 > 0)
+
+
+def test_s2_rank_drop_ranks_over_q(monkeypatch):
+    # a restricted display with h0 > 0: d0 is not injective mod the first
+    # prime, so d0 and d1 are gathered again over Q and ranked there, with
+    # no second check of the complex
+    q = field_from_spec("rational")
+    t = block_sum(nc_tensor(q), nc_tensor(q, [1, 1, 0, 0, 0, 1]))
+    bar, fields, s2_maps = restricted_monad(t, [q.one(), q.zero()]), [], monads._s2_maps
+    monkeypatch.setattr(monads, "_s2_maps",
+                        lambda nH, u, w: fields.append(u.field) or s2_maps(nH, u, w))
+    triple = s2_cohomology(bar)
+    assert triple[0] > 0 and triple == oracles.s2_cohomology_by_fractions(bar)
+    assert fields[:2] == [linalg._RANK_PRIME, q]

@@ -174,6 +174,7 @@ def unpassed_defaults() -> list[str]:
 REACH_COMMANDS = (
     "certify --example thooft3 --induction",
     "certify --example degenerate-rank6 --field rational",
+    "certify --example nc --field rational",
     "certify --example three-nc --field fp:7",
     "certify --example two-sum --field fp:2097143",
     "certify --sample 5,2",

@@ -1,6 +1,7 @@
 """The benchmark's seed-0 runs check every op's output against
 perfbench/reference.json; one cycle of each workload keeps them in the suite,
-and one short traced verdicts run keeps the per-layer wrapping there too."""
+and short traced verdicts and rational runs keep the per-layer wrapping
+there too."""
 
 import json
 import subprocess
@@ -38,3 +39,19 @@ def test_traced_verdicts_run_counts_the_pieces():
     assert metrics["nondeg.piece.calls"]["value"] > 0
     assert metrics["nondeg.piece.cols"]["value"] > 0
     assert metrics["nondeg.scan.points"]["value"] == pytest.approx(0.8)
+
+
+def test_traced_rational_run_counts_the_eliminations():
+    # per op over the cycle's seven certificates over Q: four RREFs over Q,
+    # and 34/7 exact products, for the displays, the witness scan and the
+    # pieces.  The six modular ops check and rank their S^2 complex on int64
+    # residues, with no product or elimination over Q
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "rational", "--seed", "0", "--seconds", "1",
+         "--trace", "1"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["linalg.rref.calls.generic"]["value"] == pytest.approx(4.0)
+    assert metrics["linalg.matmul.calls"]["value"] == pytest.approx(34 / 7)
