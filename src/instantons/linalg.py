@@ -625,18 +625,20 @@ class Mat:
         dets = [b.det() for b in blocks] if self.nrows == width else None  # det() keeps its rank
         return [b.rank() for b in blocks], dets
 
-    def kernel(self) -> "Subspace":
-        """Right kernel {v : self @ v = 0} as a canonical Subspace: one vector
-        per free column c, e_c minus column c of the RREF on the pivots."""
+    def kernel_basis(self) -> "Mat":
+        """A basis of the right kernel read off the RREF: e_c minus column c
+        of the RREF on the pivots for each free column c (the identity on the
+        free columns), reduced once more over Q to entries of smaller height."""
         r, piv = self.rref()
         f, n = self.field, self.ncols
-        pivots = set(piv)
-        free = [c for c in range(n) if c not in pivots]
-        if not free:
-            return Subspace.zero(f, n)
+        free = sorted(set(range(n)) - set(piv))
         red = r.take_rows(range(len(piv))).take_cols(free).transpose()
         basis = Mat.identity(f, len(free)).place_cols(free, n) - red.place_cols(piv, n)
-        return Subspace.from_spanning(basis)
+        return Subspace.from_spanning(basis).basis if f.kind == "rational" and free else basis
+
+    def kernel(self) -> "Subspace":
+        """Right kernel as a canonical Subspace: kernel_basis reduced."""
+        return Subspace.from_spanning(self.kernel_basis())
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
@@ -739,10 +741,6 @@ class Subspace:
         basis._rref = basis, piv
         return Subspace(mat.field, mat.ncols, basis, piv)
 
-    @staticmethod
-    def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, Mat.zeros(field, 0, ambient), [])
-
     @property
     def dim(self) -> int:
         return self.basis.nrows
@@ -761,16 +759,12 @@ class Subspace:
         """Exact intersection via the Zassenhaus double-block elimination."""
         self._check(other)
         f, n = self.field, self.ambient
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(f, n)
         top = self.basis.hstack(self.basis)
         bot = other.basis.hstack(Mat.zeros(f, other.dim, n))
         r, piv = top.vstack(bot).rref()
         # the rows pivoting in the right block are zero on the left one: their
         # right halves are the meet's basis, already reduced
         meet = [i for i, c in enumerate(piv) if c >= n]
-        if not meet:
-            return Subspace.zero(f, n)
         basis = r.take_rows(meet).take_cols(range(n, 2 * n))
         return Subspace(f, n, basis, [piv[i] - n for i in meet])
 

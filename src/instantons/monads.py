@@ -9,8 +9,10 @@
 # isomorphism N* -> N.  All cohomology is read off from the maps on twisted
 # global sections: every twist used keeps the three line-bundle terms acyclic
 # in intermediate degrees, so kernels and cokernels of concrete matrices give
-# the h^i exactly.  Over Q the symmetric-square complex is checked and ranked
-# on int64 residues of integer multiples of the display's two small maps.
+# the h^i exactly; the rank of alpha at twist d is read off the inverse system
+# of the (1, d + 1) piece of the ideal of umat's columns, not a gathered map.
+# Over Q the symmetric-square complex is checked and ranked on int64
+# residues of integer multiples of the display's two small maps.
 
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .bases import (
     times_variable,
 )
 from .linalg import Mat, Pattern, Subspace, kron
+from .nondeg import InverseSystems, inverse_systems
 from .tensors import OmegaTensor, kernel_inclusion
 
 # Each structured map below is one Mat.gather of a matrix of the display
@@ -78,14 +81,15 @@ class Monad:
     tensor's: OmegaTensor.image.
     """
 
-    __slots__ = ("nH", "m", "phi", "umat", "wmat", "_ranks", "_onto", "_s2", "_restricted")
+    __slots__ = ("nH", "m", "phi", "umat", "wmat", "_systems", "_ranks", "_onto", "_s2", "_restricted")
 
-    def __init__(self, nH: int, phi: Mat, umat: Mat):
+    def __init__(self, nH: int, phi: Mat, umat: Mat, systems: InverseSystems | None = None):
         self.nH = nH
         self.m = phi.nrows
         self.phi = phi
         self.umat = umat
         self.wmat = phi @ umat.transpose()
+        self._systems = systems or InverseSystems(nH, umat.transpose())
         # kept once found: the ranks of alpha(d) and beta(d) by twist d, the least twist
         # d >= 0 where alpha is onto, the S^2 triple, the restricted displays by xi
         self._ranks = {}
@@ -125,19 +129,21 @@ class Monad:
         the ranks of alpha(d) and beta(d), kept by twist.  h1 at twist 1 is the
         dimension of the gamma kernel, whose system is alpha(1) transposed.
 
-        alpha is S-linear and N (x) S^(d+1) = S^1 . (N (x) S^d) for d >= 0,
-        so im alpha(d+1) = S^1 . im alpha(d): above a twist d0 >= 0 where
-        alpha is onto, it is onto, and its rank is its row count with no
-        gather and no elimination.  Then the sheaf map alpha is onto at every
-        point (H-bar* (x) O(d0 + 1) is globally generated), so beta = phi o
-        alpha* (wmat = phi umat^T) is injective at every point and, H^0 being
-        left exact, on sections: at d >= d0 beta(d) has rank its column count.
-        beta(1), whose rank left_defect reads, is ranked all the same."""
+        im alpha(d) is the (1, d + 1) piece of the ideal of umat's columns,
+        as forms in H-bar* (x) V*, so rank alpha(d) = rows - dim A(1, d + 1),
+        A the inverse system (nondeg.InverseSystems), and alpha is never
+        gathered.  From a twist d0 >= 0 where A is zero alpha is onto, so the
+        sheaf map alpha is onto at every point (H-bar* (x) O(d0 + 1) is
+        globally generated), and beta = phi o alpha* (wmat = phi umat^T) is
+        injective at every point and, H^0 being left exact, on sections: at
+        d >= d0 beta(d) has rank its column count.  beta(1), whose rank
+        left_defect reads, is ranked all the same."""
         if d < -2:
             raise MonadError("twist below the acyclicity window")
         nrows = self.nH * num_monomials(4, d + 1)
         if d not in self._ranks:
-            rank_a = nrows if d > self._onto else self.alpha(d).rank()
+            rank_a = (0 if d < 0 else nrows if d > self._onto
+                      else nrows - self._systems.dim(1, d + 1))
             if rank_a == nrows and 0 <= d < self._onto:
                 self._onto = d
             cols = self.nH * num_monomials(4, d - 1)
@@ -197,7 +203,7 @@ def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:
     # self-certification: u o phi o u* must reproduce the flattening exactly
     if not (B.transpose() @ phi @ B == M):
         raise MonadError("failed to factor the flattening through phi")
-    return Monad(omega.n, phi, B.transpose())
+    return Monad(omega.n, phi, B.transpose(), inverse_systems(omega))
 
 
 def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
@@ -315,10 +321,17 @@ def sigma_kernel_dim(omega: OmegaTensor) -> int:
     that linear system is minus the transpose of d1 of the symmetric-square
     complex.  So the kernel dimension is the cokernel dimension of d1, which
     is h^2 of S^2 E for admissible tensors.  d1 is gathered from the basis
-    of N, the image of the flattening, so no display is needed.
+    of N, the image of the flattening, so no display is needed; over Q first
+    from the basis scaled to integers, mod one prime, and over Q only when
+    it is not onto there (a scaled basis scales d1).
     """
     basis = omega.image().basis
-    d1 = basis.transpose().gather(_s2_patterns(omega.n, basis.nrows)[2])
+    pattern = _s2_patterns(omega.n, basis.nrows)[2]
+    if basis.field.kind == "rational":
+        d1 = next(basis.scaled_residues()[1]).transpose().gather(pattern)
+        if d1.rank() == d1.nrows:
+            return 0
+    d1 = basis.transpose().gather(pattern)
     return d1.nrows - d1.rank()
 
 
@@ -344,6 +357,6 @@ def tangent_dim(omega: OmegaTensor) -> int:
     the same count is bases.full_skew_tangent_dim, since restriction to the
     kernel K maps the skew forms onto wedge^2 K*.
     """
-    kb = omega.flatten().kernel().basis
+    kb = omega.flatten().kernel_basis()
     mat = kron(kb, kb).gather(_tangent_pattern(omega.n, kb.nrows))
     return mat.ncols - mat.rank()

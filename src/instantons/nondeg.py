@@ -324,6 +324,53 @@ def _step_patterns(n: int, d: int, e: int, c: int) -> tuple[Pattern, Pattern]:
     return constraints, lift
 
 
+class InverseSystems:
+    """Macaulay's inverse systems A(d, e), the annihilators of the pieces of
+    the ideal of the bilinear forms in the row space of forms (4n columns,
+    index 4a + k): A(1, 1) is the right kernel of forms, and each later
+    basis is built from the one a degree lower (see _step_patterns) and kept."""
+
+    def __init__(self, n: int, forms: Mat):
+        self.n = n
+        self.forms = forms
+        self._bases: dict[tuple[int, int], Mat] = {}
+
+    def _lower(self, d: int, e: int) -> Mat:
+        return self.basis(d - 1, e) if d > 1 else self.basis(d, e - 1)
+
+    def basis(self, d: int, e: int) -> Mat:
+        """A basis of A(d, e), one row per functional, not a canonical one."""
+        if (d, e) not in self._bases:
+            if (d, e) == (1, 1):
+                ann = self.forms.kernel_basis()
+            else:
+                low = self._lower(d, e)
+                ann = Mat.zeros(low.field, 0, _ambient(self.n, d, e))
+                if low.nrows:  # a zero annihilator stays zero
+                    constraints, lift = _step_patterns(self.n, d, e, low.nrows)
+                    low = low.transpose()
+                    ann = low.gather(constraints).kernel_basis() @ low.gather(lift)
+            self._bases[d, e] = ann
+        return self._bases[d, e]
+
+    def dim(self, d: int, e: int) -> int:
+        """dim A(d, e), by one rank of the constraints when no basis is kept."""
+        if (d, e) == (1, 1) or (d, e) in self._bases:
+            return self.basis(d, e).nrows
+        low = self._lower(d, e)
+        constraints = low.transpose().gather(_step_patterns(self.n, d, e, low.nrows)[0])
+        return constraints.ncols - constraints.rank()
+
+
+def inverse_systems(omega: OmegaTensor) -> InverseSystems:
+    """The inverse systems of the forms a tensor's flattening spans (it is
+    skew, so its rows span its columns), kept on the tensor: classify's
+    pieces and its display's h_values share them."""
+    if omega._systems is None:
+        omega._systems = InverseSystems(omega.n, omega.flatten())
+    return omega._systems
+
+
 @dataclass(frozen=True, eq=False)
 class Piece:
     """The (d, e) piece of the ideal, of ncols = dim S^d H* (x) S^e V*
@@ -341,17 +388,18 @@ class Piece:
 class SpanningCertifier:
     """Bigraded pieces of the ideal of the bilinear forms of a tensor.
 
-    Piece (d, e) lives in S^d H* (x) S^e V*.  Its annihilator is found from
-    the one of the lower piece it is a multiple of (see _step_patterns), in
-    an elimination whose width is the lower piece's corank times the number
-    of variables, so a whole schedule of degree checks shares work.
+    Piece (d, e) lives in S^d H* (x) S^e V*.  Its annihilator comes from the
+    lower piece's (see _step_patterns), in an elimination as wide as that
+    one's corank times the number of variables, and is kept in the tensor's
+    inverse_systems, so a schedule of degree checks and later calls share
+    work; built lists each piece asked for here.
     closes(d, e) == True certifies, soundly, that the forms have no common
     zero with both factors nonzero over the algebraic closure.
     """
 
     def __init__(self, omega: OmegaTensor):
-        self.omega = omega
         self.n = omega.n
+        self.systems = inverse_systems(omega)
         self._pieces: dict[tuple[int, int], Piece] = {}
         # [d, e, ambient, rank] of each piece, in the order they were built
         self.built: list[list[int]] = []
@@ -361,20 +409,12 @@ class SpanningCertifier:
             return self._pieces[d, e]
         if d < 1 or e < 1:
             raise ValueError("bigraded degrees start at (1, 1)")
-        ncols = _ambient(self.n, d, e)
-        if (d, e) == (1, 1):
-            # the flattening is skew, so the forms it spans, its columns, are
-            # killed by exactly its right kernel
-            ann = self.omega.flatten().kernel().basis
-        else:
-            low = (self.piece(d - 1, e) if d > 1 else self.piece(d, e - 1)).annihilator
-            ann = Mat.zeros(low.field, 0, ncols)
-            if low.nrows:  # a zero annihilator stays zero
-                constraints, lift = _step_patterns(self.n, d, e, low.nrows)
-                low = low.transpose()
-                ann = low.gather(constraints).kernel().basis @ low.gather(lift)
-        piece = self._pieces[d, e] = Piece(ncols, ann)
-        self.built.append([d, e, ncols, piece.rank])
+        if d > 1:
+            self.piece(d - 1, e)
+        elif e > 1:
+            self.piece(d, e - 1)
+        piece = self._pieces[d, e] = Piece(_ambient(self.n, d, e), self.systems.basis(d, e))
+        self.built.append([d, e, piece.ncols, piece.rank])
         return piece
 
     def closes(self, d: int, e: int) -> bool:

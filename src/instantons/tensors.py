@@ -75,7 +75,7 @@ class OmegaTensor:
     doubling it, so published coefficient matrices transcribe literally.
     """
 
-    __slots__ = ("n", "field", "coeffs", "_flat", "_monad")
+    __slots__ = ("n", "field", "coeffs", "_flat", "_monad", "_systems")
 
     def __init__(self, n: int, field: Field, coeffs: Mat):
         if coeffs.nrows != n * (n + 1) // 2 or coeffs.ncols != 6:
@@ -84,9 +84,10 @@ class OmegaTensor:
         self.field = field
         self.coeffs = coeffs
         self._flat = None
-        # the Horrocks display, kept by monads.build_monad, which alone reads
-        # and writes it: like the flattening, it is a function of the tensor
+        # the Horrocks display and the forms' inverse systems, which only
+        # monads.build_monad and nondeg.inverse_systems keep, like the flattening
         self._monad = None
+        self._systems = None
 
     # -- constructors ---------------------------------------------------
 

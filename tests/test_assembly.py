@@ -166,25 +166,25 @@ PINNED: dict[str, dict[str, str]] = {
     "constructions-fp:32003": {
         "extend_affine": "c01ac8f0ad547905",
         "extend_fiber": "bf483c081bfe2c99",
-        "thooft-n2": "591455fbc9971bb7",
-        "thooft-n3": "59b18eb90a26de83",
-        "thooft-n4": "ca8641ca0fefcc97",
-        "thooft-n5": "dfc6baf175fa126a",
+        "thooft-n2": "fecb2853d7bd59c4",
+        "thooft-n3": "06bf2c943772d55e",
+        "thooft-n4": "b7d08b9a8bba2d72",
+        "thooft-n5": "6e96bdef020f1ac9",
     },
     "constructions-fp:7": {
         "extend_affine": "7816832f1822093f",
         "extend_fiber": "8febdbd3a00fe391",
-        "thooft-n2": "e657b9569f47b680",
-        "thooft-n3": "e1b5447f9408ef0b",
-        "thooft-n4": "7b5e1a2852f7f265",
-        "thooft-n5": "d3159b92f4bc2778",
+        "thooft-n2": "3003378593ef9d6a",
+        "thooft-n3": "62a7fefdb3301306",
+        "thooft-n4": "4cc1f08ff2f4e0b3",
+        "thooft-n5": "826618e14c06e055",
     },
     "constructions-rational": {
         "extend_affine": "522d53db4f84a2d3",
-        "thooft-n2": "eab7bace6315c1db",
-        "thooft-n3": "fdc09a9335a8a25c",
-        "thooft-n4": "0be5e591b07c2aab",
-        "thooft-n5": "c0b0ce11aac0a666",
+        "thooft-n2": "017438ededf6a733",
+        "thooft-n3": "e7f294af15c3e6b3",
+        "thooft-n4": "ce4d9629879b2d19",
+        "thooft-n5": "6a9589564af05e92",
     },
     "fp32003-n2": {
         "alpha": "d2d9d70861e3df4d",
@@ -196,7 +196,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "601ca4375e2d1bac",
         "s2_cohomology": "de6ac2d5f90ad187",
         "sigma_kernel_dim": "3324c84d57df3b1a",
-        "tangent_dim": "f65a2ac05e7df4b4",
+        "tangent_dim": "c1a12a79946a9517",
         "tensor": "b390779b352b11f8",
         "tensor_ops": "4c75d1d09fd29bfb",
     },
@@ -210,7 +210,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "f7f8dce018469d1f",
         "s2_cohomology": "3d8ad8edf5c65406",
         "sigma_kernel_dim": "fd7e32ee71fb65ec",
-        "tangent_dim": "b8c77b2a7163eb62",
+        "tangent_dim": "4fe3fdd203a18420",
         "tensor": "dcfae93414457c83",
         "tensor_ops": "43109b0d9fdabc7f",
     },
@@ -224,7 +224,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "a34ec9c64fa6ed12",
         "s2_cohomology": "55db3999598f9722",
         "sigma_kernel_dim": "f7e20ab6bb00bc51",
-        "tangent_dim": "a6458659f4ddf9b0",
+        "tangent_dim": "c23edda4c6ce4af2",
         "tensor": "2aa93c4382840d8e",
         "tensor_ops": "25d0849b96447cc0",
     },
@@ -238,7 +238,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "89e9010f645b0615",
         "s2_cohomology": "55080925a4339d10",
         "sigma_kernel_dim": "4d16a97172fe8788",
-        "tangent_dim": "0a2246ad2470e26f",
+        "tangent_dim": "405a5fd7ae2df467",
         "tensor": "0fa6b126a6eb6873",
         "tensor_ops": "f1d23cf4b03d274b",
     },
@@ -252,7 +252,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "d3ea29b799d64502",
         "s2_cohomology": "338ab51ccde650fa",
         "sigma_kernel_dim": "1f873da189b310a5",
-        "tangent_dim": "6da0ad299f42a4b4",
+        "tangent_dim": "58d9063f8c43933a",
         "tensor": "7109ec644c1e2013",
         "tensor_ops": "0c0c05b12b7f71f2",
     },
@@ -266,7 +266,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "f202445e195d75cb",
         "s2_cohomology": "3c5cb1667472e84f",
         "sigma_kernel_dim": "cfae80e270b62f21",
-        "tangent_dim": "ae69ed10ac89c095",
+        "tangent_dim": "01734b9dbe2478d1",
         "tensor": "0e05fa3db88de772",
         "tensor_ops": "84772f86d30d22b0",
     },
@@ -280,7 +280,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "fcfa8dbc3ef2b372",
         "s2_cohomology": "35f2851644b88e32",
         "sigma_kernel_dim": "c041bab7c850dabf",
-        "tangent_dim": "a40d6d7bbf155274",
+        "tangent_dim": "a1a0c578740327c0",
         "tensor": "0bd29b7837619372",
         "tensor_ops": "419fc3e68eb3fbc2",
     },
@@ -294,7 +294,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "37cfddb70b27418a",
         "s2_cohomology": "4f8d12f2967180fd",
         "sigma_kernel_dim": "451e5d2b2014eb92",
-        "tangent_dim": "96576415be3b5b21",
+        "tangent_dim": "6e654010207b614e",
         "tensor": "6f6474c160f6813f",
         "tensor_ops": "5fd44537004dc7a6",
     },
@@ -308,7 +308,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "997cb1232befbe6f",
         "s2_cohomology": "07191dd1d0565421",
         "sigma_kernel_dim": "006fed34df9b6b88",
-        "tangent_dim": "9aca905b4dd19345",
+        "tangent_dim": "3082a452c1233fc5",
         "tensor": "7cda0ddb59206a26",
         "tensor_ops": "74c3a399f48a1113",
     },
@@ -322,7 +322,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "b305430d83fffe0d",
         "s2_cohomology": "213b7e4aa5952a42",
         "sigma_kernel_dim": "155c17551bf62fde",
-        "tangent_dim": "ecafaf10381c7207",
+        "tangent_dim": "9d8aed209d1d002d",
         "tensor": "166e5f6c2ba68381",
         "tensor_ops": "e3668c644253b4ec",
     },
@@ -336,7 +336,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "8fdd76255d83287d",
         "s2_cohomology": "8c20f0d05f280ceb",
         "sigma_kernel_dim": "251fbc9bf3b3a9d6",
-        "tangent_dim": "a1474976fa46e2c9",
+        "tangent_dim": "fa53436ac56a79a5",
         "tensor": "22279aba096b5c2c",
         "tensor_ops": "51ff05518f38b53a",
     },
@@ -350,7 +350,7 @@ PINNED: dict[str, dict[str, str]] = {
         "restricted": "2993d129d03b43dc",
         "s2_cohomology": "485d5e23a9a05d06",
         "sigma_kernel_dim": "10d46f2a792d8c67",
-        "tangent_dim": "6a00545893e2cb5a",
+        "tangent_dim": "4899524bcf9ebb9b",
         "tensor": "03f2de7e71b8d4a3",
         "tensor_ops": "b51f83def9e50222",
     },

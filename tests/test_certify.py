@@ -239,31 +239,36 @@ ELIMINATIONS = ("_np_rref", "_np_rank", "_generic_rref")
 
 
 @pytest.mark.parametrize("make,counts", [
-    (lambda: sample_instanton(5, 2, GF32003, 7), (6, 14, 0)),
-    (lambda: thooft_tensor(3, QQ), (0, 17, 8)),
+    (lambda: sample_instanton(5, 2, GF32003, 7), (3, 10, 0)),
+    (lambda: thooft_tensor(3, QQ), (0, 13, 7)),
     (lambda: degenerate_rank6(QQ), (0, 6, 7)),
-    (lambda: sample_full(2, QQ, 1), (0, 13, 1)),
-    (lambda: nc_tensor(QQ), (0, 12, 1)),
+    (lambda: sample_full(2, QQ, 1), (0, 10, 1)),
+    (lambda: nc_tensor(QQ), (0, 9, 1)),
 ], ids=["chain52", "thooft3-q", "degenerate-rank6-q", "full2-q", "nc-q"])
 def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # calls of each elimination kernel in one certificate.  Over Q each rank
     # first runs _np_rank on the residues mod one prime, and _generic_rref
     # only when that rank is not full (or for an RREF).  The display, the
-    # (1,1) certificate piece and the tangent kernel share one RREF of the
-    # flattening, and each of the two kernels reduces its basis once.  Every
-    # later piece eliminates its constraint matrix, as wide as the lower
-    # piece's annihilator times the number of variables, and reduces the
-    # basis of that matrix's kernel when it is not zero.  A modular
+    # (1,1) certificate piece and the tangent system share one RREF of the
+    # flattening, and every kernel basis they use is read off an RREF with no
+    # second reduction, save over Q, where it is reduced once more to keep
+    # the heights of its entries small.  Every later piece eliminates its constraint matrix,
+    # as wide as the lower piece's annihilator times the number of
+    # variables.  The cohomology table gathers no alpha: rank alpha(d) is
+    # read off the inverse system A(1, d + 1), which classify's pieces (1,1)
+    # and (1,2) already hold, and above them costs one rank of a constraint
+    # matrix, up to the first twist d0 >= 0 where alpha is onto.  A modular
     # certificate reads the sigma and gamma kernel dimensions off its
     # cohomology table, left_defect reads the rank of beta(1) that
-    # h_values(1) kept, alpha is not ranked above the first twist d0 >= 0
-    # where it is onto, and beta is not ranked at d0 or above, save beta(1).  The degenerate display's alpha is onto
-    # at no twist, so its every beta is ranked.  The witness scan reaches only
+    # h_values(1) kept, and beta is not ranked at d0 or above, save beta(1).
+    # A non-modular certificate ranks the sigma system over Q mod one prime,
+    # where it is onto.  The witness scan reaches only
     # the basis points, a short run, and ranks each point's (w + 1) x w block
     # of its fixed sketch, over Q through a rank mod one prime (never square,
     # so no determinant), and ranks the point's own contraction only where
     # that block is deficient, as at the witness e_0 of degenerate_rank6: one
-    # rank more there, a forward _generic_rref after a deficient _np_rank.
+    # rank more there, a forward _generic_rref after a deficient _np_rank,
+    # and the partner's canonical kernel, two RREFs.
     # The tensor is read back through the file format, so
     # that no display built while constructing it is reused.
     t = tensor_from_obj(tensor_to_obj(make()))

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -17,6 +18,7 @@ from instantons.families import (
 )
 from instantons.fields import field_from_spec
 from instantons.linalg import Mat, Stream, Subspace
+from instantons.nondeg import classify
 from instantons.monads import (
     Monad,
     MonadError,
@@ -296,6 +298,72 @@ def test_beta_is_gathered_only_below_the_onto_twist_and_at_one(monkeypatch):
     for d in range(-2, 7):
         m.h_values(d)
     assert gathered == list(range(-2, 7))
+
+
+def _coupled(n: int, f, seed) -> OmegaTensor:
+    """A tensor over H = <e_0> + H-bar, n >= 2, whose forms on H-bar (the
+    pairs i, j >= 1) are those of a 't Hooft tensor of n - 1 (zero at
+    n = 2) and whose others are random.  Restricted to xi = e_0* its rank
+    drops, and the forms coupled to e_0 make umat of that restricted display
+    span more than the restricted tensor's flattening."""
+    rows = random_tensor(n, f, Stream("coupled", n, seed)).coeffs.rows()
+    low = thooft_tensor(n - 1, f, seed).coeffs.rows() if n > 2 else [[f.zero()] * 6]
+    for (i, j), r in sym_index_map(n - 1).items():
+        rows[sym_index_map(n)[i + 1, j + 1]] = low[r]
+    return OmegaTensor(n, f, Mat.from_rows(f, rows, 6))
+
+
+@given(spec=st.sampled_from(["fp:7", "fp:32003", "fp:3^2", "rational"]), n=st.integers(1, 5),
+       kind=st.sampled_from(["plain", "restricted", "dropping", "degenerate"]),
+       seed=st.integers(0, 99), xi=st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+@example(spec="fp:3^2", n=2, kind="restricted", seed=1, xi=[1, 2, 0, 0, 0])
+@example(spec="rational", n=5, kind="restricted", seed=0, xi=[1, 2, 3, 5, 7])
+@example(spec="fp:7", n=1, kind="restricted", seed=0, xi=[1, 0, 0, 0, 0])
+@example(spec="fp:32003", n=4, kind="dropping", seed=0, xi=[0, 0, 0, 0, 0])
+@example(spec="fp:3^2", n=3, kind="degenerate", seed=0, xi=[0, 0, 0, 0, 0])
+@settings(max_examples=30)
+def test_h_values_are_the_ranks_of_the_gathered_maps(spec, n, kind, seed, xi):
+    # h_values reads rank alpha(d) off the inverse system A(1, d + 1) of the
+    # display's umat and never gathers alpha; the oracle gathers alpha(d) and
+    # beta(d) at every twist and ranks them.  On plain displays of 't Hooft
+    # tensors (r = 2, so alpha(0) and alpha(1) are not onto); on displays
+    # restricted to a random hyperplane, of a 't Hooft tensor (which mostly
+    # keeps its rank) or, at odd seeds, of a full-rank one (no hyperplane
+    # keeps rank 4n, so h0 at twist 0 is positive); on a display restricted
+    # to a hyperplane that drops the rank of a _coupled tensor, where umat
+    # and the restricted flattening span different forms; and on
+    # planted-witness displays, whose alpha is onto at no twist.  fp:3^2
+    # eliminates Python elements, so there the tensors of rank above 2n + 2
+    # stop at n = 3.  classify's pieces share the inverse systems kept on
+    # the tensor, and its searched record is the same whether the table ran
+    # first or classify ran before
+    f = field_from_spec(spec)
+    n = min(n, 3) if spec == "fp:3^2" and kind != "plain" else n
+    if kind == "degenerate":
+        omega = _planted_witness(max(n, 2), f, seed)
+    elif kind == "dropping":
+        omega = _coupled(max(n, 2), f, seed)
+        xi = [1]
+    elif n == 1 or (kind == "restricted" and seed % 2):
+        omega = sample_full(n, f, seed)
+    else:
+        omega = thooft_tensor(n, f, seed)
+    fresh = [OmegaTensor(omega.n, f, omega.coeffs) for _ in range(2)]
+    m = build_monad(fresh[0])
+    if kind in ("restricted", "dropping"):
+        xi = [f.of_int(x) for x in (xi + [0] * omega.n)[:omega.n]]
+        xi = [f.one()] + xi[1:] if all(map(f.is_zero, xi)) else xi
+        m = restricted_monad(fresh[0], xi)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Monad, "alpha", None)
+        got = [(d, *m.h_values(d)) for d in range(-2, 7)]
+    assert got == oracles.coh_rows_every_twist(m, 6)
+    if kind == "dropping":
+        assert got[2][1] > 0 and fresh[0].restrict_xi(xi).rank() < m.umat.rank()
+    first = json.dumps(classify(fresh[1]).searched, sort_keys=True)
+    coh_table(fresh[0], 6)
+    assert json.dumps(classify(fresh[0]).searched, sort_keys=True) == first
+    assert json.dumps(classify(fresh[0]).searched, sort_keys=True) == first
 
 
 @pytest.mark.parametrize("spec", ["fp:7", "fp:32003", "rational"])

@@ -1,7 +1,7 @@
 """The benchmark's seed-0 runs check every op's output against
 perfbench/reference.json; one cycle of each workload keeps them in the suite,
-and short traced verdicts and rational runs keep the per-layer wrapping
-there too."""
+and short traced verdicts, rational and certify-chains runs keep the
+per-layer wrapping there too."""
 
 import json
 import subprocess
@@ -42,9 +42,12 @@ def test_traced_verdicts_run_counts_the_pieces():
 
 
 def test_traced_rational_run_counts_the_eliminations():
-    # per op over the cycle's seven certificates over Q: four RREFs over Q,
-    # and 34/7 exact products, for the displays, the witness scan and the
-    # pieces.  The six modular ops check and rank their S^2 complex on int64
+    # per op over the cycle's seven certificates over Q: 29/7 calls of
+    # Mat.rref over Q, and 34/7 exact products, for the displays, the witness
+    # scan and the pieces.  Each kernel basis over Q is read off its RREF and
+    # reduced once more; the witness partner's canonical kernel then reads
+    # that reduced basis's kept RREF, a call with no elimination.  The six
+    # modular ops check and rank their S^2 complex on int64
     # residues, with no product or elimination over Q
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", "rational", "--seed", "0", "--seconds", "1",
@@ -53,5 +56,17 @@ def test_traced_rational_run_counts_the_eliminations():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
     metrics = result["metrics"]
-    assert metrics["linalg.rref.calls.generic"]["value"] == pytest.approx(4.0)
+    assert metrics["linalg.rref.calls.generic"]["value"] == pytest.approx(29 / 7)
     assert metrics["linalg.matmul.calls"]["value"] == pytest.approx(34 / 7)
+
+
+def test_traced_certify_run_gathers_no_alpha():
+    # a certificate reads rank alpha(d) off the inverse systems of its
+    # certificate pieces, so no op of the main user path gathers alpha
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "certify-chains", "--seed", "0", "--seconds",
+         "1", "--trace", "1"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["metrics"]["monads.alpha.self_s"]["value"] == 0
