@@ -273,16 +273,10 @@ class Mat:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        m = Mat.zeros(field, n, n)
         if _use_np(field):
-            a = m._a.copy()
-            np.fill_diagonal(a, 1 % field.p)
-            return Mat(field, n, n, a)
-        one = field.one()
-        data = [row[:] for row in m._a]
-        for i in range(n):
-            data[i][i] = one
-        return Mat(field, n, n, data)
+            return Mat(field, n, n, np.eye(n, dtype=np.int64))
+        one, zero = field.one(), field.zero()
+        return Mat(field, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_np(field: Field, a: np.ndarray) -> "Mat":

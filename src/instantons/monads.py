@@ -11,8 +11,9 @@
 # in intermediate degrees, so kernels and cokernels of concrete matrices give
 # the h^i exactly; the rank of alpha at twist d is read off the inverse system
 # of the (1, d + 1) piece of the ideal of umat's columns, not a gathered map.
-# Over Q the symmetric-square complex is checked and ranked on int64
-# residues of integer multiples of the display's two small maps.
+# The symmetric-square complex's d0 is injective on S^2 N, so it is ranked
+# through its quotient by that image; over Q the complex is checked and ranked
+# on int64 residues of integer multiples of the display's two small maps.
 
 from __future__ import annotations
 
@@ -78,16 +79,20 @@ class Monad:
     phi is the symplectic matrix on N recovered from the tensor, never
     assumed; the fiberwise left map H-bar (x) V -> N is derived from them,
     wmat = phi umat^T (m x 4*nH), so beta = phi o alpha*.  N itself is the
-    tensor's: OmegaTensor.image.
+    tensor's: OmegaTensor.image, whose pivots J (None after a restriction)
+    are the rows of umat, its basis transposed, that are the identity.
     """
 
-    __slots__ = ("nH", "m", "phi", "umat", "wmat", "_systems", "_ranks", "_onto", "_s2", "_restricted")
+    __slots__ = ("nH", "m", "phi", "umat", "wmat", "pivots", "_systems", "_ranks", "_onto", "_s2",
+                 "_restricted")
 
-    def __init__(self, nH: int, phi: Mat, umat: Mat, systems: InverseSystems | None = None):
+    def __init__(self, nH: int, phi: Mat, umat: Mat, systems: InverseSystems | None = None,
+                 pivots: list[int] | None = None):
         self.nH = nH
         self.m = phi.nrows
         self.phi = phi
         self.umat = umat
+        self.pivots = pivots
         self.wmat = phi @ umat.transpose()
         self._systems = systems or InverseSystems(nH, umat.transpose())
         # kept once found: the ranks of alpha(d) and beta(d) by twist d, the least twist
@@ -203,7 +208,7 @@ def _monad_from_image(omega: OmegaTensor, N: Subspace) -> Monad:
     # self-certification: u o phi o u* must reproduce the flattening exactly
     if not (B.transpose() @ phi @ B == M):
         raise MonadError("failed to factor the flattening through phi")
-    return Monad(omega.n, phi, B.transpose(), inverse_systems(omega))
+    return Monad(omega.n, phi, B.transpose(), inverse_systems(omega), piv)
 
 
 def restricted_monad(omega: OmegaTensor, xi: list) -> Monad:
@@ -269,6 +274,29 @@ def _s2_maps(nH: int, umat: Mat, wmat: Mat) -> tuple[Mat, Mat]:
     return umat.gather(n_part).hstack(wmat.gather(h_part)), umat.gather(d1_pattern)
 
 
+def _d0_rank(d0: Mat, umat: Mat, pivots: list[int] | None) -> int:
+    """rank d0 = m(m + 1)/2 + the rank of its H (x) H* part in the quotient
+    wedge^2 N (+) N (x) W / u(N) by the image of S^2 N, when umat's rows at
+    N's pivots J are L I, L != 0 (L = 1 but on residues of L umat): in the
+    coordinates X -> (X[:, J], L X[:, K] - X[:, J] umat[K, :]^T) of N (x) W,
+    K the other columns, S^2 N maps onto the symmetric matrices on J (one to
+    one, as the characteristic is not 2)."""
+    f, c1, m = umat.field, umat.nrows, umat.ncols
+    scale = umat.row(pivots[0])[0] if pivots else f.zero()
+    if pivots and umat.take_rows(pivots) != Mat.identity(f, m).scale(scale):
+        raise AssertionError("umat is not a multiple of the identity at the pivots of N")
+    if f.is_zero(scale):  # restricted (umat can lose column rank), or L = 0 mod p
+        return d0.rank()
+    rest = (Mat.identity(f, c1).scale(scale) - umat.place_cols(pivots, c1).transpose()).take_cols(
+        [x for x in range(c1) if x not in pivots])
+    # row ba of the H (x) H* part's transpose holds its m x 4nH matrix X, X[s, x] at x m + s
+    h = d0.take_cols(range(m * (m + 1) // 2, d0.ncols)).transpose().take_cols(
+        [s * c1 + x for x in range(c1) for s in range(m)])
+    up, down = zip(*((pivots[t] * m + s, pivots[s] * m + t) for s, t in skew_pairs(m)))
+    return m * (m + 1) // 2 + (h.take_cols(up) - h.take_cols(down)).hstack(
+        h.contract_blocks(rest.transpose(), m)).rank()
+
+
 def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
     """(h0, h1, h2) of S^2 E from the five-term symmetric-square complex,
     computed once and kept on the display.
@@ -277,7 +305,8 @@ def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
         S^2 N (+) H (x) H* --d0--> N (x) H* (x) V* --d1--> wedge^2 H* (x) S^2 V*
     and the three cohomology dimensions are read off positions 0, 1, 2.
     d1 @ d0 = 0 is checked first; d0 sends nu_s^2 to twice a vector, so
-    characteristic 2 is refused.  Over Q both maps come from int64 residues
+    characteristic 2 is refused; d0 is ranked through its quotient by the
+    image of S^2 N (_d0_rank).  Over Q both maps come from int64 residues
     of integer multiples of umat and wmat (column blocks times constants),
     are checked mod primes whose product exceeds a bound B on d1 @ d0, and
     are ranked mod the first, or over Q unless d0 is injective and d1 onto.
@@ -299,13 +328,15 @@ def s2_cohomology(monad: Monad) -> tuple[int, int, int]:
             d0m, d1m = _s2_maps(nH, u, w)
             if not d1m.annihilates(d0m):
                 raise AssertionError("symmetric-square complex is not a complex")
-            maps, modulus = maps or (d0m, d1m), modulus * u.field.p
+            maps, modulus = maps or (d0m, d1m, u), modulus * u.field.p
             if modulus > bound:
                 break
-        d0m, d1m = maps
-        if d0m.field != f and (d0m.rank() < d0m.ncols or d1m.rank() < d1m.nrows):
+        d0m, d1m, u = maps
+        rank0 = _d0_rank(d0m, u, monad.pivots)
+        if d0m.field != f and (rank0 < d0m.ncols or d1m.rank() < d1m.nrows):
             d0m, d1m = _s2_maps(nH, monad.umat, monad.wmat)
-        rank0, rank1 = d0m.rank(), d1m.rank()
+            rank0 = _d0_rank(d0m, monad.umat, monad.pivots)
+        rank1 = d1m.rank()
         monad._s2 = (d0m.ncols - rank0, d0m.nrows - rank1 - rank0, d1m.nrows - rank1)
     return monad._s2
 

@@ -452,7 +452,7 @@ def classify(omega: OmegaTensor, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     built as [d, e, ambient, rank], and the stage that decided.
     """
     n = omega.n
-    rank = omega.rank()
+    rank = omega.image().dim  # the RREF the (1,1) piece and the display read, kept
     points: dict[str, int] = {}
     cert = SpanningCertifier(omega)
 

@@ -105,11 +105,14 @@ h0 there is dim N meet (xi (x) V*), which is 0 exactly when the rank is kept.
 `s2_is_complex_dense` is the check that the symmetric-square complex is a
 complex by the dense product d1 @ d0 over the display's field, and
 `s2_cohomology_by_fractions` the triple from d0 and d1 gathered over the
-display's field, checked so and ranked there by `Mat.rank`.
-`monads.s2_cohomology` forms only the products of nonzero entries, through
-`Mat.annihilates`, and over Q it gathers, checks and ranks d0 and d1 on the
-int64 residues of integer multiples of umat and wmat, mod as many primes as
-the height of the product asks for.
+display's field, checked so and ranked there by `Mat.rank`; `d0_rank_whole`
+is that rank of the whole d0.  `monads.s2_cohomology` forms only the
+products of nonzero entries, through `Mat.annihilates`, ranks d0 on a
+display built from N as m(m + 1)/2 plus the rank of its H (x) H* part in
+the quotient by the image of S^2 N (`monads._d0_rank`), and over Q it
+gathers, checks and ranks d0 and d1 on the int64 residues of integer
+multiples of umat and wmat, mod as many primes as the height of the
+product asks for.
 
 `projective_points_by_filter` is the point enumerator that tests every chart
 point's tail for zero and drops the zero tails, whose points are basis
@@ -652,13 +655,19 @@ def s2_is_complex_dense(m: Monad) -> bool:
     return (d1 @ d0).is_zero()
 
 
+def d0_rank_whole(m: Monad) -> int:
+    """Reference for `monads._d0_rank`: the rank of the whole d0, gathered
+    over the display's field."""
+    return _s2_maps(m.nH, m.umat, m.wmat)[0].rank()
+
+
 def s2_cohomology_by_fractions(m: Monad) -> tuple[int, int, int]:
     """Reference for `monads.s2_cohomology`: (h0, h1, h2) from d0 and d1
     gathered over the display's field, checked by their dense product."""
     if not s2_is_complex_dense(m):
         raise AssertionError("symmetric-square complex is not a complex")
     d0, d1 = _s2_maps(m.nH, m.umat, m.wmat)
-    rank0, rank1 = d0.rank(), d1.rank()
+    rank0, rank1 = d0_rank_whole(m), d1.rank()
     return d0.ncols - rank0, d0.nrows - rank1 - rank0, d1.nrows - rank1
 
 

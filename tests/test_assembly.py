@@ -9,10 +9,11 @@ each recorded call every matrix passed to `Mat.rank` or `Mat.kernel` is
 digested, in call order.  The digests were recorded from the nested-loop
 assembly this package used before its maps were built by `Mat.gather`, so
 the assembly, the row order and the column order are all unchanged.
-Over Q the symmetric-square complex is ranked on int64 residues mod
-2097143 of integer multiples of umat and wmat, so the rational
-`s2_cohomology` digests pin those residues, each ranked twice: once to see
-that d0 is injective and d1 onto, once (from the kept rank) for the triple.
+The `s2_cohomology` digests pin d0's H (x) H* part in the quotient by the
+image of S^2 N, which is what is ranked in place of d0, and d1.  Over Q
+both are taken on int64 residues mod 2097143 of integer multiples of umat
+and wmat, and d1 is ranked twice: once to see that it is onto, once (from
+the kept rank) for the triple.
 
 The sigma and gamma systems and the full-skew tangent system are no longer
 built by the package: it reads their kernel dimensions off d1, alpha(1) and
@@ -194,7 +195,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "6981fe3d8acbad43",
         "monad": "f3e3adf0f9c58d3d",
         "restricted": "601ca4375e2d1bac",
-        "s2_cohomology": "de6ac2d5f90ad187",
+        "s2_cohomology": "d86d1fd448827507",
         "sigma_kernel_dim": "3324c84d57df3b1a",
         "tangent_dim": "c1a12a79946a9517",
         "tensor": "b390779b352b11f8",
@@ -208,7 +209,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "ed4d9deb077bfda9",
         "monad": "3a6bc30bd4621361",
         "restricted": "f7f8dce018469d1f",
-        "s2_cohomology": "3d8ad8edf5c65406",
+        "s2_cohomology": "e17e442eb841bef7",
         "sigma_kernel_dim": "fd7e32ee71fb65ec",
         "tangent_dim": "4fe3fdd203a18420",
         "tensor": "dcfae93414457c83",
@@ -222,7 +223,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "a4b126774b515449",
         "monad": "11b1f7e4eba350c2",
         "restricted": "a34ec9c64fa6ed12",
-        "s2_cohomology": "55db3999598f9722",
+        "s2_cohomology": "b6c67f9e08081c03",
         "sigma_kernel_dim": "f7e20ab6bb00bc51",
         "tangent_dim": "c23edda4c6ce4af2",
         "tensor": "2aa93c4382840d8e",
@@ -236,7 +237,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "29f528a3e2ffa1b3",
         "monad": "f9bbdc372a3f892e",
         "restricted": "89e9010f645b0615",
-        "s2_cohomology": "55080925a4339d10",
+        "s2_cohomology": "0e7792e544a83fd7",
         "sigma_kernel_dim": "4d16a97172fe8788",
         "tangent_dim": "405a5fd7ae2df467",
         "tensor": "0fa6b126a6eb6873",
@@ -250,7 +251,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "0535e449277aec2f",
         "monad": "d8be61fe539f1fad",
         "restricted": "d3ea29b799d64502",
-        "s2_cohomology": "338ab51ccde650fa",
+        "s2_cohomology": "a49f042a3ed5d42d",
         "sigma_kernel_dim": "1f873da189b310a5",
         "tangent_dim": "58d9063f8c43933a",
         "tensor": "7109ec644c1e2013",
@@ -264,7 +265,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "e21984f512e46982",
         "monad": "c54fa0c5368a2ae5",
         "restricted": "f202445e195d75cb",
-        "s2_cohomology": "3c5cb1667472e84f",
+        "s2_cohomology": "8fb6a9f90d86bfa5",
         "sigma_kernel_dim": "cfae80e270b62f21",
         "tangent_dim": "01734b9dbe2478d1",
         "tensor": "0e05fa3db88de772",
@@ -278,7 +279,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "f4bef9c5a1097104",
         "monad": "68e47aeebf177497",
         "restricted": "fcfa8dbc3ef2b372",
-        "s2_cohomology": "35f2851644b88e32",
+        "s2_cohomology": "ca710fc6ef33dda0",
         "sigma_kernel_dim": "c041bab7c850dabf",
         "tangent_dim": "a1a0c578740327c0",
         "tensor": "0bd29b7837619372",
@@ -292,7 +293,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "1072e79a16d2c318",
         "monad": "9e3f6a23681d02f0",
         "restricted": "37cfddb70b27418a",
-        "s2_cohomology": "4f8d12f2967180fd",
+        "s2_cohomology": "6906c1a623315456",
         "sigma_kernel_dim": "451e5d2b2014eb92",
         "tangent_dim": "6e654010207b614e",
         "tensor": "6f6474c160f6813f",
@@ -306,7 +307,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "707fc42d7263e5a4",
         "monad": "88e726fa897cfbd5",
         "restricted": "997cb1232befbe6f",
-        "s2_cohomology": "07191dd1d0565421",
+        "s2_cohomology": "7c9336dba476b9e3",
         "sigma_kernel_dim": "006fed34df9b6b88",
         "tangent_dim": "3082a452c1233fc5",
         "tensor": "7cda0ddb59206a26",
@@ -320,7 +321,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "9cf62bdd53b0fdfb",
         "monad": "b35a262c460431db",
         "restricted": "b305430d83fffe0d",
-        "s2_cohomology": "213b7e4aa5952a42",
+        "s2_cohomology": "346f83d6a447e72a",
         "sigma_kernel_dim": "155c17551bf62fde",
         "tangent_dim": "9d8aed209d1d002d",
         "tensor": "166e5f6c2ba68381",
@@ -334,7 +335,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "edbbd910c9fd77e0",
         "monad": "ca8b68b171964694",
         "restricted": "8fdd76255d83287d",
-        "s2_cohomology": "8c20f0d05f280ceb",
+        "s2_cohomology": "34fd0298a1d194da",
         "sigma_kernel_dim": "251fbc9bf3b3a9d6",
         "tangent_dim": "fa53436ac56a79a5",
         "tensor": "22279aba096b5c2c",
@@ -348,7 +349,7 @@ PINNED: dict[str, dict[str, str]] = {
         "gamma_kernel_dim": "4688f87234a248a6",
         "monad": "1514f3e4ecf21f37",
         "restricted": "2993d129d03b43dc",
-        "s2_cohomology": "485d5e23a9a05d06",
+        "s2_cohomology": "41d9f9ef0b114915",
         "sigma_kernel_dim": "10d46f2a792d8c67",
         "tangent_dim": "4899524bcf9ebb9b",
         "tensor": "03f2de7e71b8d4a3",

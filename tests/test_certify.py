@@ -239,18 +239,18 @@ ELIMINATIONS = ("_np_rref", "_np_rank", "_generic_rref")
 
 
 @pytest.mark.parametrize("make,counts", [
-    (lambda: sample_instanton(5, 2, GF32003, 7), (3, 10, 0)),
-    (lambda: thooft_tensor(3, QQ), (0, 13, 7)),
-    (lambda: degenerate_rank6(QQ), (0, 6, 7)),
-    (lambda: sample_full(2, QQ, 1), (0, 10, 1)),
-    (lambda: nc_tensor(QQ), (0, 9, 1)),
+    (lambda: sample_instanton(5, 2, GF32003, 7), (3, 9, 0)),
+    (lambda: thooft_tensor(3, QQ), (0, 12, 6)),
+    (lambda: degenerate_rank6(QQ), (0, 5, 6)),
+    (lambda: sample_full(2, QQ, 1), (0, 9, 1)),
+    (lambda: nc_tensor(QQ), (0, 8, 1)),
 ], ids=["chain52", "thooft3-q", "degenerate-rank6-q", "full2-q", "nc-q"])
 def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # calls of each elimination kernel in one certificate.  Over Q each rank
     # first runs _np_rank on the residues mod one prime, and _generic_rref
-    # only when that rank is not full (or for an RREF).  The display, the
-    # (1,1) certificate piece and the tangent system share one RREF of the
-    # flattening, and every kernel basis they use is read off an RREF with no
+    # only when that rank is not full (or for an RREF).  classify's rank, the
+    # display, the (1,1) certificate piece and the tangent system share one
+    # RREF of the flattening, and every kernel basis they use is read off an RREF with no
     # second reduction, save over Q, where it is reduced once more to keep
     # the heights of its entries small.  Every later piece eliminates its constraint matrix,
     # as wide as the lower piece's annihilator times the number of
@@ -262,7 +262,8 @@ def test_certificate_eliminations_are_pinned(monkeypatch, make, counts):
     # cohomology table, left_defect reads the rank of beta(1) that
     # h_values(1) kept, and beta is not ranked at d0 or above, save beta(1).
     # A non-modular certificate ranks the sigma system over Q mod one prime,
-    # where it is onto.  The witness scan reaches only
+    # where it is onto.  The S^2 complex ranks d0's H (x) H* part in the
+    # quotient by the image of S^2 N in place of d0.  The witness scan reaches only
     # the basis points, a short run, and ranks each point's (w + 1) x w block
     # of its fixed sketch, over Q through a rank mod one prime (never square,
     # so no determinant), and ranks the point's own contraction only where

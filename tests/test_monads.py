@@ -450,3 +450,95 @@ def test_s2_rank_drop_ranks_over_q(monkeypatch):
     triple = s2_cohomology(bar)
     assert triple[0] > 0 and triple == oracles.s2_cohomology_by_fractions(bar)
     assert fields[:2] == [linalg._RANK_PRIME, q]
+
+
+def _s2_display(spec: str, n: int, kind: str, seed: int) -> Monad:
+    """A display of kind: the plain display of a 't Hooft tensor (a
+    full-rank sample at n = 1) or of a full-rank sample (K is empty, m =
+    4n), a (5,2) chain (n = 5), the sum of a tensor with itself (so
+    h0(S^2 E) > 0; n even), or a 't Hooft display restricted to a hyperplane
+    (n >= 2) or the restricted rank-drop sum of test_s2_rank_drop_ranks_over_q."""
+    f = field_from_spec(spec)
+    if kind == "sum":
+        half = nc_tensor(f) if n == 2 else thooft_tensor(n // 2, f, seed)
+        return build_monad(block_sum(half, half))
+    if kind == "drop":
+        t = block_sum(nc_tensor(f), nc_tensor(f, [f.one(), f.one()] + [f.zero()] * 3 + [f.one()]))
+        return restricted_monad(t, [f.one(), f.zero()])
+    if kind == "chain":
+        return build_monad(sample_instanton(5, 2, f, seed))
+    t = sample_full(n, f, seed) if kind == "full" or n == 1 else thooft_tensor(n, f, seed)
+    if kind == "restricted":
+        xi = Stream("s2-xi", seed).next_vector(f, n)
+        return restricted_monad(t, [f.one()] + xi[1:] if all(map(f.is_zero, xi)) else xi)
+    return build_monad(t)
+
+
+@given(spec=st.sampled_from(["fp:32003", "fp:7", "fp:3^2", "rational"]), n=st.integers(1, 5),
+       kind=st.sampled_from(["thooft", "full", "chain", "sum", "restricted", "drop"]),
+       seed=st.integers(0, 99))
+@example(spec="rational", n=2, kind="sum", seed=0)
+@example(spec="fp:7", n=4, kind="sum", seed=0)
+@example(spec="fp:32003", n=4, kind="sum", seed=0)
+@example(spec="rational", n=2, kind="drop", seed=0)
+@example(spec="fp:32003", n=5, kind="chain", seed=7)
+@example(spec="rational", n=5, kind="thooft", seed=0)
+@example(spec="fp:3^2", n=3, kind="thooft", seed=0)
+@settings(max_examples=60)
+def test_s2_quotient_rank_matches_the_full_d0_oracle(spec, n, kind, seed):
+    # the triple ranks d0's H (x) H* part in the quotient by the injective
+    # image of S^2 N (restricted displays: d0 whole); the oracle gathers d0
+    # and d1 over the display's field and ranks them whole.  Plain displays
+    # over four fields for n = 1..5 (fp:3^2, whose elimination runs on
+    # Python elements, up to n = 3), the self-sums with h0(S^2 E) > 0, whose
+    # residue ranks over Q fall back to Q, and restricted displays.  A chain
+    # is drawn over the prime fields only: over Q its sampling takes seconds
+    if spec == "fp:3^2":
+        n = min(n, 3)
+    if kind == "chain" and spec in ("fp:3^2", "rational"):
+        kind = "thooft"
+    n = {"sum": 2 + 2 * (n > 3), "drop": 2, "chain": 5, "restricted": max(n, 2)}.get(kind, n)
+    m = _s2_display(spec, n, kind, seed)
+    triple = s2_cohomology(m)
+    assert triple == oracles.s2_cohomology_by_fractions(m)
+    if kind in ("sum", "drop"):
+        assert triple[0] > 0
+    assert (m.pivots is None) == (kind in ("restricted", "drop"))
+    d0 = monads._s2_maps(m.nH, m.umat, m.wmat)[0]
+    assert monads._d0_rank(d0, m.umat, m.pivots) == oracles.d0_rank_whole(m)
+
+
+@pytest.mark.parametrize("spec", ["fp:32003", "fp:3^2", "rational"])
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_s2_quotient_refuses_umat_off_the_identity_at_the_pivots(spec, diagonal):
+    # the quotient stands for d0 only while umat's rows at N's pivots J are
+    # L I.  A display whose umat has one entry of such a row changed (on the
+    # diagonal, or off it), its complex still the true display's so that its
+    # check passes, raises an AssertionError naming that invariant; over Q
+    # so does the residue of L umat mod the first rank prime, changed alike
+    f = field_from_spec(spec)
+    m = build_monad(thooft_tensor(3, f, 0))
+    u, w = m.umat, m.wmat
+    if spec == "rational":
+        u, w = (next(x.scaled_residues()[1]) for x in (u, w))
+    rows = u.rows()
+    row, col = m.pivots[2], 2 if diagonal else 5
+    rows[row][col] = u.field.add(rows[row][col], u.field.one())
+    bad = Mat.from_rows(u.field, rows, m.m)
+    d0 = monads._s2_maps(m.nH, u, w)[0]
+    with pytest.raises(AssertionError, match="identity at the pivots of N"):
+        monads._d0_rank(d0, bad, m.pivots)
+    if spec == "rational":
+        # a prime dividing L zeroes those rows of the residue: d0 is ranked whole
+        zeroed = [[u.field.zero()] * m.m if i in m.pivots else r for i, r in enumerate(u.rows())]
+        assert monads._d0_rank(d0, Mat.from_rows(u.field, zeroed, m.m), m.pivots) == d0.rank()
+        return
+    fake = Monad.__new__(Monad)
+    for name in Monad.__slots__:
+        setattr(fake, name, getattr(m, name))
+    fake.umat, fake._s2 = bad, None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monads, "_s2_maps", lambda nH, umat, wmat, maps=monads._s2_maps: maps(
+            nH, m.umat, m.wmat))
+        with pytest.raises(AssertionError, match="identity at the pivots of N"):
+            s2_cohomology(fake)

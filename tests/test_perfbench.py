@@ -42,9 +42,11 @@ def test_traced_verdicts_run_counts_the_pieces():
 
 
 def test_traced_rational_run_counts_the_eliminations():
-    # per op over the cycle's seven certificates over Q: 29/7 calls of
+    # per op over the cycle's seven certificates over Q: 36/7 calls of
     # Mat.rref over Q, and 34/7 exact products, for the displays, the witness
-    # scan and the pieces.  Each kernel basis over Q is read off its RREF and
+    # scan and the pieces.  classify reads the rank off the flattening's RREF,
+    # one call per op, which the display and the (1,1) piece read again from
+    # the kept result.  Each kernel basis over Q is read off its RREF and
     # reduced once more; the witness partner's canonical kernel then reads
     # that reduced basis's kept RREF, a call with no elimination.  The six
     # modular ops check and rank their S^2 complex on int64
@@ -56,7 +58,7 @@ def test_traced_rational_run_counts_the_eliminations():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
     metrics = result["metrics"]
-    assert metrics["linalg.rref.calls.generic"]["value"] == pytest.approx(29 / 7)
+    assert metrics["linalg.rref.calls.generic"]["value"] == pytest.approx(36 / 7)
     assert metrics["linalg.matmul.calls"]["value"] == pytest.approx(34 / 7)
 
 
